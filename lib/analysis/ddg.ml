@@ -54,7 +54,10 @@ let build ?(live_at_target = no_speculation) ?(pre_env = Reg.Map.empty) (sb : Sb
      a later branch pins every one whose destination is live at its
      target (on the taken path the write must already have happened). *)
   let defs_so_far : (int * Reg.t) list ref = ref [] in
-  let mem_ops : (int * bool * Linval.lin option * Operand.t) list ref = ref [] in
+  (* (position, is store, address, base operand, single array label) *)
+  let mem_ops : (int * bool * Linval.lin option * Operand.t * string option) list ref =
+    ref []
+  in
   let insn_positions = Sb.insn_positions sb in
   let last_insn_pos = match List.rev insn_positions with [] -> -1 | p :: _ -> p in
   let syntactic_disjoint b1 b2 =
@@ -121,12 +124,20 @@ let build ?(live_at_target = no_speculation) ?(pre_env = Reg.Map.empty) (sb : Sb
           let addr = Linval.address lv p in
           let base = i.Insn.srcs.(0) in
           let st = Insn.is_store i in
+          let lab = Option.bind addr Linval.label_of_addr in
+          (* Addresses on two different single array labels never alias:
+             each side has its label at coefficient 1, so their
+             difference is never constant and [Linval.relation] answers
+             [Disjoint]. Skip [may_alias] for such pairs. *)
+          let other_array qlab =
+            match lab, qlab with Some a, Some b -> a <> b | _ -> false
+          in
           List.iter
-            (fun (q, qst, qaddr, qbase) ->
-              if (st || qst) && may_alias qaddr qbase addr base then
-                add q p Mem (if qst then 1 else 0))
+            (fun (q, qst, qaddr, qbase, qlab) ->
+              if (st || qst) && (not (other_array qlab)) && may_alias qaddr qbase addr base
+              then add q p Mem (if qst then 1 else 0))
             !mem_ops;
-          mem_ops := (p, st, addr, base) :: !mem_ops
+          mem_ops := (p, st, addr, base, lab) :: !mem_ops
         end;
         (* Control dependences. *)
         if Insn.is_branch i then begin
@@ -187,22 +198,32 @@ let build ?(live_at_target = no_speculation) ?(pre_env = Reg.Map.empty) (sb : Sb
             insn_positions)
       | Block.Ins _ | Block.Loop _ -> ())
     sb.Sb.items;
+  (* Deduplicate keeping the max latency per (src, dst): group the raw
+     edges by source, then fold each group through a scratch array
+     indexed by destination (reset after each group). *)
+  let by_src = Array.make n [] in
+  List.iter (fun e -> by_src.(e.esrc) <- (e.edst, e.lat) :: by_src.(e.esrc)) !edges;
   let succs = Array.make n [] in
   let preds = Array.make n [] in
-  (* Deduplicate keeping the max latency per (src, dst). *)
-  let best : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      let k = (e.esrc, e.edst) in
-      match Hashtbl.find_opt best k with
-      | Some l when l >= e.lat -> ()
-      | _ -> Hashtbl.replace best k e.lat)
-    !edges;
-  Hashtbl.iter
-    (fun (s, d) lat ->
-      succs.(s) <- (d, lat) :: succs.(s);
-      preds.(d) <- (s, lat) :: preds.(d))
-    best;
+  let best = Array.make n min_int in
+  Array.iteri
+    (fun s group ->
+      let dsts =
+        List.fold_left
+          (fun dsts (d, lat) ->
+            let b = best.(d) in
+            if lat > b then best.(d) <- lat;
+            if b = min_int then d :: dsts else dsts)
+          [] group
+      in
+      List.iter
+        (fun d ->
+          let lat = best.(d) in
+          best.(d) <- min_int;
+          succs.(s) <- (d, lat) :: succs.(s);
+          preds.(d) <- (s, lat) :: preds.(d))
+        dsts)
+    by_src;
   { sb; nodes = insn_positions; edges = !edges; succs; preds }
 
 (* Longest-path height of each node to the end of the segment, counting

@@ -4,7 +4,8 @@
 
     The fixpoint runs on dense integer register indices and bitsets
     ({!Dense}); the [Reg.Set]-based record is reconstructed from that
-    result for symbolic consumers. *)
+    result for symbolic consumers, and {!target_live} builds single
+    branch-target sets on demand for the schedulers. *)
 
 open Impact_ir
 
@@ -24,7 +25,8 @@ module Dense : sig
   type d = {
     flat : Flatten.t;
     regs : Reg.t array;  (** dense index -> register *)
-    index_tbl : (int, int) Hashtbl.t;  (** [Reg.hash] -> dense index *)
+    base : int;  (** smallest [Reg.hash] in [regs] *)
+    index : int array;  (** [Reg.hash r - base] -> dense index, or -1 *)
     live_in : Bits.t array;
     live_out : Bits.t array;
     exit_live : Bits.t;
@@ -47,13 +49,17 @@ end
 val of_dense : Dense.d -> t
 (** Expand a dense result to [Reg.Set] arrays. *)
 
-val analyze : ?exit_live:Reg.Set.t -> Flatten.t -> t
-
 val live_at_label : t -> string -> Reg.Set.t
 (** Live set at a label (the exit-live set for a trailing label). *)
 
 val live_at_target : t -> Insn.t -> Reg.Set.t
 (** Live set at a branch's target. *)
+
+val target_live : Dense.d -> Insn.t -> Reg.Set.t
+(** [target_live d] is a lookup equal to [live_at_target (of_dense d)]
+    that builds each target's set on first request and memoises it in
+    the returned closure. Raises [Invalid_argument] on a non-branch or
+    an unknown label. *)
 
 val of_prog : Prog.t -> t
 (** Liveness with the program outputs live at exit. *)

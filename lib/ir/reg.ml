@@ -17,11 +17,17 @@ let fresh gen cls =
 
 let gen_count gen = gen.next
 
-let compare a b = Stdlib.compare (a.id, a.cls) (b.id, b.cls)
+let cls_rank = function Int -> 0 | Float -> 1
+
+(* Id first, then class (Int < Float): the order of the tuple compare
+   [Stdlib.compare (id, cls)], without allocating or calling it. *)
+let compare a b =
+  if a.id <> b.id then Int.compare a.id b.id
+  else Int.compare (cls_rank a.cls) (cls_rank b.cls)
 
 let equal a b = a.id = b.id && a.cls = b.cls
 
-let hash a = (a.id * 2) + (match a.cls with Int -> 0 | Float -> 1)
+let hash a = (a.id * 2) + cls_rank a.cls
 
 let cls_to_string = function Int -> "i" | Float -> "f"
 

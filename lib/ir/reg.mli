@@ -16,10 +16,13 @@ val gen_count : gen -> int
 (** Upper bound (exclusive) on register ids issued so far. *)
 
 val compare : t -> t -> int
+(** By id, then class ([Int] before [Float]). *)
 
 val equal : t -> t -> bool
 
 val hash : t -> int
+(** [id * 2 + (0 for Int, 1 for Float)]: injective, and ascending hash
+    order is ascending {!compare} order. *)
 
 val cls_to_string : cls -> string
 

@@ -607,8 +607,8 @@ let consult_oracle machine (rep : report) = function
 let run_with_problems (machine : Machine.t) (p : Prog.t) :
     Prog.t * (report * problem option) list =
   Impact_obs.Obs.stage "pipe" (fun () ->
-    let live = Liveness.of_prog p in
-    let live_at_target i = Some (Liveness.live_at_target live i) in
+    let target_live = Liveness.target_live (Liveness.Dense.of_prog p) in
+    let live_at_target i = Some (target_live i) in
     let global_targets =
       List.fold_left
         (fun s (i : Insn.t) ->

@@ -114,8 +114,8 @@ let schedule_body (machine : Machine.t) ~live_at_target
    are evaluated symbolically so the scheduler can disambiguate addresses
    built from expanded induction registers. *)
 let run (machine : Machine.t) (p : Prog.t) : Prog.t =
-  let live = Liveness.of_prog p in
-  let live_at_target i = Some (Liveness.live_at_target live i) in
+  let target_live = Liveness.target_live (Liveness.Dense.of_prog p) in
+  let live_at_target i = Some (target_live i) in
   let rec go_block (b : Block.t) : Block.t =
     let rec go acc = function
       | [] -> List.rev acc

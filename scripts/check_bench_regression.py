@@ -12,7 +12,12 @@ With --check-summary, the in-order evaluation matrix itself is also
 guarded: the fresh summary speedup quantities and cell count must match
 the baseline exactly. Those numbers are deterministic for any worker
 count, so any drift is a correctness bug (e.g. a machine-model change
-leaking into the default in-order configuration), not host noise.
+leaking into the default in-order configuration), not host noise. The
+same mode requires every deterministic work counter in the baseline's
+metrics.counters (cse.*, dce.worklist_pushes, regalloc.nodes/edges/
+simplify_steps, pass.*, pipe.*) to match the fresh run exactly: an
+algorithmic change in the transformation or allocation work fails here
+whatever the host speed, while wall times keep their tolerance.
 
 With --serve, the files are BENCH_serve.json summaries (loadgen.py
 output) instead: client p99 latency must not grow past (1+tolerance)x
@@ -207,8 +212,9 @@ def main():
     ap.add_argument("--min-seconds", type=float, default=0.05,
                     help="ignore metrics whose baseline is below this")
     ap.add_argument("--check-summary", action="store_true",
-                    help="also require the fresh summary speedups and cell "
-                         "count to match the baseline exactly")
+                    help="also require the fresh summary speedups, cell "
+                         "count and metrics.counters to match the baseline "
+                         "exactly")
     ap.add_argument("--serve", action="store_true",
                     help="compare BENCH_serve.json summaries (throughput and "
                          "client p99) instead of eval stage times")
@@ -234,12 +240,17 @@ def main():
         for name in sorted(bs):
             if name not in fs or bs[name] != fs[name]:
                 drift.append(f"summary.{name}: {bs[name]} -> {fs.get(name)}")
+        bc = base.get("metrics", {}).get("counters", {})
+        fc = fresh.get("metrics", {}).get("counters", {})
+        for name in sorted(bc):
+            if name not in fc or bc[name] != fc[name]:
+                drift.append(f"metrics.counters.{name}: {bc[name]} -> {fc.get(name)}")
         if drift:
             print("in-order matrix drift (these numbers must be exact):")
             for d in drift:
                 print(f"  {d}")
             return 1
-        print(f"summary guard ok ({len(bs)} quantities, "
+        print(f"summary guard ok ({len(bs)} quantities, {len(bc)} counters, "
               f"{base.get('cells')} cells)")
 
     metrics = [("total_wall_s", base.get("total_wall_s"), fresh.get("total_wall_s"))]

@@ -281,6 +281,16 @@ let liveness_tests =
                      body = [ Block.Ins inc; Block.Ins back ] } ] } in
       let live = Liveness.of_prog p in
       check_bool "r1 live at L" true (Reg.Set.mem r1 (Liveness.live_at_label live "L")));
+    test "exit-live register absent from the code is numbered" (fun () ->
+      let b = irb () in
+      let r1 = reg b Reg.Int and f2 = reg b Reg.Float in
+      let i1 = Build.imov b.ctx r1 (Operand.Int 1) in
+      output b "y" f2;
+      let d = Liveness.Dense.of_prog (prog_of b [ Block.Ins i1 ]) in
+      check_int "two registers" 2 (Liveness.Dense.nregs d);
+      check_bool "f2 indexed" true (Liveness.Dense.index_opt d f2 = Some 1);
+      check_bool "f2 live at exit" true (Bits.mem d.Liveness.Dense.exit_live 1);
+      check_bool "f2 live in" true (Bits.mem d.Liveness.Dense.live_in.(0) 1));
   ]
 
 let ddg_tests =
@@ -319,6 +329,18 @@ let ddg_tests =
       let ld_a = Build.load ctx Reg.Float f2 (Operand.Lab "A") (Operand.Reg w) in
       let ddg2 = Ddg.build (sb_of [ Block.Ins st; Block.Ins ld_a ]) in
       check_bool "edge on same address" true (edge_exists ddg2 0 1));
+    test "duplicate edges keep the max latency" (fun () ->
+      (* The store reads f1 (anti edge, latency 0, found first) and may
+         alias the reload (memory edge, latency 1, found second). *)
+      let ctx = Prog.make_ctx () in
+      let w = Reg.fresh ctx.Prog.rgen Reg.Int in
+      let f1 = Reg.fresh ctx.Prog.rgen Reg.Float in
+      let st = Build.store ctx Reg.Float (Operand.Lab "A") (Operand.Reg w) (Operand.Reg f1) in
+      let ld = Build.load ctx Reg.Float f1 (Operand.Lab "A") (Operand.Reg w) in
+      let ddg = Ddg.build (sb_of [ Block.Ins st; Block.Ins ld ]) in
+      check_bool "two raw edges" true (List.length ddg.Ddg.edges = 2);
+      check_bool "one succ at latency 1" true (ddg.Ddg.succs.(0) = [ (1, 1) ]);
+      check_bool "one pred at latency 1" true (ddg.Ddg.preds.(1) = [ (0, 1) ]));
     test "store ordered after branch; dead-dest load may speculate" (fun () ->
       let ctx = Prog.make_ctx () in
       let r1 = Reg.fresh ctx.Prog.rgen Reg.Int in
@@ -445,6 +467,199 @@ let classify_tests =
       check_bool "not doall" true (classify_inner ast <> Classify.Doall));
   ]
 
+(* ---- Corpus differentials for the scheduler's analyses ----
+
+   Every transformed program of the 40 kernels x 5 levels, and every
+   innermost segment the list scheduler hands to [Ddg.build] (innermost
+   loop bodies split at labels, with the preheader environment). *)
+
+let corpus =
+  lazy
+    (List.concat_map
+       (fun (w : Impact_workloads.Suite.t) ->
+         let p = lower w.Impact_workloads.Suite.ast in
+         List.map
+           (fun lvl ->
+             ( Printf.sprintf "%s/%s" w.Impact_workloads.Suite.name
+                 (Impact_core.Level.to_string lvl),
+               Impact_core.Compile.transform_with Impact_core.Opts.default lvl p ))
+           Impact_core.Level.all)
+       Impact_workloads.Suite.all)
+
+let segments (p : Prog.t) : (Linval.lin Reg.Map.t * Insn.t array) list =
+  let out = ref [] in
+  let rec go_block acc = function
+    | [] -> ()
+    | Block.Loop l :: rest when Block.is_innermost l ->
+      let pre_env = Linval.env_of_items (List.rev acc) in
+      let cur = ref [] in
+      let flush () =
+        if !cur <> [] then out := (pre_env, Array.of_list (List.rev !cur)) :: !out;
+        cur := []
+      in
+      List.iter
+        (function Block.Ins i -> cur := i :: !cur | Block.Lbl _ | Block.Loop _ -> flush ())
+        l.Block.body;
+      flush ();
+      go_block (Block.Loop l :: acc) rest
+    | Block.Loop l :: rest ->
+      go_block [] l.Block.body;
+      go_block (Block.Loop l :: acc) rest
+    | item :: rest -> go_block (item :: acc) rest
+  in
+  go_block [] p.Prog.entry;
+  List.rev !out
+
+let liveness_corpus_tests =
+  [
+    test "sparse target liveness = of_prog at every branch" (fun () ->
+      List.iter
+        (fun (name, p) ->
+          let d = Liveness.Dense.of_prog p in
+          let full = Liveness.of_prog p in
+          let at = Liveness.target_live d in
+          Array.iter
+            (fun (i : Insn.t) ->
+              if i.Insn.target <> None then begin
+                let s = at i in
+                check_bool (name ^ " target set") true
+                  (Reg.Set.equal s (Liveness.live_at_target full i));
+                check_bool (name ^ " memoised") true (at i == s)
+              end)
+            d.Liveness.Dense.flat.Flatten.code)
+        (Lazy.force corpus));
+    test "dense numbering ascends and index_opt is exact" (fun () ->
+      List.iter
+        (fun (name, (p : Prog.t)) ->
+          let d = Liveness.Dense.of_prog p in
+          let regs = d.Liveness.Dense.regs in
+          Array.iteri
+            (fun k r ->
+              if k > 0 then
+                check_bool (name ^ " strictly ascending") true
+                  (Reg.compare regs.(k - 1) r < 0);
+              check_bool (name ^ " index of member") true
+                (Liveness.Dense.index_opt d r = Some k))
+            regs;
+          (* Every id up to one past the generator's bound, both classes,
+             plus ids below any in use: exactly the members are found. *)
+          let top = Reg.gen_count p.Prog.ctx.Prog.rgen in
+          for id = -2 to top + 1 do
+            List.iter
+              (fun cls ->
+                let r = { Reg.id; cls } in
+                let member = Array.exists (Reg.equal r) regs in
+                check_bool (name ^ " index_opt iff member") member
+                  (Liveness.Dense.index_opt d r <> None))
+              [ Reg.Int; Reg.Float ]
+          done)
+        (Lazy.force corpus));
+  ]
+
+(* Test-local reference for the edges [Ddg.build] derives itself:
+   register flow edges from the last definition, and memory edges from
+   [Linval.relation] plus the preheader and syntactic fallbacks on every
+   store-involving pair, with no shortcut. *)
+let reference_flow_mem ~pre_env (sb : Sb.t) =
+  let lv = Linval.analyze sb in
+  let may_alias a1 b1 a2 b2 =
+    match Linval.relation a1 a2 with
+    | Linval.Disjoint -> false
+    | Linval.Same -> true
+    | Linval.May -> (
+      let distance =
+        match a1, a2 with
+        | Some x, Some y ->
+          let d = Linval.sub x y in
+          if Linval.lin_step lv d <> Some 0 then None
+          else
+            let d = Linval.subst pre_env d in
+            if Linval.is_const d then Some d.Linval.c else None
+        | _ -> None
+      in
+      match distance, b1, b2 with
+      | Some c, _, _ -> c = 0
+      | None, Operand.Lab x, Operand.Lab y -> x = y
+      | None, _, _ -> true)
+  in
+  let last_def = Hashtbl.create 16 in
+  let edges = ref [] in
+  let mems = ref [] in
+  Sb.iter_insns
+    (fun p i ->
+      List.iter
+        (fun r ->
+          match Hashtbl.find_opt last_def r with
+          | Some (d, lat) -> edges := (d, p, Ddg.Flow, lat) :: !edges
+          | None -> ())
+        (Insn.uses i);
+      List.iter
+        (fun r -> Hashtbl.replace last_def r (p, Machine.latency i.Insn.op))
+        (Insn.defs i);
+      if Insn.is_mem i then begin
+        let m = (p, Insn.is_store i, Linval.address lv p, i.Insn.srcs.(0)) in
+        List.iter
+          (fun (q, qst, qa, qb) ->
+            let _, st, a, b = m in
+            if (st || qst) && may_alias qa qb a b then
+              edges := (q, p, Ddg.Mem, if qst then 1 else 0) :: !edges)
+          !mems;
+        mems := m :: !mems
+      end)
+    sb;
+  List.sort compare !edges
+
+let ddg_corpus_tests =
+  [
+    test "Ddg.build edges = all-pairs reference on every segment" (fun () ->
+      List.iter
+        (fun (name, p) ->
+          let target_live = Liveness.target_live (Liveness.Dense.of_prog p) in
+          let live_at_target i = Some (target_live i) in
+          List.iter
+            (fun (pre_env, insns) ->
+              let sb =
+                Sb.make ~head:"\000head" ~exit_lbl:"\000exit"
+                  (Array.map (fun i -> Block.Ins i) insns)
+              in
+              let g = Ddg.build ~live_at_target ~pre_env sb in
+              let raw =
+                List.map (fun e -> Ddg.(e.esrc, e.edst, e.kind, e.lat)) g.Ddg.edges
+              in
+              (* The raw Flow/Mem multiset is what Pipe consumes. *)
+              let flow_mem =
+                List.filter (fun (_, _, k, _) -> k = Ddg.Flow || k = Ddg.Mem) raw
+              in
+              if List.sort compare flow_mem <> reference_flow_mem ~pre_env sb then
+                Alcotest.failf "%s: raw flow/mem edges differ from the reference" name;
+              (* Deduplicated graph: the reference's flow/mem edges plus the
+                 build's register-reuse and control edges, max latency per
+                 (src, dst). *)
+              let best = Hashtbl.create 64 in
+              List.iter
+                (fun (s, d, _, lat) ->
+                  match Hashtbl.find_opt best (s, d) with
+                  | Some l when l >= lat -> ()
+                  | _ -> Hashtbl.replace best (s, d) lat)
+                (reference_flow_mem ~pre_env sb
+                @ List.filter (fun (_, _, k, _) -> k <> Ddg.Flow && k <> Ddg.Mem) raw);
+              let expect =
+                List.sort compare (Hashtbl.fold (fun (s, d) l acc -> (s, d, l) :: acc) best [])
+              in
+              let of_adj flip adj =
+                List.sort compare
+                  (List.concat
+                     (Array.to_list
+                        (Array.mapi (fun a l -> List.map (fun (b, lat) -> flip a b lat) l) adj)))
+              in
+              if of_adj (fun s d l -> (s, d, l)) g.Ddg.succs <> expect then
+                Alcotest.failf "%s: succs differ from the reference" name;
+              if of_adj (fun d s l -> (s, d, l)) g.Ddg.preds <> expect then
+                Alcotest.failf "%s: preds differ from the reference" name)
+            (segments p))
+        (Lazy.force corpus));
+  ]
+
 let suite =
   [
     ("analysis.sb", sb_tests);
@@ -452,5 +667,7 @@ let suite =
     ("analysis.linval", linval_tests);
     ("analysis.liveness", liveness_tests);
     ("analysis.ddg", ddg_tests);
+    ("analysis.liveness.corpus", liveness_corpus_tests);
+    ("analysis.ddg.corpus", ddg_corpus_tests);
     ("analysis.classify", classify_tests);
   ]

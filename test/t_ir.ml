@@ -26,6 +26,16 @@ let reg_tests =
       let b = { Reg.id = 1; cls = Reg.Float } in
       let s = Reg.Set.of_list [ a; b ] in
       Helpers.check_int "two distinct" 2 (Reg.Set.cardinal s));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1000 ~name:"compare agrees with the (id, cls) tuple order"
+         QCheck.(pair (pair (int_range (-8) 8) bool) (pair (int_range (-8) 8) bool))
+         (fun ((i, fa), (j, fb)) ->
+           let cls f = if f then Reg.Float else Reg.Int in
+           let a = { Reg.id = i; cls = cls fa } and b = { Reg.id = j; cls = cls fb } in
+           let sign x = Int.compare x 0 in
+           let tuple (r : Reg.t) = (r.Reg.id, r.Reg.cls) in
+           sign (Reg.compare a b) = sign (Stdlib.compare (tuple a) (tuple b))
+           && (Reg.compare a b < 0) = (Reg.hash a < Reg.hash b)));
   ]
 
 let operand_tests =
