@@ -7,11 +7,13 @@
    bitsets ([Dense] below): registers are numbered 0..nregs-1 in
    [Reg.Ord] order, live sets are [Bits.t], and the backward fixpoint
    mutates them in place (live sets only grow under the union transfer
-   function). The classic [Reg.Set]-based record is reconstructed from
-   the dense result for callers that want symbolic sets; the hot
-   consumers (DCE, the register allocator) read the dense form
-   directly, and the schedulers build only the branch-target sets they
-   read ([target_live]). *)
+   function). The set-up (numbering, defs, successors, bitsets) is a
+   [frame] that [solve] can re-run under a mask of removed positions,
+   so DCE pays for it once per call. The classic [Reg.Set]-based record
+   is reconstructed from the dense result for callers that want
+   symbolic sets; the hot consumers (DCE, the register allocator) read
+   the dense form directly, and the schedulers build only the
+   branch-target sets they read ([target_live]). *)
 
 open Impact_ir
 
@@ -22,22 +24,15 @@ type t = {
   exit_live : Reg.Set.t;
 }
 
-let successors (flat : Flatten.t) k =
-  let n = Array.length flat.Flatten.code in
-  let i = flat.Flatten.code.(k) in
-  match i.Insn.op with
-  | Insn.Jmp -> [ Flatten.target_index flat i ]
-  | Insn.Br _ ->
-    let t = Flatten.target_index flat i in
-    if k + 1 < n then [ k + 1; t ] else [ t ]
-  | _ -> if k + 1 < n then [ k + 1 ] else []
-
 module Dense = struct
   type d = {
     flat : Flatten.t;
     regs : Reg.t array;  (* dense index -> register, ascending Reg.Ord *)
     base : int;  (* smallest Reg.hash in [regs] *)
     index : int array;  (* Reg.hash - base -> dense index, or -1 *)
+    def : int array;  (* dense index defined at each position, or -1 *)
+    fall : int array;  (* fall-through successor (n = exit), or -1 after a Jmp *)
+    jump : int array;  (* branch target position (n = exit), or -1 *)
     live_in : Bits.t array;
     live_out : Bits.t array;
     exit_live : Bits.t;
@@ -52,92 +47,150 @@ module Dense = struct
       let i = d.index.(h) in
       if i < 0 then None else Some i
 
-  let reg (d : d) i = d.regs.(i)
+  (* Hash range of the registers seen so far. *)
+  type range = { mutable lo : int; mutable hi : int }
+
+  let widen (b : range) (r : Reg.t) =
+    let h = Reg.hash r in
+    if h < b.lo then b.lo <- h;
+    if h > b.hi then b.hi <- h
 
   (* Dense numbering of every register mentioned by the code (defs and
      uses) or live at exit, in ascending [Reg.Ord] order — so ascending
      bit iteration visits registers in [Reg.Set] order. [Reg.hash] is
      injective and ascending hash order is [Reg.Ord] order, so one scan
-     of a presence array indexed by hash numbers them with no sort. *)
+     of a presence array indexed by hash numbers them with no sort. The
+     scans are plain loops over [dst] and [srcs]: no closure, no list. *)
   let number (code : Insn.t array) (exit_live : Reg.t list) =
-    let each f =
-      Array.iter
-        (fun (i : Insn.t) ->
-          Option.iter f i.Insn.dst;
-          Insn.iter_uses f i)
-        code;
-      List.iter f exit_live
-    in
-    let lo = ref max_int and hi = ref min_int in
-    each (fun r ->
-      let h = Reg.hash r in
-      if h < !lo then lo := h;
-      if h > !hi then hi := h);
-    if !hi < !lo then ([||], 0, [||])
+    let b = { lo = max_int; hi = min_int } in
+    for k = 0 to Array.length code - 1 do
+      let i = code.(k) in
+      (match i.Insn.dst with Some r -> widen b r | None -> ());
+      let srcs = i.Insn.srcs in
+      for j = 0 to Array.length srcs - 1 do
+        match srcs.(j) with
+        | Operand.Reg r -> widen b r
+        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+      done
+    done;
+    List.iter (widen b) exit_live;
+    if b.hi < b.lo then ([||], 0, [||])
     else begin
-      let base = !lo in
-      let index = Array.make (!hi - base + 1) (-1) in
-      each (fun r -> index.(Reg.hash r - base) <- 0);
-      let acc = ref [] and n = ref 0 in
-      Array.iteri
-        (fun k seen ->
-          if seen = 0 then begin
-            index.(k) <- !n;
-            incr n;
-            let h = k + base in
-            let cls = if h land 1 = 0 then Reg.Int else Reg.Float in
-            acc := { Reg.id = h asr 1; cls } :: !acc
-          end)
-        index;
-      (Array.of_list (List.rev !acc), base, index)
+      let base = b.lo in
+      let index = Array.make (b.hi - base + 1) (-1) in
+      let mark (r : Reg.t) = index.(Reg.hash r - base) <- 0 in
+      for k = 0 to Array.length code - 1 do
+        let i = code.(k) in
+        (match i.Insn.dst with Some r -> mark r | None -> ());
+        let srcs = i.Insn.srcs in
+        for j = 0 to Array.length srcs - 1 do
+          match srcs.(j) with
+          | Operand.Reg r -> mark r
+          | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+        done
+      done;
+      List.iter mark exit_live;
+      let n = ref 0 in
+      for h = 0 to Array.length index - 1 do
+        if index.(h) = 0 then begin
+          index.(h) <- !n;
+          incr n
+        end
+      done;
+      let regs = Array.make !n { Reg.id = 0; cls = Reg.Int } in
+      for h = 0 to Array.length index - 1 do
+        let i = index.(h) in
+        if i >= 0 then begin
+          let h = h + base in
+          let cls = if h land 1 = 0 then Reg.Int else Reg.Float in
+          regs.(i) <- { Reg.id = h asr 1; cls }
+        end
+      done;
+      (regs, base, index)
     end
 
-  let analyze ?(exit_live = []) (flat : Flatten.t) : d =
+  let frame ?(exit_live = []) (flat : Flatten.t) : d =
     let code = flat.Flatten.code in
     let n = Array.length code in
     let regs, base, index = number code exit_live in
     let nr = Array.length regs in
-    let idx r = index.(Reg.hash r - base) in
-    let live_in = Array.init n (fun _ -> Bits.create nr) in
-    let live_out = Array.init n (fun _ -> Bits.create nr) in
+    let def = Array.make n (-1) and fall = Array.make n (-1) and jump = Array.make n (-1) in
+    for k = 0 to n - 1 do
+      let i = code.(k) in
+      (match i.Insn.dst with
+      | Some r -> def.(k) <- index.(Reg.hash r - base)
+      | None -> ());
+      match i.Insn.op with
+      | Insn.Jmp -> jump.(k) <- Flatten.target_index flat i
+      | Insn.Br _ ->
+        fall.(k) <- k + 1;
+        jump.(k) <- Flatten.target_index flat i
+      | _ -> fall.(k) <- k + 1
+    done;
     let exit_bits = Bits.create nr in
-    List.iter (fun r -> Bits.add exit_bits (idx r)) exit_live;
-    (* An instruction defines at most its [dst]: -1 when it has none. *)
-    let def =
-      Array.map (fun (i : Insn.t) -> match i.Insn.dst with Some r -> idx r | None -> -1) code
-    in
-    (* Uses are a constant lower bound of live-in; seed them once. *)
-    Array.iteri (fun k i -> Insn.iter_uses (fun r -> Bits.add live_in.(k) (idx r)) i) code;
-    let succs = Array.init n (successors flat) in
-    let falls_off =
-      Array.init n (fun k ->
-        k = n - 1 && (match code.(k).Insn.op with Insn.Jmp -> false | _ -> true))
-    in
-    let tmp = Bits.create nr in
+    List.iter (fun r -> Bits.add exit_bits index.(Reg.hash r - base)) exit_live;
+    {
+      flat;
+      regs;
+      base;
+      index;
+      def;
+      fall;
+      jump;
+      live_in = Array.init n (fun _ -> Bits.create nr);
+      live_out = Array.init n (fun _ -> Bits.create nr);
+      exit_live = exit_bits;
+    }
+
+  let solve ?removed (d : d) =
+    let code = d.flat.Flatten.code in
+    let n = Array.length code in
+    let removed = match removed with Some m -> m | None -> Array.make n false in
+    let live_in = d.live_in and live_out = d.live_out and exit_bits = d.exit_live in
+    (* Uses are a constant lower bound of live-in; seed them. *)
+    for k = 0 to n - 1 do
+      let li = live_in.(k) in
+      Bits.clear li;
+      Bits.clear live_out.(k);
+      if not removed.(k) then begin
+        let srcs = code.(k).Insn.srcs in
+        for j = 0 to Array.length srcs - 1 do
+          match srcs.(j) with
+          | Operand.Reg r -> Bits.add li d.index.(Reg.hash r - d.base)
+          | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+        done
+      end
+    done;
+    let tmp = Bits.create (nregs d) in
     let changed = ref true in
     while !changed do
       changed := false;
       for k = n - 1 downto 0 do
-        (* live_out(k) ∪= live_in over successors (program exit past the
-           end contributes exit_live). *)
+        (* live_out(k) ∪= live_in over successors; successor n is the
+           program exit, which contributes exit_live. A removed position
+           only falls through. *)
         let out = live_out.(k) in
-        let grew = ref false in
-        List.iter
-          (fun s ->
-            let src = if s >= n then exit_bits else live_in.(s) in
-            if Bits.union_into ~into:out src then grew := true)
-          succs.(k);
-        if falls_off.(k) then
-          if Bits.union_into ~into:out exit_bits then grew := true;
-        if !grew then begin
+        let f = if removed.(k) then k + 1 else d.fall.(k) in
+        let t = if removed.(k) then -1 else d.jump.(k) in
+        let grew_f =
+          f >= 0 && Bits.union_into ~into:out (if f >= n then exit_bits else live_in.(f))
+        in
+        let grew_t =
+          t >= 0 && Bits.union_into ~into:out (if t >= n then exit_bits else live_in.(t))
+        in
+        if grew_f || grew_t then begin
           (* live_in(k) ∪= out \ defs(k) *)
           Bits.copy_into ~into:tmp out;
-          if def.(k) >= 0 then Bits.remove tmp def.(k);
+          if d.def.(k) >= 0 && not removed.(k) then Bits.remove tmp d.def.(k);
           if Bits.union_into ~into:live_in.(k) tmp then changed := true
         end
       done
-    done;
-    { flat; regs; base; index; live_in; live_out; exit_live = exit_bits }
+    done
+
+  let analyze ?exit_live (flat : Flatten.t) : d =
+    let d = frame ?exit_live flat in
+    solve d;
+    d
 
   let of_prog (p : Prog.t) : d =
     analyze ~exit_live:(List.map snd p.Prog.outputs) (Flatten.of_prog p)

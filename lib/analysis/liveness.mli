@@ -16,8 +16,6 @@ type t = {
   exit_live : Reg.Set.t;
 }
 
-val successors : Flatten.t -> int -> int list
-
 (** Dense form: registers numbered 0..nregs-1 in ascending [Reg.Ord]
     order (so ascending bit iteration matches [Reg.Set] order), live
     sets as bitsets. This is what the compile hot paths consume. *)
@@ -27,6 +25,11 @@ module Dense : sig
     regs : Reg.t array;  (** dense index -> register *)
     base : int;  (** smallest [Reg.hash] in [regs] *)
     index : int array;  (** [Reg.hash r - base] -> dense index, or -1 *)
+    def : int array;  (** dense index each position defines, or -1 *)
+    fall : int array;
+        (** fall-through successor of each position ([n] = program
+            exit), or -1 after a [Jmp] *)
+    jump : int array;  (** branch target position ([n] = exit), or -1 *)
     live_in : Bits.t array;
     live_out : Bits.t array;
     exit_live : Bits.t;
@@ -38,9 +41,19 @@ module Dense : sig
   (** Dense index of a register, [None] when it neither occurs in the
       code nor is live at exit. *)
 
-  val reg : d -> int -> Reg.t
+  val frame : ?exit_live:Reg.t list -> Flatten.t -> d
+  (** Numbering, defs and successors (each branch target resolved once),
+      with every live set empty: the set-up {!solve} reuses. *)
+
+  val solve : ?removed:bool array -> d -> unit
+  (** (Re)compute the live sets of a frame in place. A position with
+      [removed.(k)] is a no-op: it defines and uses nothing and falls
+      through, so the result equals {!analyze} on the code with those
+      positions deleted (a label at a removed position reads the
+      live-in of the next kept one), over the same numbering. *)
 
   val analyze : ?exit_live:Reg.t list -> Flatten.t -> d
+  (** [frame] then [solve]. *)
 
   val of_prog : Prog.t -> d
   (** Dense liveness with the program outputs live at exit. *)

@@ -37,11 +37,6 @@ let uses i =
        | Operand.Reg r -> Some r
        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> None)
 
-let iter_uses f i =
-  Array.iter
-    (function Operand.Reg r -> f r | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ())
-    i.srcs
-
 let src i k = i.srcs.(k)
 
 let is_branch i = match i.op with Br _ | Jmp -> true | _ -> false

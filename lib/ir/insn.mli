@@ -33,9 +33,6 @@ val defs : t -> Reg.t list
 
 val uses : t -> Reg.t list
 
-val iter_uses : (Reg.t -> unit) -> t -> unit
-(** [List.iter f (uses i)] without building the list. *)
-
 val src : t -> int -> Operand.t
 
 val is_branch : t -> bool

@@ -8,27 +8,92 @@
    (the structural operation with commutative operands normalized),
    not on printed strings, and every table entry is indexed by the
    registers it mentions so redefinition kills touch only the affected
-   entries instead of scanning the whole table. *)
+   entries instead of scanning the whole table. The tables are
+   monomorphic ([Hashtbl.Make] over hand-written [equal]/[hash] that
+   agree with [Stdlib.compare = 0]), created once per run and reset per
+   block. *)
 
 open Impact_ir
 
 let mentions_reg (o : Operand.t) (d : Reg.t) =
   match o with Operand.Reg r -> Reg.equal r d | _ -> false
 
+(* Operand hash agreeing with [Operand.equal]: [Hashtbl.hash] maps
+   every NaN to one value and -0.0 to 0.0, as [Float.equal] equates
+   them. *)
+let operand_hash (o : Operand.t) =
+  match o with
+  | Operand.Reg r -> Reg.hash r
+  | Operand.Int n -> (n * 3) + 1
+  | Operand.Flt x -> Hashtbl.hash x
+  | Operand.Lab s -> Hashtbl.hash s
+
+let mix h x = (h * 31) + x
+
 (* Canonical key of a pure computation. Commutative operations sort
    their two operands under the polymorphic order; any total order
-   yields the same equivalence classes. Hashed and compared
-   structurally by the polymorphic [Hashtbl]. *)
-type vkey =
-  | KI of Insn.ibin * Operand.t * Operand.t
-  | KF of Insn.fbin * Operand.t * Operand.t
-  | KItoF of Operand.t
-  | KFtoI of Operand.t
-  | KLoad of Reg.cls * Operand.t * Operand.t * Operand.t
+   yields the same equivalence classes. *)
+module Vkey = struct
+  type t =
+    | KI of Insn.ibin * Operand.t * Operand.t
+    | KF of Insn.fbin * Operand.t * Operand.t
+    | KItoF of Operand.t
+    | KFtoI of Operand.t
+    | KLoad of Reg.cls * Operand.t * Operand.t * Operand.t
+
+  (* The operators and classes are immediates, so [=] on them is an
+     integer comparison. *)
+  let equal a b =
+    match a, b with
+    | KI (o1, x1, y1), KI (o2, x2, y2) ->
+      o1 = o2 && Operand.equal x1 x2 && Operand.equal y1 y2
+    | KF (o1, x1, y1), KF (o2, x2, y2) ->
+      o1 = o2 && Operand.equal x1 x2 && Operand.equal y1 y2
+    | KItoF x1, KItoF x2 | KFtoI x1, KFtoI x2 -> Operand.equal x1 x2
+    | KLoad (c1, x1, y1, z1), KLoad (c2, x2, y2, z2) ->
+      c1 = c2 && Operand.equal x1 x2 && Operand.equal y1 y2 && Operand.equal z1 z2
+    | (KI _ | KF _ | KItoF _ | KFtoI _ | KLoad _), _ -> false
+
+  (* Hashes the constructor and the operands; keys that differ only in
+     the operator or class share a bucket and [equal] tells them apart. *)
+  let hash k =
+    let h =
+      match k with
+      | KI (_, x, y) -> mix (mix 1 (operand_hash x)) (operand_hash y)
+      | KF (_, x, y) -> mix (mix 2 (operand_hash x)) (operand_hash y)
+      | KItoF x -> mix 3 (operand_hash x)
+      | KFtoI x -> mix 4 (operand_hash x)
+      | KLoad (_, x, y, z) ->
+        mix (mix (mix 5 (operand_hash x)) (operand_hash y)) (operand_hash z)
+    in
+    h land max_int
+end
+
+(* (base, off, disp) of a memory access. *)
+module Mkey = struct
+  type t = Operand.t * Operand.t * Operand.t
+
+  let equal (b1, o1, d1) (b2, o2, d2) =
+    Operand.equal b1 b2 && Operand.equal o1 o2 && Operand.equal d1 d2
+
+  let hash (b, o, d) =
+    mix (mix (operand_hash b) (operand_hash o)) (operand_hash d) land max_int
+end
+
+module Vtbl = Hashtbl.Make (Vkey)
+module Mtbl = Hashtbl.Make (Mkey)
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x = x land max_int
+end)
 
 let norm2 a b = if Stdlib.compare a b <= 0 then (a, b) else (b, a)
 
-let key_of (i : Insn.t) : vkey option =
+let key_of (i : Insn.t) : Vkey.t option =
   let s k = i.Insn.srcs.(k) in
   match i.Insn.op with
   | Insn.IBin op ->
@@ -50,7 +115,7 @@ let key_of (i : Insn.t) : vkey option =
   | Insn.Load cls -> Some (KLoad (cls, s 0, s 1, s 2))
   | Insn.IMov | Insn.FMov | Insn.Store _ | Insn.Br _ | Insn.Jmp -> None
 
-let is_load_key = function KLoad _ -> true | _ -> false
+let is_load_key : Vkey.t -> bool = function KLoad _ -> true | _ -> false
 
 let lab_of (o : Operand.t) = match o with Operand.Lab s -> Some s | _ -> None
 
@@ -62,8 +127,6 @@ let store_may_touch ~store_base ~other_base =
 
 type entry = { result : Reg.t; srcs : Operand.t array }
 
-type mkey = Operand.t * Operand.t * Operand.t
-
 (* Per-pass counter accumulators, flushed to Obs once per run so the
    hot loop never takes the telemetry mutex. *)
 type stats = { mutable vn_hits : int; mutable pushes : int; mutable kills : int }
@@ -72,66 +135,67 @@ let run (p : Prog.t) : Prog.t =
   Impact_obs.Obs.span ~cat:"opt" "opt.cse" @@ fun () ->
   let ctx = p.Prog.ctx in
   let st = { vn_hits = 0; pushes = 0; kills = 0 } in
+  let avail : entry Vtbl.t = Vtbl.create 32 in
+  (* (base, off, disp) -> last stored value *)
+  let memtbl : Operand.t Mtbl.t = Mtbl.create 16 in
+  (* Reverse dependency index: register hash -> keys whose entry may
+     mention it (result or source). Entries are validated on kill, so
+     stale keys are harmless. *)
+  let dep : Vkey.t list ref Itbl.t = Itbl.create 32 in
+  let mdep : Mkey.t list ref Itbl.t = Itbl.create 16 in
+  let reset () =
+    Vtbl.reset avail;
+    Mtbl.reset memtbl;
+    Itbl.reset dep;
+    Itbl.reset mdep
+  in
   let process (items : Block.t) : Block.t =
-    let avail : (vkey, entry) Hashtbl.t = Hashtbl.create 32 in
-    (* (base, off, disp) -> last stored value *)
-    let memtbl : (mkey, Operand.t) Hashtbl.t = Hashtbl.create 16 in
-    (* Reverse dependency index: register hash -> keys whose entry may
-       mention it (result or source). Entries are validated on kill, so
-       stale keys are harmless. *)
-    let dep : (int, vkey list ref) Hashtbl.t = Hashtbl.create 32 in
-    let mdep : (int, mkey list ref) Hashtbl.t = Hashtbl.create 16 in
+    reset ();
     let push tbl h k =
       st.pushes <- st.pushes + 1;
-      match Hashtbl.find_opt tbl h with
+      match Itbl.find_opt tbl h with
       | Some l -> l := k :: !l
-      | None -> Hashtbl.replace tbl h (ref [ k ])
+      | None -> Itbl.replace tbl h (ref [ k ])
     in
     let dep_operand tbl k (o : Operand.t) =
       match o with Operand.Reg r -> push tbl (Reg.hash r) k | _ -> ()
     in
-    let reset () =
-      Hashtbl.reset avail;
-      Hashtbl.reset memtbl;
-      Hashtbl.reset dep;
-      Hashtbl.reset mdep
-    in
     let kill_reg (d : Reg.t) =
-      (match Hashtbl.find_opt dep (Reg.hash d) with
+      (match Itbl.find_opt dep (Reg.hash d) with
       | None -> ()
       | Some l ->
         List.iter
           (fun k ->
-            match Hashtbl.find_opt avail k with
+            match Vtbl.find_opt avail k with
             | Some e
               when Reg.equal e.result d
                    || Array.exists (fun o -> mentions_reg o d) e.srcs ->
               st.kills <- st.kills + 1;
-              Hashtbl.remove avail k
+              Vtbl.remove avail k
             | Some _ | None -> ())
           !l;
-        Hashtbl.remove dep (Reg.hash d));
-      match Hashtbl.find_opt mdep (Reg.hash d) with
+        Itbl.remove dep (Reg.hash d));
+      match Itbl.find_opt mdep (Reg.hash d) with
       | None -> ()
       | Some l ->
         List.iter
           (fun ((b, o, _dp) as mk) ->
-            match Hashtbl.find_opt memtbl mk with
+            match Mtbl.find_opt memtbl mk with
             | Some v
               when mentions_reg b d || mentions_reg o d || mentions_reg v d ->
               st.kills <- st.kills + 1;
-              Hashtbl.remove memtbl mk
+              Mtbl.remove memtbl mk
             | Some _ | None -> ())
           !l;
-        Hashtbl.remove mdep (Reg.hash d)
+        Itbl.remove mdep (Reg.hash d)
     in
     let add_avail k (e : entry) =
-      Hashtbl.replace avail k e;
+      Vtbl.replace avail k e;
       push dep (Reg.hash e.result) k;
       Array.iter (dep_operand dep k) e.srcs
     in
-    let add_mem ((b, o, _dp) as mk : mkey) (v : Operand.t) =
-      Hashtbl.replace memtbl mk v;
+    let add_mem ((b, o, _dp) as mk : Mkey.t) (v : Operand.t) =
+      Mtbl.replace memtbl mk v;
       dep_operand mdep mk b;
       dep_operand mdep mk o;
       dep_operand mdep mk v
@@ -139,16 +203,16 @@ let run (p : Prog.t) : Prog.t =
     let apply_store (base : Operand.t) (off : Operand.t) (disp : Operand.t)
         (v : Operand.t) =
       let stale_loads =
-        Hashtbl.fold
+        Vtbl.fold
           (fun k e acc ->
             if is_load_key k && store_may_touch ~store_base:base ~other_base:e.srcs.(0)
             then k :: acc
             else acc)
           avail []
       in
-      List.iter (Hashtbl.remove avail) stale_loads;
+      List.iter (Vtbl.remove avail) stale_loads;
       let stale_mem =
-        Hashtbl.fold
+        Mtbl.fold
           (fun (b, o, d) _ acc ->
             if Operand.equal b base && Operand.equal o off && Operand.equal d disp then
               acc
@@ -156,7 +220,7 @@ let run (p : Prog.t) : Prog.t =
             else acc)
           memtbl []
       in
-      List.iter (Hashtbl.remove memtbl) stale_mem;
+      List.iter (Mtbl.remove memtbl) stale_mem;
       add_mem (base, off, disp) v
     in
     List.map
@@ -176,7 +240,7 @@ let run (p : Prog.t) : Prog.t =
               match i.Insn.op, i.Insn.dst with
               | Insn.Load cls, Some d -> (
                 match
-                  Hashtbl.find_opt memtbl
+                  Mtbl.find_opt memtbl
                     (i.Insn.srcs.(0), i.Insn.srcs.(1), i.Insn.srcs.(2))
                 with
                 | Some v ->
@@ -186,7 +250,7 @@ let run (p : Prog.t) : Prog.t =
             in
             match key_of i', i'.Insn.dst with
             | Some k, Some d -> (
-              let hit = Hashtbl.find_opt avail k in
+              let hit = Vtbl.find_opt avail k in
               kill_reg d;
               match hit with
               | Some e when not (Reg.equal e.result d) ->

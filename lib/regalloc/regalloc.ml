@@ -210,19 +210,19 @@ let build_dense (p : Prog.t) : dgraph =
   let live = Liveness.Dense.of_prog p in
   let nr = Liveness.Dense.nregs live in
   let code = live.Liveness.Dense.flat.Flatten.code in
-  let idx r =
-    match Liveness.Dense.index_opt live r with
-    | Some i -> i
-    | None -> invalid_arg "Regalloc.build_dense: register outside universe"
-  in
+  let base = live.Liveness.Dense.base and index = live.Liveness.Dense.index in
   let present = Array.make nr false in
-  let dregs = Array.init nr (Liveness.Dense.reg live) in
+  let dregs = live.Liveness.Dense.regs in
   let cls_of = Array.map (fun (r : Reg.t) -> r.Reg.cls) dregs in
-  let order_tbl : (Reg.t, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* [present.(i)] holds exactly when [dregs.(i)] is a key of
+     [order_tbl], so each node is inserted once, at its first sighting:
+     the same insertion sequence as [interference]'s graph. *)
+  let order_tbl : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
   let node_seen i =
-    present.(i) <- true;
-    let r = dregs.(i) in
-    if not (Hashtbl.mem order_tbl r) then Hashtbl.replace order_tbl r ()
+    if not present.(i) then begin
+      present.(i) <- true;
+      Hashtbl.replace order_tbl dregs.(i) i
+    end
   in
   (* Bitset adjacency matrix dedups edge insertions. *)
   let mat = Bits.create (nr * nr) in
@@ -239,9 +239,9 @@ let build_dense (p : Prog.t) : dgraph =
     !ebuf.(!ecount + 1) <- b;
     ecount := !ecount + 2
   in
+  (* [a] is always a definition, seen just before its edges. *)
   let add_edge a b =
     if a <> b && cls_of.(a) = cls_of.(b) then begin
-      node_seen a;
       node_seen b;
       let key = (a * nr) + b in
       if not (Bits.mem mat key) then begin
@@ -253,25 +253,29 @@ let build_dense (p : Prog.t) : dgraph =
       end
     end
   in
-  Array.iteri
-    (fun k (i : Insn.t) ->
-      (match i.Insn.dst with
-      | Some d ->
-        let di = idx d in
-        node_seen di;
-        (* A definition interferes with everything live across it; a
-           move's source is exempt (coalescable). *)
-        let exempt =
-          match i.Insn.op, i.Insn.srcs with
-          | (Insn.IMov | Insn.FMov), [| Operand.Reg s |] -> idx s
-          | _ -> -1
-        in
-        Bits.iter
-          (fun r -> if r <> exempt then add_edge di r)
-          live.Liveness.Dense.live_out.(k)
-      | None -> ());
-      List.iter (fun u -> node_seen (idx u)) (Insn.uses i))
-    code;
+  for k = 0 to Array.length code - 1 do
+    let i = code.(k) in
+    let di = live.Liveness.Dense.def.(k) in
+    if di >= 0 then begin
+      node_seen di;
+      (* A definition interferes with everything live across it; a
+         move's source is exempt (coalescable). *)
+      let exempt =
+        match i.Insn.op, i.Insn.srcs with
+        | (Insn.IMov | Insn.FMov), [| Operand.Reg s |] -> index.(Reg.hash s - base)
+        | _ -> -1
+      in
+      Bits.iter
+        (fun r -> if r <> exempt then add_edge di r)
+        live.Liveness.Dense.live_out.(k)
+    end;
+    let srcs = i.Insn.srcs in
+    for j = 0 to Array.length srcs - 1 do
+      match srcs.(j) with
+      | Operand.Reg u -> node_seen index.(Reg.hash u - base)
+      | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+    done
+  done;
   let adj = Array.init nr (fun i -> Array.make deg.(i) 0) in
   let fill = Array.make nr 0 in
   let eb = !ebuf in
@@ -285,12 +289,7 @@ let build_dense (p : Prog.t) : dgraph =
     fill.(b) <- fill.(b) + 1;
     e := !e + 2
   done;
-  let node_order =
-    Hashtbl.fold
-      (fun (r : Reg.t) () acc ->
-        match Liveness.Dense.index_opt live r with Some i -> i :: acc | None -> acc)
-      order_tbl []
-  in
+  let node_order = Hashtbl.fold (fun _ i acc -> i :: acc) order_tbl [] in
   { nr; present; cls_of; adj; deg; dregs; node_order; edges = m / 2 }
 
 (* Color one class: simplify by popping the (degree, node-order

@@ -35,8 +35,10 @@ not tolerance-based — certified optimality is deterministic. Both
 files are schema-validated first. Then, per loop (keyed by
 subject/machine/lid): a proved verdict may not regress to unproved, a
 certified gap may not widen, the known-feasible upper bound may not
-grow, and no loop may disappear or turn skip-missed. New loops (a
-grown corpus) are fine; silently widening a certified gap is not.
+grow, no loop may disappear or turn skip-missed, and each loop's
+search node count must match exactly (the branch-and-bound search is
+deterministic, so a different count means its work changed). New loops
+(a grown corpus) are fine; silently widening a certified gap is not.
 
 Usage:
   check_bench_regression.py --baseline OLD.json --fresh NEW.json \
@@ -186,6 +188,9 @@ def check_oracle(base, fresh):
         bu, fu = b.get("ub"), f.get("ub")
         if bu is not None and (fu is None or fu > bu):
             failures.append(f"{name}: known-feasible II regressed {bu} -> {fu}")
+        if f["nodes"] != b["nodes"]:
+            failures.append(f"{name}: search nodes changed "
+                            f"{b['nodes']} -> {f['nodes']}")
     for key in sorted(set(fmap) - set(bmap)):
         print(f"  new loop {'/'.join(map(str, key))}: "
               f"{fmap[key]['status']} (ok)")
@@ -220,7 +225,8 @@ def main():
                          "client p99) instead of eval stage times")
     ap.add_argument("--oracle", action="store_true",
                     help="compare BENCH_oracle.json certification reports "
-                         "(exact: schema, no lost proofs, no widened gaps)")
+                         "(exact: schema, no lost proofs, no widened gaps, "
+                         "equal per-loop nodes)")
     args = ap.parse_args()
 
     base = load(args.baseline)

@@ -556,6 +556,82 @@ let liveness_corpus_tests =
         (Lazy.force corpus));
   ]
 
+(* ---- Masked re-solve against deleting the positions ----
+
+   One frame per program, re-solved under random masks that drop only
+   pure definitions (the only positions DCE removes): every live set
+   must equal [Dense.analyze] on the program with those positions
+   deleted, at each kept position and at every label (including labels
+   at a deleted position or past the end). *)
+
+let delete_positions (p : Prog.t) (removed : bool array) : Prog.t =
+  let pos = ref (-1) in
+  Prog.with_entry p
+    (Block.concat_map_insns
+       (fun i ->
+         incr pos;
+         if removed.(!pos) then [] else [ i ])
+       p.Prog.entry)
+
+let masked_liveness_tests =
+  [
+    test "masked re-solve = analysis with the positions deleted" (fun () ->
+      let rng = Random.State.make [| 0x11FE |] in
+      let raw =
+        List.map
+          (fun (w : Impact_workloads.Suite.t) ->
+            (w.Impact_workloads.Suite.name ^ "/lowered", lower w.Impact_workloads.Suite.ast))
+          Impact_workloads.Suite.all
+      in
+      let odd_labels = ref 0 in
+      List.iter
+        (fun (name, (p : Prog.t)) ->
+          let d = Liveness.Dense.of_prog p in
+          let fresh = Liveness.of_dense d in
+          let code = d.Liveness.Dense.flat.Flatten.code in
+          let n = Array.length code in
+          List.iter
+            (fun density ->
+              let removed =
+                Array.map
+                  (fun (i : Insn.t) ->
+                    match i.Insn.op, i.Insn.dst with
+                    | (Insn.Store _ | Insn.Br _ | Insn.Jmp), _ | _, None -> false
+                    | _, Some _ -> Random.State.float rng 1.0 < density)
+                  code
+              in
+              Liveness.Dense.solve ~removed d;
+              let masked = Liveness.of_dense d in
+              let del = Liveness.of_prog (delete_positions p removed) in
+              let k' = ref 0 in
+              for k = 0 to n - 1 do
+                if not removed.(k) then begin
+                  check_bool (name ^ " live-in at kept position") true
+                    (Reg.Set.equal masked.Liveness.live_in.(k) del.Liveness.live_in.(!k'));
+                  check_bool (name ^ " live-out at kept position") true
+                    (Reg.Set.equal masked.Liveness.live_out.(k) del.Liveness.live_out.(!k'));
+                  incr k'
+                end
+              done;
+              Hashtbl.iter
+                (fun l k ->
+                  if k >= n || removed.(k) then incr odd_labels;
+                  check_bool (name ^ " live at label " ^ l) true
+                    (Reg.Set.equal
+                       (Liveness.live_at_label masked l)
+                       (Liveness.live_at_label del l)))
+                d.Liveness.Dense.flat.Flatten.labels)
+            [ 0.1; 0.5; 1.0 ];
+          (* An unmasked re-solve of the same frame starts over. *)
+          Liveness.Dense.solve d;
+          let again = Liveness.of_dense d in
+          check_bool (name ^ " re-solve resets") true
+            (Array.for_all2 Reg.Set.equal fresh.Liveness.live_in again.Liveness.live_in
+            && Array.for_all2 Reg.Set.equal fresh.Liveness.live_out again.Liveness.live_out))
+        (Lazy.force corpus @ raw);
+      check_bool "labels at deleted positions or past the end" true (!odd_labels > 0));
+  ]
+
 (* Test-local reference for the edges [Ddg.build] derives itself:
    register flow edges from the last definition, and memory edges from
    [Linval.relation] plus the preheader and syntactic fallbacks on every
@@ -668,6 +744,7 @@ let suite =
     ("analysis.liveness", liveness_tests);
     ("analysis.ddg", ddg_tests);
     ("analysis.liveness.corpus", liveness_corpus_tests);
+    ("analysis.liveness.masked", masked_liveness_tests);
     ("analysis.ddg.corpus", ddg_corpus_tests);
     ("analysis.classify", classify_tests);
   ]

@@ -305,6 +305,30 @@ let dce_tests =
         (count_if p' (fun i ->
            match i.Insn.dst with Some d -> Reg.equal d cyc | None -> false));
       check_int "value" 12 (out_int (run p') "x"));
+    test "liveness rounds stop after six" (fun () ->
+      (* r1 = 1; r2 = r1 + 1; ...; r8 = r7 + 1, then every register is
+         redefined. Each round can only drop the last first-definition
+         of the chain, so six rounds leave r1's and r2's. *)
+      let b = irb () in
+      let ctx = b.ctx in
+      let rs = List.init 8 (fun _ -> reg b Reg.Int) in
+      List.iteri (fun k r -> output b (Printf.sprintf "r%d" k) r) rs;
+      let chain =
+        List.mapi
+          (fun k r ->
+            if k = 0 then Build.imov ctx r (Operand.Int 1)
+            else Build.ib ctx Insn.Add r (Operand.Reg (List.nth rs (k - 1))) (Operand.Int 1))
+          rs
+      in
+      let redefs = List.map (fun r -> Build.imov ctx r (Operand.Int 0)) rs in
+      let p = prog_of b (List.map (fun i -> Block.Ins i) (chain @ redefs)) in
+      (match Dce_ref.disagreement p with
+      | None -> ()
+      | Some why -> Alcotest.fail why);
+      check_bool "first two chain defs survive" true
+        (List.equal Insn.equal_content
+           ([ List.nth chain 0; List.nth chain 1 ] @ redefs)
+           (Block.insns (Dce.run p).Prog.entry)));
     test "stores are never removed" (fun () ->
       let b = irb () in
       float_array b "A" [| 0.0 |];
@@ -315,6 +339,185 @@ let dce_tests =
       in
       check_int "kept" 1 (insn_count (Dce.run p)));
   ]
+
+(* ---- DCE against the reference on every cleanup-round input ----
+
+   Every program [Dce.run] sees while the 40 kernels go through the five
+   levels (replayed by [Dce_ref.cleanup_inputs], whose final output must
+   equal [Level.apply]'s). *)
+
+let dce_corpus_tests =
+  [
+    test "Dce.run = reference DCE on every cleanup-round input" (fun () ->
+      let inputs = ref 0 in
+      List.iter
+        (fun (w : Impact_workloads.Suite.t) ->
+          (* A fresh lowering per run: the passes draw fresh ids from
+             the program's context. *)
+          let fresh () = lower w.Impact_workloads.Suite.ast in
+          List.iter
+            (fun lvl ->
+              let name =
+                Printf.sprintf "%s/%s" w.Impact_workloads.Suite.name
+                  (Impact_core.Level.to_string lvl)
+              in
+              let seen, out = Dce_ref.cleanup_inputs lvl (fresh ()) in
+              check_bool (name ^ ": replay = Level.apply") true
+                (Walk.insns_equal_prog out (Impact_core.Level.apply lvl (fresh ())));
+              List.iteri
+                (fun k q ->
+                  incr inputs;
+                  match Dce_ref.disagreement q with
+                  | None -> ()
+                  | Some why -> Alcotest.failf "%s, input %d: %s" name k why)
+                seen)
+            Impact_core.Level.all)
+        Impact_workloads.Suite.all;
+      check_bool "thousands of inputs" true (!inputs > 1000));
+    test "duplicate instruction ids are marked together" (fun () ->
+      (* [a] and [t] share an id. Marking [t] (it defines the output)
+         marks the id, so [a] is kept without being traced: the def of
+         [z] it reads is swept, as in the by-id reference. *)
+      let b = irb () in
+      let ctx = b.ctx in
+      let x = reg b Reg.Int and y = reg b Reg.Int and z = reg b Reg.Int in
+      output b "x" x;
+      let a = Build.ib ctx Insn.Add y (Operand.Reg z) (Operand.Int 1) in
+      let t =
+        { (Build.ib ctx Insn.Add x (Operand.Reg y) (Operand.Int 1)) with Insn.id = a.Insn.id }
+      in
+      let p = prog_of b [ Block.Ins (Build.imov ctx z (Operand.Int 3)); Block.Ins a; Block.Ins t ] in
+      (match Dce_ref.disagreement p with
+      | None -> ()
+      | Some why -> Alcotest.fail why);
+      let p', pushes = Dce_ref.dce_counted p in
+      check_int "one push for the shared id" 1 pushes;
+      check_bool "both instances kept, the def of z swept" true
+        (List.equal Insn.equal_content [ a; t ] (Block.insns p'.Prog.entry)));
+  ]
+
+(* ---- CSE keys: monomorphic equal/hash agree with the polymorphic ones ---- *)
+
+let gen_operand : Operand.t QCheck.Gen.t =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun id f -> Operand.Reg { Reg.id; cls = (if f then Reg.Float else Reg.Int) })
+          (int_range 0 4) bool;
+        map Operand.int (int_range (-2) 2);
+        map Operand.flt (oneofl [ 0.0; -0.0; 1.5; -1.5; Float.nan; -.Float.nan; Float.infinity ]);
+        map Operand.lab (oneofl [ "A"; "B"; "" ]);
+      ])
+
+(* A structurally rebuilt operand that [compare] equates with [o]:
+   -0.0 for 0.0 and another NaN for a NaN. *)
+let twin_operand (o : Operand.t) : Operand.t =
+  match o with
+  | Operand.Reg r -> Operand.Reg { Reg.id = r.Reg.id; cls = r.Reg.cls }
+  | Operand.Int n -> Operand.Int n
+  | Operand.Flt x when Float.is_nan x ->
+    Operand.Flt (Int64.float_of_bits (Int64.logxor (Int64.bits_of_float x) 1L))
+  | Operand.Flt x when x = 0.0 -> Operand.Flt (-.x)
+  | Operand.Flt x -> Operand.Flt (x +. 0.0)
+  | Operand.Lab s -> Operand.Lab (String.init (String.length s) (String.get s))
+
+let gen_ibin = QCheck.Gen.oneofl Insn.[ Add; Sub; Mul; Div; Rem; Shl; Shr; And; Or; Xor ]
+
+let gen_fbin = QCheck.Gen.oneofl Insn.[ Fadd; Fsub; Fmul; Fdiv ]
+
+let gen_vkey : Cse.Vkey.t QCheck.Gen.t =
+  let o = gen_operand in
+  QCheck.Gen.(
+    oneof
+      [
+        map3 (fun op a b -> Cse.Vkey.KI (op, a, b)) gen_ibin o o;
+        map3 (fun op a b -> Cse.Vkey.KF (op, a, b)) gen_fbin o o;
+        map (fun a -> Cse.Vkey.KItoF a) o;
+        map (fun a -> Cse.Vkey.KFtoI a) o;
+        map2 (fun c (a, b, d) -> Cse.Vkey.KLoad (c, a, b, d)) (oneofl [ Reg.Int; Reg.Float ])
+          (triple o o o);
+      ])
+
+let twin_vkey (k : Cse.Vkey.t) : Cse.Vkey.t =
+  let t = twin_operand in
+  match k with
+  | Cse.Vkey.KI (op, a, b) -> Cse.Vkey.KI (op, t a, t b)
+  | Cse.Vkey.KF (op, a, b) -> Cse.Vkey.KF (op, t a, t b)
+  | Cse.Vkey.KItoF a -> Cse.Vkey.KItoF (t a)
+  | Cse.Vkey.KFtoI a -> Cse.Vkey.KFtoI (t a)
+  | Cse.Vkey.KLoad (c, a, b, d) -> Cse.Vkey.KLoad (c, t a, t b, t d)
+
+(* The twin of [k] with one component (operator, class or operand)
+   redrawn, so unequal keys mostly differ in one place. *)
+let gen_near_vkey (k : Cse.Vkey.t) : Cse.Vkey.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let o = gen_operand and t = twin_operand in
+  int_range 0 3 >>= fun which ->
+  match k with
+  | Cse.Vkey.KI (op, a, b) -> (
+    match which with
+    | 0 -> map (fun op -> Cse.Vkey.KI (op, t a, t b)) gen_ibin
+    | 1 -> map (fun a -> Cse.Vkey.KI (op, a, t b)) o
+    | _ -> map (fun b -> Cse.Vkey.KI (op, t a, b)) o)
+  | Cse.Vkey.KF (op, a, b) -> (
+    match which with
+    | 0 -> map (fun op -> Cse.Vkey.KF (op, t a, t b)) gen_fbin
+    | 1 -> map (fun a -> Cse.Vkey.KF (op, a, t b)) o
+    | _ -> map (fun b -> Cse.Vkey.KF (op, t a, b)) o)
+  | Cse.Vkey.KItoF a ->
+    if which = 0 then return (Cse.Vkey.KFtoI (t a)) else map (fun a -> Cse.Vkey.KItoF a) o
+  | Cse.Vkey.KFtoI a ->
+    if which = 0 then return (Cse.Vkey.KItoF (t a)) else map (fun a -> Cse.Vkey.KFtoI a) o
+  | Cse.Vkey.KLoad (c, a, b, d) -> (
+    match which with
+    | 0 -> return (Cse.Vkey.KLoad ((if c = Reg.Int then Reg.Float else Reg.Int), t a, t b, t d))
+    | 1 -> map (fun a -> Cse.Vkey.KLoad (c, a, t b, t d)) o
+    | 2 -> map (fun b -> Cse.Vkey.KLoad (c, t a, b, t d)) o
+    | _ -> map (fun d -> Cse.Vkey.KLoad (c, t a, t b, d)) o)
+
+let gen_near_mkey ((a, b, c) : Cse.Mkey.t) : Cse.Mkey.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let t = twin_operand in
+  int_range 0 2 >>= fun which ->
+  map
+    (fun x ->
+      match which with
+      | 0 -> (x, t b, t c)
+      | 1 -> (t a, x, t c)
+      | _ -> (t a, t b, x))
+    gen_operand
+
+(* A pair of keys: a key and its rebuilt twin, a near variant (one
+   component redrawn), or two independent draws. *)
+let gen_pair gen twin near =
+  QCheck.Gen.(
+    gen >>= fun a ->
+    int_range 0 2 >>= function
+    | 0 -> return (a, twin a)
+    | 1 -> map (fun b -> (a, b)) (near a)
+    | _ -> map (fun b -> (a, b)) gen)
+
+let agrees equal hash (a, b) =
+  let eq = equal a b in
+  eq = (Stdlib.compare a b = 0) && ((not eq) || hash a = hash b)
+
+let cse_key_tests =
+  List.map
+    (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xC5E |]))
+    [
+      QCheck.Test.make ~name:"Vkey.equal = (compare = 0), equal keys hash equally"
+        ~count:3000
+        (QCheck.make (gen_pair gen_vkey twin_vkey gen_near_vkey))
+        (agrees Cse.Vkey.equal Cse.Vkey.hash);
+      QCheck.Test.make ~name:"Mkey.equal = (compare = 0), equal keys hash equally"
+        ~count:3000
+        (QCheck.make
+           (gen_pair
+              QCheck.Gen.(triple gen_operand gen_operand gen_operand)
+              (fun (a, b, c) -> (twin_operand a, twin_operand b, twin_operand c))
+              gen_near_mkey))
+        (agrees Cse.Mkey.equal Cse.Mkey.hash);
+    ]
 
 let licm_tests =
   let loop_with body =
@@ -450,6 +653,8 @@ let suite =
     ("opt.propagate", propagate_tests);
     ("opt.cse", cse_tests);
     ("opt.dce", dce_tests);
+    ("opt.dce.corpus", dce_corpus_tests);
+    ("opt.cse.keys", cse_key_tests);
     ("opt.licm", licm_tests);
     ("opt.ivopt", ivopt_tests);
   ]

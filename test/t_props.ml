@@ -249,6 +249,25 @@ let prop_unroll_factors =
          true
        with _ -> false))
 
+(* ---- DCE against the reference on random programs ----
+
+   The program itself and every cleanup-round input of its Lev4 replay
+   (see [Dce_ref.cleanup_inputs]). *)
+
+let dce_agrees (p : Prog.t) =
+  let inputs = p :: fst (Dce_ref.cleanup_inputs Impact_core.Level.Lev4 p) in
+  List.for_all (fun q -> Dce_ref.disagreement q = None) inputs
+
+let prop_dce_kernels =
+  QCheck.Test.make ~name:"DCE = reference DCE on random kernels' cleanup inputs" ~count:60
+    (QCheck.make gen_kernel)
+    (fun spec -> dce_agrees (lower (build_kernel spec)))
+
+let prop_dce_straightline =
+  QCheck.Test.make ~name:"DCE = reference DCE on straight-line cleanup inputs" ~count:100
+    (QCheck.make gen_straightline)
+    (fun spec -> dce_agrees (build_straightline spec))
+
 (* ---- symbolic values agree with execution ---- *)
 
 let prop_linval_agrees =
@@ -346,6 +365,8 @@ let suite =
           prop_thr_tree;
           prop_lev4_kernels;
           prop_unroll_factors;
+          prop_dce_kernels;
+          prop_dce_straightline;
           prop_linval_agrees;
         ] );
   ]
