@@ -354,72 +354,3 @@ let carried ?(pre_env = Reg.Map.empty) (t : t) : cedge list =
   in
   pairs mems;
   List.rev !out
-
-(* Enumerate the elementary circuits of the dependence graph extended
-   with carried edges. Only true (flow and memory) dependences
-   participate: a modulo scheduler removes register anti/output edges by
-   renaming, so circuits through them are not recurrences and would
-   inflate RecMII (e.g. the store -> counter-increment anti edge of a
-   DOALL loop). Every circuit must contain at least one carried edge
-   (the intra-iteration true-dependence graph is acyclic), so its
-   distance sum is positive. Enumeration is Tiernan-style (each circuit
-   reported once, rooted at its smallest position) and capped: the cap
-   only loses circuits for pathologically dense graphs, and callers that
-   need an exact bound should fall back to a feasibility search. *)
-let cycles ?(limit = 2000) (t : t) (carried : cedge list) :
-    (int list * int * int) list =
-  let n = Sb.length t.sb in
-  let adj = Array.make n [] in
-  List.iter
-    (fun e ->
-      match e.kind with
-      | Flow | Mem -> adj.(e.esrc) <- (e.edst, e.lat, 0) :: adj.(e.esrc)
-      | Anti | Output | Ctrl -> ())
-    t.edges;
-  List.iter
-    (fun e ->
-      match e.ckind with
-      | Flow | Mem -> adj.(e.cesrc) <- (e.cedst, e.clat, e.cdist) :: adj.(e.cesrc)
-      | Anti | Output | Ctrl -> ())
-    carried;
-  Array.iteri (fun p l -> adj.(p) <- List.rev l) adj;
-  let found = ref [] in
-  let count = ref 0 in
-  let steps = ref 0 in
-  let max_steps = 200_000 in
-  let on_path = Array.make n false in
-  let rec dfs root path lat dist p =
-    if !count < limit && !steps < max_steps then begin
-      incr steps;
-      List.iter
-        (fun (q, l, d) ->
-          if !count < limit then
-            if q = root then begin
-              found := (List.rev path, lat + l, dist + d) :: !found;
-              incr count
-            end
-            else if q > root && not on_path.(q) then begin
-              on_path.(q) <- true;
-              dfs root (q :: path) (lat + l) (dist + d) q;
-              on_path.(q) <- false
-            end)
-        adj.(p)
-    end
-  in
-  List.iter
-    (fun root ->
-      if !count < limit then begin
-        on_path.(root) <- true;
-        dfs root [ root ] 0 0 root;
-        on_path.(root) <- false
-      end)
-    t.nodes;
-  List.rev !found
-
-(* Maximum cycle ratio ceil(latency / distance) over the enumerated
-   recurrence circuits: the classic RecMII lower bound on the initiation
-   interval of a modulo schedule. 1 when there is no recurrence. *)
-let max_cycle_ratio (t : t) (carried : cedge list) : int =
-  List.fold_left
-    (fun acc (_, lat, dist) -> if dist <= 0 then acc else max acc ((lat + dist - 1) / dist))
-    1 (cycles t carried)

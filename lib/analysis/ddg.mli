@@ -52,19 +52,3 @@ val carried : ?pre_env:Linval.lin Reg.Map.t -> t -> cedge list
 (** Cross-iteration extension of the dependence graph: carried register
     flow/anti/output edges and carried memory edges with (latency,
     distance) pairs. [pre_env] plays the same role as in {!build}. *)
-
-val cycles : ?limit:int -> t -> cedge list -> (int list * int * int) list
-(** Elementary recurrence circuits of the graph extended with the given
-    carried edges, as [(positions, latency_sum, distance_sum)] triples.
-    Only true (flow and memory) dependences participate — register
-    anti/output edges are removed by the renaming a modulo scheduler
-    performs, so circuits through them are not recurrences. Each circuit
-    contains at least one carried edge, so its distance sum is positive.
-    Enumeration is capped at [limit] (default 2000) circuits; callers
-    needing an exact initiation-interval bound on dense graphs should
-    use a feasibility search instead. *)
-
-val max_cycle_ratio : t -> cedge list -> int
-(** Maximum [ceil (latency / distance)] over {!cycles}: the classic
-    RecMII lower bound on a modulo schedule's initiation interval.
-    1 when there is no recurrence. *)

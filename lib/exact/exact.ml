@@ -7,19 +7,6 @@ let default_budget = 200_000
 (* Mathematical modulo (OCaml's [mod] keeps the dividend's sign). *)
 let md x k = ((x mod k) + k) mod k
 
-(* Height-based branching priority at a fixed II, mirroring the IMS
-   scheduler's: operations feeding long dependence chains first. *)
-let heights n (edges : Pipe.edge array) ii =
-  let h = Array.make n 0 in
-  for _ = 1 to n + 1 do
-    Array.iter
-      (fun (e : Pipe.edge) ->
-        let w = e.Pipe.lat - (ii * e.Pipe.dist) in
-        if h.(e.Pipe.src) < h.(e.Pipe.dst) + w then h.(e.Pipe.src) <- h.(e.Pipe.dst) + w)
-      edges
-  done;
-  h
-
 let check_schedule (p : Pipe.problem) ~ii (t : int array) =
   ii >= 1
   && Array.length t = p.Pipe.p_n
@@ -73,7 +60,9 @@ let decide ?(budget = default_budget) (p : Pipe.problem) ~ii =
     in
     if not (propagate ()) then (Unsat, 0)
     else begin
-      let h = heights n edges ii in
+      (* Branch in the IMS scheduler's height order: operations feeding
+         long dependence chains first. *)
+      let h = Pipe.heights ~n p.Pipe.p_edges ii in
       let order = Array.init n Fun.id in
       Array.sort
         (fun a b -> if h.(a) <> h.(b) then compare h.(b) h.(a) else compare a b)

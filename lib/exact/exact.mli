@@ -19,7 +19,10 @@
 
     and feasibility of the remaining system is exactly "no positive
     cycle" under the adjusted weights — decided by bounded longest-path
-    relaxation (Bellman-Ford), the same check lib/pipe uses for RecMII.
+    relaxation (Bellman-Ford) over every edge, whose potentials also
+    yield the witness below. The row-free entry check is
+    {!Impact_pipe.Pipe.ii_feasible}, the relaxation lib/pipe runs for
+    RecMII on the edges inside strongly connected components.
     From the relaxation's potentials [d] a witness schedule is read off
     as [t = d + ((row - d) mod ii)], which provably satisfies every
     edge and the row capacities.

@@ -107,67 +107,160 @@ let build_edges ~pre_env (insns : Insn.t array) : edge list =
   in
   List.sort compare (within @ carried)
 
-(* A candidate II is feasible when the constraint system has no
-   positive-weight cycle under weights (lat - II * dist): bounded
-   longest-path relaxation, Bellman-Ford style. This is exact, so the
-   capped circuit enumeration in [Ddg.cycles] never compromises the
-   schedule. *)
-let feasible n edges ii =
-  let d = Array.make n 0 in
+(* ---- Recurrence subgraph and II feasibility ----
+
+   A candidate II is feasible when the constraint system has no
+   positive-weight cycle under weights (lat - II * dist). Every cycle
+   lies inside one strongly connected component, so only the edges
+   whose endpoints share a component (self-loops included) can decide
+   it. [recurrences] keeps those edges in an array over renumbered
+   nodes: the acyclic rest of the body drops out of every sweep, and
+   the Bellman-Ford round bound shrinks to the subgraph's size. *)
+
+type rec_graph = { rn : int; redges : edge array }
+
+(* Tarjan's strongly connected components: a component id per node. *)
+let components n edges =
+  let succs = Array.make n [] in
+  List.iter (fun e -> succs.(e.src) <- e.dst :: succs.(e.src)) edges;
+  let index = Array.make n (-1) in
+  let low = Array.make n 0 in
+  let comp = Array.make n (-1) in
+  let on_stack = Array.make n false in
+  let stack = ref [] in
+  let next = ref 0 in
+  let ncomp = ref 0 in
+  let rec visit v =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    List.iter
+      (fun w ->
+        if index.(w) < 0 then begin
+          visit w;
+          low.(v) <- min low.(v) low.(w)
+        end
+        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
+      succs.(v);
+    if low.(v) = index.(v) then begin
+      let rec pop = function
+        | w :: rest ->
+          on_stack.(w) <- false;
+          comp.(w) <- !ncomp;
+          if w = v then stack := rest else pop rest
+        | [] -> assert false
+      in
+      pop !stack;
+      incr ncomp
+    end
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then visit v
+  done;
+  comp
+
+let recurrences n edges =
+  let comp = components n edges in
+  let kept = Array.of_list (List.filter (fun e -> comp.(e.src) = comp.(e.dst)) edges) in
+  let id = Array.make n (-1) in
+  let rn = ref 0 in
+  let renum v =
+    if id.(v) < 0 then begin
+      id.(v) <- !rn;
+      incr rn
+    end;
+    id.(v)
+  in
+  let redges =
+    Array.map
+      (fun e ->
+        let src = renum e.src in
+        { e with src; dst = renum e.dst })
+      kept
+  in
+  { rn = !rn; redges }
+
+(* Bounded longest-path relaxation, Bellman-Ford style: without a
+   positive cycle it settles within [rn] rounds. *)
+let feasible g ii =
+  let d = Array.make g.rn 0 in
   let changed = ref true in
   let rounds = ref 0 in
-  while !changed && !rounds <= n + 1 do
+  while !changed && !rounds <= g.rn + 1 do
     changed := false;
-    List.iter
+    Array.iter
       (fun e ->
-        let w = e.lat - (ii * e.dist) in
-        if d.(e.src) + w > d.(e.dst) then begin
-          d.(e.dst) <- d.(e.src) + w;
+        let s = d.(e.src) + e.lat - (ii * e.dist) in
+        if s > d.(e.dst) then begin
+          d.(e.dst) <- s;
           changed := true
         end)
-      edges;
+      g.redges;
     incr rounds
   done;
   not !changed
 
 (* RecMII: the smallest II with no positive cycle — exactly the maximum
-   ceil(latency/distance) over all recurrence circuits. *)
-let rec_mii_exact_int n edges =
-  let latsum = List.fold_left (fun a e -> a + e.lat) 1 edges in
-  let rec go ii = if ii >= latsum || feasible n edges ii then ii else go (ii + 1) in
-  go 1
+   ceil(latency/distance) over all recurrence circuits — capped at one
+   more than the total latency. Every [dist] is >= 0, so feasibility is
+   monotone in II: gallop 1, 2, 4, ... to a feasible bound, then bisect. *)
+let rec_mii_of g ~latsum =
+  let ok ii = ii >= latsum || feasible g ii in
+  let rec bisect lo hi =
+    if hi - lo <= 1 then hi
+    else
+      let mid = lo + ((hi - lo) / 2) in
+      if ok mid then bisect lo mid else bisect mid hi
+  in
+  let rec gallop lo hi = if ok hi then bisect lo hi else gallop hi (2 * hi) in
+  (* II 0 stands for "infeasible" and is never tested. *)
+  gallop 0 1
 
-let rec_mii_exact ~n edges = rec_mii_exact_int n edges
+let latsum edges = List.fold_left (fun a e -> a + e.lat) 1 edges
 
-let ii_feasible ~n edges ii = feasible n edges ii
+let rec_mii_exact ~n edges = rec_mii_of (recurrences n edges) ~latsum:(latsum edges)
 
-(* Height-based priority under weights (lat - II * dist). *)
-let heights n edges ii =
-  let h = Array.make n 0 in
-  for _ = 1 to n + 1 do
-    List.iter
-      (fun e ->
-        let w = e.lat - (ii * e.dist) in
-        if h.(e.src) < h.(e.dst) + w then h.(e.src) <- h.(e.dst) + w)
-      edges
+let ii_feasible ~n edges ii = feasible (recurrences n edges) ii
+
+(* Longest-path relaxation under weights (lat - II * dist) from an
+   all-zero start. Called only at feasible IIs, where it settles within
+   n rounds; the n+1-round cap bounds it anyway. *)
+let relax n edges ii step =
+  let a = Array.make n 0 in
+  let changed = ref true in
+  let rounds = ref 0 in
+  while !changed && !rounds <= n do
+    changed := false;
+    List.iter (fun e -> if step a e (e.lat - (ii * e.dist)) then changed := true) edges;
+    incr rounds
   done;
-  h
+  a
+
+(* Height-based priority: the longest path to the sinks. *)
+let heights ~n edges ii =
+  relax n edges ii (fun h e w ->
+    let v = h.(e.dst) + w in
+    if h.(e.src) < v then begin
+      h.(e.src) <- v;
+      true
+    end
+    else false)
 
 (* Depth-based priority (longest path from the sources): the retry
    ordering when height priority fails at an II. Height places late
    consumers of long chains first and can wedge tight reservation
    tables in eviction cycles; depth fills rows producer-first, which
    the exact oracle showed unwedges several issue-8 loops at MII. *)
-let depths n edges ii =
-  let d = Array.make n 0 in
-  for _ = 1 to n + 1 do
-    List.iter
-      (fun e ->
-        let w = e.lat - (ii * e.dist) in
-        if d.(e.dst) < d.(e.src) + w then d.(e.dst) <- d.(e.src) + w)
-      edges
-  done;
-  d
+let depths ~n edges ii =
+  relax n edges ii (fun d e w ->
+    let v = d.(e.src) + w in
+    if d.(e.dst) < v then begin
+      d.(e.dst) <- v;
+      true
+    end
+    else false)
 
 (* One budgeted scheduling attempt at a fixed II: place the highest
    unscheduled operation at its earliest legal slot, force it into a
@@ -233,7 +326,7 @@ let attempt ~issue n succs preds h ii =
 
 (* Escalate II from MII until a schedule fits (or the search passes
    [max_ii], at which point pipelining cannot beat the list schedule). *)
-let modulo_schedule ~issue n edges mii max_ii =
+let modulo_schedule ~issue n edges g mii max_ii =
   let succs = Array.make n [] in
   let preds = Array.make n [] in
   List.iter
@@ -243,7 +336,7 @@ let modulo_schedule ~issue n edges mii max_ii =
     edges;
   let rec go ii =
     if ii > max_ii then None
-    else if not (feasible n edges ii) then go (ii + 1)
+    else if not (feasible g ii) then go (ii + 1)
     else
       let try_priority prio =
         match attempt ~issue n succs preds prio ii with
@@ -255,17 +348,17 @@ let modulo_schedule ~issue n edges mii max_ii =
       (* Two restarts per II before escalating: height priority first
          (the classic IMS order), then depth priority, which the exact
          oracle proved recovers MII on loops the first order wedges. *)
-      match try_priority (heights n edges ii) with
+      match try_priority (heights ~n edges ii) with
       | Some r -> Some r
       | None -> (
-        match try_priority (depths n edges ii) with
+        match try_priority (depths ~n edges ii) with
         | Some r -> Some r
         | None -> go (ii + 1))
   in
   go mii
 
 let ims_schedule ~issue ~n edges ~mii ~max_ii =
-  modulo_schedule ~issue n edges mii max_ii
+  modulo_schedule ~issue n edges (recurrences n edges) mii max_ii
 
 (* ---- Eligibility ---- *)
 
@@ -490,11 +583,8 @@ let fallback machine ~live_at_target ~pre_env (l : Block.loop) =
 
 let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets
     (l : Block.loop) : Block.item list * report * problem option =
-  let skip ?list_ci ?problem reason =
-    ( fallback machine ~live_at_target ~pre_env l,
-      { lid = l.Block.lid; status = Skipped { reason; list_ci } },
-      problem )
-  in
+  let skipped reason list_ci = { lid = l.Block.lid; status = Skipped { reason; list_ci } } in
+  let skip reason = (fallback machine ~live_at_target ~pre_env l, skipped reason None, None) in
   match extract_body ~global_targets l with
   | Error reason -> skip reason
   | Ok a -> (
@@ -507,10 +597,8 @@ let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets
     | Some t -> (
       let trip = t / uf in
       let full = Array.of_list (Block.body_insns l) in
-      let list_ci =
-        (Impact_sched.List_sched.schedule_segment machine ~live_at_target ~pre_env full)
-          .Impact_sched.List_sched.makespan
-      in
+      let listed = Impact_sched.List_sched.schedule_segment machine ~live_at_target ~pre_env full in
+      let list_ci = listed.Impact_sched.List_sched.makespan in
       let n = Array.length a in
       let edges = build_edges ~pre_env a in
       let issue = machine.Machine.issue in
@@ -519,20 +607,30 @@ let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets
       let res_mii =
         max ((n + issue - 1) / issue) ((1 + machine.Machine.branch_slots - 1) / machine.Machine.branch_slots)
       in
-      let rec_mii = rec_mii_exact_int n edges in
+      let g = recurrences n edges in
+      let rec_mii = rec_mii_of g ~latsum:(latsum edges) in
       let mii = max res_mii rec_mii in
       let problem =
         { p_n = n; p_edges = edges; p_issue = issue; p_res_mii = res_mii;
           p_rec_mii = rec_mii; p_mii = mii; p_list_ci = list_ci }
       in
-      if mii >= list_ci then
-        skip ~list_ci ~problem (Printf.sprintf "MII %d not below list schedule" mii)
+      (* A label-free body is the single segment [fallback] would
+         list-schedule, and [listed] already holds its schedule. *)
+      let skip_listed reason =
+        let items =
+          if List.for_all (function Block.Ins _ -> true | _ -> false) l.Block.body then
+            [ Block.Loop { l with Block.body = listed.Impact_sched.List_sched.items } ]
+          else fallback machine ~live_at_target ~pre_env l
+        in
+        (items, skipped reason (Some list_ci), Some problem)
+      in
+      if mii >= list_ci then skip_listed (Printf.sprintf "MII %d not below list schedule" mii)
       else
-        match modulo_schedule ~issue n edges mii (list_ci - 1) with
-        | None -> skip ~list_ci ~problem "no schedule within budget below the list bound"
+        match modulo_schedule ~issue n edges g mii (list_ci - 1) with
+        | None -> skip_listed "no schedule within budget below the list bound"
         | Some (time, ii) -> (
           match codegen ctx l a time ~ii ~trip with
-          | None -> skip ~list_ci ~problem "schedule exceeds size or trip caps"
+          | None -> skip_listed "schedule exceeds size or trip caps"
           | Some (items, stages, kunroll) ->
             ( items,
               {

@@ -67,11 +67,27 @@ type problem = {
 
 val rec_mii_exact : n:int -> edge list -> int
 (** Smallest II with no positive-weight cycle under
-    [lat - II * dist] — the exact recurrence-constrained lower bound. *)
+    [lat - II * dist] — the exact recurrence-constrained lower bound —
+    capped at one more than the sum of all latencies; 1 for an acyclic
+    system. Found by galloping and bisecting over II, which is sound
+    because every [dist >= 0] makes feasibility monotone in II. *)
 
 val ii_feasible : n:int -> edge list -> int -> bool
 (** [ii_feasible ~n edges ii]: does the precedence system (resources
-    ignored) admit a schedule at [ii]? Exact Bellman-Ford check. *)
+    ignored) admit a schedule at [ii]? Exact Bellman-Ford check over
+    the edges inside strongly connected components, the only place a
+    positive cycle can live. *)
+
+val heights : n:int -> edge list -> int -> int array
+(** [heights ~n edges ii]: each operation's longest path to the sinks
+    under [lat - ii * dist] — the scheduling priority of the IMS
+    heuristic and the exact oracle's branching order. [ii] must be
+    feasible ({!ii_feasible}); the relaxation stops at its fixpoint. *)
+
+val depths : n:int -> edge list -> int -> int array
+(** [depths ~n edges ii]: each operation's longest path from the
+    sources — the IMS retry priority when height order fails at an II.
+    Same contract as {!heights}. *)
 
 val ims_schedule :
   issue:int -> n:int -> edge list -> mii:int -> max_ii:int ->

@@ -37,8 +37,10 @@ subject/machine/lid): a proved verdict may not regress to unproved, a
 certified gap may not widen, the known-feasible upper bound may not
 grow, no loop may disappear or turn skip-missed, and each loop's
 search node count must match exactly (the branch-and-bound search is
-deterministic, so a different count means its work changed). New loops
-(a grown corpus) are fine; silently widening a certified gap is not.
+deterministic, so a different count means its work changed). Every
+loop that is not ineligible must also keep its res_mii, rec_mii, mii,
+heur_ii and list_ci exactly. New loops (a grown corpus) are fine;
+silently widening a certified gap is not.
 
 Usage:
   check_bench_regression.py --baseline OLD.json --fresh NEW.json \
@@ -103,6 +105,12 @@ ORACLE_SUMMARY_KEYS = {"loops", "optimal", "suboptimal", "bounded",
                        "skip_confirmed", "skip_missed", "skip_open",
                        "ineligible", "gap_cycles", "gap_bound_cycles",
                        "nodes"}
+
+
+# Per-loop bounds and heuristic results of every analyzable loop: pure
+# functions of the dependence graph and the pipeliner, so any change is
+# an algorithmic change, never noise.
+EXACT_LOOP_FIELDS = ("res_mii", "rec_mii", "mii", "heur_ii", "list_ci")
 
 
 def validate_oracle_schema(doc, label):
@@ -191,6 +199,11 @@ def check_oracle(base, fresh):
         if f["nodes"] != b["nodes"]:
             failures.append(f"{name}: search nodes changed "
                             f"{b['nodes']} -> {f['nodes']}")
+        if b["status"] != "ineligible":
+            for field in EXACT_LOOP_FIELDS:
+                if f.get(field) != b.get(field):
+                    failures.append(f"{name}: {field} changed "
+                                    f"{b.get(field)} -> {f.get(field)}")
     for key in sorted(set(fmap) - set(bmap)):
         print(f"  new loop {'/'.join(map(str, key))}: "
               f"{fmap[key]['status']} (ok)")
@@ -226,7 +239,7 @@ def main():
     ap.add_argument("--oracle", action="store_true",
                     help="compare BENCH_oracle.json certification reports "
                          "(exact: schema, no lost proofs, no widened gaps, "
-                         "equal per-loop nodes)")
+                         "equal per-loop nodes and MII bounds)")
     args = ap.parse_args()
 
     base = load(args.baseline)

@@ -1,5 +1,7 @@
-(* Software pipelining (lib/pipe): recurrence-circuit analysis, the
-   pinned Fig. 1 vecadd initiation interval, and output equivalence of
+(* Software pipelining (lib/pipe): recurrence analysis (RecMII,
+   feasibility and priorities against the linear-scan reference in
+   [Rec_mii_ref]), the pinned Fig. 1 vecadd initiation interval, skipped
+   loops keeping the list scheduler's body, and output equivalence of
    modulo-scheduled code against the unscheduled baseline across the
    whole workload suite. *)
 
@@ -8,8 +10,8 @@ open Helpers
 module Pipe = Impact_pipe.Pipe
 module Compile = Impact_core.Compile
 module Level = Impact_core.Level
-module Ddg = Impact_analysis.Ddg
-module Sb = Impact_analysis.Sb
+module Liveness = Impact_analysis.Liveness
+module Linval = Impact_analysis.Linval
 module Suite = Impact_workloads.Suite
 
 let test name f = Alcotest.test_case name `Quick f
@@ -18,47 +20,266 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 
 let transform_conv ast = Compile.transform_with Impact_core.Opts.default Level.Conv (lower ast)
 
-(* First innermost loop of a program. *)
-let find_innermost (p : Prog.t) : Block.loop =
-  let rec go items =
-    List.fold_left
-      (fun acc it ->
-        match (acc, it) with
-        | Some _, _ -> acc
-        | None, Block.Loop l ->
-          if Block.is_innermost l then Some l else go l.Block.body
-        | None, _ -> None)
-      None items
-  in
-  match go p.Prog.entry with
-  | Some l -> l
-  | None -> Alcotest.fail "no innermost loop"
+let machines = [ Machine.issue_2; Machine.issue_4; Machine.issue_8 ]
 
-(* ---- recurrence circuits (Ddg.carried / cycles / max_cycle_ratio) ---- *)
+(* ---- recurrence circuits in Pipe's modulo-scheduling problems ---- *)
+
+let conv_problem ast =
+  match Pipe.run_with_problems Machine.issue_4 (transform_conv ast) with
+  | _, [ (_, Some p) ] -> p
+  | _ -> Alcotest.fail "expected one analyzable loop"
+
+let self_loops (p : Pipe.problem) =
+  List.filter (fun (e : Pipe.edge) -> e.Pipe.src = e.Pipe.dst) p.Pipe.p_edges
 
 let test_dotprod_circuits () =
-  let l = find_innermost (transform_conv (dotprod_ast 32)) in
-  let d = Ddg.build (Sb.of_loop l) in
-  let carried = Ddg.carried d in
-  let cyc = Ddg.cycles d carried in
-  check_bool "has recurrence circuits" true (cyc <> []);
+  let p = conv_problem (dotprod_ast 32) in
   List.iter
-    (fun (_, _, dist) -> check_bool "circuit distance positive" true (dist > 0))
-    cyc;
+    (fun (e : Pipe.edge) -> check_bool "self-circuit distance positive" true (e.Pipe.dist > 0))
+    (self_loops p);
   (* The accumulator s = s + A(j)*B(j) is a distance-1 self-recurrence
      through a 3-cycle fadd, so RecMII is at least 3. *)
-  check_bool "dotprod RecMII >= fadd latency" true (Ddg.max_cycle_ratio d carried >= 3)
+  check_bool "accumulator self-circuit present" true
+    (List.exists (fun (e : Pipe.edge) -> e.Pipe.dist = 1 && e.Pipe.lat >= 3) (self_loops p));
+  check_bool "dotprod RecMII >= fadd latency" true (p.Pipe.p_rec_mii >= 3);
+  check_bool "infeasible below RecMII" false
+    (Pipe.ii_feasible ~n:p.Pipe.p_n p.Pipe.p_edges (p.Pipe.p_rec_mii - 1))
 
 let test_vecadd_circuits () =
-  let l = find_innermost (transform_conv (vecadd_ast 32)) in
-  let d = Ddg.build (Sb.of_loop l) in
-  let carried = Ddg.carried d in
-  let cyc = Ddg.cycles d carried in
+  let p = conv_problem (vecadd_ast 32) in
   (* The only true recurrence is the counter increment: a single-node
      circuit of ratio 1 (vecadd is DOALL otherwise). *)
   check_bool "counter self-circuit present" true
-    (List.exists (fun (ps, _, _) -> List.length ps = 1) cyc);
-  check_int "vecadd RecMII" 1 (Ddg.max_cycle_ratio d carried)
+    (List.exists (fun (e : Pipe.edge) -> e.Pipe.lat = 1 && e.Pipe.dist = 1) (self_loops p));
+  check_int "vecadd RecMII" 1 p.Pipe.p_rec_mii
+
+(* ---- RecMII, feasibility and priorities against the reference ---- *)
+
+let edge src dst lat dist = { Pipe.src; dst; lat; dist }
+
+let check_against_ref tag n edges =
+  let want = Rec_mii_ref.rec_mii n edges in
+  check_int (tag ^ ": RecMII") want (Pipe.rec_mii_exact ~n edges);
+  for ii = 1 to want + 3 do
+    let ok = Rec_mii_ref.feasible n edges ii in
+    check_bool (Printf.sprintf "%s: feasible at II %d" tag ii) ok (Pipe.ii_feasible ~n edges ii);
+    if ok then begin
+      check_bool (Printf.sprintf "%s: heights at II %d" tag ii) true
+        (Pipe.heights ~n edges ii = Rec_mii_ref.heights n edges ii);
+      check_bool (Printf.sprintf "%s: depths at II %d" tag ii) true
+        (Pipe.depths ~n edges ii = Rec_mii_ref.depths n edges ii)
+    end
+  done
+
+let test_rec_mii_cases () =
+  let chain k lat = List.init (k - 1) (fun i -> edge i (i + 1) lat 0) in
+  let cases =
+    [
+      ("no edges", 3, [], 1);
+      ("n = 1, no edges", 1, [], 1);
+      ("n = 1, self-loop", 1, [ edge 0 0 3 1 ], 3);
+      ("self-loop over distance 2", 1, [ edge 0 0 5 2 ], 3);
+      ("zero-latency cycle", 2, [ edge 0 1 0 0; edge 1 0 0 1 ], 1);
+      ( "disjoint SCCs",
+        6,
+        [
+          edge 0 1 1 0; edge 1 0 3 1;
+          edge 2 3 2 0; edge 3 4 2 0; edge 4 2 3 2;
+          edge 5 5 5 1;
+          edge 1 2 9 0; edge 4 5 9 0;
+        ],
+        5 );
+      ("long dist-0 chain closed by one carried edge", 40, edge 39 0 1 1 :: chain 40 2, 79);
+      ("dist-0 positive cycle: latsum cap", 2, [ edge 0 1 1 0; edge 1 0 1 0 ], 3);
+      ( "latsum cap counts acyclic edges",
+        3,
+        [ edge 0 1 2 0; edge 1 0 2 0; edge 1 2 7 0 ],
+        12 );
+      ("ratio equal to the cap minus one", 1, [ edge 0 0 6 1 ], 6);
+    ]
+  in
+  List.iter
+    (fun (tag, n, edges, want) ->
+      check_int (tag ^ ": reference") want (Rec_mii_ref.rec_mii n edges);
+      check_against_ref tag n edges)
+    cases
+
+(* Random edge systems: dist-0 edges run forward in program order, as
+   in real bodies, unless [wild] lets them close zero-distance cycles
+   (where the latency-sum cap binds). *)
+let gen_system =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    bool >>= fun wild ->
+    list_size (int_range 0 (3 * n))
+      (quad (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 6)
+         (oneofl [ 0; 0; 1; 1; 2; 3 ]))
+    >|= fun es ->
+    ( n,
+      List.map
+        (fun (a, b, lat, dist) ->
+          if dist = 0 && (not wild) && a >= b then
+            if a = b then edge a a lat 1 else edge b a lat 0
+          else edge a b lat dist)
+        es ))
+
+let print_system (n, edges) =
+  Printf.sprintf "n=%d [%s]" n
+    (String.concat "; "
+       (List.map
+          (fun (e : Pipe.edge) ->
+            Printf.sprintf "%d->%d lat %d dist %d" e.Pipe.src e.Pipe.dst e.Pipe.lat e.Pipe.dist)
+          edges))
+
+let prop_rec_mii_ref =
+  QCheck.Test.make ~name:"RecMII, feasibility and priorities = reference" ~count:500
+    (QCheck.make ~print:print_system gen_system)
+    (fun (n, edges) ->
+      check_against_ref (print_system (n, edges)) n edges;
+      true)
+
+(* ---- the corpus: every kernel, level and issue width on both cores ---- *)
+
+let corpus_machines =
+  machines @ List.map (fun issue -> Machine.ooo ~issue ~rob:32 ()) [ 2; 4; 8 ]
+
+let corpus =
+  lazy
+    (List.concat_map
+       (fun (w : Suite.t) ->
+         List.concat_map
+           (fun level ->
+             let tp = Compile.transform_with Impact_core.Opts.default level (lower w.Suite.ast) in
+             List.map
+               (fun (m : Machine.t) ->
+                 let tag =
+                   Printf.sprintf "%s/%s/%s" w.Suite.name (Level.to_string level) m.Machine.name
+                 in
+                 (tag, m, tp, Pipe.run_with_problems m tp))
+               corpus_machines)
+           Level.all)
+       Suite.all)
+
+let test_corpus_rec_mii () =
+  List.iter
+    (fun (tag, _, _, (_, pairs)) ->
+      List.iter
+        (fun ((r : Pipe.report), problem) ->
+          match problem with
+          | Some (p : Pipe.problem) ->
+            check_int
+              (Printf.sprintf "%s loop %d RecMII" tag r.Pipe.lid)
+              (Rec_mii_ref.rec_mii p.Pipe.p_n p.Pipe.p_edges)
+              p.Pipe.p_rec_mii
+          | None -> ())
+        pairs)
+    (Lazy.force corpus)
+
+(* ---- a skipped loop keeps exactly the list scheduler's body ---- *)
+
+let innermost_loops (p : Prog.t) =
+  let tbl = Hashtbl.create 8 in
+  let rec go items =
+    List.iter
+      (function
+        | Block.Loop l -> if Block.is_innermost l then Hashtbl.replace tbl l.Block.lid l else go l.Block.body
+        | Block.Ins _ | Block.Lbl _ -> ())
+      items
+  in
+  go p.Prog.entry;
+  tbl
+
+let body_text (b : Block.t) =
+  Pp.block_to_string b
+  ^ String.concat ","
+      (List.filter_map
+         (function Block.Ins i -> Some (string_of_int i.Insn.id) | _ -> None)
+         b)
+
+(* Walk [out] as [Pipe.run_with_problems] builds it: each skipped
+   innermost loop's body must equal [List_sched.schedule_body] of the
+   input body, with the preheader env of the output items before it.
+   Returns the number of loops checked. *)
+let check_skipped_bodies tag machine (input : Prog.t) ((out : Prog.t), pairs) =
+  let target_live = Liveness.target_live (Liveness.Dense.of_prog input) in
+  let live_at_target i = Some (target_live i) in
+  let src = innermost_loops input in
+  let skipped = Hashtbl.create 8 in
+  List.iter
+    (fun ((r : Pipe.report), _) ->
+      match r.Pipe.status with
+      | Pipe.Skipped _ -> Hashtbl.replace skipped r.Pipe.lid ()
+      | Pipe.Pipelined _ -> ())
+    pairs;
+  let checked = ref 0 in
+  let rec walk prev = function
+    | [] -> ()
+    | (Block.Loop l as it) :: rest when Block.is_innermost l && Hashtbl.mem skipped l.Block.lid ->
+      let pre_env = Linval.env_of_items (List.rev prev) in
+      let want =
+        Impact_sched.List_sched.schedule_body machine ~live_at_target ~pre_env
+          (Hashtbl.find src l.Block.lid).Block.body
+      in
+      check_string
+        (Printf.sprintf "%s loop %d body" tag l.Block.lid)
+        (body_text want) (body_text l.Block.body);
+      incr checked;
+      walk (it :: prev) rest
+    | (Block.Loop l as it) :: rest ->
+      if not (Block.is_innermost l) then walk [] l.Block.body;
+      walk (it :: prev) rest
+    | it :: rest -> walk (it :: prev) rest
+  in
+  walk [] out.Prog.entry;
+  !checked
+
+let test_corpus_skipped_listed () =
+  let reused = ref 0 in
+  List.iter
+    (fun (tag, m, tp, ((_, pairs) as result)) ->
+      ignore (check_skipped_bodies tag m tp result);
+      let src = innermost_loops tp in
+      List.iter
+        (fun ((r : Pipe.report), problem) ->
+          match (r.Pipe.status, problem) with
+          | Pipe.Skipped _, Some _
+            when List.for_all
+                   (function Block.Ins _ -> true | _ -> false)
+                   (Hashtbl.find src r.Pipe.lid).Block.body ->
+            incr reused
+          | _ -> ())
+        pairs)
+    (Lazy.force corpus);
+  check_bool "label-free analyzed loops are skipped somewhere" true (!reused > 0)
+
+(* An analyzed loop whose body holds an internal label still goes
+   through [List_sched.schedule_body], which splits it at the label. *)
+let test_labelled_body_falls_back () =
+  let w = List.find (fun (w : Suite.t) -> w.Suite.name = "nasa7-2") Suite.all in
+  let tp = transform_conv w.Suite.ast in
+  let lbl = "Lmid" in
+  let rec add items =
+    List.map
+      (function
+        | Block.Loop l when Block.is_innermost l && l.Block.lid = 3 ->
+          let body =
+            match l.Block.body with
+            | first :: rest -> first :: Block.Lbl lbl :: rest
+            | [] -> Alcotest.fail "empty loop body"
+          in
+          Block.Loop { l with Block.body }
+        | Block.Loop l -> Block.Loop { l with Block.body = add l.Block.body }
+        | it -> it)
+      items
+  in
+  let tp = Prog.with_entry tp (add tp.Prog.entry) in
+  let ((out, pairs) as result) = Pipe.run_with_problems Machine.issue_8 tp in
+  (match List.find (fun ((r : Pipe.report), _) -> r.Pipe.lid = 3) pairs with
+  | { Pipe.status = Pipe.Skipped { list_ci = Some _; _ }; _ }, Some _ -> ()
+  | r, _ -> Alcotest.failf "loop 3 not analyzed and skipped: %s" (Pipe.report_to_string r));
+  check_int "skipped loops checked" 1 (check_skipped_bodies "nasa7-2+label" Machine.issue_8 tp result);
+  check_bool "label kept" true
+    (List.mem (Block.Lbl lbl) (Hashtbl.find (innermost_loops out) 3).Block.body)
 
 (* ---- the paper's Fig. 1 example: vecadd pipelines down to RecMII ---- *)
 
@@ -91,8 +312,6 @@ let test_recurrence_kernel () =
   same_observables "recurrence" base (run ~machine:Machine.issue_8 scheduled)
 
 (* ---- output equivalence over the whole suite at issue 2/4/8 ---- *)
-
-let machines = [ Machine.issue_2; Machine.issue_4; Machine.issue_8 ]
 
 let check_pipe_subject (w : Suite.t) (machine : Machine.t) base =
   let tp = transform_conv w.Suite.ast in
@@ -263,6 +482,10 @@ let suite =
       [
         test "dotprod recurrence circuits" test_dotprod_circuits;
         test "vecadd recurrence circuits" test_vecadd_circuits;
+        test "RecMII edge cases = reference" test_rec_mii_cases;
+        test "corpus RecMII = reference" test_corpus_rec_mii;
+        test "corpus skipped loops keep the list schedule" test_corpus_skipped_listed;
+        test "labelled body takes the list fallback" test_labelled_body_falls_back;
         test "vecadd pipelines to RecMII" test_vecadd_ii_pinned;
         test "short trip falls back" test_short_trip_falls_back;
         test "carried memory recurrence" test_recurrence_kernel;
@@ -271,5 +494,8 @@ let suite =
         test "no oracle-schedulable loop skipped" test_no_skip_missed;
       ]
       @ suite_equivalence_tests
-      @ [ to_alcotest ~rand:(Random.State.make [| 0x9A27 |]) prop_pipe_preserves ] );
+      @ [
+          to_alcotest ~rand:(Random.State.make [| 0x9A27 |]) prop_pipe_preserves;
+          to_alcotest ~rand:(Random.State.make [| 0x2EC5 |]) prop_rec_mii_ref;
+        ] );
   ]
