@@ -76,176 +76,32 @@ let empty_slots p = (p.o_cycles * p.o_issue) - p.o_dispatched_slots
 let classified_slots p =
   p.o_rob_full + p.o_rs_wait + p.o_no_phys + p.o_fetch + p.o_redirect + p.o_drain
 
-(* ---- Decoded static instruction (mirrors lib/sim's fast path) ---- *)
-
-type dinsn = {
-  dop : Insn.op;
-  ddst : int;  (* destination register index; -1 when none *)
-  ddst_f : bool;
-  dlat : int;
-  dtarget : int;
-  dsrc_reg : int array;  (* register index per slot; -1 = immediate *)
-  dsrc_isf : bool array;
-  dsrc_imm_i : int array;
-  dsrc_imm_f : float array;
-  dbr : bool;
-  dmem : bool;
-}
-
-type mem = {
-  mem_i : int array;
-  mem_f : float array;
-  valid : bool array;
-  is_float : bool array;
-  bases : (string * int) list;
-}
-
 let word = Sim.word
 
-let gap_words = 16
+(* ---- Per-instruction timing ----
 
-let build_mem (p : Prog.t) : mem =
-  let total =
-    List.fold_left (fun acc a -> acc + a.Prog.asize + gap_words) gap_words p.Prog.arrays
-  in
-  let mem_i = Array.make total 0 in
-  let mem_f = Array.make total 0.0 in
-  let valid = Array.make total false in
-  let is_float = Array.make total false in
-  let next = ref gap_words in
-  let bases =
-    List.map
-      (fun (a : Prog.adecl) ->
-        let base = !next in
-        (match a.Prog.ainit with
-        | Prog.IInit vs ->
-          Array.iteri
-            (fun k v ->
-              mem_i.(base + k) <- v;
-              valid.(base + k) <- true)
-            vs
-        | Prog.FInit vs ->
-          Array.iteri
-            (fun k v ->
-              mem_f.(base + k) <- v;
-              valid.(base + k) <- true;
-              is_float.(base + k) <- true)
-            vs);
-        next := base + a.Prog.asize + gap_words;
-        (a.Prog.aname, base * word))
-      p.Prog.arrays
-  in
-  { mem_i; mem_f; valid; is_float; bases }
+   Every timing quantity of dynamic instruction i depends only on older
+   instructions, so all of them are computed once, when i is dispatched
+   in program order (W = issue width, R = reorder-buffer size):
 
-let collect (p : Prog.t) (mem : mem) ivals fvals :
-    (string * Sim.value) list * (string * float array) list =
-  let outputs =
-    List.map
-      (fun (name, r) ->
-        ( name,
-          match r.Reg.cls with
-          | Reg.Int -> Sim.VI ivals.(r.Reg.id)
-          | Reg.Float -> Sim.VF fvals.(r.Reg.id) ))
-      p.Prog.outputs
-  in
-  let arrays_out =
-    List.map
-      (fun (a : Prog.adecl) ->
-        let base = List.assoc a.Prog.aname mem.bases / word in
-        let contents =
-          Array.init a.Prog.asize (fun k ->
-            if mem.is_float.(base + k) then mem.mem_f.(base + k)
-            else float_of_int mem.mem_i.(base + k))
-        in
-        (a.Prog.aname, contents))
-      p.Prog.arrays
-  in
-  (outputs, arrays_out)
+   - dispatch D_i: the first cycle >= D_{i-1} (D_{i-1} + 1 after a taken
+     branch or a full group) with a free branch slot for a branch, room
+     in the reorder buffer (K_{i-R} <= D_i) and, for a writer, a free
+     physical register of its class (K of the class's P-th previous
+     writer <= D_i);
+   - issue I_i: the first cycle >= max(D_i + 1, the sources' latest
+     writers' completion, the previous memory op's issue) in which
+     fewer than W older instructions issue. Issue is oldest-ready-first,
+     so no younger instruction ever takes an older one's slot;
+   - completion C_i = I_i + latency; commit K_i = max(C_i, K_{i-1}), one
+     cycle later when W instructions already commit in K_{i-1}.
 
-let decode (mem : mem) (flat : Flatten.t) : dinsn array =
-  let base_of lab =
-    match List.assoc_opt lab mem.bases with
-    | Some b -> b
-    | None -> errf "unknown array label %s" lab
-  in
-  let decode_one (i : Insn.t) : dinsn =
-    let n = Array.length i.Insn.srcs in
-    let dsrc_reg = Array.make n (-1) in
-    let dsrc_isf = Array.make n false in
-    let dsrc_imm_i = Array.make n 0 in
-    let dsrc_imm_f = Array.make n 0.0 in
-    let int_slot k =
-      match i.Insn.srcs.(k) with
-      | Operand.Reg r ->
-        if r.Reg.cls <> Reg.Int then
-          errf "float register %s in int context" (Reg.to_string r);
-        dsrc_reg.(k) <- r.Reg.id
-      | Operand.Int v -> dsrc_imm_i.(k) <- v
-      | Operand.Lab s -> dsrc_imm_i.(k) <- base_of s
-      | Operand.Flt _ -> errf "float immediate in int context"
-    in
-    let flt_slot k =
-      match i.Insn.srcs.(k) with
-      | Operand.Reg r ->
-        if r.Reg.cls <> Reg.Float then
-          errf "int register %s in float context" (Reg.to_string r);
-        dsrc_reg.(k) <- r.Reg.id;
-        dsrc_isf.(k) <- true
-      | Operand.Flt x -> dsrc_imm_f.(k) <- x
-      | Operand.Int v -> dsrc_imm_f.(k) <- float_of_int v
-      | Operand.Lab _ -> errf "label in float context"
-    in
-    let cls_slot cls k = match cls with Reg.Int -> int_slot k | Reg.Float -> flt_slot k in
-    (match i.Insn.op with
-    | Insn.IBin _ ->
-      int_slot 0;
-      int_slot 1
-    | Insn.FBin _ ->
-      flt_slot 0;
-      flt_slot 1
-    | Insn.IMov | Insn.ItoF -> int_slot 0
-    | Insn.FMov | Insn.FtoI -> flt_slot 0
-    | Insn.Load _ ->
-      int_slot 0;
-      int_slot 1;
-      int_slot 2
-    | Insn.Store cls ->
-      int_slot 0;
-      int_slot 1;
-      int_slot 2;
-      cls_slot cls 3
-    | Insn.Br (cls, _) ->
-      cls_slot cls 0;
-      cls_slot cls 1
-    | Insn.Jmp -> ());
-    let ddst, ddst_f =
-      match i.Insn.dst, Insn.result_cls i with
-      | Some r, Some cls ->
-        if r.Reg.cls <> cls then errf "class mismatch writing %s" (Reg.to_string r);
-        (r.Reg.id, cls = Reg.Float)
-      | Some _, None -> (-1, false)
-      | None, Some _ -> errf "instruction %d lacks destination" i.Insn.id
-      | None, None -> (-1, false)
-    in
-    {
-      dop = i.Insn.op;
-      ddst;
-      ddst_f;
-      dlat = Machine.latency i.Insn.op;
-      dtarget = (if Insn.is_branch i then Flatten.target_index flat i else -1);
-      dsrc_reg;
-      dsrc_isf;
-      dsrc_imm_i;
-      dsrc_imm_f;
-      dbr = Insn.is_branch i;
-      dmem = Insn.is_mem i;
-    }
-  in
-  Array.map decode_one flat.Flatten.code
-
-(* The maximum number of register sources any opcode has (Store: base,
-   offset and value). *)
-let max_srcs = 4
+   Empty dispatch slots are charged in bulk: the rest of the cycle in
+   which dispatch stops goes to the first failing check (branch slot,
+   reorder buffer, physical registers), and each whole cycle up to D_i
+   to the check that holds it back. While the buffer is full its head
+   is i - R, so those cycles are [o_rs_wait] before I_{i-R} and
+   [o_rob_full] from it on. *)
 
 let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
     Sim.result * profile option =
@@ -262,21 +118,21 @@ let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
   let nregs = Reg.gen_count p.Prog.ctx.Prog.rgen + 1 in
   let ivals = Array.make nregs 0 in
   let fvals = Array.make nregs 0.0 in
-  let mem = build_mem p in
-  let dcode = decode mem flat in
-  let mem_i = mem.mem_i in
-  let mem_f = mem.mem_f in
-  let mem_valid = mem.valid in
-  let mem_isf = mem.is_float in
+  let mem = Sim.build_mem p in
+  let dcode = Sim.decode mem flat in
+  let mem_i = mem.Sim.mem_i in
+  let mem_f = mem.Sim.mem_f in
+  let mem_valid = mem.Sim.valid in
+  let mem_isf = mem.Sim.is_float in
   let nmem = Array.length mem_valid in
-  let gi d k =
-    let r = d.dsrc_reg.(k) in
-    if r >= 0 then ivals.(r) else d.dsrc_imm_i.(k)
+  let gi (d : Sim.dinsn) k =
+    let r = d.Sim.dsrc_reg.(k) in
+    if r >= 0 then ivals.(r) else d.Sim.dsrc_imm_i.(k)
   [@@inline]
   in
-  let gf d k =
-    let r = d.dsrc_reg.(k) in
-    if r >= 0 then fvals.(r) else d.dsrc_imm_f.(k)
+  let gf (d : Sim.dinsn) k =
+    let r = d.Sim.dsrc_reg.(k) in
+    if r >= 0 then fvals.(r) else d.Sim.dsrc_imm_f.(k)
   [@@inline]
   in
   let cell_of_addr addr what =
@@ -287,50 +143,42 @@ let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
     c
   [@@inline]
   in
-  (* Rename table: the sequence number of the in-flight producer of each
-     architectural register, or -1 when the latest value has committed
-     (then the source is ready immediately). *)
-  let prod_i = Array.make nregs (-1) in
-  let prod_f = Array.make nregs (-1) in
-  (* Physical register free counts (P6-style: one allocated per renamed
-     destination at dispatch, freed at commit). *)
-  let free_int = ref phys_regs in
-  let free_float = ref phys_regs in
-  (* Reorder buffer: a circular queue of consecutive sequence numbers;
-     the entry for sequence s lives in slot [s mod rob] while in
-     flight. *)
-  let rb_issued = Array.make rob false in
-  let rb_complete = Array.make rob 0 in
-  let rb_lat = Array.make rob 0 in
-  let rb_dst = Array.make rob (-1) in
-  let rb_dst_f = Array.make rob false in
-  let rb_mem = Array.make rob false in
-  let rb_src = Array.make (rob * max_srcs) (-1) in
-  let rb_nsrc = Array.make rob 0 in
-  (* Un-issued entries as a doubly-linked list of slots in program
-     order, so the issue scan touches only waiting instructions. *)
-  let un_next = Array.make rob (-1) in
-  let un_prev = Array.make rob (-1) in
-  let un_head = ref (-1) in
-  let un_tail = ref (-1) in
-  let un_append s =
-    un_next.(s) <- -1;
-    un_prev.(s) <- !un_tail;
-    if !un_tail >= 0 then un_next.(!un_tail) <- s else un_head := s;
-    un_tail := s
+  (* Completion cycle of each register's latest writer (0: never
+     written, ready from the start). *)
+  let done_i = Array.make nregs 0 in
+  let done_f = Array.make nregs 0 in
+  (* Commit and issue cycles of the last R instructions: when i is
+     dispatched, slot [rslot] holds K_{i-R} and I_{i-R}. *)
+  let k_ring = Array.make rob 0 in
+  let i_ring = Array.make rob 0 in
+  let rslot = ref 0 in
+  (* Commit cycles of the last P writers per class. The P-th previous
+     writer is at least P instructions back, so for P >= R the reorder
+     buffer check implies this one and R entries suffice. *)
+  let phys = min phys_regs rob in
+  let kw_i = Array.make phys 0 in
+  let kw_f = Array.make phys 0 in
+  let wslot_i = ref 0 in
+  let wslot_f = ref 0 in
+  (* Issue count per cycle, on a ring tagged by cycle number. A full
+     window of R instructions issues within (R + 1) * maxlat cycles of
+     the current dispatch, so the live cycles never share a slot. *)
+  let maxlat = Array.fold_left (fun a (d : Sim.dinsn) -> max a d.Sim.dlat) 1 dcode in
+  let ring_size =
+    let rec pow2 n = if n >= (rob + 2) * (maxlat + 2) then n else pow2 (2 * n) in
+    pow2 64
   in
-  let un_remove s =
-    let p = un_prev.(s) and n = un_next.(s) in
-    if p >= 0 then un_next.(p) <- n else un_head := n;
-    if n >= 0 then un_prev.(n) <- p else un_tail := p
-  in
-  let head_seq = ref 0 in
-  let next_seq = ref 0 in
-  let count = ref 0 in
+  let ring_mask = ring_size - 1 in
+  let ring_tag = Array.make ring_size (-1) in
+  let ring_cnt = Array.make ring_size 0 in
+  let last_mem = ref 0 in  (* issue cycle of the latest memory op *)
+  let k_prev = ref (-1) in  (* K_{i-1} *)
+  let k_prev_n = ref 0 in  (* commits in cycle K_{i-1} *)
+  let cyc = ref 0 in  (* the cycle the next dispatch is tried in *)
+  let n = ref 0 in  (* instructions dispatched in it so far *)
+  let nb = ref 0 in  (* branches among them *)
   let pc = ref 0 in
-  let cycle = ref 0 in
   let dyn = ref 0 in
-  (* Profile accumulators (allocated small even when off). *)
   let c_rob_full = ref 0 in
   let c_rs_wait = ref 0 in
   let c_no_phys = ref 0 in
@@ -338,228 +186,238 @@ let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
   let c_redirect = ref 0 in
   let c_drain = ref 0 in
   let max_rob = ref 0 in
+  let head = ref 0 in  (* profile: oldest instruction not yet committed *)
+  let hslot = ref 0 in
   let ilp = if profile then Array.make (issue_width + 1) 0 else [||] in
   let insn_disp = if profile then Array.make ncode 0 else [||] in
-  while !count > 0 || !pc < ncode do
-    if !cycle > fuel then raise Sim.Timeout;
-    let cyc = !cycle in
-    (* -- commit: up to [issue] completed entries, oldest first -- *)
-    let committed = ref 0 in
-    let continue_commit = ref true in
-    while !continue_commit && !committed < issue_width && !count > 0 do
-      let s = !head_seq mod rob in
-      if rb_issued.(s) && rb_complete.(s) <= cyc then begin
-        let d = rb_dst.(s) in
-        if d >= 0 then begin
-          if rb_dst_f.(s) then begin
-            incr free_float;
-            if prod_f.(d) = !head_seq then prod_f.(d) <- -1
-          end
-          else begin
-            incr free_int;
-            if prod_i.(d) = !head_seq then prod_i.(d) <- -1
-          end
-        end;
-        incr head_seq;
-        decr count;
-        incr committed
-      end
-      else continue_commit := false
-    done;
-    (* -- issue: up to [issue] ready entries, oldest first; memory
-       operations keep program order among themselves -- *)
-    let to_issue = ref issue_width in
-    let mem_blocked = ref false in
-    let s = ref !un_head in
-    while !to_issue > 0 && !s >= 0 do
-      let sl = !s in
-      let nxt = un_next.(sl) in
-      let ready = ref true in
-      let base = sl * max_srcs in
-      for j = 0 to rb_nsrc.(sl) - 1 do
-        let q = rb_src.(base + j) in
-        if q >= !head_seq then begin
-          (* producer still in flight *)
-          let qs = q mod rob in
-          if (not rb_issued.(qs)) || rb_complete.(qs) > cyc then ready := false
+  while !pc < ncode do
+    let k = !pc in
+    let d = dcode.(k) in
+    let need_rob = k_ring.(!rslot) in
+    let need_phys =
+      if d.Sim.ddst < 0 then 0
+      else if d.Sim.ddst_f then kw_f.(!wslot_f)
+      else kw_i.(!wslot_i)
+    in
+    (* -- dispatch cycle D_i -- *)
+    if !n > 0 then begin
+      let open_slots = issue_width - !n in
+      let stop =
+        if d.Sim.dbr && !nb >= branch_slots then begin
+          c_fetch := !c_fetch + open_slots;
+          true
         end
-      done;
-      if !ready && ((not rb_mem.(sl)) || not !mem_blocked) then begin
-        rb_issued.(sl) <- true;
-        rb_complete.(sl) <- cyc + rb_lat.(sl);
-        un_remove sl;
-        decr to_issue
+        else if need_rob > !cyc then begin
+          if !cyc < i_ring.(!rslot) then c_rs_wait := !c_rs_wait + open_slots
+          else c_rob_full := !c_rob_full + open_slots;
+          true
+        end
+        else if need_phys > !cyc then begin
+          c_no_phys := !c_no_phys + open_slots;
+          true
+        end
+        else false
+      in
+      if stop then begin
+        if profile then ilp.(!n) <- ilp.(!n) + 1;
+        incr cyc;
+        n := 0;
+        nb := 0
       end
-      else if rb_mem.(sl) then mem_blocked := true;
-      s := nxt
+    end;
+    if !n = 0 then begin
+      (* Whole cycles: a cycle starts with every branch slot free. *)
+      if issue_width < 1 || (d.Sim.dbr && branch_slots < 1) then raise Sim.Timeout;
+      let c0 = !cyc in
+      if need_rob > c0 then begin
+        let h = i_ring.(!rslot) in
+        c_rs_wait := !c_rs_wait + (issue_width * max 0 (min need_rob h - c0));
+        c_rob_full := !c_rob_full + (issue_width * max 0 (need_rob - max c0 h))
+      end;
+      let c1 = max c0 need_rob in
+      if need_phys > c1 then c_no_phys := !c_no_phys + (issue_width * (need_phys - c1));
+      let c2 = max c1 need_phys in
+      if profile then ilp.(0) <- ilp.(0) + (c2 - c0);
+      cyc := c2
+    end;
+    let dc = !cyc in
+    if dc > fuel then raise Sim.Timeout;
+    (* -- issue cycle I_i, completion C_i, commit K_i -- *)
+    let ready = ref (dc + 1) in
+    let ri = d.Sim.drdy_i in
+    for s = 0 to Array.length ri - 1 do
+      let c = done_i.(ri.(s)) in
+      if c > !ready then ready := c
     done;
-    (* -- dispatch/rename: program order, functional execution.
-       Resource checks in a fixed order — branch slots, reorder buffer,
-       physical registers — and whichever stops dispatch first is
-       charged the rest of the cycle's slots. -- *)
-    let dispatched = ref 0 in
-    let branches = ref 0 in
-    let continue_dispatch = ref true in
-    while !continue_dispatch && !dispatched < issue_width do
-      let open_slots = issue_width - !dispatched in
-      if !pc >= ncode then begin
-        c_drain := !c_drain + open_slots;
-        continue_dispatch := false
+    let rf = d.Sim.drdy_f in
+    for s = 0 to Array.length rf - 1 do
+      let c = done_f.(rf.(s)) in
+      if c > !ready then ready := c
+    done;
+    if d.Sim.dmem && !last_mem > !ready then ready := !last_mem;
+    let t = ref !ready in
+    while
+      let s = !t land ring_mask in
+      ring_tag.(s) = !t && ring_cnt.(s) >= issue_width
+    do
+      incr t
+    done;
+    let iss = !t in
+    let s = iss land ring_mask in
+    if ring_tag.(s) = iss then ring_cnt.(s) <- ring_cnt.(s) + 1
+    else begin
+      ring_tag.(s) <- iss;
+      ring_cnt.(s) <- 1
+    end;
+    if d.Sim.dmem then last_mem := iss;
+    let cmp = iss + d.Sim.dlat in
+    let kc =
+      if cmp > !k_prev then begin
+        k_prev_n := 1;
+        cmp
+      end
+      else if !k_prev_n < issue_width then begin
+        incr k_prev_n;
+        !k_prev
       end
       else begin
-        let k = !pc in
-        let d = dcode.(k) in
-        if d.dbr && !branches >= branch_slots then begin
-          c_fetch := !c_fetch + open_slots;
-          continue_dispatch := false
-        end
-        else if !count = rob then begin
-          if rb_issued.(!head_seq mod rob) then c_rob_full := !c_rob_full + open_slots
-          else c_rs_wait := !c_rs_wait + open_slots;
-          continue_dispatch := false
-        end
-        else if
-          d.ddst >= 0 && (if d.ddst_f then !free_float = 0 else !free_int = 0)
-        then begin
-          c_no_phys := !c_no_phys + open_slots;
-          continue_dispatch := false
-        end
-        else begin
-          (* allocate the reorder-buffer entry and rename *)
-          let seq = !next_seq in
-          let sl = seq mod rob in
-          rb_issued.(sl) <- false;
-          rb_lat.(sl) <- d.dlat;
-          rb_dst.(sl) <- d.ddst;
-          rb_dst_f.(sl) <- d.ddst_f;
-          rb_mem.(sl) <- d.dmem;
-          let nsrc = ref 0 in
-          let base = sl * max_srcs in
-          Array.iteri
-            (fun j r ->
-              if r >= 0 then begin
-                let q = if d.dsrc_isf.(j) then prod_f.(r) else prod_i.(r) in
-                if q >= 0 then begin
-                  rb_src.(base + !nsrc) <- q;
-                  incr nsrc
-                end
-              end)
-            d.dsrc_reg;
-          rb_nsrc.(sl) <- !nsrc;
-          un_append sl;
-          if d.ddst >= 0 then begin
-            if d.ddst_f then begin
-              decr free_float;
-              prod_f.(d.ddst) <- seq
-            end
-            else begin
-              decr free_int;
-              prod_i.(d.ddst) <- seq
-            end
-          end;
-          incr next_seq;
-          incr count;
-          if !count > !max_rob then max_rob := !count;
-          incr dyn;
-          incr dispatched;
-          if d.dbr then incr branches;
-          if profile then insn_disp.(k) <- insn_disp.(k) + 1;
-          (* functional execution, mirroring lib/sim's fast path *)
-          (match d.dop with
-          | Insn.IBin op ->
-            let a = gi d 0 in
-            let b = gi d 1 in
-            let v =
-              match op with
-              | Insn.Add -> a + b
-              | Insn.Sub -> a - b
-              | Insn.Mul -> a * b
-              | Insn.Div -> if b = 0 then errf "division by zero" else a / b
-              | Insn.Rem -> if b = 0 then errf "remainder by zero" else a mod b
-              | Insn.Shl -> a lsl b
-              | Insn.Shr -> a asr b
-              | Insn.And -> a land b
-              | Insn.Or -> a lor b
-              | Insn.Xor -> a lxor b
-            in
-            ivals.(d.ddst) <- v;
-            incr pc
-          | Insn.FBin op ->
-            let a = gf d 0 in
-            let b = gf d 1 in
-            let v =
-              match op with
-              | Insn.Fadd -> a +. b
-              | Insn.Fsub -> a -. b
-              | Insn.Fmul -> a *. b
-              | Insn.Fdiv -> a /. b
-            in
-            fvals.(d.ddst) <- v;
-            incr pc
-          | Insn.IMov ->
-            ivals.(d.ddst) <- gi d 0;
-            incr pc
-          | Insn.FMov ->
-            fvals.(d.ddst) <- gf d 0;
-            incr pc
-          | Insn.ItoF ->
-            fvals.(d.ddst) <- float_of_int (gi d 0);
-            incr pc
-          | Insn.FtoI ->
-            ivals.(d.ddst) <- int_of_float (Float.trunc (gf d 0));
-            incr pc
-          | Insn.Load cls ->
-            let addr = gi d 0 + gi d 1 + gi d 2 in
-            let c = cell_of_addr addr "load" in
-            (match cls with
-            | Reg.Int ->
-              if mem_isf.(c) then errf "int load from float cell %d" addr;
-              ivals.(d.ddst) <- mem_i.(c)
-            | Reg.Float ->
-              if not mem_isf.(c) then errf "float load from int cell %d" addr;
-              fvals.(d.ddst) <- mem_f.(c));
-            incr pc
-          | Insn.Store cls ->
-            let addr = gi d 0 + gi d 1 + gi d 2 in
-            let c = cell_of_addr addr "store" in
-            (match cls with
-            | Reg.Int ->
-              if mem_isf.(c) then errf "int store to float cell %d" addr;
-              mem_i.(c) <- gi d 3
-            | Reg.Float ->
-              if not mem_isf.(c) then errf "float store to int cell %d" addr;
-              mem_f.(c) <- gf d 3);
-            incr pc
-          | Insn.Br (cls, c) ->
-            let taken =
-              match cls with
-              | Reg.Int -> Insn.eval_icmp c (gi d 0) (gi d 1)
-              | Reg.Float -> Insn.eval_fcmp c (gf d 0) (gf d 1)
-            in
-            if taken then begin
-              pc := d.dtarget;
-              c_redirect := !c_redirect + (issue_width - !dispatched);
-              continue_dispatch := false
-            end
-            else incr pc
-          | Insn.Jmp ->
-            pc := d.dtarget;
-            c_redirect := !c_redirect + (issue_width - !dispatched);
-            continue_dispatch := false)
-        end
+        k_prev_n := 1;
+        !k_prev + 1
       end
-    done;
-    if profile then ilp.(!dispatched) <- ilp.(!dispatched) + 1;
-    incr cycle
+    in
+    k_prev := kc;
+    if profile then begin
+      (* Occupancy after dispatch: instructions head..i, where head is
+         the oldest one that has not committed by D_i. *)
+      while !head < !dyn && k_ring.(!hslot) <= dc do
+        incr head;
+        hslot := if !hslot + 1 = rob then 0 else !hslot + 1
+      done;
+      if !dyn + 1 - !head > !max_rob then max_rob := !dyn + 1 - !head;
+      insn_disp.(k) <- insn_disp.(k) + 1
+    end;
+    k_ring.(!rslot) <- kc;
+    i_ring.(!rslot) <- iss;
+    rslot := if !rslot + 1 = rob then 0 else !rslot + 1;
+    if d.Sim.ddst >= 0 then
+      if d.Sim.ddst_f then begin
+        done_f.(d.Sim.ddst) <- cmp;
+        kw_f.(!wslot_f) <- kc;
+        wslot_f := if !wslot_f + 1 = phys then 0 else !wslot_f + 1
+      end
+      else begin
+        done_i.(d.Sim.ddst) <- cmp;
+        kw_i.(!wslot_i) <- kc;
+        wslot_i := if !wslot_i + 1 = phys then 0 else !wslot_i + 1
+      end;
+    incr dyn;
+    incr n;
+    if d.Sim.dbr then incr nb;
+    (* -- functional execution, mirroring lib/sim's fast path -- *)
+    let taken =
+      match d.Sim.dop with
+      | Insn.IBin op ->
+        let a = gi d 0 in
+        let b = gi d 1 in
+        let v =
+          match op with
+          | Insn.Add -> a + b
+          | Insn.Sub -> a - b
+          | Insn.Mul -> a * b
+          | Insn.Div -> if b = 0 then errf "division by zero" else a / b
+          | Insn.Rem -> if b = 0 then errf "remainder by zero" else a mod b
+          | Insn.Shl -> a lsl b
+          | Insn.Shr -> a asr b
+          | Insn.And -> a land b
+          | Insn.Or -> a lor b
+          | Insn.Xor -> a lxor b
+        in
+        ivals.(d.Sim.ddst) <- v;
+        false
+      | Insn.FBin op ->
+        let a = gf d 0 in
+        let b = gf d 1 in
+        let v =
+          match op with
+          | Insn.Fadd -> a +. b
+          | Insn.Fsub -> a -. b
+          | Insn.Fmul -> a *. b
+          | Insn.Fdiv -> a /. b
+        in
+        fvals.(d.Sim.ddst) <- v;
+        false
+      | Insn.IMov ->
+        ivals.(d.Sim.ddst) <- gi d 0;
+        false
+      | Insn.FMov ->
+        fvals.(d.Sim.ddst) <- gf d 0;
+        false
+      | Insn.ItoF ->
+        fvals.(d.Sim.ddst) <- float_of_int (gi d 0);
+        false
+      | Insn.FtoI ->
+        ivals.(d.Sim.ddst) <- int_of_float (Float.trunc (gf d 0));
+        false
+      | Insn.Load cls ->
+        let addr = gi d 0 + gi d 1 + gi d 2 in
+        let c = cell_of_addr addr "load" in
+        (match cls with
+        | Reg.Int ->
+          if mem_isf.(c) then errf "int load from float cell %d" addr;
+          ivals.(d.Sim.ddst) <- mem_i.(c)
+        | Reg.Float ->
+          if not mem_isf.(c) then errf "float load from int cell %d" addr;
+          fvals.(d.Sim.ddst) <- mem_f.(c));
+        false
+      | Insn.Store cls ->
+        let addr = gi d 0 + gi d 1 + gi d 2 in
+        let c = cell_of_addr addr "store" in
+        (match cls with
+        | Reg.Int ->
+          if mem_isf.(c) then errf "int store to float cell %d" addr;
+          mem_i.(c) <- gi d 3
+        | Reg.Float ->
+          if not mem_isf.(c) then errf "float store to int cell %d" addr;
+          mem_f.(c) <- gf d 3);
+        false
+      | Insn.Br (cls, c) -> (
+        match cls with
+        | Reg.Int -> Insn.eval_icmp c (gi d 0) (gi d 1)
+        | Reg.Float -> Insn.eval_fcmp c (gf d 0) (gf d 1))
+      | Insn.Jmp -> true
+    in
+    if taken then begin
+      pc := d.Sim.dtarget;
+      (* fetch resumes at the target next cycle *)
+      c_redirect := !c_redirect + (issue_width - !n)
+    end
+    else incr pc;
+    if taken || !n = issue_width then begin
+      if profile then ilp.(!n) <- ilp.(!n) + 1;
+      incr cyc;
+      n := 0;
+      nb := 0
+    end
   done;
-  let outputs, arrays_out = collect p mem ivals fvals in
-  let result = { Sim.cycles = !cycle; dyn_insns = !dyn; outputs; arrays_out } in
+  (* Out of instructions: the rest of the last dispatch cycle and every
+     cycle up to the last commit drain. *)
+  if !n > 0 then begin
+    c_drain := !c_drain + (issue_width - !n);
+    if profile then ilp.(!n) <- ilp.(!n) + 1;
+    incr cyc
+  end;
+  let cycles = if !dyn = 0 then 0 else !k_prev + 1 in
+  if cycles > 0 && cycles - 1 > fuel then raise Sim.Timeout;
+  c_drain := !c_drain + (issue_width * (cycles - !cyc));
+  if profile then ilp.(0) <- ilp.(0) + (cycles - !cyc);
+  let outputs, arrays_out = Sim.collect p mem ivals fvals in
+  let result = { Sim.cycles; dyn_insns = !dyn; outputs; arrays_out } in
   let prof =
     if profile then
       Some
         {
           o_issue = issue_width;
-          o_cycles = !cycle;
+          o_cycles = cycles;
           o_dispatched_slots = !dyn;
           o_rob_full = !c_rob_full;
           o_rs_wait = !c_rs_wait;

@@ -19,7 +19,10 @@
     at dispatch in program order, so architectural results — [outputs],
     [arrays_out], [dyn_insns] and any raised {!Impact_sim.Sim.Error} —
     are bit-identical to {!Impact_sim.Sim.run} on the same program by
-    construction (pinned by the conformance tests in test/t_ooo). *)
+    construction (pinned by the conformance tests in test/t_ooo). Each
+    instruction's dispatch, issue and commit cycles are computed once,
+    at dispatch; they equal those of stepping the pipeline cycle by
+    cycle (test/ooo_ref.ml), in every result and profile field. *)
 
 val run :
   ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> Impact_sim.Sim.result

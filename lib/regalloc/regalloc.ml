@@ -8,19 +8,16 @@
    ordering); the color counts per class are the reported register
    usage.
 
-   Two implementations share the same ordering semantics — simplify
-   removes the (degree, register-id)-lexicographically smallest node,
-   select assigns the lowest free color in reverse removal order — so
-   they produce identical colorings:
-
-   - the default fast path works on dense register indices from
-     [Liveness.Dense]: the graph is one backward sweep appending to
-     compact adjacency arrays (a bitset adjacency matrix dedups edges),
-     and simplify pops a lazy integer min-heap keyed on
-     degree * nregs + index instead of rescanning all nodes per
-     removal;
-   - [color_ref] is the original [Reg.Set]-per-node construction and
-     O(V^2) min-degree scan, kept as the differential-testing oracle. *)
+   The allocator works on dense register indices from [Liveness.Dense]:
+   the graph is one backward sweep appending to compact adjacency arrays
+   (a bitset adjacency matrix dedups edges), and simplify pops a lazy
+   integer min-heap keyed on degree * nregs + index instead of
+   rescanning all nodes per removal. Simplify removes the (degree,
+   node-order)-lexicographically smallest node and select assigns the
+   lowest free color in reverse removal order, exactly as the original
+   [Reg.Set]-per-node construction with an O(V^2) min-degree scan did;
+   that formulation is kept in test/regalloc_ref.ml as the
+   differential-testing oracle. *)
 
 open Impact_ir
 open Impact_analysis
@@ -28,119 +25,6 @@ open Impact_analysis
 type usage = { int_used : int; float_used : int }
 
 let total u = u.int_used + u.float_used
-
-(* ---- Reference implementation (differential oracle) ---- *)
-
-(* Interference graph per register class. *)
-let interference (p : Prog.t) : (Reg.t, Reg.Set.t) Hashtbl.t =
-  let live = Liveness.of_prog p in
-  let flat = live.Liveness.flat in
-  let graph : (Reg.t, Reg.Set.t) Hashtbl.t = Hashtbl.create 64 in
-  let node r = if not (Hashtbl.mem graph r) then Hashtbl.replace graph r Reg.Set.empty in
-  let nbrs r = Option.value ~default:Reg.Set.empty (Hashtbl.find_opt graph r) in
-  let add_edge a b =
-    if not (Reg.equal a b) && a.Reg.cls = b.Reg.cls then begin
-      node a;
-      node b;
-      Hashtbl.replace graph a (Reg.Set.add b (nbrs a));
-      Hashtbl.replace graph b (Reg.Set.add a (nbrs b))
-    end
-  in
-  Array.iteri
-    (fun k (i : Insn.t) ->
-      List.iter
-        (fun (d : Reg.t) ->
-          node d;
-          (* A definition interferes with everything live across it. For
-             a move, the source is exempt (coalescable). *)
-          let exempt =
-            match i.Insn.op, i.Insn.srcs with
-            | (Insn.IMov | Insn.FMov), [| Operand.Reg s |] -> Some s
-            | _ -> None
-          in
-          Reg.Set.iter
-            (fun r ->
-              match exempt with
-              | Some s when Reg.equal s r -> ()
-              | _ -> add_edge d r)
-            live.Liveness.live_out.(k))
-        (Insn.defs i);
-      List.iter (fun r -> node r) (Insn.uses i))
-    flat.Flatten.code;
-  graph
-
-(* Greedy coloring in smallest-degree-last order; ties go to the node
-   seen first in the table's fold order, and the fast path replays the
-   same insertion sequence to reproduce that order exactly. Returns the
-   assignment for the given class. A register that was never entered in
-   the graph contributes no neighbors and no node. *)
-let class_coloring (graph : (Reg.t, Reg.Set.t) Hashtbl.t) (cls : Reg.cls) :
-    (Reg.t * int) list =
-  let nodes =
-    Hashtbl.fold (fun r _ acc -> if r.Reg.cls = cls then r :: acc else acc) graph []
-  in
-  if nodes = [] then []
-  else begin
-    let nbrs r = Option.value ~default:Reg.Set.empty (Hashtbl.find_opt graph r) in
-    let degree = Hashtbl.create 64 in
-    let deg_of r = Option.value ~default:0 (Hashtbl.find_opt degree r) in
-    List.iter
-      (fun r ->
-        let n = Reg.Set.filter (fun x -> x.Reg.cls = cls) (nbrs r) in
-        Hashtbl.replace degree r (Reg.Set.cardinal n))
-      nodes;
-    let removed = Hashtbl.create 64 in
-    let stack = ref [] in
-    let remaining = ref (List.length nodes) in
-    while !remaining > 0 do
-      (* Smallest remaining degree; the first listed wins ties. *)
-      let best = ref None in
-      List.iter
-        (fun r ->
-          if not (Hashtbl.mem removed r) then
-            match !best with
-            | None -> best := Some r
-            | Some b -> if deg_of r < deg_of b then best := Some r)
-        nodes;
-      match !best with
-      | None -> remaining := 0
-      | Some r ->
-        Hashtbl.replace removed r ();
-        stack := r :: !stack;
-        decr remaining;
-        Reg.Set.iter
-          (fun x ->
-            if x.Reg.cls = cls && not (Hashtbl.mem removed x) then
-              Hashtbl.replace degree x (deg_of x - 1))
-          (nbrs r)
-    done;
-    (* Select: color in reverse removal order with the lowest free color. *)
-    let color = Hashtbl.create 64 in
-    List.iter
-      (fun r ->
-        let used =
-          Reg.Set.fold
-            (fun x acc ->
-              match Hashtbl.find_opt color x with Some c -> c :: acc | None -> acc)
-            (nbrs r) []
-        in
-        let rec first c = if List.mem c used then first (c + 1) else c in
-        Hashtbl.replace color r (first 0))
-      !stack;
-    Hashtbl.fold (fun r c acc -> (r, c) :: acc) color []
-  end
-
-let color_class graph cls =
-  List.fold_left (fun acc (_, c) -> max acc (c + 1)) 0 (class_coloring graph cls)
-
-(* Reference end-to-end measurement: [Reg.Set] interference + O(V^2)
-   simplify. Exercised by the differential tests in t_regalloc. *)
-let color_ref (p : Prog.t) : usage =
-  let graph = interference p in
-  {
-    int_used = color_class graph Reg.Int;
-    float_used = color_class graph Reg.Float;
-  }
 
 (* ---- Fast path: dense indices, adjacency arrays, heap simplify ---- *)
 
@@ -200,7 +84,7 @@ type dgraph = {
   node_order : int list;
       (* dense indices in the reference implementation's node order: a
          unit-valued hash table is populated with the same key-insertion
-         sequence as [interference]'s graph, so its fold order — which
+         sequence as the reference graph (test/regalloc_ref.ml), so its fold order — which
          depends only on the key set, hashes and insertion history —
          matches the reference fold exactly *)
   edges : int;
@@ -216,7 +100,7 @@ let build_dense (p : Prog.t) : dgraph =
   let cls_of = Array.map (fun (r : Reg.t) -> r.Reg.cls) dregs in
   (* [present.(i)] holds exactly when [dregs.(i)] is a key of
      [order_tbl], so each node is inserted once, at its first sighting:
-     the same insertion sequence as [interference]'s graph. *)
+     the same insertion sequence as the reference graph. *)
   let order_tbl : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
   let node_seen i =
     if not present.(i) then begin
@@ -295,7 +179,7 @@ let build_dense (p : Prog.t) : dgraph =
 (* Color one class: simplify by popping the (degree, node-order
    position)-smallest node off a lazy heap (stale keys are skipped),
    then select lowest free colors in reverse removal order. Identical
-   ordering semantics to [class_coloring], whose min-degree scan keeps
+   ordering semantics to the reference coloring, whose min-degree scan keeps
    the first listed node among equal degrees. Returns (colors per dense
    index, color count, heap pops). *)
 let color_class_dense (g : dgraph) (cls : Reg.cls) : int array * int * int =
@@ -388,15 +272,3 @@ let measure (p : Prog.t) : usage =
     Impact_obs.Obs.count ~n:(pops_i + pops_f) "regalloc.simplify_steps"
   end;
   { int_used = ints; float_used = floats }
-
-(* Full coloring of a program, for validation: interfering registers of
-   the same class never share a color. Uses the reference graph. *)
-let coloring (p : Prog.t) : (Reg.t * int) list * (Reg.t, Reg.Set.t) Hashtbl.t =
-  let graph = interference p in
-  (class_coloring graph Reg.Int @ class_coloring graph Reg.Float, graph)
-
-(* Register usage of a single loop nest region: measured over the whole
-   program (the paper reports "total integer and floating point registers
-   utilized in the loop nest", and our programs are single loop nests
-   plus setup code). *)
-let measure_loop = measure

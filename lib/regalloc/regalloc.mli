@@ -10,38 +10,11 @@ type usage = { int_used : int; float_used : int }
 
 val total : usage -> int
 
-val interference : Prog.t -> (Reg.t, Reg.Set.t) Hashtbl.t
-(** Interference graph from liveness over the final schedule; move
-    sources are exempted from interfering with their destination
-    (coalescing). Reference construction over [Reg.Set] per node. *)
-
-val class_coloring :
-  (Reg.t, Reg.Set.t) Hashtbl.t -> Reg.cls -> (Reg.t * int) list
-(** Chaitin-style simplify/select coloring (smallest-degree-last,
-    first-listed node wins degree ties) of one register class.
-    Reference implementation with an O(V^2) min-degree scan. *)
-
-val color_class : (Reg.t, Reg.Set.t) Hashtbl.t -> Reg.cls -> int
-(** Number of colors the coloring uses. *)
-
-val color_ref : Prog.t -> usage
-(** Reference end-to-end measurement: {!interference} plus
-    {!class_coloring} for both classes. The differential-testing oracle
-    for {!measure}; produces identical counts, only slower. *)
-
 val measure : Prog.t -> usage
 (** Color both classes of a program and report the counts. Fast path:
     dense register indices, compact adjacency arrays built in one
     backward pass, and heap-based simplify. *)
 
-val measure_loop : Prog.t -> usage
-(** Alias of {!measure}: the paper reports usage per loop nest, and our
-    programs are single loop nests plus setup code. *)
-
-val coloring : Prog.t -> (Reg.t * int) list * (Reg.t, Reg.Set.t) Hashtbl.t
-(** Full assignment plus the graph, for validation in tests (reference
-    implementation). *)
-
 val coloring_fast : Prog.t -> (Reg.t * int) list
-(** Full assignment from the fast path, for differential validation
-    against {!coloring}. *)
+(** Full assignment, for differential validation against the reference
+    allocator in test/regalloc_ref.ml. *)

@@ -15,12 +15,13 @@
    - [run_ref] walks the structured [Insn.t] stream directly, matching
      operands on every dynamic instruction. It supports the [trace]
      hook and serves as the reference implementation.
-   - [run] (without [trace]) first decodes each static instruction into
-     a flat execution record — operand kinds resolved to register
-     indices or immediate values, array labels resolved to base
-     addresses, branch targets to code indices, the latency attached —
-     so the per-dynamic-instruction path performs no list lookups,
-     no operand matching, no closure dispatch and no trace checks. *)
+   - [run] first decodes each static instruction into a flat execution
+     record — operand kinds resolved to register indices or immediate
+     values, array labels resolved to base addresses, branch targets to
+     code indices, the latency attached — so the
+     per-dynamic-instruction path performs no list lookups, no operand
+     matching, no closure dispatch and no trace checks. The decoder and
+     the memory image are shared with lib/ooo. *)
 
 open Impact_ir
 
@@ -495,6 +496,7 @@ type dinsn = {
   drdy_i : int array;
   drdy_f : int array;
   dbr : bool;
+  dmem : bool;  (* load or store *)
 }
 
 (* Slot contexts implied by an opcode, mirroring the reference
@@ -582,6 +584,7 @@ let decode (mem : mem) (flat : Flatten.t) : dinsn array =
       drdy_i = Array.of_list (List.rev !rdy_i);
       drdy_f = Array.of_list (List.rev !rdy_f);
       dbr = Insn.is_branch i;
+      dmem = Insn.is_mem i;
     }
   in
   Array.map decode_one code
@@ -813,14 +816,9 @@ let run_fast_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : Prog
   in
   ({ cycles; dyn_insns = !dyn; outputs; arrays_out }, prof)
 
-let run_fast ?fuel (machine : Machine.t) (p : Prog.t) : result =
-  fst (run_fast_gen ?fuel ~profile:false machine p)
-
-let run ?fuel ?trace (machine : Machine.t) (p : Prog.t) : result =
+let run ?fuel (machine : Machine.t) (p : Prog.t) : result =
   Impact_obs.Obs.span ~cat:"sim" "sim.run" (fun () ->
-    match trace with
-    | Some _ -> run_ref ?fuel ?trace machine p
-    | None -> run_fast ?fuel machine p)
+    fst (run_fast_gen ?fuel ~profile:false machine p))
 
 let run_profiled ?fuel (machine : Machine.t) (p : Prog.t) : result * profile =
   Impact_obs.Obs.span ~cat:"sim" "sim.run" (fun () ->

@@ -28,22 +28,12 @@ val word : int
 (** Address units per memory word (4, matching the paper's address
     arithmetic). *)
 
-val run :
-  ?fuel:int ->
-  ?trace:(Impact_ir.Insn.t -> cycle:int -> unit) ->
-  Impact_ir.Machine.t ->
-  Impact_ir.Prog.t ->
-  result
-(** [run machine prog] executes [prog] to completion. [trace] is called
-    at every instruction issue with the issue cycle — used by tests to
-    validate schedules and by the issue-profile checks. Without [trace]
-    the program is first pre-decoded into flat execution records so the
-    per-dynamic-instruction path does no operand matching, list lookups
-    or trace checks. Passing [trace] silently switches execution to the
-    reference interpreter ({!run_ref}): the fast path carries no trace
-    hook, and the two paths are interchangeable because the conformance
-    tests pin them to identical results. The run is recorded as a
-    ["sim.run"] span when [Impact_obs.Obs] telemetry is on. *)
+val run : ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result
+(** [run machine prog] executes [prog] to completion. The program is
+    first pre-decoded into flat execution records ({!decode}) so the
+    per-dynamic-instruction path does no operand matching or list
+    lookups. The run is recorded as a ["sim.run"] span when
+    [Impact_obs.Obs] telemetry is on. *)
 
 val run_ref :
   ?fuel:int ->
@@ -52,9 +42,9 @@ val run_ref :
   Impact_ir.Prog.t ->
   result
 (** The reference interpreter (always un-decoded); [run] must agree with
-    it on [cycles], [dyn_insns] and all observables. Used by the
-    conformance tests and, via [run]'s fallback, whenever a [trace]
-    hook is supplied. *)
+    it on [cycles], [dyn_insns] and all observables. [trace] is called
+    at every instruction issue with the issue cycle; the tests use it to
+    validate schedules. *)
 
 (** {1 Stall attribution}
 
@@ -111,3 +101,56 @@ val run_ref_profiled :
 (** [run_ref] with issue-slot accounting; must produce a profile
     identical to {!run_profiled}'s (asserted by the conformance
     tests). *)
+
+(** {1 Shared execution machinery}
+
+    The memory image, the decoder and the observable collection that
+    {!run} uses, exported so lib/ooo executes programs exactly as the
+    in-order core does. *)
+
+type mem = {
+  mem_i : int array;
+  mem_f : float array;
+  valid : bool array;  (** cell belongs to a declared array *)
+  is_float : bool array;
+  bases : (string * int) list;  (** array name -> base address *)
+}
+
+val build_mem : Impact_ir.Prog.t -> mem
+(** The initial memory image: every declared array with its initial
+    contents, separated by unmapped guard words. *)
+
+val collect :
+  Impact_ir.Prog.t ->
+  mem ->
+  int array ->
+  float array ->
+  (string * value) list * (string * float array) list
+(** [collect prog mem ivals fvals] reads the program's observables
+    ([outputs], [arrays_out]) from the final state. *)
+
+(** One static instruction, decoded. Source slot [k] reads register
+    [dsrc_reg.(k)] when that is [>= 0] (from the float file when
+    [dsrc_isf.(k)]), else the immediate [dsrc_imm_i.(k)] /
+    [dsrc_imm_f.(k)], labels already resolved to base addresses.
+    [drdy_i] / [drdy_f] list the register sources per class. *)
+type dinsn = {
+  dop : Impact_ir.Insn.op;
+  ddst : int;  (** destination register index; [-1] when none *)
+  ddst_f : bool;  (** destination is a float register *)
+  dlat : int;  (** Table 1 latency *)
+  dtarget : int;  (** branch target code index; [-1] when not a branch *)
+  dsrc_reg : int array;
+  dsrc_isf : bool array;
+  dsrc_imm_i : int array;
+  dsrc_imm_f : float array;
+  drdy_i : int array;
+  drdy_f : int array;
+  dbr : bool;  (** branch or jump *)
+  dmem : bool;  (** load or store *)
+}
+
+val decode : mem -> Impact_ir.Flatten.t -> dinsn array
+(** Decode every instruction of the flattened program, in code order.
+    Raises {!Error} on class confusion, unknown labels or a missing
+    destination. *)

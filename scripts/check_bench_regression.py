@@ -42,10 +42,17 @@ loop that is not ineligible must also keep its res_mii, rec_mii, mii,
 heur_ii and list_ci exactly. New loops (a grown corpus) are fine;
 silently widening a certified gap is not.
 
+With --ooo, the files are BENCH_ooo.json reports (schema
+impact-bench-ooo/1) and the comparison is exact: the fresh report must
+equal the baseline in every field except generated_at_unix and
+workers. Both cores are deterministic and the report's numbers are
+independent of the worker count, so any difference means the machine
+models' cycle counts changed.
+
 Usage:
   check_bench_regression.py --baseline OLD.json --fresh NEW.json \
       [--tolerance 0.25] [--min-seconds 0.05] [--check-summary] [--serve] \
-      [--oracle]
+      [--oracle] [--ooo]
 
 Exit status 1 if any compared metric regresses past tolerance.
 """
@@ -221,6 +228,47 @@ def check_oracle(base, fresh):
     return 0
 
 
+# Fields of a BENCH_ooo.json report that describe the run, not the
+# models: everything else must match exactly.
+OOO_RUN_FIELDS = ("generated_at_unix", "workers")
+
+
+def json_diff(a, b, path, out):
+    """Append one line per leaf where a and b differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            where = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                out.append(f"{where}: {a.get(key)!r} -> {b.get(key)!r}")
+            else:
+                json_diff(a[key], b[key], where, out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            json_diff(x, y, f"{path}[{i}]", out)
+    elif a != b:
+        out.append(f"{path}: {a!r} -> {b!r}")
+
+
+def check_ooo(base, fresh):
+    """Exact guard on the out-of-order evaluation report."""
+    def strip(doc):
+        return {k: v for k, v in doc.items() if k not in OOO_RUN_FIELDS}
+
+    diffs = []
+    json_diff(strip(base), strip(fresh), "", diffs)
+    if diffs:
+        print("OOO report drift (these numbers must be exact):")
+        for d in diffs[:50]:
+            print(f"  {d}")
+        if len(diffs) > 50:
+            print(f"  ... and {len(diffs) - 50} more")
+        return 1
+    print(f"ooo guard ok ({len(base.get('configs', []))} configs, "
+          f"{len(base.get('collapse', []))} collapse rows, mode "
+          f"{base.get('mode')})")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--baseline", required=True)
@@ -240,10 +288,16 @@ def main():
                     help="compare BENCH_oracle.json certification reports "
                          "(exact: schema, no lost proofs, no widened gaps, "
                          "equal per-loop nodes and MII bounds)")
+    ap.add_argument("--ooo", action="store_true",
+                    help="compare BENCH_ooo.json reports (exact, except "
+                         "generated_at_unix and workers)")
     args = ap.parse_args()
 
     base = load(args.baseline)
     fresh = load(args.fresh)
+
+    if args.ooo:
+        return check_ooo(base, fresh)
 
     if args.oracle:
         return check_oracle(base, fresh)

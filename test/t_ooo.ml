@@ -4,7 +4,9 @@
    results must be *bit-identical* to the in-order simulator on the same
    scheduled program, for any reorder-buffer or physical-register size.
    The profiled runs must also account for every dispatch slot:
-   dispatched + attributed empty slots = cycles x issue, exactly. *)
+   dispatched + attributed empty slots = cycles x issue, exactly. And
+   the per-instruction timing must reproduce the cycle-stepped reference
+   core (test/ooo_ref.ml) in every result and profile field. *)
 
 open Impact_ir
 open Impact_core
@@ -163,6 +165,122 @@ let prop_random_conformance =
       let ooo = Ooo.run (Machine.ooo ~issue:4 ~rob ()) p in
       same_arch inorder ooo)
 
+(* ---- Differential: per-instruction timing vs the cycle-stepped
+   reference core ---- *)
+
+(* [compare], not [=]: a NaN output must still equal itself. *)
+let same_as_ref ?fuel (m : Machine.t) p =
+  let run f =
+    match f () with
+    | v -> Ok v
+    | exception Sim.Timeout -> Error "timeout"
+    | exception Sim.Error e -> Error e
+  in
+  let got = run (fun () -> Ooo.run_profiled ?fuel m p) in
+  let want = run (fun () -> Ooo_ref.run_profiled ?fuel m p) in
+  compare got want = 0
+  && compare (run (fun () -> Ooo.run ?fuel m p)) (Result.map fst want) = 0
+
+(* Every reorder-buffer size 1/2/8/32, physical registers 1/3/rob,
+   issue 1/2/4/8 and branch slots 1/2 appears, in mixed combinations. *)
+let diff_machines =
+  List.map
+    (fun (issue, rob, phys_regs, branch_slots) ->
+      Machine.make ~branch_slots
+        ~core:(Machine.Ooo { rob; phys_regs })
+        ~issue ())
+    [
+      (1, 1, 1, 1); (1, 8, 3, 2); (1, 32, 32, 1);
+      (2, 2, 1, 2); (2, 8, 8, 1); (2, 32, 3, 1);
+      (4, 1, 1, 2); (4, 8, 3, 1); (4, 32, 32, 2); (4, 2, 2, 1);
+      (8, 2, 2, 2); (8, 8, 1, 1); (8, 32, 3, 2); (8, 32, 32, 1);
+    ]
+
+let test_matches_reference () =
+  List.iter
+    (fun (w : Impact_workloads.Suite.t) ->
+      List.iter
+        (fun (level, sched) ->
+          let opts = Opts.make ~sched () in
+          let tp = Compile.transform_with opts level (lower w) in
+          (* A schedule depends only on the issue width and branch slots. *)
+          let scheduled = Hashtbl.create 8 in
+          List.iter
+            (fun m ->
+              let key = (m.Machine.issue, m.Machine.branch_slots) in
+              let p =
+                match Hashtbl.find_opt scheduled key with
+                | Some p -> p
+                | None ->
+                  let p = Compile.schedule_with opts m tp in
+                  Hashtbl.add scheduled key p;
+                  p
+              in
+              if not (same_as_ref m p) then
+                Alcotest.failf "%s at %s (%s) on %s (%d branch slots): differs from the reference core"
+                  w.Impact_workloads.Suite.name (Level.to_string level)
+                  (Opts.sched_to_string sched) m.Machine.name m.Machine.branch_slots)
+            diff_machines)
+        [ (Level.Conv, `List); (Level.Lev4, `List); (Level.Lev4, `Pipe) ])
+    subjects
+
+(* [Timeout] at exactly the same budgets, including the ones around the
+   run's own length T: the reference raises at the top of cycle
+   fuel + 1, so fuel = T - 1 is the last budget that completes. *)
+let test_fuel_boundary () =
+  List.iter
+    (fun (name, m) ->
+      let w = Option.get (Impact_workloads.Suite.find name) in
+      let p = Compile.compile_with Opts.default Level.Lev2 m (lower w) in
+      let t = (Ooo_ref.run_profiled m p |> fst).Sim.cycles in
+      List.iter
+        (fun fuel ->
+          if not (same_as_ref ~fuel m p) then
+            Alcotest.failf "%s on %s: fuel %d (T = %d) differs from the reference" name
+              m.Machine.name fuel t)
+        [ 0; 1; 2; 7; 100; t - 3; t - 2; t - 1; t; t + 1 ])
+    [
+      ("dotprod", Machine.ooo ~issue:4 ~rob:8 ());
+      ("SRS-5", Machine.ooo ~phys_regs:3 ~issue:8 ~rob:32 ());
+      ("add", Machine.ooo ~issue:1 ~rob:1 ());
+    ];
+  (* A program that traps: [Error] when the faulting division is
+     dispatched within the budget, [Timeout] when it is not. *)
+  let b = Helpers.irb () in
+  let ctx = b.Helpers.ctx in
+  let x = Helpers.reg b Reg.Int in
+  let y = Helpers.reg b Reg.Int in
+  Helpers.output b "y" y;
+  let p =
+    Helpers.prog_of b
+      (List.map
+         (fun i -> Block.Ins i)
+         (Build.imov ctx x (Operand.Int 1)
+         :: List.init 6 (fun _ -> Build.ib ctx Insn.Mul x (Operand.Reg x) (Operand.Int 3))
+         @ [ Build.ib ctx Insn.Div y (Operand.Reg x) (Operand.Int 0) ]))
+  in
+  let m = Machine.ooo ~issue:2 ~rob:2 () in
+  for fuel = 0 to 40 do
+    if not (same_as_ref ~fuel m p) then
+      Alcotest.failf "trapping program: fuel %d differs from the reference" fuel
+  done
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"ooo timing matches the cycle-stepped reference on random programs"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair T_props.gen_straightline
+           (quad (int_range 1 8) (int_range 1 40) (int_range 1 40) (int_range 1 2))))
+    (fun (spec, (issue, rob, phys_regs, branch_slots)) ->
+      let m =
+        Machine.make ~branch_slots ~core:(Machine.Ooo { rob; phys_regs }) ~issue ()
+      in
+      let p =
+        Impact_sched.List_sched.run m (Impact_sched.Superblock.run (T_props.build_straightline spec))
+      in
+      same_as_ref m p)
+
 let suite =
   [
     ( "ooo",
@@ -175,5 +293,10 @@ let suite =
         Alcotest.test_case "rejects in-order machine" `Quick
           test_run_rejects_inorder;
         QCheck_alcotest.to_alcotest prop_random_conformance;
+        Alcotest.test_case "matches the reference core: kernels x machines" `Quick
+          test_matches_reference;
+        Alcotest.test_case "matches the reference core: fuel boundary" `Quick
+          test_fuel_boundary;
+        QCheck_alcotest.to_alcotest prop_matches_reference;
       ] );
   ]

@@ -75,7 +75,7 @@ let tests =
           let p =
             Impact_core.Compile.compile_with Impact_core.Opts.default Impact_core.Level.Lev4 Machine.issue_8 (lower ast)
           in
-          let assignment, graph = Regalloc.coloring p in
+          let assignment, graph = Regalloc_ref.coloring p in
           let color_of r = List.assoc r assignment in
           Hashtbl.iter
             (fun r nbrs ->
@@ -106,7 +106,7 @@ let tests =
           [ Block.Ins (Build.ib ctx Insn.Add x (Operand.Reg ghost) (Operand.Int 1)) ]
       in
       let fast = Regalloc.measure p in
-      let slow = Regalloc.color_ref p in
+      let slow = Regalloc_ref.color_ref p in
       check_int "fast int" fast.Regalloc.int_used slow.Regalloc.int_used;
       check_int "fast float" fast.Regalloc.float_used slow.Regalloc.float_used;
       (* The ghost dies at its only use, so it can share the single
@@ -120,7 +120,7 @@ let tests =
               (lower k.ast)
           in
           let fast = Regalloc.measure p in
-          let slow = Regalloc.color_ref p in
+          let slow = Regalloc_ref.color_ref p in
           if fast <> slow then
             Alcotest.failf "%s: fast (%d,%d) <> ref (%d,%d)" k.name
               fast.Regalloc.int_used fast.Regalloc.float_used
@@ -130,7 +130,7 @@ let tests =
           let by_reg l =
             List.sort (fun ((a : Reg.t), _) (b, _) -> compare (a.Reg.cls, a.Reg.id) (b.Reg.cls, b.Reg.id)) l
           in
-          let ref_assign, _ = Regalloc.coloring p in
+          let ref_assign, _ = Regalloc_ref.coloring p in
           if by_reg (Regalloc.coloring_fast p) <> by_reg ref_assign then
             Alcotest.failf "%s: assignments differ" k.name)
         Impact_workloads.Suite.all);
@@ -144,7 +144,7 @@ let prop_fast_matches_ref =
     (QCheck.make T_props.gen_straightline)
     (fun spec ->
       let p = T_props.build_straightline spec in
-      Regalloc.measure p = Regalloc.color_ref p)
+      Regalloc.measure p = Regalloc_ref.color_ref p)
 
 let prop_coloring_proper =
   QCheck.Test.make ~name:"fast coloring never shares a color across an edge"
@@ -154,7 +154,7 @@ let prop_coloring_proper =
       let p = T_props.build_straightline spec in
       let assignment = Regalloc.coloring_fast p in
       let color_of r = List.assoc r assignment in
-      let graph = Regalloc.interference p in
+      let graph = Regalloc_ref.interference p in
       let ok = ref true in
       Hashtbl.iter
         (fun (r : Reg.t) nbrs ->

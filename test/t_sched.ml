@@ -86,7 +86,7 @@ let issue_profile machine p =
       Hashtbl.replace branches cycle
         (1 + Option.value ~default:0 (Hashtbl.find_opt branches cycle))
   in
-  ignore (Impact_sim.Sim.run ~trace machine p);
+  ignore (Impact_sim.Sim.run_ref ~trace machine p);
   (per_cycle, branches)
 
 let sched_tests =

@@ -145,7 +145,7 @@ let semantics_tests =
 let issue_times ?(machine = Machine.issue_1) p =
   let times = ref [] in
   let trace i ~cycle = times := (i.Insn.id, cycle) :: !times in
-  ignore (Impact_sim.Sim.run ~trace machine p);
+  ignore (Impact_sim.Sim.run_ref ~trace machine p);
   List.rev !times
 
 let timing_tests =
