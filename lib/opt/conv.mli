@@ -2,7 +2,8 @@
     complete set of classical local, global and loop transformations. *)
 
 val cleanup : Impact_ir.Prog.t -> Impact_ir.Prog.t
-(** The folding/propagation/CSE/DCE subset iterated to a fixpoint, used
+(** Rounds of propagation, folding and CSE in one sweep, then DCE,
+    iterated to a fixpoint (at most six rounds); used
     between structural passes and after the ILP transformations. *)
 
 val run : Impact_ir.Prog.t -> Impact_ir.Prog.t

@@ -1,17 +1,21 @@
-(* Local common-subexpression elimination, redundant-load elimination and
-   store-to-load forwarding. A forward pass per block, resetting at labels
-   and nested loops. Memory knowledge is syntactic: a store invalidates
-   loads unless the base labels prove disjointness (distinct arrays never
-   overlap in this memory model).
+(* The cleanup's forward sweep: copy and constant propagation, folding,
+   local common-subexpression elimination, redundant-load elimination
+   and store-to-load forwarding, combined on one walk per block (after
+   Click and Cooper, "Combining Analyses, Combining Optimizations").
+   Each instruction is propagated, folded and value-numbered before the
+   walk moves on, so a CSE copy reaches the next use in the same sweep
+   and one sweep does what the separate passes did over several rounds.
+   An instruction the sweep deletes kills nothing. Every table resets
+   at labels and nested loops. Memory knowledge is syntactic: a store
+   invalidates loads unless the base labels prove disjointness
+   (distinct arrays never overlap in this memory model).
 
    Available expressions are value-numbered on a hashed canonical key
-   (the structural operation with commutative operands normalized),
-   not on printed strings, and every table entry is indexed by the
-   registers it mentions so redefinition kills touch only the affected
-   entries instead of scanning the whole table. The tables are
-   monomorphic ([Hashtbl.Make] over hand-written [equal]/[hash] that
-   agree with [Stdlib.compare = 0]), created once per run and reset per
-   block. *)
+   (commutative operands normalized). Every entry, stored value and
+   copy is indexed by the registers it mentions, so a redefinition
+   kills only its dependents. The tables are monomorphic
+   ([Hashtbl.Make] over hand-written [equal]/[hash] that agree with
+   [Stdlib.compare = 0]), created once per run and reset per block. *)
 
 open Impact_ir
 
@@ -135,6 +139,11 @@ let run (p : Prog.t) : Prog.t =
   Impact_obs.Obs.span ~cat:"opt" "opt.cse" @@ fun () ->
   let ctx = p.Prog.ctx in
   let st = { vn_hits = 0; pushes = 0; kills = 0 } in
+  (* Copy/constant environment: register hash -> the operand it holds. *)
+  let env : Operand.t Itbl.t = Itbl.create 32 in
+  (* Register hash -> hashes of the registers bound to a copy of it;
+     validated against [env] on kill, so stale ones are harmless. *)
+  let copies : int list ref Itbl.t = Itbl.create 32 in
   let avail : entry Vtbl.t = Vtbl.create 32 in
   (* (base, off, disp) -> last stored value *)
   let memtbl : Operand.t Mtbl.t = Mtbl.create 16 in
@@ -144,130 +153,165 @@ let run (p : Prog.t) : Prog.t =
   let dep : Vkey.t list ref Itbl.t = Itbl.create 32 in
   let mdep : Mkey.t list ref Itbl.t = Itbl.create 16 in
   let reset () =
+    Itbl.reset env;
+    Itbl.reset copies;
     Vtbl.reset avail;
     Mtbl.reset memtbl;
     Itbl.reset dep;
     Itbl.reset mdep
   in
+  let push tbl h k =
+    match Itbl.find_opt tbl h with
+    | Some l -> l := k :: !l
+    | None -> Itbl.replace tbl h (ref [ k ])
+  in
+  let dep_operand tbl k (o : Operand.t) =
+    match o with
+    | Operand.Reg r ->
+      st.pushes <- st.pushes + 1;
+      push tbl (Reg.hash r) k
+    | _ -> ()
+  in
+  (* Visit, then forget, the index entries under register hash [h]. *)
+  let drain idx h f =
+    match Itbl.find_opt idx h with
+    | None -> ()
+    | Some l ->
+      List.iter f !l;
+      Itbl.remove idx h
+  in
+  (* [d] is redefined: forget every binding, expression and stored value
+     that mentions it. *)
+  let kill_reg (d : Reg.t) =
+    let h = Reg.hash d in
+    Itbl.remove env h;
+    drain copies h (fun h' ->
+      match Itbl.find_opt env h' with
+      | Some o when mentions_reg o d -> Itbl.remove env h'
+      | Some _ | None -> ());
+    drain dep h (fun k ->
+      match Vtbl.find_opt avail k with
+      | Some e when Reg.equal e.result d || Array.exists (fun o -> mentions_reg o d) e.srcs ->
+        st.kills <- st.kills + 1;
+        Vtbl.remove avail k
+      | Some _ | None -> ());
+    drain mdep h (fun ((b, o, _dp) as mk) ->
+      match Mtbl.find_opt memtbl mk with
+      | Some v when mentions_reg b d || mentions_reg o d || mentions_reg v d ->
+        st.kills <- st.kills + 1;
+        Mtbl.remove memtbl mk
+      | Some _ | None -> ())
+  in
+  (* [d] now holds [o]: later uses of [d] read [o] instead. *)
+  let bind (d : Reg.t) (o : Operand.t) =
+    if not (mentions_reg o d) then begin
+      Itbl.replace env (Reg.hash d) o;
+      match o with Operand.Reg s -> push copies (Reg.hash s) (Reg.hash d) | _ -> ()
+    end
+  in
+  let subst (o : Operand.t) =
+    match o with
+    | Operand.Reg r -> Option.value ~default:o (Itbl.find_opt env (Reg.hash r))
+    | _ -> o
+  in
+  let bound (o : Operand.t) =
+    match o with Operand.Reg r -> Itbl.mem env (Reg.hash r) | _ -> false
+  in
+  let propagate (i : Insn.t) =
+    if Itbl.length env > 0 && Array.exists bound i.Insn.srcs then
+      { i with Insn.srcs = Array.map subst i.Insn.srcs }
+    else i
+  in
+  (* A folded instruction is folded once more, so [r = r + 0] ends as
+     the self-move's deletion in this sweep. *)
+  let fold (i : Insn.t) =
+    match Fold.simplify_insn ctx i with
+    | [ j ] when j == i -> [ i ]
+    | [ j ] -> Fold.simplify_insn ctx j
+    | js -> js
+  in
+  let add_avail k (e : entry) =
+    Vtbl.replace avail k e;
+    st.pushes <- st.pushes + 1;
+    push dep (Reg.hash e.result) k;
+    Array.iter (dep_operand dep k) e.srcs
+  in
+  let add_mem ((b, o, _dp) as mk : Mkey.t) (v : Operand.t) =
+    Mtbl.replace memtbl mk v;
+    dep_operand mdep mk b;
+    dep_operand mdep mk o;
+    dep_operand mdep mk v
+  in
+  let apply_store (base : Operand.t) (off : Operand.t) (disp : Operand.t) (v : Operand.t)
+      =
+    let stale_loads =
+      Vtbl.fold
+        (fun k e acc ->
+          if is_load_key k && store_may_touch ~store_base:base ~other_base:e.srcs.(0) then
+            k :: acc
+          else acc)
+        avail []
+    in
+    List.iter (Vtbl.remove avail) stale_loads;
+    let stale_mem =
+      Mtbl.fold
+        (fun (b, o, d) _ acc ->
+          if Operand.equal b base && Operand.equal o off && Operand.equal d disp then acc
+          else if store_may_touch ~store_base:base ~other_base:b then (b, o, d) :: acc
+          else acc)
+        memtbl []
+    in
+    List.iter (Mtbl.remove memtbl) stale_mem;
+    add_mem (base, off, disp) v
+  in
+  let mov (d : Reg.t) (o : Operand.t) =
+    if d.Reg.cls = Reg.Int then Build.imov ctx d o else Build.fmov ctx d o
+  in
+  (* Value-number one propagated, folded instruction onto [acc]. *)
+  let number acc (i : Insn.t) : Block.t =
+    let s k = i.Insn.srcs.(k) in
+    match i.Insn.op, i.Insn.dst with
+    | Insn.Store _, _ ->
+      apply_store (s 0) (s 1) (s 2) (s 3);
+      Block.Ins i :: acc
+    | _, None -> Block.Ins i :: acc
+    | _, Some d -> (
+      (* [d] now holds [o]; emit [i']. *)
+      let define o i' =
+        kill_reg d;
+        bind d o;
+        Block.Ins i' :: acc
+      in
+      let stored =
+        match i.Insn.op with Insn.Load _ -> Mtbl.find_opt memtbl (s 0, s 1, s 2) | _ -> None
+      in
+      match stored, key_of i with
+      (* Store-to-load forwarding; reloading [d]'s own value is dropped
+         like the self-move it would become. *)
+      | Some v, _ when mentions_reg v d -> acc
+      | Some v, _ -> define v (mov d v)
+      | None, None -> define (s 0) i (* a move *)
+      | None, Some k -> (
+        match Vtbl.find_opt avail k with
+        | Some e when not (Reg.equal e.result d) ->
+          st.vn_hits <- st.vn_hits + 1;
+          define (Operand.Reg e.result) (mov d (Operand.Reg e.result))
+        | Some _ | None ->
+          kill_reg d;
+          add_avail k { result = d; srcs = i.Insn.srcs };
+          Block.Ins i :: acc))
+  in
   let process (items : Block.t) : Block.t =
     reset ();
-    let push tbl h k =
-      st.pushes <- st.pushes + 1;
-      match Itbl.find_opt tbl h with
-      | Some l -> l := k :: !l
-      | None -> Itbl.replace tbl h (ref [ k ])
-    in
-    let dep_operand tbl k (o : Operand.t) =
-      match o with Operand.Reg r -> push tbl (Reg.hash r) k | _ -> ()
-    in
-    let kill_reg (d : Reg.t) =
-      (match Itbl.find_opt dep (Reg.hash d) with
-      | None -> ()
-      | Some l ->
-        List.iter
-          (fun k ->
-            match Vtbl.find_opt avail k with
-            | Some e
-              when Reg.equal e.result d
-                   || Array.exists (fun o -> mentions_reg o d) e.srcs ->
-              st.kills <- st.kills + 1;
-              Vtbl.remove avail k
-            | Some _ | None -> ())
-          !l;
-        Itbl.remove dep (Reg.hash d));
-      match Itbl.find_opt mdep (Reg.hash d) with
-      | None -> ()
-      | Some l ->
-        List.iter
-          (fun ((b, o, _dp) as mk) ->
-            match Mtbl.find_opt memtbl mk with
-            | Some v
-              when mentions_reg b d || mentions_reg o d || mentions_reg v d ->
-              st.kills <- st.kills + 1;
-              Mtbl.remove memtbl mk
-            | Some _ | None -> ())
-          !l;
-        Itbl.remove mdep (Reg.hash d)
-    in
-    let add_avail k (e : entry) =
-      Vtbl.replace avail k e;
-      push dep (Reg.hash e.result) k;
-      Array.iter (dep_operand dep k) e.srcs
-    in
-    let add_mem ((b, o, _dp) as mk : Mkey.t) (v : Operand.t) =
-      Mtbl.replace memtbl mk v;
-      dep_operand mdep mk b;
-      dep_operand mdep mk o;
-      dep_operand mdep mk v
-    in
-    let apply_store (base : Operand.t) (off : Operand.t) (disp : Operand.t)
-        (v : Operand.t) =
-      let stale_loads =
-        Vtbl.fold
-          (fun k e acc ->
-            if is_load_key k && store_may_touch ~store_base:base ~other_base:e.srcs.(0)
-            then k :: acc
-            else acc)
-          avail []
-      in
-      List.iter (Vtbl.remove avail) stale_loads;
-      let stale_mem =
-        Mtbl.fold
-          (fun (b, o, d) _ acc ->
-            if Operand.equal b base && Operand.equal o off && Operand.equal d disp then
-              acc
-            else if store_may_touch ~store_base:base ~other_base:b then (b, o, d) :: acc
-            else acc)
-          memtbl []
-      in
-      List.iter (Mtbl.remove memtbl) stale_mem;
-      add_mem (base, off, disp) v
-    in
-    List.map
-      (fun item ->
-        match item with
-        | Block.Lbl _ | Block.Loop _ ->
-          reset ();
-          item
-        | Block.Ins i -> (
-          match i.Insn.op with
-          | Insn.Store _ ->
-            apply_store i.Insn.srcs.(0) i.Insn.srcs.(1) i.Insn.srcs.(2) i.Insn.srcs.(3);
-            item
-          | _ -> (
-            (* Store-to-load forwarding first. *)
-            let i' =
-              match i.Insn.op, i.Insn.dst with
-              | Insn.Load cls, Some d -> (
-                match
-                  Mtbl.find_opt memtbl
-                    (i.Insn.srcs.(0), i.Insn.srcs.(1), i.Insn.srcs.(2))
-                with
-                | Some v ->
-                  if cls = Reg.Int then Build.imov ctx d v else Build.fmov ctx d v
-                | None -> i)
-              | _ -> i
-            in
-            match key_of i', i'.Insn.dst with
-            | Some k, Some d -> (
-              let hit = Vtbl.find_opt avail k in
-              kill_reg d;
-              match hit with
-              | Some e when not (Reg.equal e.result d) ->
-                st.vn_hits <- st.vn_hits + 1;
-                let mv =
-                  if d.Reg.cls = Reg.Int then Build.imov ctx d (Operand.Reg e.result)
-                  else Build.fmov ctx d (Operand.Reg e.result)
-                in
-                Block.Ins mv
-              | Some _ | None ->
-                add_avail k { result = d; srcs = i'.Insn.srcs };
-                Block.Ins i')
-            | _, Some d ->
-              kill_reg d;
-              Block.Ins i'
-            | _, None -> Block.Ins i')))
-      items
+    List.rev
+      (List.fold_left
+         (fun acc item ->
+           match item with
+           | Block.Lbl _ | Block.Loop _ ->
+             reset ();
+             item :: acc
+           | Block.Ins i -> List.fold_left number acc (fold (propagate i)))
+         [] items)
   in
   let p' = Walk.rewrite_blocks process p in
   if st.vn_hits > 0 then Impact_obs.Obs.count ~n:st.vn_hits "cse.vn_hits";

@@ -1,6 +1,9 @@
-(** Local common-subexpression elimination, redundant-load elimination
-    and store-to-load forwarding. Memory knowledge is syntactic; a store
-    invalidates loads unless the base labels prove disjointness. *)
+(** The cleanup's forward sweep: copy and constant propagation,
+    folding ({!Fold.simplify_insn}), local common-subexpression
+    elimination, redundant-load elimination and store-to-load
+    forwarding, interleaved per instruction on one walk of each block.
+    Memory knowledge is syntactic; a store invalidates loads unless the
+    base labels prove disjointness. *)
 
 open Impact_ir
 

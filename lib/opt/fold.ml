@@ -67,8 +67,3 @@ let simplify_insn ctx (i : Insn.t) : Insn.t list =
       else []
     | _ -> keep)
   | _ -> keep
-
-let run (p : Prog.t) : Prog.t =
-  Impact_obs.Obs.span ~cat:"opt" "opt.fold" (fun () ->
-    Prog.with_entry p
-      (Block.concat_map_insns (fun i -> simplify_insn p.Prog.ctx i) p.Prog.entry))

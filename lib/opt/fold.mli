@@ -3,5 +3,3 @@
 
 val simplify_insn :
   Impact_ir.Prog.ctx -> Impact_ir.Insn.t -> Impact_ir.Insn.t list
-
-val run : Impact_ir.Prog.t -> Impact_ir.Prog.t

@@ -46,12 +46,15 @@ let rewrite_innermost_with_preheader
 let insns_equal_prog (a : Prog.t) (b : Prog.t) =
   List.equal Insn.equal_content (Block.insns a.Prog.entry) (Block.insns b.Prog.entry)
 
-(* Iterate a pass to a fixpoint (bounded). *)
-let fixpoint ?(max_rounds = 8) (pass : Prog.t -> Prog.t) (p : Prog.t) : Prog.t =
+type outcome = Converged of int | Capped
+
+(* Iterate a pass until a round changes nothing, or [max_rounds] rounds
+   have run. *)
+let fixpoint ~max_rounds (pass : Prog.t -> Prog.t) (p : Prog.t) : Prog.t * outcome =
   let rec go n p =
-    if n = 0 then p
+    if n > max_rounds then (p, Capped)
     else
       let p' = pass p in
-      if insns_equal_prog p p' then p' else go (n - 1) p'
+      if insns_equal_prog p p' then (p', Converged n) else go (n + 1) p'
   in
-  go max_rounds p
+  go 1 p

@@ -15,6 +15,13 @@ val rewrite_innermost_with_preheader :
     replacement items for both. *)
 
 val insns_equal_prog : Prog.t -> Prog.t -> bool
-(** Structural equality of the printed instruction streams. *)
+(** The two programs' instruction lists are equal under
+    {!Impact_ir.Insn.equal_content} (ids are ignored). *)
 
-val fixpoint : ?max_rounds:int -> (Prog.t -> Prog.t) -> Prog.t -> Prog.t
+type outcome =
+  | Converged of int  (** rounds run, the unchanged last one included *)
+  | Capped  (** [max_rounds] rounds ran and the last one still changed *)
+
+val fixpoint : max_rounds:int -> (Prog.t -> Prog.t) -> Prog.t -> Prog.t * outcome
+(** [fixpoint ~max_rounds pass p] applies [pass] until a round leaves the
+    instruction stream unchanged, at most [max_rounds] times. *)

@@ -114,35 +114,18 @@ let disagreement (p : Prog.t) : string option =
   else None
 
 (* Replay of [Level.apply] whose cleanup records every program handed
-   to [Dce.run] (each round's Fold -> Propagate -> CSE output). Returns
-   the recorded inputs in call order and the level's output. *)
+   to [Dce.run] (each round's [Cse.run] output). Returns the recorded
+   inputs in call order and the level's output. *)
 let cleanup_inputs (level : Impact_core.Level.t) (p : Prog.t) : Prog.t list * Prog.t =
-  let open Impact_core in
   let seen = ref [] in
   let cleanup p =
-    Walk.fixpoint ~max_rounds:6
-      (fun p ->
-        let q = Cse.run (Propagate.run (Fold.run p)) in
-        seen := q :: !seen;
-        Dce.run q)
-      p
+    fst
+      (Walk.fixpoint ~max_rounds:6
+         (fun p ->
+           let q = Cse.run p in
+           seen := q :: !seen;
+           Dce.run q)
+         p)
   in
-  let conv p =
-    p |> Branch_simplify.run |> cleanup |> Licm.run |> cleanup |> Ivopt.reduce |> cleanup
-    |> Ivopt.eliminate |> cleanup |> Branch_simplify.run
-  in
-  let r = Level.rank level in
-  let p = conv p in
-  let out =
-    if r < 1 then p
-    else begin
-      let p = cleanup (Unroll.run p) in
-      let p =
-        if r >= 4 then Search_expand.run (Ind_expand.run (Accum_expand.run p)) else p
-      in
-      let p = if r >= 2 then Rename.run p else p in
-      let p = if r >= 3 then Tree_height.run (Strength.run (Combine.run p)) else p in
-      cleanup p
-    end
-  in
+  let out = Cleanup_ref.replay ~cleanup level p in
   (List.rev !seen, out)

@@ -73,8 +73,34 @@ let walk_tests =
         incr calls;
         q
       in
-      let _ = Impact_opt.Walk.fixpoint ~max_rounds:5 pass p in
+      (match Impact_opt.Walk.fixpoint ~max_rounds:5 pass p with
+      | _, Impact_opt.Walk.Converged 1 -> ()
+      | _ -> Alcotest.fail "expected convergence in one round");
       check_int "one call" 1 !calls);
+    test "fixpoint reports the cap" (fun () ->
+      (* Each round appends an instruction: round 3 converges under a
+         cap of 3 only if it changes nothing, so two rounds of growth
+         then stop converge at 3, and endless growth is capped. *)
+      let b = irb () in
+      let r1 = reg b Reg.Int in
+      let ctx = b.ctx in
+      output b "x" r1;
+      let p = prog_of b [ Block.Ins (Build.imov ctx r1 (Operand.Int 1)) ] in
+      let calls = ref 0 in
+      let grow limit q =
+        incr calls;
+        if Prog.insn_count q > limit then q
+        else
+          Prog.with_entry q (q.Prog.entry @ [ Block.Ins (Build.imov ctx r1 (Operand.Int 1)) ])
+      in
+      (match Impact_opt.Walk.fixpoint ~max_rounds:3 (grow 2) p with
+      | q, Impact_opt.Walk.Converged 3 -> check_int "grown twice" 3 (Prog.insn_count q)
+      | _ -> Alcotest.fail "expected convergence in three rounds");
+      calls := 0;
+      (match Impact_opt.Walk.fixpoint ~max_rounds:3 (grow max_int) p with
+      | q, Impact_opt.Walk.Capped -> check_int "grown three times" 4 (Prog.insn_count q)
+      | _ -> Alcotest.fail "expected the cap");
+      check_int "three calls" 3 !calls);
     test "rewrite_innermost_with_preheader sees the right prefix" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int in

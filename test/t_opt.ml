@@ -17,14 +17,15 @@ let is_mul (i : Insn.t) = i.Insn.op = Insn.IBin Insn.Mul
 
 let is_load (i : Insn.t) = Insn.is_load i
 
+(* One round of [Conv.cleanup]. *)
+let sweep_round (p : Prog.t) = Dce.run (Cse.run p)
+
+(* The folding, propagation and CSE groups pin each old single pass's
+   output through [Cleanup_ref]; where an assertion holds for the
+   combined sweep too, it also runs against [Cse.run]. The combined
+   cases after them check what the old passes needed extra rounds for. *)
+
 let fold_tests =
-  let prog_with ops =
-    let b = irb () in
-    let is = ops b in
-    List.iter (fun (n, r) -> output b n r) [];
-    prog_of b (List.map (fun i -> Block.Ins i) is)
-  in
-  ignore prog_with;
   [
     test "constant arithmetic folds to a move" (fun () ->
       let b = irb () in
@@ -34,11 +35,14 @@ let fold_tests =
       let p =
         prog_of b [ Block.Ins (Build.ib ctx Insn.Mul r1 (Operand.Int 6) (Operand.Int 7)) ]
       in
-      let p = Fold.run p in
-      (match Block.insns p.Prog.entry with
-      | [ { Insn.op = Insn.IMov; srcs = [| Operand.Int 42 |]; _ } ] -> ()
-      | _ -> Alcotest.fail "expected mov 42");
-      check_int "value" 42 (out_int (run p) "x"));
+      List.iter
+        (fun pass ->
+          let p = pass p in
+          (match Block.insns p.Prog.entry with
+          | [ { Insn.op = Insn.IMov; srcs = [| Operand.Int 42 |]; _ } ] -> ()
+          | _ -> Alcotest.fail "expected mov 42");
+          check_int "value" 42 (out_int (run p) "x"))
+        [ Cleanup_ref.fold; Cse.run ]);
     test "x*1, x+0, x-0 simplify" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int and r2 = reg b Reg.Int and r3 = reg b Reg.Int and r4 = reg b Reg.Int in
@@ -53,10 +57,13 @@ let fold_tests =
             Block.Ins (Build.ib ctx Insn.Sub r4 (Operand.Reg r3) (Operand.Int 0));
           ]
       in
-      let p' = Fold.run p in
-      check_int "no arithmetic left" 0
-        (count_if p' (fun i -> match i.Insn.op with Insn.IBin _ -> true | _ -> false));
-      check_int "value preserved" 5 (out_int (run p') "x"));
+      List.iter
+        (fun pass ->
+          let p' = pass p in
+          check_int "no arithmetic left" 0
+            (count_if p' (fun i -> match i.Insn.op with Insn.IBin _ -> true | _ -> false));
+          check_int "value preserved" 5 (out_int (run p') "x"))
+        [ Cleanup_ref.fold; Cse.run ]);
     test "x*0 and float identities" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int and r2 = reg b Reg.Int in
@@ -73,10 +80,12 @@ let fold_tests =
             Block.Ins (Build.fb ctx Insn.Fmul f2 (Operand.Reg f1) (Operand.Flt 1.0));
           ]
       in
-      let p' = Fold.run p in
-      let r = run p' in
-      check_int "x" 0 (out_int r "x");
-      check_close "y" 2.5 (out_flt r "y"));
+      List.iter
+        (fun pass ->
+          let r = run (pass p) in
+          check_int "x" 0 (out_int r "x");
+          check_close "y" 2.5 (out_flt r "y"))
+        [ Cleanup_ref.fold; Cse.run ]);
     test "constant-condition branch becomes jump or disappears" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int in
@@ -93,16 +102,19 @@ let fold_tests =
             Block.Lbl "U";
           ]
       in
-      let p' = Fold.run p in
-      check_int "one jump, no branches" 1
-        (count_if p' (fun i -> i.Insn.op = Insn.Jmp));
-      check_int "taken" 5 (out_int (run p') "x"));
+      List.iter
+        (fun pass ->
+          let p' = pass p in
+          check_int "one jump, no branches" 1 (count_if p' (fun i -> i.Insn.op = Insn.Jmp));
+          check_int "taken" 5 (out_int (run p') "x"))
+        [ Cleanup_ref.fold; Cse.run ]);
     test "self-move disappears" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int in
       let ctx = b.ctx in
       let p = prog_of b [ Block.Ins (Build.imov ctx r1 (Operand.Reg r1)) ] in
-      check_int "removed" 0 (insn_count (Fold.run p)));
+      check_int "removed" 0 (insn_count (Cleanup_ref.fold p));
+      check_int "removed in the sweep" 0 (insn_count (Cse.run p)));
   ]
 
 let propagate_tests =
@@ -120,11 +132,12 @@ let propagate_tests =
             Block.Ins (Build.ib ctx Insn.Add r3 (Operand.Reg r2) (Operand.Reg r2));
           ]
       in
-      let p' = Propagate.run p in
+      let p' = Cleanup_ref.propagate p in
       (* The add now reads the constant directly. *)
       let add = List.nth (Block.insns p'.Prog.entry) 2 in
       check_bool "const operand" true (Operand.equal add.Insn.srcs.(0) (Operand.Int 7));
-      check_int "value" 14 (out_int (run p') "x"));
+      check_int "value" 14 (out_int (run p') "x");
+      check_int "value after the sweep" 14 (out_int (run (Cse.run p)) "x"));
     test "binding killed when source is redefined" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int and r2 = reg b Reg.Int and r3 = reg b Reg.Int in
@@ -139,8 +152,9 @@ let propagate_tests =
             Block.Ins (Build.imov ctx r3 (Operand.Reg r2));
           ]
       in
-      let p' = Propagate.run p in
-      check_int "old value survives" 7 (out_int (run p') "x"));
+      List.iter
+        (fun pass -> check_int "old value survives" 7 (out_int (run (pass p)) "x"))
+        [ Cleanup_ref.propagate; Cse.run ]);
     test "knowledge reset at labels" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int and r2 = reg b Reg.Int and g = reg b Reg.Int in
@@ -159,8 +173,9 @@ let propagate_tests =
             Block.Ins (Build.imov ctx r2 (Operand.Reg r1));
           ]
       in
-      let p' = Propagate.run p in
-      check_int "join-safe" 1 (out_int (run p') "x"));
+      List.iter
+        (fun pass -> check_int "join-safe" 1 (out_int (run (pass p)) "x"))
+        [ Cleanup_ref.propagate; Cse.run ]);
   ]
 
 let cse_tests =
@@ -180,9 +195,13 @@ let cse_tests =
             Block.Ins (Build.ib ctx Insn.Add r3 (Operand.Reg r1) (Operand.Reg r2));
           ]
       in
-      let p' = Cse.run p in
+      let p' = Cleanup_ref.cse p in
       check_int "one multiply left" 1 (count_if p' is_mul);
-      check_int "value" 24 (out_int (run p') "x"));
+      check_int "value" 24 (out_int (run p') "x");
+      (* The sweep propagates r0 = 3 first, so everything folds. *)
+      let p' = Cse.run p in
+      check_int "no multiply left after the sweep" 0 (count_if p' is_mul);
+      check_int "value after the sweep" 24 (out_int (run p') "x"));
     test "commutative operands match" (fun () ->
       let b = irb () in
       let a = reg b Reg.Int and c = reg b Reg.Int in
@@ -199,9 +218,39 @@ let cse_tests =
             Block.Ins (Build.ib ctx Insn.Sub r3 (Operand.Reg r1) (Operand.Reg r2));
           ]
       in
-      let p' = Cse.run p in
+      let p' = Cleanup_ref.cse p in
       check_int "one add left" 1
         (count_if p' (fun i -> i.Insn.op = Insn.IBin Insn.Add));
+      check_int "value" 0 (out_int (run p') "x");
+      check_int "value after the sweep" 0 (out_int (run (Cse.run p)) "x"));
+    test "commutative operands match in the sweep" (fun () ->
+      (* As above with loaded operands, which do not fold. *)
+      let b = irb () in
+      int_array b "S" [| 3; 9 |];
+      let a = reg b Reg.Int and c = reg b Reg.Int in
+      let r1 = reg b Reg.Int and r2 = reg b Reg.Int and r3 = reg b Reg.Int in
+      let ctx = b.ctx in
+      output b "x" r3;
+      let p =
+        prog_of b
+          [
+            Block.Ins (Build.load ctx Reg.Int a (Operand.Lab "S") (Operand.Int 0));
+            Block.Ins (Build.load ctx Reg.Int c (Operand.Lab "S") (Operand.Int 4));
+            Block.Ins (Build.ib ctx Insn.Add r1 (Operand.Reg a) (Operand.Reg c));
+            Block.Ins (Build.ib ctx Insn.Add r2 (Operand.Reg c) (Operand.Reg a));
+            Block.Ins (Build.ib ctx Insn.Sub r3 (Operand.Reg r1) (Operand.Reg r2));
+          ]
+      in
+      let p' = Cse.run p in
+      check_int "one add left" 1 (count_if p' (fun i -> i.Insn.op = Insn.IBin Insn.Add));
+      (* r2's copy of r1 reaches the subtraction in the same sweep. *)
+      check_bool "r1 - r1" true
+        (List.exists
+           (fun (i : Insn.t) ->
+             i.Insn.op = Insn.IBin Insn.Sub
+             && Operand.equal i.Insn.srcs.(0) (Operand.Reg r1)
+             && Operand.equal i.Insn.srcs.(1) (Operand.Reg r1))
+           (Block.insns p'.Prog.entry));
       check_int "value" 0 (out_int (run p') "x"));
     test "redundant load eliminated; store kills same array only" (fun () ->
       let b = irb () in
@@ -223,9 +272,12 @@ let cse_tests =
               (Build.fb ctx Insn.Fadd f4 (Operand.Reg f2) (Operand.Reg f3));
           ]
       in
-      let p' = Cse.run p in
-      check_int "one load left" 1 (count_if p' is_load);
-      check_close "value" 2.0 (out_flt (run p') "x"));
+      List.iter
+        (fun pass ->
+          let p' = pass p in
+          check_int "one load left" 1 (count_if p' is_load);
+          check_close "value" 2.0 (out_flt (run p') "x"))
+        [ Cleanup_ref.cse; Cse.run ]);
     test "store to same array kills loads" (fun () ->
       let b = irb () in
       float_array b "A" [| 1.0; 2.0 |];
@@ -241,9 +293,14 @@ let cse_tests =
             Block.Ins (Build.load ctx Reg.Float f2 (Operand.Lab "A") (Operand.Int 0));
           ]
       in
-      let p' = Cse.run p in
+      let p' = Cleanup_ref.cse p in
       check_int "both loads survive" 2 (count_if p' is_load);
-      check_close "sees the store" 9.0 (out_flt (run p') "x"));
+      check_close "sees the store" 9.0 (out_flt (run p') "x");
+      (* The sweep propagates w = 0 into the store, which then forwards
+         9.0 to the second load. *)
+      let p' = Cse.run p in
+      check_int "one load left after the sweep" 1 (count_if p' is_load);
+      check_close "sees the store after the sweep" 9.0 (out_flt (run p') "x"));
     test "store-to-load forwarding" (fun () ->
       let b = irb () in
       float_array b "A" [| 0.0 |];
@@ -258,9 +315,239 @@ let cse_tests =
             Block.Ins (Build.load ctx Reg.Float f2 (Operand.Lab "A") (Operand.Int 0));
           ]
       in
+      List.iter
+        (fun pass ->
+          let p' = pass p in
+          check_int "load forwarded away" 0 (count_if p' is_load);
+          check_close "value" 3.5 (out_flt (run p') "x"))
+        [ Cleanup_ref.cse; Cse.run ]);
+  ]
+
+(* ---- the combined sweep: what the old passes needed extra rounds for,
+   and its kills ---- *)
+
+let count_op (p : Prog.t) op = count_if p (fun i -> i.Insn.op = op)
+
+(* The instruction defining [d]; fails unless there is exactly one. *)
+let def_of (p : Prog.t) (d : Reg.t) =
+  match
+    List.filter
+      (fun (i : Insn.t) -> match i.Insn.dst with Some r -> Reg.equal r d | None -> false)
+      (Block.insns p.Prog.entry)
+  with
+  | [ i ] -> i
+  | l -> Alcotest.failf "%d definitions of %s" (List.length l) (Reg.to_string d)
+
+let reads (i : Insn.t) (r : Reg.t) = Array.exists (Operand.equal (Operand.Reg r)) i.Insn.srcs
+
+let load_s ctx r k = Block.Ins (Build.load ctx Reg.Int r (Operand.Lab "S") (Operand.Int (4 * k)))
+
+let sweep_tests =
+  [
+    test "a CSE copy feeds a later use in the same sweep" (fun () ->
+      (* APS-1's address arithmetic: r11 = r1 - 1 becomes the copy
+         r11 = r3, and r11 * 4 must then read r3 and match r3 * 4. *)
+      let b = irb () in
+      int_array b "S" [| 5 |];
+      let r1 = reg b Reg.Int and r3 = reg b Reg.Int and r11 = reg b Reg.Int in
+      let r12 = reg b Reg.Int and r13 = reg b Reg.Int and x = reg b Reg.Int in
+      let ctx = b.ctx in
+      output b "x" x;
+      let p =
+        prog_of b
+          [
+            load_s ctx r1 0;
+            Block.Ins (Build.ib ctx Insn.Sub r3 (Operand.Reg r1) (Operand.Int 1));
+            Block.Ins (Build.ib ctx Insn.Sub r11 (Operand.Reg r1) (Operand.Int 1));
+            Block.Ins (Build.ib ctx Insn.Mul r12 (Operand.Reg r11) (Operand.Int 4));
+            Block.Ins (Build.ib ctx Insn.Mul r13 (Operand.Reg r3) (Operand.Int 4));
+            Block.Ins (Build.ib ctx Insn.Add x (Operand.Reg r12) (Operand.Reg r13));
+          ]
+      in
+      let p' = sweep_round p in
+      check_int "one subtraction" 1 (count_op p' (Insn.IBin Insn.Sub));
+      check_int "one multiply" 1 (count_op p' (Insn.IBin Insn.Mul));
+      check_bool "the multiply reads r3" true (reads (def_of p' r12) r3);
+      check_bool "the sum reads r12 twice" true
+        (Array.for_all (Operand.equal (Operand.Reg r12)) (def_of p' x).Insn.srcs);
+      check_int "value" 32 (out_int (run p') "x");
+      let want, rounds = Cleanup_ref.fixpoint_uncapped p in
+      check_bool "the reference takes more than two rounds" true (rounds > 2);
+      check_bool "one round reaches the reference fixpoint" true (Walk.insns_equal_prog p' want));
+    test "a propagated constant folds in the same sweep" (fun () ->
+      let b = irb () in
+      let r1 = reg b Reg.Int and r2 = reg b Reg.Int and r3 = reg b Reg.Int in
+      let ctx = b.ctx in
+      output b "x" r3;
+      let p =
+        prog_of b
+          [
+            Block.Ins (Build.imov ctx r1 (Operand.Int 7));
+            Block.Ins (Build.imov ctx r2 (Operand.Reg r1));
+            Block.Ins (Build.ib ctx Insn.Add r3 (Operand.Reg r2) (Operand.Reg r2));
+          ]
+      in
       let p' = Cse.run p in
-      check_int "load forwarded away" 0 (count_if p' is_load);
-      check_close "value" 3.5 (out_flt (run p') "x"));
+      (match List.nth (Block.insns p'.Prog.entry) 2 with
+      | { Insn.op = Insn.IMov; srcs = [| Operand.Int 14 |]; _ } -> ()
+      | i -> Alcotest.failf "expected r3 = 14, got %s" (Insn.to_string i));
+      check_int "value" 14 (out_int (run p') "x"));
+    test "a fold that ends in a self-move is deleted without a kill" (fun () ->
+      (* r8 = r8 + 0 folds to r8 = r8, which is deleted; r2's binding to
+         r8 survives it, so r2 + 1 reads r8. *)
+      let b = irb () in
+      int_array b "S" [| 5 |];
+      let r8 = reg b Reg.Int and r2 = reg b Reg.Int and r3 = reg b Reg.Int in
+      let ctx = b.ctx in
+      output b "x" r3;
+      let p =
+        prog_of b
+          [
+            load_s ctx r8 0;
+            Block.Ins (Build.imov ctx r2 (Operand.Reg r8));
+            Block.Ins (Build.ib ctx Insn.Add r8 (Operand.Reg r8) (Operand.Int 0));
+            Block.Ins (Build.ib ctx Insn.Add r3 (Operand.Reg r2) (Operand.Int 1));
+          ]
+      in
+      let p' = Cse.run p in
+      check_int "the add of 0 is gone" 3 (insn_count p');
+      check_bool "r2 + 1 reads r8" true (reads (def_of p' r3) r8);
+      check_int "value" 6 (out_int (run p') "x"));
+    test "reloading a register's own stored value is deleted without a kill" (fun () ->
+      (* r1 = MEM(S+4) right after MEM(S+4) = r1 would forward r1 = r1:
+         it is deleted, and r2's binding to r1 survives it. *)
+      let b = irb () in
+      int_array b "S" [| 5; 0 |];
+      let r1 = reg b Reg.Int and r2 = reg b Reg.Int and r3 = reg b Reg.Int in
+      let ctx = b.ctx in
+      output b "x" r3;
+      let p =
+        prog_of b
+          [
+            load_s ctx r1 0;
+            Block.Ins (Build.imov ctx r2 (Operand.Reg r1));
+            Block.Ins (Build.store ctx Reg.Int (Operand.Lab "S") (Operand.Int 4) (Operand.Reg r1));
+            load_s ctx r1 1;
+            Block.Ins (Build.ib ctx Insn.Add r3 (Operand.Reg r2) (Operand.Int 1));
+          ]
+      in
+      let p' = Cse.run p in
+      check_int "one load" 1 (count_if p' is_load);
+      check_int "the reload is gone" 4 (insn_count p');
+      check_bool "r2 + 1 reads r1" true (reads (def_of p' r3) r1);
+      check_int "value" 6 (out_int (run p') "x"));
+    test "a copy dies when either side is redefined" (fun () ->
+      (* [redef_src]: r1 is reloaded after r2 = r1; otherwise r2 is. The
+         later r2 + 1 must read r2 either way. *)
+      List.iter
+        (fun redef_src ->
+          let b = irb () in
+          int_array b "S" [| 5; 7 |];
+          let r1 = reg b Reg.Int and r2 = reg b Reg.Int and r3 = reg b Reg.Int in
+          let ctx = b.ctx in
+          output b "x" r3;
+          output b "y" r1;
+          let p =
+            prog_of b
+              [
+                load_s ctx r1 0;
+                Block.Ins (Build.imov ctx r2 (Operand.Reg r1));
+                load_s ctx (if redef_src then r1 else r2) 1;
+                Block.Ins (Build.ib ctx Insn.Add r3 (Operand.Reg r2) (Operand.Int 1));
+              ]
+          in
+          let p' = Cse.run p in
+          check_bool "r2 + 1 reads r2" true (reads (def_of p' r3) r2);
+          check_int "value" (if redef_src then 6 else 8) (out_int (run p') "x"))
+        [ true; false ]);
+    test "a CSE copy dies when either side is redefined" (fun () ->
+      (* r4 = r1 * 3 becomes the copy r4 = r2; then r2 or r4 is
+         reloaded, and r4 + 1 must read r4. *)
+      List.iter
+        (fun redef_src ->
+          let b = irb () in
+          int_array b "S" [| 5; 7 |];
+          let r1 = reg b Reg.Int and r2 = reg b Reg.Int and r4 = reg b Reg.Int in
+          let r5 = reg b Reg.Int in
+          let ctx = b.ctx in
+          output b "x" r5;
+          output b "y" r2;
+          let p =
+            prog_of b
+              [
+                load_s ctx r1 0;
+                Block.Ins (Build.ib ctx Insn.Mul r2 (Operand.Reg r1) (Operand.Int 3));
+                Block.Ins (Build.ib ctx Insn.Mul r4 (Operand.Reg r1) (Operand.Int 3));
+                load_s ctx (if redef_src then r2 else r4) 1;
+                Block.Ins (Build.ib ctx Insn.Add r5 (Operand.Reg r4) (Operand.Int 1));
+              ]
+          in
+          let p' = Cse.run p in
+          check_int "one multiply" 1 (count_op p' (Insn.IBin Insn.Mul));
+          check_bool "r4 + 1 reads r4" true (reads (def_of p' r5) r4);
+          check_int "value" (if redef_src then 16 else 8) (out_int (run p') "x"))
+        [ true; false ]);
+    test "copies and expressions do not cross labels or loops" (fun () ->
+      (* r2 = r1 and r1 * 3 are known before the boundary; after it (and
+         inside the loop body) r2 is read as r2 and r1 * 3 is
+         recomputed. *)
+      List.iter
+        (fun loop ->
+          let b = irb () in
+          int_array b "S" [| 5 |];
+          let r1 = reg b Reg.Int and r2 = reg b Reg.Int and r3 = reg b Reg.Int in
+          let r5 = reg b Reg.Int and r6 = reg b Reg.Int and r7 = reg b Reg.Int in
+          let v = reg b Reg.Int in
+          let ctx = b.ctx in
+          List.iter (fun (n, r) -> output b n r) [ ("x", r3); ("y", r5); ("z", r6); ("w", r7) ];
+          let boundary =
+            if loop then
+              [
+                Block.Loop
+                  {
+                    Block.lid = 1;
+                    head = "L";
+                    exit_lbl = "X";
+                    meta = Block.no_meta;
+                    body =
+                      [
+                        Block.Ins (Build.ib ctx Insn.Add r7 (Operand.Reg r2) (Operand.Int 2));
+                        Block.Ins (Build.ib ctx Insn.Add v (Operand.Reg v) (Operand.Int 1));
+                        Block.Ins
+                          (Build.br ctx Reg.Int Insn.Le (Operand.Reg v) (Operand.Int 3) "L");
+                      ];
+                  };
+              ]
+            else
+              [
+                Block.Ins (Build.ib ctx Insn.Add r7 (Operand.Reg r2) (Operand.Int 2));
+                Block.Lbl "J";
+              ]
+          in
+          let p =
+            prog_of b
+              ([
+                 load_s ctx r1 0;
+                 Block.Ins (Build.imov ctx v (Operand.Int 1));
+                 Block.Ins (Build.imov ctx r2 (Operand.Reg r1));
+                 Block.Ins (Build.ib ctx Insn.Mul r5 (Operand.Reg r1) (Operand.Int 3));
+               ]
+              @ boundary
+              @ [
+                  Block.Ins (Build.ib ctx Insn.Add r3 (Operand.Reg r2) (Operand.Int 1));
+                  Block.Ins (Build.ib ctx Insn.Mul r6 (Operand.Reg r1) (Operand.Int 3));
+                ])
+          in
+          let p' = Cse.run p in
+          check_bool "r2 + 1 reads r2" true (reads (def_of p' r3) r2);
+          check_int "both multiplies" 2 (count_op p' (Insn.IBin Insn.Mul));
+          if loop then check_bool "the body reads r2" true (reads (def_of p' r7) r2)
+          else check_bool "r2 + 2 before the label reads r1" true (reads (def_of p' r7) r1);
+          let r = run p' in
+          check_int "x" 6 (out_int r "x");
+          check_int "z" 15 (out_int r "z");
+          check_int "w" 7 (out_int r "w"))
+        [ false; true ]);
   ]
 
 let dce_tests =
@@ -394,6 +681,65 @@ let dce_corpus_tests =
       check_int "one push for the shared id" 1 pushes;
       check_bool "both instances kept, the def of z swept" true
         (List.equal Insn.equal_content [ a; t ] (Block.insns p'.Prog.entry)));
+  ]
+
+(* ---- the one-sweep cleanup against the old round ----
+
+   [Level.apply] against a replay whose cleanup is [Cleanup_ref]'s
+   round under the same six-round cap, and the combined round's
+   convergence on every cleanup input of the corpus. *)
+
+(* Every switch of [Level.apply_custom] but one on; [k] = 0 turns off
+   unrolling, 1..7 the Lev4 transformations in pipeline order. *)
+let leave_one_out k apply =
+  let on j = j <> k in
+  apply ~unroll:(on 0) ~accum:(on 1) ~ind:(on 2) ~search:(on 3) ~rename:(on 4)
+    ~combine:(on 5) ~strength:(on 6) ~thr:(on 7)
+
+let cleanup_corpus_tests =
+  let each_kernel f =
+    List.iter
+      (fun (w : Impact_workloads.Suite.t) ->
+        f w.Impact_workloads.Suite.name (fun () -> lower w.Impact_workloads.Suite.ast))
+      Impact_workloads.Suite.all
+  in
+  [
+    test "Level.apply = replay with the reference cleanup" (fun () ->
+      each_kernel (fun name fresh ->
+        List.iter
+          (fun lvl ->
+            check_bool
+              (Printf.sprintf "%s/%s" name (Impact_core.Level.to_string lvl))
+              true
+              (Walk.insns_equal_prog
+                 (Impact_core.Level.apply lvl (fresh ()))
+                 (Cleanup_ref.replay ~cleanup:Cleanup_ref.cleanup lvl (fresh ()))))
+          Impact_core.Level.all;
+        for k = 0 to 7 do
+          check_bool
+            (Printf.sprintf "%s, switch %d off" name k)
+            true
+            (Walk.insns_equal_prog
+               (leave_one_out k (Impact_core.Level.apply_custom ?unroll_factor:None) (fresh ()))
+               (leave_one_out k
+                  (Cleanup_ref.replay_custom ~cleanup:Cleanup_ref.cleanup ?unroll_factor:None)
+                  (fresh ())))
+        done));
+    test "one round reaches the fixpoint on every cleanup input" (fun () ->
+      let inputs = ref 0 in
+      each_kernel (fun name fresh ->
+        List.iter
+          (fun lvl ->
+            List.iteri
+              (fun k p ->
+                incr inputs;
+                let once = sweep_round p in
+                if not (Walk.insns_equal_prog (sweep_round once) once) then
+                  Alcotest.failf "%s/%s, cleanup %d: a second round changed the program"
+                    name (Impact_core.Level.to_string lvl) k)
+              (Cleanup_ref.inputs lvl (fresh ())))
+          Impact_core.Level.all);
+      check_bool "a thousand inputs" true (!inputs > 1000));
   ]
 
 (* ---- CSE keys: monomorphic equal/hash agree with the polymorphic ones ---- *)
@@ -652,8 +998,10 @@ let suite =
     ("opt.fold", fold_tests);
     ("opt.propagate", propagate_tests);
     ("opt.cse", cse_tests);
+    ("opt.cse.sweep", sweep_tests);
     ("opt.dce", dce_tests);
     ("opt.dce.corpus", dce_corpus_tests);
+    ("opt.cleanup.corpus", cleanup_corpus_tests);
     ("opt.cse.keys", cse_key_tests);
     ("opt.licm", licm_tests);
     ("opt.ivopt", ivopt_tests);

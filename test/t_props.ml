@@ -268,6 +268,28 @@ let prop_dce_straightline =
     (QCheck.make gen_straightline)
     (fun spec -> dce_agrees (build_straightline spec))
 
+(* ---- the one-sweep cleanup reaches the old round's fixpoint ----
+
+   [Conv.cleanup] against [Cleanup_ref]'s round iterated with no cap:
+   on straight-line programs directly, and on every cleanup input of a
+   random kernel's Lev4 pipeline. *)
+
+let cleanup_is_ref_fixpoint (p : Prog.t) =
+  Impact_opt.Walk.insns_equal_prog (Impact_opt.Conv.cleanup p)
+    (fst (Cleanup_ref.fixpoint_uncapped p))
+
+let prop_cleanup_ref_straightline =
+  QCheck.Test.make ~name:"cleanup = reference fixpoint on straight-line programs" ~count:300
+    (QCheck.make gen_straightline)
+    (fun spec -> cleanup_is_ref_fixpoint (build_straightline spec))
+
+let prop_cleanup_ref_kernels =
+  QCheck.Test.make ~name:"cleanup = reference fixpoint on random kernels' cleanup inputs"
+    ~count:60 (QCheck.make gen_kernel)
+    (fun spec ->
+      List.for_all cleanup_is_ref_fixpoint
+        (Cleanup_ref.inputs Impact_core.Level.Lev4 (lower (build_kernel spec))))
+
 (* ---- symbolic values agree with execution ---- *)
 
 let prop_linval_agrees =
@@ -367,6 +389,8 @@ let suite =
           prop_unroll_factors;
           prop_dce_kernels;
           prop_dce_straightline;
+          prop_cleanup_ref_straightline;
+          prop_cleanup_ref_kernels;
           prop_linval_agrees;
         ] );
   ]
