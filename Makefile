@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-cold bench-serve smoke pipe oracle oracle-smoke ooo profile serve soak soak-sharded check clean
+.PHONY: all build test bench bench-cold bench-serve smoke pipe oracle oracle-smoke ooo profile serve soak check clean
 
 all: build
 
@@ -50,21 +50,20 @@ serve: build
 	printf '{"loop": "dotprod", "level": "Lev4", "issue": 8}\nnot json\n{"loop": "nope"}\n' \
 	  | dune exec bin/impactc.exe -- serve
 
-# Serve load harness: drive the sharded serve tier (router + 2 shard
-# processes) with concurrent pipelined clients, report client-side
-# latency percentiles and throughput, cross-check them against the
-# aggregated {"op": "metrics"} histograms and validate the JSONL
-# access log; refreshes BENCH_serve.json and prints the delta against
-# the committed baseline (see DESIGN.md "Event-driven serve tier").
-# SERVE_SECONDS=10 to change the load duration; SERVE_SHARDS=0 for a
-# single unsharded listener.
+# Serve load harness: drive one listener with concurrent pipelined
+# clients, report client-side latency percentiles and throughput,
+# cross-check them against the server's {"op": "metrics"} histograms
+# and validate the JSONL access log; refreshes BENCH_serve.json and
+# prints the delta against the committed baseline (see DESIGN.md
+# "Event-driven serve tier"). SERVE_SECONDS=10 to change the load
+# duration.
 bench-serve: build
 	git show HEAD:BENCH_serve.json > BENCH_serve.baseline.tmp 2>/dev/null || true
 	python3 scripts/loadgen.py --seconds $(or $(SERVE_SECONDS),5) --clients 4 \
 	  --baseline BENCH_serve.baseline.tmp \
 	  --access-log access.jsonl --out BENCH_serve.json -- \
 	  ./_build/default/bin/impactc.exe serve --listen 127.0.0.1:0 \
-	  --cache-dir _cache --queue-depth 64 --shards $(or $(SERVE_SHARDS),2)
+	  --cache-dir _cache --queue-depth 64
 	rm -f BENCH_serve.baseline.tmp
 
 # TCP soak: hammer `serve --listen` with concurrent pipelined clients
@@ -75,15 +74,6 @@ soak: build
 	IMPACT_FAULTS=slow_read:0.05,drop_conn:0.02,slow_cell:0.1 \
 	  python3 scripts/soak.py --seconds $(or $(SOAK_SECONDS),8) --clients 6 -- \
 	  ./_build/default/bin/impactc.exe serve --listen 127.0.0.1:0 --queue-depth 32
-
-# Same, against the sharded tier: router + 2 forked shard servers, fault
-# injection at the router's client boundary, and the drain check extended
-# to every shard ("shard K drained").
-soak-sharded: build
-	IMPACT_FAULTS=slow_read:0.05,drop_conn:0.02,slow_cell:0.1 \
-	  python3 scripts/soak.py --seconds $(or $(SOAK_SECONDS),8) --clients 6 -- \
-	  ./_build/default/bin/impactc.exe serve --listen 127.0.0.1:0 --queue-depth 32 \
-	  --shards 2
 
 check: build test smoke
 

@@ -904,11 +904,10 @@ let parse_listen s =
     | _ -> fail ())
 
 (* All serve-tier flags, validated together by the one term that builds
-   this record; the single-listener, sharded and stdin paths all consume
-   it, so listen-only constraints live in exactly one place. *)
+   this record; the listener and stdin paths both consume it, so
+   listen-only constraints live in exactly one place. *)
 type serve_opts = {
   so_listen : (string * int) option;
-  so_shards : int;  (* 0 = single listener; N >= 1 = router + N shards *)
   so_jobs : int option;
   so_queue_depth : int;
   so_deadline_ms : int option;
@@ -927,33 +926,11 @@ let env_faults () =
     Printf.eprintf "impactc serve: IMPACT_FAULTS: %s\n" msg;
     exit 2
 
-(* The one place a [Listener.config] is built from CLI flags. *)
-let listener_config ?store ?prebound ~faults ~access_log ~trace_sample o ~host
-    ~port =
-  {
-    (Impact_net.Listener.default_config ?store ()) with
-    Impact_net.Listener.host;
-    port;
-    workers = o.so_jobs;
-    queue_depth = o.so_queue_depth;
-    deadline_ms = o.so_deadline_ms;
-    max_line = o.so_max_line;
-    faults;
-    access_log;
-    trace_sample;
-    prebound;
-  }
-
-let resolved_jobs o =
-  match o.so_jobs with
-  | Some j -> j
-  | None -> Impact_exec.Pool.resolve_workers ()
-
-let print_drained ~label (s : Impact_net.Listener.stats) =
+let print_drained (s : Impact_net.Listener.stats) =
   Printf.eprintf
-    "impactc serve: %sdrained (%d conns, %d requests, %d responses, %d shed, \
+    "impactc serve: drained (%d conns, %d requests, %d responses, %d shed, \
      %d deadline, %d too-long, %d dropped)\n%!"
-    label s.Impact_net.Listener.accepted s.Impact_net.Listener.requests
+    s.Impact_net.Listener.accepted s.Impact_net.Listener.requests
     s.Impact_net.Listener.responses s.Impact_net.Listener.shed
     s.Impact_net.Listener.deadlined s.Impact_net.Listener.too_long
     s.Impact_net.Listener.dropped_conns
@@ -961,13 +938,27 @@ let print_drained ~label (s : Impact_net.Listener.stats) =
 let serve_listen ~store o ~host ~port =
   let faults = env_faults () in
   let cfg =
-    listener_config ?store ~faults ~access_log:o.so_access_log
-      ~trace_sample:o.so_trace_sample o ~host ~port
+    {
+      (Impact_net.Listener.default_config ?store ()) with
+      Impact_net.Listener.host;
+      port;
+      workers = o.so_jobs;
+      queue_depth = o.so_queue_depth;
+      deadline_ms = o.so_deadline_ms;
+      max_line = o.so_max_line;
+      faults;
+      access_log = o.so_access_log;
+      trace_sample = o.so_trace_sample;
+    }
   in
   let t = Impact_net.Listener.start cfg in
   Printf.eprintf
     "impactc serve: listening on %s:%d (workers %d, queue %d%s%s%s%s%s)\n%!" host
-    (Impact_net.Listener.port t) (resolved_jobs o) o.so_queue_depth
+    (Impact_net.Listener.port t)
+    (match o.so_jobs with
+    | Some j -> j
+    | None -> Impact_exec.Pool.resolve_workers ())
+    o.so_queue_depth
     (match o.so_deadline_ms with
     | Some ms -> Printf.sprintf ", deadline %d ms" ms
     | None -> "")
@@ -985,7 +976,7 @@ let serve_listen ~store o ~host ~port =
   Sys.set_signal Sys.sigterm handler;
   Sys.set_signal Sys.sigint handler;
   Impact_net.Listener.wait t;
-  print_drained ~label:"" (Impact_net.Listener.stats t);
+  print_drained (Impact_net.Listener.stats t);
   (match o.so_trace_out with
   | None -> ()
   | Some path ->
@@ -996,154 +987,21 @@ let serve_listen ~store o ~host ~port =
       (Obs.events_dropped ()));
   print_cache_stats store
 
-(* One forked shard server: a plain listener on the socket the parent
-   pre-bound, owning its own slice of the cache directory. Faults,
-   access log and tracing stay with the parent router — the shard links
-   must stay clean for positional response pairing, and the client
-   boundary (where faults are specified to strike) lives in the
-   router. The banner and drain lines deliberately say "shard K ..." so
-   harnesses that scrape "impactc serve: listening on"/"... drained"
-   only ever match the front end. *)
-let serve_shard_child o ~shard fd =
-  let store =
-    if o.so_no_cache then None
-    else
-      Some
-        (Impact_svc.Store.open_store
-           (Impact_svc.Store.shard_dir o.so_cache_dir shard))
-  in
-  (match store with
-  | Some st -> Impact_svc.Service.install_cache st
-  | None -> ());
-  Obs.set_collecting true;
-  let cfg =
-    listener_config ?store ~prebound:fd ~faults:Impact_net.Faults.none
-      ~access_log:None ~trace_sample:None o ~host:"127.0.0.1" ~port:0
-  in
-  let t = Impact_net.Listener.start cfg in
-  Printf.eprintf "impactc serve: shard %d listening on 127.0.0.1:%d (workers %d, queue %d)\n%!"
-    shard (Impact_net.Listener.port t) (resolved_jobs o) o.so_queue_depth;
-  let handler = Sys.Signal_handle (fun _ -> Impact_net.Listener.stop t) in
-  Sys.set_signal Sys.sigterm handler;
-  Sys.set_signal Sys.sigint handler;
-  Impact_net.Listener.wait t;
-  print_drained ~label:(Printf.sprintf "shard %d " shard)
-    (Impact_net.Listener.stats t);
-  print_cache_stats store;
-  exit 0
-
-let rec reap_child pid =
-  match Unix.waitpid [] pid with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap_child pid
-  | r -> r
-
-let serve_sharded o ~host ~port =
-  let n = o.so_shards in
-  (* Pre-bind every shard's listening socket here so the children need
-     no port handshake: a forked child serves on its inherited fd, and
-     the router can connect immediately — the sockets are already
-     listening, so the kernel queues connections even before a child
-     runs its first accept. *)
-  let socks =
-    Array.init n (fun _ ->
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-        Unix.listen fd 128;
-        fd)
-  in
-  let backend_port fd =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  let ports = Array.map backend_port socks in
-  (* Fork before this process creates any domain or thread: forking a
-     multicore OCaml runtime with live domains is undefined. *)
-  let pids =
-    Array.init n (fun k ->
-        match Unix.fork () with
-        | 0 ->
-          Array.iteri
-            (fun j fd -> if j <> k then try Unix.close fd with _ -> ())
-            socks;
-          serve_shard_child o ~shard:k socks.(k)
-        | pid -> pid)
-  in
-  Array.iter (fun fd -> try Unix.close fd with _ -> ()) socks;
-  Obs.set_collecting true;
-  let faults = env_faults () in
-  let rcfg =
-    {
-      Impact_net.Router.host;
-      port;
-      backends = Array.map (fun p -> ("127.0.0.1", p)) ports;
-      max_line = o.so_max_line;
-      faults;
-      access_log = o.so_access_log;
-    }
-  in
-  let t = Impact_net.Router.start rcfg in
-  Printf.eprintf
-    "impactc serve: listening on %s:%d (%d shards, workers %d/shard, queue \
-     %d/shard%s%s%s%s)\n%!"
-    host (Impact_net.Router.port t) n (resolved_jobs o) o.so_queue_depth
-    (match o.so_deadline_ms with
-    | Some ms -> Printf.sprintf ", deadline %d ms" ms
-    | None -> "")
-    (if Impact_net.Faults.active faults then
-       ", faults " ^ Impact_net.Faults.to_string faults
-     else "")
-    (if o.so_no_cache then ", cache off" else "")
-    (match o.so_access_log with
-    | Some path -> ", access-log " ^ path
-    | None -> "");
-  let handler = Sys.Signal_handle (fun _ -> Impact_net.Router.stop t) in
-  Sys.set_signal Sys.sigterm handler;
-  Sys.set_signal Sys.sigint handler;
-  Impact_net.Router.wait t;
-  print_drained ~label:"" (Impact_net.Router.stats t);
-  (* The shards outlive the router's drain (every forwarded line was
-     answered before the links closed); terminate and reap them now. *)
-  Array.iter (fun pid -> try Unix.kill pid Sys.sigterm with _ -> ()) pids;
-  let failed = ref 0 in
-  Array.iter
-    (fun pid ->
-      match reap_child pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _, _ ->
-        incr failed;
-        Printf.eprintf "impactc serve: shard pid %d exited abnormally\n%!" pid)
-    pids;
-  if !failed > 0 then exit 1
-
 let serve_cmd =
   let run file o =
+    let store =
+      if o.so_no_cache then None
+      else Some (Impact_svc.Store.open_store o.so_cache_dir)
+    in
+    (* The base-measurement path goes through Experiment, so give it the
+       same store; counters come back through Obs. *)
+    (match store with
+    | Some st -> Impact_svc.Service.install_cache st
+    | None -> ());
+    Obs.set_collecting true;
     match o.so_listen with
-    | Some (host, port) ->
-      if o.so_shards > 0 then serve_sharded o ~host ~port
-      else begin
-        let store =
-          if o.so_no_cache then None
-          else Some (Impact_svc.Store.open_store o.so_cache_dir)
-        in
-        (* The base-measurement path goes through Experiment, so give it
-           the same store; counters come back through Obs. *)
-        (match store with
-        | Some st -> Impact_svc.Service.install_cache st
-        | None -> ());
-        Obs.set_collecting true;
-        serve_listen ~store o ~host ~port
-      end
+    | Some (host, port) -> serve_listen ~store o ~host ~port
     | None ->
-      let store =
-        if o.so_no_cache then None
-        else Some (Impact_svc.Store.open_store o.so_cache_dir)
-      in
-      (match store with
-      | Some st -> Impact_svc.Service.install_cache st
-      | None -> ());
-      Obs.set_collecting true;
       let ic = match file with None -> stdin | Some f -> open_in f in
       Fun.protect
         ~finally:(fun () -> if file <> None then close_in_noerr ic)
@@ -1256,25 +1114,9 @@ let serve_cmd =
              trace_event JSON to $(docv) after the drain completes (open in \
              Perfetto).")
   in
-  let shards_arg =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "With $(b,--listen): fork $(docv) shard server processes, each \
-             owning a disjoint $(b,shard-K/) slice of the cache directory and \
-             its own worker domains, behind a front router that places each \
-             request by a consistent hash of its query digest (repeats of a \
-             query always warm the same shard). Clients see one server: the \
-             same protocol, per-connection order and record bytes; \
-             $(b,health)/$(b,metrics) ops aggregate across shards. \
-             $(b,--queue-depth), $(b,--deadline-ms) and $(b,-j) apply per \
-             shard.")
-  in
   (* The one validated term all serve-mode flags funnel through. *)
   let serve_opts_term =
-    let build listen shards cache_dir no_cache jobs queue_depth deadline_ms
+    let build listen cache_dir no_cache jobs queue_depth deadline_ms
         max_line access_log trace_sample trace_out =
       let fail fmt =
         Printf.ksprintf
@@ -1284,9 +1126,8 @@ let serve_cmd =
           fmt
       in
       if listen = None && (access_log <> None || trace_sample <> None
-                           || trace_out <> None || shards <> 0)
-      then fail "--access-log/--trace-sample/--trace-out/--shards require --listen";
-      if shards < 0 then fail "--shards expects N >= 1, got %d" shards;
+                           || trace_out <> None)
+      then fail "--access-log/--trace-sample/--trace-out require --listen";
       (match trace_sample with
       | Some n when n < 1 -> fail "--trace-sample expects N >= 1, got %d" n
       | Some _ when trace_out = None ->
@@ -1294,11 +1135,8 @@ let serve_cmd =
           "--trace-sample records spans but --trace-out FILE is needed to \
            write them"
       | _ -> ());
-      if shards > 0 && (trace_sample <> None || trace_out <> None) then
-        fail "--trace-sample/--trace-out are per-process; not available with --shards";
       {
         so_listen = Option.map parse_listen listen;
-        so_shards = shards;
         so_jobs = jobs;
         so_queue_depth = queue_depth;
         so_deadline_ms = deadline_ms;
@@ -1311,7 +1149,7 @@ let serve_cmd =
       }
     in
     Term.(
-      const build $ listen_arg $ shards_arg $ cache_dir_arg $ no_cache_arg
+      const build $ listen_arg $ cache_dir_arg $ no_cache_arg
       $ jobs_arg $ queue_depth_arg $ deadline_arg $ max_line_arg
       $ access_log_arg $ trace_sample_arg $ trace_out_arg)
   in
@@ -1320,8 +1158,8 @@ let serve_cmd =
        ~doc:
          "Answer JSON queries (one object per line; see DESIGN.md \"Query API \
           & result cache\"), from standard input or a file by default, or as \
-          a concurrent TCP service with $(b,--listen) (optionally sharded \
-          across processes with $(b,--shards)). Every request line is \
+          a concurrent TCP service with $(b,--listen) (one process; $(b,-j) \
+          sets its worker domains). Every request line is \
           answered in order with a JSON result or a structured error record; \
           the exit code is 0 even when individual queries fail.")
     Term.(const run $ file_arg $ serve_opts_term)

@@ -1,11 +1,10 @@
-(** Building blocks for the select-based event loops of the serve tier.
+(** Building blocks for the select-based event loop of the serve tier.
 
-    The listener and the shard router are both single-threaded reactors:
-    every socket is nonblocking, one thread multiplexes them all with
-    [Unix.select] (re-armed with fresh interest sets on each iteration),
-    and other threads/domains signal it through a self-pipe. This module
-    holds the three pieces they share so the two loops stay small and
-    identical in the details that matter:
+    {!Listener} is a single-threaded reactor: every socket is
+    nonblocking, one thread multiplexes them all with [Unix.select]
+    (re-armed with fresh interest sets on each iteration), and executor
+    domains signal it through a self-pipe. This module holds the three
+    socket-level pieces of that loop:
 
     - {!Wake}: the self-pipe. Signal-safe, domain-safe, coalescing.
     - {!Framer}: incremental newline framing with a byte bound —
@@ -67,8 +66,4 @@ module Outq : sig
       socket would block ([`Blocked]), or it errors ([`Error] — the
       queue is aborted: every unflushed segment's callback fires with
       [~wrote:false]). *)
-
-  val abort : t -> unit
-  (** Drop all pending segments, firing their callbacks with
-      [~wrote:false]. *)
 end

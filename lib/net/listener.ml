@@ -15,7 +15,6 @@ type config = {
   store : Store.t option;
   access_log : string option;  (* JSONL per-request timing log *)
   trace_sample : int option;  (* trace spans for 1-in-N connections *)
-  prebound : Unix.file_descr option;  (* serve on this socket (shard child) *)
 }
 
 let default_config ?store () =
@@ -30,7 +29,6 @@ let default_config ?store () =
     store;
     access_log = None;
     trace_sample = None;
-    prebound = None;
   }
 
 type stats = {
@@ -665,22 +663,16 @@ let resolve_host host =
 
 let start cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let lfd =
-    match cfg.prebound with
-    | Some fd -> fd
-    | None ->
-      let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (match
-         Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-         Unix.bind lfd (Unix.ADDR_INET (resolve_host cfg.host, cfg.port));
-         Unix.listen lfd 128
-       with
-      | () -> ()
-      | exception e ->
-        (try Unix.close lfd with _ -> ());
-        raise e);
-      lfd
-  in
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (match
+     Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+     Unix.bind lfd (Unix.ADDR_INET (resolve_host cfg.host, cfg.port));
+     Unix.listen lfd 128
+   with
+  | () -> ()
+  | exception e ->
+    (try Unix.close lfd with _ -> ());
+    raise e);
   Unix.set_nonblock lfd;
   let lport =
     match Unix.getsockname lfd with

@@ -87,16 +87,12 @@ type config = {
           one Perfetto row per connection) for 1-in-[n] connections via
           {!Impact_obs.Obs.event}; the caller writes them out with
           {!Impact_obs.Obs.write_trace} after {!wait} *)
-  prebound : Unix.file_descr option;
-      (** an already bound-and-listening socket to serve on instead of
-          binding [host]/[port] — how a shard parent hands each forked
-          child its listening socket. The listener owns and closes it. *)
 }
 
 val default_config : ?store:Impact_svc.Store.t -> unit -> config
 (** Loopback host, ephemeral port, pool-default workers, queue depth
     64, no deadline, {!Impact_svc.Service.default_max_line}, no
-    faults, no access log, no trace sampling, no prebound socket. *)
+    faults, no access log, no trace sampling. *)
 
 type t
 

@@ -274,16 +274,6 @@ let answer_line_ex ~store ~line raw =
 
 let answer_line ~store ~line raw = (answer_line_ex ~store ~line raw).a_text
 
-let route_digest raw =
-  match parse_request raw with
-  | rq ->
-    Some
-      (Query.digest
-         (query_of_subject (subject_of_workload rq.rq_loop) rq.rq_opts
-            rq.rq_level rq.rq_machine))
-  | exception Malformed _ -> None
-  | exception Unknown_loop _ -> None
-
 let is_blank s = String.trim s = ""
 
 (* ---- Input lines ----

@@ -45,14 +45,6 @@ val answer_line_ex : store:Store.t option -> line:int -> string -> answer
     re-parsing the response text. [a_text] is byte-identical to
     {!answer_line} on the same input. *)
 
-val route_digest : string -> string option
-(** The {!Query.digest} a request line would evaluate under, without
-    evaluating it — what a shard router hashes to pick the owning
-    shard. [None] when the line does not parse to a known-loop request
-    (the router falls back to hashing the raw line, so errors still
-    route deterministically). Uses the same memoized subject digest as
-    evaluation, so routing costs one small parse per request. *)
-
 type input =
   | Line of string  (** a complete request line, verbatim *)
   | Oversized of int

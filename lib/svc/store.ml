@@ -32,8 +32,6 @@ let resolve_dir () =
   | Some d when d <> "" -> d
   | _ -> default_dir
 
-let shard_dir base k = Filename.concat base (Printf.sprintf "shard-%d" k)
-
 let mkdir_p dir =
   let rec go d =
     if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin

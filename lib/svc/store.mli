@@ -43,11 +43,6 @@ val default_dir : string
 val resolve_dir : unit -> string
 (** [IMPACT_CACHE_DIR] from the environment, else {!default_dir}. *)
 
-val shard_dir : string -> int -> string
-(** [shard_dir base k] is [base/shard-k] — the cache root a sharded
-    serve tier gives shard [k], so each shard owns a disjoint
-    directory and never races its siblings on disk. *)
-
 val open_store : ?lru_capacity:int -> string -> t
 (** Open (creating the directory if needed) a store rooted at the given
     directory. [lru_capacity] bounds the in-process front (default

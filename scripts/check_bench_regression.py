@@ -27,7 +27,10 @@ both directions). Serve numbers are far noisier than wall-clock stage
 times, so pair this mode with a generous tolerance — the guard is
 there to catch order-of-magnitude regressions (a reintroduced
 thread-per-connection design, a Nagle stall), not percent-level
-drift.
+drift. Both runs must also have measured the same thing: the guard
+fails when the `serve` flags differ (compared as a set, ignoring the
+binary prefix and the --access-log path) or when the load's clients,
+pipeline depth or request mix differ.
 
 With --oracle, the files are BENCH_oracle.json certification reports
 (schema impact-bench-oracle/1) instead, and the comparison is exact,
@@ -67,11 +70,47 @@ def load(path):
         return json.load(f)
 
 
+def serve_flags(server_cmd):
+    """The flags after `serve` in a loadgen server_cmd, as a set of
+    (flag, value) pairs; --access-log names only where records go."""
+    words = server_cmd.split()
+    if "serve" not in words:
+        return None
+    words = words[words.index("serve") + 1:]
+    flags = set()
+    i = 0
+    while i < len(words):
+        flag, eq, value = words[i].partition("=")
+        i += 1
+        if not eq and i < len(words) and not words[i].startswith("-"):
+            value = words[i]
+            i += 1
+        if flag != "--access-log":
+            flags.add((flag, value))
+    return flags
+
+
 def check_serve(base, fresh, tolerance):
     """Guard the serve-tier load numbers: client p99 may not grow past
     (1+tolerance)x the baseline, and throughput may not fall below
-    1/(1+tolerance) of it."""
+    1/(1+tolerance) of it. Runs of different server flags or load
+    shapes are not comparable and fail outright."""
     failures = []
+
+    b_cfg = base.get("config", {})
+    f_cfg = fresh.get("config", {})
+    b_flags = serve_flags(b_cfg.get("server_cmd", ""))
+    f_flags = serve_flags(f_cfg.get("server_cmd", ""))
+    if b_flags is None or b_flags != f_flags:
+        print(f"  config.server_cmd: serve flags differ: "
+              f"{b_cfg.get('server_cmd')!r} vs {f_cfg.get('server_cmd')!r} "
+              f"MISMATCH")
+        failures.append("config.server_cmd")
+    for key in ("clients", "pipeline", "mix"):
+        if b_cfg.get(key) is None or b_cfg.get(key) != f_cfg.get(key):
+            print(f"  config.{key}: {b_cfg.get(key)!r} vs {f_cfg.get(key)!r} "
+                  f"MISMATCH")
+            failures.append(f"config.{key}")
 
     b_rps = base.get("client", {}).get("throughput_rps")
     f_rps = fresh.get("client", {}).get("throughput_rps")
@@ -98,7 +137,7 @@ def check_serve(base, fresh, tolerance):
         print("  skip client.latency_ms.p99: missing in one file")
 
     if failures:
-        print(f"serve perf regression (tolerance {tolerance:.0%}): "
+        print(f"serve perf guard failed (tolerance {tolerance:.0%}): "
               f"{', '.join(failures)}")
         return 1
     print("serve perf guard ok")

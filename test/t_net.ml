@@ -19,16 +19,11 @@
    - Event loop: 64 concurrent pipelined connections match the oracle;
      byte-by-byte clients exercise partial-line framing; EOF treats an
      unterminated tail as a final request.
-   - Sharding: Shard_route is total, stable and near-uniform, and
-     growing the ring moves only a minority of keys; a Router over two
-     in-process shard listeners routes deterministically, answers
-     byte-identically to the batch oracle, and aggregates health and
-     metrics across shards.
+   - Start-up: a start that fails after binding raises and releases
+     its port and descriptors.
    - Faults spec parsing. *)
 
 module Listener = Impact_net.Listener
-module Router = Impact_net.Router
-module Shard_route = Impact_net.Shard_route
 module Faults = Impact_net.Faults
 module Service = Impact_svc.Service
 module Json = Impact_svc.Json
@@ -857,140 +852,35 @@ let test_eof_unterminated_tail () =
   Helpers.check_string "no partial tail" "" tail;
   check_lines "unterminated final line" expected got
 
-(* ---- Shard routing ---- *)
+(* ---- Start-up failure ---- *)
 
-let test_shard_route () =
-  let digests =
-    List.init 500 (fun i -> Digest.to_hex (Digest.string (string_of_int i)))
+(* A start that fails after binding its port (here: the access log
+   cannot be created) raises, and releases everything it took: the
+   same port binds again at once and no descriptor is left open. *)
+let test_start_failure_releases () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let port =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        match Unix.getsockname fd with
+        | Unix.ADDR_INET (_, p) -> p
+        | _ -> Alcotest.fail "no port")
   in
-  (* Total over any string, stable across instances, in range. *)
-  let r4 = Shard_route.make ~shards:4 in
-  let r4' = Shard_route.make ~shards:4 in
-  Helpers.check_int "shards echoed" 4 (Shard_route.shards r4);
-  List.iter
-    (fun d ->
-      let s = Shard_route.route r4 ~digest:d in
-      Helpers.check_bool "in range" true (s >= 0 && s < 4);
-      Helpers.check_int "stable across instances" s (Shard_route.route r4' ~digest:d))
-    ("" :: "not a digest" :: digests);
-  (* Near-uniform: no shard owns less than a tenth of the keys. *)
-  let counts = Array.make 4 0 in
-  List.iter
-    (fun d ->
-      let s = Shard_route.route r4 ~digest:d in
-      counts.(s) <- counts.(s) + 1)
-    digests;
-  Array.iteri
-    (fun k c -> if c < 50 then Alcotest.failf "shard %d owns only %d/500 keys" k c)
-    counts;
-  (* Consistent: growing 4 -> 5 shards moves a minority of keys. *)
-  let r5 = Shard_route.make ~shards:5 in
-  let moved =
-    List.length
-      (List.filter
-         (fun d -> Shard_route.route r4 ~digest:d <> Shard_route.route r5 ~digest:d)
-         digests)
-  in
-  Helpers.check_bool
-    (Printf.sprintf "adding a shard moved %d/500 keys (want a minority)" moved)
-    true
-    (moved * 2 < 500);
-  (* Degenerate and invalid counts. *)
-  let r1 = Shard_route.make ~shards:1 in
-  List.iter
-    (fun d -> Helpers.check_int "single shard" 0 (Shard_route.route r1 ~digest:d))
-    digests;
-  match Shard_route.make ~shards:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "shards:0 accepted"
-
-(* ---- Router over real shard backends ---- *)
-
-(* Two in-process listeners behind a router: repeated copies of one
-   query must all land on the same shard (routing determinism shows up
-   in that shard's request counter), responses must be byte-identical
-   to the batch oracle, and the metrics op must aggregate across both
-   shards with the raw per-shard snapshots riding along. *)
-let test_router_shards_and_aggregation () =
-  let backend () =
-    Listener.start
-      { (Listener.default_config ()) with Listener.workers = Some 2 }
-  in
-  let l0 = backend () in
-  let l1 = backend () in
-  Fun.protect
-    ~finally:(fun () ->
-      Listener.stop l0; Listener.stop l1;
-      Listener.wait l0; Listener.wait l1)
-    (fun () ->
-      let rcfg =
-        {
-          Router.host = "127.0.0.1";
-          port = 0;
-          backends =
-            [| ("127.0.0.1", Listener.port l0); ("127.0.0.1", Listener.port l1) |];
-          max_line = Service.default_max_line;
-          faults = Faults.none;
-          access_log = None;
-        }
-      in
-      let r = Router.start rcfg in
-      Fun.protect
-        ~finally:(fun () ->
-          Router.stop r;
-          Router.wait r)
-        (fun () ->
-          let q = List.nth cheap_queries 2 in
-          let queries = [ q; q; q; q; q ] in
-          let lines = queries @ [ "{\"op\": \"health\"}"; "{\"op\": \"metrics\"}" ] in
-          let got, tail =
-            with_client (Router.port r) @@ fun fd ->
-            send_lines fd lines;
-            recv_all fd
-          in
-          Helpers.check_string "no partial tail" "" tail;
-          Helpers.check_int "one response per line" (List.length lines)
-            (List.length got);
-          (* Query responses are byte-identical to the single-process
-             oracle: the extra hop may not perturb a byte. *)
-          check_lines "router queries" (Service.serve_lines ~workers:1 ~store:None queries)
-            (List.filteri (fun i _ -> i < 5) got);
-          (* Health aggregates across shards and keeps client numbering. *)
-          let h = parse_resp "health" (List.nth got 5) in
-          Helpers.check_bool "health ok" true (field "health" h "ok" = Json.Bool true);
-          Helpers.check_bool "health line" true (field "health" h "line" = Json.Int 6);
-          Helpers.check_bool "health shards" true
-            (field "health" h "shards" = Json.Int 2);
-          (* Metrics: router-authoritative counters plus per-shard snapshots. *)
-          let m = parse_resp "metrics" (List.nth got 6) in
-          Helpers.check_bool "metrics ok" true (field "m" m "ok" = Json.Bool true);
-          Helpers.check_bool "metrics shards" true (field "m" m "shards" = Json.Int 2);
-          let counters = field "m" m "counters" in
-          Helpers.check_int "router counts every client line" 7
-            (int_field "m" counters "requests");
-          let shard_requests =
-            match field "m" m "per_shard" with
-            | Json.List [ a; b ] ->
-              let req j =
-                Helpers.check_bool "per-shard entry ok" true
-                  (field "m" j "ok" = Json.Bool true);
-                int_field "m" (field "m" j "counters") "requests"
-              in
-              List.sort compare [ req a; req b ]
-            | _ -> Alcotest.fail "per_shard is not a 2-element list"
-          in
-          (* Both forwarded ops hit both shards; all five query copies
-             hit exactly one (deterministic routing). *)
-          Helpers.check_bool
-            (Printf.sprintf "per-shard requests [%d; %d] = [2; 7]"
-               (List.nth shard_requests 0) (List.nth shard_requests 1))
-            true
-            (shard_requests = [ 2; 7 ]);
-          (* The router's own stats agree with what the client saw. *)
-          let s = Router.stats r in
-          Helpers.check_int "router stats: requests" 7 s.Listener.requests;
-          Helpers.check_int "router stats: responses" 7 s.Listener.responses;
-          Helpers.check_int "router stats: accepted" 1 s.Listener.accepted))
+  let cfg = { (Listener.default_config ()) with Listener.port } in
+  let before = open_fds () in
+  let bad_log = Filename.concat (fresh_dir ()) "missing/access.jsonl" in
+  (match Listener.start { cfg with Listener.access_log = Some bad_log } with
+  | exception Sys_error _ -> ()
+  | t ->
+    Listener.stop t;
+    Listener.wait t;
+    Alcotest.fail "start with an unwritable access log succeeded");
+  Helpers.check_int "open fds after the failed start" before (open_fds ());
+  with_listener cfg @@ fun t ->
+  Helpers.check_int "same port bound again" port (Listener.port t)
 
 let suite =
   [
@@ -1024,6 +914,8 @@ let suite =
           test_health_and_blank_numbering;
         Alcotest.test_case "graceful drain finishes in-flight work" `Quick
           test_drain_finishes_in_flight;
+        Alcotest.test_case "failed start releases its port and fds" `Quick
+          test_start_failure_releases;
       ] );
     ( "net: observability",
       [
@@ -1044,13 +936,6 @@ let suite =
           test_slow_client_partial_lines;
         Alcotest.test_case "EOF treats unterminated tail as final line" `Quick
           test_eof_unterminated_tail;
-      ] );
-    ( "net: sharding",
-      [
-        Alcotest.test_case "consistent-hash routing: total, stable, uniform" `Quick
-          test_shard_route;
-        Alcotest.test_case "router over two shards: routing + aggregation" `Quick
-          test_router_shards_and_aggregation;
       ] );
     ( "net: properties",
       [
