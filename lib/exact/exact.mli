@@ -18,9 +18,15 @@
     {[ w' = w + ((row dst - row src - w) mod ii),  w = lat - ii * dist ]}
 
     and feasibility of the remaining system is exactly "no positive
-    cycle" under the adjusted weights — decided by bounded longest-path
-    relaxation (Bellman-Ford) over every edge, whose potentials also
-    yield the witness below. The row-free entry check is
+    cycle" under the adjusted weights — decided by longest-path
+    relaxation, whose potentials also yield the witness below. The root,
+    with no rows fixed, starts from {!Impact_pipe.Pipe.depths}; below
+    it, giving an operation a row changes only the weights of its own
+    edges, so those are relaxed and a FIFO worklist carries each raised
+    potential along out-edges.
+    Every raise records the edge count of its improving path, and a path
+    of [n] edges repeats an operation: since each raise is strict, that
+    repeat is a positive cycle. The row-free entry check is
     {!Impact_pipe.Pipe.ii_feasible}, the relaxation lib/pipe runs for
     RecMII on the edges inside strongly connected components.
     From the relaxation's potentials [d] a witness schedule is read off

@@ -2,6 +2,10 @@
 
    - decide: hand-built instances with known Sat/Unsat/Budget verdicts,
      witness validation, and the walk semantics of certify.
+   - Reference differential: [Exact.decide]'s worklist propagation
+     against the full-sweep [Exact_ref.decide] on random DDGs, hand-built
+     warm-start cycles and the corpus straggler; verdicts, node counts
+     and witnesses must be identical.
    - Differential qcheck property on random small DDGs: every Sat
      witness validates against the reservation table and all
      (lat, dist) edges (checked independently of the solver); the
@@ -9,7 +13,8 @@
      the certified optimum is never above the heuristic II and never
      below max(ResMII, exact RecMII).
    - Corpus spot checks: the certified statuses the tuning run
-     established (see EXPERIMENTS.md "Exact oracle"). *)
+     established (see EXPERIMENTS.md "Exact oracle"), and the budget
+     behaviour on NAS-6 issue-8, the one loop no budget decides yet. *)
 
 open Impact_ir
 module Pipe = Impact_pipe.Pipe
@@ -90,6 +95,32 @@ let test_certify_walk () =
   Helpers.check_bool "optimal proved free" true
     (c2.Exact.ct_proved && c2.Exact.ct_lb = 2 && c2.Exact.ct_nodes = 0)
 
+let test_warm_start_cycle () =
+  (* Two tight recurrences at II 8, issue 1, eight operations: every
+     row is taken once. Cycle A (0..3, latency 2 per hop) needs rows
+     r, r+2, r+4, r+6; cycle B (4..7, latency 1 per hop, 5 back) needs
+     four consecutive rows, two of which are A's. The base weights pass
+     the row-free feasibility check, so the search proves Unsat node by node: a row off
+     B's stride closes a positive cycle through B's unplaced operations,
+     two hops from the one just placed, which the worklist must chase. *)
+  let cycle a lats back =
+    List.mapi (fun k l -> edge (a + k) (a + k + 1) l 0) lats @ [ edge (a + 3) a back 1 ]
+  in
+  let a = cycle 0 [ 2; 2; 2 ] 2 in
+  let p = mk_problem 8 (a @ cycle 4 [ 1; 1; 1 ] 5) in
+  Helpers.check_int "mii" 8 p.Pipe.p_mii;
+  let verdict, nodes = Exact.decide p ~ii:8 in
+  Helpers.check_bool "Unsat" true (verdict = Exact.Unsat);
+  Helpers.check_bool "searched" true (nodes > 0);
+  Helpers.check_bool "reference agrees" true ((verdict, nodes) = Exact_ref.decide p ~ii:8);
+  (* B on A's stride fits the odd rows: Sat, with the same witness. *)
+  let p = mk_problem 8 (a @ cycle 4 [ 2; 2; 2 ] 2) in
+  let r = Exact.decide p ~ii:8 in
+  Helpers.check_bool "reference agrees (Sat)" true (r = Exact_ref.decide p ~ii:8);
+  match r with
+  | Exact.Sat t, _ -> Helpers.check_bool "witness validates" true (Exact.check_schedule p ~ii:8 t)
+  | _ -> Alcotest.fail "B on the odd rows should be Sat"
+
 (* ---- differential property on random small DDGs ---- *)
 
 type rand_ddg = { rn : int; rissue : int; redges : Pipe.edge list }
@@ -129,6 +160,48 @@ let ddg_print r =
             Printf.sprintf "%d->%d l%d d%d" e.Pipe.src e.Pipe.dst e.Pipe.lat
               e.Pipe.dist)
           r.redges))
+
+(* [ddg_gen] plus up to three copies of its operations. A copy gets
+   every edge of its original, so the two form a twin class, unless an
+   extra self-loop tells them apart: near-twins the symmetry break must
+   keep apart. *)
+let twin_gen =
+  QCheck.Gen.(
+    let* r = ddg_gen in
+    let* picks = list_size (int_range 0 3) (pair (int_range 0 (r.rn - 1)) (int_range 0 2)) in
+    let clone r (j, self_lat) =
+      let c = r.rn in
+      let at v = if v = j then c else v in
+      let copies =
+        List.filter_map
+          (fun (e : Pipe.edge) ->
+            if e.Pipe.src = j || e.Pipe.dst = j then
+              Some { e with Pipe.src = at e.Pipe.src; dst = at e.Pipe.dst }
+            else None)
+          r.redges
+      in
+      let extra = if self_lat > 0 then [ edge c c self_lat 1 ] else [] in
+      { r with rn = c + 1; redges = List.sort compare (r.redges @ copies @ extra) }
+    in
+    return (List.fold_left clone r picks))
+
+(* The worklist and the reference full sweep reach the same fixpoint
+   and the same verdict at every node, so whole searches must match:
+   verdict, node count and witness. Small budgets cut both at the same
+   node. *)
+let prop_decide_vs_ref =
+  QCheck.Test.make ~name:"decide = full-sweep reference on random DDGs" ~count:300
+    (QCheck.make
+       ~print:(fun (r, b) -> Printf.sprintf "%s budget=%d" (ddg_print r) b)
+       QCheck.Gen.(pair twin_gen (int_range 1 40)))
+    (fun (r, small) ->
+      let p = mk_problem ~issue:r.rissue r.rn r.redges in
+      List.for_all
+        (fun ii ->
+          List.for_all
+            (fun budget -> Exact.decide ~budget p ~ii = Exact_ref.decide ~budget p ~ii)
+            [ 0; small; 30_000 ])
+        [ p.Pipe.p_mii; p.Pipe.p_mii + 1; p.Pipe.p_mii + 2 ])
 
 (* Independent witness validation, deliberately not via
    Exact.check_schedule: the reservation table and every edge,
@@ -227,6 +300,41 @@ let test_corpus_skip_confirmed () =
     Helpers.check_bool "skip confirmed" true (r.Oracle.r_status = "skip-confirmed")
   | None -> Alcotest.fail "expected an analyzable skipped loop in nasa7-2"
 
+let test_corpus_straggler () =
+  (* NAS-6 at issue 8: 72 operations, II 9 fills every reservation row,
+     and 5,000 nodes (perfbench's budget) decide nothing below the
+     heuristic's II 10. *)
+  match Impact_workloads.Suite.find "NAS-6" with
+  | None -> Alcotest.fail "unknown kernel NAS-6"
+  | Some w -> (
+    let tp =
+      Compile.transform_with Impact_core.Opts.default Level.Conv
+        (Impact_fir.Lower.lower w.Impact_workloads.Suite.ast)
+    in
+    let _, reps = Pipe.run_with_problems Machine.issue_8 tp in
+    match
+      List.filter_map
+        (fun ((rep : Pipe.report), p) ->
+          match (rep.Pipe.status, p) with
+          | Pipe.Pipelined i, Some p -> Some (p, i.Pipe.ii)
+          | _ -> None)
+        reps
+    with
+    | [ (p, heur) ] ->
+      let c = Exact.certify ~budget:5_000 p ~heur_ii:(Some heur) in
+      Helpers.check_int "nodes" 5_000 c.Exact.ct_nodes;
+      Helpers.check_bool "not proved" false c.Exact.ct_proved;
+      Helpers.check_int "lb" 9 c.Exact.ct_lb;
+      Helpers.check_bool "ub = 10" true (c.Exact.ct_ub = Some 10);
+      (* At II 11 the search reaches a leaf without backtracking: the
+         potentials there, and so the witness, match the reference. *)
+      let r = Exact.decide p ~ii:11 in
+      Helpers.check_bool "reference agrees at II 11" true (r = Exact_ref.decide p ~ii:11);
+      (match r with
+      | Exact.Sat t, _ -> Helpers.check_bool "witness" true (Exact.check_schedule p ~ii:11 t)
+      | _ -> Alcotest.fail "II 11 should be Sat")
+    | ps -> Alcotest.failf "expected one pipelined NAS-6 loop, got %d" (List.length ps))
+
 let suite =
   [
     ( "exact",
@@ -237,7 +345,12 @@ let suite =
         test "certify: walk finds and proves the optimum" test_certify_walk;
         test "corpus: NAS-3 issue-8 proved optimal" test_corpus_optimal;
         test "corpus: nasa7-2 issue-8 skip confirmed" test_corpus_skip_confirmed;
+        test "corpus: NAS-6 issue-8 bounded at 5k nodes" test_corpus_straggler;
+        test "decide: worklist chases a warm-start cycle" test_warm_start_cycle;
       ]
-      @ [ to_alcotest ~rand:(Random.State.make [| 0x5EED |]) prop_oracle_differential ]
+      @ [
+          to_alcotest ~rand:(Random.State.make [| 0x5EED |]) prop_oracle_differential;
+          to_alcotest ~rand:(Random.State.make [| 0x5EED |]) prop_decide_vs_ref;
+        ]
     );
   ]
