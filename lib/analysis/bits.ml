@@ -47,45 +47,53 @@ let equal (a : t) (b : t) =
 
 let is_empty (t : t) = Array.for_all (fun w -> w = 0) t
 
-(* Number of trailing zeros of a word with exactly one bit set. *)
-let ntz b =
-  let n = ref 0 and b = ref b in
-  if !b land 0xFFFFFFFF = 0 then begin
-    n := !n + 32;
-    b := !b lsr 32
-  end;
-  if !b land 0xFFFF = 0 then begin
-    n := !n + 16;
-    b := !b lsr 16
-  end;
-  if !b land 0xFF = 0 then begin
-    n := !n + 8;
-    b := !b lsr 8
-  end;
-  if !b land 0xF = 0 then begin
-    n := !n + 4;
-    b := !b lsr 4
-  end;
-  if !b land 0x3 = 0 then begin
-    n := !n + 2;
-    b := !b lsr 2
-  end;
-  if !b land 0x1 = 0 then incr n;
-  !n
+(* Number of trailing zeros of a word with exactly one bit set, by de
+   Bruijn multiplication: [debruijn] is a 64-bit de Bruijn sequence
+   B(2, 6) whose top six bits are zero, so for each of the word's bit
+   positions the top six bits of [b * debruijn] (mod 2^63) are a
+   different window of it. The table inverts that map; the index is
+   always below 64. *)
+let debruijn = 0x022fdd63cc95386d
+
+let ntz_table =
+  let t = Array.make 64 0 in
+  for i = 0 to bpw - 1 do
+    t.(((1 lsl i) * debruijn) lsr (bpw - 6)) <- i
+  done;
+  t
+
+let ntz b = Array.unsafe_get ntz_table ((b * debruijn) lsr (bpw - 6))
+
+(* Set bits of [v], read as word [w] of a set, in ascending order. *)
+let iter_word f w v =
+  let v = ref v in
+  let base = w * bpw in
+  while !v <> 0 do
+    let b = !v land (- !v) in
+    f (base + ntz b);
+    v := !v land (!v - 1)
+  done
 
 (* Iterate set bits in ascending order. With the dense register
    numbering sorted by [Reg.Ord], ascending bit order coincides with
    [Reg.Set] iteration order. *)
 let iter f (t : t) =
   for w = 0 to Array.length t - 1 do
-    let v = ref t.(w) in
-    let base = w * bpw in
-    while !v <> 0 do
-      let b = !v land (- !v) in
-      f (base + ntz b);
-      v := !v land (!v - 1)
-    done
+    iter_word f w t.(w)
   done
+
+let words (t : t) = Array.length t
+
+let word (t : t) w = t.(w)
+
+let first (t : t) =
+  let n = Array.length t in
+  let rec go w =
+    if w >= n then -1
+    else if t.(w) = 0 then go (w + 1)
+    else (w * bpw) + ntz (t.(w) land (- t.(w)))
+  in
+  go 0
 
 let count (t : t) =
   let c = ref 0 in

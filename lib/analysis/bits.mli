@@ -34,6 +34,25 @@ val is_empty : t -> bool
 val iter : (int -> unit) -> t -> unit
 (** Set bits in ascending index order. *)
 
+val first : t -> int
+(** Smallest element, or -1 when the set is empty. *)
+
+(** {2 Word-level access}
+
+    For callers that combine several sets of the same universe word by
+    word (the interference matrix of the register allocator), then visit
+    only the bits of the combined word. *)
+
+val words : t -> int
+(** Number of backing words. *)
+
+val word : t -> int -> int
+(** [word t w] is the [w]-th backing word. *)
+
+val iter_word : (int -> unit) -> int -> int -> unit
+(** [iter_word f w v] calls [f] on the index of every set bit of [v],
+    read as word [w] of a set, in ascending order. *)
+
 val count : t -> int
 
 val elements : t -> int list

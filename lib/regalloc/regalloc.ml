@@ -8,16 +8,17 @@
    ordering); the color counts per class are the reported register
    usage.
 
-   The allocator works on dense register indices from [Liveness.Dense]:
-   the graph is one backward sweep appending to compact adjacency arrays
-   (a bitset adjacency matrix dedups edges), and simplify pops a lazy
-   integer min-heap keyed on degree * nregs + index instead of
-   rescanning all nodes per removal. Simplify removes the (degree,
-   node-order)-lexicographically smallest node and select assigns the
-   lowest free color in reverse removal order, exactly as the original
-   [Reg.Set]-per-node construction with an O(V^2) min-degree scan did;
-   that formulation is kept in test/regalloc_ref.ml as the
-   differential-testing oracle. *)
+   The graph is an nr x nr bit matrix over the dense register indices
+   of [Liveness.Dense], one [Bits.t] row per register. One forward sweep
+   inserts edges word by word: a definition's new neighbours are its
+   live-out set, masked to its class and minus the neighbours its row
+   already holds. Simplify keeps one bitset per degree over the class's
+   node-order positions, so the lowest non-empty bucket's first bit is
+   the (degree, node-order)-smallest node, and select reads colors off
+   the matrix rows. That is exactly the removal and color order of the
+   original [Reg.Set]-per-node construction with an O(V^2) min-degree
+   scan, kept in test/regalloc_ref.ml as the differential-testing
+   oracle. *)
 
 open Impact_ir
 open Impact_analysis
@@ -26,59 +27,12 @@ type usage = { int_used : int; float_used : int }
 
 let total u = u.int_used + u.float_used
 
-(* ---- Fast path: dense indices, adjacency arrays, heap simplify ---- *)
-
-(* Lazy binary min-heap over plain ints. *)
-module Iheap = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create cap = { a = Array.make (max cap 16) 0; n = 0 }
-
-  let push h x =
-    if h.n = Array.length h.a then begin
-      let a' = Array.make (2 * h.n) 0 in
-      Array.blit h.a 0 a' 0 h.n;
-      h.a <- a'
-    end;
-    let i = ref h.n in
-    h.n <- h.n + 1;
-    h.a.(!i) <- x;
-    while !i > 0 && h.a.((!i - 1) / 2) > h.a.(!i) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let pop h =
-    let top = h.a.(0) in
-    h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < h.n && h.a.(l) < h.a.(!s) then s := l;
-      if r < h.n && h.a.(r) < h.a.(!s) then s := r;
-      if !s = !i then continue := false
-      else begin
-        let tmp = h.a.(!s) in
-        h.a.(!s) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !s
-      end
-    done;
-    top
-end
-
-(* Compact interference graph over dense register indices. *)
+(* Interference graph over dense register indices. *)
 type dgraph = {
   nr : int;
   present : bool array;  (* occurs in code or has an edge (old [node] set) *)
   cls_of : Reg.cls array;
-  adj : int array array;  (* per-node neighbor lists *)
+  rows : Bits.t array;  (* the bit matrix: b is in rows.(a) iff a and b interfere *)
   deg : int array;
   dregs : Reg.t array;  (* dense index -> register *)
   node_order : int list;
@@ -108,40 +62,16 @@ let build_dense (p : Prog.t) : dgraph =
       Hashtbl.replace order_tbl dregs.(i) i
     end
   in
-  (* Bitset adjacency matrix dedups edge insertions. *)
-  let mat = Bits.create (nr * nr) in
+  let rows = Array.init nr (fun _ -> Bits.create nr) in
+  let ints = Bits.create nr and floats = Bits.create nr in
+  Array.iteri (fun i c -> Bits.add (if c = Reg.Int then ints else floats) i) cls_of;
   let deg = Array.make nr 0 in
-  let ebuf = ref (Array.make 256 0) in
-  let ecount = ref 0 in
-  let push_edge a b =
-    if !ecount + 2 > Array.length !ebuf then begin
-      let a' = Array.make (2 * Array.length !ebuf) 0 in
-      Array.blit !ebuf 0 a' 0 !ecount;
-      ebuf := a'
-    end;
-    !ebuf.(!ecount) <- a;
-    !ebuf.(!ecount + 1) <- b;
-    ecount := !ecount + 2
-  in
-  (* [a] is always a definition, seen just before its edges. *)
-  let add_edge a b =
-    if a <> b && cls_of.(a) = cls_of.(b) then begin
-      node_seen b;
-      let key = (a * nr) + b in
-      if not (Bits.mem mat key) then begin
-        Bits.add mat key;
-        Bits.add mat ((b * nr) + a);
-        push_edge a b;
-        deg.(a) <- deg.(a) + 1;
-        deg.(b) <- deg.(b) + 1
-      end
-    end
-  in
+  let edges = ref 0 in
   for k = 0 to Array.length code - 1 do
     let i = code.(k) in
-    let di = live.Liveness.Dense.def.(k) in
-    if di >= 0 then begin
-      node_seen di;
+    let d = live.Liveness.Dense.def.(k) in
+    if d >= 0 then begin
+      node_seen d;
       (* A definition interferes with everything live across it; a
          move's source is exempt (coalescable). *)
       let exempt =
@@ -149,9 +79,25 @@ let build_dense (p : Prog.t) : dgraph =
         | (Insn.IMov | Insn.FMov), [| Operand.Reg s |] -> index.(Reg.hash s - base)
         | _ -> -1
       in
-      Bits.iter
-        (fun r -> if r <> exempt then add_edge di r)
-        live.Liveness.Dense.live_out.(k)
+      let row = rows.(d) and out = live.Liveness.Dense.live_out.(k) in
+      let mask = if cls_of.(d) = Reg.Int then ints else floats in
+      (* Only registers not yet adjacent to [d] are visited, in
+         ascending order. An adjacent one was seen when its edge went
+         in, so [node_seen] still sees the reference sequence. *)
+      let add b =
+        if b <> d && b <> exempt then begin
+          node_seen b;
+          Bits.add row b;
+          Bits.add rows.(b) d;
+          deg.(b) <- deg.(b) + 1;
+          deg.(d) <- deg.(d) + 1;
+          incr edges
+        end
+      in
+      for w = 0 to Bits.words row - 1 do
+        Bits.iter_word add w
+          (Bits.word out w land Bits.word mask w land lnot (Bits.word row w))
+      done
     end;
     let srcs = i.Insn.srcs in
     for j = 0 to Array.length srcs - 1 do
@@ -160,35 +106,23 @@ let build_dense (p : Prog.t) : dgraph =
       | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
     done
   done;
-  let adj = Array.init nr (fun i -> Array.make deg.(i) 0) in
-  let fill = Array.make nr 0 in
-  let eb = !ebuf in
-  let m = !ecount in
-  let e = ref 0 in
-  while !e < m do
-    let a = eb.(!e) and b = eb.(!e + 1) in
-    adj.(a).(fill.(a)) <- b;
-    fill.(a) <- fill.(a) + 1;
-    adj.(b).(fill.(b)) <- a;
-    fill.(b) <- fill.(b) + 1;
-    e := !e + 2
-  done;
   let node_order = Hashtbl.fold (fun _ i acc -> i :: acc) order_tbl [] in
-  { nr; present; cls_of; adj; deg; dregs; node_order; edges = m / 2 }
+  { nr; present; cls_of; rows; deg; dregs; node_order; edges = !edges }
 
-(* Color one class: simplify by popping the (degree, node-order
-   position)-smallest node off a lazy heap (stale keys are skipped),
-   then select lowest free colors in reverse removal order. Identical
-   ordering semantics to the reference coloring, whose min-degree scan keeps
-   the first listed node among equal degrees. Returns (colors per dense
-   index, color count, heap pops). *)
-let color_class_dense (g : dgraph) (cls : Reg.cls) : int array * int * int =
-  let color = Array.make g.nr (-1) in
-  let cur = Array.copy g.deg in
-  let removed = Array.make g.nr false in
-  (* Position of each class node in the reference node order; heap keys
-     are degree * m + position, so ties break exactly as the reference
-     scan does. *)
+(* [f] on every neighbour of [a] that is in [among], ascending. *)
+let iter_adjacent f (g : dgraph) a among =
+  let row = g.rows.(a) in
+  for w = 0 to Bits.words row - 1 do
+    Bits.iter_word f w (Bits.word row w land Bits.word among w)
+  done
+
+(* Color one class into [color] and return its color count. Simplify
+   removes the node of least (degree, node-order position): bucket d is
+   the set of positions of remaining nodes of degree d, so the first
+   bit of the lowest non-empty bucket is that node, exactly the one the
+   reference scan keeps among equal degrees. Select then assigns lowest
+   free colors in reverse removal order. *)
+let color_class (g : dgraph) (color : int array) (cls : Reg.cls) : int =
   let pos = Array.make g.nr (-1) in
   let m = ref 0 in
   List.iter
@@ -198,47 +132,62 @@ let color_class_dense (g : dgraph) (cls : Reg.cls) : int array * int * int =
         incr m
       end)
     g.node_order;
-  let mm = !m in
-  let heap = Iheap.create 64 in
+  let m = !m in
+  let by_pos = Array.make m 0 in
+  let alive = Bits.create g.nr in
+  let maxd = ref 0 in
   for i = 0 to g.nr - 1 do
-    if pos.(i) >= 0 then Iheap.push heap ((cur.(i) * mm) + pos.(i))
-  done;
-  let by_pos = Array.make mm 0 in
-  for i = 0 to g.nr - 1 do
-    if pos.(i) >= 0 then by_pos.(pos.(i)) <- i
-  done;
-  let order = Array.make mm 0 in
-  let taken = ref 0 in
-  let pops = ref 0 in
-  while !taken < mm do
-    let key = Iheap.pop heap in
-    incr pops;
-    let i = by_pos.(key mod mm) in
-    let d = key / mm in
-    if (not removed.(i)) && d = cur.(i) then begin
-      removed.(i) <- true;
-      order.(!taken) <- i;
-      incr taken;
-      Array.iter
-        (fun x ->
-          if not removed.(x) then begin
-            cur.(x) <- cur.(x) - 1;
-            Iheap.push heap ((cur.(x) * mm) + pos.(x))
-          end)
-        g.adj.(i)
+    if pos.(i) >= 0 then begin
+      by_pos.(pos.(i)) <- i;
+      Bits.add alive i;
+      maxd := max !maxd g.deg.(i)
     end
   done;
-  (* Select, last-removed first. The scratch array marks neighbor
-     colors with a stamp so it never needs clearing. *)
-  let mark = Array.make (!m + 1) (-1) in
+  let cur = Array.copy g.deg in
+  let bucket = Array.init (!maxd + 1) (fun _ -> Bits.create m) in
+  let size = Array.make (!maxd + 1) 0 in
+  let put x d =
+    Bits.add bucket.(d) pos.(x);
+    size.(d) <- size.(d) + 1
+  in
+  let take x d =
+    Bits.remove bucket.(d) pos.(x);
+    size.(d) <- size.(d) - 1
+  in
+  Array.iter (fun i -> put i cur.(i)) by_pos;
+  let lo = ref 0 in
+  (* A remaining neighbour of a removed node drops one bucket. *)
+  let drop x =
+    let d = cur.(x) in
+    take x d;
+    put x (d - 1);
+    cur.(x) <- d - 1;
+    if d - 1 < !lo then lo := d - 1
+  in
+  let order = Array.make m 0 in
+  for t = 0 to m - 1 do
+    while size.(!lo) = 0 do
+      incr lo
+    done;
+    let i = by_pos.(Bits.first bucket.(!lo)) in
+    take i !lo;
+    Bits.remove alive i;
+    order.(t) <- i;
+    iter_adjacent drop g i alive
+  done;
+  (* Select, last-removed first, reading only the neighbours already
+     colored. The scratch array marks their colors with a stamp so it
+     never needs clearing. *)
+  let colored = Bits.create g.nr in
+  let mark = Array.make (m + 1) (-1) in
+  let stamp = ref 0 in
+  let mark_color x = mark.(color.(x)) <- !stamp in
   let count = ref 0 in
-  for t = !m - 1 downto 0 do
+  for t = m - 1 downto 0 do
     let i = order.(t) in
-    Array.iter
-      (fun x ->
-        let c = color.(x) in
-        if c >= 0 && c <= !m then mark.(c) <- t)
-      g.adj.(i);
+    stamp := t;
+    iter_adjacent mark_color g i colored;
+    Bits.add colored i;
     let c = ref 0 in
     while mark.(!c) = t do
       incr c
@@ -246,29 +195,30 @@ let color_class_dense (g : dgraph) (cls : Reg.cls) : int array * int * int =
     color.(i) <- !c;
     if !c + 1 > !count then count := !c + 1
   done;
-  (color, !count, !pops)
+  !count
 
-(* Full fast assignment for validation in tests. *)
-let coloring_fast (p : Prog.t) : (Reg.t * int) list =
+(* The one allocation path: [measure] reports its counts, the tests
+   validate its per-register colors through [coloring_fast]. *)
+let allocate (p : Prog.t) : dgraph * int array * usage =
   let g = build_dense p in
-  let ci, _, _ = color_class_dense g Reg.Int in
-  let cf, _, _ = color_class_dense g Reg.Float in
+  let color = Array.make g.nr (-1) in
+  let int_used = color_class g color Reg.Int in
+  let float_used = color_class g color Reg.Float in
+  (g, color, { int_used; float_used })
+
+let coloring_fast (p : Prog.t) : (Reg.t * int) list =
+  let g, color, _ = allocate p in
   let acc = ref [] in
   for i = g.nr - 1 downto 0 do
-    if g.present.(i) then
-      let c = match g.cls_of.(i) with Reg.Int -> ci.(i) | Reg.Float -> cf.(i) in
-      acc := (g.dregs.(i), c) :: !acc
+    if g.present.(i) then acc := (g.dregs.(i), color.(i)) :: !acc
   done;
   !acc
 
 let measure (p : Prog.t) : usage =
-  let g = build_dense p in
-  let _, ints, pops_i = color_class_dense g Reg.Int in
-  let _, floats, pops_f = color_class_dense g Reg.Float in
+  let g, _, u = allocate p in
   if Impact_obs.Obs.collecting () then begin
     let nodes = Array.fold_left (fun a b -> if b then a + 1 else a) 0 g.present in
     Impact_obs.Obs.count ~n:nodes "regalloc.nodes";
-    Impact_obs.Obs.count ~n:g.edges "regalloc.edges";
-    Impact_obs.Obs.count ~n:(pops_i + pops_f) "regalloc.simplify_steps"
+    Impact_obs.Obs.count ~n:g.edges "regalloc.edges"
   end;
-  { int_used = ints; float_used = floats }
+  u

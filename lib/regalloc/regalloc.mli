@@ -11,10 +11,12 @@ type usage = { int_used : int; float_used : int }
 val total : usage -> int
 
 val measure : Prog.t -> usage
-(** Color both classes of a program and report the counts. Fast path:
-    dense register indices, compact adjacency arrays built in one
-    backward pass, and heap-based simplify. *)
+(** Color both classes of a program and report the counts. The
+    interference graph is a bit matrix over dense register indices,
+    filled word by word in one forward pass; simplify pops the
+    (degree, node order)-smallest node off per-degree bitset buckets. *)
 
 val coloring_fast : Prog.t -> (Reg.t * int) list
-(** Full assignment, for differential validation against the reference
-    allocator in test/regalloc_ref.ml. *)
+(** Full assignment from the same allocation as [measure], for
+    differential validation against the reference allocator in
+    test/regalloc_ref.ml. *)

@@ -14,8 +14,8 @@ the baseline exactly. Those numbers are deterministic for any worker
 count, so any drift is a correctness bug (e.g. a machine-model change
 leaking into the default in-order configuration), not host noise. The
 same mode requires every deterministic work counter in the baseline's
-metrics.counters (cse.*, dce.worklist_pushes, regalloc.nodes/edges/
-simplify_steps, pass.*, pipe.*) to match the fresh run exactly: an
+metrics.counters (cse.*, dce.worklist_pushes, regalloc.nodes/edges,
+pass.*, pipe.*) to match the fresh run exactly: an
 algorithmic change in the transformation or allocation work fails here
 whatever the host speed, while wall times keep their tolerance.
 

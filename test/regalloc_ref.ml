@@ -107,20 +107,21 @@ let class_coloring (graph : (Reg.t, Reg.Set.t) Hashtbl.t) (cls : Reg.cls) :
     Hashtbl.fold (fun r c acc -> (r, c) :: acc) color []
   end
 
-let color_class graph cls =
-  List.fold_left (fun acc (_, c) -> max acc (c + 1)) 0 (class_coloring graph cls)
-
-(* Reference end-to-end measurement: [Reg.Set] interference + O(V^2)
-   simplify. Exercised by the differential tests in t_regalloc. *)
-let color_ref (p : Prog.t) : Regalloc.usage =
-  let graph = interference p in
-  {
-    Regalloc.int_used = color_class graph Reg.Int;
-    float_used = color_class graph Reg.Float;
-  }
-
 (* Full coloring of a program, for validation: interfering registers of
    the same class never share a color. *)
 let coloring (p : Prog.t) : (Reg.t * int) list * (Reg.t, Reg.Set.t) Hashtbl.t =
   let graph = interference p in
   (class_coloring graph Reg.Int @ class_coloring graph Reg.Float, graph)
+
+(* Color counts per class of an assignment. *)
+let usage_of (assignment : (Reg.t * int) list) : Regalloc.usage =
+  let used cls =
+    List.fold_left
+      (fun acc ((r : Reg.t), c) -> if r.Reg.cls = cls then max acc (c + 1) else acc)
+      0 assignment
+  in
+  { Regalloc.int_used = used Reg.Int; float_used = used Reg.Float }
+
+(* Reference end-to-end measurement: [Reg.Set] interference + O(V^2)
+   simplify. Exercised by the differential tests in t_regalloc. *)
+let color_ref (p : Prog.t) : Regalloc.usage = usage_of (fst (coloring p))

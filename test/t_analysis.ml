@@ -293,6 +293,33 @@ let liveness_tests =
       check_bool "f2 live in" true (Bits.mem d.Liveness.Dense.live_in.(0) 1));
   ]
 
+(* Word-level bitset operations against a list model, across word
+   boundaries. *)
+let bits_tests =
+  [
+    test "every bit position iterates, and first finds it" (fun () ->
+      let n = 200 in
+      for i = 0 to n - 1 do
+        let t = Bits.create n in
+        Bits.add t i;
+        check_bool (Printf.sprintf "elements {%d}" i) true (Bits.elements t = [ i ]);
+        check_int (Printf.sprintf "first {%d}" i) i (Bits.first t)
+      done;
+      check_int "first of empty" (-1) (Bits.first (Bits.create n)));
+    test "word-wise combination matches the list model" (fun () ->
+      let n = 300 in
+      let a = Bits.create n and b = Bits.create n in
+      List.iter (Bits.add a) [ 0; 5; 61; 62; 63; 64; 125; 126; 127; 188; 250; 299 ];
+      List.iter (Bits.add b) [ 5; 62; 63; 127; 128; 189; 250; 298; 299 ];
+      let got = ref [] in
+      for w = 0 to Bits.words a - 1 do
+        Bits.iter_word (fun i -> got := i :: !got) w
+          (Bits.word a w land lnot (Bits.word b w))
+      done;
+      check_bool "a \\ b" true
+        (List.rev !got = List.filter (fun i -> not (Bits.mem b i)) (Bits.elements a)));
+  ]
+
 let ddg_tests =
   let edge_exists ddg a b =
     List.exists (fun (d, _) -> d = b) ddg.Ddg.succs.(a)
@@ -742,6 +769,7 @@ let suite =
     ("analysis.dom", dom_tests);
     ("analysis.linval", linval_tests);
     ("analysis.liveness", liveness_tests);
+    ("analysis.bits", bits_tests);
     ("analysis.ddg", ddg_tests);
     ("analysis.liveness.corpus", liveness_corpus_tests);
     ("analysis.liveness.masked", masked_liveness_tests);
