@@ -301,29 +301,30 @@ let print_stall_table (prof : Impact_sim.Sim.profile) =
   Printf.printf "  classified %d of %d empty slot-cycles%s\n" classified empty
     (if classified = empty then " (exact)" else " (MISMATCH)")
 
-let print_ilp_histogram (prof : Impact_sim.Sim.profile) =
-  let open Impact_sim.Sim in
-  Printf.printf "issued-per-cycle histogram\n";
+(* Histogram of instructions [verb] ("issued", "dispatched") per cycle,
+   over [total] cycles. *)
+let print_ilp_histogram ~verb ~total ilp =
+  Printf.printf "%s-per-cycle histogram\n" verb;
   Array.iteri
     (fun k cycles ->
       if cycles > 0 then
-        Printf.printf "  %2d issued %9d cycles %5.1f%%  %s\n" k cycles
-          (100.0 *. float_of_int cycles /. float_of_int (max 1 prof.p_cycles))
-          (String.make
-             (max 1 (40 * cycles / max 1 prof.p_cycles))
-             '#'))
-    prof.p_ilp
+        Printf.printf "  %2d %s %9d cycles %5.1f%%  %s\n" k verb cycles
+          (100.0 *. float_of_int cycles /. float_of_int (max 1 total))
+          (String.make (max 1 (40 * cycles / max 1 total)) '#'))
+    ilp
 
-let print_hot_insns ?(limit = 8) (prof : Impact_sim.Sim.profile) =
-  let open Impact_sim.Sim in
-  let rows = Array.to_list prof.p_insn_issues in
-  let rows = List.filter (fun (_, n) -> n > 0) rows in
-  let rows = List.stable_sort (fun (_, a) (_, b) -> compare b a) rows in
-  Printf.printf "hottest static instructions (by dynamic issues)\n";
-  List.iteri
-    (fun k (i, n) ->
-      if k < limit then Printf.printf "  %9d  %s\n" n (Insn.to_string i))
-    rows
+(* The 8 hottest static instructions by dynamic count, hottest first;
+   ties keep program order and instructions that never ran are left out.
+   The printed report and `profile --json` both list these. *)
+let hot_insns counts =
+  Array.to_list counts
+  |> List.filter (fun (_, n) -> n > 0)
+  |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
+  |> List.filteri (fun k _ -> k < 8)
+
+let print_hot_insns ~by counts =
+  Printf.printf "hottest static instructions (by dynamic %s)\n" by;
+  List.iter (fun (i, n) -> Printf.printf "  %9d  %s\n" n (Insn.to_string i)) (hot_insns counts)
 
 (* OOO counterpart of the stall table: every dispatch slot of every
    cycle either dispatched an instruction or has exactly one attributed
@@ -350,30 +351,6 @@ let print_ooo_stall_table (prof : Impact_ooo.Ooo.profile) =
   Printf.printf "  classified %d of %d empty dispatch slots%s\n" classified
     empty
     (if classified = empty then " (exact)" else " (MISMATCH)")
-
-let print_ooo_ilp_histogram (prof : Impact_ooo.Ooo.profile) =
-  let open Impact_ooo.Ooo in
-  Printf.printf "dispatched-per-cycle histogram\n";
-  Array.iteri
-    (fun k cycles ->
-      if cycles > 0 then
-        Printf.printf "  %2d dispatched %9d cycles %5.1f%%  %s\n" k cycles
-          (100.0 *. float_of_int cycles /. float_of_int (max 1 prof.o_cycles))
-          (String.make
-             (max 1 (40 * cycles / max 1 prof.o_cycles))
-             '#'))
-    prof.o_ilp
-
-let print_ooo_hot_insns ?(limit = 8) (prof : Impact_ooo.Ooo.profile) =
-  let open Impact_ooo.Ooo in
-  let rows = Array.to_list prof.o_insn_dispatches in
-  let rows = List.filter (fun (_, n) -> n > 0) rows in
-  let rows = List.stable_sort (fun (_, a) (_, b) -> compare b a) rows in
-  Printf.printf "hottest static instructions (by dynamic dispatches)\n";
-  List.iteri
-    (fun k (i, n) ->
-      if k < limit then Printf.printf "  %9d  %s\n" n (Insn.to_string i))
-    rows
 
 (* One level x machine cell of the profile's stall-summary matrix, in a
    core-agnostic shape shared by the printed table and `profile --json`:
@@ -509,13 +486,11 @@ let print_ooo_level_matrix rows =
 
 module J = Impact_svc.Json
 
-let json_of_hot ?(limit = 8) rows =
-  let rows = List.filter (fun (_, n) -> n > 0) rows in
-  let rows = List.stable_sort (fun (_, a) (_, b) -> compare b a) rows in
+let json_of_hot counts =
   J.List
-    (List.filteri (fun k _ -> k < limit) rows
-    |> List.map (fun (i, n) ->
-           J.Obj [ ("insn", J.Str (Insn.to_string i)); ("count", J.Int n) ]))
+    (List.map
+       (fun (i, n) -> J.Obj [ ("insn", J.Str (Insn.to_string i)); ("count", J.Int n) ])
+       (hot_insns counts))
 
 let json_of_ilp ilp = J.List (Array.to_list (Array.map (fun n -> J.Int n) ilp))
 
@@ -555,7 +530,7 @@ let inorder_sim_json (prof : Impact_sim.Sim.profile) =
           ("drain", J.Int prof.p_drain);
         ] );
     ("ilp", json_of_ilp prof.p_ilp);
-    ("hot_insns", json_of_hot (Array.to_list prof.p_insn_issues));
+    ("hot_insns", json_of_hot prof.p_insn_issues);
   ]
 
 let ooo_sim_json (prof : Impact_ooo.Ooo.profile) =
@@ -574,7 +549,7 @@ let ooo_sim_json (prof : Impact_ooo.Ooo.profile) =
         ] );
     ("max_rob", J.Int prof.o_max_rob);
     ("ilp", json_of_ilp prof.o_ilp);
-    ("hot_insns", json_of_hot (Array.to_list prof.o_insn_dispatches));
+    ("hot_insns", json_of_hot prof.o_insn_dispatches);
   ]
 
 let profile_json ~name ~(co : common_opts) ~(machine : Machine.t) ~result ~rep
@@ -669,9 +644,9 @@ let profile_cmd =
           (fun () ->
             print_stall_table prof;
             print_newline ();
-            print_ilp_histogram prof;
+            print_ilp_histogram ~verb:"issued" ~total:prof.p_cycles prof.p_ilp;
             print_newline ();
-            print_hot_insns prof;
+            print_hot_insns ~by:"issues" prof.p_insn_issues;
             print_newline ();
             print_level_matrix rows),
           inorder_sim_json prof )
@@ -685,9 +660,9 @@ let profile_cmd =
           (fun () ->
             print_ooo_stall_table prof;
             print_newline ();
-            print_ooo_ilp_histogram prof;
+            print_ilp_histogram ~verb:"dispatched" ~total:prof.o_cycles prof.o_ilp;
             print_newline ();
-            print_ooo_hot_insns prof;
+            print_hot_insns ~by:"dispatches" prof.o_insn_dispatches;
             print_newline ();
             print_ooo_level_matrix rows),
           ooo_sim_json prof )

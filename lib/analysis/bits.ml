@@ -11,8 +11,6 @@ let bpw = Sys.int_size
 
 let create n = Array.make ((n + bpw - 1) / bpw) 0
 
-let length_hint t = Array.length t * bpw
-
 let mem (t : t) i = t.(i / bpw) land (1 lsl (i mod bpw)) <> 0
 
 let add (t : t) i = t.(i / bpw) <- t.(i / bpw) lor (1 lsl (i mod bpw))
@@ -39,13 +37,6 @@ let union_into ~(into : t) (src : t) : bool =
     end
   done;
   !changed
-
-let equal (a : t) (b : t) =
-  let n = Array.length a in
-  let rec go w = w >= n || (a.(w) = b.(w) && go (w + 1)) in
-  Array.length a = Array.length b && go 0
-
-let is_empty (t : t) = Array.for_all (fun w -> w = 0) t
 
 (* Number of trailing zeros of a word with exactly one bit set, by de
    Bruijn multiplication: [debruijn] is a 64-bit de Bruijn sequence
@@ -94,13 +85,3 @@ let first (t : t) =
     else (w * bpw) + ntz (t.(w) land (- t.(w)))
   in
   go 0
-
-let count (t : t) =
-  let c = ref 0 in
-  iter (fun _ -> incr c) t;
-  !c
-
-let elements (t : t) =
-  let acc = ref [] in
-  iter (fun i -> acc := i :: !acc) t;
-  List.rev !acc

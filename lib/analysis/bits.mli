@@ -7,10 +7,6 @@ type t
 val create : int -> t
 (** All-zero set able to hold indices in [0, n). *)
 
-val length_hint : t -> int
-(** Capacity in bits of the backing array (a multiple of the word
-    size). *)
-
 val mem : t -> int -> bool
 
 val add : t -> int -> unit
@@ -26,10 +22,6 @@ val copy_into : into:t -> t -> unit
 val union_into : into:t -> t -> bool
 (** [union_into ~into src] sets [into := into ∪ src] and reports
     whether [into] grew. *)
-
-val equal : t -> t -> bool
-
-val is_empty : t -> bool
 
 val iter : (int -> unit) -> t -> unit
 (** Set bits in ascending index order. *)
@@ -52,7 +44,3 @@ val word : t -> int -> int
 val iter_word : (int -> unit) -> int -> int -> unit
 (** [iter_word f w v] calls [f] on the index of every set bit of [v],
     read as word [w] of a set, in ascending order. *)
-
-val count : t -> int
-
-val elements : t -> int list

@@ -12,11 +12,4 @@ val carried_scalars : Sb.t -> Reg.t list
 (** Registers defined in the body whose incoming value may be observed
     by some use (dominance-based). *)
 
-val recurrences : Sb.t -> Linval.t -> Reg.t list
-(** Carried scalars that are not linear induction variables. *)
-
-val carried_memory_dep : Sb.t -> Linval.t -> bool
-
-val classify_body : Sb.t -> loop_class
-
 val classify : Block.loop -> loop_class

@@ -27,13 +27,6 @@ type t = {
   preds : (int * int) list array;
 }
 
-let kind_to_string = function
-  | Flow -> "flow"
-  | Anti -> "anti"
-  | Output -> "output"
-  | Mem -> "mem"
-  | Ctrl -> "ctrl"
-
 (* Conservative default: every destination is considered live at every
    branch target, i.e. no speculation. *)
 let no_speculation : Insn.t -> Reg.Set.t option = fun _ -> None
@@ -243,10 +236,6 @@ let heights (t : t) : int array =
       h.(p) <- max lat_self succ_max)
     order;
   h
-
-(* Length of the critical path through the segment (max height). *)
-let critical_path (t : t) : int =
-  Array.fold_left max 0 (heights t)
 
 (* ---- Loop-carried dependences and recurrence circuits ----
 

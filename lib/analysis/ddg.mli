@@ -19,12 +19,6 @@ type t = {
   preds : (int * int) list array;
 }
 
-val kind_to_string : kind -> string
-
-val no_speculation : Insn.t -> Reg.Set.t option
-(** Default [live_at_target]: treats every destination as live (no
-    speculation). *)
-
 val build :
   ?live_at_target:(Insn.t -> Reg.Set.t option) ->
   ?pre_env:Linval.lin Reg.Map.t ->
@@ -37,8 +31,6 @@ val build :
 val heights : t -> int array
 (** Longest-latency path from each node to the segment end (the list
     scheduling priority). *)
-
-val critical_path : t -> int
 
 type cedge = { cesrc : int; cedst : int; ckind : kind; clat : int; cdist : int }
 (** A loop-carried dependence: the instruction at [cesrc] in iteration

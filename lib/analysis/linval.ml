@@ -57,23 +57,6 @@ let diff a b =
 
 let terms a = KMap.bindings a.coeffs
 
-let lin_to_string a =
-  let parts =
-    List.map
-      (fun (k, v) ->
-        let ks =
-          match k with
-          | Key.KReg r -> Reg.to_string r
-          | Key.KOpq n -> Printf.sprintf "?%d" n
-          | Key.KLab s -> s
-          | Key.KTrip l -> Printf.sprintf "T%d" l
-        in
-        if v = 1 then ks else Printf.sprintf "%d*%s" v ks)
-      (terms a)
-  in
-  let parts = if a.c <> 0 || parts = [] then parts @ [ string_of_int a.c ] else parts in
-  String.concat " + " parts
-
 type t = {
   sb : Sb.t;
   res : lin option array;  (* per position: value written to the (int) dst *)

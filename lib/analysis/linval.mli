@@ -12,23 +12,13 @@ module Key : sig
     | KOpq of int  (** an unknowable value (instruction id or merge key) *)
     | KLab of string  (** an array base address *)
     | KTrip of int  (** the unknown trip count of an intermediate loop *)
-
-  val compare : t -> t -> int
 end
 
 module KMap : Map.S with type key = Key.t
 
 type lin = { coeffs : int KMap.t; c : int }
 
-val const : int -> lin
-
-val of_key : Key.t -> lin
-
-val add : lin -> lin -> lin
-
 val sub : lin -> lin -> lin
-
-val scale : int -> lin -> lin
 
 val is_const : lin -> bool
 
@@ -38,8 +28,6 @@ val diff : lin -> lin -> int option
 (** [diff a b = Some d] when [a - b] is the constant [d]. *)
 
 val terms : lin -> (Key.t * int) list
-
-val lin_to_string : lin -> string
 
 (** Result of analyzing one body / segment. *)
 type t = {
@@ -57,8 +45,6 @@ val result : t -> int -> lin option
 
 val address : t -> int -> lin option
 
-val defs_of : t -> Reg.t -> int
-
 val invariant : t -> Reg.t -> bool
 
 val iv_step : t -> Reg.t -> int option
@@ -71,12 +57,6 @@ val label_of_addr : lin -> string option
 
 val subst : lin Reg.Map.t -> lin -> lin
 (** Substitute register-entry keys by their values in the environment. *)
-
-val compose : lin Reg.Map.t -> lin Reg.Map.t -> lin Reg.Map.t
-
-val loop_effect : Block.loop -> lin Reg.Map.t
-(** Abstract effect of running an intermediate loop (symbolic trip
-    count for linearly-stepped registers, opaque otherwise). *)
 
 val env_of_items : Block.item list -> lin Reg.Map.t
 (** Forward evaluation of a loop-preheader region: each integer

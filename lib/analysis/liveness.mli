@@ -48,12 +48,9 @@ module Dense : sig
   val solve : ?removed:bool array -> d -> unit
   (** (Re)compute the live sets of a frame in place. A position with
       [removed.(k)] is a no-op: it defines and uses nothing and falls
-      through, so the result equals {!analyze} on the code with those
-      positions deleted (a label at a removed position reads the
-      live-in of the next kept one), over the same numbering. *)
-
-  val analyze : ?exit_live:Reg.t list -> Flatten.t -> d
-  (** [frame] then [solve]. *)
+      through, so the result equals a fresh {!frame} and [solve] of the
+      code with those positions deleted (a label at a removed position
+      reads the live-in of the next kept one), over the same numbering. *)
 
   val of_prog : Prog.t -> d
   (** Dense liveness with the program outputs live at exit. *)

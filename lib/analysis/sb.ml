@@ -25,8 +25,6 @@ let make ~head ~exit_lbl (items : Block.item array) : t =
 let of_loop (l : Block.loop) : t =
   make ~head:l.Block.head ~exit_lbl:l.Block.exit_lbl (Array.of_list l.Block.body)
 
-let to_body (t : t) : Block.t = Array.to_list t.items
-
 let length t = Array.length t.items
 
 let insn t k =
@@ -43,9 +41,6 @@ let internal_target t (i : Insn.t) : int option =
 
 let is_back_branch t (i : Insn.t) =
   match i.Insn.target with Some l -> l = t.head | None -> false
-
-let is_exit_branch t (i : Insn.t) =
-  match i.Insn.target with Some l -> l = t.exit_lbl | None -> false
 
 (* Instruction positions in order. *)
 let insn_positions t =
@@ -83,19 +78,6 @@ let all_defs t =
   let s = ref Reg.Set.empty in
   iter_insns (fun _ i -> List.iter (fun r -> s := Reg.Set.add r !s) (Insn.defs i)) t;
   !s
-
-let all_uses t =
-  let s = ref Reg.Set.empty in
-  iter_insns (fun _ i -> List.iter (fun r -> s := Reg.Set.add r !s) (Insn.uses i)) t;
-  !s
-
-(* Positions defining a given register. *)
-let def_positions t r =
-  let acc = ref [] in
-  iter_insns
-    (fun k i -> if List.exists (Reg.equal r) (Insn.defs i) then acc := k :: !acc)
-    t;
-  List.rev !acc
 
 (* Number of defs per register. *)
 let def_counts t =

@@ -17,8 +17,6 @@ val make : head:string -> exit_lbl:string -> Block.item array -> t
 
 val of_loop : Block.loop -> t
 
-val to_body : t -> Block.t
-
 val length : t -> int
 
 val insn : t -> int -> Insn.t option
@@ -30,8 +28,6 @@ val internal_target : t -> Insn.t -> int option
 
 val is_back_branch : t -> Insn.t -> bool
 
-val is_exit_branch : t -> Insn.t -> bool
-
 val insn_positions : t -> int list
 
 val iter_insns : (int -> Insn.t -> unit) -> t -> unit
@@ -40,10 +36,6 @@ val succs : t -> int -> int list
 (** Successor positions within the body (external targets dropped). *)
 
 val all_defs : t -> Reg.Set.t
-
-val all_uses : t -> Reg.Set.t
-
-val def_positions : t -> Reg.t -> int list
 
 val def_counts : t -> (int, int) Hashtbl.t
 (** Number of definitions per register id. *)

@@ -27,12 +27,6 @@ val schedule_with : Opts.t -> Machine.t -> Prog.t -> Prog.t
     software-pipelines every eligible innermost loop via
     {!Impact_pipe.Pipe.run} and list-schedules the rest. *)
 
-val simulate :
-  ?fuel:int -> Machine.t -> Prog.t -> Impact_sim.Sim.result
-(** Simulation dispatched on [Machine.core]: {!Impact_sim.Sim.run} for
-    [Inorder], {!Impact_ooo.Ooo.run} for [Ooo]. Both produce the same
-    architectural results on the same program (pinned by test/t_ooo). *)
-
 val schedule_and_measure_with :
   Opts.t -> Level.t -> Machine.t -> Prog.t -> measurement
 (** Per-machine suffix on a transformed program: schedule, simulate

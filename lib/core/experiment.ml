@@ -185,12 +185,6 @@ let run_subject_full (opts : Opts.t) (machines : Machine.t list)
     in
     (cells, List.rev !poisons)
 
-let run_subject_with ?(on_poison = default_on_poison) (opts : Opts.t)
-    (machines : Machine.t list) (levels : Level.t list) (s : subject) : cell list =
-  let cells, poisons = run_subject_full opts machines levels s in
-  List.iter on_poison poisons;
-  cells
-
 let run_all_with ?workers ?(progress = fun _ -> ())
     ?(on_poison = default_on_poison) (opts : Opts.t) (machines : Machine.t list)
     (levels : Level.t list) (subjects : subject list) : cell list =

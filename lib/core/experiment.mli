@@ -41,7 +41,7 @@ type cache = {
 
 val set_cache : cache option -> unit
 (** Install (or remove) the measurement cache consulted by
-    {!base_measurement_with}, {!run_subject_with} and {!run_all_with}.
+    {!base_measurement_with} and {!run_all_with}.
     [Impact_svc.Service.install_cache] provides hooks backed by the
     persistent content-addressed store. *)
 
@@ -55,22 +55,6 @@ val base_measurement_with : Opts.t -> subject -> Compile.measurement
     [Impact_sim.Sim.Timeout]. *)
 
 val clear_base_cache : unit -> unit
-
-val run_subject_with :
-  ?on_poison:(poisoned -> unit) ->
-  Opts.t ->
-  Machine.t list ->
-  Level.t list ->
-  subject ->
-  cell list
-(** Evaluate one subject. The machine-independent transform prefix is
-    computed at most once per level, shared across machines, and skipped
-    entirely when every cell of that level is served from the
-    measurement cache; cells that time out are reported through
-    [on_poison] (default: a stderr warning) and omitted from the
-    result. [Opts.sched] selects the per-machine scheduler
-    ({!Compile.schedule_with}); the base measurement is always
-    list-scheduled. *)
 
 val run_all_with :
   ?workers:int ->
@@ -92,13 +76,9 @@ val filter_cells :
   ?group:string -> ?level:Level.t -> ?machine:Machine.t -> cell list -> cell list
 (** [~group:"non-doall"] selects everything that is not DOALL. *)
 
-val average : (cell -> float) -> cell list -> float
-
 val avg_speedup : cell list -> float
 
 val avg_regs : cell list -> float
-
-val histogram : bounds:float list -> (cell -> float) -> cell list -> int array
 
 val fig8_bounds : float list
 
@@ -111,8 +91,6 @@ val fig9_labels : string list
 val fig10_bounds : float list
 
 val fig10_labels : string list
-
-val reg_bounds : float list
 
 val reg_labels : string list
 

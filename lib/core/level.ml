@@ -35,8 +35,6 @@ let of_string = function
 
 let rank = function Conv -> 0 | Lev1 -> 1 | Lev2 -> 2 | Lev3 -> 3 | Lev4 -> 4
 
-let includes a b = rank a >= rank b
-
 let cleanup = Impact_opt.Conv.cleanup
 
 (* Telemetry wrapper around one transformation: a span per pass plus

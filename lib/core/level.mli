@@ -12,13 +12,6 @@ val to_string : t -> string
 
 val of_string : string -> t option
 
-val rank : t -> int
-
-val includes : t -> t -> bool
-(** [includes a b]: level [a] applies everything [b] does. *)
-
-val cleanup : Prog.t -> Prog.t
-
 val apply_custom :
   ?unroll_factor:int ->
   unroll:bool ->

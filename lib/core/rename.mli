@@ -4,6 +4,4 @@
     last definition keeps the original name so loop-carried values stay
     consistent. Definitions under internal guards are left alone. *)
 
-val rename_loop : Impact_ir.Prog.ctx -> Impact_ir.Block.loop -> Impact_ir.Block.loop
-
 val run : Impact_ir.Prog.t -> Impact_ir.Prog.t

@@ -23,13 +23,6 @@ let distribution_table ~title ~(labels : string list)
     labels;
   Buffer.contents buf
 
-(* Per-level averages of a quantity. *)
-let averages_row ~title (f : Level.t -> float) : string =
-  let cells =
-    List.map (fun l -> fmt "%s=%.2f" (Level.to_string l) (f l)) Level.all
-  in
-  fmt "%-28s %s\n" title (String.concat "  " cells)
-
 (* The level x issue evaluation matrix shares one machine list between
    the CLI, the bench harness, and the profiler so the three can never
    drift: the paper's Figure 4/5 sweep is issue 2/4/8 at each level. *)

@@ -3,15 +3,11 @@
 val distribution_table :
   title:string -> labels:string list -> (Level.t * int array) list -> string
 
-val averages_row : title:string -> (Level.t -> float) -> string
-
-val matrix_issues : int list
-(** Issue widths of the paper's evaluation matrix: [2; 4; 8]. *)
-
 val matrix_machines : ?core:Impact_ir.Machine.core -> unit -> Impact_ir.Machine.t list
-(** One machine per {!matrix_issues} width on the given core (default
-    [Inorder]). The single source of truth for the level x issue matrix
-    used by [impactc sweep]/[profile] and the bench harness. *)
+(** One machine per issue width of the paper's matrix (2, 4, 8) on the
+    given core (default [Inorder]). The single source of truth for the
+    level x issue matrix used by [impactc sweep]/[profile] and the bench
+    harness. *)
 
 val table1 : unit -> string
 

@@ -6,11 +6,4 @@
     is provably non-negative (the paper's suggested extension for
     superscalar targets). *)
 
-val expand_mul :
-  Impact_ir.Prog.ctx ->
-  Impact_ir.Reg.t ->
-  Impact_ir.Operand.t ->
-  int ->
-  Impact_ir.Insn.t list option
-
 val run : Impact_ir.Prog.t -> Impact_ir.Prog.t

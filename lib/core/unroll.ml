@@ -14,6 +14,7 @@
 open Impact_ir
 open Impact_analysis
 
+(* The paper's maximum unroll factor. *)
 let default_factor = 8
 
 (* Unrolled bodies are capped, mirroring the paper's "maximum loop body

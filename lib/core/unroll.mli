@@ -5,11 +5,4 @@
     counts fold the bookkeeping away; runtime counts are computed in the
     preheader. *)
 
-val default_factor : int
-(** 8, the paper's maximum unroll factor. *)
-
-val max_body_insns : int
-(** Unrolled-body size cap, mirroring the paper's "maximum loop body
-    size" limit. *)
-
 val run : ?factor:int -> Impact_ir.Prog.t -> Impact_ir.Prog.t

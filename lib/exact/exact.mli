@@ -97,8 +97,6 @@ val certify : ?budget:int -> Pipe.problem -> heur_ii:int option -> cert
     the walk caps at [heur_ii - 1] respectively [p_list_ci - 1] — IIs
     at or past those bounds are never an improvement. *)
 
-val oracle_of_cert : cert -> Pipe.oracle_cert
-
 val install : ?budget:int -> unit -> unit
 (** [Pipe.set_oracle] with {!certify}: every analyzable loop scheduled
     while telemetry collects gets certified, surfacing

@@ -35,9 +35,6 @@ type row = {
   r_nodes : int;
 }
 
-val schema : string
-(** ["impact-bench-oracle/1"]. *)
-
 val smoke_names : string list
 (** The CI smoke subset (same kernels as [bench pipe-smoke]). *)
 

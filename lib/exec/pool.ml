@@ -202,8 +202,6 @@ let executor_stats ex =
 
 let executor_workers ex = ex.ex_workers
 
-let executor_capacity ex = ex.ex_capacity
-
 let shutdown_executor ex =
   Mutex.lock ex.ex_mutex;
   ex.ex_closed <- true;

@@ -70,8 +70,6 @@ val executor_stats : executor -> executor_stats
 
 val executor_workers : executor -> int
 
-val executor_capacity : executor -> int
-
 val shutdown_executor : executor -> unit
 (** Drain and join: refuse new submissions, run every already-accepted
     job, then join the worker domains. Blocks until the queue is empty

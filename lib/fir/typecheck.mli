@@ -9,8 +9,6 @@ type tenv = {
   arrays : (string, Ast.ty * int list) Hashtbl.t;
 }
 
-val make_tenv : Ast.program -> tenv
-
 val expr_type : tenv -> Ast.expr -> Ast.ty
 
 val check : Ast.program -> tenv

@@ -53,28 +53,12 @@ let rec map_innermost f block =
   in
   List.map map_item block
 
-let rec map_loops f block =
-  let map_item = function
-    | Ins i -> Ins i
-    | Lbl s -> Lbl s
-    | Loop l -> Loop (f { l with body = map_loops f l.body })
-  in
-  List.map map_item block
-
 let rec iter_insns f block =
   List.iter
     (function
       | Ins i -> f i
       | Lbl _ -> ()
       | Loop l -> iter_insns f l.body)
-    block
-
-let rec map_insns f block =
-  List.map
-    (function
-      | Ins i -> Ins (f i)
-      | Lbl s -> Lbl s
-      | Loop l -> Loop { l with body = map_insns f l.body })
     block
 
 let rec concat_map_insns f block =
@@ -84,13 +68,3 @@ let rec concat_map_insns f block =
       | Lbl s -> [ Lbl s ]
       | Loop l -> [ Loop { l with body = concat_map_insns f l.body } ])
     block
-
-let find_loop block lid =
-  let rec go = function
-    | [] -> None
-    | Loop l :: rest ->
-      if l.lid = lid then Some l
-      else (match go l.body with Some x -> Some x | None -> go rest)
-    | (Ins _ | Lbl _) :: rest -> go rest
-  in
-  go block

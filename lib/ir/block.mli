@@ -33,13 +33,6 @@ val body_insns : loop -> Insn.t list
 val map_innermost : (loop -> loop) -> t -> t
 (** Rewrite every innermost loop. *)
 
-val map_loops : (loop -> loop) -> t -> t
-(** Rewrite every loop, inner loops first. *)
-
 val iter_insns : (Insn.t -> unit) -> t -> unit
 
-val map_insns : (Insn.t -> Insn.t) -> t -> t
-
 val concat_map_insns : (Insn.t -> Insn.t list) -> t -> t
-
-val find_loop : t -> int -> loop option

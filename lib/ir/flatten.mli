@@ -7,8 +7,6 @@ exception Unresolved_label of string
 
 exception Duplicate_label of string
 
-val of_block : Block.t -> t
-
 val target_index : t -> Insn.t -> int
 (** Index of a branch's target. *)
 

@@ -37,8 +37,6 @@ let uses i =
        | Operand.Reg r -> Some r
        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> None)
 
-let src i k = i.srcs.(k)
-
 let is_branch i = match i.op with Br _ | Jmp -> true | _ -> false
 
 let is_cond_branch i = match i.op with Br _ -> true | _ -> false
@@ -57,12 +55,6 @@ let mem_addr i =
     let disp = match i.srcs.(2) with Operand.Int d -> d | _ -> 0 in
     Some (i.srcs.(0), i.srcs.(1), disp)
   | IBin _ | FBin _ | IMov | FMov | ItoF | FtoI | Br _ | Jmp -> None
-
-(* The value operand of a store. *)
-let store_value i =
-  match i.op with
-  | Store _ -> Some i.srcs.(3)
-  | Load _ | IBin _ | FBin _ | IMov | FMov | ItoF | FtoI | Br _ | Jmp -> None
 
 (* Instructions with no side effect other than writing their destination
    register; these may be executed speculatively (the paper assumes
@@ -178,5 +170,3 @@ let to_string i =
     Printf.sprintf "b%s (%s %s) %s" (cmp_to_string c) (s 0) (s 1)
       (Option.value ~default:"?" i.target)
   | Jmp -> Printf.sprintf "jmp %s" (Option.value ~default:"?" i.target)
-
-let pp ppf i = Format.pp_print_string ppf (to_string i)

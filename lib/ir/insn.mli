@@ -33,8 +33,6 @@ val defs : t -> Reg.t list
 
 val uses : t -> Reg.t list
 
-val src : t -> int -> Operand.t
-
 val is_branch : t -> bool
 
 val is_cond_branch : t -> bool
@@ -47,8 +45,6 @@ val is_mem : t -> bool
 
 val mem_addr : t -> (Operand.t * Operand.t * int) option
 (** [(base, offset, displacement)] address components of a load or store. *)
-
-val store_value : t -> Operand.t option
 
 val is_speculatable : t -> bool
 (** True for instructions that only write a register (including
@@ -67,16 +63,8 @@ val eval_icmp : cmp -> int -> int -> bool
 
 val eval_fcmp : cmp -> float -> float -> bool
 
-val ibin_to_string : ibin -> string
-
-val fbin_to_string : fbin -> string
-
-val cmp_to_string : cmp -> string
-
 val equal_content : t -> t -> bool
 (** Structural equality of op, destination, operands and target,
     ignoring the instruction id. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -9,13 +9,7 @@ type t =
 
 let reg r = Reg r
 
-let int n = Int n
-
-let flt x = Flt x
-
 let lab s = Lab s
-
-let is_reg = function Reg _ -> true | Int _ | Flt _ | Lab _ -> false
 
 let as_reg = function Reg r -> Some r | Int _ | Flt _ | Lab _ -> None
 
@@ -36,5 +30,3 @@ let to_string = function
   | Int n -> string_of_int n
   | Flt x -> Printf.sprintf "%g" x
   | Lab s -> s
-
-let pp ppf o = Format.pp_print_string ppf (to_string o)

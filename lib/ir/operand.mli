@@ -8,13 +8,7 @@ type t =
 
 val reg : Reg.t -> t
 
-val int : int -> t
-
-val flt : float -> t
-
 val lab : string -> t
-
-val is_reg : t -> bool
 
 val as_reg : t -> Reg.t option
 
@@ -24,5 +18,3 @@ val is_const : t -> bool
 val equal : t -> t -> bool
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

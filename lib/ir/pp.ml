@@ -1,6 +1,6 @@
 (* Pretty-printing of structured programs in the paper's assembly style. *)
 
-let rec pp_block ?(indent = 0) ppf (block : Block.t) =
+let rec pp_block indent ppf (block : Block.t) =
   let pad = String.make indent ' ' in
   List.iter
     (function
@@ -8,7 +8,7 @@ let rec pp_block ?(indent = 0) ppf (block : Block.t) =
       | Block.Lbl l -> Format.fprintf ppf "%s:@." l
       | Block.Loop l ->
         Format.fprintf ppf "%s:@." l.Block.head;
-        pp_block ~indent:(indent + 2) ppf l.Block.body;
+        pp_block (indent + 2) ppf l.Block.body;
         Format.fprintf ppf "%s:@." l.Block.exit_lbl)
     block
 
@@ -19,20 +19,9 @@ let pp_prog ppf (p : Prog.t) =
         (match a.Prog.acls with Reg.Int -> "int" | Reg.Float -> "real")
         a.Prog.asize)
     p.Prog.arrays;
-  pp_block ppf p.Prog.entry;
+  pp_block 0 ppf p.Prog.entry;
   List.iter
     (fun (name, r) -> Format.fprintf ppf ".output %s = %s@." name (Reg.to_string r))
     p.Prog.outputs
 
-let block_to_string block = Format.asprintf "%a" (pp_block ?indent:None) block
-
 let prog_to_string p = Format.asprintf "%a" pp_prog p
-
-(* Print a scheduled body the way the paper's figures do: instruction text
-   plus its issue time. *)
-let pp_schedule ppf (pairs : (Insn.t * int) list) =
-  List.iter
-    (fun (i, t) -> Format.fprintf ppf "%-36s %d@." (Insn.to_string i) t)
-    pairs
-
-let schedule_to_string pairs = Format.asprintf "%a" pp_schedule pairs

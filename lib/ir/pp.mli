@@ -1,15 +1,4 @@
 (** Pretty-printing of structured programs in the paper's assembly
     style. *)
 
-val pp_block : ?indent:int -> Format.formatter -> Block.t -> unit
-
-val pp_prog : Format.formatter -> Prog.t -> unit
-
-val block_to_string : Block.t -> string
-
 val prog_to_string : Prog.t -> string
-
-val pp_schedule : Format.formatter -> (Insn.t * int) list -> unit
-(** Instruction text with issue times, as in the paper's figures. *)
-
-val schedule_to_string : (Insn.t * int) list -> string

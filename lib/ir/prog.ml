@@ -24,8 +24,6 @@ type t = {
 let make_ctx () =
   { rgen = Reg.make_gen (); next_insn = 1; next_label = 1; next_loop = 1 }
 
-let fresh_reg p cls = Reg.fresh p.ctx.rgen cls
-
 let fresh_insn_id ctx =
   let id = ctx.next_insn in
   ctx.next_insn <- ctx.next_insn + 1;
@@ -41,11 +39,4 @@ let fresh_loop_id ctx =
   ctx.next_loop <- ctx.next_loop + 1;
   n
 
-let find_array p name = List.find_opt (fun a -> a.aname = name) p.arrays
-
 let with_entry p entry = { p with entry }
-
-let insn_count p = List.length (Block.insns p.entry)
-
-(* Declared byte size of an array (one word = 4 address units). *)
-let array_bytes a = a.asize * 4

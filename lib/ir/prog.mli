@@ -22,18 +22,10 @@ type t = {
 
 val make_ctx : unit -> ctx
 
-val fresh_reg : t -> Reg.cls -> Reg.t
-
 val fresh_insn_id : ctx -> int
 
 val fresh_label : ctx -> string -> string
 
 val fresh_loop_id : ctx -> int
 
-val find_array : t -> string -> adecl option
-
 val with_entry : t -> Block.t -> t
-
-val insn_count : t -> int
-
-val array_bytes : adecl -> int

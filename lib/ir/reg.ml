@@ -33,8 +33,6 @@ let cls_to_string = function Int -> "i" | Float -> "f"
 
 let to_string r = Printf.sprintf "r%d%s" r.id (cls_to_string r.cls)
 
-let pp ppf r = Format.pp_print_string ppf (to_string r)
-
 module Ord = struct
   type nonrec t = t
 

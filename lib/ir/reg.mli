@@ -29,8 +29,6 @@ val cls_to_string : cls -> string
 val to_string : t -> string
 (** [to_string r] prints registers in the paper's style, e.g. [r4f]. *)
 
-val pp : Format.formatter -> t -> unit
-
 module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t

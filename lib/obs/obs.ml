@@ -39,8 +39,6 @@ let collecting () = Atomic.get collecting_flag
 
 let set_tracing b = Atomic.set tracing_flag b
 
-let tracing () = Atomic.get tracing_flag
-
 let enabled () = Atomic.get collecting_flag || Atomic.get tracing_flag
 
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
@@ -141,11 +139,6 @@ let stage name f =
   let t0 = now () in
   Fun.protect ~finally:(fun () -> finish ~cat:"stage" ~args:[] ~as_stage:true name t0) f
 
-let record_stage name seconds =
-  locked (fun () ->
-    let prev = Option.value ~default:0.0 (Hashtbl.find_opt stage_tbl name) in
-    Hashtbl.replace stage_tbl name (prev +. seconds))
-
 let sorted_bindings tbl =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
@@ -154,8 +147,6 @@ let sorted_bindings tbl =
 let stage_snapshot () = locked (fun () -> sorted_bindings stage_tbl)
 
 let reset_stages () = locked (fun () -> Hashtbl.reset stage_tbl)
-
-let counters () = locked (fun () -> sorted_bindings counter_tbl)
 
 let counter_value name =
   locked (fun () -> Option.value ~default:0 (Hashtbl.find_opt counter_tbl name))
@@ -237,16 +228,6 @@ module Hist = struct
           :: acc)
         tbl []
       |> List.sort (fun a b -> String.compare a.h_name b.h_name))
-
-  let find name = List.find_opt (fun s -> s.h_name = name) (snapshot ())
-
-  let merge a b =
-    {
-      h_name = a.h_name;
-      h_count = a.h_count + b.h_count;
-      h_sum_ns = a.h_sum_ns + b.h_sum_ns;
-      h_buckets = Array.init buckets (fun k -> a.h_buckets.(k) + b.h_buckets.(k));
-    }
 
   (* Exact nearest-rank extraction over the bucket counts: the value
      returned is the upper bound of the bucket holding the ceil(p% * n)-th

@@ -25,8 +25,6 @@ val collecting : unit -> bool
 
 val set_tracing : bool -> unit
 
-val tracing : unit -> bool
-
 val enabled : unit -> bool
 (** [collecting () || tracing ()]. *)
 
@@ -50,9 +48,6 @@ val emit : ?cat:string -> ?args:(string * string) list -> string -> t0:float -> 
 
 val count : ?n:int -> string -> unit
 (** Add [n] (default 1) to the named counter. No-op unless collecting. *)
-
-val counters : unit -> (string * int) list
-(** Accumulated counters, sorted by name. *)
 
 val counter_value : string -> int
 (** Current value of one counter ([0] if it was never bumped). Used by
@@ -93,13 +88,6 @@ module Hist : sig
   val snapshot : unit -> snapshot list
   (** All histograms, sorted by name. *)
 
-  val find : string -> snapshot option
-
-  val merge : snapshot -> snapshot -> snapshot
-  (** Element-wise sum (the name is taken from the first argument).
-      Commutative and associative: any merge tree over the same
-      observations yields bit-identical snapshots. *)
-
   val percentile : snapshot -> float -> float
   (** [percentile s p] for [p] in [(0, 100]]: the upper bound (seconds)
       of the bucket holding the [ceil(p/100 * count)]-th smallest
@@ -113,9 +101,6 @@ val stage : string -> (unit -> 'a) -> 'a
 (** Like {!span} but for the coarse pipeline stages: the duration is
     always accumulated (and also recorded as a trace event when tracing
     is on). *)
-
-val record_stage : string -> float -> unit
-(** Add [seconds] to the named stage. *)
 
 val stage_snapshot : unit -> (string * float) list
 (** Accumulated (stage, busy seconds), sorted by name. Busy time is

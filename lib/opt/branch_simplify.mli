@@ -2,6 +2,4 @@
     ([br c X; jmp L; X:] becomes [br !c L; X:]) and removal of
     unreferenced labels (latch labels are kept as structural anchors). *)
 
-val negate : Impact_ir.Insn.cmp -> Impact_ir.Insn.cmp
-
 val run : Impact_ir.Prog.t -> Impact_ir.Prog.t

@@ -272,5 +272,3 @@ let reduce (p : Prog.t) : Prog.t =
 let eliminate (p : Prog.t) : Prog.t =
   Impact_obs.Obs.span ~cat:"opt" "opt.ivopt.eliminate" @@ fun () ->
   Walk.rewrite_innermost_with_preheader (eliminate_loop p.Prog.ctx) p
-
-let run (p : Prog.t) : Prog.t = eliminate (reduce p)

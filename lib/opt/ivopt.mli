@@ -4,14 +4,6 @@
     region, and the loop exit test moves onto a derived register when
     the original counter has no other uses. *)
 
-val materialize :
-  Impact_ir.Prog.ctx ->
-  Impact_analysis.Linval.lin ->
-  Impact_ir.Insn.t list * Impact_ir.Operand.t
-(** Emit code computing a linear value from its key registers/labels. *)
-
 val reduce : Impact_ir.Prog.t -> Impact_ir.Prog.t
 
 val eliminate : Impact_ir.Prog.t -> Impact_ir.Prog.t
-
-val run : Impact_ir.Prog.t -> Impact_ir.Prog.t

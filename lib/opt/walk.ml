@@ -18,10 +18,6 @@ let rewrite_blocks (f : Block.t -> Block.t) (p : Prog.t) : Prog.t =
   in
   Prog.with_entry p (go p.Prog.entry)
 
-(* Apply [f] to every innermost loop. *)
-let rewrite_innermost (f : Block.loop -> Block.loop) (p : Prog.t) : Prog.t =
-  Prog.with_entry p (Block.map_innermost f p.Prog.entry)
-
 (* Rewrite the items in front of each innermost loop together with the
    loop itself: [f preceding_items loop] returns replacement items for
    both. Used by passes that move code into or out of preheaders. *)

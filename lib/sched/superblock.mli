@@ -8,12 +8,5 @@ open Impact_ir
 val max_growth : int
 (** Tail-duplication size cap, as a multiple of the original body. *)
 
-val invert_guards :
-  Prog.ctx -> Block.item list -> Block.item list * Block.item list
-(** Trace selection: returns the rewritten main items and the out-of-line
-    update blocks. Exposed for tests. *)
-
-val form_loop : Prog.ctx -> Block.loop -> Block.loop
-
 val run : Prog.t -> Prog.t
 (** Form every innermost loop body of the program. *)

@@ -261,9 +261,11 @@ let escape s =
   Buffer.contents buf
 
 let float_to_string f =
-  (* NaN has no JSON rendering; emit null (matches the bench writer). *)
+  (* NaN has no JSON rendering: null. Every finite float keeps a decimal
+     point, integral ones included ("1.0", not "1"), so it parses back
+     as a [Float] rather than an [Int]. *)
   if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.6f" f
 
 let rec to_string = function

@@ -20,11 +20,9 @@ val parse : string -> (t, string) result
     error. Errors carry a character offset and a short message. *)
 
 val to_string : t -> string
-(** Compact (single-line) rendering. [Float] values print with enough
-    digits to round-trip; integral floats print without an exponent. *)
+(** Compact (single-line) rendering. A finite [Float] always prints with
+    a decimal point (integral ones as [N.0], others with six decimals),
+    so it parses back as a [Float]; NaN prints as [null]. *)
 
 val member : string -> t -> t option
 (** Field lookup in an [Obj] ([None] for other constructors). *)
-
-val escape : string -> string
-(** The body of a JSON string literal for [s] (no surrounding quotes). *)

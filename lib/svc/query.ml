@@ -40,9 +40,6 @@ let subject_digest ast =
 let make ~subject ~opts level machine =
   { q_subject = subject; q_level = level; q_machine = machine; q_opts = opts }
 
-let of_ast ~ast ~opts level machine =
-  make ~subject:(subject_digest ast) ~opts level machine
-
 let to_string q =
   Printf.sprintf "impact-query/%d subj=%s level=%s machine=%s/%d/%d/%s %s"
     format_version q.q_subject

@@ -34,13 +34,6 @@ val subject_digest : Impact_fir.Ast.program -> string
 
 val make : subject:string -> opts:Opts.t -> Level.t -> Machine.t -> t
 
-val of_ast :
-  ast:Impact_fir.Ast.program -> opts:Opts.t -> Level.t -> Machine.t -> t
-(** [make] over [subject_digest ast]. *)
-
-val to_string : t -> string
-(** The canonical single-line rendering that {!digest} hashes (includes
-    [format_version]); stable across processes, documented in DESIGN.md. *)
-
 val digest : t -> string
-(** Hex MD5 of {!to_string}; the key of the persistent store. *)
+(** Hex MD5 of the query's canonical single-line rendering (which
+    includes {!format_version}); the key of the persistent store. *)

@@ -86,8 +86,6 @@ let locked t f =
 let entry_path_of_digest t digest =
   Filename.concat (Filename.concat t.st_dir (String.sub digest 0 2)) (digest ^ ".bin")
 
-let entry_path t q = entry_path_of_digest t (Query.digest q)
-
 (* ---- LRU front ---- *)
 
 let lru_find t digest =

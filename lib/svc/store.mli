@@ -37,11 +37,8 @@ type stats = {
 val hits : stats -> int
 (** [mem_hits + disk_hits]. *)
 
-val default_dir : string
-(** ["_cache"]. *)
-
 val resolve_dir : unit -> string
-(** [IMPACT_CACHE_DIR] from the environment, else {!default_dir}. *)
+(** [IMPACT_CACHE_DIR] from the environment, else [_cache]. *)
 
 val open_store : ?lru_capacity:int -> string -> t
 (** Open (creating the directory if needed) a store rooted at the given
@@ -52,10 +49,6 @@ val open_store : ?lru_capacity:int -> string -> t
     next store). *)
 
 val dir : t -> string
-
-val entry_path : t -> Query.t -> string
-(** Where the entry for a query lives (exposed for the corruption
-    tests). *)
 
 val lookup : t -> Query.t -> Compile.measurement option
 

@@ -954,7 +954,3 @@ let aliases = [ ("vecadd", "add") ]
 let find name =
   let name = Option.value ~default:name (List.assoc_opt name aliases) in
   List.find_opt (fun w -> w.name = name) all
-
-let doall_subset = List.filter (fun w -> w.ltype = Doall) all
-
-let non_doall_subset = List.filter (fun w -> w.ltype <> Doall) all

@@ -18,16 +18,8 @@ type t = {
   ast : Impact_fir.Ast.program;
 }
 
-val sim_cap : int
-(** Simulated iteration counts are capped here (steady-state
-    cycles/iteration make speedups insensitive to the cap). *)
-
 val all : t list
 
 val find : string -> t option
 (** Lookup by [name], also accepting a few aliases (e.g. ["vecadd"] for
     the vector-add kernel ["add"]). *)
-
-val doall_subset : t list
-
-val non_doall_subset : t list

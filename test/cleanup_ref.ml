@@ -271,7 +271,7 @@ let cleanup (p : Prog.t) : Prog.t = fst (Walk.fixpoint ~max_rounds:6 round p)
 let fixpoint_uncapped (p : Prog.t) : Prog.t * int =
   let rec go n p =
     let p' = round p in
-    if Walk.insns_equal_prog p p' then (p', n) else go (n + 1) p'
+    if Helpers.insns_equal_prog p p' then (p', n) else go (n + 1) p'
   in
   go 1 p
 
@@ -298,7 +298,9 @@ let replay_custom ~cleanup ?unroll_factor ~unroll ~accum ~ind ~search ~rename ~c
   end
 
 let replay ~cleanup ?unroll_factor (level : Impact_core.Level.t) (p : Prog.t) : Prog.t =
-  let r = Impact_core.Level.rank level in
+  let r =
+    List.length (List.filter (fun l -> l < level) Impact_core.Level.all)
+  in
   replay_custom ~cleanup ?unroll_factor ~unroll:(r >= 1) ~accum:(r >= 4) ~ind:(r >= 4)
     ~search:(r >= 4) ~rename:(r >= 2) ~combine:(r >= 3) ~strength:(r >= 3) ~thr:(r >= 3) p
 

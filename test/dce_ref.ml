@@ -105,10 +105,10 @@ let dce_counted (p : Prog.t) : Prog.t * int =
 let disagreement (p : Prog.t) : string option =
   let got, got_pushes = dce_counted p in
   let want, want_pushes = run p in
-  if not (Walk.insns_equal_prog got want) then
+  if not (Helpers.insns_equal_prog got want) then
     Some
-      (Printf.sprintf "programs differ: %d vs %d instructions" (Prog.insn_count got)
-         (Prog.insn_count want))
+      (Printf.sprintf "programs differ: %d vs %d instructions" (Helpers.insn_count got)
+         (Helpers.insn_count want))
   else if got_pushes <> want_pushes then
     Some (Printf.sprintf "dce.worklist_pushes %d vs %d" got_pushes want_pushes)
   else None

@@ -35,6 +35,13 @@ let int_array b name vals =
 
 let output b name r = b.outputs <- b.outputs @ [ (name, r) ]
 
+let insn_count (p : Prog.t) = List.length (Block.insns p.Prog.entry)
+
+(* The two programs' instruction lists are equal under
+   [Insn.equal_content] (ids are ignored). *)
+let insns_equal_prog (a : Prog.t) (b : Prog.t) =
+  List.equal Insn.equal_content (Block.insns a.Prog.entry) (Block.insns b.Prog.entry)
+
 let prog_of b entry : Prog.t =
   { Prog.arrays = b.arrays; entry; ctx = b.ctx; outputs = b.outputs }
 

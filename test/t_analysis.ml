@@ -15,6 +15,9 @@ let sb_of items = Sb.make ~head:"H" ~exit_lbl:"X" (Array.of_list items)
 let loop_of ?(meta = Block.no_meta) body =
   { Block.lid = 1; head = "H"; exit_lbl = "X"; meta; body }
 
+(* The linear value [r + c] of register [r]'s entry value. *)
+let lin_reg ?(c = 0) r = { Linval.coeffs = Linval.KMap.singleton (Linval.Key.KReg r) 1; c }
+
 let sb_tests =
   let ctx = Prog.make_ctx () in
   let r1 = Reg.fresh ctx.Prog.rgen Reg.Int in
@@ -33,7 +36,6 @@ let sb_tests =
       let exit_br = Build.br ctx Reg.Int Insn.Gt (Operand.Reg r1) (Operand.Int 3) "X" in
       let sb = sb_of [ Block.Ins exit_br; Block.Ins back ] in
       check_bool "back" true (Sb.is_back_branch sb back);
-      check_bool "exit" true (Sb.is_exit_branch sb exit_br);
       check_bool "not back" false (Sb.is_back_branch sb exit_br));
     test "def counts" (fun () ->
       let i1 = Build.imov ctx r1 (Operand.Int 1) in
@@ -184,9 +186,9 @@ let linval_tests =
       let ctx = Prog.make_ctx () in
       let a = Reg.fresh ctx.Prog.rgen Reg.Int in
       let b = Reg.fresh ctx.Prog.rgen Reg.Int in
-      let la = Linval.of_key (Linval.Key.KReg a) in
-      let env = Reg.Map.singleton b (Linval.add la (Linval.const 4)) in
-      let v = Linval.of_key (Linval.Key.KReg b) in
+      let la = lin_reg a in
+      let env = Reg.Map.singleton b (lin_reg ~c:4 a) in
+      let v = lin_reg b in
       let v' = Linval.subst env v in
       check_bool "b -> a + 4" true (Linval.diff v' la = Some 4));
     test "env_of_items composes across an intermediate loop" (fun () ->
@@ -216,8 +218,8 @@ let linval_tests =
         ]
       in
       let env = Linval.env_of_items items in
-      let vp = Linval.subst env (Linval.of_key (Linval.Key.KReg p2)) in
-      let vq = Linval.subst env (Linval.of_key (Linval.Key.KReg q2)) in
+      let vp = Linval.subst env (lin_reg p2) in
+      let vq = Linval.subst env (lin_reg q2) in
       check_bool "distance 16 preserved" true (Linval.diff vq vp = Some 16));
     test "env_of_items keeps guarded definitions imprecise" (fun () ->
       let ctx = Prog.make_ctx () in
@@ -296,13 +298,18 @@ let liveness_tests =
 (* Word-level bitset operations against a list model, across word
    boundaries. *)
 let bits_tests =
+  let elements t =
+    let acc = ref [] in
+    Bits.iter (fun i -> acc := i :: !acc) t;
+    List.rev !acc
+  in
   [
     test "every bit position iterates, and first finds it" (fun () ->
       let n = 200 in
       for i = 0 to n - 1 do
         let t = Bits.create n in
         Bits.add t i;
-        check_bool (Printf.sprintf "elements {%d}" i) true (Bits.elements t = [ i ]);
+        check_bool (Printf.sprintf "elements {%d}" i) true (elements t = [ i ]);
         check_int (Printf.sprintf "first {%d}" i) i (Bits.first t)
       done;
       check_int "first of empty" (-1) (Bits.first (Bits.create n)));
@@ -317,7 +324,7 @@ let bits_tests =
           (Bits.word a w land lnot (Bits.word b w))
       done;
       check_bool "a \\ b" true
-        (List.rev !got = List.filter (fun i -> not (Bits.mem b i)) (Bits.elements a)));
+        (List.rev !got = List.filter (fun i -> not (Bits.mem b i)) (elements a)));
   ]
 
 let ddg_tests =
@@ -335,7 +342,7 @@ let ddg_tests =
       (match ddg.Ddg.succs.(0) with
       | [ (1, 2) ] -> ()
       | _ -> Alcotest.fail "expected flow edge with load latency 2");
-      check_int "critical path" 5 (Ddg.critical_path ddg));
+      check_int "critical path" 5 (Array.fold_left max 0 (Ddg.heights ddg)));
     test "anti edge orders use before redefinition" (fun () ->
       let ctx = Prog.make_ctx () in
       let r1 = Reg.fresh ctx.Prog.rgen Reg.Int in
@@ -419,8 +426,7 @@ let ddg_tests =
       check_bool "conservative edge" true
         (List.exists (fun (d, _) -> d = 1) ddg_without.Ddg.succs.(0));
       let pre_env =
-        Reg.Map.singleton p2
-          (Linval.add (Linval.of_key (Linval.Key.KReg p1)) (Linval.const 4))
+        Reg.Map.singleton p2 (lin_reg ~c:4 p1)
       in
       let ddg_with = Ddg.build ~pre_env (sb_of body) in
       check_bool "edge removed with facts" false

@@ -83,10 +83,9 @@ let histogram_tests =
     test "bin edges are inclusive on the left" (fun () ->
       let cells = List.map mk_cell [ 0.5; 1.25; 1.49; 1.5; 3.0; 2.99 ] in
       let h =
-        Impact_core.Experiment.histogram
-          ~bounds:Impact_core.Experiment.fig8_bounds
-          (fun c -> c.Impact_core.Experiment.speedup)
-          cells
+        List.assoc Impact_core.Level.Conv
+          (Impact_core.Experiment.speedup_distribution
+             ~bounds:Impact_core.Experiment.fig8_bounds Machine.issue_8 cells)
       in
       (* bounds: 0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0 *)
       check_int "0.00-1.24" 1 h.(0);
@@ -101,8 +100,10 @@ let histogram_tests =
         (List.length Impact_core.Experiment.fig9_labels);
       check_int "fig10" (List.length Impact_core.Experiment.fig10_bounds)
         (List.length Impact_core.Experiment.fig10_labels);
-      check_int "regs" (List.length Impact_core.Experiment.reg_bounds)
-        (List.length Impact_core.Experiment.reg_labels));
+      List.iter
+        (fun (_, h) ->
+          check_int "regs" (Array.length h) (List.length Impact_core.Experiment.reg_labels))
+        (Impact_core.Experiment.register_distribution Machine.issue_8 []));
   ]
 
 let sim_order_tests =

@@ -130,14 +130,10 @@ let block_tests =
           [ Block.Loop outer ]
       in
       Helpers.check_bool "only loop 2" true (!touched = [ 2 ]));
-    test "find_loop" (fun () ->
-      let inner = mk_loop 2 [] in
-      let outer = mk_loop 1 [ Block.Loop inner ] in
-      (match Block.find_loop [ Block.Loop outer ] 2 with
-      | Some l -> Helpers.check_int "found" 2 l.Block.lid
-      | None -> Alcotest.fail "not found");
-      Helpers.check_bool "missing" true (Block.find_loop [ Block.Loop outer ] 9 = None));
   ]
+
+let flatten block =
+  Flatten.of_prog { Prog.arrays = []; entry = block; ctx = Prog.make_ctx (); outputs = [] }
 
 let flatten_tests =
   let ctx = Prog.make_ctx () in
@@ -149,21 +145,21 @@ let flatten_tests =
         { Block.lid = 1; head = "L1"; exit_lbl = "X1"; meta = Block.no_meta;
           body = [ Block.Ins bb ] }
       in
-      let f = Flatten.of_block [ Block.Loop l ] in
+      let f = flatten [ Block.Loop l ] in
       Helpers.check_int "one insn" 1 (Array.length f.Flatten.code);
       Helpers.check_int "head at 0" 0 (Hashtbl.find f.Flatten.labels "L1");
       Helpers.check_int "exit at 1" 1 (Hashtbl.find f.Flatten.labels "X1"));
     test "unresolved target raises" (fun () ->
       let j = Build.jmp ctx "NOWHERE" in
       Alcotest.check_raises "raises" (Flatten.Unresolved_label "NOWHERE") (fun () ->
-        ignore (Flatten.of_block [ Block.Ins j ])));
+        ignore (flatten [ Block.Ins j ])));
     test "duplicate label raises" (fun () ->
       Alcotest.check_raises "raises" (Flatten.Duplicate_label "D") (fun () ->
-        ignore (Flatten.of_block [ Block.Lbl "D"; Block.Lbl "D" ])));
+        ignore (flatten [ Block.Lbl "D"; Block.Lbl "D" ])));
     test "target_index resolves" (fun () ->
       let j = Build.jmp ctx "END" in
       let i = Build.imov ctx r1 (Operand.Int 1) in
-      let f = Flatten.of_block [ Block.Ins j; Block.Ins i; Block.Lbl "END" ] in
+      let f = flatten [ Block.Ins j; Block.Ins i; Block.Lbl "END" ] in
       Helpers.check_int "end is 2" 2 (Flatten.target_index f j));
   ]
 

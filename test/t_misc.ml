@@ -31,13 +31,6 @@ let pp_tests =
       check_bool "load with displacement" true
         (contains (Printf.sprintf "%s = MEM(A+%s+4)" (Reg.to_string f1) (Reg.to_string r1)));
       check_bool "output" true (contains ".output x"));
-    test "schedule printing pairs instructions with issue times" (fun () ->
-      let ctx = Prog.make_ctx () in
-      let r1 = Reg.fresh ctx.Prog.rgen Reg.Int in
-      let i = Build.imov ctx r1 (Operand.Int 3) in
-      let s = Pp.schedule_to_string [ (i, 7) ] in
-      check_bool "has time" true
-        (String.length s > 0 && String.contains s '7'));
   ]
 
 let build_tests =
@@ -89,16 +82,16 @@ let walk_tests =
       let calls = ref 0 in
       let grow limit q =
         incr calls;
-        if Prog.insn_count q > limit then q
+        if Helpers.insn_count q > limit then q
         else
           Prog.with_entry q (q.Prog.entry @ [ Block.Ins (Build.imov ctx r1 (Operand.Int 1)) ])
       in
       (match Impact_opt.Walk.fixpoint ~max_rounds:3 (grow 2) p with
-      | q, Impact_opt.Walk.Converged 3 -> check_int "grown twice" 3 (Prog.insn_count q)
+      | q, Impact_opt.Walk.Converged 3 -> check_int "grown twice" 3 (Helpers.insn_count q)
       | _ -> Alcotest.fail "expected convergence in three rounds");
       calls := 0;
       (match Impact_opt.Walk.fixpoint ~max_rounds:3 (grow max_int) p with
-      | q, Impact_opt.Walk.Capped -> check_int "grown three times" 4 (Prog.insn_count q)
+      | q, Impact_opt.Walk.Capped -> check_int "grown three times" 4 (Helpers.insn_count q)
       | _ -> Alcotest.fail "expected the cap");
       check_int "three calls" 3 !calls);
     test "rewrite_innermost_with_preheader sees the right prefix" (fun () ->

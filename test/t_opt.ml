@@ -7,7 +7,7 @@ open Helpers
 
 let test name f = Alcotest.test_case name `Quick f
 
-let insn_count (p : Prog.t) = Prog.insn_count p
+let insn_count = Helpers.insn_count
 
 (* Count instructions matching a predicate anywhere in the program. *)
 let count_if (p : Prog.t) f =
@@ -373,7 +373,7 @@ let sweep_tests =
       check_int "value" 32 (out_int (run p') "x");
       let want, rounds = Cleanup_ref.fixpoint_uncapped p in
       check_bool "the reference takes more than two rounds" true (rounds > 2);
-      check_bool "one round reaches the reference fixpoint" true (Walk.insns_equal_prog p' want));
+      check_bool "one round reaches the reference fixpoint" true (Helpers.insns_equal_prog p' want));
     test "a propagated constant folds in the same sweep" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int and r2 = reg b Reg.Int and r3 = reg b Reg.Int in
@@ -650,7 +650,7 @@ let dce_corpus_tests =
               in
               let seen, out = Dce_ref.cleanup_inputs lvl (fresh ()) in
               check_bool (name ^ ": replay = Level.apply") true
-                (Walk.insns_equal_prog out (Impact_core.Level.apply lvl (fresh ())));
+                (Helpers.insns_equal_prog out (Impact_core.Level.apply lvl (fresh ())));
               List.iteri
                 (fun k q ->
                   incr inputs;
@@ -711,7 +711,7 @@ let cleanup_corpus_tests =
             check_bool
               (Printf.sprintf "%s/%s" name (Impact_core.Level.to_string lvl))
               true
-              (Walk.insns_equal_prog
+              (Helpers.insns_equal_prog
                  (Impact_core.Level.apply lvl (fresh ()))
                  (Cleanup_ref.replay ~cleanup:Cleanup_ref.cleanup lvl (fresh ()))))
           Impact_core.Level.all;
@@ -719,7 +719,7 @@ let cleanup_corpus_tests =
           check_bool
             (Printf.sprintf "%s, switch %d off" name k)
             true
-            (Walk.insns_equal_prog
+            (Helpers.insns_equal_prog
                (leave_one_out k (Impact_core.Level.apply_custom ?unroll_factor:None) (fresh ()))
                (leave_one_out k
                   (Cleanup_ref.replay_custom ~cleanup:Cleanup_ref.cleanup ?unroll_factor:None)
@@ -734,7 +734,7 @@ let cleanup_corpus_tests =
               (fun k p ->
                 incr inputs;
                 let once = sweep_round p in
-                if not (Walk.insns_equal_prog (sweep_round once) once) then
+                if not (Helpers.insns_equal_prog (sweep_round once) once) then
                   Alcotest.failf "%s/%s, cleanup %d: a second round changed the program"
                     name (Impact_core.Level.to_string lvl) k)
               (Cleanup_ref.inputs lvl (fresh ())))
@@ -750,8 +750,8 @@ let gen_operand : Operand.t QCheck.Gen.t =
       [
         map2 (fun id f -> Operand.Reg { Reg.id; cls = (if f then Reg.Float else Reg.Int) })
           (int_range 0 4) bool;
-        map Operand.int (int_range (-2) 2);
-        map Operand.flt (oneofl [ 0.0; -0.0; 1.5; -1.5; Float.nan; -.Float.nan; Float.infinity ]);
+        map (fun n -> Operand.Int n) (int_range (-2) 2);
+        map (fun x -> Operand.Flt x) (oneofl [ 0.0; -0.0; 1.5; -1.5; Float.nan; -.Float.nan; Float.infinity ]);
         map Operand.lab (oneofl [ "A"; "B"; "" ]);
       ])
 

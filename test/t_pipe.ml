@@ -189,12 +189,15 @@ let innermost_loops (p : Prog.t) =
   go p.Prog.entry;
   tbl
 
-let body_text (b : Block.t) =
-  Pp.block_to_string b
-  ^ String.concat ","
-      (List.filter_map
-         (function Block.Ins i -> Some (string_of_int i.Insn.id) | _ -> None)
-         b)
+let rec body_text (b : Block.t) =
+  String.concat ";"
+    (List.map
+       (function
+         | Block.Ins i -> Printf.sprintf "%s#%d" (Insn.to_string i) i.Insn.id
+         | Block.Lbl l -> l ^ ":"
+         | Block.Loop l ->
+           Printf.sprintf "%s:{%s}%s:" l.Block.head (body_text l.Block.body) l.Block.exit_lbl)
+       b)
 
 (* Walk [out] as [Pipe.run_with_problems] builds it: each skipped
    innermost loop's body must equal [List_sched.schedule_body] of the

@@ -275,7 +275,7 @@ let prop_dce_straightline =
    random kernel's Lev4 pipeline. *)
 
 let cleanup_is_ref_fixpoint (p : Prog.t) =
-  Impact_opt.Walk.insns_equal_prog (Impact_opt.Conv.cleanup p)
+  Helpers.insns_equal_prog (Impact_opt.Conv.cleanup p)
     (fst (Cleanup_ref.fixpoint_uncapped p))
 
 let prop_cleanup_ref_straightline =

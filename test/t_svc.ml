@@ -26,6 +26,16 @@ let fresh_dir () =
   Sys.mkdir f 0o755;
   f
 
+(* The query of one matrix cell of [ast]. *)
+let query_of ~ast ~opts level machine =
+  Query.make ~subject:(Query.subject_digest ast) ~opts level machine
+
+(* Where the store publishes [q]'s entry: two-character fan-out under
+   the store directory. *)
+let entry_path st q =
+  let d = Query.digest q in
+  Filename.concat (Filename.concat (Store.dir st) (String.sub d 0 2)) (d ^ ".bin")
+
 let vecadd = Helpers.vecadd_ast 64
 
 let dotprod = Helpers.dotprod_ast 64
@@ -81,17 +91,34 @@ let test_json_unicode_escape () =
   | Ok (Json.Str s) -> Helpers.check_string "escapes decode" "A\xf0\x9f\x98\x80" s
   | Ok _ | Error _ -> Alcotest.fail "unicode escape parse failed"
 
+(* A finite float, integral ones included (the 1 ms histogram bound, say),
+   prints so that it parses back as a [Float], never as an [Int]. *)
+let prop_json_float_stays_float =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ float; map float_of_int small_signed_int; map float_of_int int;
+          oneofl [ 0.0; -0.0; 1.0; 1e15; -1e15; 1e300; 5e-324 ] ])
+  in
+  QCheck.Test.make ~count:500 ~name:"finite floats print back as Float"
+    (QCheck.make gen ~print:string_of_float)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match Json.parse (Json.to_string (Json.Float f)) with
+      | Ok (Json.Float _) -> true
+      | Ok _ | Error _ -> false)
+
 (* ---- Query digests ---- *)
 
 let test_query_digest_determinism () =
-  let q () = Query.of_ast ~ast:vecadd ~opts:Opts.default Level.Lev4 Machine.issue_8 in
+  let q () = query_of ~ast:vecadd ~opts:Opts.default Level.Lev4 Machine.issue_8 in
   Helpers.check_string "same query, same digest" (Query.digest (q ()))
     (Query.digest (q ()));
   Helpers.check_string "subject digest stable"
     (Query.subject_digest vecadd) (Query.subject_digest vecadd)
 
 let test_query_digest_sensitivity () =
-  let base = Query.of_ast ~ast:vecadd ~opts:Opts.default Level.Lev4 Machine.issue_8 in
+  let base = query_of ~ast:vecadd ~opts:Opts.default Level.Lev4 Machine.issue_8 in
   let differs name q =
     Helpers.check_bool (name ^ " changes digest") false
       (Query.digest q = Query.digest base)
@@ -121,7 +148,7 @@ let test_query_digest_sensitivity () =
 let test_store_roundtrip () =
   let dir = fresh_dir () in
   let st = Store.open_store dir in
-  let q = Query.of_ast ~ast:vecadd ~opts:Opts.default Level.Lev2 Machine.issue_4 in
+  let q = query_of ~ast:vecadd ~opts:Opts.default Level.Lev2 Machine.issue_4 in
   Helpers.check_bool "empty store misses" true (Store.lookup st q = None);
   let m = measure_default Level.Lev2 Machine.issue_4 vecadd in
   Store.add st q m;
@@ -144,11 +171,11 @@ let test_store_roundtrip () =
 let test_store_corrupt_entry () =
   let dir = fresh_dir () in
   let st = Store.open_store dir in
-  let q = Query.of_ast ~ast:vecadd ~opts:Opts.default Level.Conv Machine.issue_2 in
+  let q = query_of ~ast:vecadd ~opts:Opts.default Level.Conv Machine.issue_2 in
   Store.add st q (measure_default Level.Conv Machine.issue_2 vecadd);
   (* Overwrite the published entry with garbage: the lookup (from a
      cold-LRU store) must degrade to a miss and count the corruption. *)
-  let path = Store.entry_path st q in
+  let path = entry_path st q in
   let oc = open_out_bin path in
   output_string oc "not a cache entry at all";
   close_out oc;
@@ -181,11 +208,11 @@ let rewrite_entry_version path version =
 let test_store_version_mismatch () =
   let dir = fresh_dir () in
   let st = Store.open_store dir in
-  let q = Query.of_ast ~ast:vecadd ~opts:Opts.default Level.Lev1 Machine.issue_2 in
+  let q = query_of ~ast:vecadd ~opts:Opts.default Level.Lev1 Machine.issue_2 in
   Store.add st q (measure_default Level.Lev1 Machine.issue_2 vecadd);
   (* Rewrite the header as a future format version, keeping the payload:
      the entry must read as stale (miss), not corrupt. *)
-  rewrite_entry_version (Store.entry_path st q) 9999;
+  rewrite_entry_version (entry_path st q) 9999;
   let st2 = Store.open_store dir in
   Helpers.check_bool "stale entry misses" true (Store.lookup st2 q = None);
   let s = Store.stats st2 in
@@ -202,9 +229,9 @@ let test_store_old_version_entry () =
     (Query.format_version >= 2);
   let dir = fresh_dir () in
   let st = Store.open_store dir in
-  let q = Query.of_ast ~ast:vecadd ~opts:Opts.default Level.Lev2 Machine.issue_4 in
+  let q = query_of ~ast:vecadd ~opts:Opts.default Level.Lev2 Machine.issue_4 in
   Store.add st q (measure_default Level.Lev2 Machine.issue_4 vecadd);
-  rewrite_entry_version (Store.entry_path st q) 1;
+  rewrite_entry_version (entry_path st q) 1;
   let st2 = Store.open_store dir in
   Helpers.check_bool "v1 entry misses" true (Store.lookup st2 q = None);
   let s = Store.stats st2 in
@@ -220,7 +247,7 @@ let test_store_old_version_entry () =
 let test_store_obs_counters () =
   let dir = fresh_dir () in
   let st = Store.open_store dir in
-  let q = Query.of_ast ~ast:dotprod ~opts:Opts.default Level.Lev3 Machine.issue_8 in
+  let q = query_of ~ast:dotprod ~opts:Opts.default Level.Lev3 Machine.issue_8 in
   let m = measure_default Level.Lev3 Machine.issue_8 dotprod in
   let count = Impact_obs.Obs.counter_value in
   let miss0 = count "svc.cache.miss" in
@@ -240,8 +267,8 @@ let test_store_obs_counters () =
 let test_store_lru_eviction () =
   let dir = fresh_dir () in
   let st = Store.open_store ~lru_capacity:1 dir in
-  let q1 = Query.of_ast ~ast:vecadd ~opts:Opts.default Level.Conv Machine.issue_4 in
-  let q2 = Query.of_ast ~ast:dotprod ~opts:Opts.default Level.Conv Machine.issue_4 in
+  let q1 = query_of ~ast:vecadd ~opts:Opts.default Level.Conv Machine.issue_4 in
+  let q2 = query_of ~ast:dotprod ~opts:Opts.default Level.Conv Machine.issue_4 in
   let m1 = measure_default Level.Conv Machine.issue_4 vecadd in
   let m2 = measure_default Level.Conv Machine.issue_4 dotprod in
   Store.add st q1 m1;
@@ -452,7 +479,7 @@ let test_opts () =
   Helpers.check_bool "Opts.base forces list scheduling" true
     ((Opts.base o).Opts.sched = `List);
   (* The digest must see every knob: options are part of the cache key. *)
-  let q opts = Query.of_ast ~ast:vecadd ~opts Level.Lev2 Machine.issue_2 in
+  let q opts = query_of ~ast:vecadd ~opts Level.Lev2 Machine.issue_2 in
   Helpers.check_bool "digest distinguishes opts" true
     (Query.digest (q Opts.default) <> Query.digest (q o))
 
@@ -467,7 +494,7 @@ let test_opts () =
 let test_store_crash_orphaned_tmp () =
   let dir = fresh_dir () in
   let st = Store.open_store dir in
-  let q = Query.of_ast ~ast:vecadd ~opts:Opts.default Level.Lev2 Machine.issue_2 in
+  let q = query_of ~ast:vecadd ~opts:Opts.default Level.Lev2 Machine.issue_2 in
   Store.add st q (measure_default Level.Lev2 Machine.issue_2 vecadd);
   (* A writer that died between temp write and rename leaves this. *)
   let orphan = Filename.concat dir ".tmp.99999.0.0" in
@@ -485,10 +512,10 @@ let test_store_crash_orphaned_tmp () =
 let test_store_crash_torn_entry () =
   let dir = fresh_dir () in
   let st = Store.open_store dir in
-  let q = Query.of_ast ~ast:vecadd ~opts:Opts.default Level.Lev3 Machine.issue_4 in
+  let q = query_of ~ast:vecadd ~opts:Opts.default Level.Lev3 Machine.issue_4 in
   let m = measure_default Level.Lev3 Machine.issue_4 vecadd in
   Store.add st q m;
-  let path = Store.entry_path st q in
+  let path = entry_path st q in
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -567,6 +594,7 @@ let suite =
         Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "errors" `Quick test_json_errors;
         Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escape;
+        QCheck_alcotest.to_alcotest prop_json_float_stays_float;
       ] );
     ( "svc: query",
       [

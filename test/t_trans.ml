@@ -795,14 +795,33 @@ let thr_tests =
           ]
       in
       let p' = Tree_height.run p in
-      check_int "unchanged" (Prog.insn_count p) (Prog.insn_count p'));
+      check_int "unchanged" (Helpers.insn_count p) (Helpers.insn_count p'));
   ]
 
 let level_tests =
   [
     test "levels are cumulative by rank" (fun () ->
-      check_bool "lev4 includes lev2" true (Level.includes Level.Lev4 Level.Lev2);
-      check_bool "conv excludes lev1" false (Level.includes Level.Conv Level.Lev1);
+      (* The passes a level runs, read off the pass telemetry counters. *)
+      let module Obs = Impact_obs.Obs in
+      let passes level =
+        let c0 = Obs.collecting () in
+        Obs.set_collecting true;
+        Fun.protect ~finally:(fun () -> Obs.set_collecting c0) @@ fun () ->
+        Obs.reset ();
+        ignore (Level.apply level (lower (dotprod_ast 16)));
+        List.filter_map
+          (fun (k, _) ->
+            if String.ends_with ~suffix:".runs" k then Some k else None)
+          (Obs.report ()).Obs.r_counters
+      in
+      let runs = List.map passes Level.all in
+      List.iteri
+        (fun k (lower, upper) ->
+          check_bool (Printf.sprintf "rank %d runs every pass of rank %d" (k + 1) k) true
+            (List.for_all (fun p -> List.mem p upper) lower && upper <> lower))
+        (List.combine (List.filteri (fun k _ -> k < 4) runs) (List.tl runs));
+      check_bool "conv does not unroll" false
+        (List.mem "pass.unroll.runs" (List.hd runs));
       check_int "five levels" 5 (List.length Level.all));
     test "of_string / to_string round-trip" (fun () ->
       List.iter
