@@ -1,15 +1,14 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 3) from our implementation, plus Bechamel
-   micro-benchmarks of the cost of the compiler stages behind each
-   artifact. The evaluation matrix runs on the domain work pool
-   (Impact_exec.Pool); worker count comes from -j N, the IMPACT_JOBS
-   environment variable, or the core count, in that order.
+   evaluation (Section 3) from our implementation. The evaluation matrix
+   runs on the domain work pool (Impact_exec.Pool); worker count comes
+   from -j N, the IMPACT_JOBS environment variable, or the core count,
+   in that order.
 
    Usage:
-     main.exe [-j N]          run everything (tables, figures, summary,
-                              ablation) except the Bechamel section
+     main.exe [-j N]          run the tables, figures, summary and
+                              ablation
      main.exe fig8 ... fig15  specific figures
-     main.exe table1 table2 summary ablation csv bechamel
+     main.exe table1 table2 summary ablation csv
      main.exe json            write per-stage timings, summary speedups
                               and telemetry metrics to BENCH_eval.json
      main.exe --trace-out f.json ...
@@ -810,80 +809,11 @@ let run_ooo mode =
   write_ooo_json "BENCH_ooo.json" ~mode:mode_name ~nsubjects:(List.length ss)
     configs
 
-(* ---- Bechamel micro-benchmarks: one Test.make per table/figure,
-   measuring the compiler work behind one representative row. ---- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let kernel name =
-    (Option.get (Impact_workloads.Suite.find name)).Impact_workloads.Suite.ast
-  in
-  let compile_test name level machine wname =
-    Test.make ~name
-      (Staged.stage (fun () ->
-         ignore (Compile.compile_with bench_opts level machine (Impact_fir.Lower.lower (kernel wname)))))
-  in
-  let measure_test name level machine wname =
-    Test.make ~name
-      (Staged.stage (fun () ->
-         ignore (Compile.measure_with bench_opts level machine (Impact_fir.Lower.lower (kernel wname)))))
-  in
-  [
-    Test.make ~name:"table1:machine-description"
-      (Staged.stage (fun () -> ignore (Report.table1 ())));
-    Test.make ~name:"table2:classify-row"
-      (Staged.stage (fun () ->
-         let p = Impact_opt.Conv.run (Impact_fir.Lower.lower (kernel "dotprod")) in
-         match List.filter Block.is_innermost (Block.loops p.Prog.entry) with
-         | l :: _ -> ignore (Impact_analysis.Classify.classify l)
-         | [] -> ()));
-    compile_test "fig8:compile-lev4-issue2" Level.Lev4 Machine.issue_2 "add";
-    compile_test "fig9:compile-lev4-issue4" Level.Lev4 Machine.issue_4 "add";
-    measure_test "fig10:measure-lev4-issue8" Level.Lev4 Machine.issue_8 "sum";
-    Test.make ~name:"fig11:regalloc-lev4-issue8"
-      (Staged.stage
-         (let p =
-            Compile.compile_with bench_opts Level.Lev4 Machine.issue_8
-              (Impact_fir.Lower.lower (kernel "dotprod"))
-          in
-          fun () -> ignore (Impact_regalloc.Regalloc.measure p)));
-    measure_test "fig12:doall-row" Level.Lev2 Machine.issue_8 "add";
-    measure_test "fig13:doall-regs-row" Level.Lev4 Machine.issue_8 "merge";
-    measure_test "fig14:serial-row" Level.Lev4 Machine.issue_8 "dotprod";
-    measure_test "fig15:serial-regs-row" Level.Lev4 Machine.issue_8 "maxval";
-    measure_test "summary:lev3-issue8" Level.Lev3 Machine.issue_8 "sum";
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let tests = bechamel_tests () in
-  Printf.printf "Bechamel: per-artifact compiler cost (monotonic clock, ns/run)\n";
-  Printf.printf "%s\n" (String.make 72 '-');
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ])
-      in
-      let analyzed = Analyze.all ols (List.hd instances) results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let est =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ x ] -> Printf.sprintf "%12.0f ns/run" x
-            | _ -> "n/a"
-          in
-          Printf.printf "%-44s %s\n%!" name est)
-        analyzed)
-    tests
-
 let usage () =
   prerr_string
     "usage: main.exe [-j N] [--trace-out FILE] [table1 table2 fig8..fig15 \
      summary ablation csv issue-sweep overhead pipe pipe-smoke oracle \
-     oracle-smoke ooo ooo-smoke bechamel json]\n"
+     oracle-smoke ooo ooo-smoke json]\n"
 
 (* Chrome trace destination from --trace-out, when given. *)
 let trace_out = ref None
@@ -967,8 +897,7 @@ let () =
     [
       "table1"; "table2"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12"; "fig13";
       "fig14"; "fig15"; "summary"; "ablation"; "csv"; "issue-sweep"; "overhead";
-      "pipe"; "pipe-smoke"; "oracle"; "oracle-smoke"; "ooo"; "ooo-smoke";
-      "bechamel"; "json";
+      "pipe"; "pipe-smoke"; "oracle"; "oracle-smoke"; "ooo"; "ooo-smoke"; "json";
     ]
   in
   (match List.find_opt (fun a -> not (List.mem a known)) args with
@@ -1001,7 +930,6 @@ let () =
       | "oracle-smoke" -> run_oracle `Smoke
       | "ooo" -> run_ooo `Full
       | "ooo-smoke" -> run_ooo `Smoke
-      | "bechamel" -> run_bechamel ()
       | "json" -> write_json "BENCH_eval.json"
       | _ -> assert false);
       print_newline ())

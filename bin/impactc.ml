@@ -329,8 +329,8 @@ let print_hot_insns ~by counts =
 (* OOO counterpart of the stall table: every dispatch slot of every
    cycle either dispatched an instruction or has exactly one attributed
    cause, so the rows sum to cycles x issue. *)
-let print_ooo_stall_table (prof : Impact_ooo.Ooo.profile) =
-  let open Impact_ooo.Ooo in
+let print_ooo_stall_table (prof : Impact_sim.Sim.Ooo.profile) =
+  let open Impact_sim.Sim.Ooo in
   let total = prof.o_cycles * prof.o_issue in
   let pct n = 100.0 *. float_of_int n /. float_of_int (max 1 total) in
   Printf.printf
@@ -436,8 +436,8 @@ let ooo_level_matrix_rows w (opts : Opts.t) ~(core : Machine.core) =
       List.map
         (fun machine ->
           let scheduled = Compile.schedule_with opts machine tp in
-          let r, prof = Impact_ooo.Ooo.run_profiled machine scheduled in
-          let open Impact_ooo.Ooo in
+          let r, prof = Impact_sim.Sim.Ooo.run_profiled machine scheduled in
+          let open Impact_sim.Sim.Ooo in
           {
             lmr_level = Level.to_string level;
             lmr_machine = machine.Machine.name;
@@ -533,8 +533,8 @@ let inorder_sim_json (prof : Impact_sim.Sim.profile) =
     ("hot_insns", json_of_hot prof.p_insn_issues);
   ]
 
-let ooo_sim_json (prof : Impact_ooo.Ooo.profile) =
-  let open Impact_ooo.Ooo in
+let ooo_sim_json (prof : Impact_sim.Sim.Ooo.profile) =
+  let open Impact_sim.Sim.Ooo in
   [
     ( "stalls",
       J.Obj
@@ -651,7 +651,7 @@ let profile_cmd =
             print_level_matrix rows),
           inorder_sim_json prof )
       | Machine.Ooo _ as core ->
-        let result, prof = Impact_ooo.Ooo.run_profiled machine scheduled in
+        let result, prof = Impact_sim.Sim.Ooo.run_profiled machine scheduled in
         let rep = Obs.report () in
         let rows = ooo_level_matrix_rows w opts ~core in
         ( result,
@@ -717,29 +717,12 @@ let profile_cmd =
              slot-attribution stall table, ILP histogram, hottest \
              instructions, pass telemetry and the level x issue matrix.")
   in
-  let oracle_arg =
-    Arg.(
-      value & flag
-      & info [ "oracle" ]
-          ~doc:
-            "With $(b,--sched pipe): certify every pipelined loop against the \
-             exact modulo-scheduling oracle while profiling, so the pass \
-             telemetry includes $(b,pipe.oracle.*) counters (loops certified, \
-             proved optimal/suboptimal, certified gap cycles) and a per-loop \
-             optimality note.")
-  in
-  let run name json_out oracle co =
-    if oracle then Impact_exact.Exact.install ();
-    Fun.protect
-      ~finally:(fun () -> Impact_pipe.Pipe.set_oracle None)
-      (fun () -> run name json_out co)
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Report stall attribution, ILP histogram and pass telemetry for one \
           loop nest")
-    Term.(const run $ profile_loop_arg $ json_arg $ oracle_arg $ common_opts_term)
+    Term.(const run $ profile_loop_arg $ json_arg $ common_opts_term)
 
 (* -- certify -- *)
 

@@ -240,22 +240,22 @@ let heights (t : t) : int array =
 (* ---- Loop-carried dependences and recurrence circuits ----
 
    A carried edge relates an instruction of iteration [j] to one of
-   iteration [j + dist]. Register dependences always have distance 1
-   (the reaching definition of a carried use is in the previous
-   iteration); memory dependences get their distance from the linear
-   address analysis when both addresses advance by the same per-
+   iteration [j + dist]. Only flow and memory dependences are built: the
+   modulo scheduler, their one consumer, removes carried anti and output
+   dependences by register versioning. Register flow always has
+   distance 1 (the reaching definition of a carried use is in the
+   previous iteration); memory dependences get their distance from the
+   linear address analysis when both addresses advance by the same per-
    iteration step, and fall back to a conservative distance-1 pair of
    edges otherwise. *)
 
-type cedge = { cesrc : int; cedst : int; ckind : kind; clat : int; cdist : int }
+type cedge = { cesrc : int; cedst : int; clat : int; cdist : int }
 
 let carried ?(pre_env = Reg.Map.empty) (t : t) : cedge list =
   let sb = t.sb in
   let lv = Linval.analyze sb in
   let out = ref [] in
-  let add cesrc cedst ckind clat cdist =
-    out := { cesrc; cedst; ckind; clat; cdist } :: !out
-  in
+  let add cesrc cedst clat cdist = out := { cesrc; cedst; clat; cdist } :: !out in
   (* Per-register definition and use positions, in program order. *)
   let defs : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   let uses : (int, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -278,16 +278,9 @@ let carried ?(pre_env = Reg.Map.empty) (t : t) : cedge list =
         | None -> 1
       in
       let use_ps = List.rev (Option.value ~default:[] (Hashtbl.find_opt uses rid)) in
-      List.iter
-        (fun u ->
-          (* A use with no earlier definition reads the value carried
-             from the previous iteration's last definition. *)
-          if u <= first_def then add last_def u Flow lat 1;
-          (* A use at or after the last definition is overwritten by the
-             next iteration's first definition. *)
-          if u >= last_def then add u first_def Anti 0 1)
-        use_ps;
-      add last_def first_def Output 0 1)
+      (* A use with no earlier definition reads the value carried from
+         the previous iteration's last definition. *)
+      List.iter (fun u -> if u <= first_def then add last_def u lat 1) use_ps)
     defs;
   (* Memory: relate every (store, mem) pair across iterations. *)
   let mems = ref [] in
@@ -297,8 +290,8 @@ let carried ?(pre_env = Reg.Map.empty) (t : t) : cedge list =
   let mems = List.rev !mems in
   let mem_lat src_is_store = if src_is_store then 1 else 0 in
   let conservative p pst q qst =
-    add p q Mem (mem_lat pst) 1;
-    if p <> q then add q p Mem (mem_lat qst) 1
+    add p q (mem_lat pst) 1;
+    if p <> q then add q p (mem_lat qst) 1
   in
   let relate (p, pst, pa) (q, qst, qa) =
     if pst || qst then
@@ -326,8 +319,8 @@ let carried ?(pre_env = Reg.Map.empty) (t : t) : cedge list =
               else if dc <> 0 && dc mod s = 0 then begin
                 (* x(j) = y(j + dc/s): a dependence at that distance. *)
                 let dd = dc / s in
-                if dd >= 1 then add p q Mem (mem_lat pst) dd
-                else add q p Mem (mem_lat qst) (-dd)
+                if dd >= 1 then add p q (mem_lat pst) dd
+                else add q p (mem_lat qst) (-dd)
               end
               (* dc = 0: same iteration only (intra-iteration edge);
                  non-divisible dc: never equal at any distance. *))

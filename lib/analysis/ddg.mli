@@ -32,15 +32,17 @@ val heights : t -> int array
 (** Longest-latency path from each node to the segment end (the list
     scheduling priority). *)
 
-type cedge = { cesrc : int; cedst : int; ckind : kind; clat : int; cdist : int }
-(** A loop-carried dependence: the instruction at [cesrc] in iteration
-    [j] must precede the one at [cedst] in iteration [j + cdist] by
-    [clat] cycles. Register dependences always have distance 1; memory
-    dependences get an exact distance from the linear address analysis
-    when both addresses share a per-iteration step, and a conservative
-    distance-1 pair of edges otherwise. *)
+type cedge = { cesrc : int; cedst : int; clat : int; cdist : int }
+(** A loop-carried flow or memory dependence: the instruction at
+    [cesrc] in iteration [j] must precede the one at [cedst] in
+    iteration [j + cdist] by [clat] cycles. Register flow always has
+    distance 1; memory dependences get an exact distance from the
+    linear address analysis when both addresses share a per-iteration
+    step, and a conservative distance-1 pair of edges otherwise. *)
 
 val carried : ?pre_env:Linval.lin Reg.Map.t -> t -> cedge list
 (** Cross-iteration extension of the dependence graph: carried register
-    flow/anti/output edges and carried memory edges with (latency,
-    distance) pairs. [pre_env] plays the same role as in {!build}. *)
+    flow edges and carried memory edges with (latency, distance) pairs.
+    Carried anti and output dependences are not built; the modulo
+    scheduler removes them by register versioning. [pre_env] plays the
+    same role as in {!build}. *)

@@ -36,21 +36,12 @@ let schedule_with (opts : Opts.t) (machine : Machine.t) (p : Prog.t) : Prog.t =
         Impact_sched.List_sched.run machine p))
   | `Pipe -> Impact_pipe.Pipe.run machine p
 
-(* Simulation dispatch on the machine's core axis: the in-order
-   interlocked pipeline (lib/sim) or the out-of-order ROB/renaming core
-   (lib/ooo). Both return the same [Sim.result] and raise the same
-   [Sim.Timeout]/[Sim.Error]. *)
-let simulate ?fuel (machine : Machine.t) (p : Prog.t) : Impact_sim.Sim.result =
-  match machine.Machine.core with
-  | Machine.Inorder -> Impact_sim.Sim.run ?fuel machine p
-  | Machine.Ooo _ -> Impact_ooo.Ooo.run ?fuel machine p
-
 let schedule_and_measure_with (opts : Opts.t) (level : Level.t)
     (machine : Machine.t) (p : Prog.t) : measurement =
   let compiled = schedule_with opts machine p in
   let result =
     Impact_obs.Obs.stage "simulate" (fun () ->
-      simulate ?fuel:opts.Opts.fuel machine compiled)
+      Impact_sim.Sim.run ?fuel:opts.Opts.fuel machine compiled)
   in
   let usage =
     Impact_obs.Obs.stage "regalloc" (fun () ->

@@ -230,15 +230,3 @@ let certify ?(budget = default_budget) (p : Pipe.problem) ~heur_ii =
         }
   in
   walk (max 1 p.Pipe.p_mii)
-
-let oracle_of_cert c =
-  {
-    Pipe.oc_lb = c.ct_lb;
-    oc_ub = c.ct_ub;
-    oc_proved = c.ct_proved;
-    oc_nodes = c.ct_nodes;
-  }
-
-let install ?budget () =
-  Pipe.set_oracle
-    (Some (fun p ~heur_ii -> oracle_of_cert (certify ?budget p ~heur_ii)))

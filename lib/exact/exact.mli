@@ -96,8 +96,3 @@ val certify : ?budget:int -> Pipe.problem -> heur_ii:int option -> cert
     achieved II when it pipelined the loop ([None] when it skipped);
     the walk caps at [heur_ii - 1] respectively [p_list_ci - 1] — IIs
     at or past those bounds are never an improvement. *)
-
-val install : ?budget:int -> unit -> unit
-(** [Pipe.set_oracle] with {!certify}: every analyzable loop scheduled
-    while telemetry collects gets certified, surfacing
-    [pipe.oracle.*] counters and per-loop notes in [impactc profile]. *)

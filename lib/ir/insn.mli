@@ -54,8 +54,8 @@ val is_speculatable : t -> bool
 val result_cls : t -> Reg.cls option
 
 val eval_ibin : ibin -> int -> int -> int option
-(** Compile-time evaluation; [None] for division/remainder by zero and
-    out-of-range shifts. *)
+(** Compile-time evaluation; [None] for a zero divisor ([Div], [Rem])
+    and out-of-range shifts. *)
 
 val eval_fbin : fbin -> float -> float -> float
 

@@ -98,12 +98,10 @@ let build_edges ~pre_env (insns : Insn.t array) : edge list =
     Hashtbl.fold (fun (s, d) lat acc -> { src = s; dst = d; lat; dist = 0 } :: acc) best []
   in
   let carried =
-    Ddg.carried ~pre_env dg
-    |> List.filter_map (fun (c : Ddg.cedge) ->
-         match c.Ddg.ckind with
-         | Ddg.Flow | Ddg.Mem ->
-           Some { src = c.Ddg.cesrc; dst = c.Ddg.cedst; lat = max 1 c.Ddg.clat; dist = c.Ddg.cdist }
-         | Ddg.Anti | Ddg.Output | Ddg.Ctrl -> None)
+    List.map
+      (fun (c : Ddg.cedge) ->
+        { src = c.Ddg.cesrc; dst = c.Ddg.cedst; lat = max 1 c.Ddg.clat; dist = c.Ddg.cdist })
+      (Ddg.carried ~pre_env dg)
   in
   List.sort compare (within @ carried)
 
@@ -652,56 +650,6 @@ let report_to_string (r : report) : string =
 
 (* ---- Whole-program traversal (mirrors List_sched.run) ---- *)
 
-type oracle_cert = {
-  oc_lb : int;
-  oc_ub : int option;
-  oc_proved : bool;
-  oc_nodes : int;
-}
-
-(* The exact-oracle hook (lib/exact installs it): consulted per
-   analyzable loop while telemetry collects, so `impactc profile
-   --oracle` shows certified gaps without lib/pipe depending on the
-   solver. *)
-let oracle : (problem -> heur_ii:int option -> oracle_cert) option ref = ref None
-
-let set_oracle f = oracle := f
-
-let consult_oracle machine (rep : report) = function
-  | None -> ()
-  | Some problem -> (
-    match !oracle with
-    | None -> ()
-    | Some certify ->
-      let heur_ii =
-        match rep.status with Pipelined i -> Some i.ii | Skipped _ -> None
-      in
-      let c = certify problem ~heur_ii in
-      Impact_obs.Obs.count "pipe.oracle.loops";
-      Impact_obs.Obs.count ~n:c.oc_nodes "pipe.oracle.nodes";
-      if c.oc_proved then Impact_obs.Obs.count "pipe.oracle.proved";
-      (match heur_ii with
-      | Some ii when c.oc_proved ->
-        if ii = c.oc_lb then Impact_obs.Obs.count "pipe.oracle.optimal"
-        else begin
-          Impact_obs.Obs.count "pipe.oracle.suboptimal";
-          Impact_obs.Obs.count ~n:(ii - c.oc_lb) "pipe.oracle.gap_cycles"
-        end
-      | Some ii -> Impact_obs.Obs.count ~n:(ii - c.oc_lb) "pipe.oracle.gap_bound_cycles"
-      | None -> ());
-      Impact_obs.Obs.note
-        (Printf.sprintf "pipe.oracle.%s.loop%d" machine.Machine.name rep.lid)
-        (Printf.sprintf "optimal II %s (heuristic %s, %d nodes)"
-           (match (c.oc_proved, c.oc_ub) with
-           | true, Some u when u = c.oc_lb -> Printf.sprintf "= %d" c.oc_lb
-           | true, None -> Printf.sprintf ">= %d (none below list bound)" c.oc_lb
-           | _, Some u -> Printf.sprintf "in [%d, %d]" c.oc_lb u
-           | _, None -> Printf.sprintf ">= %d (search incomplete)" c.oc_lb)
-           (match rep.status with
-           | Pipelined i -> string_of_int i.ii
-           | Skipped _ -> "skipped")
-           c.oc_nodes))
-
 let run_with_problems (machine : Machine.t) (p : Prog.t) :
     Prog.t * (report * problem option) list =
   Impact_obs.Obs.stage "pipe" (fun () ->
@@ -737,8 +685,7 @@ let run_with_problems (machine : Machine.t) (p : Prog.t) :
               | Skipped _ -> "pipe.skipped");
             Impact_obs.Obs.note
               (Printf.sprintf "pipe.%s.loop%d" machine.Machine.name rep.lid)
-              (report_to_string rep);
-            consult_oracle machine rep problem
+              (report_to_string rep)
           end;
           reports := (rep, problem) :: !reports;
           go (List.rev_append items acc) rest

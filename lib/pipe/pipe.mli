@@ -98,24 +98,6 @@ val ims_schedule :
     min 0, achieved II). Exposed for differential testing against the
     exact solver. *)
 
-(** {1 Certification hook}
-
-    An installed oracle is consulted once per analyzable innermost loop
-    while telemetry is collecting; its verdict is recorded as
-    [pipe.oracle.*] counters and notes so [impactc profile] can show
-    certified optimality gaps next to the heuristic's reports. The hook
-    keeps the dependency arrow pointing outward: lib/exact depends on
-    lib/pipe, never the reverse. *)
-
-type oracle_cert = {
-  oc_lb : int;  (** optimal II is [>= oc_lb] (proved) *)
-  oc_ub : int option;  (** smallest known-feasible II, if any *)
-  oc_proved : bool;  (** [oc_lb] meets the known optimum (search complete) *)
-  oc_nodes : int;  (** search nodes spent on this loop *)
-}
-
-val set_oracle : (problem -> heur_ii:int option -> oracle_cert) option -> unit
-
 val run : Machine.t -> Prog.t -> Prog.t
 (** Schedule a transformed program: modulo-schedule every eligible
     innermost loop, list-schedule everything else. A drop-in

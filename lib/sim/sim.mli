@@ -29,11 +29,12 @@ val word : int
     arithmetic). *)
 
 val run : ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result
-(** [run machine prog] executes [prog] to completion. The program is
-    first pre-decoded into flat execution records ({!decode}) so the
-    per-dynamic-instruction path does no operand matching or list
-    lookups. The run is recorded as a ["sim.run"] span when
-    [Impact_obs.Obs] telemetry is on. *)
+(** [run machine prog] executes [prog] to completion on [machine]'s
+    {!Impact_ir.Machine.core}: the in-order pipeline, recorded as a
+    ["sim.run"] span when [Impact_obs.Obs] telemetry is on, or
+    {!Ooo.run}. The program is first pre-decoded into flat execution
+    records ({!decode}) so the per-dynamic-instruction path does no
+    operand matching or list lookups. *)
 
 val run_ref :
   ?fuel:int ->
@@ -94,7 +95,9 @@ val classified_slots : profile -> int
 
 val run_profiled :
   ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result * profile
-(** [run] (fast path) with issue-slot accounting. *)
+(** [run] (fast path) with issue-slot accounting. Raises
+    [Invalid_argument] when [machine.core] is [Ooo] (use
+    {!Ooo.run_profiled}). *)
 
 val run_ref_profiled :
   ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result * profile
@@ -102,11 +105,95 @@ val run_ref_profiled :
     identical to {!run_profiled}'s (asserted by the conformance
     tests). *)
 
-(** {1 Shared execution machinery}
+(** {1 Out-of-order core} *)
+
+(** Cycle-level out-of-order core model (the [Machine.Ooo] axis): the
+    same node processor as the in-order core — Table 1 latencies,
+    [issue]-wide with one branch slot, 100% cache hits — but
+    dynamically scheduled:
+
+    - in-order fetch/rename/dispatch into a finite reorder buffer
+      ([rob] entries), renaming each destination onto a finite physical
+      register file ([phys_regs] per class, P6-style: allocated at
+      rename, freed at commit);
+    - out-of-order reservation-station issue, oldest-ready first, up to
+      [issue] per cycle (functional units unlimited and fully
+      pipelined); memory operations issue in program order among
+      themselves (no disambiguation or store forwarding);
+    - perfect branch prediction with a one-cycle taken-branch redirect
+      and [branch_slots] branches dispatched per cycle, exactly the
+      in-order front end;
+    - in-order commit, up to [issue] per cycle.
+
+    The timing model is trace-driven: instructions execute functionally
+    at dispatch in program order, through the in-order core's own
+    instruction step, so architectural results — [outputs],
+    [arrays_out], [dyn_insns] and any raised {!Error} — are those of
+    the in-order core on the same program by construction (pinned by
+    the conformance tests in test/t_ooo). Each instruction's dispatch,
+    issue and commit cycles are computed once, at dispatch; they equal
+    those of stepping the pipeline cycle by cycle (test/ooo_ref.ml), in
+    every result and profile field. *)
+module Ooo : sig
+  val run : ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result
+  (** [run machine prog] simulates [prog] on [machine]'s OOO core;
+      [cycles] counts through the final commit. Raises
+      [Invalid_argument] when [machine.core] is [Inorder], {!Timeout}
+      when the cycle budget [fuel] (default 400M) is exhausted, and
+      {!Error} exactly where the in-order core would. Recorded as an
+      ["ooo.run"] span when {!Impact_obs.Obs} telemetry is on. *)
+
+  (** {2 Dispatch-slot accounting}
+
+      A profiled run classifies every one of its [o_cycles * o_issue]
+      dispatch slots: [o_dispatched_slots] dispatched an instruction
+      and each empty slot has exactly one attributed cause. The
+      in-order dispatch stage stops within a cycle for whichever
+      resource runs out first and charges the rest of the cycle's slots
+      to it, so {!classified_slots} equals {!empty_slots} by
+      construction — the conservation invariant the tier-1 tests
+      assert. *)
+
+  type profile = {
+    o_issue : int;
+    o_cycles : int;
+    o_dispatched_slots : int;  (** = [dyn_insns] *)
+    o_rob_full : int;
+        (** reorder buffer full, oldest entry executing: latency/commit
+            bound *)
+    o_rs_wait : int;
+        (** reorder buffer full, oldest entry still waiting on
+            operands: dataflow bound *)
+    o_no_phys : int;  (** no free physical register in the needed class *)
+    o_fetch : int;  (** branch-slot limit in the dispatch group *)
+    o_redirect : int;  (** slots after a taken branch *)
+    o_drain : int;
+        (** out of instructions: end of program mid-cycle plus trailing
+            cycles until the last commit *)
+    o_ilp : int array;
+        (** [o_ilp.(k)] = cycles that dispatched exactly [k]; length
+            [o_issue + 1], sums to [o_cycles] *)
+    o_max_rob : int;  (** peak reorder-buffer occupancy *)
+    o_insn_dispatches : (Impact_ir.Insn.t * int) array;
+        (** dispatch count per static instruction, in code order *)
+  }
+
+  val empty_slots : profile -> int
+  (** [o_cycles * o_issue - o_dispatched_slots]. *)
+
+  val classified_slots : profile -> int
+  (** Sum of all attributed categories; equals {!empty_slots}. *)
+
+  val run_profiled :
+    ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result * profile
+  (** {!run} with dispatch-slot accounting (identical [result]). *)
+end
+
+(** {1 Execution machinery}
 
     The memory image, the decoder and the observable collection that
-    {!run} uses, exported so lib/ooo executes programs exactly as the
-    in-order core does. *)
+    both cores use, exported for the cycle-stepped reference core of
+    the tests (test/ooo_ref.ml). *)
 
 type mem = {
   mem_i : int array;

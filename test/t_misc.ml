@@ -179,7 +179,10 @@ let bench_cli_tests =
       check_bool "names the offender" true (contains err "unknown argument no-such-mode");
       check_bool "prints usage" true (contains err "usage:");
       check_bool "usage lists oracle" true (contains err "oracle");
-      check_bool "usage lists oracle-smoke" true (contains err "oracle-smoke"));
+      check_bool "usage lists oracle-smoke" true (contains err "oracle-smoke");
+      let status, err = run_bench [ "bechamel" ] in
+      check_int "bechamel exit code" 2 status;
+      check_bool "names bechamel" true (contains err "unknown argument bechamel"));
     test "malformed -j exits 2" (fun () ->
       let status, _ = run_bench [ "-j"; "zero" ] in
       check_int "exit code" 2 status);

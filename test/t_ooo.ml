@@ -1,8 +1,9 @@
 (* Conformance and conservation tests for the out-of-order core
-   (lib/ooo). The OOO model is trace-driven — instructions execute
-   functionally at dispatch in program order — so its architectural
-   results must be *bit-identical* to the in-order simulator on the same
-   scheduled program, for any reorder-buffer or physical-register size.
+   ([Sim.Ooo], exported as [Impact_ooo.Ooo]). The OOO model is
+   trace-driven — instructions execute functionally at dispatch in
+   program order — so its architectural results must be *bit-identical*
+   to the in-order simulator on the same scheduled program, for any
+   reorder-buffer or physical-register size.
    The profiled runs must also account for every dispatch slot:
    dispatched + attributed empty slots = cycles x issue, exactly. And
    the per-instruction timing must reproduce the cycle-stepped reference
@@ -146,6 +147,27 @@ let test_run_rejects_inorder () =
   match Ooo.run m p with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Ooo.run accepted an in-order machine"
+
+(* [Sim.run] simulates the machine's own core: on an OOO machine it is
+   [Ooo.run] in every result field, and [Sim.run_profiled], whose
+   profile is the in-order one, refuses the machine. *)
+let test_sim_run_follows_core () =
+  let m = Machine.ooo ~issue:8 ~rob:32 () in
+  let prog name level =
+    let w = Option.get (Impact_workloads.Suite.find name) in
+    Compile.compile_with Opts.default level m (lower w)
+  in
+  List.iter
+    (fun (name, level) ->
+      let p = prog name level in
+      Helpers.check_bool
+        (Printf.sprintf "%s at %s: Sim.run = Ooo.run" name (Level.to_string level))
+        true
+        (compare (Sim.run m p) (Ooo.run m p) = 0))
+    [ ("add", Level.Conv); ("dotprod", Level.Lev2); ("SRS-5", Level.Lev4) ];
+  match Sim.run_profiled m (prog "add" Level.Conv) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Sim.run_profiled accepted an OOO machine"
 
 (* Randomized conformance: scheduled straight-line programs (loads,
    integer ops, a reduction) must produce the same architectural output
@@ -292,6 +314,8 @@ let suite =
         Alcotest.test_case "cycles monotone in rob" `Quick test_rob_monotone;
         Alcotest.test_case "rejects in-order machine" `Quick
           test_run_rejects_inorder;
+        Alcotest.test_case "Sim.run follows the machine's core" `Quick
+          test_sim_run_follows_core;
         QCheck_alcotest.to_alcotest prop_random_conformance;
         Alcotest.test_case "matches the reference core: kernels x machines" `Quick
           test_matches_reference;
