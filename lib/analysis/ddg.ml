@@ -1,223 +1,243 @@
 (* Data-dependence graph of a superblock (or any straight-line segment
    with side exits). Nodes are item positions holding instructions.
 
-   Edge kinds:
-   - Flow: def -> use, with the producer's latency.
-   - Anti / Output: register reuse ordering (latency 0; the in-order
-     machine applies same-cycle effects in program order).
-   - Mem: load/store ordering from memory disambiguation.
-   - Ctrl: branch ordering, store/branch ordering, and speculation
+   Edges, deduplicated to the max latency per (src, dst) pair:
+   - flow: def -> use, with the producer's latency;
+   - register reuse (anti, output): latency 0, since the in-order
+     machine applies same-cycle effects in program order;
+   - memory: load/store ordering from memory disambiguation, latency 1
+     after a store and 0 after a load;
+   - control: branch ordering, store/branch ordering, and speculation
      constraints (an instruction may move above a branch only if it is
      speculatable and its destination is dead at the branch target).
 
    Any internal label that survives superblock formation is treated as a
-   full scheduling barrier (sound fallback). *)
+   full scheduling barrier (sound fallback).
+
+   Every edge ends at the later of its two positions, so the builder
+   walks the segment once, collects each position's incoming edges in
+   an [inbox] and fills the deduplicated successor lists from it.
+   Register state is kept in arrays over the segment's register-id
+   range. *)
 
 open Impact_ir
-
-type kind = Flow | Anti | Output | Mem | Ctrl
-
-type edge = { esrc : int; edst : int; kind : kind; lat : int }
 
 type t = {
   sb : Sb.t;
   nodes : int list;  (* instruction positions, in program order *)
-  edges : edge list;
   succs : (int * int) list array;  (* position -> (succ position, latency) *)
-  preds : (int * int) list array;
 }
 
 (* Conservative default: every destination is considered live at every
    branch target, i.e. no speculation. *)
 let no_speculation : Insn.t -> Reg.Set.t option = fun _ -> None
 
+(* Smallest register id a segment mentions and the width of the id
+   range (0 when it mentions none). *)
+let reg_range (sb : Sb.t) : int * int =
+  let lo = ref max_int and hi = ref min_int in
+  let see (r : Reg.t) =
+    if r.Reg.id < !lo then lo := r.Reg.id;
+    if r.Reg.id > !hi then hi := r.Reg.id
+  in
+  Array.iter
+    (function
+      | Block.Ins i ->
+        (match i.Insn.dst with Some r -> see r | None -> ());
+        Array.iter (function Operand.Reg r -> see r | _ -> ()) i.Insn.srcs
+      | Block.Lbl _ | Block.Loop _ -> ())
+    sb.Sb.items;
+  if !hi < !lo then (0, 0) else (!lo, !hi - !lo + 1)
+
+let latencies (sb : Sb.t) : int array =
+  Array.map
+    (function Block.Ins i -> Machine.latency i.Insn.op | Block.Lbl _ | Block.Loop _ -> 0)
+    sb.Sb.items
+
+(* A memory operation, with its address and single array label worked
+   out once. *)
+type mem = {
+  mpos : int;
+  mst : bool;
+  maddr : Linval.lin option;
+  mbase : Operand.t;
+  mlab : string option;
+}
+
+let mem_of lv p (i : Insn.t) =
+  let maddr = Linval.address lv p in
+  {
+    mpos = p;
+    mst = Insn.is_store i;
+    maddr;
+    mbase = i.Insn.srcs.(0);
+    mlab = Option.bind maddr Linval.label_of_addr;
+  }
+
+(* Memory edge latency after [m]: a store's write completes first. *)
+let mem_lat m = if m.mst then 1 else 0
+
+(* Two single array labels that differ: the addresses never alias, in
+   any iteration ([Linval.relation] answers [Disjoint] within one). *)
+let other_arrays a b =
+  match a.mlab, b.mlab with Some x, Some y -> not (String.equal x y) | _ -> false
+
+(* Within-iteration aliasing of two memory operations. When body-local
+   symbolic values cannot relate the addresses, fall back to preheader
+   facts: if their difference is invariant across iterations and the
+   preheader makes it a constant, that constant decides aliasing for
+   every iteration. Otherwise two different label bases never alias. *)
+let may_alias lv pre_env rel a b =
+  match (rel : Linval.relation) with
+  | Linval.Disjoint -> false
+  | Linval.Same -> true
+  | Linval.May -> (
+    let distance =
+      match a.maddr, b.maddr with
+      | Some x, Some y ->
+        let d = Linval.sub x y in
+        if Linval.lin_step lv d <> Some 0 then None
+        else
+          let d = Linval.subst pre_env d in
+          if Linval.is_const d then Some d.Linval.c else None
+      | _ -> None
+    in
+    match distance, a.mbase, b.mbase with
+    | Some c, _, _ -> c = 0
+    | None, Operand.Lab x, Operand.Lab y -> String.equal x y
+    | None, _, _ -> true)
+
+(* The edges into one position, deduplicated as they arrive: the max
+   latency per source, and the sources in the order first seen. *)
+type inbox = { best : int array; srcs : int array; mutable nsrcs : int }
+
+let inbox n = { best = Array.make n min_int; srcs = Array.make n 0; nsrcs = 0 }
+
+let offer b s l =
+  let old = b.best.(s) in
+  if old = min_int then begin
+    b.srcs.(b.nsrcs) <- s;
+    b.nsrcs <- b.nsrcs + 1
+  end;
+  if l > old then b.best.(s) <- l
+
+(* Hand over every collected (source, latency) and empty the inbox. *)
+let drain b f =
+  for k = 0 to b.nsrcs - 1 do
+    let s = b.srcs.(k) in
+    f s b.best.(s);
+    b.best.(s) <- min_int
+  done;
+  b.nsrcs <- 0
+
 let build ?(live_at_target = no_speculation) ?(pre_env = Reg.Map.empty) (sb : Sb.t) : t =
   let n = Sb.length sb in
-  let edges = ref [] in
-  let add esrc edst kind lat =
-    if esrc <> edst then edges := { esrc; edst; kind; lat } :: !edges
-  in
   let lv = Linval.analyze sb in
-  let last_def : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let uses_since : (int, int list) Hashtbl.t = Hashtbl.create 32 in
-  (* (position, instruction, live set at its target or None) *)
-  let branches : (int * Insn.t * Reg.Set.t option) list ref = ref [] in
-  let stores_since_branch : int list ref = ref [] in
+  let lat = latencies sb in
+  let lo, nr = reg_range sb in
+  let last_def = Array.make nr (-1) in
+  let uses_since = Array.make nr [] in
+  let box = inbox n in
+  let add s p l = if s <> p then offer box s l in
+  let succs = Array.make n [] in
+  let mems = Array.make n None in
+  let nmems = ref 0 in
+  (* (position, live set at its target or None), latest first. *)
+  let branches = ref [] in
+  let stores_since_branch = ref [] in
   (* (position, destination) of earlier register-writing instructions:
      a later branch pins every one whose destination is live at its
      target (on the taken path the write must already have happened). *)
-  let defs_so_far : (int * Reg.t) list ref = ref [] in
-  (* (position, is store, address, base operand, single array label) *)
-  let mem_ops : (int * bool * Linval.lin option * Operand.t * string option) list ref =
-    ref []
-  in
+  let defs_so_far = ref [] in
   let insn_positions = Sb.insn_positions sb in
   let last_insn_pos = match List.rev insn_positions with [] -> -1 | p :: _ -> p in
-  let syntactic_disjoint b1 b2 =
-    match b1, b2 with
-    | Operand.Lab a, Operand.Lab b -> a <> b
-    | _ -> false
-  in
-  (* Fall back to preheader facts when body-local symbolic values cannot
-     relate two addresses: if their difference is invariant across
-     iterations and the preheader makes it a constant, that constant
-     decides aliasing for every iteration. *)
-  let preheader_distance a1 a2 =
-    match a1, a2 with
-    | Some x, Some y ->
-      let d = Linval.sub x y in
-      if Linval.lin_step lv d <> Some 0 then None
-      else
-        let d' = Linval.subst pre_env d in
-        if Linval.is_const d' then Some d'.Linval.c else None
-    | _ -> None
-  in
-  let may_alias (a1 : Linval.lin option) (b1 : Operand.t) a2 b2 =
-    match Linval.relation a1 a2 with
-    | Linval.Disjoint -> false
-    | Linval.Same -> true
-    | Linval.May -> (
-      match preheader_distance a1 a2 with
-      | Some 0 -> true
-      | Some _ -> false
-      | None -> not (syntactic_disjoint b1 b2))
-  in
-  Array.iteri
-    (fun p item ->
-      match item with
-      | Block.Loop _ -> invalid_arg "Ddg.build: nested loop"
-      | Block.Lbl _ -> ()
-      | Block.Ins i ->
-        let lat_of = Machine.latency in
-        (* Register flow dependences: uses before defs. *)
+  (* A label since the last instruction, and the first instruction
+     after each earlier label: leftover labels are full barriers. *)
+  let after_label = ref false in
+  let barriers = ref [] in
+  let before p = List.iter (fun q -> if q < p then add q p 0) insn_positions in
+  for p = 0 to n - 1 do
+    match sb.Sb.items.(p) with
+    | Block.Loop _ -> invalid_arg "Ddg.build: nested loop"
+    | Block.Lbl _ -> after_label := true
+    | Block.Ins i ->
+      (* Register flow, anti and output dependences. *)
+      Array.iter
+        (function
+          | Operand.Reg r ->
+            let k = r.Reg.id - lo in
+            let d = last_def.(k) in
+            if d >= 0 then add d p lat.(d);
+            uses_since.(k) <- p :: uses_since.(k)
+          | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ())
+        i.Insn.srcs;
+      (match i.Insn.dst with
+      | Some r ->
+        let k = r.Reg.id - lo in
+        List.iter (fun u -> add u p 0) uses_since.(k);
+        if last_def.(k) >= 0 then add last_def.(k) p 0;
+        last_def.(k) <- p;
+        uses_since.(k) <- []
+      | None -> ());
+      (* Memory dependences. *)
+      if Insn.is_mem i then begin
+        let m = mem_of lv p i in
+        for k = 0 to !nmems - 1 do
+          let q = Option.get mems.(k) in
+          if
+            (m.mst || q.mst)
+            && (not (other_arrays q m))
+            && may_alias lv pre_env (Linval.relation q.maddr m.maddr) q m
+          then add q.mpos p (mem_lat q)
+        done;
+        mems.(!nmems) <- Some m;
+        incr nmems
+      end;
+      (* Control dependences. *)
+      if Insn.is_branch i then begin
+        (match !branches with (b, _) :: _ -> add b p 0 | [] -> ());
+        List.iter (fun s -> add s p 0) !stores_since_branch;
+        stores_since_branch := [];
+        let live = live_at_target i in
+        (* Writes whose results the taken path needs may not sink below
+           this branch. *)
         List.iter
-          (fun (r : Reg.t) ->
-            (match Hashtbl.find_opt last_def r.Reg.id with
-            | Some d -> (
-              match Sb.insn sb d with
-              | Some di -> add d p Flow (lat_of di.Insn.op)
-              | None -> ())
-            | None -> ());
-            let us = Option.value ~default:[] (Hashtbl.find_opt uses_since r.Reg.id) in
-            Hashtbl.replace uses_since r.Reg.id (p :: us))
-          (Insn.uses i);
-        List.iter
-          (fun (r : Reg.t) ->
-            List.iter
-              (fun u -> add u p Anti 0)
-              (Option.value ~default:[] (Hashtbl.find_opt uses_since r.Reg.id));
-            (match Hashtbl.find_opt last_def r.Reg.id with
-            | Some d -> add d p Output 0
-            | None -> ());
-            Hashtbl.replace last_def r.Reg.id p;
-            Hashtbl.replace uses_since r.Reg.id [])
-          (Insn.defs i);
-        (* Memory dependences. *)
-        if Insn.is_mem i then begin
-          let addr = Linval.address lv p in
-          let base = i.Insn.srcs.(0) in
-          let st = Insn.is_store i in
-          let lab = Option.bind addr Linval.label_of_addr in
-          (* Addresses on two different single array labels never alias:
-             each side has its label at coefficient 1, so their
-             difference is never constant and [Linval.relation] answers
-             [Disjoint]. Skip [may_alias] for such pairs. *)
-          let other_array qlab =
-            match lab, qlab with Some a, Some b -> a <> b | _ -> false
-          in
-          List.iter
-            (fun (q, qst, qaddr, qbase, qlab) ->
-              if (st || qst) && (not (other_array qlab)) && may_alias qaddr qbase addr base
-              then add q p Mem (if qst then 1 else 0))
-            !mem_ops;
-          mem_ops := (p, st, addr, base, lab) :: !mem_ops
-        end;
-        (* Control dependences. *)
-        if Insn.is_branch i then begin
-          (match !branches with (b, _, _) :: _ -> add b p Ctrl 0 | [] -> ());
-          List.iter (fun s -> add s p Ctrl 0) !stores_since_branch;
-          stores_since_branch := [];
-          let live = live_at_target i in
-          (* Writes whose results the taken path needs may not sink below
-             this branch. *)
-          List.iter
-            (fun (q, d) ->
-              match live with
-              | None -> add q p Ctrl 0
-              | Some set -> if Reg.Set.mem d set then add q p Ctrl 0)
-            !defs_so_far;
-          branches := (p, i, live) :: !branches
-        end
-        else if Insn.is_store i then begin
-          (match !branches with (b, _, _) :: _ -> add b p Ctrl 0 | [] -> ());
-          stores_since_branch := p :: !stores_since_branch
-        end
-        else begin
-          (* Speculatable instruction: may not hoist above a branch whose
-             off-path target needs its destination. *)
-          match i.Insn.dst with
-          | None -> ()
-          | Some d ->
-            List.iter
-              (fun (b, _, live) ->
-                match live with
-                | None -> add b p Ctrl 0
-                | Some set -> if Reg.Set.mem d set then add b p Ctrl 0)
-              !branches;
-            defs_so_far := (p, d) :: !defs_so_far
-        end)
-    sb.Sb.items;
-  (* Nothing may sink past a final control transfer. *)
-  (match Sb.insn sb last_insn_pos with
-  | Some i when Insn.is_branch i ->
-    List.iter (fun p -> if p <> last_insn_pos then add p last_insn_pos Ctrl 0) insn_positions
-  | Some _ | None -> ());
-  (* Leftover internal labels are full barriers. *)
-  Array.iteri
-    (fun p item ->
-      match item with
-      | Block.Lbl _ ->
-        let rep =
-          let rec next k = if k >= n then None
-            else match Sb.insn sb k with Some _ -> Some k | None -> next (k + 1)
-          in
-          next (p + 1)
-        in
-        (match rep with
+          (fun (q, d) ->
+            match live with
+            | None -> add q p 0
+            | Some set -> if Reg.Set.mem d set then add q p 0)
+          !defs_so_far;
+        branches := (p, live) :: !branches;
+        (* Nothing may sink past a final control transfer. *)
+        if p = last_insn_pos then before p
+      end
+      else if Insn.is_store i then begin
+        (match !branches with (b, _) :: _ -> add b p 0 | [] -> ());
+        stores_since_branch := p :: !stores_since_branch
+      end
+      else begin
+        (* Speculatable instruction: may not hoist above a branch whose
+           off-path target needs its destination. *)
+        match i.Insn.dst with
         | None -> ()
-        | Some r ->
+        | Some d ->
           List.iter
-            (fun q -> if q < p then add q r Ctrl 0 else if q > r then add r q Ctrl 0)
-            insn_positions)
-      | Block.Ins _ | Block.Loop _ -> ())
-    sb.Sb.items;
-  (* Deduplicate keeping the max latency per (src, dst): group the raw
-     edges by source, then fold each group through a scratch array
-     indexed by destination (reset after each group). *)
-  let by_src = Array.make n [] in
-  List.iter (fun e -> by_src.(e.esrc) <- (e.edst, e.lat) :: by_src.(e.esrc)) !edges;
-  let succs = Array.make n [] in
-  let preds = Array.make n [] in
-  let best = Array.make n min_int in
-  Array.iteri
-    (fun s group ->
-      let dsts =
-        List.fold_left
-          (fun dsts (d, lat) ->
-            let b = best.(d) in
-            if lat > b then best.(d) <- lat;
-            if b = min_int then d :: dsts else dsts)
-          [] group
-      in
-      List.iter
-        (fun d ->
-          let lat = best.(d) in
-          best.(d) <- min_int;
-          succs.(s) <- (d, lat) :: succs.(s);
-          preds.(d) <- (s, lat) :: preds.(d))
-        dsts)
-    by_src;
-  { sb; nodes = insn_positions; edges = !edges; succs; preds }
+            (fun (b, live) ->
+              match live with
+              | None -> add b p 0
+              | Some set -> if Reg.Set.mem d set then add b p 0)
+            !branches;
+          defs_so_far := (p, d) :: !defs_so_far
+      end;
+      List.iter (fun r -> add r p 0) !barriers;
+      if !after_label then begin
+        before p;
+        barriers := p :: !barriers;
+        after_label := false
+      end;
+      drain box (fun s l -> succs.(s) <- (p, l) :: succs.(s))
+  done;
+  { sb; nodes = insn_positions; succs }
 
 (* Longest-path height of each node to the end of the segment, counting
    the node's own latency; the classic list-scheduling priority. *)
@@ -237,102 +257,129 @@ let heights (t : t) : int array =
     order;
   h
 
-(* ---- Loop-carried dependences and recurrence circuits ----
+(* ---- Dependence edges of the modulo scheduler ----
 
-   A carried edge relates an instruction of iteration [j] to one of
-   iteration [j + dist]. Only flow and memory dependences are built: the
-   modulo scheduler, their one consumer, removes carried anti and output
-   dependences by register versioning. Register flow always has
-   distance 1 (the reaching definition of a carried use is in the
-   previous iteration); memory dependences get their distance from the
+   The constraint system of a branch-free loop body: within-iteration
+   flow and memory edges (distance 0, max latency per pair) and loop-
+   carried ones (distance >= 1). Register anti and output dependences
+   are not built: the modulo scheduler removes them by register
+   versioning. A carried register flow edge runs from the last
+   definition to every use at or before the first definition, at
+   distance 1. A carried memory pair gets an exact distance from the
    linear address analysis when both addresses advance by the same per-
-   iteration step, and fall back to a conservative distance-1 pair of
-   edges otherwise. *)
+   iteration step, and a conservative distance-1 pair of edges
+   otherwise. Carried latencies are clamped to 1, so equal-time
+   placements never reorder an earlier-iteration access behind a later-
+   iteration one in the emitted sequential code. *)
 
-type cedge = { cesrc : int; cedst : int; clat : int; cdist : int }
+type edge = { src : int; dst : int; lat : int; dist : int }
 
-let carried ?(pre_env = Reg.Map.empty) (t : t) : cedge list =
-  let sb = t.sb in
+(* Lexicographic on (src, dst, lat, dist): the order of [Stdlib.compare]
+   on the record. *)
+let compare_edge a b =
+  if a.src <> b.src then Int.compare a.src b.src
+  else if a.dst <> b.dst then Int.compare a.dst b.dst
+  else if a.lat <> b.lat then Int.compare a.lat b.lat
+  else Int.compare a.dist b.dist
+
+let modulo_edges ~pre_env (insns : Insn.t array) : edge list =
+  let items = Array.map (fun i -> Block.Ins i) insns in
+  let sb = Sb.make ~head:"\000mhead" ~exit_lbl:"\000mexit" items in
+  let n = Array.length insns in
   let lv = Linval.analyze sb in
+  let lat = latencies sb in
+  let lo, nr = reg_range sb in
+  let first_def = Array.make nr (-1) in
+  let last_def = Array.make nr (-1) in
   let out = ref [] in
-  let add cesrc cedst clat cdist = out := { cesrc; cedst; clat; cdist } :: !out in
-  (* Per-register definition and use positions, in program order. *)
-  let defs : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let uses : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let push tbl (r : Reg.t) p =
-    Hashtbl.replace tbl r.Reg.id (p :: Option.value ~default:[] (Hashtbl.find_opt tbl r.Reg.id))
+  let carry src dst l dist = out := { src; dst; lat = max 1 l; dist } :: !out in
+  (* Within-iteration edges into the current position. *)
+  let box = inbox n in
+  let mems = Array.make n None in
+  let steps = Array.make n None in
+  let nmems = ref 0 in
+  let conservative a b =
+    carry a.mpos b.mpos (mem_lat a) 1;
+    if a.mpos <> b.mpos then carry b.mpos a.mpos (mem_lat b) 1
   in
-  Sb.iter_insns
-    (fun p i ->
-      List.iter (fun r -> push uses r p) (Insn.uses i);
-      List.iter (fun r -> push defs r p) (Insn.defs i))
-    sb;
-  Hashtbl.iter
-    (fun rid def_ps ->
-      let def_ps = List.rev def_ps in
-      let first_def = List.hd def_ps in
-      let last_def = List.hd (List.rev def_ps) in
-      let lat =
-        match Sb.insn sb last_def with
-        | Some i -> Machine.latency i.Insn.op
-        | None -> 1
-      in
-      let use_ps = List.rev (Option.value ~default:[] (Hashtbl.find_opt uses rid)) in
-      (* A use with no earlier definition reads the value carried from
-         the previous iteration's last definition. *)
-      List.iter (fun u -> if u <= first_def then add last_def u lat 1) use_ps)
-    defs;
-  (* Memory: relate every (store, mem) pair across iterations. *)
-  let mems = ref [] in
-  Sb.iter_insns
-    (fun p i -> if Insn.is_mem i then mems := (p, Insn.is_store i, Linval.address lv p) :: !mems)
-    sb;
-  let mems = List.rev !mems in
-  let mem_lat src_is_store = if src_is_store then 1 else 0 in
-  let conservative p pst q qst =
-    add p q (mem_lat pst) 1;
-    if p <> q then add q p (mem_lat qst) 1
+  (* Carried dependence between [a] and the same or a later [b] whose
+     addresses differ by the constant [dc] in every iteration and share
+     the per-iteration step [s]. *)
+  let at_distance a b s dc =
+    match s with
+    | None -> conservative a b
+    | Some 0 ->
+      (* Invariant addresses: the same location in every iteration, or
+         never. *)
+      if dc = 0 then conservative a b
+    | Some s ->
+      (* x(j) = y(j + dc/s): a dependence at that distance; dc = 0 is
+         the same iteration only, a non-multiple never meets. *)
+      if dc <> 0 && dc mod s = 0 then begin
+        let dd = dc / s in
+        if dd >= 1 then carry a.mpos b.mpos (mem_lat a) dd
+        else carry b.mpos a.mpos (mem_lat b) (-dd)
+      end
   in
-  let relate (p, pst, pa) (q, qst, qa) =
-    if pst || qst then
-      match pa, qa with
-      | Some x, Some y -> (
-        (* Disjoint array bases never alias at any distance. *)
-        let distinct_bases =
-          match Linval.label_of_addr x, Linval.label_of_addr y with
-          | Some la, Some lb -> la <> lb
-          | _ -> false
-        in
-        if distinct_bases then ()
-        else
-          match Linval.lin_step lv x, Linval.lin_step lv y with
-          | Some sx, Some sy when sx = sy -> (
-            let d = Linval.subst pre_env (Linval.sub x y) in
-            if not (Linval.is_const d) then conservative p pst q qst
-            else
-              let dc = d.Linval.c in
-              let s = sx in
-              if s = 0 then begin
-                (* Addresses invariant: alias every iteration iff equal. *)
-                if dc = 0 then conservative p pst q qst
-              end
-              else if dc <> 0 && dc mod s = 0 then begin
-                (* x(j) = y(j + dc/s): a dependence at that distance. *)
-                let dd = dc / s in
-                if dd >= 1 then add p q (mem_lat pst) dd
-                else add q p (mem_lat qst) (-dd)
-              end
-              (* dc = 0: same iteration only (intra-iteration edge);
-                 non-divisible dc: never equal at any distance. *))
-          | _ -> conservative p pst q qst)
-      | _ -> conservative p pst q qst
+  let relate ka kb rel =
+    let a = Option.get mems.(ka) and b = Option.get mems.(kb) in
+    match (rel : Linval.relation), a.maddr, b.maddr with
+    | (Linval.Same | Linval.Disjoint), Some x, Some y ->
+      (* Equal coefficient maps: equal steps, constant difference. *)
+      at_distance a b steps.(ka) (x.Linval.c - y.Linval.c)
+    | _, Some x, Some y -> (
+      match steps.(ka), steps.(kb) with
+      | Some sx, Some sy when sx = sy ->
+        let d = Linval.subst pre_env (Linval.sub x y) in
+        if Linval.is_const d then at_distance a b (Some sx) d.Linval.c
+        else conservative a b
+      | _ -> conservative a b)
+    | _ -> conservative a b
   in
-  let rec pairs = function
-    | [] -> ()
-    | m :: rest ->
-      relate m m;
-      List.iter (fun m' -> relate m m') rest;
-      pairs rest
-  in
-  pairs mems;
-  List.rev !out
+  for p = 0 to n - 1 do
+    let i = insns.(p) in
+    Array.iter
+      (function
+        | Operand.Reg r ->
+          let d = last_def.(r.Reg.id - lo) in
+          if d >= 0 then offer box d lat.(d)
+        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ())
+      i.Insn.srcs;
+    (match i.Insn.dst with
+    | Some r ->
+      let k = r.Reg.id - lo in
+      if first_def.(k) < 0 then first_def.(k) <- p;
+      last_def.(k) <- p
+    | None -> ());
+    if Insn.is_mem i then begin
+      let m = mem_of lv p i in
+      let km = !nmems in
+      mems.(km) <- Some m;
+      steps.(km) <- Option.bind m.maddr (Linval.lin_step lv);
+      incr nmems;
+      if m.mst then relate km km (Linval.relation m.maddr m.maddr);
+      for kq = 0 to km - 1 do
+        let q = Option.get mems.(kq) in
+        if (m.mst || q.mst) && not (other_arrays q m) then begin
+          let rel = Linval.relation q.maddr m.maddr in
+          if may_alias lv pre_env rel q m then offer box q.mpos (mem_lat q);
+          relate kq km rel
+        end
+      done
+    end;
+    drain box (fun s l -> out := { src = s; dst = p; lat = l; dist = 0 } :: !out)
+  done;
+  (* A use at or before a register's first definition reads the value
+     the previous iteration's last definition left. *)
+  Array.iteri
+    (fun u (i : Insn.t) ->
+      Array.iter
+        (function
+          | Operand.Reg r ->
+            let k = r.Reg.id - lo in
+            let f = first_def.(k) in
+            if f >= 0 && u <= f then carry last_def.(k) u lat.(last_def.(k)) 1
+          | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ())
+        i.Insn.srcs)
+    insns;
+  List.sort compare_edge !out

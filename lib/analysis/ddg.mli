@@ -7,16 +7,12 @@
 
 open Impact_ir
 
-type kind = Flow | Anti | Output | Mem | Ctrl
-
-type edge = { esrc : int; edst : int; kind : kind; lat : int }
-
 type t = {
   sb : Sb.t;
   nodes : int list;  (** instruction positions in program order *)
-  edges : edge list;
-  succs : (int * int) list array;  (** position -> (successor, latency) *)
-  preds : (int * int) list array;
+  succs : (int * int) list array;
+      (** position -> (successor, latency), one entry per successor at
+          the max latency of the dependences between the two *)
 }
 
 val build :
@@ -32,17 +28,19 @@ val heights : t -> int array
 (** Longest-latency path from each node to the segment end (the list
     scheduling priority). *)
 
-type cedge = { cesrc : int; cedst : int; clat : int; cdist : int }
-(** A loop-carried flow or memory dependence: the instruction at
-    [cesrc] in iteration [j] must precede the one at [cedst] in
-    iteration [j + cdist] by [clat] cycles. Register flow always has
-    distance 1; memory dependences get an exact distance from the
-    linear address analysis when both addresses share a per-iteration
-    step, and a conservative distance-1 pair of edges otherwise. *)
+type edge = { src : int; dst : int; lat : int; dist : int }
+(** One dependence of the modulo constraint system: in iteration
+    [j + dist], the instruction at [dst] starts at least [lat] cycles
+    after the one at [src] in iteration [j]. *)
 
-val carried : ?pre_env:Linval.lin Reg.Map.t -> t -> cedge list
-(** Cross-iteration extension of the dependence graph: carried register
-    flow edges and carried memory edges with (latency, distance) pairs.
-    Carried anti and output dependences are not built; the modulo
-    scheduler removes them by register versioning. [pre_env] plays the
-    same role as in {!build}. *)
+val modulo_edges : pre_env:Linval.lin Reg.Map.t -> Insn.t array -> edge list
+(** The modulo scheduler's dependence edges over a branch-free loop
+    body: within-iteration flow and memory edges ([dist = 0], the max
+    latency per pair, as in {!build}) and loop-carried flow and memory
+    edges ([dist >= 1], latency clamped to at least 1; register flow at
+    distance 1, memory at the exact distance the linear address
+    analysis gives when both addresses share a per-iteration step, and
+    a conservative distance-1 pair otherwise). Carried anti and output
+    dependences are not built; modulo variable expansion removes them.
+    Sorted by (src, dst, lat, dist), duplicates kept. [pre_env] plays
+    the same role as in {!build}. *)

@@ -21,7 +21,17 @@ module Key = struct
      composing preheader environments across loops. *)
   type t = KReg of Reg.t | KOpq of int | KLab of string | KTrip of int
 
-  let compare = Stdlib.compare
+  let rank = function KReg _ -> 0 | KOpq _ -> 1 | KLab _ -> 2 | KTrip _ -> 3
+
+  (* [Stdlib.compare]'s order (constructor first, then the argument)
+     without calling it: [Ivopt] rebuilds operands in [terms] order, so
+     the order itself is part of the output. *)
+  let compare a b =
+    match a, b with
+    | KReg r, KReg s -> Reg.compare r s
+    | KOpq i, KOpq j | KTrip i, KTrip j -> Int.compare i j
+    | KLab s, KLab t -> String.compare s t
+    | _ -> Int.compare (rank a) (rank b)
 end
 
 module KMap = Map.Make (Key)
@@ -48,12 +58,14 @@ let sub a b = add a (scale (-1) b)
 
 let is_const a = KMap.is_empty a.coeffs
 
-let equal a b = a.c = b.c && KMap.equal ( = ) a.coeffs b.coeffs
+let same_coeffs a b = KMap.equal Int.equal a.coeffs b.coeffs
 
-(* [diff a b] = Some d when a - b is the constant d. *)
-let diff a b =
-  let d = sub a b in
-  if is_const d then Some d.c else None
+let equal a b = a.c = b.c && same_coeffs a b
+
+(* [diff a b] = Some d when a - b is the constant d. Every [lin] keeps
+   only non-zero coefficients, so a - b is constant exactly when the two
+   coefficient maps are equal: no map is built. *)
+let diff a b = if same_coeffs a b then Some (a.c - b.c) else None
 
 let terms a = KMap.bindings a.coeffs
 
@@ -218,14 +230,20 @@ let lin_step t (v : lin) : int option =
           | None -> None)))
     (Some 0) (terms v)
 
-(* The single array label an address refers to, if syntactically evident. *)
+(* The single array label an address refers to, if syntactically
+   evident: its one [KLab] key at coefficient 1. *)
 let label_of_addr (v : lin) : string option =
-  let labs =
-    List.filter_map
-      (fun (k, co) -> match k with Key.KLab s when co = 1 -> Some s | _ -> None)
-      (terms v)
-  in
-  match labs with [ s ] -> Some s | _ -> None
+  match
+    KMap.fold
+      (fun k co acc ->
+        match k, acc with
+        | Key.KLab s, `None when co = 1 -> `One s
+        | Key.KLab _, `One _ when co = 1 -> `Many
+        | _ -> acc)
+      v.coeffs `None
+  with
+  | `One s -> Some s
+  | `None | `Many -> None
 
 (* Substitute register-entry keys by their values in [env]; unmapped keys
    are kept. Used to relate a loop body's entry values back to a common
@@ -325,12 +343,10 @@ type relation = Same | Disjoint | May
 (* Within-iteration relation between two memory addresses. *)
 let relation (a : lin option) (b : lin option) : relation =
   match a, b with
-  | Some x, Some y -> (
-    match diff x y with
-    | Some 0 -> Same
-    | Some _ -> Disjoint
-    | None -> (
+  | Some x, Some y ->
+    if same_coeffs x y then if x.c = y.c then Same else Disjoint
+    else (
       match label_of_addr x, label_of_addr y with
       | Some la, Some lb when la <> lb -> Disjoint
-      | _ -> May))
+      | _ -> May)
   | _ -> May

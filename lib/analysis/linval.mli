@@ -13,10 +13,14 @@ module Key : sig
     | KLab of string  (** an array base address *)
     | KTrip of int  (** the unknown trip count of an intermediate loop *)
 end
+(** {!KMap} orders keys as [Stdlib.compare] does: constructor first,
+    then the argument. *)
 
 module KMap : Map.S with type key = Key.t
 
 type lin = { coeffs : int KMap.t; c : int }
+(** Every [lin] this module builds keeps only non-zero coefficients;
+    {!diff}, {!equal} and {!relation} rely on it. *)
 
 val sub : lin -> lin -> lin
 
@@ -25,7 +29,8 @@ val is_const : lin -> bool
 val equal : lin -> lin -> bool
 
 val diff : lin -> lin -> int option
-(** [diff a b = Some d] when [a - b] is the constant [d]. *)
+(** [diff a b = Some d] when [a - b] is the constant [d], decided by
+    comparing the coefficient maps (no map is built). *)
 
 val terms : lin -> (Key.t * int) list
 
@@ -65,4 +70,6 @@ val env_of_items : Block.item list -> lin Reg.Map.t
 type relation = Same | Disjoint | May
 
 val relation : lin option -> lin option -> relation
-(** Within-iteration relation between two memory addresses. *)
+(** Within-iteration relation between two memory addresses: [Same] or
+    [Disjoint] when they differ by a constant, [Disjoint] on two
+    different single array labels, [May] otherwise. *)

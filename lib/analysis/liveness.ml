@@ -9,20 +9,11 @@
    mutates them in place (live sets only grow under the union transfer
    function). The set-up (numbering, defs, successors, bitsets) is a
    [frame] that [solve] can re-run under a mask of removed positions,
-   so DCE pays for it once per call. The classic [Reg.Set]-based record
-   is reconstructed from the dense result for callers that want
-   symbolic sets; the hot consumers (DCE, the register allocator) read
-   the dense form directly, and the schedulers build only the
-   branch-target sets they read ([target_live]). *)
+   so DCE pays for it once per call. DCE and the register allocator
+   read the dense form directly; the schedulers build only the
+   branch-target [Reg.Set]s they read ([target_live]). *)
 
 open Impact_ir
-
-type t = {
-  flat : Flatten.t;
-  live_in : Reg.Set.t array;
-  live_out : Reg.Set.t array;
-  exit_live : Reg.Set.t;
-}
 
 module Dense = struct
   type d = {
@@ -39,13 +30,6 @@ module Dense = struct
   }
 
   let nregs (d : d) = Array.length d.regs
-
-  let index_opt (d : d) (r : Reg.t) =
-    let h = Reg.hash r - d.base in
-    if h < 0 || h >= Array.length d.index then None
-    else
-      let i = d.index.(h) in
-      if i < 0 then None else Some i
 
   (* Hash range of the registers seen so far. *)
   type range = { mutable lo : int; mutable hi : int }
@@ -205,32 +189,11 @@ let set_of_bits (regs : Reg.t array) (b : Bits.t) : Reg.Set.t =
      input sizes like these. *)
   Reg.Set.of_list !acc
 
-let of_dense (d : Dense.d) : t =
-  {
-    flat = d.Dense.flat;
-    live_in = Array.map (set_of_bits d.Dense.regs) d.Dense.live_in;
-    live_out = Array.map (set_of_bits d.Dense.regs) d.Dense.live_out;
-    exit_live = set_of_bits d.Dense.regs d.Dense.exit_live;
-  }
-
-(* Live set at a label: the live-in of the instruction the label points
-   at, or the exit-live set when the label is at the end of the code. *)
-let live_at_label (t : t) lbl =
-  match Hashtbl.find_opt t.flat.Flatten.labels lbl with
-  | None -> invalid_arg ("Liveness.live_at_label: unknown label " ^ lbl)
-  | Some k ->
-    if k >= Array.length t.live_in then t.exit_live else t.live_in.(k)
-
-(* Live set at the target of a branch instruction. *)
-let live_at_target (t : t) (i : Insn.t) =
-  match i.Insn.target with
-  | None -> invalid_arg "Liveness.live_at_target: not a branch"
-  | Some l -> live_at_label t l
-
-(* Sparse [live_at_target] over a dense result: [target_live d] returns
-   a lookup that builds a branch target's [Reg.Set] on first request and
-   memoises it, so a scheduler pays for the targets it reads instead of
-   expanding every live set with [of_dense]. *)
+(* The live set at a branch's target (the live-in of the instruction its
+   label points at, or the exit-live set for a label at the end of the
+   code) as a [Reg.Set]: [target_live d] returns a lookup that builds a
+   target's set on first request and memoises it, so a scheduler pays
+   only for the targets it reads. *)
 let target_live (d : Dense.d) : Insn.t -> Reg.Set.t =
   let n = Array.length d.Dense.live_in in
   let memo = Array.make (n + 1) None in
@@ -253,6 +216,3 @@ let target_live (d : Dense.d) : Insn.t -> Reg.Set.t =
       in
       memo.(k) <- Some s;
       s
-
-(* Liveness of a program: the program outputs are live at exit. *)
-let of_prog (p : Prog.t) : t = of_dense (Dense.of_prog p)

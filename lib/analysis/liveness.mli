@@ -3,18 +3,10 @@
     allocator.
 
     The fixpoint runs on dense integer register indices and bitsets
-    ({!Dense}); the [Reg.Set]-based record is reconstructed from that
-    result for symbolic consumers, and {!target_live} builds single
-    branch-target sets on demand for the schedulers. *)
+    ({!Dense}); {!target_live} builds single branch-target [Reg.Set]s on
+    demand for the schedulers. *)
 
 open Impact_ir
-
-type t = {
-  flat : Flatten.t;
-  live_in : Reg.Set.t array;
-  live_out : Reg.Set.t array;
-  exit_live : Reg.Set.t;
-}
 
 (** Dense form: registers numbered 0..nregs-1 in ascending [Reg.Ord]
     order (so ascending bit iteration matches [Reg.Set] order), live
@@ -37,10 +29,6 @@ module Dense : sig
 
   val nregs : d -> int
 
-  val index_opt : d -> Reg.t -> int option
-  (** Dense index of a register, [None] when it neither occurs in the
-      code nor is live at exit. *)
-
   val frame : ?exit_live:Reg.t list -> Flatten.t -> d
   (** Numbering, defs and successors (each branch target resolved once),
       with every live set empty: the set-up {!solve} reuses. *)
@@ -56,20 +44,9 @@ module Dense : sig
   (** Dense liveness with the program outputs live at exit. *)
 end
 
-val of_dense : Dense.d -> t
-(** Expand a dense result to [Reg.Set] arrays. *)
-
-val live_at_label : t -> string -> Reg.Set.t
-(** Live set at a label (the exit-live set for a trailing label). *)
-
-val live_at_target : t -> Insn.t -> Reg.Set.t
-(** Live set at a branch's target. *)
-
 val target_live : Dense.d -> Insn.t -> Reg.Set.t
-(** [target_live d] is a lookup equal to [live_at_target (of_dense d)]
-    that builds each target's set on first request and memoises it in
-    the returned closure. Raises [Invalid_argument] on a non-branch or
-    an unknown label. *)
-
-val of_prog : Prog.t -> t
-(** Liveness with the program outputs live at exit. *)
+(** [target_live d] looks up the live set at a branch's target: the
+    live-in of the instruction its label points at, or the exit-live
+    set for a label at the end of the code. It builds each target's set
+    on first request and memoises it in the returned closure. Raises
+    [Invalid_argument] on a non-branch or an unknown label. *)

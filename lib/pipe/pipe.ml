@@ -9,9 +9,9 @@
    Scheduling model: each body instruction (the back-branch excluded)
    gets a time t = slot + II * stage subject to
        t_dst >= t_src + latency - II * distance
-   over the within-iteration Flow/Mem edges (distance 0) and the
-   loop-carried Flow/Mem edges from [Ddg.carried]. Register anti and
-   output dependences are dropped: modulo variable expansion renames
+   over the within-iteration (distance 0) and loop-carried Flow/Mem
+   edges of [Ddg.modulo_edges]. Register anti and output dependences
+   are dropped: modulo variable expansion renames
    every body-defined register across K kernel copies, which removes
    them. K is one more than the largest number of kernel blocks any
    flow-carried value must survive, so no version is overwritten while
@@ -63,7 +63,7 @@ let md x k = ((x mod k) + k) mod k
 
 (* ---- Dependence edges for the modulo scheduler ---- *)
 
-type edge = { src : int; dst : int; lat : int; dist : int }
+type edge = Ddg.edge = { src : int; dst : int; lat : int; dist : int }
 
 type problem = {
   p_n : int;
@@ -74,36 +74,6 @@ type problem = {
   p_mii : int;
   p_list_ci : int;
 }
-
-(* Within-iteration Flow/Mem edges plus carried Flow/Mem edges over the
-   branch-free body. Carried latencies are clamped to 1 so equal-time
-   placements can never reorder an earlier-iteration access behind a
-   later-iteration one in the emitted sequential code. *)
-let build_edges ~pre_env (insns : Insn.t array) : edge list =
-  let items = Array.map (fun i -> Block.Ins i) insns in
-  let sb = Sb.make ~head:"\000mhead" ~exit_lbl:"\000mexit" items in
-  let dg = Ddg.build ~pre_env sb in
-  let best : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Ddg.edge) ->
-      match e.Ddg.kind with
-      | Ddg.Flow | Ddg.Mem -> (
-        let k = (e.Ddg.esrc, e.Ddg.edst) in
-        match Hashtbl.find_opt best k with
-        | Some l when l >= e.Ddg.lat -> ()
-        | _ -> Hashtbl.replace best k e.Ddg.lat)
-      | Ddg.Anti | Ddg.Output | Ddg.Ctrl -> ())
-    dg.Ddg.edges;
-  let within =
-    Hashtbl.fold (fun (s, d) lat acc -> { src = s; dst = d; lat; dist = 0 } :: acc) best []
-  in
-  let carried =
-    List.map
-      (fun (c : Ddg.cedge) ->
-        { src = c.Ddg.cesrc; dst = c.Ddg.cedst; lat = max 1 c.Ddg.clat; dist = c.Ddg.cdist })
-      (Ddg.carried ~pre_env dg)
-  in
-  List.sort compare (within @ carried)
 
 (* ---- Recurrence subgraph and II feasibility ----
 
@@ -598,7 +568,7 @@ let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets
       let listed = Impact_sched.List_sched.schedule_segment machine ~live_at_target ~pre_env full in
       let list_ci = listed.Impact_sched.List_sched.makespan in
       let n = Array.length a in
-      let edges = build_edges ~pre_env a in
+      let edges = Ddg.modulo_edges ~pre_env a in
       let issue = machine.Machine.issue in
       (* ResMII: issue bandwidth for the body plus one branch slot's
          worth of loop control per iteration. *)
@@ -683,6 +653,9 @@ let run_with_problems (machine : Machine.t) (p : Prog.t) :
               (match rep.status with
               | Pipelined _ -> "pipe.pipelined"
               | Skipped _ -> "pipe.skipped");
+            Option.iter
+              (fun p -> Impact_obs.Obs.count ~n:(List.length p.p_edges) "pipe.edges")
+              problem;
             Impact_obs.Obs.note
               (Printf.sprintf "pipe.%s.loop%d" machine.Machine.name rep.lid)
               (report_to_string rep)

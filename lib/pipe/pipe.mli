@@ -50,7 +50,7 @@ type report = { lid : int; status : status }
     [t.(dst) - t.(src) >= lat - II * dist] and no more than [p_issue]
     operations share a row ([t mod II]). *)
 
-type edge = { src : int; dst : int; lat : int; dist : int }
+type edge = Impact_analysis.Ddg.edge = { src : int; dst : int; lat : int; dist : int }
 (** One dependence of the modulo constraint system: the consumer must
     start at least [lat - II * dist] cycles after the producer
     ([dist = 0] within an iteration, [dist >= 1] loop-carried). *)

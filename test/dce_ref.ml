@@ -60,7 +60,7 @@ let round (p : Prog.t) : Prog.t * bool =
         match i.Insn.op, i.Insn.dst with
         | (Insn.Store _ | Insn.Br _ | Insn.Jmp), _ | _, None -> true
         | _, Some d -> (
-          match Liveness.Dense.index_opt live d with
+          match Liveness_ref.index_opt live d with
           | None -> true
           | Some di -> Bits.mem live.Liveness.Dense.live_out.(k) di))
       code

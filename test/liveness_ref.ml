@@ -1,0 +1,85 @@
+(* Reference liveness for the differential tests: a classic backward
+   fixpoint on [Reg.Set]s over the flattened program, independent of
+   [Liveness.Dense]'s register numbering and bitsets, plus the
+   expansion of a dense result to the same record and the [Reg.Set]
+   queries the tests read. *)
+
+open Impact_ir
+open Impact_analysis
+
+type t = {
+  flat : Flatten.t;
+  live_in : Reg.Set.t array;
+  live_out : Reg.Set.t array;
+  exit_live : Reg.Set.t;
+}
+
+let analyze ~exit_live (flat : Flatten.t) : t =
+  let code = flat.Flatten.code in
+  let n = Array.length code in
+  (* Successor positions; [n] is the program exit. *)
+  let succs =
+    Array.mapi
+      (fun k (i : Insn.t) ->
+        match i.Insn.op with
+        | Insn.Jmp -> [ Flatten.target_index flat i ]
+        | Insn.Br _ -> [ k + 1; Flatten.target_index flat i ]
+        | _ -> [ k + 1 ])
+      code
+  in
+  let live_in = Array.make n Reg.Set.empty in
+  let live_out = Array.make n Reg.Set.empty in
+  let at s = if s >= n then exit_live else live_in.(s) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for k = n - 1 downto 0 do
+      let i = code.(k) in
+      let out = List.fold_left (fun acc s -> Reg.Set.union acc (at s)) Reg.Set.empty succs.(k) in
+      let killed = List.fold_left (fun acc r -> Reg.Set.remove r acc) out (Insn.defs i) in
+      let inn = List.fold_left (fun acc r -> Reg.Set.add r acc) killed (Insn.uses i) in
+      if not (Reg.Set.equal out live_out.(k) && Reg.Set.equal inn live_in.(k)) then begin
+        live_out.(k) <- out;
+        live_in.(k) <- inn;
+        changed := true
+      end
+    done
+  done;
+  { flat; live_in; live_out; exit_live }
+
+(* The program outputs are live at exit. *)
+let of_prog (p : Prog.t) : t =
+  analyze
+    ~exit_live:(Reg.Set.of_list (List.map snd p.Prog.outputs))
+    (Flatten.of_prog p)
+
+(* Expand a dense result to [Reg.Set]s. *)
+let of_dense (d : Liveness.Dense.d) : t =
+  let set b =
+    let acc = ref Reg.Set.empty in
+    Bits.iter (fun k -> acc := Reg.Set.add d.Liveness.Dense.regs.(k) !acc) b;
+    !acc
+  in
+  {
+    flat = d.Liveness.Dense.flat;
+    live_in = Array.map set d.Liveness.Dense.live_in;
+    live_out = Array.map set d.Liveness.Dense.live_out;
+    exit_live = set d.Liveness.Dense.exit_live;
+  }
+
+(* Live set at a label: the live-in of the instruction the label points
+   at, or the exit-live set when the label is at the end of the code. *)
+let live_at_label (t : t) lbl =
+  let k = Hashtbl.find t.flat.Flatten.labels lbl in
+  if k >= Array.length t.live_in then t.exit_live else t.live_in.(k)
+
+let live_at_target (t : t) (i : Insn.t) = live_at_label t (Option.get i.Insn.target)
+
+(* Dense index of a register, [None] when it neither occurs in the code
+   nor is live at exit. *)
+let index_opt (d : Liveness.Dense.d) (r : Reg.t) =
+  let h = Reg.hash r - d.Liveness.Dense.base in
+  if h < 0 || h >= Array.length d.Liveness.Dense.index then None
+  else
+    let i = d.Liveness.Dense.index.(h) in
+    if i < 0 then None else Some i

@@ -5,13 +5,12 @@
    register for register. *)
 
 open Impact_ir
-open Impact_analysis
 module Regalloc = Impact_regalloc.Regalloc
 
 (* Interference graph per register class. *)
 let interference (p : Prog.t) : (Reg.t, Reg.Set.t) Hashtbl.t =
-  let live = Liveness.of_prog p in
-  let flat = live.Liveness.flat in
+  let live = Liveness_ref.of_prog p in
+  let flat = live.Liveness_ref.flat in
   let graph : (Reg.t, Reg.Set.t) Hashtbl.t = Hashtbl.create 64 in
   let node r = if not (Hashtbl.mem graph r) then Hashtbl.replace graph r Reg.Set.empty in
   let nbrs r = Option.value ~default:Reg.Set.empty (Hashtbl.find_opt graph r) in
@@ -40,7 +39,7 @@ let interference (p : Prog.t) : (Reg.t, Reg.Set.t) Hashtbl.t =
               match exempt with
               | Some s when Reg.equal s r -> ()
               | _ -> add_edge d r)
-            live.Liveness.live_out.(k))
+            live.Liveness_ref.live_out.(k))
         (Insn.defs i);
       List.iter (fun r -> node r) (Insn.uses i))
     flat.Flatten.code;

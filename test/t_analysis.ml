@@ -239,6 +239,120 @@ let linval_tests =
       | None -> Alcotest.fail "x should be bound");
   ]
 
+(* The dense analysis, expanded, and the [Reg.Set] reference. *)
+(* ---- Linval properties ----
+
+   Keys are ordered as [Stdlib.compare] orders them ([Ivopt] rebuilds
+   operands in [terms] order, so the order is output), and [diff]
+   decides on the coefficient maps exactly what subtracting decides. *)
+
+let key_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map2
+        (fun id cls -> Linval.Key.KReg { Reg.id; cls })
+        (int_range 0 4)
+        (oneofl [ Reg.Int; Reg.Float ]);
+      map (fun k -> Linval.Key.KOpq k) (int_range (-3) 3);
+      map (fun s -> Linval.Key.KLab s) (oneofl [ ""; "A"; "AB"; "A\000"; "B"; "BA"; "a" ]);
+      map (fun k -> Linval.Key.KTrip k) (int_range (-1) 3);
+    ]
+
+let show_key = function
+  | Linval.Key.KReg r -> "KReg " ^ Reg.to_string r
+  | Linval.Key.KOpq k -> Printf.sprintf "KOpq %d" k
+  | Linval.Key.KLab s -> Printf.sprintf "KLab %S" s
+  | Linval.Key.KTrip k -> Printf.sprintf "KTrip %d" k
+
+let prop_key_order =
+  QCheck.Test.make ~name:"KMap orders keys as Stdlib.compare" ~count:1000
+    (QCheck.make
+       ~print:(fun ks -> String.concat "; " (List.map show_key ks))
+       QCheck.Gen.(list_size (int_range 2 8) key_gen))
+    (fun ks ->
+      let m = List.fold_left (fun m k -> Linval.KMap.add k () m) Linval.KMap.empty ks in
+      let pairwise =
+        List.for_all
+          (fun a ->
+            List.for_all
+              (fun b ->
+                let two = Linval.KMap.bindings (Linval.KMap.add a () (Linval.KMap.singleton b ())) in
+                let c = Stdlib.compare a b in
+                match two with
+                | [ _ ] -> c = 0
+                | [ (k, ()); _ ] -> c <> 0 && k == if c < 0 then a else b
+                | _ -> false)
+              ks)
+          ks
+      in
+      pairwise && List.map fst (Linval.KMap.bindings m) = List.sort_uniq Stdlib.compare ks)
+
+(* A normalized lin: only non-zero coefficients. *)
+let lin_gen =
+  let open QCheck.Gen in
+  map2
+    (fun terms c ->
+      {
+        Linval.coeffs =
+          List.fold_left
+            (fun m (k, co) -> if co = 0 then m else Linval.KMap.add k co m)
+            Linval.KMap.empty terms;
+        c;
+      })
+    (list_size (int_range 0 4) (pair key_gen (int_range (-3) 3)))
+    (int_range (-16) 16)
+
+let show_lin (l : Linval.lin) =
+  Printf.sprintf "{%s} + %d"
+    (String.concat ", "
+       (List.map (fun (k, co) -> Printf.sprintf "%d*%s" co (show_key k)) (Linval.terms l)))
+    l.Linval.c
+
+(* The second lin is often the first one shifted or with one term
+   changed, so equal coefficient maps are common. *)
+let lin_pair_gen =
+  let open QCheck.Gen in
+  lin_gen >>= fun a ->
+  oneof
+    [
+      lin_gen;
+      map (fun c -> { a with Linval.c }) (int_range (-16) 16);
+      map2
+        (fun k co -> { a with Linval.coeffs = Linval.KMap.add k co a.Linval.coeffs })
+        key_gen (int_range 1 3);
+    ]
+  >|= fun b -> (a, b)
+
+let prop_diff =
+  QCheck.Test.make ~name:"diff and relation = subtracting" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> show_lin a ^ "  vs  " ^ show_lin b)
+       lin_pair_gen)
+    (fun (a, b) ->
+      let by_sub =
+        let d = Linval.sub a b in
+        if Linval.is_const d then Some d.Linval.c else None
+      in
+      let relation_by_sub =
+        match by_sub with
+        | Some 0 -> Linval.Same
+        | Some _ -> Linval.Disjoint
+        | None -> (
+          match Linval.label_of_addr a, Linval.label_of_addr b with
+          | Some la, Some lb when la <> lb -> Linval.Disjoint
+          | _ -> Linval.May)
+      in
+      Linval.diff a b = by_sub && Linval.relation (Some a) (Some b) = relation_by_sub)
+
+let linval_props =
+  [
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x1E7 |]) prop_key_order;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xD1F |]) prop_diff;
+  ]
+
+let liveness_both p = [ Liveness_ref.of_dense (Liveness.Dense.of_prog p); Liveness_ref.of_prog p ]
+
 let liveness_tests =
   [
     test "use keeps a def live" (fun () ->
@@ -249,9 +363,11 @@ let liveness_tests =
       let i2 = Build.ib ctx Insn.Add r2 (Operand.Reg r1) (Operand.Int 1) in
       output b "x" r2;
       let p = prog_of b [ Block.Ins i1; Block.Ins i2 ] in
-      let live = Liveness.of_prog p in
-      check_bool "r1 live out of def" true (Reg.Set.mem r1 live.Liveness.live_out.(0));
-      check_bool "r2 live at exit" true (Reg.Set.mem r2 live.Liveness.live_out.(1)));
+      List.iter
+        (fun (live : Liveness_ref.t) ->
+          check_bool "r1 live out of def" true (Reg.Set.mem r1 live.Liveness_ref.live_out.(0));
+          check_bool "r2 live at exit" true (Reg.Set.mem r2 live.Liveness_ref.live_out.(1)))
+        (liveness_both p));
     test "dead def is not live" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int in
@@ -260,8 +376,10 @@ let liveness_tests =
       let i2 = Build.imov ctx r1 (Operand.Int 2) in
       output b "x" r1;
       let p = prog_of b [ Block.Ins i1; Block.Ins i2 ] in
-      let live = Liveness.of_prog p in
-      check_bool "first def dead" false (Reg.Set.mem r1 live.Liveness.live_out.(0)));
+      List.iter
+        (fun (live : Liveness_ref.t) ->
+          check_bool "first def dead" false (Reg.Set.mem r1 live.Liveness_ref.live_out.(0)))
+        (liveness_both p));
     test "loop-carried register is live at the head" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int in
@@ -281,8 +399,10 @@ let liveness_tests =
       let p = { p with Prog.entry = [ Block.Ins init;
         Block.Loop { Block.lid = 1; head = "L"; exit_lbl = "X"; meta = Block.no_meta;
                      body = [ Block.Ins inc; Block.Ins back ] } ] } in
-      let live = Liveness.of_prog p in
-      check_bool "r1 live at L" true (Reg.Set.mem r1 (Liveness.live_at_label live "L")));
+      List.iter
+        (fun live ->
+          check_bool "r1 live at L" true (Reg.Set.mem r1 (Liveness_ref.live_at_label live "L")))
+        (liveness_both p));
     test "exit-live register absent from the code is numbered" (fun () ->
       let b = irb () in
       let r1 = reg b Reg.Int and f2 = reg b Reg.Float in
@@ -290,7 +410,7 @@ let liveness_tests =
       output b "y" f2;
       let d = Liveness.Dense.of_prog (prog_of b [ Block.Ins i1 ]) in
       check_int "two registers" 2 (Liveness.Dense.nregs d);
-      check_bool "f2 indexed" true (Liveness.Dense.index_opt d f2 = Some 1);
+      check_bool "f2 indexed" true (Liveness_ref.index_opt d f2 = Some 1);
       check_bool "f2 live at exit" true (Bits.mem d.Liveness.Dense.exit_live 1);
       check_bool "f2 live in" true (Bits.mem d.Liveness.Dense.live_in.(0) 1));
   ]
@@ -364,17 +484,19 @@ let ddg_tests =
       let ddg2 = Ddg.build (sb_of [ Block.Ins st; Block.Ins ld_a ]) in
       check_bool "edge on same address" true (edge_exists ddg2 0 1));
     test "duplicate edges keep the max latency" (fun () ->
-      (* The store reads f1 (anti edge, latency 0, found first) and may
-         alias the reload (memory edge, latency 1, found second). *)
+      (* The store reads f1 (anti edge, latency 0) and may alias the
+         reload (memory edge, latency 1). *)
       let ctx = Prog.make_ctx () in
       let w = Reg.fresh ctx.Prog.rgen Reg.Int in
       let f1 = Reg.fresh ctx.Prog.rgen Reg.Float in
       let st = Build.store ctx Reg.Float (Operand.Lab "A") (Operand.Reg w) (Operand.Reg f1) in
       let ld = Build.load ctx Reg.Float f1 (Operand.Lab "A") (Operand.Reg w) in
-      let ddg = Ddg.build (sb_of [ Block.Ins st; Block.Ins ld ]) in
-      check_bool "two raw edges" true (List.length ddg.Ddg.edges = 2);
+      let sb = sb_of [ Block.Ins st; Block.Ins ld ] in
+      check_bool "two raw edges" true
+        (List.length (Pipe_edges_ref.build sb).Pipe_edges_ref.edges = 2);
+      let ddg = Ddg.build sb in
       check_bool "one succ at latency 1" true (ddg.Ddg.succs.(0) = [ (1, 1) ]);
-      check_bool "one pred at latency 1" true (ddg.Ddg.preds.(1) = [ (0, 1) ]));
+      check_bool "one pred at latency 1" true (ddg.Ddg.succs.(1) = []));
     test "store ordered after branch; dead-dest load may speculate" (fun () ->
       let ctx = Prog.make_ctx () in
       let r1 = Reg.fresh ctx.Prog.rgen Reg.Int in
@@ -549,14 +671,14 @@ let liveness_corpus_tests =
       List.iter
         (fun (name, p) ->
           let d = Liveness.Dense.of_prog p in
-          let full = Liveness.of_prog p in
+          let full = Liveness_ref.of_prog p in
           let at = Liveness.target_live d in
           Array.iter
             (fun (i : Insn.t) ->
               if i.Insn.target <> None then begin
                 let s = at i in
                 check_bool (name ^ " target set") true
-                  (Reg.Set.equal s (Liveness.live_at_target full i));
+                  (Reg.Set.equal s (Liveness_ref.live_at_target full i));
                 check_bool (name ^ " memoised") true (at i == s)
               end)
             d.Liveness.Dense.flat.Flatten.code)
@@ -572,7 +694,7 @@ let liveness_corpus_tests =
                 check_bool (name ^ " strictly ascending") true
                   (Reg.compare regs.(k - 1) r < 0);
               check_bool (name ^ " index of member") true
-                (Liveness.Dense.index_opt d r = Some k))
+                (Liveness_ref.index_opt d r = Some k))
             regs;
           (* Every id up to one past the generator's bound, both classes,
              plus ids below any in use: exactly the members are found. *)
@@ -583,7 +705,7 @@ let liveness_corpus_tests =
                 let r = { Reg.id; cls } in
                 let member = Array.exists (Reg.equal r) regs in
                 check_bool (name ^ " index_opt iff member") member
-                  (Liveness.Dense.index_opt d r <> None))
+                  (Liveness_ref.index_opt d r <> None))
               [ Reg.Int; Reg.Float ]
           done)
         (Lazy.force corpus));
@@ -620,7 +742,7 @@ let masked_liveness_tests =
       List.iter
         (fun (name, (p : Prog.t)) ->
           let d = Liveness.Dense.of_prog p in
-          let fresh = Liveness.of_dense d in
+          let fresh = Liveness_ref.of_dense d in
           let code = d.Liveness.Dense.flat.Flatten.code in
           let n = Array.length code in
           List.iter
@@ -634,15 +756,15 @@ let masked_liveness_tests =
                   code
               in
               Liveness.Dense.solve ~removed d;
-              let masked = Liveness.of_dense d in
-              let del = Liveness.of_prog (delete_positions p removed) in
+              let masked = Liveness_ref.of_dense d in
+              let del = Liveness_ref.of_prog (delete_positions p removed) in
               let k' = ref 0 in
               for k = 0 to n - 1 do
                 if not removed.(k) then begin
                   check_bool (name ^ " live-in at kept position") true
-                    (Reg.Set.equal masked.Liveness.live_in.(k) del.Liveness.live_in.(!k'));
+                    (Reg.Set.equal masked.Liveness_ref.live_in.(k) del.Liveness_ref.live_in.(!k'));
                   check_bool (name ^ " live-out at kept position") true
-                    (Reg.Set.equal masked.Liveness.live_out.(k) del.Liveness.live_out.(!k'));
+                    (Reg.Set.equal masked.Liveness_ref.live_out.(k) del.Liveness_ref.live_out.(!k'));
                   incr k'
                 end
               done;
@@ -651,22 +773,22 @@ let masked_liveness_tests =
                   if k >= n || removed.(k) then incr odd_labels;
                   check_bool (name ^ " live at label " ^ l) true
                     (Reg.Set.equal
-                       (Liveness.live_at_label masked l)
-                       (Liveness.live_at_label del l)))
+                       (Liveness_ref.live_at_label masked l)
+                       (Liveness_ref.live_at_label del l)))
                 d.Liveness.Dense.flat.Flatten.labels)
             [ 0.1; 0.5; 1.0 ];
           (* An unmasked re-solve of the same frame starts over. *)
           Liveness.Dense.solve d;
-          let again = Liveness.of_dense d in
+          let again = Liveness_ref.of_dense d in
           check_bool (name ^ " re-solve resets") true
-            (Array.for_all2 Reg.Set.equal fresh.Liveness.live_in again.Liveness.live_in
-            && Array.for_all2 Reg.Set.equal fresh.Liveness.live_out again.Liveness.live_out))
+            (Array.for_all2 Reg.Set.equal fresh.Liveness_ref.live_in again.Liveness_ref.live_in
+            && Array.for_all2 Reg.Set.equal fresh.Liveness_ref.live_out again.Liveness_ref.live_out))
         (Lazy.force corpus @ raw);
       check_bool "labels at deleted positions or past the end" true (!odd_labels > 0));
   ]
 
-(* Test-local reference for the edges [Ddg.build] derives itself:
-   register flow edges from the last definition, and memory edges from
+(* Test-local reference for the Flow/Mem edges of a segment: register
+   flow edges from the last definition, and memory edges from
    [Linval.relation] plus the preheader and syntactic fallbacks on every
    store-involving pair, with no shortcut. *)
 let reference_flow_mem ~pre_env (sb : Sb.t) =
@@ -699,7 +821,7 @@ let reference_flow_mem ~pre_env (sb : Sb.t) =
       List.iter
         (fun r ->
           match Hashtbl.find_opt last_def r with
-          | Some (d, lat) -> edges := (d, p, Ddg.Flow, lat) :: !edges
+          | Some (d, lat) -> edges := (d, p, Pipe_edges_ref.Flow, lat) :: !edges
           | None -> ())
         (Insn.uses i);
       List.iter
@@ -711,12 +833,23 @@ let reference_flow_mem ~pre_env (sb : Sb.t) =
           (fun (q, qst, qa, qb) ->
             let _, st, a, b = m in
             if (st || qst) && may_alias qa qb a b then
-              edges := (q, p, Ddg.Mem, if qst then 1 else 0) :: !edges)
+              edges := (q, p, Pipe_edges_ref.Mem, if qst then 1 else 0) :: !edges)
           !mems;
         mems := m :: !mems
       end)
     sb;
   List.sort compare !edges
+
+(* (src, dst, lat) triples, the max latency per pair, sorted. *)
+let max_per_pair triples =
+  let best = Hashtbl.create 64 in
+  List.iter
+    (fun (s, d, lat) ->
+      match Hashtbl.find_opt best (s, d) with
+      | Some l when l >= lat -> ()
+      | _ -> Hashtbl.replace best (s, d) lat)
+    triples;
+  List.sort compare (Hashtbl.fold (fun (s, d) l acc -> (s, d, l) :: acc) best [])
 
 let ddg_corpus_tests =
   [
@@ -731,40 +864,52 @@ let ddg_corpus_tests =
                 Sb.make ~head:"\000head" ~exit_lbl:"\000exit"
                   (Array.map (fun i -> Block.Ins i) insns)
               in
-              let g = Ddg.build ~live_at_target ~pre_env sb in
+              let flow_mem = reference_flow_mem ~pre_env sb in
+              (* The former builder's raw edges, tagged by kind: its
+                 Flow/Mem multiset equals the all-pairs reference. *)
+              let old = Pipe_edges_ref.build ~live_at_target ~pre_env sb in
               let raw =
-                List.map (fun e -> Ddg.(e.esrc, e.edst, e.kind, e.lat)) g.Ddg.edges
+                List.map
+                  (fun e -> Pipe_edges_ref.(e.esrc, e.edst, e.kind, e.lat))
+                  old.Pipe_edges_ref.edges
               in
-              (* The raw Flow/Mem multiset is what Pipe consumes. *)
-              let flow_mem =
-                List.filter (fun (_, _, k, _) -> k = Ddg.Flow || k = Ddg.Mem) raw
-              in
-              if List.sort compare flow_mem <> reference_flow_mem ~pre_env sb then
+              let is_flow_mem (_, _, k, _) = k = Pipe_edges_ref.Flow || k = Pipe_edges_ref.Mem in
+              if List.sort compare (List.filter is_flow_mem raw) <> flow_mem then
                 Alcotest.failf "%s: raw flow/mem edges differ from the reference" name;
               (* Deduplicated graph: the reference's flow/mem edges plus the
-                 build's register-reuse and control edges, max latency per
+                 register-reuse and control edges, max latency per
                  (src, dst). *)
-              let best = Hashtbl.create 64 in
-              List.iter
-                (fun (s, d, _, lat) ->
-                  match Hashtbl.find_opt best (s, d) with
-                  | Some l when l >= lat -> ()
-                  | _ -> Hashtbl.replace best (s, d) lat)
-                (reference_flow_mem ~pre_env sb
-                @ List.filter (fun (_, _, k, _) -> k <> Ddg.Flow && k <> Ddg.Mem) raw);
               let expect =
-                List.sort compare (Hashtbl.fold (fun (s, d) l acc -> (s, d, l) :: acc) best [])
+                max_per_pair
+                  (List.map
+                     (fun (s, d, _, l) -> (s, d, l))
+                     (flow_mem @ List.filter (fun e -> not (is_flow_mem e)) raw))
               in
-              let of_adj flip adj =
+              let of_adj adj =
                 List.sort compare
                   (List.concat
                      (Array.to_list
-                        (Array.mapi (fun a l -> List.map (fun (b, lat) -> flip a b lat) l) adj)))
+                        (Array.mapi (fun a l -> List.map (fun (b, lat) -> (a, b, lat)) l) adj)))
               in
-              if of_adj (fun s d l -> (s, d, l)) g.Ddg.succs <> expect then
+              let g = Ddg.build ~live_at_target ~pre_env sb in
+              if of_adj g.Ddg.succs <> expect then
                 Alcotest.failf "%s: succs differ from the reference" name;
-              if of_adj (fun d s l -> (s, d, l)) g.Ddg.preds <> expect then
-                Alcotest.failf "%s: preds differ from the reference" name)
+              (* One successor entry per pair. *)
+              Array.iteri
+                (fun a l ->
+                  if List.length (List.sort_uniq compare (List.map fst l)) <> List.length l then
+                    Alcotest.failf "%s: duplicate successor of %d" name a)
+                g.Ddg.succs;
+              (* The modulo builder's within-iteration edges are the same
+                 Flow/Mem edges, max latency per pair. *)
+              let within =
+                List.filter_map
+                  (fun (e : Ddg.edge) ->
+                    if e.Ddg.dist = 0 then Some (e.Ddg.src, e.Ddg.dst, e.Ddg.lat) else None)
+                  (Ddg.modulo_edges ~pre_env insns)
+              in
+              if within <> max_per_pair (List.map (fun (s, d, _, l) -> (s, d, l)) flow_mem) then
+                Alcotest.failf "%s: modulo within-iteration edges differ from the reference" name)
             (segments p))
         (Lazy.force corpus));
   ]
@@ -774,6 +919,7 @@ let suite =
     ("analysis.sb", sb_tests);
     ("analysis.dom", dom_tests);
     ("analysis.linval", linval_tests);
+    ("analysis.linval.props", linval_props);
     ("analysis.liveness", liveness_tests);
     ("analysis.bits", bits_tests);
     ("analysis.ddg", ddg_tests);

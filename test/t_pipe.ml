@@ -255,6 +255,146 @@ let test_corpus_skipped_listed () =
     (Lazy.force corpus);
   check_bool "label-free analyzed loops are skipped somewhere" true (!reused > 0)
 
+(* ---- the modulo edges against the former construction ----
+
+   [Pipe_edges_ref.pipe_edges] builds the edge set the way the pass did
+   before [Ddg.modulo_edges]. Its inputs are recovered from the output
+   program: walking it as the pass walks the input, each analysed loop
+   sits where its head label (pipelined) or its loop item (skipped) is,
+   and the output items before it give the preheader environment. *)
+
+let pipe_inputs (input : Prog.t) (out : Prog.t) =
+  let src = innermost_loops input in
+  let heads = Hashtbl.create 8 in
+  Hashtbl.iter (fun _ (l : Block.loop) -> Hashtbl.replace heads l.Block.head l) src;
+  let found = Hashtbl.create 8 in
+  let note prev (l : Block.loop) =
+    let a = Array.of_list (Block.body_insns l) in
+    Hashtbl.replace found l.Block.lid
+      (Linval.env_of_items (List.rev prev), Array.sub a 0 (max 0 (Array.length a - 1)))
+  in
+  let rec walk prev = function
+    | [] -> ()
+    | (Block.Loop l as it) :: rest when Block.is_innermost l && Hashtbl.mem src l.Block.lid ->
+      note prev (Hashtbl.find src l.Block.lid);
+      walk (it :: prev) rest
+    | (Block.Lbl h as it) :: rest when Hashtbl.mem heads h ->
+      note prev (Hashtbl.find heads h);
+      walk (it :: prev) rest
+    | (Block.Loop l as it) :: rest ->
+      if not (Block.is_innermost l) then walk [] l.Block.body;
+      walk (it :: prev) rest
+    | it :: rest -> walk (it :: prev) rest
+  in
+  walk [] out.Prog.entry;
+  found
+
+(* Every analysed loop's [p_edges] equals the former construction's;
+   returns the number of loops compared. *)
+let check_modulo_edges tag (input : Prog.t) ((out : Prog.t), pairs) =
+  let inputs = pipe_inputs input out in
+  List.fold_left
+    (fun n ((r : Pipe.report), problem) ->
+      match problem with
+      | None -> n
+      | Some (p : Pipe.problem) ->
+        let pre_env, body = Hashtbl.find inputs r.Pipe.lid in
+        if p.Pipe.p_edges <> Pipe_edges_ref.pipe_edges ~pre_env body then
+          Alcotest.failf "%s loop %d: p_edges differ from the reference" tag r.Pipe.lid;
+        n + 1)
+    0 pairs
+
+let test_corpus_modulo_edges () =
+  let n =
+    List.fold_left
+      (fun n (tag, _, tp, result) -> n + check_modulo_edges tag tp result)
+      0 (Lazy.force corpus)
+  in
+  check_bool "analysed loops compared" true (n > 0)
+
+(* Loops the corpus rarely shapes this way: a value carried through
+   memory at distance k, stores to one array at two offsets, a step
+   that is not the element size, a carried register read twice by one
+   instruction (a duplicate edge), and a stride hidden behind a register
+   read from memory. Every level and corpus machine. *)
+let adversarial_asts =
+  let open Impact_fir.Ast in
+  let n = 24 in
+  let arrays = [ array1 "A" TReal (n + 8) (pseudo 11); array1 "B" TReal (n + 8) (pseudo 12) ] in
+  let prog stmts =
+    {
+      decls =
+        scalar "j" TInt :: scalar "s" TInt :: scalar "x" TReal
+        :: array1 "K" TInt 4 (fun _ -> 2.0) :: arrays;
+      stmts;
+      outs = [ "x" ];
+    }
+  in
+  let carried k lo hi =
+    ( Printf.sprintf "A[j%+d] = f(A[j])" k,
+      prog [ do_ "j" (i lo) (i hi) [ astore "A" [ v "j" +: i k ] ((idx "A" [ v "j" ] *: r 0.5) +: r 1.0) ] ] )
+  in
+  [
+    carried 0 1 n;
+    carried 1 1 n;
+    carried 2 1 n;
+    carried (-1) 2 (n + 1);
+    ( "same-label stores at two offsets",
+      prog
+        [
+          do_ "j" (i 1) (i n)
+            [
+              astore "A" [ v "j" ] (idx "B" [ v "j" ] +: r 1.0);
+              astore "A" [ v "j" +: i 2 ] (idx "B" [ v "j" ] *: r 2.0);
+              astore "B" [ v "j" +: i 1 ] (idx "A" [ v "j" +: i 1 ]);
+            ];
+        ] );
+    ( "step of three elements",
+      prog
+        [
+          do_step "j" (i 1) (i n) (i 3)
+            [
+              astore "A" [ v "j" +: i 3 ] (idx "A" [ v "j" ] *: r 0.5);
+              astore "A" [ v "j" +: i 1 ] (idx "A" [ v "j" ] +: r 1.0);
+            ];
+        ] );
+    ( "index scaled by two",
+      prog
+        [ do_ "j" (i 1) (i 12) [ astore "A" [ i 2 *: v "j" ] (idx "A" [ (i 2 *: v "j") -: i 1 ] +: r 1.0) ] ] );
+    ( "carried register read twice",
+      prog
+        [
+          do_ "j" (i 1) (i n)
+            [ assign "x" (((v "x" *: v "x") *: r 0.25) +: (idx "A" [ v "j" ] *: r 0.01)) ];
+        ] );
+    ( "stride behind a register",
+      prog
+        [
+          assign "s" (idx "K" [ i 1 ]);
+          do_ "j" (i 1) (i 10)
+            [ astore "A" [ v "j" *: v "s" ] (idx "A" [ (v "j" *: v "s") +: i 1 ] *: r 0.5) ];
+        ] );
+  ]
+
+let test_adversarial_modulo_edges () =
+  let n = ref 0 in
+  List.iter
+    (fun (name, ast) ->
+      let base = run (lower ast) in
+      List.iter
+        (fun level ->
+          let tp = Compile.transform_with Impact_core.Opts.default level (lower ast) in
+          List.iter
+            (fun (m : Machine.t) ->
+              let tag = Printf.sprintf "%s/%s/%s" name (Level.to_string level) m.Machine.name in
+              let ((out, _) as result) = Pipe.run_with_problems m tp in
+              n := !n + check_modulo_edges tag tp result;
+              same_observables tag base (run ~machine:m out))
+            corpus_machines)
+        Level.all)
+    adversarial_asts;
+  check_bool "adversarial loops analysed" true (!n > 0)
+
 (* An analyzed loop whose body holds an internal label still goes
    through [List_sched.schedule_body], which splits it at the label. *)
 let test_labelled_body_falls_back () =
@@ -488,6 +628,8 @@ let suite =
         test "RecMII edge cases = reference" test_rec_mii_cases;
         test "corpus RecMII = reference" test_corpus_rec_mii;
         test "corpus skipped loops keep the list schedule" test_corpus_skipped_listed;
+        test "corpus p_edges = former construction" test_corpus_modulo_edges;
+        test "adversarial loops: p_edges = former construction" test_adversarial_modulo_edges;
         test "labelled body takes the list fallback" test_labelled_body_falls_back;
         test "vecadd pipelines to RecMII" test_vecadd_ii_pinned;
         test "short trip falls back" test_short_trip_falls_back;
