@@ -272,38 +272,113 @@ let sweep_cmd =
 
 (* -- profile -- *)
 
-(* Human-readable stall-attribution table: every issue slot of every
-   cycle is either an issued instruction or an empty slot with exactly
-   one attributed cause, so the rows sum to cycles x issue. *)
-let print_stall_table (prof : Impact_sim.Sim.profile) =
-  let open Impact_sim.Sim in
+module Sim = Impact_sim.Sim
+
+(* How the report names one line of the slot ledger: its stall-table
+   label, its key in the JSON and the level matrix, and its level-matrix
+   column header and width. *)
+type words = { label : string; key : string; col : string * int }
+
+(* How the report words each core's ledger: the in-order core fills
+   issue slots, the out-of-order one dispatch slots. [w_columns] are the
+   causes the JSON [stalls] section and the level matrix list after the
+   filled slots; an [Interlock] column stands for every producer
+   latency. *)
+type wording = {
+  w_title : string;  (* stall table title *)
+  w_slot : string;  (* what a slot is *)
+  w_by : string;  (* what the hottest instructions are counted by *)
+  w_empty : string;  (* the empty slots, in the conservation line *)
+  w_summary : string;  (* level matrix title *)
+  w_machine_width : int;  (* level matrix machine column *)
+  w_filled : words;  (* also the ILP histogram's verb *)
+  w_branch_limit : words;
+  w_columns : Sim.cause list;
+}
+
+let wording (core : Machine.core) =
+  match core with
+  | Machine.Inorder ->
+    {
+      w_title = "stall attribution";
+      w_slot = "issue";
+      w_by = "issues";
+      w_empty = "empty slot-cycles";
+      w_summary = "stall";
+      w_machine_width = 8;
+      w_filled = { label = "issued"; key = "issued"; col = ("issued%", 7) };
+      w_branch_limit =
+        { label = "branch-slot limit"; key = "branch_limit"; col = ("brlim%", 7) };
+      w_columns = [ Sim.Interlock 0; Branch_limit; Redirect; Drain ];
+    }
+  | Machine.Ooo _ ->
+    {
+      w_title = "dispatch-slot attribution";
+      w_slot = "dispatch";
+      w_by = "dispatches";
+      w_empty = "empty dispatch slots";
+      w_summary = "dispatch";
+      w_machine_width = 10;
+      w_filled = { label = "dispatched"; key = "dispatched"; col = ("disp%", 6) };
+      w_branch_limit =
+        { label = "fetch (branch-slot limit)"; key = "fetch"; col = ("fetch%", 6) };
+      w_columns = [ Sim.Rob_full; Rs_wait; No_phys; Branch_limit; Redirect; Drain ];
+    }
+
+let cause_words w : Sim.cause -> words = function
+  | Interlock lat ->
+    {
+      label = Printf.sprintf "interlock (producer latency %d)" lat;
+      key = "interlock";
+      col = ("interlock%", 10);
+    }
+  | Branch_limit -> w.w_branch_limit
+  | Redirect -> { label = "taken-branch redirect"; key = "redirect"; col = ("redirect%", 9) }
+  | Drain -> { label = "drain (out of instructions)"; key = "drain"; col = ("drain%", 6) }
+  | Rob_full -> { label = "rob full (oldest executing)"; key = "rob_full"; col = ("rob%", 6) }
+  | Rs_wait ->
+    { label = "rs wait (oldest needs operands)"; key = "rs_wait"; col = ("rswait%", 7) }
+  | No_phys -> { label = "no free physical register"; key = "no_phys"; col = ("phys%", 6) }
+
+let slot_pct (prof : Sim.profile) n =
+  100.0 *. float_of_int n /. float_of_int (max 1 (prof.p_cycles * prof.p_issue))
+
+(* The slots [prof] charges to a column's cause. *)
+let column_slots (prof : Sim.profile) (c : Sim.cause) =
+  List.fold_left
+    (fun acc (c', n) ->
+      match c, c' with
+      | Sim.Interlock _, Sim.Interlock _ -> acc + n
+      | _ -> if c = c' then acc + n else acc)
+    0 prof.p_stalls
+
+(* The level matrix's columns, the filled slots first, and their counts
+   in [prof]. *)
+let columns w = w.w_filled :: List.map (cause_words w) w.w_columns
+
+let column_counts w (prof : Sim.profile) =
+  prof.p_filled :: List.map (column_slots prof) w.w_columns
+
+(* Human-readable stall-attribution table: every slot of every cycle is
+   either filled or empty with exactly one attributed cause, so the rows
+   sum to cycles x issue. *)
+let print_stall_table w (prof : Sim.profile) =
   let total = prof.p_cycles * prof.p_issue in
-  let pct n = 100.0 *. float_of_int n /. float_of_int (max 1 total) in
-  Printf.printf "stall attribution (%d cycles x issue %d = %d issue slots)\n"
-    prof.p_cycles prof.p_issue total;
+  Printf.printf "%s (%d cycles x issue %d = %d %s slots)\n" w.w_title prof.p_cycles
+    prof.p_issue total w.w_slot;
   Printf.printf "  %-36s %10s %6s\n" "category" "slots" "share";
-  Printf.printf "  %-36s %10d %5.1f%%\n" "issued" prof.p_issued_slots
-    (pct prof.p_issued_slots);
-  Array.iter
-    (fun (lat, n) ->
-      Printf.printf "  %-36s %10d %5.1f%%\n"
-        (Printf.sprintf "interlock (producer latency %d)" lat)
-        n (pct n))
-    prof.p_interlock;
-  Printf.printf "  %-36s %10d %5.1f%%\n" "branch-slot limit" prof.p_branch_limit
-    (pct prof.p_branch_limit);
-  Printf.printf "  %-36s %10d %5.1f%%\n" "taken-branch redirect" prof.p_redirect
-    (pct prof.p_redirect);
-  Printf.printf "  %-36s %10d %5.1f%%\n" "drain (out of instructions)" prof.p_drain
-    (pct prof.p_drain);
-  let classified = classified_slots prof in
-  let empty = empty_slots prof in
-  Printf.printf "  classified %d of %d empty slot-cycles%s\n" classified empty
+  let row label n = Printf.printf "  %-36s %10d %5.1f%%\n" label n (slot_pct prof n) in
+  row w.w_filled.label prof.p_filled;
+  List.iter (fun (c, n) -> row (cause_words w c).label n) prof.p_stalls;
+  Option.iter (Printf.printf "  peak reorder-buffer occupancy %d\n") prof.p_max_rob;
+  let classified = Sim.classified_slots prof in
+  let empty = Sim.empty_slots prof in
+  Printf.printf "  classified %d of %d %s%s\n" classified empty w.w_empty
     (if classified = empty then " (exact)" else " (MISMATCH)")
 
-(* Histogram of instructions [verb] ("issued", "dispatched") per cycle,
-   over [total] cycles. *)
-let print_ilp_histogram ~verb ~total ilp =
+(* Histogram of the slots filled per cycle. *)
+let print_ilp_histogram w (prof : Sim.profile) =
+  let verb = w.w_filled.label and total = prof.p_cycles in
   Printf.printf "%s-per-cycle histogram\n" verb;
   Array.iteri
     (fun k cycles ->
@@ -311,7 +386,7 @@ let print_ilp_histogram ~verb ~total ilp =
         Printf.printf "  %2d %s %9d cycles %5.1f%%  %s\n" k verb cycles
           (100.0 *. float_of_int cycles /. float_of_int (max 1 total))
           (String.make (max 1 (40 * cycles / max 1 total)) '#'))
-    ilp
+    prof.p_ilp
 
 (* The 8 hottest static instructions by dynamic count, hottest first;
    ties keep program order and instructions that never ran are left out.
@@ -322,111 +397,17 @@ let hot_insns counts =
   |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
   |> List.filteri (fun k _ -> k < 8)
 
-let print_hot_insns ~by counts =
-  Printf.printf "hottest static instructions (by dynamic %s)\n" by;
-  List.iter (fun (i, n) -> Printf.printf "  %9d  %s\n" n (Insn.to_string i)) (hot_insns counts)
-
-(* OOO counterpart of the stall table: every dispatch slot of every
-   cycle either dispatched an instruction or has exactly one attributed
-   cause, so the rows sum to cycles x issue. *)
-let print_ooo_stall_table (prof : Impact_sim.Sim.Ooo.profile) =
-  let open Impact_sim.Sim.Ooo in
-  let total = prof.o_cycles * prof.o_issue in
-  let pct n = 100.0 *. float_of_int n /. float_of_int (max 1 total) in
-  Printf.printf
-    "dispatch-slot attribution (%d cycles x issue %d = %d dispatch slots)\n"
-    prof.o_cycles prof.o_issue total;
-  Printf.printf "  %-36s %10s %6s\n" "category" "slots" "share";
-  let row name n = Printf.printf "  %-36s %10d %5.1f%%\n" name n (pct n) in
-  row "dispatched" prof.o_dispatched_slots;
-  row "rob full (oldest executing)" prof.o_rob_full;
-  row "rs wait (oldest needs operands)" prof.o_rs_wait;
-  row "no free physical register" prof.o_no_phys;
-  row "fetch (branch-slot limit)" prof.o_fetch;
-  row "taken-branch redirect" prof.o_redirect;
-  row "drain (out of instructions)" prof.o_drain;
-  Printf.printf "  peak reorder-buffer occupancy %d\n" prof.o_max_rob;
-  let classified = classified_slots prof in
-  let empty = empty_slots prof in
-  Printf.printf "  classified %d of %d empty dispatch slots%s\n" classified
-    empty
-    (if classified = empty then " (exact)" else " (MISMATCH)")
-
-(* One level x machine cell of the profile's stall-summary matrix, in a
-   core-agnostic shape shared by the printed table and `profile --json`:
-   [lmr_slots] carries the per-cause slot counts (keys differ per core)
-   and the matching issue width, so percentages are derived, not
-   stored. *)
-type lm_row = {
-  lmr_level : string;
-  lmr_machine : string;
-  lmr_issue : int;
-  lmr_cycles : int;
-  lmr_dyn : int;
-  lmr_slots : (string * int) list;
-}
-
-let lm_pct r n = 100.0 *. float_of_int n /. float_of_int (max 1 (r.lmr_cycles * r.lmr_issue))
-
-let lm_slot r k = match List.assoc_opt k r.lmr_slots with Some n -> n | None -> 0
-
-(* Stall summary per level x issue rate for one kernel: the paper's
-   Fig. 8-10 mechanism made visible (interlock share shrinking as the
-   transformation level rises). *)
-let level_matrix_rows w (opts : Opts.t) =
-  List.concat_map
-    (fun level ->
-      let tp =
-        Compile.transform_with opts level
-          (Impact_fir.Lower.lower w.Impact_workloads.Suite.ast)
-      in
-      List.map
-        (fun machine ->
-          let scheduled = Compile.schedule_with opts machine tp in
-          let r, prof = Impact_sim.Sim.run_profiled machine scheduled in
-          let open Impact_sim.Sim in
-          let interlock =
-            Array.fold_left (fun acc (_, n) -> acc + n) 0 prof.p_interlock
-          in
-          {
-            lmr_level = Level.to_string level;
-            lmr_machine = machine.Machine.name;
-            lmr_issue = prof.p_issue;
-            lmr_cycles = r.cycles;
-            lmr_dyn = r.dyn_insns;
-            lmr_slots =
-              [
-                ("issued", prof.p_issued_slots);
-                ("interlock", interlock);
-                ("branch_limit", prof.p_branch_limit);
-                ("redirect", prof.p_redirect);
-                ("drain", prof.p_drain);
-              ];
-          })
-        (Report.matrix_machines ()))
-    Level.all
-
-let print_level_matrix rows =
-  Printf.printf
-    "stall summary per level x issue rate (%% of issue slots)\n";
-  Printf.printf "  %-6s %-8s %9s %5s %7s %10s %7s %9s %6s\n" "level" "machine"
-    "cycles" "ipc" "issued%" "interlock%" "brlim%" "redirect%" "drain%";
+let print_hot_insns w (prof : Sim.profile) =
+  Printf.printf "hottest static instructions (by dynamic %s)\n" w.w_by;
   List.iter
-    (fun r ->
-      Printf.printf
-        "  %-6s %-8s %9d %5.2f %6.1f%% %9.1f%% %6.1f%% %8.1f%% %5.1f%%\n"
-        r.lmr_level r.lmr_machine r.lmr_cycles
-        (float_of_int r.lmr_dyn /. float_of_int r.lmr_cycles)
-        (lm_pct r (lm_slot r "issued"))
-        (lm_pct r (lm_slot r "interlock"))
-        (lm_pct r (lm_slot r "branch_limit"))
-        (lm_pct r (lm_slot r "redirect"))
-        (lm_pct r (lm_slot r "drain")))
-    rows
+    (fun (i, n) -> Printf.printf "  %9d  %s\n" n (Insn.to_string i))
+    (hot_insns prof.p_insn_counts)
 
-(* The OOO counterpart: same level x issue sweep on the dynamically
-   scheduled core (keeping the profiled machine's rob/phys sizes). *)
-let ooo_level_matrix_rows w (opts : Opts.t) ~(core : Machine.core) =
+(* Stall summary per level x issue rate for one kernel on the profiled
+   machine's core (keeping its rob/phys sizes): the paper's Fig. 8-10
+   mechanism made visible (interlock share shrinking as the
+   transformation level rises). One (level, machine, profile) per cell. *)
+let level_matrix_rows w (opts : Opts.t) ~(core : Machine.core) =
   List.concat_map
     (fun level ->
       let tp =
@@ -436,48 +417,26 @@ let ooo_level_matrix_rows w (opts : Opts.t) ~(core : Machine.core) =
       List.map
         (fun machine ->
           let scheduled = Compile.schedule_with opts machine tp in
-          let r, prof = Impact_sim.Sim.Ooo.run_profiled machine scheduled in
-          let open Impact_sim.Sim.Ooo in
-          {
-            lmr_level = Level.to_string level;
-            lmr_machine = machine.Machine.name;
-            lmr_issue = prof.o_issue;
-            lmr_cycles = r.Impact_sim.Sim.cycles;
-            lmr_dyn = r.Impact_sim.Sim.dyn_insns;
-            lmr_slots =
-              [
-                ("dispatched", prof.o_dispatched_slots);
-                ("rob_full", prof.o_rob_full);
-                ("rs_wait", prof.o_rs_wait);
-                ("no_phys", prof.o_no_phys);
-                ("fetch", prof.o_fetch);
-                ("redirect", prof.o_redirect);
-                ("drain", prof.o_drain);
-              ];
-          })
+          ( Level.to_string level,
+            machine.Machine.name,
+            snd (Sim.run_profiled machine scheduled) ))
         (Report.matrix_machines ~core ()))
     Level.all
 
-let print_ooo_level_matrix rows =
-  Printf.printf
-    "dispatch summary per level x issue rate (%% of dispatch slots)\n";
-  Printf.printf "  %-6s %-10s %9s %5s %6s %6s %7s %6s %6s %9s %6s\n" "level"
-    "machine" "cycles" "ipc" "disp%" "rob%" "rswait%" "phys%" "fetch%"
-    "redirect%" "drain%";
+let print_level_matrix w rows =
+  Printf.printf "%s summary per level x issue rate (%% of %s slots)\n" w.w_summary
+    w.w_slot;
+  Printf.printf "  %-6s %-*s %9s %5s" "level" w.w_machine_width "machine" "cycles" "ipc";
+  List.iter (fun c -> Printf.printf " %*s" (snd c.col) (fst c.col)) (columns w);
+  print_newline ();
   List.iter
-    (fun r ->
-      Printf.printf
-        "  %-6s %-10s %9d %5.2f %5.1f%% %5.1f%% %6.1f%% %5.1f%% %5.1f%% \
-         %8.1f%% %5.1f%%\n"
-        r.lmr_level r.lmr_machine r.lmr_cycles
-        (float_of_int r.lmr_dyn /. float_of_int r.lmr_cycles)
-        (lm_pct r (lm_slot r "dispatched"))
-        (lm_pct r (lm_slot r "rob_full"))
-        (lm_pct r (lm_slot r "rs_wait"))
-        (lm_pct r (lm_slot r "no_phys"))
-        (lm_pct r (lm_slot r "fetch"))
-        (lm_pct r (lm_slot r "redirect"))
-        (lm_pct r (lm_slot r "drain")))
+    (fun (level, machine, (prof : Sim.profile)) ->
+      Printf.printf "  %-6s %-*s %9d %5.2f" level w.w_machine_width machine prof.p_cycles
+        (float_of_int prof.p_filled /. float_of_int prof.p_cycles);
+      List.iter2
+        (fun c n -> Printf.printf " %*.1f%%" (snd c.col - 1) (slot_pct prof n))
+        (columns w) (column_counts w prof);
+      print_newline ())
     rows
 
 (* ---- profile --json: the same data as the printed report, as a
@@ -492,68 +451,53 @@ let json_of_hot counts =
        (fun (i, n) -> J.Obj [ ("insn", J.Str (Insn.to_string i)); ("count", J.Int n) ])
        (hot_insns counts))
 
-let json_of_ilp ilp = J.List (Array.to_list (Array.map (fun n -> J.Int n) ilp))
-
-let json_of_matrix rows =
+let json_of_matrix w rows =
   J.List
     (List.map
-       (fun r ->
+       (fun (level, machine, (prof : Sim.profile)) ->
          J.Obj
            [
-             ("level", J.Str r.lmr_level);
-             ("machine", J.Str r.lmr_machine);
-             ("issue", J.Int r.lmr_issue);
-             ("cycles", J.Int r.lmr_cycles);
-             ("dyn_insns", J.Int r.lmr_dyn);
-             ("slots", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) r.lmr_slots));
+             ("level", J.Str level);
+             ("machine", J.Str machine);
+             ("issue", J.Int prof.p_issue);
+             ("cycles", J.Int prof.p_cycles);
+             ("dyn_insns", J.Int prof.p_filled);
+             ( "slots",
+               J.Obj (List.map2 (fun c n -> (c.key, J.Int n)) (columns w) (column_counts w prof))
+             );
            ])
        rows)
 
 (* Slot-attribution fields for the dump; keys mirror the printed stall
-   table (the inorder interlock rows keep their per-latency split). *)
-let inorder_sim_json (prof : Impact_sim.Sim.profile) =
-  let open Impact_sim.Sim in
-  [
-    ( "stalls",
-      J.Obj
-        [
-          ("issued", J.Int prof.p_issued_slots);
-          ( "interlock",
-            J.List
-              (Array.to_list
-                 (Array.map
-                    (fun (lat, n) ->
-                      J.Obj [ ("latency", J.Int lat); ("slots", J.Int n) ])
-                    prof.p_interlock)) );
-          ("branch_limit", J.Int prof.p_branch_limit);
-          ("redirect", J.Int prof.p_redirect);
-          ("drain", J.Int prof.p_drain);
-        ] );
-    ("ilp", json_of_ilp prof.p_ilp);
-    ("hot_insns", json_of_hot prof.p_insn_issues);
-  ]
+   table, and the interlock column keeps its per-latency split. *)
+let sim_json w (prof : Sim.profile) =
+  let column (c : Sim.cause) =
+    ( (cause_words w c).key,
+      match c with
+      | Interlock _ ->
+        J.List
+          (List.filter_map
+             (function
+               | Sim.Interlock lat, n ->
+                 Some (J.Obj [ ("latency", J.Int lat); ("slots", J.Int n) ])
+               | _ -> None)
+             prof.p_stalls)
+      | _ -> J.Int (column_slots prof c) )
+  in
+  (("stalls", J.Obj ((w.w_filled.key, J.Int prof.p_filled) :: List.map column w.w_columns))
+  :: Option.fold ~none:[] ~some:(fun n -> [ ("max_rob", J.Int n) ]) prof.p_max_rob)
+  @ [
+      ("ilp", J.List (Array.to_list (Array.map (fun n -> J.Int n) prof.p_ilp)));
+      ("hot_insns", json_of_hot prof.p_insn_counts);
+    ]
 
-let ooo_sim_json (prof : Impact_sim.Sim.Ooo.profile) =
-  let open Impact_sim.Sim.Ooo in
-  [
-    ( "stalls",
-      J.Obj
-        [
-          ("dispatched", J.Int prof.o_dispatched_slots);
-          ("rob_full", J.Int prof.o_rob_full);
-          ("rs_wait", J.Int prof.o_rs_wait);
-          ("no_phys", J.Int prof.o_no_phys);
-          ("fetch", J.Int prof.o_fetch);
-          ("redirect", J.Int prof.o_redirect);
-          ("drain", J.Int prof.o_drain);
-        ] );
-    ("max_rob", J.Int prof.o_max_rob);
-    ("ilp", json_of_ilp prof.o_ilp);
-    ("hot_insns", json_of_hot prof.o_insn_dispatches);
-  ]
-
-let profile_json ~name ~(co : common_opts) ~(machine : Machine.t) ~result ~rep
-    ~pipe_reports ~rows sim_fields =
+let profile_json ~name ~(co : common_opts) ~(machine : Machine.t) ~w ~result ~prof ~rep
+    ~pipe_reports ~rows =
+  let core, rob, phys_regs =
+    match machine.Machine.core with
+    | Machine.Inorder -> ("inorder", J.Null, J.Null)
+    | Machine.Ooo { rob; phys_regs } -> ("ooo", J.Int rob, J.Int phys_regs)
+  in
   J.Obj
     ([
        ("schema", J.Str "impact-profile/1");
@@ -561,29 +505,18 @@ let profile_json ~name ~(co : common_opts) ~(machine : Machine.t) ~result ~rep
        ("level", J.Str (Level.to_string co.co_level));
        ("machine", J.Str machine.Machine.name);
        ("issue", J.Int machine.Machine.issue);
-       ( "core",
-         J.Str
-           (match machine.Machine.core with
-           | Machine.Inorder -> "inorder"
-           | Machine.Ooo _ -> "ooo") );
-       ( "rob",
-         match machine.Machine.core with
-         | Machine.Inorder -> J.Null
-         | Machine.Ooo { rob; _ } -> J.Int rob );
-       ( "phys_regs",
-         match machine.Machine.core with
-         | Machine.Inorder -> J.Null
-         | Machine.Ooo { phys_regs; _ } -> J.Int phys_regs );
+       ("core", J.Str core);
+       ("rob", rob);
+       ("phys_regs", phys_regs);
        ("sched", J.Str (Opts.sched_to_string co.co_sched));
        ("unroll", match co.co_unroll with None -> J.Null | Some n -> J.Int n);
-       ("cycles", J.Int result.Impact_sim.Sim.cycles);
-       ("dyn_insns", J.Int result.Impact_sim.Sim.dyn_insns);
+       ("cycles", J.Int result.Sim.cycles);
+       ("dyn_insns", J.Int result.Sim.dyn_insns);
        ( "ipc",
          J.Float
-           (float_of_int result.Impact_sim.Sim.dyn_insns
-           /. float_of_int (max 1 result.Impact_sim.Sim.cycles)) );
+           (float_of_int result.Sim.dyn_insns /. float_of_int (max 1 result.Sim.cycles)) );
      ]
-    @ sim_fields
+    @ sim_json w prof
     @ [
         ( "counters",
           J.Obj (List.map (fun (k, v) -> (k, J.Int v)) rep.Obs.r_counters) );
@@ -603,7 +536,7 @@ let profile_json ~name ~(co : common_opts) ~(machine : Machine.t) ~result ~rep
             (List.map
                (fun r -> J.Str (Impact_pipe.Pipe.report_to_string r))
                pipe_reports) );
-        ("level_matrix", json_of_matrix rows);
+        ("level_matrix", json_of_matrix w rows);
       ])
 
 let profile_loop_arg =
@@ -632,48 +565,16 @@ let profile_cmd =
     (* Pass telemetry ([rep]) is captured right after the profiled run,
        before the level-matrix sweep recompiles the kernel and would
        pollute the counters. *)
-    let result, rep, rows, print_sim_sections, sim_fields =
-      match machine.Machine.core with
-      | Machine.Inorder ->
-        let result, prof = Impact_sim.Sim.run_profiled machine scheduled in
-        let rep = Obs.report () in
-        let rows = level_matrix_rows w opts in
-        ( result,
-          rep,
-          rows,
-          (fun () ->
-            print_stall_table prof;
-            print_newline ();
-            print_ilp_histogram ~verb:"issued" ~total:prof.p_cycles prof.p_ilp;
-            print_newline ();
-            print_hot_insns ~by:"issues" prof.p_insn_issues;
-            print_newline ();
-            print_level_matrix rows),
-          inorder_sim_json prof )
-      | Machine.Ooo _ as core ->
-        let result, prof = Impact_sim.Sim.Ooo.run_profiled machine scheduled in
-        let rep = Obs.report () in
-        let rows = ooo_level_matrix_rows w opts ~core in
-        ( result,
-          rep,
-          rows,
-          (fun () ->
-            print_ooo_stall_table prof;
-            print_newline ();
-            print_ilp_histogram ~verb:"dispatched" ~total:prof.o_cycles prof.o_ilp;
-            print_newline ();
-            print_hot_insns ~by:"dispatches" prof.o_insn_dispatches;
-            print_newline ();
-            print_ooo_level_matrix rows),
-          ooo_sim_json prof )
-    in
+    let result, prof = Sim.run_profiled machine scheduled in
+    let rep = Obs.report () in
+    let rows = level_matrix_rows w opts ~core:machine.Machine.core in
+    let words = wording machine.Machine.core in
     Printf.printf "profile %s at %s on %s%s\n" name (Level.to_string co.co_level)
       machine.Machine.name
       (match co.co_sched with `Pipe -> " (software pipelined)" | `List -> "");
-    Printf.printf "  cycles %d, dyn insns %d, ipc %.2f\n\n"
-      result.Impact_sim.Sim.cycles result.Impact_sim.Sim.dyn_insns
-      (float_of_int result.Impact_sim.Sim.dyn_insns
-      /. float_of_int result.Impact_sim.Sim.cycles);
+    Printf.printf "  cycles %d, dyn insns %d, ipc %.2f\n\n" result.Sim.cycles
+      result.Sim.dyn_insns
+      (float_of_int result.Sim.dyn_insns /. float_of_int result.Sim.cycles);
     Printf.printf "pass telemetry (this compile)\n";
     List.iter
       (fun (k, v) -> Printf.printf "  %-42s %8d\n" k v)
@@ -693,15 +594,21 @@ let profile_cmd =
         (fun r -> Printf.printf "  %s\n" (Impact_pipe.Pipe.report_to_string r))
         rs;
       print_newline ());
-    print_sim_sections ();
+    print_stall_table words prof;
+    print_newline ();
+    print_ilp_histogram words prof;
+    print_newline ();
+    print_hot_insns words prof;
+    print_newline ();
+    print_level_matrix words rows;
     match json_out with
     | None -> ()
     | Some path ->
       let oc = open_out path in
       output_string oc
         (J.to_string
-           (profile_json ~name ~co ~machine ~result ~rep ~pipe_reports ~rows
-              sim_fields));
+           (profile_json ~name ~co ~machine ~w:words ~result ~prof ~rep ~pipe_reports
+              ~rows));
       output_char oc '\n';
       close_out oc;
       Printf.eprintf "wrote %s\n%!" path

@@ -122,47 +122,59 @@ let collect (p : Prog.t) (mem : mem) ivals fvals : (string * value) list * (stri
 
 let default_fuel = 400_000_000
 
-(* ---- Issue-slot accounting (stall attribution) ---- *)
+(* ---- Slot accounting (stall attribution) ---- *)
 
-(* A profiled run classifies every one of its [p_cycles * p_issue]
-   issue slots: [p_issued_slots] of them issued an instruction and each
-   empty slot has exactly one attributed cause, so the categories sum
-   to [empty_slots] by construction (checked by the tier-1 tests). The
-   in-order pipeline empties the rest of a cycle for whichever reason
-   stops issue first, which is why one cause per cycle suffices. *)
+(* A profiled run classifies every one of its [p_cycles * p_issue] slots
+   (issue slots in order, dispatch slots out of order): [p_filled] of
+   them took an instruction and each empty one is charged to exactly one
+   cause, so the causes sum to [empty_slots] by construction (checked by
+   the tier-1 tests). Either core stops filling a cycle for whichever
+   reason hits first and charges the rest of the cycle to it, which is
+   why one cause per cycle suffices. *)
+type cause =
+  | Interlock of int
+      (* in order: the next instruction waits on a result, keyed by the
+         latency class of the op producing it *)
+  | Branch_limit  (* the cycle's branch slots are used up *)
+  | Redirect  (* slots emptied after a taken branch *)
+  | Drain  (* program ran out of instructions / final writebacks or commits *)
+  | Rob_full  (* out of order: reorder buffer full, oldest entry executing *)
+  | Rs_wait  (* reorder buffer full, oldest entry still waiting on operands *)
+  | No_phys  (* no free physical register in the destination's class *)
+
 type profile = {
   p_issue : int;
   p_cycles : int;
-  p_issued_slots : int;  (* = dyn_insns *)
-  p_interlock : (int * int) array;
-      (* (producer latency, slot-cycles) — slots lost waiting on a
-         result, keyed by the latency class of the op producing it *)
-  p_branch_limit : int;  (* slots lost to the branch-slot limit *)
-  p_redirect : int;  (* slots emptied after a taken branch *)
-  p_drain : int;  (* program ran out of instructions / final writebacks *)
-  p_ilp : int array;  (* p_ilp.(k) = cycles that issued exactly k *)
-  p_insn_issues : (Insn.t * int) array;  (* per static instruction *)
+  p_filled : int;  (* = dyn_insns *)
+  p_stalls : (cause * int) list;
+  p_ilp : int array;  (* p_ilp.(k) = cycles that filled exactly k slots *)
+  p_insn_counts : (Insn.t * int) array;  (* per static instruction *)
+  p_max_rob : int option;  (* peak reorder-buffer occupancy, out of order *)
 }
 
-let empty_slots p = (p.p_cycles * p.p_issue) - p.p_issued_slots
+let empty_slots p = (p.p_cycles * p.p_issue) - p.p_filled
 
-let classified_slots p =
-  Array.fold_left (fun acc (_, n) -> acc + n) 0 p.p_interlock
-  + p.p_branch_limit + p.p_redirect + p.p_drain
+let classified_slots p = List.fold_left (fun acc (_, n) -> acc + n) 0 p.p_stalls
 
 (* Largest Table 1 latency; bounds the interlock histogram. *)
 let max_latency = List.fold_left (fun acc (_, l) -> max acc l) 1 Machine.table1_rows
 
-(* Mutable accumulator threaded through a profiled run. [ps_iprod] /
-   [ps_fprod] remember the latency of the op that last wrote each
-   register, so an interlock can be attributed to its producer's
-   latency class (the paper's Fig. 8 mechanism: renaming and expansion
-   remove exactly these waits). *)
+(* Mutable accumulator threaded through a profiled run of either core.
+   The in-order core charges [ps_interlock] and remembers in [ps_iprod] /
+   [ps_fprod] the latency of the op that last wrote each register, so an
+   interlock can be attributed to its producer's latency class (the
+   paper's Fig. 8 mechanism: renaming and expansion remove exactly these
+   waits); the out-of-order core charges the window causes and tracks
+   [ps_max_rob]. *)
 type pstate = {
   ps_interlock : int array;
   mutable ps_blimit : int;
   mutable ps_redirect : int;
   mutable ps_drain : int;
+  mutable ps_rob_full : int;
+  mutable ps_rs_wait : int;
+  mutable ps_no_phys : int;
+  mutable ps_max_rob : int;
   ps_ilp : int array;
   ps_insn : int array;
   ps_iprod : int array;
@@ -175,25 +187,50 @@ let make_pstate ~issue ~ncode ~nregs =
     ps_blimit = 0;
     ps_redirect = 0;
     ps_drain = 0;
+    ps_rob_full = 0;
+    ps_rs_wait = 0;
+    ps_no_phys = 0;
+    ps_max_rob = 0;
     ps_ilp = Array.make (issue + 1) 0;
     ps_insn = Array.make ncode 0;
     ps_iprod = Array.make nregs 0;
     ps_fprod = Array.make nregs 0;
   }
 
-let profile_of_pstate (s : pstate) ~issue ~cycles ~dyn (code : Insn.t array) : profile =
-  let inter = ref [] in
-  Array.iteri (fun lat n -> if n > 0 then inter := (lat, n) :: !inter) s.ps_interlock;
+(* The profile of a run that filled its last slot in cycle [last - 1]
+   and ended at [cycles]: the trailing cycles, waiting for the last
+   writebacks or commits, drain. In order, the interlock rows come
+   ascending with zero rows elided; out of order, the window causes come
+   first. *)
+let profile_of_pstate (s : pstate) (machine : Machine.t) ~last ~cycles ~dyn
+    (code : Insn.t array) : profile =
+  let issue = machine.Machine.issue in
+  s.ps_drain <- s.ps_drain + ((cycles - last) * issue);
+  s.ps_ilp.(0) <- s.ps_ilp.(0) + (cycles - last);
+  let shared =
+    [ (Branch_limit, s.ps_blimit); (Redirect, s.ps_redirect); (Drain, s.ps_drain) ]
+  in
+  let stalls, max_rob =
+    match machine.Machine.core with
+    | Machine.Inorder ->
+      let rows = ref [] in
+      Array.iteri
+        (fun lat n -> if n > 0 then rows := (Interlock lat, n) :: !rows)
+        s.ps_interlock;
+      (List.rev_append !rows shared, None)
+    | Machine.Ooo _ ->
+      ( (Rob_full, s.ps_rob_full) :: (Rs_wait, s.ps_rs_wait) :: (No_phys, s.ps_no_phys)
+        :: shared,
+        Some s.ps_max_rob )
+  in
   {
     p_issue = issue;
     p_cycles = cycles;
-    p_issued_slots = dyn;
-    p_interlock = Array.of_list (List.rev !inter);
-    p_branch_limit = s.ps_blimit;
-    p_redirect = s.ps_redirect;
-    p_drain = s.ps_drain;
+    p_filled = dyn;
+    p_stalls = stalls;
     p_ilp = s.ps_ilp;
-    p_insn_issues = Array.mapi (fun k c -> (code.(k), c)) s.ps_insn;
+    p_insn_counts = Array.mapi (fun k c -> (code.(k), c)) s.ps_insn;
+    p_max_rob = max_rob;
   }
 
 (* ---- Reference interpreter (also the traced path) ---- *)
@@ -460,14 +497,7 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
      the last issue. *)
   let cycles = max !cycle !last_writeback in
   let prof =
-    Option.map
-      (fun s ->
-        (* Trailing cycles where issue has stopped but results are
-           still in flight. *)
-        s.ps_drain <- s.ps_drain + ((cycles - !cycle) * machine.Machine.issue);
-        s.ps_ilp.(0) <- s.ps_ilp.(0) + (cycles - !cycle);
-        profile_of_pstate s ~issue:machine.Machine.issue ~cycles ~dyn:!dyn code)
-      ps
+    Option.map (fun s -> profile_of_pstate s machine ~last:!cycle ~cycles ~dyn:!dyn code) ps
   in
   ({ cycles; dyn_insns = !dyn; outputs; arrays_out }, prof)
 
@@ -835,14 +865,7 @@ let run_inorder_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : P
   done;
   let cycles = max !cycle !last_writeback in
   let prof =
-    Option.map
-      (fun s ->
-        (* Trailing cycles where issue has stopped but results are
-           still in flight. *)
-        s.ps_drain <- s.ps_drain + ((cycles - !cycle) * issue_width);
-        s.ps_ilp.(0) <- s.ps_ilp.(0) + (cycles - !cycle);
-        profile_of_pstate s ~issue:issue_width ~cycles ~dyn:!dyn code)
-      ps
+    Option.map (fun s -> profile_of_pstate s machine ~last:!cycle ~cycles ~dyn:!dyn code) ps
   in
   (finish p st ~cycles ~dyn:!dyn, prof)
 
@@ -879,323 +902,261 @@ let run_inorder_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : P
    and the timing machinery only tracks *when* each in-flight producer
    completes.
 
-   Stall attribution mirrors the in-order one: every one of the
-   [cycles * issue] dispatch slots either dispatched an instruction or
-   is charged to exactly one cause, so the categories sum to
-   [cycles * issue - dyn_insns] by construction (the conservation
-   invariant, checked by the tier-1 tests). *)
+   Stall attribution is the in-order one over dispatch slots: dispatch
+   stops within a cycle for whichever reason hits first and the rest of
+   that cycle's slots are charged to it —
 
-module Ooo = struct
-  (* Dispatch stops within a cycle for whichever reason hits first; the
-     rest of that cycle's slots are charged to that reason:
+   - [Rob_full]: the reorder buffer is full and its oldest entry has
+     issued but not completed — the window is latency/commit-bound;
+   - [Rs_wait]: the reorder buffer is full and its oldest entry has not
+     even issued — the window is dataflow-bound, waiting in the
+     reservation stations;
+   - [No_phys]: no free physical register in the destination's class;
+   - [Branch_limit], [Redirect] and [Drain] as in order, [Drain] running
+     up to the last commit. *)
 
-     - [o_rob_full]: the reorder buffer is full and its oldest entry has
-       issued but not completed — the window is latency/commit-bound;
-     - [o_rs_wait]: the reorder buffer is full and its oldest entry has
-       not even issued — the window is dataflow-bound, waiting in the
-       reservation stations;
-     - [o_no_phys]: no free physical register in the destination's class;
-     - [o_fetch]: the next instruction is a branch but the cycle's branch
-       slots are used up;
-     - [o_redirect]: slots after a taken branch (fetch resumes at the
-       target next cycle);
-     - [o_drain]: the program ran out of instructions — mid-cycle at the
-       end, plus whole trailing cycles waiting for the last commits. *)
-  type profile = {
-    o_issue : int;
-    o_cycles : int;
-    o_dispatched_slots : int;  (* = dyn_insns *)
-    o_rob_full : int;
-    o_rs_wait : int;
-    o_no_phys : int;
-    o_fetch : int;
-    o_redirect : int;
-    o_drain : int;
-    o_ilp : int array;  (* o_ilp.(k) = cycles that dispatched exactly k *)
-    o_max_rob : int;  (* peak reorder-buffer occupancy *)
-    o_insn_dispatches : (Insn.t * int) array;  (* per static instruction *)
-  }
+(* Every timing quantity of dynamic instruction i depends only on older
+   instructions, so all of them are computed once, when i is dispatched
+   in program order (W = issue width, R = reorder-buffer size):
 
-  let empty_slots p = (p.o_cycles * p.o_issue) - p.o_dispatched_slots
+   - dispatch D_i: the first cycle >= D_{i-1} (D_{i-1} + 1 after a taken
+     branch or a full group) with a free branch slot for a branch, room
+     in the reorder buffer (K_{i-R} <= D_i) and, for a writer, a free
+     physical register of its class (K of the class's P-th previous
+     writer <= D_i);
+   - issue I_i: the first cycle >= max(D_i + 1, the sources' latest
+     writers' completion, the previous memory op's issue) in which
+     fewer than W older instructions issue. Issue is oldest-ready-first,
+     so no younger instruction ever takes an older one's slot;
+   - completion C_i = I_i + latency; commit K_i = max(C_i, K_{i-1}), one
+     cycle later when W instructions already commit in K_{i-1}.
 
-  let classified_slots p =
-    p.o_rob_full + p.o_rs_wait + p.o_no_phys + p.o_fetch + p.o_redirect + p.o_drain
-
-  (* Every timing quantity of dynamic instruction i depends only on older
-     instructions, so all of them are computed once, when i is dispatched
-     in program order (W = issue width, R = reorder-buffer size):
-
-     - dispatch D_i: the first cycle >= D_{i-1} (D_{i-1} + 1 after a taken
-       branch or a full group) with a free branch slot for a branch, room
-       in the reorder buffer (K_{i-R} <= D_i) and, for a writer, a free
-       physical register of its class (K of the class's P-th previous
-       writer <= D_i);
-     - issue I_i: the first cycle >= max(D_i + 1, the sources' latest
-       writers' completion, the previous memory op's issue) in which
-       fewer than W older instructions issue. Issue is oldest-ready-first,
-       so no younger instruction ever takes an older one's slot;
-     - completion C_i = I_i + latency; commit K_i = max(C_i, K_{i-1}), one
-       cycle later when W instructions already commit in K_{i-1}.
-
-     Empty dispatch slots are charged in bulk: the rest of the cycle in
-     which dispatch stops goes to the first failing check (branch slot,
-     reorder buffer, physical registers), and each whole cycle up to D_i
-     to the check that holds it back. While the buffer is full its head
-     is i - R, so those cycles are [o_rs_wait] before I_{i-R} and
-     [o_rob_full] from it on. *)
-  let run_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : Prog.t) :
-      result * profile option =
-    let rob, phys_regs =
-      match machine.Machine.core with
-      | Machine.Ooo { rob; phys_regs } -> (rob, phys_regs)
-      | Machine.Inorder -> invalid_arg "Ooo.run: machine core is Inorder (use Sim.run)"
+   Empty dispatch slots are charged in bulk: the rest of the cycle in
+   which dispatch stops goes to the first failing check (branch slot,
+   reorder buffer, physical registers), and each whole cycle up to D_i
+   to the check that holds it back. While the buffer is full its head
+   is i - R, so those cycles are [Rs_wait] before I_{i-R} and
+   [Rob_full] from it on. *)
+let run_ooo_gen ?(fuel = default_fuel) ~profile ~rob ~phys_regs (machine : Machine.t)
+    (p : Prog.t) : result * profile option =
+  let issue_width = machine.Machine.issue in
+  let branch_slots = machine.Machine.branch_slots in
+  let st = start p in
+  let { code; dcode; mem; ivals; fvals } = st in
+  let ncode = Array.length code in
+  let nregs = Array.length ivals in
+  let ps = if profile then Some (make_pstate ~issue:issue_width ~ncode ~nregs) else None in
+  (* Completion cycle of each register's latest writer (0: never
+     written, ready from the start). *)
+  let done_i = Array.make nregs 0 in
+  let done_f = Array.make nregs 0 in
+  (* Commit and issue cycles of the last R instructions: when i is
+     dispatched, slot [rslot] holds K_{i-R} and I_{i-R}. *)
+  let k_ring = Array.make rob 0 in
+  let i_ring = Array.make rob 0 in
+  let rslot = ref 0 in
+  (* Commit cycles of the last P writers per class. The P-th previous
+     writer is at least P instructions back, so for P >= R the reorder
+     buffer check implies this one and R entries suffice. *)
+  let phys = min phys_regs rob in
+  let kw_i = Array.make phys 0 in
+  let kw_f = Array.make phys 0 in
+  let wslot_i = ref 0 in
+  let wslot_f = ref 0 in
+  (* Issue count per cycle, on a ring tagged by cycle number. A full
+     window of R instructions issues within (R + 1) * maxlat cycles of
+     the current dispatch, so the live cycles never share a slot. *)
+  let maxlat = Array.fold_left (fun a d -> max a d.dlat) 1 dcode in
+  let ring_size =
+    let rec pow2 n = if n >= (rob + 2) * (maxlat + 2) then n else pow2 (2 * n) in
+    pow2 64
+  in
+  let ring_mask = ring_size - 1 in
+  let ring_tag = Array.make ring_size (-1) in
+  let ring_cnt = Array.make ring_size 0 in
+  let last_mem = ref 0 in  (* issue cycle of the latest memory op *)
+  let k_prev = ref (-1) in  (* K_{i-1} *)
+  let k_prev_n = ref 0 in  (* commits in cycle K_{i-1} *)
+  let cyc = ref 0 in  (* the cycle the next dispatch is tried in *)
+  let n = ref 0 in  (* instructions dispatched in it so far *)
+  let nb = ref 0 in  (* branches among them *)
+  let pc = ref 0 in
+  let dyn = ref 0 in
+  let head = ref 0 in  (* profile: oldest instruction not yet committed *)
+  let hslot = ref 0 in
+  while !pc < ncode do
+    let k = !pc in
+    let d = dcode.(k) in
+    let need_rob = k_ring.(!rslot) in
+    let need_phys =
+      if d.ddst < 0 then 0 else if d.ddst_f then kw_f.(!wslot_f) else kw_i.(!wslot_i)
     in
-    let issue_width = machine.Machine.issue in
-    let branch_slots = machine.Machine.branch_slots in
-    let st = start p in
-    let { code; dcode; mem; ivals; fvals } = st in
-    let ncode = Array.length code in
-    let nregs = Array.length ivals in
-    (* Completion cycle of each register's latest writer (0: never
-       written, ready from the start). *)
-    let done_i = Array.make nregs 0 in
-    let done_f = Array.make nregs 0 in
-    (* Commit and issue cycles of the last R instructions: when i is
-       dispatched, slot [rslot] holds K_{i-R} and I_{i-R}. *)
-    let k_ring = Array.make rob 0 in
-    let i_ring = Array.make rob 0 in
-    let rslot = ref 0 in
-    (* Commit cycles of the last P writers per class. The P-th previous
-       writer is at least P instructions back, so for P >= R the reorder
-       buffer check implies this one and R entries suffice. *)
-    let phys = min phys_regs rob in
-    let kw_i = Array.make phys 0 in
-    let kw_f = Array.make phys 0 in
-    let wslot_i = ref 0 in
-    let wslot_f = ref 0 in
-    (* Issue count per cycle, on a ring tagged by cycle number. A full
-       window of R instructions issues within (R + 1) * maxlat cycles of
-       the current dispatch, so the live cycles never share a slot. *)
-    let maxlat = Array.fold_left (fun a d -> max a d.dlat) 1 dcode in
-    let ring_size =
-      let rec pow2 n = if n >= (rob + 2) * (maxlat + 2) then n else pow2 (2 * n) in
-      pow2 64
-    in
-    let ring_mask = ring_size - 1 in
-    let ring_tag = Array.make ring_size (-1) in
-    let ring_cnt = Array.make ring_size 0 in
-    let last_mem = ref 0 in  (* issue cycle of the latest memory op *)
-    let k_prev = ref (-1) in  (* K_{i-1} *)
-    let k_prev_n = ref 0 in  (* commits in cycle K_{i-1} *)
-    let cyc = ref 0 in  (* the cycle the next dispatch is tried in *)
-    let n = ref 0 in  (* instructions dispatched in it so far *)
-    let nb = ref 0 in  (* branches among them *)
-    let pc = ref 0 in
-    let dyn = ref 0 in
-    let c_rob_full = ref 0 in
-    let c_rs_wait = ref 0 in
-    let c_no_phys = ref 0 in
-    let c_fetch = ref 0 in
-    let c_redirect = ref 0 in
-    let c_drain = ref 0 in
-    let max_rob = ref 0 in
-    let head = ref 0 in  (* profile: oldest instruction not yet committed *)
-    let hslot = ref 0 in
-    let ilp = if profile then Array.make (issue_width + 1) 0 else [||] in
-    let insn_disp = if profile then Array.make ncode 0 else [||] in
-    while !pc < ncode do
-      let k = !pc in
-      let d = dcode.(k) in
-      let need_rob = k_ring.(!rslot) in
-      let need_phys =
-        if d.ddst < 0 then 0 else if d.ddst_f then kw_f.(!wslot_f) else kw_i.(!wslot_i)
-      in
-      (* -- dispatch cycle D_i -- *)
-      if !n > 0 then begin
-        let open_slots = issue_width - !n in
-        let stop =
-          if d.dbr && !nb >= branch_slots then begin
-            c_fetch := !c_fetch + open_slots;
-            true
-          end
-          else if need_rob > !cyc then begin
-            if !cyc < i_ring.(!rslot) then c_rs_wait := !c_rs_wait + open_slots
-            else c_rob_full := !c_rob_full + open_slots;
-            true
-          end
-          else if need_phys > !cyc then begin
-            c_no_phys := !c_no_phys + open_slots;
-            true
-          end
-          else false
-        in
-        if stop then begin
-          if profile then ilp.(!n) <- ilp.(!n) + 1;
-          incr cyc;
-          n := 0;
-          nb := 0
-        end
-      end;
-      if !n = 0 then begin
-        (* Whole cycles: a cycle starts with every branch slot free. *)
-        if issue_width < 1 || (d.dbr && branch_slots < 1) then raise Timeout;
-        let c0 = !cyc in
-        if need_rob > c0 then begin
-          let h = i_ring.(!rslot) in
-          c_rs_wait := !c_rs_wait + (issue_width * max 0 (min need_rob h - c0));
-          c_rob_full := !c_rob_full + (issue_width * max 0 (need_rob - max c0 h))
-        end;
-        let c1 = max c0 need_rob in
-        if need_phys > c1 then c_no_phys := !c_no_phys + (issue_width * (need_phys - c1));
-        let c2 = max c1 need_phys in
-        if profile then ilp.(0) <- ilp.(0) + (c2 - c0);
-        cyc := c2
-      end;
-      let dc = !cyc in
-      if dc > fuel then raise Timeout;
-      (* -- issue cycle I_i, completion C_i, commit K_i -- *)
-      let ready = ref (dc + 1) in
-      let ri = d.drdy_i in
-      for s = 0 to Array.length ri - 1 do
-        let c = done_i.(ri.(s)) in
-        if c > !ready then ready := c
-      done;
-      let rf = d.drdy_f in
-      for s = 0 to Array.length rf - 1 do
-        let c = done_f.(rf.(s)) in
-        if c > !ready then ready := c
-      done;
-      if d.dmem && !last_mem > !ready then ready := !last_mem;
-      let t = ref !ready in
-      while
-        let s = !t land ring_mask in
-        ring_tag.(s) = !t && ring_cnt.(s) >= issue_width
-      do
-        incr t
-      done;
-      let iss = !t in
-      let s = iss land ring_mask in
-      if ring_tag.(s) = iss then ring_cnt.(s) <- ring_cnt.(s) + 1
-      else begin
-        ring_tag.(s) <- iss;
-        ring_cnt.(s) <- 1
-      end;
-      if d.dmem then last_mem := iss;
-      let cmp = iss + d.dlat in
-      let kc =
-        if cmp > !k_prev then begin
-          k_prev_n := 1;
-          cmp
-        end
-        else if !k_prev_n < issue_width then begin
-          incr k_prev_n;
-          !k_prev
-        end
-        else begin
-          k_prev_n := 1;
-          !k_prev + 1
-        end
-      in
-      k_prev := kc;
-      if profile then begin
-        (* Occupancy after dispatch: instructions head..i, where head is
-           the oldest one that has not committed by D_i. *)
-        while !head < !dyn && k_ring.(!hslot) <= dc do
-          incr head;
-          hslot := if !hslot + 1 = rob then 0 else !hslot + 1
-        done;
-        if !dyn + 1 - !head > !max_rob then max_rob := !dyn + 1 - !head;
-        insn_disp.(k) <- insn_disp.(k) + 1
-      end;
-      k_ring.(!rslot) <- kc;
-      i_ring.(!rslot) <- iss;
-      rslot := if !rslot + 1 = rob then 0 else !rslot + 1;
-      if d.ddst >= 0 then
-        if d.ddst_f then begin
-          done_f.(d.ddst) <- cmp;
-          kw_f.(!wslot_f) <- kc;
-          wslot_f := if !wslot_f + 1 = phys then 0 else !wslot_f + 1
-        end
-        else begin
-          done_i.(d.ddst) <- cmp;
-          kw_i.(!wslot_i) <- kc;
-          wslot_i := if !wslot_i + 1 = phys then 0 else !wslot_i + 1
-        end;
-      incr dyn;
-      incr n;
-      if d.dbr then incr nb;
-      let taken = exec ivals fvals mem d in
-      if taken then begin
-        pc := d.dtarget;
-        (* fetch resumes at the target next cycle *)
-        c_redirect := !c_redirect + (issue_width - !n)
-      end
-      else incr pc;
-      if taken || !n = issue_width then begin
-        if profile then ilp.(!n) <- ilp.(!n) + 1;
+    (* -- dispatch cycle D_i -- *)
+    if !n > 0 then begin
+      let branch_full = d.dbr && !nb >= branch_slots in
+      if branch_full || need_rob > !cyc || need_phys > !cyc then begin
+        (match ps with
+        | Some s ->
+          let open_slots = issue_width - !n in
+          if branch_full then s.ps_blimit <- s.ps_blimit + open_slots
+          else if need_rob > !cyc then
+            if !cyc < i_ring.(!rslot) then s.ps_rs_wait <- s.ps_rs_wait + open_slots
+            else s.ps_rob_full <- s.ps_rob_full + open_slots
+          else s.ps_no_phys <- s.ps_no_phys + open_slots;
+          s.ps_ilp.(!n) <- s.ps_ilp.(!n) + 1
+        | None -> ());
         incr cyc;
         n := 0;
         nb := 0
       end
-    done;
-    (* Out of instructions: the rest of the last dispatch cycle and every
-       cycle up to the last commit drain. *)
-    if !n > 0 then begin
-      c_drain := !c_drain + (issue_width - !n);
-      if profile then ilp.(!n) <- ilp.(!n) + 1;
-      incr cyc
     end;
-    let cycles = if !dyn = 0 then 0 else !k_prev + 1 in
-    if cycles > 0 && cycles - 1 > fuel then raise Timeout;
-    c_drain := !c_drain + (issue_width * (cycles - !cyc));
-    if profile then ilp.(0) <- ilp.(0) + (cycles - !cyc);
-    let result = finish p st ~cycles ~dyn:!dyn in
-    let prof =
-      if profile then
-        Some
-          {
-            o_issue = issue_width;
-            o_cycles = cycles;
-            o_dispatched_slots = !dyn;
-            o_rob_full = !c_rob_full;
-            o_rs_wait = !c_rs_wait;
-            o_no_phys = !c_no_phys;
-            o_fetch = !c_fetch;
-            o_redirect = !c_redirect;
-            o_drain = !c_drain;
-            o_ilp = ilp;
-            o_max_rob = !max_rob;
-            o_insn_dispatches = Array.mapi (fun k c -> (code.(k), c)) insn_disp;
-          }
-      else None
+    if !n = 0 then begin
+      (* Whole cycles: a cycle starts with every branch slot free. *)
+      if issue_width < 1 || (d.dbr && branch_slots < 1) then raise Timeout;
+      let c0 = !cyc in
+      let c1 = max c0 need_rob in
+      let c2 = max c1 need_phys in
+      (match ps with
+      | Some s ->
+        if need_rob > c0 then begin
+          let h = i_ring.(!rslot) in
+          s.ps_rs_wait <- s.ps_rs_wait + (issue_width * max 0 (min need_rob h - c0));
+          s.ps_rob_full <- s.ps_rob_full + (issue_width * max 0 (need_rob - max c0 h))
+        end;
+        s.ps_no_phys <- s.ps_no_phys + (issue_width * (c2 - c1));
+        s.ps_ilp.(0) <- s.ps_ilp.(0) + (c2 - c0)
+      | None -> ());
+      cyc := c2
+    end;
+    let dc = !cyc in
+    if dc > fuel then raise Timeout;
+    (* -- issue cycle I_i, completion C_i, commit K_i -- *)
+    let ready = ref (dc + 1) in
+    let ri = d.drdy_i in
+    for s = 0 to Array.length ri - 1 do
+      let c = done_i.(ri.(s)) in
+      if c > !ready then ready := c
+    done;
+    let rf = d.drdy_f in
+    for s = 0 to Array.length rf - 1 do
+      let c = done_f.(rf.(s)) in
+      if c > !ready then ready := c
+    done;
+    if d.dmem && !last_mem > !ready then ready := !last_mem;
+    let t = ref !ready in
+    while
+      let s = !t land ring_mask in
+      ring_tag.(s) = !t && ring_cnt.(s) >= issue_width
+    do
+      incr t
+    done;
+    let iss = !t in
+    let s = iss land ring_mask in
+    if ring_tag.(s) = iss then ring_cnt.(s) <- ring_cnt.(s) + 1
+    else begin
+      ring_tag.(s) <- iss;
+      ring_cnt.(s) <- 1
+    end;
+    if d.dmem then last_mem := iss;
+    let cmp = iss + d.dlat in
+    let kc =
+      if cmp > !k_prev then begin
+        k_prev_n := 1;
+        cmp
+      end
+      else if !k_prev_n < issue_width then begin
+        incr k_prev_n;
+        !k_prev
+      end
+      else begin
+        k_prev_n := 1;
+        !k_prev + 1
+      end
     in
-    (result, prof)
+    k_prev := kc;
+    (match ps with
+    | Some s ->
+      (* Occupancy after dispatch: instructions head..i, where head is
+         the oldest one that has not committed by D_i. *)
+      while !head < !dyn && k_ring.(!hslot) <= dc do
+        incr head;
+        hslot := if !hslot + 1 = rob then 0 else !hslot + 1
+      done;
+      if !dyn + 1 - !head > s.ps_max_rob then s.ps_max_rob <- !dyn + 1 - !head;
+      s.ps_insn.(k) <- s.ps_insn.(k) + 1
+    | None -> ());
+    k_ring.(!rslot) <- kc;
+    i_ring.(!rslot) <- iss;
+    rslot := if !rslot + 1 = rob then 0 else !rslot + 1;
+    if d.ddst >= 0 then
+      if d.ddst_f then begin
+        done_f.(d.ddst) <- cmp;
+        kw_f.(!wslot_f) <- kc;
+        wslot_f := if !wslot_f + 1 = phys then 0 else !wslot_f + 1
+      end
+      else begin
+        done_i.(d.ddst) <- cmp;
+        kw_i.(!wslot_i) <- kc;
+        wslot_i := if !wslot_i + 1 = phys then 0 else !wslot_i + 1
+      end;
+    incr dyn;
+    incr n;
+    if d.dbr then incr nb;
+    let taken = exec ivals fvals mem d in
+    if taken then begin
+      pc := d.dtarget;
+      (* fetch resumes at the target next cycle *)
+      match ps with
+      | Some s -> s.ps_redirect <- s.ps_redirect + (issue_width - !n)
+      | None -> ()
+    end
+    else incr pc;
+    if taken || !n = issue_width then begin
+      (match ps with Some s -> s.ps_ilp.(!n) <- s.ps_ilp.(!n) + 1 | None -> ());
+      incr cyc;
+      n := 0;
+      nb := 0
+    end
+  done;
+  (* Out of instructions: the rest of the last dispatch cycle and every
+     cycle up to the last commit drain. *)
+  if !n > 0 then begin
+    (match ps with
+    | Some s ->
+      s.ps_drain <- s.ps_drain + (issue_width - !n);
+      s.ps_ilp.(!n) <- s.ps_ilp.(!n) + 1
+    | None -> ());
+    incr cyc
+  end;
+  let cycles = if !dyn = 0 then 0 else !k_prev + 1 in
+  if cycles > 0 && cycles - 1 > fuel then raise Timeout;
+  let prof =
+    Option.map (fun s -> profile_of_pstate s machine ~last:!cyc ~cycles ~dyn:!dyn code) ps
+  in
+  (finish p st ~cycles ~dyn:!dyn, prof)
 
-  let run ?fuel (machine : Machine.t) (p : Prog.t) : result =
-    Impact_obs.Obs.span ~cat:"sim" "ooo.run" (fun () ->
-      fst (run_gen ?fuel ~profile:false machine p))
-
-  let run_profiled ?fuel (machine : Machine.t) (p : Prog.t) : result * profile =
-    Impact_obs.Obs.span ~cat:"sim" "ooo.run" (fun () ->
-      match run_gen ?fuel ~profile:true machine p with
-      | r, Some prof -> (r, prof)
-      | _, None -> assert false)
-end
-
-(* Simulation dispatch on the machine's core axis. *)
-let run ?fuel (machine : Machine.t) (p : Prog.t) : result =
+(* Simulation dispatch on the machine's core axis; each core's run is
+   its own telemetry span. *)
+let run_gen ?fuel ~profile (machine : Machine.t) (p : Prog.t) =
   match machine.Machine.core with
   | Machine.Inorder ->
     Impact_obs.Obs.span ~cat:"sim" "sim.run" (fun () ->
-      fst (run_inorder_gen ?fuel ~profile:false machine p))
-  | Machine.Ooo _ -> Ooo.run ?fuel machine p
+      run_inorder_gen ?fuel ~profile machine p)
+  | Machine.Ooo { rob; phys_regs } ->
+    Impact_obs.Obs.span ~cat:"sim" "ooo.run" (fun () ->
+      run_ooo_gen ?fuel ~profile ~rob ~phys_regs machine p)
+
+let run ?fuel (machine : Machine.t) (p : Prog.t) : result =
+  fst (run_gen ?fuel ~profile:false machine p)
 
 let run_profiled ?fuel (machine : Machine.t) (p : Prog.t) : result * profile =
-  match machine.Machine.core with
-  | Machine.Ooo _ ->
-    invalid_arg "Sim.run_profiled: machine core is Ooo (use Ooo.run_profiled)"
-  | Machine.Inorder ->
-    Impact_obs.Obs.span ~cat:"sim" "sim.run" (fun () ->
-      match run_inorder_gen ?fuel ~profile:true machine p with
-      | r, Some prof -> (r, prof)
-      | _, None -> assert false)
+  match run_gen ?fuel ~profile:true machine p with
+  | r, Some prof -> (r, prof)
+  | _, None -> assert false
+
+module Ooo = struct
+  let run ?fuel (machine : Machine.t) (p : Prog.t) : result =
+    match machine.Machine.core with
+    | Machine.Inorder -> invalid_arg "Ooo.run: machine core is Inorder (use Sim.run)"
+    | Machine.Ooo _ -> run ?fuel machine p
+end

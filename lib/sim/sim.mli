@@ -49,60 +49,75 @@ val run_ref :
 
 (** {1 Stall attribution}
 
-    A profiled run additionally accounts for every issue slot of every
-    cycle: [p_cycles * p_issue] slot-cycles in total, of which
-    [p_issued_slots] issued an instruction and each empty one has
-    exactly one attributed cause. The in-order pipeline stops issue
-    within a cycle for whichever reason hits first, and the rest of
-    that cycle's slots are charged to that reason:
+    A profiled run additionally accounts for every slot of every cycle
+    on either core — issue slots in order, dispatch slots out of order:
+    [p_cycles * p_issue] slot-cycles in total, of which [p_filled] took
+    an instruction and each empty one has exactly one attributed
+    {!cause}. Both cores stop filling a cycle for whichever reason hits
+    first and charge the rest of that cycle's slots to it:
 
-    - {e interlock}: the next instruction waits on a source register;
-      charged to the latency class of the producing op ([p_interlock]
-      maps producer latency to slot-cycles);
+    - {e interlock} (in order): the next instruction waits on a source
+      register; charged to the latency class of the producing op;
+    - {e reorder buffer full} (out of order), split by its oldest entry:
+      {e rob full} when it has issued but not completed (latency/commit
+      bound), {e rs wait} when it still waits on operands (dataflow
+      bound);
+    - {e no physical register} (out of order): none free in the
+      destination's class;
     - {e branch-slot limit}: the next instruction is a branch but the
       cycle's branch slots are used up;
     - {e redirect}: slots after a taken branch (fetch resumes at the
       target next cycle);
-    - {e drain}: the program ran out of instructions — mid-cycle at
-      the end, plus whole trailing cycles waiting for the last
-      writebacks.
+    - {e drain}: the program ran out of instructions — mid-cycle at the
+      end, plus whole trailing cycles waiting for the last writebacks
+      (in order) or commits (out of order).
 
     By construction [classified_slots] equals [empty_slots]; the tier-1
-    tests assert this and that both execution paths produce identical
-    profiles. *)
+    tests assert this on both cores, and that the fast and reference
+    cores produce identical profiles. *)
+
+type cause =
+  | Interlock of int  (** producer latency *)
+  | Branch_limit
+  | Redirect
+  | Drain
+  | Rob_full
+  | Rs_wait
+  | No_phys
 
 type profile = {
   p_issue : int;
   p_cycles : int;
-  p_issued_slots : int;  (** = [dyn_insns] *)
-  p_interlock : (int * int) array;
-      (** (producer latency, slot-cycles), ascending, zero rows elided *)
-  p_branch_limit : int;
-  p_redirect : int;
-  p_drain : int;
+  p_filled : int;  (** slots that issued or dispatched; = [dyn_insns] *)
+  p_stalls : (cause * int) list;
+      (** empty slot-cycles per cause. In order: the [Interlock] rows
+          ascending by latency, zero rows elided, then [Branch_limit],
+          [Redirect], [Drain]. Out of order: [Rob_full], [Rs_wait],
+          [No_phys], [Branch_limit], [Redirect], [Drain]. *)
   p_ilp : int array;
-      (** [p_ilp.(k)] = cycles that issued exactly [k] instructions;
-          length [p_issue + 1], sums to [p_cycles] *)
-  p_insn_issues : (Impact_ir.Insn.t * int) array;
-      (** issue count per static instruction, in code order *)
+      (** [p_ilp.(k)] = cycles that filled exactly [k] slots; length
+          [p_issue + 1], sums to [p_cycles] *)
+  p_insn_counts : (Impact_ir.Insn.t * int) array;
+      (** issue or dispatch count per static instruction, in code order *)
+  p_max_rob : int option;
+      (** peak reorder-buffer occupancy; [None] in order *)
 }
 
 val empty_slots : profile -> int
-(** [p_cycles * p_issue - p_issued_slots]. *)
+(** [p_cycles * p_issue - p_filled]. *)
 
 val classified_slots : profile -> int
-(** Sum of all attributed categories; equals {!empty_slots}. *)
+(** Sum of [p_stalls]; equals {!empty_slots}. *)
 
 val run_profiled :
   ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result * profile
-(** [run] (fast path) with issue-slot accounting. Raises
-    [Invalid_argument] when [machine.core] is [Ooo] (use
-    {!Ooo.run_profiled}). *)
+(** {!run} on the machine's core, with slot accounting; the [result] is
+    {!run}'s. *)
 
 val run_ref_profiled :
   ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result * profile
-(** [run_ref] with issue-slot accounting; must produce a profile
-    identical to {!run_profiled}'s (asserted by the conformance
+(** [run_ref] (in order) with issue-slot accounting; must produce a
+    profile identical to {!run_profiled}'s (asserted by the conformance
     tests). *)
 
 (** {1 Out-of-order core} *)
@@ -133,60 +148,16 @@ val run_ref_profiled :
     the conformance tests in test/t_ooo). Each instruction's dispatch,
     issue and commit cycles are computed once, at dispatch; they equal
     those of stepping the pipeline cycle by cycle (test/ooo_ref.ml), in
-    every result and profile field. *)
+    every result and profile field. {!run} and {!run_profiled} reach it
+    through the machine's core. *)
 module Ooo : sig
   val run : ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result
-  (** [run machine prog] simulates [prog] on [machine]'s OOO core;
-      [cycles] counts through the final commit. Raises
+  (** [run machine prog] simulates [prog] on [machine]'s OOO core, as
+      {!Sim.run} does; [cycles] counts through the final commit. Raises
       [Invalid_argument] when [machine.core] is [Inorder], {!Timeout}
       when the cycle budget [fuel] (default 400M) is exhausted, and
       {!Error} exactly where the in-order core would. Recorded as an
       ["ooo.run"] span when {!Impact_obs.Obs} telemetry is on. *)
-
-  (** {2 Dispatch-slot accounting}
-
-      A profiled run classifies every one of its [o_cycles * o_issue]
-      dispatch slots: [o_dispatched_slots] dispatched an instruction
-      and each empty slot has exactly one attributed cause. The
-      in-order dispatch stage stops within a cycle for whichever
-      resource runs out first and charges the rest of the cycle's slots
-      to it, so {!classified_slots} equals {!empty_slots} by
-      construction — the conservation invariant the tier-1 tests
-      assert. *)
-
-  type profile = {
-    o_issue : int;
-    o_cycles : int;
-    o_dispatched_slots : int;  (** = [dyn_insns] *)
-    o_rob_full : int;
-        (** reorder buffer full, oldest entry executing: latency/commit
-            bound *)
-    o_rs_wait : int;
-        (** reorder buffer full, oldest entry still waiting on
-            operands: dataflow bound *)
-    o_no_phys : int;  (** no free physical register in the needed class *)
-    o_fetch : int;  (** branch-slot limit in the dispatch group *)
-    o_redirect : int;  (** slots after a taken branch *)
-    o_drain : int;
-        (** out of instructions: end of program mid-cycle plus trailing
-            cycles until the last commit *)
-    o_ilp : int array;
-        (** [o_ilp.(k)] = cycles that dispatched exactly [k]; length
-            [o_issue + 1], sums to [o_cycles] *)
-    o_max_rob : int;  (** peak reorder-buffer occupancy *)
-    o_insn_dispatches : (Impact_ir.Insn.t * int) array;
-        (** dispatch count per static instruction, in code order *)
-  }
-
-  val empty_slots : profile -> int
-  (** [o_cycles * o_issue - o_dispatched_slots]. *)
-
-  val classified_slots : profile -> int
-  (** Sum of all attributed categories; equals {!empty_slots}. *)
-
-  val run_profiled :
-    ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result * profile
-  (** {!run} with dispatch-slot accounting (identical [result]). *)
 end
 
 (** {1 Execution machinery}

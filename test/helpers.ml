@@ -91,6 +91,51 @@ let same_observables ?tol name (r1 : Impact_sim.Sim.result) (r2 : Impact_sim.Sim
         a1)
     r1.Impact_sim.Sim.arrays_out r2.Impact_sim.Sim.arrays_out
 
+(* Slot conservation of a profiled run on either core: every slot of
+   every cycle is filled or charged to exactly one cause the machine's
+   core can charge, and the ILP histogram and the per-instruction counts
+   partition the run. *)
+let check_profile name (machine : Machine.t) (r : Impact_sim.Sim.result)
+    (p : Impact_sim.Sim.profile) =
+  let module Sim = Impact_sim.Sim in
+  check_int (name ^ ": p_issue") machine.Machine.issue p.Sim.p_issue;
+  check_int (name ^ ": p_cycles") r.Sim.cycles p.Sim.p_cycles;
+  check_int (name ^ ": filled slots = dyn insns") r.Sim.dyn_insns p.Sim.p_filled;
+  (* The acceptance invariant: causes sum to cycles*issue - dyn. *)
+  check_int
+    (name ^ ": causes sum to empty slots")
+    ((r.Sim.cycles * machine.Machine.issue) - r.Sim.dyn_insns)
+    (Sim.classified_slots p);
+  check_int (name ^ ": empty_slots consistent") (Sim.empty_slots p) (Sim.classified_slots p);
+  (* ILP histogram: one bucket per executed cycle, weighted sum = dyn. *)
+  check_int (name ^ ": ilp buckets sum to cycles") r.Sim.cycles
+    (Array.fold_left ( + ) 0 p.Sim.p_ilp);
+  let weighted = ref 0 in
+  Array.iteri (fun k n -> weighted := !weighted + (k * n)) p.Sim.p_ilp;
+  check_int (name ^ ": ilp weighted sum = dyn") r.Sim.dyn_insns !weighted;
+  (* Per-instruction counts partition the dynamic stream. *)
+  check_int (name ^ ": insn counts sum to dyn") r.Sim.dyn_insns
+    (Array.fold_left (fun acc (_, n) -> acc + n) 0 p.Sim.p_insn_counts);
+  match machine.Machine.core with
+  | Machine.Inorder ->
+    List.iter
+      (fun (c, n) ->
+        match c with
+        | Sim.Interlock lat ->
+          check_bool (name ^ ": interlock rows positive") true (lat >= 1 && n > 0)
+        | Sim.Branch_limit | Sim.Redirect | Sim.Drain -> ()
+        | Sim.Rob_full | Sim.Rs_wait | Sim.No_phys ->
+          Alcotest.failf "%s: window cause on the in-order core" name)
+      p.Sim.p_stalls;
+    check_bool (name ^ ": no reorder buffer") true (p.Sim.p_max_rob = None)
+  | Machine.Ooo { rob; _ } ->
+    check_bool (name ^ ": no interlock rows") true
+      (List.for_all (function Sim.Interlock _, _ -> false | _ -> true) p.Sim.p_stalls);
+    check_bool (name ^ ": rob occupancy within bound") true
+      (match p.Sim.p_max_rob with
+      | Some m -> m >= min 1 r.Sim.dyn_insns && m <= rob
+      | None -> false)
+
 (* Lower a mini-Fortran program. *)
 let lower = Lower.lower
 

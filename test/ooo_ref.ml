@@ -6,11 +6,10 @@
    and dispatches up to [issue] instructions, charging each cycle's
    empty dispatch slots as it goes. Same machine, same functional
    execution (the shared [Sim] decoder), so its results and profiles
-   must equal [Ooo.run_profiled]'s exactly. *)
+   must equal [Sim.run_profiled]'s exactly. *)
 
 open Impact_ir
 module Sim = Impact_sim.Sim
-module Ooo = Impact_ooo.Ooo
 
 let errf fmt = Printf.ksprintf (fun s -> raise (Sim.Error s)) fmt
 
@@ -21,7 +20,7 @@ let word = Sim.word
 let max_srcs = 4
 
 let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
-    Sim.result * Ooo.profile option =
+    Sim.result * Sim.profile option =
   let rob, phys_regs =
     match machine.Machine.core with
     | Machine.Ooo { rob; phys_regs } -> (rob, phys_regs)
@@ -331,25 +330,28 @@ let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
     if profile then
       Some
         {
-          Ooo.o_issue = issue_width;
-          o_cycles = !cycle;
-          o_dispatched_slots = !dyn;
-          o_rob_full = !c_rob_full;
-          o_rs_wait = !c_rs_wait;
-          o_no_phys = !c_no_phys;
-          o_fetch = !c_fetch;
-          o_redirect = !c_redirect;
-          o_drain = !c_drain;
-          o_ilp = ilp;
-          o_max_rob = !max_rob;
-          o_insn_dispatches = Array.mapi (fun k c -> (code.(k), c)) insn_disp;
+          Sim.p_issue = issue_width;
+          p_cycles = !cycle;
+          p_filled = !dyn;
+          p_stalls =
+            [
+              (Sim.Rob_full, !c_rob_full);
+              (Rs_wait, !c_rs_wait);
+              (No_phys, !c_no_phys);
+              (Branch_limit, !c_fetch);
+              (Redirect, !c_redirect);
+              (Drain, !c_drain);
+            ];
+          p_ilp = ilp;
+          p_insn_counts = Array.mapi (fun k c -> (code.(k), c)) insn_disp;
+          p_max_rob = Some !max_rob;
         }
     else None
   in
   (result, prof)
 
 
-let run_profiled ?fuel (machine : Machine.t) (p : Prog.t) : Sim.result * Ooo.profile =
+let run_profiled ?fuel (machine : Machine.t) (p : Prog.t) : Sim.result * Sim.profile =
   match run_gen ?fuel ~profile:true machine p with
   | r, Some prof -> (r, prof)
   | _, None -> assert false

@@ -288,38 +288,6 @@ let prop_hist_merge_invariant =
 
 (* ---- Stall attribution ---- *)
 
-let interlock_total (p : Sim.profile) =
-  Array.fold_left (fun acc (_, n) -> acc + n) 0 p.Sim.p_interlock
-
-let check_profile name machine (r : Sim.result) (p : Sim.profile) =
-  Helpers.check_int (name ^ ": p_issue") machine.Machine.issue p.Sim.p_issue;
-  Helpers.check_int (name ^ ": p_cycles") r.Sim.cycles p.Sim.p_cycles;
-  Helpers.check_int (name ^ ": issued slots = dyn insns") r.Sim.dyn_insns
-    p.Sim.p_issued_slots;
-  (* The acceptance invariant: categories sum to cycles*issue - dyn. *)
-  Helpers.check_int
-    (name ^ ": categories sum to empty slots")
-    (r.Sim.cycles * machine.Machine.issue - r.Sim.dyn_insns)
-    (Sim.classified_slots p);
-  Helpers.check_int (name ^ ": empty_slots consistent") (Sim.empty_slots p)
-    (Sim.classified_slots p);
-  (* ILP histogram: one bucket per executed cycle, weighted sum = dyn. *)
-  Helpers.check_int (name ^ ": ilp buckets sum to cycles") r.Sim.cycles
-    (Array.fold_left ( + ) 0 p.Sim.p_ilp);
-  let weighted = ref 0 in
-  Array.iteri (fun k n -> weighted := !weighted + (k * n)) p.Sim.p_ilp;
-  Helpers.check_int (name ^ ": ilp weighted sum = dyn") r.Sim.dyn_insns !weighted;
-  (* Per-instruction issue counts partition the dynamic stream. *)
-  Helpers.check_int
-    (name ^ ": insn issues sum to dyn")
-    r.Sim.dyn_insns
-    (Array.fold_left (fun acc (_, n) -> acc + n) 0 p.Sim.p_insn_issues);
-  Array.iter
-    (fun (lat, n) ->
-      Helpers.check_bool (name ^ ": interlock rows positive") true
-        (lat >= 1 && n > 0))
-    p.Sim.p_interlock
-
 let test_conservation_vecadd () =
   let ast = Helpers.vecadd_ast 64 in
   List.iter
@@ -329,7 +297,7 @@ let test_conservation_vecadd () =
           let machine = Machine.make ~issue () in
           let prog = Compile.compile_with Opts.default level machine (Helpers.lower ast) in
           let r, p = Sim.run_profiled machine prog in
-          check_profile
+          Helpers.check_profile
             (Printf.sprintf "vecadd/%s/issue-%d" (Level.to_string level) issue)
             machine r p)
         [ 2; 4; 8 ])
@@ -345,7 +313,7 @@ let test_conservation_other_kernels () =
         Compile.compile_with (Opts.make ~sched ()) Level.Lev4 machine (Helpers.lower ast)
       in
       let r, p = Sim.run_profiled machine prog in
-      check_profile name machine r p)
+      Helpers.check_profile name machine r p)
     [
       ("maxval", Helpers.maxval_ast 64, `List);
       ("recurrence", Helpers.recurrence_ast 64, `List);
@@ -355,17 +323,13 @@ let test_conservation_other_kernels () =
 let same_profile name (a : Sim.profile) (b : Sim.profile) =
   Helpers.check_int (name ^ ": issue") a.Sim.p_issue b.Sim.p_issue;
   Helpers.check_int (name ^ ": cycles") a.Sim.p_cycles b.Sim.p_cycles;
-  Helpers.check_int (name ^ ": issued") a.Sim.p_issued_slots b.Sim.p_issued_slots;
-  Helpers.check_bool (name ^ ": interlock rows") true
-    (a.Sim.p_interlock = b.Sim.p_interlock);
-  Helpers.check_int (name ^ ": branch limit") a.Sim.p_branch_limit
-    b.Sim.p_branch_limit;
-  Helpers.check_int (name ^ ": redirect") a.Sim.p_redirect b.Sim.p_redirect;
-  Helpers.check_int (name ^ ": drain") a.Sim.p_drain b.Sim.p_drain;
+  Helpers.check_int (name ^ ": filled") a.Sim.p_filled b.Sim.p_filled;
+  Helpers.check_bool (name ^ ": stall causes") true (a.Sim.p_stalls = b.Sim.p_stalls);
   Helpers.check_bool (name ^ ": ilp histogram") true (a.Sim.p_ilp = b.Sim.p_ilp);
-  Helpers.check_bool (name ^ ": per-insn issues") true
-    (Array.for_all2 (fun (_, x) (_, y) -> x = y) a.Sim.p_insn_issues
-       b.Sim.p_insn_issues)
+  Helpers.check_bool (name ^ ": per-insn counts") true
+    (Array.for_all2 (fun (_, x) (_, y) -> x = y) a.Sim.p_insn_counts
+       b.Sim.p_insn_counts);
+  Helpers.check_bool (name ^ ": peak rob") true (a.Sim.p_max_rob = b.Sim.p_max_rob)
 
 (* Redundant with the t_exec conformance sweep but cheap and local:
    fast-path and reference profiles agree bit for bit. *)

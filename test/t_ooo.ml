@@ -73,8 +73,9 @@ let test_rob1_deterministic () =
         (a.Sim.cycles >= inorder.Sim.cycles))
     [ "add"; "dotprod"; "sum"; "SRS-5" ]
 
-(* Dispatch-slot conservation on a kernel x level x machine grid,
-   including a severely register-starved configuration. *)
+(* Dispatch-slot conservation, by the same ledger checks t_obs runs on
+   the in-order core, on a kernel x level x machine grid, including a
+   severely register-starved configuration. *)
 let test_conservation () =
   let machines =
     [
@@ -93,30 +94,15 @@ let test_conservation () =
           List.iter
             (fun m ->
               let p = Compile.compile_with Opts.default level m (lower w) in
-              let r, prof = Ooo.run_profiled m p in
+              let r, prof = Sim.run_profiled m p in
               let where =
                 Printf.sprintf "%s %s %s" name (Level.to_string level)
                   m.Machine.name
               in
-              Alcotest.(check int)
-                (where ^ ": classified = empty slots")
-                (Ooo.empty_slots prof) (Ooo.classified_slots prof);
-              Alcotest.(check int)
-                (where ^ ": dispatched slots = dyn insns")
-                r.Sim.dyn_insns prof.Ooo.o_dispatched_slots;
-              Alcotest.(check int)
-                (where ^ ": ilp histogram sums to cycles")
-                prof.Ooo.o_cycles
-                (Array.fold_left ( + ) 0 prof.Ooo.o_ilp);
+              Helpers.check_profile where m r prof;
               Alcotest.(check int)
                 (where ^ ": profiled cycles match plain run")
-                (Ooo.run m p).Sim.cycles r.Sim.cycles;
-              Helpers.check_bool (where ^ ": rob occupancy within bound") true
-                (prof.Ooo.o_max_rob >= 1
-                &&
-                match m.Machine.core with
-                | Machine.Ooo { rob; _ } -> prof.Ooo.o_max_rob <= rob
-                | Machine.Inorder -> false))
+                (Ooo.run m p).Sim.cycles r.Sim.cycles)
             machines)
         [ Level.Conv; Level.Lev2; Level.Lev4 ])
     [ "add"; "dotprod"; "NAS-1"; "SRS-5" ]
@@ -148,26 +134,43 @@ let test_run_rejects_inorder () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Ooo.run accepted an in-order machine"
 
-(* [Sim.run] simulates the machine's own core: on an OOO machine it is
-   [Ooo.run] in every result field, and [Sim.run_profiled], whose
-   profile is the in-order one, refuses the machine. *)
+(* [Sim.run] and [Sim.run_profiled] simulate the machine's own core: on
+   an OOO machine the first is [Ooo.run] in every result field, and the
+   second profiles the OOO core, equal to the cycle-stepped reference in
+   every result and profile field. *)
+let follows_core_grid = [ ("add", Level.Conv); ("dotprod", Level.Lev2); ("SRS-5", Level.Lev4) ]
+
+let follows_core_prog m (name, level) =
+  let w = Option.get (Impact_workloads.Suite.find name) in
+  Compile.compile_with Opts.default level m (lower w)
+
 let test_sim_run_follows_core () =
   let m = Machine.ooo ~issue:8 ~rob:32 () in
-  let prog name level =
-    let w = Option.get (Impact_workloads.Suite.find name) in
-    Compile.compile_with Opts.default level m (lower w)
-  in
   List.iter
     (fun (name, level) ->
-      let p = prog name level in
+      let p = follows_core_prog m (name, level) in
       Helpers.check_bool
         (Printf.sprintf "%s at %s: Sim.run = Ooo.run" name (Level.to_string level))
         true
         (compare (Sim.run m p) (Ooo.run m p) = 0))
-    [ ("add", Level.Conv); ("dotprod", Level.Lev2); ("SRS-5", Level.Lev4) ];
-  match Sim.run_profiled m (prog "add" Level.Conv) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "Sim.run_profiled accepted an OOO machine"
+    follows_core_grid
+
+let test_sim_run_profiled_follows_core () =
+  let m = Machine.ooo ~issue:8 ~rob:32 () in
+  List.iter
+    (fun (name, level) ->
+      let p = follows_core_prog m (name, level) in
+      let got = Sim.run_profiled m p in
+      Helpers.check_bool
+        (Printf.sprintf "%s at %s: Sim.run_profiled = Ooo_ref.run_profiled" name
+           (Level.to_string level))
+        true
+        (compare got (Ooo_ref.run_profiled m p) = 0);
+      Helpers.check_bool
+        (Printf.sprintf "%s at %s: profiled result = Sim.run" name (Level.to_string level))
+        true
+        (compare (fst got) (Sim.run m p) = 0))
+    follows_core_grid
 
 (* Randomized conformance: scheduled straight-line programs (loads,
    integer ops, a reduction) must produce the same architectural output
@@ -198,7 +201,7 @@ let same_as_ref ?fuel (m : Machine.t) p =
     | exception Sim.Timeout -> Error "timeout"
     | exception Sim.Error e -> Error e
   in
-  let got = run (fun () -> Ooo.run_profiled ?fuel m p) in
+  let got = run (fun () -> Sim.run_profiled ?fuel m p) in
   let want = run (fun () -> Ooo_ref.run_profiled ?fuel m p) in
   compare got want = 0
   && compare (run (fun () -> Ooo.run ?fuel m p)) (Result.map fst want) = 0
@@ -316,6 +319,8 @@ let suite =
           test_run_rejects_inorder;
         Alcotest.test_case "Sim.run follows the machine's core" `Quick
           test_sim_run_follows_core;
+        Alcotest.test_case "Sim.run_profiled follows the machine's core" `Quick
+          test_sim_run_profiled_follows_core;
         QCheck_alcotest.to_alcotest prop_random_conformance;
         Alcotest.test_case "matches the reference core: kernels x machines" `Quick
           test_matches_reference;

@@ -249,6 +249,32 @@ let prop_unroll_factors =
          true
        with _ -> false))
 
+(* ---- Slot accounting on random kernels ----
+
+   A random kernel at a random level, on the in-order core or a ROB-32
+   OOO core of issue 2/4/8, list-scheduled or software-pipelined: the
+   profiled run conserves slots and returns [Sim.run]'s result. *)
+
+let prop_profile_kernels =
+  QCheck.Test.make ~name:"profiled runs conserve slots and equal Sim.run on random kernels"
+    ~count:80
+    (QCheck.make
+       QCheck.Gen.(
+         pair gen_kernel
+           (quad (oneofl Impact_core.Level.all) bool (oneofl [ 2; 4; 8 ])
+              (oneofl [ `List; `Pipe ]))))
+    (fun (spec, (level, ooo, issue, sched)) ->
+      let machine = if ooo then Machine.ooo ~issue ~rob:32 () else Machine.make ~issue () in
+      let p =
+        Impact_core.Compile.compile_with (Impact_core.Opts.make ~sched ()) level machine
+          (lower (build_kernel spec))
+      in
+      let r, prof = Impact_sim.Sim.run_profiled machine p in
+      check_profile
+        (Printf.sprintf "%s on %s" (Impact_core.Level.to_string level) machine.Machine.name)
+        machine r prof;
+      compare r (Impact_sim.Sim.run machine p) = 0)
+
 (* ---- DCE against the reference on random programs ----
 
    The program itself and every cleanup-round input of its Lev4 replay
@@ -387,6 +413,7 @@ let suite =
           prop_thr_tree;
           prop_lev4_kernels;
           prop_unroll_factors;
+          prop_profile_kernels;
           prop_dce_kernels;
           prop_dce_straightline;
           prop_cleanup_ref_straightline;
