@@ -495,26 +495,14 @@ let print_overhead () =
    the change. Kept so BENCH_eval.json records the speedup. *)
 let seed_summary_wall_s = 10.6
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Impact_obs.Json
 
-let json_num x =
-  if Float.is_nan x then "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6f" x
-
-let json_obj fields =
-  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) v) fields) ^ "}"
+(* One artifact document per file, newline-terminated. *)
+let write_doc path doc =
+  let oc = open_out path in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc
 
 let write_json path =
   Impact_obs.Obs.reset_stages ();
@@ -532,19 +520,19 @@ let write_json path =
   let pipe_stats =
     let t = pipe_totals (pipe_eval [ Machine.issue_8 ] subjects) in
     [
-      ("loops", string_of_int t.tloops);
-      ("pipelined", string_of_int t.tpipelined);
+      ("loops", Json.Int t.tloops);
+      ("pipelined", Json.Int t.tpipelined);
       ( "avg_ii_over_list",
-        json_num
+        Json.Float
           (if t.tpipelined = 0 then nan
            else t.tratio_sum /. float_of_int t.tpipelined) );
-      ("output_mismatches", string_of_int t.tmismatch);
+      ("output_mismatches", Json.Int t.tmismatch);
     ]
   in
   let stages =
-    ("cells_wall_s", json_num !cells_wall)
+    ("cells_wall_s", Json.Float !cells_wall)
     :: List.map
-         (fun (name, secs) -> (name ^ "_busy_s", json_num secs))
+         (fun (name, secs) -> (name ^ "_busy_s", Json.Float secs))
          (Impact_obs.Obs.stage_snapshot ())
   in
   (* Telemetry totals: pass/pipe/sim counters (deterministic integer
@@ -552,22 +540,21 @@ let write_json path =
      time. *)
   let metrics =
     let rep = Impact_obs.Obs.report () in
-    json_obj
+    Json.Obj
       [
         ( "counters",
-          json_obj
-            (List.map
-               (fun (k, v) -> (k, string_of_int v))
-               rep.Impact_obs.Obs.r_counters) );
+          Json.Obj
+            (List.map (fun (k, v) -> (k, Json.Int v)) rep.Impact_obs.Obs.r_counters)
+        );
         ( "spans",
-          json_obj
+          Json.Obj
             (List.map
                (fun (s : Impact_obs.Obs.span_total) ->
                  ( s.Impact_obs.Obs.sp_name,
-                   json_obj
+                   Json.Obj
                      [
-                       ("calls", string_of_int s.Impact_obs.Obs.sp_calls);
-                       ("busy_s", json_num s.Impact_obs.Obs.sp_total_s);
+                       ("calls", Json.Int s.Impact_obs.Obs.sp_calls);
+                       ("busy_s", Json.Float s.Impact_obs.Obs.sp_total_s);
                      ] ))
                rep.Impact_obs.Obs.r_spans) );
       ]
@@ -575,72 +562,55 @@ let write_json path =
   (* The resolved run configuration (satellite: every run echoes the
      query it answered, so a JSON consumer can key results without
      reverse-engineering defaults). *)
-  let json_str s = "\"" ^ json_escape s ^ "\"" in
-  let json_arr xs = "[" ^ String.concat ", " xs ^ "]" in
   let config =
     let cache =
       match !cache_store with
-      | None -> json_obj [ ("enabled", "false") ]
+      | None -> [ ("enabled", Json.Bool false) ]
       | Some st ->
-        let s = Impact_svc.Store.stats st in
-        json_obj
-          [
-            ("enabled", "true");
-            ("dir", json_str !cache_dir);
-            ("hits", string_of_int (Impact_svc.Store.hits s));
-            ("mem_hits", string_of_int s.Impact_svc.Store.mem_hits);
-            ("disk_hits", string_of_int s.Impact_svc.Store.disk_hits);
-            ("misses", string_of_int s.Impact_svc.Store.misses);
-            ("stores", string_of_int s.Impact_svc.Store.stores);
-            ("corrupt", string_of_int s.Impact_svc.Store.corrupt);
-            ("stale", string_of_int s.Impact_svc.Store.stale);
-          ]
+        ("enabled", Json.Bool true)
+        :: ("dir", Json.Str !cache_dir)
+        :: Impact_svc.Store.stats_json st
     in
-    let opt_int = function Some n -> string_of_int n | None -> "null" in
-    json_obj
+    let opt_int = Option.fold ~none:Json.Null ~some:(fun n -> Json.Int n) in
+    Json.Obj
       [
-        ("levels", json_arr (List.map (fun l -> json_str (Level.to_string l)) Level.all));
+        ("levels", Json.List (List.map (fun l -> Json.Str (Level.to_string l)) Level.all));
         ( "machines",
-          json_arr
+          Json.List
             (List.map
                (fun (m : Machine.t) ->
-                 json_obj
+                 Json.Obj
                    [
-                     ("name", json_str m.Machine.name);
-                     ("issue", string_of_int m.Machine.issue);
-                     ("branch_slots", string_of_int m.Machine.branch_slots);
+                     ("name", Json.Str m.Machine.name);
+                     ("issue", Json.Int m.Machine.issue);
+                     ("branch_slots", Json.Int m.Machine.branch_slots);
                    ])
                machines) );
-        ("sched", json_str (Opts.sched_to_string bench_opts.Opts.sched));
+        ("sched", Json.Str (Opts.sched_to_string bench_opts.Opts.sched));
         ("unroll", opt_int bench_opts.Opts.unroll);
         ("fuel", opt_int bench_opts.Opts.fuel);
-        ("cache_format_version", string_of_int Impact_svc.Query.format_version);
-        ("cache", cache);
+        ("cache_format_version", Json.Int Impact_svc.Query.format_version);
+        ("cache", Json.Obj cache);
       ]
   in
-  let doc =
-    json_obj
-      [
-        ("schema", "\"impact-bench-eval/2\"");
-        ("schema_version", "2");
-        ("generated_at_unix", json_num (Unix.gettimeofday ()));
-        ("workers", string_of_int (Impact_exec.Pool.resolve_workers ()));
-        ("config", config);
-        ("subjects", string_of_int (List.length subjects));
-        ("cells", string_of_int (List.length cs));
-        ("total_wall_s", json_num total_wall);
-        ("seed_summary_wall_s", json_num seed_summary_wall_s);
-        ("speedup_vs_seed", json_num (seed_summary_wall_s /. total_wall));
-        ("stages", json_obj stages);
-        ("summary", json_obj (List.map (fun (k, v) -> (k, json_num v)) stats));
-        ("pipe", json_obj pipe_stats);
-        ("metrics", metrics);
-      ]
-  in
-  let oc = open_out path in
-  output_string oc doc;
-  output_char oc '\n';
-  close_out oc;
+  write_doc path
+    (Json.Obj
+       [
+         ("schema", Json.Str "impact-bench-eval/2");
+         ("schema_version", Json.Int 2);
+         ("generated_at_unix", Json.Float (Unix.gettimeofday ()));
+         ("workers", Json.Int (Impact_exec.Pool.resolve_workers ()));
+         ("config", config);
+         ("subjects", Json.Int (List.length subjects));
+         ("cells", Json.Int (List.length cs));
+         ("total_wall_s", Json.Float total_wall);
+         ("seed_summary_wall_s", Json.Float seed_summary_wall_s);
+         ("speedup_vs_seed", Json.Float (seed_summary_wall_s /. total_wall));
+         ("stages", Json.Obj stages);
+         ("summary", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) stats));
+         ("pipe", Json.Obj pipe_stats);
+         ("metrics", metrics);
+       ]);
   Printf.eprintf "wrote %s (%d cells, %.2fs)\n%!" path (List.length cs) total_wall
 
 (* ---- `ooo` / `ooo-smoke`: the out-of-order machine-model matrix ----
@@ -729,68 +699,50 @@ let print_ooo_collapse (configs : ooo_config list) =
     configs
 
 let write_ooo_json path ~mode ~nsubjects (configs : ooo_config list) =
-  let json_str s = "\"" ^ json_escape s ^ "\"" in
-  let json_arr xs = "[" ^ String.concat ", " xs ^ "]" in
   let config_json c =
-    let core_fields =
-      match c.oc_core with
-      | Machine.Inorder ->
-        [ ("core", json_str "inorder"); ("rob", "null"); ("phys_regs", "null") ]
-      | Machine.Ooo { rob; phys_regs } ->
-        [
-          ("core", json_str "ooo");
-          ("rob", string_of_int rob);
-          ("phys_regs", string_of_int phys_regs);
-        ]
-    in
     let speedups =
       List.map
         (fun level ->
           ( Level.to_string level,
-            json_obj
+            Json.Obj
               (List.map
                  (fun (m : Machine.t) ->
-                   (string_of_int m.Machine.issue, json_num (ooo_avg c level m)))
+                   (string_of_int m.Machine.issue, Json.Float (ooo_avg c level m)))
                  c.oc_machines) ))
         Level.all
     in
-    json_obj
-      ((("name", json_str c.oc_name) :: core_fields)
+    Json.Obj
+      ((("name", Json.Str c.oc_name) :: Impact_svc.Service.core_fields c.oc_core)
       @ [
-          ("cells", string_of_int (List.length c.oc_cells));
-          ("avg_speedup", json_obj speedups);
+          ("cells", Json.Int (List.length c.oc_cells));
+          ("avg_speedup", Json.Obj speedups);
         ])
   in
   let collapse_json c =
     let m = ooo_issue8 c in
     let l1 = ooo_avg c Level.Lev1 m in
     let l2 = ooo_avg c Level.Lev2 m in
-    json_obj
+    Json.Obj
       [
-        ("name", json_str c.oc_name);
-        ("lev1_issue8", json_num l1);
-        ("lev2_issue8", json_num l2);
-        ("lev2_over_lev1", json_num (l2 /. l1));
+        ("name", Json.Str c.oc_name);
+        ("lev1_issue8", Json.Float l1);
+        ("lev2_issue8", Json.Float l2);
+        ("lev2_over_lev1", Json.Float (l2 /. l1));
       ]
   in
-  let doc =
-    json_obj
-      [
-        ("schema", "\"impact-bench-ooo/1\"");
-        ("schema_version", "1");
-        ("mode", json_str mode);
-        ("generated_at_unix", json_num (Unix.gettimeofday ()));
-        ("workers", string_of_int (Impact_exec.Pool.resolve_workers ()));
-        ("subjects", string_of_int nsubjects);
-        ("robs", json_arr (List.map string_of_int ooo_robs));
-        ("configs", json_arr (List.map config_json configs));
-        ("collapse", json_arr (List.map collapse_json configs));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc doc;
-  output_char oc '\n';
-  close_out oc;
+  write_doc path
+    (Json.Obj
+       [
+         ("schema", Json.Str "impact-bench-ooo/1");
+         ("schema_version", Json.Int 1);
+         ("mode", Json.Str mode);
+         ("generated_at_unix", Json.Float (Unix.gettimeofday ()));
+         ("workers", Json.Int (Impact_exec.Pool.resolve_workers ()));
+         ("subjects", Json.Int nsubjects);
+         ("robs", Json.List (List.map (fun r -> Json.Int r) ooo_robs));
+         ("configs", Json.List (List.map config_json configs));
+         ("collapse", Json.List (List.map collapse_json configs));
+       ]);
   Printf.eprintf "wrote %s (%d configs, %d subjects)\n%!" path
     (List.length configs) nsubjects
 
@@ -865,17 +817,9 @@ let print_stage_timings () =
 (* Cache hit/miss totals, to stderr (stdout stays byte-identical cold or
    warm). The CI warm-rerun step greps this line. *)
 let print_cache_stats () =
-  match !cache_store with
-  | None -> ()
-  | Some st ->
-    let s = Impact_svc.Store.stats st in
-    Printf.eprintf
-      "cache: %d hits (%d memory, %d disk), %d misses, %d stores, %d corrupt, \
-       %d stale (dir %s)\n%!"
-      (Impact_svc.Store.hits s) s.Impact_svc.Store.mem_hits
-      s.Impact_svc.Store.disk_hits s.Impact_svc.Store.misses
-      s.Impact_svc.Store.stores s.Impact_svc.Store.corrupt
-      s.Impact_svc.Store.stale !cache_dir
+  Option.iter
+    (fun st -> Printf.eprintf "%s\n%!" (Impact_svc.Store.stats_line st))
+    !cache_store
 
 let () =
   let args = parse_opts [] (List.tl (Array.to_list Sys.argv)) in

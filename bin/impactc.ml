@@ -183,62 +183,62 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the Table 2 loop nests")
     Term.(const run $ const ())
 
-(* -- show -- *)
+(* -- show / run, and their -file twins: one body each over a parsed
+   source, whether it names a Table 2 loop nest or a file -- *)
+
+let show_source co scheduled ast =
+  let p = Level.apply ?unroll_factor:co.co_unroll co.co_level (Impact_fir.Lower.lower ast) in
+  (* --sched pipe implies scheduling: the pipelined structure only
+     exists after the scheduler has run. *)
+  if scheduled || co.co_sched = `Pipe then begin
+    let sb = Impact_sched.Superblock.run p in
+    match co.co_sched with
+    | `List ->
+      print_string (Pp.prog_to_string (Impact_sched.List_sched.run (machine_of co) sb))
+    | `Pipe ->
+      let piped, reports = Impact_pipe.Pipe.run_with_report (machine_of co) sb in
+      print_pipe_reports reports;
+      print_string (Pp.prog_to_string piped)
+  end
+  else print_string (Pp.prog_to_string p)
+
+let scheduled_arg =
+  Arg.(value & flag & info [ "scheduled" ] ~doc:"Apply superblock formation and scheduling.")
+
+(* [title] names the source in the report's first line. *)
+let run_source ~title co ast =
+  let lower () = Impact_fir.Lower.lower ast in
+  let machine = machine_of co in
+  let opts = opts_of co in
+  let base = Compile.measure_with (Opts.base opts) Level.Conv Machine.issue_1 (lower ()) in
+  let m = Compile.measure_with opts co.co_level machine (lower ()) in
+  Printf.printf "%s at %s on %s%s\n" title (Level.to_string co.co_level)
+    machine.Machine.name
+    (match co.co_sched with `Pipe -> " (software pipelined)" | `List -> "");
+  Printf.printf "  cycles        %d (base issue-1 Conv: %d)\n" m.Compile.cycles
+    base.Compile.cycles;
+  Printf.printf "  dyn insns     %d\n" m.Compile.dyn_insns;
+  Printf.printf "  speedup       %.2f\n" (Compile.speedup ~base ~this:m);
+  Printf.printf "  registers     %d int + %d float\n"
+    m.Compile.usage.Impact_regalloc.Regalloc.int_used
+    m.Compile.usage.Impact_regalloc.Regalloc.float_used;
+  List.iter
+    (fun (n, v) -> Printf.printf "  output %-6s %s\n" n (Impact_sim.Sim.value_to_string v))
+    m.Compile.result.Impact_sim.Sim.outputs
 
 let show_cmd =
   let run name co scheduled =
     with_trace co @@ fun () ->
-    let w = find_workload name in
-    let p = Impact_fir.Lower.lower w.Impact_workloads.Suite.ast in
-    let p = Level.apply ?unroll_factor:co.co_unroll co.co_level p in
-    (* --sched pipe implies scheduling: the pipelined structure only
-       exists after the scheduler has run. *)
-    if scheduled || co.co_sched = `Pipe then begin
-      let sb = Impact_sched.Superblock.run p in
-      match co.co_sched with
-      | `List ->
-        print_string
-          (Pp.prog_to_string (Impact_sched.List_sched.run (machine_of co) sb))
-      | `Pipe ->
-        let piped, reports =
-          Impact_pipe.Pipe.run_with_report (machine_of co) sb
-        in
-        print_pipe_reports reports;
-        print_string (Pp.prog_to_string piped)
-    end
-    else print_string (Pp.prog_to_string p)
-  in
-  let scheduled_arg =
-    Arg.(value & flag & info [ "scheduled" ] ~doc:"Apply superblock formation and scheduling.")
+    show_source co scheduled (find_workload name).Impact_workloads.Suite.ast
   in
   Cmd.v
     (Cmd.info "show" ~doc:"Print the generated code of a loop nest at a level")
     Term.(const run $ loop_arg $ common_opts_term $ scheduled_arg)
 
-(* -- run -- *)
-
 let run_cmd =
   let run name co =
     with_trace co @@ fun () ->
-    let w = find_workload name in
-    let lower () = Impact_fir.Lower.lower w.Impact_workloads.Suite.ast in
-    let machine = machine_of co in
-    let opts = opts_of co in
-    let base = Compile.measure_with (Opts.base opts) Level.Conv Machine.issue_1 (lower ()) in
-    let m = Compile.measure_with opts co.co_level machine (lower ()) in
-    Printf.printf "loop %s at %s on %s%s\n" name (Level.to_string co.co_level)
-      machine.Machine.name
-      (match co.co_sched with `Pipe -> " (software pipelined)" | `List -> "");
-    Printf.printf "  cycles        %d (base issue-1 Conv: %d)\n" m.Compile.cycles
-      base.Compile.cycles;
-    Printf.printf "  dyn insns     %d\n" m.Compile.dyn_insns;
-    Printf.printf "  speedup       %.2f\n" (Compile.speedup ~base ~this:m);
-    Printf.printf "  registers     %d int + %d float\n"
-      m.Compile.usage.Impact_regalloc.Regalloc.int_used
-      m.Compile.usage.Impact_regalloc.Regalloc.float_used;
-    List.iter
-      (fun (n, v) -> Printf.printf "  output %-6s %s\n" n (Impact_sim.Sim.value_to_string v))
-      m.Compile.result.Impact_sim.Sim.outputs
+    run_source ~title:("loop " ^ name) co (find_workload name).Impact_workloads.Suite.ast
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile, simulate and report one loop nest")
@@ -493,11 +493,6 @@ let sim_json w (prof : Sim.profile) =
 
 let profile_json ~name ~(co : common_opts) ~(machine : Machine.t) ~w ~result ~prof ~rep
     ~pipe_reports ~rows =
-  let core, rob, phys_regs =
-    match machine.Machine.core with
-    | Machine.Inorder -> ("inorder", J.Null, J.Null)
-    | Machine.Ooo { rob; phys_regs } -> ("ooo", J.Int rob, J.Int phys_regs)
-  in
   J.Obj
     ([
        ("schema", J.Str "impact-profile/1");
@@ -505,17 +500,17 @@ let profile_json ~name ~(co : common_opts) ~(machine : Machine.t) ~w ~result ~pr
        ("level", J.Str (Level.to_string co.co_level));
        ("machine", J.Str machine.Machine.name);
        ("issue", J.Int machine.Machine.issue);
-       ("core", J.Str core);
-       ("rob", rob);
-       ("phys_regs", phys_regs);
-       ("sched", J.Str (Opts.sched_to_string co.co_sched));
-       ("unroll", match co.co_unroll with None -> J.Null | Some n -> J.Int n);
-       ("cycles", J.Int result.Sim.cycles);
-       ("dyn_insns", J.Int result.Sim.dyn_insns);
-       ( "ipc",
-         J.Float
-           (float_of_int result.Sim.dyn_insns /. float_of_int (max 1 result.Sim.cycles)) );
      ]
+    @ Impact_svc.Service.core_fields machine.Machine.core
+    @ [
+        ("sched", J.Str (Opts.sched_to_string co.co_sched));
+        ("unroll", match co.co_unroll with None -> J.Null | Some n -> J.Int n);
+        ("cycles", J.Int result.Sim.cycles);
+        ("dyn_insns", J.Int result.Sim.dyn_insns);
+        ( "ipc",
+          J.Float
+            (float_of_int result.Sim.dyn_insns /. float_of_int (max 1 result.Sim.cycles)) );
+      ]
     @ sim_json w prof
     @ [
         ( "counters",
@@ -690,67 +685,25 @@ let load_file path =
     exit 1
 
 let run_file_cmd =
-  let run path co =
-    with_trace co @@ fun () ->
-    let ast = load_file path in
-    let machine = machine_of co in
-    let opts = opts_of co in
-    let base =
-      Compile.measure_with (Opts.base opts) Level.Conv Machine.issue_1
-        (Impact_fir.Lower.lower ast)
-    in
-    let m = Compile.measure_with opts co.co_level machine (Impact_fir.Lower.lower ast) in
-    Printf.printf "%s at %s on %s%s\n" path (Level.to_string co.co_level)
-      machine.Machine.name
-      (match co.co_sched with `Pipe -> " (software pipelined)" | `List -> "");
-    Printf.printf "  cycles        %d (base issue-1 Conv: %d)\n" m.Compile.cycles
-      base.Compile.cycles;
-    Printf.printf "  speedup       %.2f\n" (Compile.speedup ~base ~this:m);
-    Printf.printf "  registers     %d int + %d float\n"
-      m.Compile.usage.Impact_regalloc.Regalloc.int_used
-      m.Compile.usage.Impact_regalloc.Regalloc.float_used;
-    List.iter
-      (fun (n, v) -> Printf.printf "  output %-6s %s\n" n (Impact_sim.Sim.value_to_string v))
-      m.Compile.result.Impact_sim.Sim.outputs
-  in
+  let run path co = with_trace co @@ fun () -> run_source ~title:path co (load_file path) in
   Cmd.v
     (Cmd.info "run-file" ~doc:"Compile and run a mini-Fortran source file")
     Term.(const run $ file_arg $ common_opts_term)
 
 let show_file_cmd =
-  let run path co =
-    with_trace co @@ fun () ->
-    let ast = load_file path in
-    let p = Level.apply ?unroll_factor:co.co_unroll co.co_level (Impact_fir.Lower.lower ast) in
-    match co.co_sched with
-    | `List -> print_string (Pp.prog_to_string p)
-    | `Pipe ->
-      let piped, reports =
-        Impact_pipe.Pipe.run_with_report (machine_of co)
-          (Impact_sched.Superblock.run p)
-      in
-      print_pipe_reports reports;
-      print_string (Pp.prog_to_string piped)
+  let run path co scheduled =
+    with_trace co @@ fun () -> show_source co scheduled (load_file path)
   in
   Cmd.v
     (Cmd.info "show-file" ~doc:"Print a source file's generated code at a level")
-    Term.(const run $ file_arg $ common_opts_term)
+    Term.(const run $ file_arg $ common_opts_term $ scheduled_arg)
 
 (* -- serve -- *)
 
 let print_cache_stats store =
-  match store with
-  | None -> ()
-  | Some st ->
-    let s = Impact_svc.Store.stats st in
-    Printf.eprintf
-      "cache: %d hits (%d memory, %d disk), %d misses, %d stores, %d corrupt, \
-       %d stale (dir %s)\n%!"
-      (Impact_svc.Store.hits s) s.Impact_svc.Store.mem_hits
-      s.Impact_svc.Store.disk_hits s.Impact_svc.Store.misses
-      s.Impact_svc.Store.stores s.Impact_svc.Store.corrupt
-      s.Impact_svc.Store.stale
-      (Impact_svc.Store.dir st)
+  Option.iter
+    (fun st -> Printf.eprintf "%s\n%!" (Impact_svc.Store.stats_line st))
+    store
 
 (* HOST:PORT for --listen; a bare port listens on loopback. *)
 let parse_listen s =

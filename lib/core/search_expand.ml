@@ -144,4 +144,5 @@ let expand_loop ctx (pre : Block.item list) (l : Block.loop) : Block.item list =
   end
 
 let run (p : Prog.t) : Prog.t =
-  Impact_opt.Walk.rewrite_innermost_with_preheader (expand_loop p.Prog.ctx) p
+  Prog.with_entry p
+    (Block.map_innermost_with_preheader (expand_loop p.Prog.ctx) p.Prog.entry)

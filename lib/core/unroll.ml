@@ -209,4 +209,5 @@ let unroll_loop ctx ~factor (pre : Block.item list) (l : Block.loop)
   | _ -> keep ()
 
 let run ?(factor = default_factor) (p : Prog.t) : Prog.t =
-  Impact_opt.Walk.rewrite_innermost_with_preheader (unroll_loop p.Prog.ctx ~factor) p
+  Prog.with_entry p
+    (Block.map_innermost_with_preheader (unroll_loop p.Prog.ctx ~factor) p.Prog.entry)

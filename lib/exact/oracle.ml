@@ -1,6 +1,7 @@
 open Impact_ir
 open Impact_core
 open Impact_pipe
+module Json = Impact_obs.Json
 
 type row = {
   r_subject : string;
@@ -117,32 +118,6 @@ let run ?workers ?(budget = Exact.default_budget) ?only () : row list =
 
 (* ---- Rendering (shared by bench and the determinism tests) ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-let json_obj fields =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) v) fields)
-  ^ "}"
-
-let opt_int = function None -> "null" | Some i -> string_of_int i
-
-let opt_bool = function None -> "null" | Some b -> string_of_bool b
-
 type totals = {
   mutable loops : int;
   mutable optimal : int;
@@ -193,53 +168,55 @@ let totals rows =
   t
 
 let doc ~budget rows =
+  let opt f = Option.fold ~none:Json.Null ~some:f in
+  let int n = Json.Int n in
   let loop_json r =
-    json_obj
+    Json.Obj
       ([
-         ("subject", json_str r.r_subject);
-         ("machine", json_str r.r_machine);
-         ("lid", string_of_int r.r_lid);
-         ("status", json_str r.r_status);
+         ("subject", Json.Str r.r_subject);
+         ("machine", Json.Str r.r_machine);
+         ("lid", int r.r_lid);
+         ("status", Json.Str r.r_status);
        ]
       @ (match r.r_reason with
-        | Some s -> [ ("reason", json_str s) ]
+        | Some s -> [ ("reason", Json.Str s) ]
         | None -> [])
       @ [
-          ("heur_ii", opt_int r.r_heur_ii);
-          ("list_ci", opt_int r.r_list_ci);
-          ("res_mii", opt_int r.r_res_mii);
-          ("rec_mii", opt_int r.r_rec_mii);
-          ("mii", opt_int r.r_mii);
-          ("lb", opt_int r.r_lb);
-          ("ub", opt_int r.r_ub);
-          ("gap", opt_int r.r_gap);
-          ("proved", opt_bool r.r_proved);
-          ("nodes", string_of_int r.r_nodes);
+          ("heur_ii", opt int r.r_heur_ii);
+          ("list_ci", opt int r.r_list_ci);
+          ("res_mii", opt int r.r_res_mii);
+          ("rec_mii", opt int r.r_rec_mii);
+          ("mii", opt int r.r_mii);
+          ("lb", opt int r.r_lb);
+          ("ub", opt int r.r_ub);
+          ("gap", opt int r.r_gap);
+          ("proved", opt (fun b -> Json.Bool b) r.r_proved);
+          ("nodes", int r.r_nodes);
         ])
   in
   let t = totals rows in
-  json_obj
-    [
-      ("schema", json_str schema);
-      ("budget", string_of_int budget);
-      ( "summary",
-        json_obj
-          [
-            ("loops", string_of_int t.loops);
-            ("optimal", string_of_int t.optimal);
-            ("suboptimal", string_of_int t.suboptimal);
-            ("bounded", string_of_int t.bounded);
-            ("skip_confirmed", string_of_int t.skip_confirmed);
-            ("skip_missed", string_of_int t.skip_missed);
-            ("skip_open", string_of_int t.skip_open);
-            ("ineligible", string_of_int t.ineligible);
-            ("gap_cycles", string_of_int t.gap);
-            ("gap_bound_cycles", string_of_int t.gap_bound);
-            ("nodes", string_of_int t.nodes);
-          ] );
-      ( "loops",
-        "[" ^ String.concat ", " (List.map loop_json rows) ^ "]" );
-    ]
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str schema);
+         ("budget", int budget);
+         ( "summary",
+           Json.Obj
+             [
+               ("loops", int t.loops);
+               ("optimal", int t.optimal);
+               ("suboptimal", int t.suboptimal);
+               ("bounded", int t.bounded);
+               ("skip_confirmed", int t.skip_confirmed);
+               ("skip_missed", int t.skip_missed);
+               ("skip_open", int t.skip_open);
+               ("ineligible", int t.ineligible);
+               ("gap_cycles", int t.gap);
+               ("gap_bound_cycles", int t.gap_bound);
+               ("nodes", int t.nodes);
+             ] );
+         ("loops", Json.List (List.map loop_json rows));
+       ])
   ^ "\n"
 
 let table ~budget rows =

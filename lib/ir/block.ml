@@ -53,6 +53,19 @@ let rec map_innermost f block =
   in
   List.map map_item block
 
+(* The items before an innermost loop in its own block, already
+   rewritten, are its preheader region: [f pre l] returns what replaces
+   both, so a pass may move code into or out of the preheader. *)
+let rec map_innermost_with_preheader f block =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | Loop l :: rest when is_innermost l -> go (List.rev (f (List.rev acc) l)) rest
+    | Loop l :: rest ->
+      go (Loop { l with body = map_innermost_with_preheader f l.body } :: acc) rest
+    | ((Ins _ | Lbl _) as item) :: rest -> go (item :: acc) rest
+  in
+  go [] block
+
 let rec iter_insns f block =
   List.iter
     (function

@@ -33,6 +33,12 @@ val body_insns : loop -> Insn.t list
 val map_innermost : (loop -> loop) -> t -> t
 (** Rewrite every innermost loop. *)
 
+val map_innermost_with_preheader : (item list -> loop -> item list) -> t -> t
+(** Rewrite every innermost loop together with the items preceding it in
+    its own block (the preheader region, as already rewritten), left to
+    right: [f pre l] returns the replacement items for both. The
+    transformation passes and both schedulers walk the program with it. *)
+
 val iter_insns : (Insn.t -> unit) -> t -> unit
 
 val concat_map_insns : (Insn.t -> Insn.t list) -> t -> t

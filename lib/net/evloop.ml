@@ -27,53 +27,6 @@ module Wake = struct
     try Unix.close t.w with _ -> ()
 end
 
-module Framer = struct
-  type t = {
-    max_line : int;
-    pend : Buffer.t;
-    mutable over : bool;  (* current line already blew the bound *)
-  }
-
-  let create ~max_line = { max_line; pend = Buffer.create 256; over = false }
-
-  let take t =
-    let item = if t.over then `Over else `Line (Buffer.contents t.pend) in
-    Buffer.clear t.pend;
-    t.over <- false;
-    item
-
-  (* Scan for newlines a chunk at a time rather than per character: the
-     hot path under pipelined load is a 4 KiB read holding several
-     complete small lines. *)
-  let feed t buf n k =
-    let i = ref 0 in
-    while !i < n do
-      match Bytes.index_from_opt buf !i '\n' with
-      | Some j when j < n ->
-        (if not t.over then
-           let len = j - !i in
-           if Buffer.length t.pend + len > t.max_line then begin
-             Buffer.clear t.pend;
-             t.over <- true
-           end
-           else Buffer.add_subbytes t.pend buf !i len);
-        k (take t);
-        i := j + 1
-      | _ ->
-        (if not t.over then
-           let len = n - !i in
-           if Buffer.length t.pend + len > t.max_line then begin
-             Buffer.clear t.pend;
-             t.over <- true
-           end
-           else Buffer.add_subbytes t.pend buf !i len);
-        i := n
-    done
-
-  let final t =
-    if Buffer.length t.pend > 0 || t.over then Some (take t) else None
-end
-
 module Outq = struct
   type seg = {
     sg_bytes : Bytes.t;

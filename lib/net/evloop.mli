@@ -3,12 +3,11 @@
     {!Listener} is a single-threaded reactor: every socket is
     nonblocking, one thread multiplexes them all with [Unix.select]
     (re-armed with fresh interest sets on each iteration), and executor
-    domains signal it through a self-pipe. This module holds the three
-    socket-level pieces of that loop:
+    domains signal it through a self-pipe. This module holds two
+    socket-level pieces of that loop (request lines are framed by
+    {!Impact_svc.Service.Framer}, shared with the batch reader):
 
     - {!Wake}: the self-pipe. Signal-safe, domain-safe, coalescing.
-    - {!Framer}: incremental newline framing with a byte bound —
-      bytes in, [`Line]/[`Over] events out, O(max_line) memory.
     - {!Outq}: an ordered write queue of response segments with a
       per-segment flush callback, so the loop knows the exact moment a
       response's last byte was accepted by the kernel. *)
@@ -31,22 +30,6 @@ module Wake : sig
   (** Consume all pending wakeup bytes (nonblocking). *)
 
   val close : t -> unit
-end
-
-module Framer : sig
-  type t
-
-  val create : max_line:int -> t
-
-  val feed : t -> Bytes.t -> int -> ([ `Line of string | `Over ] -> unit) -> unit
-  (** [feed t buf n k] consumes [buf[0..n-1]], invoking [k] once per
-      completed line in input order. A line whose length exceeds
-      [max_line] is reported as [`Over] (its bytes are discarded as they
-      stream in, so memory stays bounded by [max_line]). *)
-
-  val final : t -> [ `Line of string | `Over ] option
-  (** The unterminated tail at EOF, if any — the protocol treats it as a
-      final line, exactly like the batch reader. Resets the framer. *)
 end
 
 module Outq : sig

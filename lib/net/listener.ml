@@ -92,7 +92,7 @@ type conn = {
   cn_sampled : bool;
   cn_rd_faults : Faults.stream;
   cn_wr_faults : Faults.stream;
-  cn_framer : Evloop.Framer.t;
+  cn_framer : Service.Framer.t;
   mutable cn_lineno : int;
   cn_cells : cell Queue.t;
   cn_out : Evloop.Outq.t;
@@ -145,45 +145,15 @@ let bump c obs_name =
 
 (* ---- Response records owned by the network layer ---- *)
 
-let error_json ~line ~error ~detail =
-  Json.to_string
-    (Json.Obj
-       [
-         ("ok", Json.Bool false);
-         ("line", Json.Int line);
-         ("error", Json.Str error);
-         ("detail", Json.Str detail);
-       ])
-
 let overloaded_record ~line ~capacity =
-  error_json ~line ~error:"overloaded"
+  Service.error_record ~line ~error:"overloaded"
     ~detail:
       (Printf.sprintf "admission queue full (capacity %d); retry later" capacity)
 
 let deadline_record ~line ~deadline_ms =
-  error_json ~line ~error:"deadline"
+  Service.error_record ~line ~error:"deadline"
     ~detail:
       (Printf.sprintf "deadline of %d ms exceeded before evaluation" deadline_ms)
-
-(* Cache statistics, shared by the health and metrics records. The
-   [stale] count (format-version rollovers read as misses) is surfaced
-   here so a rollover is visible in production, not just in bench
-   stderr. *)
-let cache_json t =
-  match t.cfg.store with
-  | None -> Json.Null
-  | Some st ->
-    let s = Store.stats st in
-    Json.Obj
-      [
-        ("hits", Json.Int (Store.hits s));
-        ("mem_hits", Json.Int s.Store.mem_hits);
-        ("disk_hits", Json.Int s.Store.disk_hits);
-        ("misses", Json.Int s.Store.misses);
-        ("stores", Json.Int s.Store.stores);
-        ("corrupt", Json.Int s.Store.corrupt);
-        ("stale", Json.Int s.Store.stale);
-      ]
 
 let health_record t ~line =
   Json.to_string
@@ -204,7 +174,10 @@ let health_record t ~line =
          ("shed", Json.Int (Atomic.get t.c_shed));
          ("deadline", Json.Int (Atomic.get t.c_deadlined));
          ("draining", Json.Bool (Atomic.get t.draining));
-         ("cache", cache_json t);
+         ( "cache",
+           Option.fold ~none:Json.Null
+             ~some:(fun st -> Json.Obj (Store.stats_json st))
+             t.cfg.store );
        ])
 
 (* One histogram as JSON: exact integer state (count, sum, sparse
@@ -281,7 +254,10 @@ let metrics_record t ~line =
                ("too_long", Json.Int (Atomic.get t.c_too_long));
                ("dropped_conns", Json.Int (Atomic.get t.c_dropped));
              ] );
-         ("cache", cache_json t);
+         ( "cache",
+           Option.fold ~none:Json.Null
+             ~some:(fun st -> Json.Obj (Store.stats_json st))
+             t.cfg.store );
          ( "histograms",
            Json.Obj
              (List.map
@@ -429,7 +405,8 @@ let handle_request t cn ~t_read raw =
         (try answer ()
          with e ->
            lc.lc_outcome <- "error";
-           error_json ~line ~error:"internal error" ~detail:(Printexc.to_string e))
+           Service.error_record ~line ~error:"internal error"
+             ~detail:(Printexc.to_string e))
     in
     lc.lc_admit <- Obs.now ();
     if not (Pool.submit t.exec job) then begin
@@ -445,22 +422,22 @@ let handle_line t cn item =
   cn.cn_lineno <- cn.cn_lineno + 1;
   let t_read = Obs.now () in
   match item with
-  | `Over ->
+  | Service.Oversized max_line ->
     bump t.c_too_long "net.too_long";
     let lc =
       lifecycle ~conn:cn.cn_id ~line:cn.cn_lineno ~kind:"too_long" t_read
     in
     lc.lc_outcome <- "error";
     let c = push_cell cn lc in
-    fill c (Service.too_long_record ~line:cn.cn_lineno ~max_line:t.cfg.max_line)
-  | `Line raw -> if String.trim raw <> "" then handle_request t cn ~t_read raw
+    fill c (Service.too_long_record ~line:cn.cn_lineno ~max_line)
+  | Service.Line raw -> if String.trim raw <> "" then handle_request t cn ~t_read raw
 
 (* End of the request stream (EOF, error, sever or drain): the
    unterminated tail counts as a final line, like the batch reader. *)
 let close_read t cn =
   if cn.cn_read_open then begin
     cn.cn_read_open <- false;
-    match Evloop.Framer.final cn.cn_framer with
+    match Service.Framer.final cn.cn_framer with
     | Some item -> handle_line t cn item
     | None -> ()
   end
@@ -468,7 +445,7 @@ let close_read t cn =
 let read_chunk t cn buf =
   match Unix.read cn.cn_fd buf 0 (Bytes.length buf) with
   | 0 -> close_read t cn
-  | n -> Evloop.Framer.feed cn.cn_framer buf n (fun item -> handle_line t cn item)
+  | n -> Service.Framer.feed cn.cn_framer buf n (fun item -> handle_line t cn item)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
     ()
@@ -572,7 +549,7 @@ let accept_burst t =
           cn_sampled = sampled;
           cn_rd_faults = Faults.stream cfg.faults ~conn:id ~channel:0;
           cn_wr_faults = Faults.stream cfg.faults ~conn:id ~channel:1;
-          cn_framer = Evloop.Framer.create ~max_line:cfg.max_line;
+          cn_framer = Service.Framer.create ~max_line:cfg.max_line;
           cn_lineno = 0;
           cn_cells = Queue.create ();
           cn_out = Evloop.Outq.create ();

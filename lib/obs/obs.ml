@@ -278,20 +278,6 @@ let events () =
     let t0 = List.fold_left (fun a ev -> Float.min a ev.ets_us) Float.infinity evs in
     List.map (fun ev -> { ev with ets_us = ev.ets_us -. t0 }) evs
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_trace path =
   let oc = open_out path in
   output_string oc "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
@@ -301,8 +287,8 @@ let write_trace path =
       Printf.fprintf oc
         "\n{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"pid\": 1, \"tid\": %d, \
          \"ts\": %.3f, \"dur\": %.3f"
-        (json_escape ev.ename)
-        (json_escape (if ev.ecat = "" then "misc" else ev.ecat))
+        (Json.escape ev.ename)
+        (Json.escape (if ev.ecat = "" then "misc" else ev.ecat))
         ev.etid ev.ets_us ev.edur_us;
       (match ev.eargs with
       | [] -> ()
@@ -311,7 +297,7 @@ let write_trace path =
         List.iteri
           (fun j (k', v) ->
             if j > 0 then output_string oc ", ";
-            Printf.fprintf oc "\"%s\": \"%s\"" (json_escape k') (json_escape v))
+            Printf.fprintf oc "\"%s\": \"%s\"" (Json.escape k') (Json.escape v))
           args;
         output_char oc '}');
       output_char oc '}')

@@ -267,8 +267,10 @@ let eliminate_loop ctx (pre : Block.item list) (l : Block.loop) : Block.item lis
 
 let reduce (p : Prog.t) : Prog.t =
   Impact_obs.Obs.span ~cat:"opt" "opt.ivopt.reduce" @@ fun () ->
-  Walk.rewrite_innermost_with_preheader (reduce_loop p.Prog.ctx) p
+  Prog.with_entry p
+    (Block.map_innermost_with_preheader (reduce_loop p.Prog.ctx) p.Prog.entry)
 
 let eliminate (p : Prog.t) : Prog.t =
   Impact_obs.Obs.span ~cat:"opt" "opt.ivopt.eliminate" @@ fun () ->
-  Walk.rewrite_innermost_with_preheader (eliminate_loop p.Prog.ctx) p
+  Prog.with_entry p
+    (Block.map_innermost_with_preheader (eliminate_loop p.Prog.ctx) p.Prog.entry)

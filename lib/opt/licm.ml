@@ -69,4 +69,5 @@ let hoist_loop (pre : Block.item list) (l : Block.loop) : Block.item list =
 
 let run (p : Prog.t) : Prog.t =
   Impact_obs.Obs.span ~cat:"opt" "opt.licm" (fun () ->
-    Walk.rewrite_innermost_with_preheader hoist_loop p)
+    Prog.with_entry p
+      (Block.map_innermost_with_preheader hoist_loop p.Prog.entry))

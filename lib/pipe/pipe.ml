@@ -1,10 +1,11 @@
 (* Software pipelining by iterative modulo scheduling (Rau-style IMS).
 
-   The pass mirrors [List_sched.run]'s traversal: every innermost loop
-   is either modulo-scheduled into prologue/kernel/epilogue form or
-   list-scheduled as before. An eligible loop is a single-basic-block
-   body (one back-branch, no side exits), with a compile-time trip
-   count and at most one definition per register.
+   The pass walks the program as [List_sched.run] does, through
+   [Block.map_innermost_with_preheader]: every innermost loop is either
+   modulo-scheduled into prologue/kernel/epilogue form or list-scheduled
+   as before. An eligible loop is a single-basic-block body (one
+   back-branch, no side exits), with a compile-time trip count and at
+   most one definition per register.
 
    Scheduling model: each body instruction (the back-branch excluded)
    gets a time t = slot + II * stage subject to
@@ -618,7 +619,7 @@ let report_to_string (r : report) : string =
     let tail = match list_ci with None -> "" | Some c -> Printf.sprintf ", list %d cyc/iter" c in
     Printf.sprintf "loop %d: not pipelined (%s)%s" r.lid reason tail
 
-(* ---- Whole-program traversal (mirrors List_sched.run) ---- *)
+(* ---- Whole-program traversal ---- *)
 
 let run_with_problems (machine : Machine.t) (p : Prog.t) :
     Prog.t * (report * problem option) list =
@@ -634,41 +635,33 @@ let run_with_problems (machine : Machine.t) (p : Prog.t) :
     in
     let reports = ref [] in
     let ctx = p.Prog.ctx in
-    let rec go_block (b : Block.t) : Block.t =
-      let rec go acc = function
-        | [] -> List.rev acc
-        | Block.Loop l :: rest when Block.is_innermost l ->
-          let pre_env = Linval.env_of_items (List.rev acc) in
-          let t0 = if Impact_obs.Obs.enabled () then Impact_obs.Obs.now () else 0.0 in
-          let items, rep, problem =
-            pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets l
-          in
-          if Impact_obs.Obs.enabled () then begin
-            Impact_obs.Obs.emit ~cat:"pipe"
-              ~args:[ ("report", report_to_string rep) ]
-              (Printf.sprintf "pipe.loop%d" rep.lid)
-              ~t0;
-            Impact_obs.Obs.count "pipe.loops";
-            Impact_obs.Obs.count
-              (match rep.status with
-              | Pipelined _ -> "pipe.pipelined"
-              | Skipped _ -> "pipe.skipped");
-            Option.iter
-              (fun p -> Impact_obs.Obs.count ~n:(List.length p.p_edges) "pipe.edges")
-              problem;
-            Impact_obs.Obs.note
-              (Printf.sprintf "pipe.%s.loop%d" machine.Machine.name rep.lid)
-              (report_to_string rep)
-          end;
-          reports := (rep, problem) :: !reports;
-          go (List.rev_append items acc) rest
-        | Block.Loop l :: rest ->
-          go (Block.Loop { l with Block.body = go_block l.Block.body } :: acc) rest
-        | ((Block.Ins _ | Block.Lbl _) as item) :: rest -> go (item :: acc) rest
+    let pipeline pre l =
+      let pre_env = Linval.env_of_items pre in
+      let t0 = if Impact_obs.Obs.enabled () then Impact_obs.Obs.now () else 0.0 in
+      let items, rep, problem =
+        pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets l
       in
-      go [] b
+      if Impact_obs.Obs.enabled () then begin
+        Impact_obs.Obs.emit ~cat:"pipe"
+          ~args:[ ("report", report_to_string rep) ]
+          (Printf.sprintf "pipe.loop%d" rep.lid)
+          ~t0;
+        Impact_obs.Obs.count "pipe.loops";
+        Impact_obs.Obs.count
+          (match rep.status with
+          | Pipelined _ -> "pipe.pipelined"
+          | Skipped _ -> "pipe.skipped");
+        Option.iter
+          (fun p -> Impact_obs.Obs.count ~n:(List.length p.p_edges) "pipe.edges")
+          problem;
+        Impact_obs.Obs.note
+          (Printf.sprintf "pipe.%s.loop%d" machine.Machine.name rep.lid)
+          (report_to_string rep)
+      end;
+      reports := (rep, problem) :: !reports;
+      pre @ items
     in
-    let entry = go_block p.Prog.entry in
+    let entry = Block.map_innermost_with_preheader pipeline p.Prog.entry in
     (Prog.with_entry p entry, List.rev !reports))
 
 let run_with_report machine p =

@@ -116,19 +116,9 @@ let schedule_body (machine : Machine.t) ~live_at_target
 let run (machine : Machine.t) (p : Prog.t) : Prog.t =
   let target_live = Liveness.target_live (Liveness.Dense.of_prog p) in
   let live_at_target i = Some (target_live i) in
-  let rec go_block (b : Block.t) : Block.t =
-    let rec go acc = function
-      | [] -> List.rev acc
-      | Block.Loop l :: rest when Block.is_innermost l ->
-        let pre_env = Linval.env_of_items (List.rev acc) in
-        let l =
-          { l with Block.body = schedule_body machine ~live_at_target ~pre_env l.Block.body }
-        in
-        go (Block.Loop l :: acc) rest
-      | Block.Loop l :: rest ->
-        go (Block.Loop { l with Block.body = go_block l.Block.body } :: acc) rest
-      | ((Block.Ins _ | Block.Lbl _) as item) :: rest -> go (item :: acc) rest
-    in
-    go [] b
+  let schedule pre l =
+    let pre_env = Linval.env_of_items pre in
+    let body = schedule_body machine ~live_at_target ~pre_env l.Block.body in
+    pre @ [ Block.Loop { l with Block.body } ]
   in
-  Prog.with_entry p (go_block p.Prog.entry)
+  Prog.with_entry p (Block.map_innermost_with_preheader schedule p.Prog.entry)

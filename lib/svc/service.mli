@@ -30,6 +30,12 @@ val answer_line : store:Store.t option -> line:int -> string -> string
 (** Answer one request line ([line] is its 1-based input position, echoed
     in the response). Always returns a single-line JSON record. *)
 
+val core_fields : Impact_ir.Machine.core -> (string * Json.t) list
+(** The [core]/[rob]/[phys_regs] members that name a machine's core
+    (["inorder"] with [null] sizes, or ["ooo"] with both sizes), as every
+    query response, [impactc profile --json] and [BENCH_ooo.json] carry
+    them. *)
+
 type answer = {
   a_text : string;  (** the single-line JSON record (= {!answer_line}) *)
   a_ok : bool;  (** whether the record carries [{"ok": true}] *)
@@ -56,9 +62,33 @@ val default_max_line : int
     rejected with a structured ["line too long"] record instead of
     buffering without limit. *)
 
+val error_record : line:int -> error:string -> detail:string -> string
+(** The single-line JSON error record
+    [{"ok": false, "line": N, "error": E, "detail": D}] every failed
+    request is answered with, on either path. *)
+
 val too_long_record : line:int -> max_line:int -> string
-(** The single-line JSON error record for an oversized request line;
-    shared with the TCP listener so both paths answer byte-identically. *)
+(** The {!error_record} for an oversized request line; shared with the
+    TCP listener so both paths answer byte-identically. *)
+
+(** Incremental newline framing with a byte bound: bytes in, {!input}s
+    out, O(max_line) memory. {!read_lines} and the TCP listener both
+    frame through it, so a line reads the same on either path. *)
+module Framer : sig
+  type t
+
+  val create : max_line:int -> t
+
+  val feed : t -> Bytes.t -> int -> (input -> unit) -> unit
+  (** [feed t buf n k] consumes [buf[0..n-1]], invoking [k] once per
+      completed line in input order. A line longer than [max_line] bytes
+      is reported as [Oversized max_line] (its bytes are discarded as
+      they stream in). *)
+
+  val final : t -> input option
+  (** The unterminated tail at end of input, if any: the protocol treats
+      it as a final line. Resets the framer. *)
+end
 
 val serve_inputs :
   ?workers:int -> store:Store.t option -> input list -> string list
@@ -71,10 +101,10 @@ val serve_lines : ?workers:int -> store:Store.t option -> string list -> string 
     network path is differentially tested against. *)
 
 val read_lines : ?max_line:int -> in_channel -> input list
-(** Split a channel into newline-terminated inputs, bounding each line
-    at [max_line] bytes (default {!default_max_line}); longer lines read
-    as [Oversized] with their excess bytes discarded, so memory use is
-    O(max_line) regardless of input. *)
+(** Split a channel into newline-terminated inputs through a {!Framer}
+    bounded at [max_line] bytes (default {!default_max_line}); longer
+    lines read as [Oversized] with their excess bytes discarded, so
+    memory use is O(max_line) regardless of input. *)
 
 val run_channel :
   ?workers:int ->

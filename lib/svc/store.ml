@@ -75,8 +75,6 @@ let open_store ?(lru_capacity = 4096) dir =
       { mem_hits = 0; disk_hits = 0; misses = 0; stores = 0; corrupt = 0; stale = 0 };
   }
 
-let dir t = t.st_dir
-
 let locked t f =
   Mutex.lock t.st_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.st_mutex) f
@@ -229,3 +227,24 @@ let add t q m =
   | exception _ -> ( try Sys.remove tmp with _ -> ())
 
 let stats t = locked t (fun () -> t.st_stats)
+
+let stats_json t =
+  let s = stats t in
+  List.map
+    (fun (k, n) -> (k, Json.Int n))
+    [
+      ("hits", hits s);
+      ("mem_hits", s.mem_hits);
+      ("disk_hits", s.disk_hits);
+      ("misses", s.misses);
+      ("stores", s.stores);
+      ("corrupt", s.corrupt);
+      ("stale", s.stale);
+    ]
+
+let stats_line t =
+  let s = stats t in
+  Printf.sprintf
+    "cache: %d hits (%d memory, %d disk), %d misses, %d stores, %d corrupt, \
+     %d stale (dir %s)"
+    (hits s) s.mem_hits s.disk_hits s.misses s.stores s.corrupt s.stale t.st_dir

@@ -34,9 +34,6 @@ type stats = {
           (subset of misses; distinct from [corrupt]) *)
 }
 
-val hits : stats -> int
-(** [mem_hits + disk_hits]. *)
-
 val resolve_dir : unit -> string
 (** [IMPACT_CACHE_DIR] from the environment, else [_cache]. *)
 
@@ -48,10 +45,19 @@ val open_store : ?lru_capacity:int -> string -> t
     (a torn or truncated entry reads as a miss and is republished on the
     next store). *)
 
-val dir : t -> string
-
 val lookup : t -> Query.t -> Compile.measurement option
 
 val add : t -> Query.t -> Compile.measurement -> unit
 
 val stats : t -> stats
+
+val stats_json : t -> (string * Json.t) list
+(** The statistics as JSON object members: [hits], then each {!stats}
+    field in declaration order. The serve tier's health and metrics
+    records and [BENCH_eval.json]'s [config.cache] all carry them, so a
+    format-version rollover ([stale]) shows in production, not just in
+    bench stderr. *)
+
+val stats_line : t -> string
+(** The one-line human summary ([cache: N hits (...), ... (dir D)], no
+    newline) that [bench] and [impactc serve] print to stderr. *)

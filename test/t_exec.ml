@@ -392,7 +392,14 @@ let test_oracle_workers_invariant () =
   in
   let d1 = doc 1 and d8 = doc 8 in
   Helpers.check_bool "doc nonempty" true (String.length d1 > 0);
-  Helpers.check_bool "byte-identical at -j 1 vs -j 8" true (d1 = d8)
+  Helpers.check_bool "byte-identical at -j 1 vs -j 8" true (d1 = d8);
+  (* The census is the one JSON printer's output: parsing it and
+     printing it again gives the document back byte for byte. *)
+  match Impact_obs.Json.parse d1 with
+  | Ok j ->
+    Helpers.check_string "doc = Json.to_string of itself" d1
+      (Impact_obs.Json.to_string j ^ "\n")
+  | Error msg -> Alcotest.failf "oracle doc is not JSON: %s" msg
 
 let suite =
   [

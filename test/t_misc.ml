@@ -112,11 +112,11 @@ let walk_tests =
       in
       let seen_pre = ref (-1) in
       let _ =
-        Impact_opt.Walk.rewrite_innermost_with_preheader
+        Block.map_innermost_with_preheader
           (fun pre l ->
             seen_pre := List.length pre;
             pre @ [ Block.Loop l ])
-          p
+          p.Prog.entry
       in
       check_int "one preheader item" 1 !seen_pre);
   ]

@@ -1,6 +1,8 @@
 (* Tests for the query service layer (lib/svc):
 
-   - Json: parse/print roundtrips and error reporting.
+   - Json: parse/print roundtrips (byte strings included) and error
+     reporting.
+   - Framer: chunked request-line framing matches [read_lines].
    - Query: digest determinism and sensitivity to every field.
    - Store: put/get roundtrip, disk hits across store instances,
      corrupt-entry and version-mismatch fallback to miss, LRU eviction.
@@ -32,9 +34,9 @@ let query_of ~ast ~opts level machine =
 
 (* Where the store publishes [q]'s entry: two-character fan-out under
    the store directory. *)
-let entry_path st q =
+let entry_path dir q =
   let d = Query.digest q in
-  Filename.concat (Filename.concat (Store.dir st) (String.sub d 0 2)) (d ^ ".bin")
+  Filename.concat (Filename.concat dir (String.sub d 0 2)) (d ^ ".bin")
 
 let vecadd = Helpers.vecadd_ast 64
 
@@ -108,6 +110,20 @@ let prop_json_float_stays_float =
       | Ok (Json.Float _) -> true
       | Ok _ | Error _ -> false)
 
+(* Every byte string survives print-then-parse: the one escaper covers
+   quotes, backslashes and every control byte, and passes the rest
+   (bytes >= 0x80 included) through. The trace writer, the oracle census
+   and the bench artifacts all print strings through it. *)
+let prop_json_string_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      let special = oneofl [ '"'; '\\'; '\n'; '\000'; '\x1f'; '\x7f' ] in
+      string_size ~gen:(oneof [ char; special ]) (0 -- 40))
+  in
+  QCheck.Test.make ~count:500 ~name:"byte strings print back as the same Str"
+    (QCheck.make gen ~print:String.escaped)
+    (fun s -> Json.parse (Json.to_string (Json.Str s)) = Ok (Json.Str s))
+
 (* ---- Query digests ---- *)
 
 let test_query_digest_determinism () =
@@ -175,7 +191,7 @@ let test_store_corrupt_entry () =
   Store.add st q (measure_default Level.Conv Machine.issue_2 vecadd);
   (* Overwrite the published entry with garbage: the lookup (from a
      cold-LRU store) must degrade to a miss and count the corruption. *)
-  let path = entry_path st q in
+  let path = entry_path dir q in
   let oc = open_out_bin path in
   output_string oc "not a cache entry at all";
   close_out oc;
@@ -212,7 +228,7 @@ let test_store_version_mismatch () =
   Store.add st q (measure_default Level.Lev1 Machine.issue_2 vecadd);
   (* Rewrite the header as a future format version, keeping the payload:
      the entry must read as stale (miss), not corrupt. *)
-  rewrite_entry_version (entry_path st q) 9999;
+  rewrite_entry_version (entry_path dir q) 9999;
   let st2 = Store.open_store dir in
   Helpers.check_bool "stale entry misses" true (Store.lookup st2 q = None);
   let s = Store.stats st2 in
@@ -231,7 +247,7 @@ let test_store_old_version_entry () =
   let st = Store.open_store dir in
   let q = query_of ~ast:vecadd ~opts:Opts.default Level.Lev2 Machine.issue_4 in
   Store.add st q (measure_default Level.Lev2 Machine.issue_4 vecadd);
-  rewrite_entry_version (entry_path st q) 1;
+  rewrite_entry_version (entry_path dir q) 1;
   let st2 = Store.open_store dir in
   Helpers.check_bool "v1 entry misses" true (Store.lookup st2 q = None);
   let s = Store.stats st2 in
@@ -324,7 +340,8 @@ let test_cold_warm_run_all () =
     let warm = run () in
     same_cells "cold vs warm" cold warm;
     let s' = Store.stats st in
-    Helpers.check_bool "warm run hits" true (Store.hits s' > Store.hits s);
+    let hits (s : Store.stats) = s.Store.mem_hits + s.Store.disk_hits in
+    Helpers.check_bool "warm run hits" true (hits s' > hits s);
     Helpers.check_int "warm run stores nothing" s.Store.stores s'.Store.stores)
 
 (* ---- Service ---- *)
@@ -515,7 +532,7 @@ let test_store_crash_torn_entry () =
   let q = query_of ~ast:vecadd ~opts:Opts.default Level.Lev3 Machine.issue_4 in
   let m = measure_default Level.Lev3 Machine.issue_4 vecadd in
   Store.add st q m;
-  let path = entry_path st q in
+  let path = entry_path dir q in
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -587,6 +604,73 @@ let test_read_lines_bound () =
     (Service.too_long_record ~line:2 ~max_line:64)
     (List.nth out 1)
 
+(* The framer is chunk-boundary blind: a random byte stream (short and
+   empty lines, lines of exactly [max_line] bytes and one byte more, an
+   optional unterminated tail) cut at random points and fed chunk by
+   chunk frames into the inputs [read_lines] reads from the whole
+   stream, and both match splitting the stream at its newlines. *)
+let prop_framer_chunking =
+  let max_line = 8 in
+  let gen =
+    QCheck.Gen.(
+      let line =
+        oneof
+          [
+            string_size ~gen:(char_range 'a' 'z') (0 -- (max_line - 1));
+            return (String.make max_line 'x');
+            return (String.make (max_line + 1) 'y');
+            string_size ~gen:char (0 -- (3 * max_line));
+          ]
+      in
+      let* lines = list_size (0 -- 12) line in
+      let* tail = oneof [ return ""; string_size ~gen:(char_range 'a' 'z') (1 -- 12) ] in
+      let stream = String.concat "" (List.map (fun l -> l ^ "\n") lines) ^ tail in
+      let* cuts = list_size (0 -- 6) (0 -- String.length stream) in
+      return (stream, List.sort_uniq compare cuts))
+  in
+  let framed (stream, cuts) =
+    let fr = Service.Framer.create ~max_line in
+    let acc = ref [] in
+    let bounds = (0 :: cuts) @ [ String.length stream ] in
+    List.iteri
+      (fun k lo ->
+        match List.nth_opt bounds (k + 1) with
+        | Some hi when hi > lo ->
+          let chunk = Bytes.of_string (String.sub stream lo (hi - lo)) in
+          Service.Framer.feed fr chunk (hi - lo) (fun i -> acc := i :: !acc)
+        | _ -> ())
+      bounds;
+    List.rev (Option.fold ~none:!acc ~some:(fun i -> i :: !acc) (Service.Framer.final fr))
+  in
+  let read stream =
+    let file = Filename.temp_file "impact-svc" ".stream" in
+    let oc = open_out_bin file in
+    output_string oc stream;
+    close_out oc;
+    let ic = open_in_bin file in
+    let inputs = Service.read_lines ~max_line ic in
+    close_in ic;
+    Sys.remove file;
+    inputs
+  in
+  let spec stream =
+    let pieces = String.split_on_char '\n' stream in
+    let pieces =
+      match List.rev pieces with "" :: rest -> List.rev rest | _ -> pieces
+    in
+    List.map
+      (fun l ->
+        if String.length l > max_line then Service.Oversized max_line else Service.Line l)
+      pieces
+  in
+  QCheck.Test.make ~count:300 ~name:"chunked framing = read_lines = split at newlines"
+    (QCheck.make gen ~print:(fun (s, cuts) ->
+         Printf.sprintf "%S cut at %s" s
+           (String.concat "," (List.map string_of_int cuts))))
+    (fun ((stream, _) as case) ->
+      let want = read stream in
+      framed case = want && want = spec stream)
+
 let suite =
   [
     ( "svc: json",
@@ -595,6 +679,7 @@ let suite =
         Alcotest.test_case "errors" `Quick test_json_errors;
         Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escape;
         QCheck_alcotest.to_alcotest prop_json_float_stays_float;
+        QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
       ] );
     ( "svc: query",
       [
@@ -625,6 +710,7 @@ let suite =
         Alcotest.test_case "ooo query" `Quick test_serve_ooo_query;
         Alcotest.test_case "read_lines bounds request lines" `Quick
           test_read_lines_bound;
+        QCheck_alcotest.to_alcotest prop_framer_chunking;
       ] );
     ( "svc: opts",
       [ Alcotest.test_case "make/base/digest" `Quick test_opts ] );
