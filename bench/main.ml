@@ -9,8 +9,9 @@
                               ablation
      main.exe fig8 ... fig15  specific figures
      main.exe table1 table2 summary ablation csv
-     main.exe json            write per-stage timings, summary speedups
-                              and telemetry metrics to BENCH_eval.json
+     main.exe json            write per-stage timings, the host factor
+                              they are guarded by, summary speedups and
+                              telemetry metrics to BENCH_eval.json
      main.exe --trace-out f.json ...
                               additionally record every span as a
                               Chrome trace_event JSON (Perfetto)
@@ -511,6 +512,9 @@ let write_json path =
      invocation) that is the whole matrix; if an earlier argument
      already forced [cells], the transform counters are theirs. *)
   Impact_obs.Obs.set_collecting true;
+  (* Calibration slices just before and just after the timed work (see
+     Calib): the stage times are guarded divided by this host factor. *)
+  let before = Calib.slices 50 in
   let t0 = Impact_obs.Obs.now () in
   let cs = Lazy.force cells in
   let total_wall = Impact_obs.Obs.now () -. t0 in
@@ -529,6 +533,7 @@ let write_json path =
       ("output_mismatches", Json.Int t.tmismatch);
     ]
   in
+  let host_factor = Calib.factor (before @ Calib.slices 50) in
   let stages =
     ("cells_wall_s", Json.Float !cells_wall)
     :: List.map
@@ -603,6 +608,7 @@ let write_json path =
          ("config", config);
          ("subjects", Json.Int (List.length subjects));
          ("cells", Json.Int (List.length cs));
+         ("host_factor", Json.Float host_factor);
          ("total_wall_s", Json.Float total_wall);
          ("seed_summary_wall_s", Json.Float seed_summary_wall_s);
          ("speedup_vs_seed", Json.Float (seed_summary_wall_s /. total_wall));

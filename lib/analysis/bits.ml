@@ -38,6 +38,18 @@ let union_into ~(into : t) (src : t) : bool =
   done;
   !changed
 
+(* [into := into ∪ (src \ minus)]; reports whether [into] grew. *)
+let union_diff_into ~(into : t) (src : t) (minus : t) : bool =
+  let changed = ref false in
+  for w = 0 to Array.length src - 1 do
+    let v = into.(w) lor (src.(w) land lnot minus.(w)) in
+    if v <> into.(w) then begin
+      into.(w) <- v;
+      changed := true
+    end
+  done;
+  !changed
+
 (* Number of trailing zeros of a word with exactly one bit set, by de
    Bruijn multiplication: [debruijn] is a 64-bit de Bruijn sequence
    B(2, 6) whose top six bits are zero, so for each of the word's bit
@@ -55,33 +67,24 @@ let ntz_table =
 
 let ntz b = Array.unsafe_get ntz_table ((b * debruijn) lsr (bpw - 6))
 
-(* Set bits of [v], read as word [w] of a set, in ascending order. *)
-let iter_word f w v =
-  let v = ref v in
-  let base = w * bpw in
-  while !v <> 0 do
-    let b = !v land (- !v) in
-    f (base + ntz b);
-    v := !v land (!v - 1)
-  done
+(* Position of the lowest set bit of a nonzero word. *)
+let lowest v = ntz (v land (-v))
 
 (* Iterate set bits in ascending order. With the dense register
    numbering sorted by [Reg.Ord], ascending bit order coincides with
    [Reg.Set] iteration order. *)
 let iter f (t : t) =
   for w = 0 to Array.length t - 1 do
-    iter_word f w t.(w)
+    let v = ref t.(w) in
+    while !v <> 0 do
+      f ((w * bpw) + lowest !v);
+      v := !v land (!v - 1)
+    done
   done
-
-let words (t : t) = Array.length t
-
-let word (t : t) w = t.(w)
 
 let first (t : t) =
   let n = Array.length t in
   let rec go w =
-    if w >= n then -1
-    else if t.(w) = 0 then go (w + 1)
-    else (w * bpw) + ntz (t.(w) land (- t.(w)))
+    if w >= n then -1 else if t.(w) = 0 then go (w + 1) else (w * bpw) + lowest t.(w)
   in
   go 0

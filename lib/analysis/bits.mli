@@ -2,7 +2,12 @@
     paths (liveness, interference, DCE) use these instead of [Reg.Set]
     so set operations are word-wise. *)
 
-type t
+type t = int array
+(** The backing words, [Sys.int_size] bits each: index [i] is bit
+    [i mod Sys.int_size] of word [i / Sys.int_size]. Exposed so that a
+    hot loop in another module can read, test and set bits inline:
+    the default (dev) build compiles every module opaquely, so a call
+    into this one is never inlined. *)
 
 val create : int -> t
 (** All-zero set able to hold indices in [0, n). *)
@@ -23,6 +28,10 @@ val union_into : into:t -> t -> bool
 (** [union_into ~into src] sets [into := into ∪ src] and reports
     whether [into] grew. *)
 
+val union_diff_into : into:t -> t -> t -> bool
+(** [union_diff_into ~into src minus] sets [into := into ∪ (src \ minus)]
+    and reports whether [into] grew. *)
+
 val iter : (int -> unit) -> t -> unit
 (** Set bits in ascending index order. *)
 
@@ -32,15 +41,9 @@ val first : t -> int
 (** {2 Word-level access}
 
     For callers that combine several sets of the same universe word by
-    word (the interference matrix of the register allocator), then visit
-    only the bits of the combined word. *)
+    word through {!t}'s words (the interference matrix of the register
+    allocator), then visit only the bits of the combined word. *)
 
-val words : t -> int
-(** Number of backing words. *)
-
-val word : t -> int -> int
-(** [word t w] is the [w]-th backing word. *)
-
-val iter_word : (int -> unit) -> int -> int -> unit
-(** [iter_word f w v] calls [f] on the index of every set bit of [v],
-    read as word [w] of a set, in ascending order. *)
+val lowest : int -> int
+(** [lowest v] is the position of the lowest set bit of a nonzero word,
+    for loops that walk a word's bits without a closure per bit. *)

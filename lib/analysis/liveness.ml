@@ -3,77 +3,109 @@
    (an instruction may move above a branch only if its destination is
    dead at the branch target), and by the register allocator.
 
-   The analysis itself runs on dense integer register indices and
-   bitsets ([Dense] below): registers are numbered 0..nregs-1 in
-   [Reg.Ord] order, live sets are [Bits.t], and the backward fixpoint
-   mutates them in place (live sets only grow under the union transfer
-   function). The set-up (numbering, defs, successors, bitsets) is a
-   [frame] that [solve] can re-run under a mask of removed positions,
-   so DCE pays for it once per call. DCE and the register allocator
-   read the dense form directly; the schedulers build only the
-   branch-target [Reg.Set]s they read ([target_live]). *)
+   The analysis runs on dense integer register indices and bitsets
+   ([Dense] below): registers are numbered 0..nregs-1 in [Reg.Ord]
+   order and live sets are [Bits.t]. It keeps sets per basic block,
+   not per position: a block starts at position 0, at every label and
+   after every branch or jump, so control enters a block only at its
+   first position and leaves it only after its last. A [frame] holds
+   the numbering, the block boundaries and successors, and each
+   block's use/def summary; [solve] runs the backward fixpoint over
+   blocks, growing the live-in and live-out sets in place (they only
+   grow under the union transfer function). [solve] can re-run under
+   a mask of removed positions, recomputing the summaries of the
+   blocks the mask changed, so DCE pays for the set-up once per call.
+   A consumer that needs the live set at a position replays its block
+   backwards from the block's live-out ([walk]); the schedulers read
+   only the live-ins of the blocks that branch targets start
+   ([target_live]). *)
 
 open Impact_ir
 
 module Dense = struct
+  (* Per block: successors, use/def summary and live sets. *)
+  type blocks = {
+    jump : int array;  (* target block of the last position's branch (nblocks = exit), or -1 *)
+    falls : bool array;  (* whether the last position can fall through (is not a Jmp) *)
+    mask : Bytes.t;  (* per position: non-zero where the summaries treat it as removed *)
+    use : Bits.t array;  (* registers read before any def in the block *)
+    kill : Bits.t array;  (* registers defined in the block *)
+    live_in : Bits.t array;
+    live_out : Bits.t array;
+  }
+
   type d = {
     flat : Flatten.t;
     regs : Reg.t array;  (* dense index -> register, ascending Reg.Ord *)
     base : int;  (* smallest Reg.hash in [regs] *)
     index : int array;  (* Reg.hash - base -> dense index, or -1 *)
     def : int array;  (* dense index defined at each position, or -1 *)
-    fall : int array;  (* fall-through successor (n = exit), or -1 after a Jmp *)
-    jump : int array;  (* branch target position (n = exit), or -1 *)
-    live_in : Bits.t array;
-    live_out : Bits.t array;
+    start : int array;  (* first position of each block; start.(nblocks) = n *)
     exit_live : Bits.t;
+    blocks : blocks;
   }
 
   let nregs (d : d) = Array.length d.regs
 
-  (* Hash range of the registers seen so far. *)
-  type range = { mutable lo : int; mutable hi : int }
+  let nblocks (d : d) = Array.length d.start - 1
 
-  let widen (b : range) (r : Reg.t) =
-    let h = Reg.hash r in
-    if h < b.lo then b.lo <- h;
-    if h > b.hi then b.hi <- h
+  (* Stands for "no definition" among the register hashes of [scan]. *)
+  let no_def = min_int
+
+  (* One pass over the code: the hash each position defines ([no_def]
+     if none), and the smallest and largest hash of every register the
+     code mentions or that is live at exit. Also marks [starts] after
+     every branch or jump. *)
+  let scan (code : Insn.t array) (exit_live : Reg.t list) (starts : Bytes.t) =
+    let n = Array.length code in
+    let def = Array.make n no_def in
+    let lo = ref max_int and hi = ref min_int in
+    let widen h =
+      if h < !lo then lo := h;
+      if h > !hi then hi := h
+    in
+    for k = 0 to n - 1 do
+      let i = code.(k) in
+      (match i.Insn.dst with
+      | Some r ->
+        def.(k) <- Reg.hash r;
+        widen def.(k)
+      | None -> ());
+      (match i.Insn.op with
+      | (Insn.Jmp | Insn.Br _) when k + 1 < n -> Bytes.set starts (k + 1) '\001'
+      | _ -> ());
+      let srcs = i.Insn.srcs in
+      for j = 0 to Array.length srcs - 1 do
+        match srcs.(j) with
+        | Operand.Reg r -> widen (Reg.hash r)
+        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+      done
+    done;
+    List.iter (fun r -> widen (Reg.hash r)) exit_live;
+    (def, !lo, !hi)
 
   (* Dense numbering of every register mentioned by the code (defs and
      uses) or live at exit, in ascending [Reg.Ord] order — so ascending
      bit iteration visits registers in [Reg.Set] order. [Reg.hash] is
      injective and ascending hash order is [Reg.Ord] order, so one scan
-     of a presence array indexed by hash numbers them with no sort. The
-     scans are plain loops over [dst] and [srcs]: no closure, no list. *)
-  let number (code : Insn.t array) (exit_live : Reg.t list) =
-    let b = { lo = max_int; hi = min_int } in
-    for k = 0 to Array.length code - 1 do
-      let i = code.(k) in
-      (match i.Insn.dst with Some r -> widen b r | None -> ());
-      let srcs = i.Insn.srcs in
-      for j = 0 to Array.length srcs - 1 do
-        match srcs.(j) with
-        | Operand.Reg r -> widen b r
-        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
-      done
-    done;
-    List.iter (widen b) exit_live;
-    if b.hi < b.lo then ([||], 0, [||])
+     of a presence array indexed by hash numbers them with no sort.
+     Rewrites [def] from hashes to dense indices (-1 where nothing is
+     defined). *)
+  let number (code : Insn.t array) def exit_live lo hi =
+    if hi < lo then ([||], 0, [||])
     else begin
-      let base = b.lo in
-      let index = Array.make (b.hi - base + 1) (-1) in
-      let mark (r : Reg.t) = index.(Reg.hash r - base) <- 0 in
+      let base = lo in
+      let index = Array.make (hi - base + 1) (-1) in
       for k = 0 to Array.length code - 1 do
-        let i = code.(k) in
-        (match i.Insn.dst with Some r -> mark r | None -> ());
-        let srcs = i.Insn.srcs in
+        if def.(k) <> no_def then index.(def.(k) - base) <- 0;
+        let srcs = code.(k).Insn.srcs in
         for j = 0 to Array.length srcs - 1 do
           match srcs.(j) with
-          | Operand.Reg r -> mark r
+          | Operand.Reg r -> index.(Reg.hash r - base) <- 0
           | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
         done
       done;
-      List.iter mark exit_live;
+      List.iter (fun r -> index.(Reg.hash r - base) <- 0) exit_live;
       let n = ref 0 in
       for h = 0 to Array.length index - 1 do
         if index.(h) = 0 then begin
@@ -90,94 +122,157 @@ module Dense = struct
           regs.(i) <- { Reg.id = h asr 1; cls }
         end
       done;
+      for k = 0 to Array.length def - 1 do
+        def.(k) <- (if def.(k) = no_def then -1 else index.(def.(k) - base))
+      done;
       (regs, base, index)
     end
+
+  let removed_at (d : d) k = Bytes.get d.blocks.mask k <> '\000'
+
+  (* [live := (live \ def(k)) ∪ uses(k)]: the live-in of position [k]
+     from its live-out. *)
+  let step (d : d) k (live : Bits.t) =
+    if d.def.(k) >= 0 then Bits.remove live d.def.(k);
+    let srcs = d.flat.Flatten.code.(k).Insn.srcs in
+    for j = 0 to Array.length srcs - 1 do
+      match srcs.(j) with
+      | Operand.Reg r -> Bits.add live d.index.(Reg.hash r - d.base)
+      | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+    done
+
+  (* Recompute block [b]'s use/def summary under the mask. *)
+  let summarize (d : d) b =
+    let use = d.blocks.use.(b) and kill = d.blocks.kill.(b) in
+    Bits.clear use;
+    Bits.clear kill;
+    for k = d.start.(b + 1) - 1 downto d.start.(b) do
+      if not (removed_at d k) then begin
+        step d k use;
+        if d.def.(k) >= 0 then Bits.add kill d.def.(k)
+      end
+    done
+
+  (* The block starting at position [k] (a label's position, below the
+     code's length), by bisection over the block starts. *)
+  let block_at (start : int array) k =
+    let lo = ref 0 and hi = ref (Array.length start - 2) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if start.(mid) <= k then lo := mid else hi := mid - 1
+    done;
+    !lo
 
   let frame ?(exit_live = []) (flat : Flatten.t) : d =
     let code = flat.Flatten.code in
     let n = Array.length code in
-    let regs, base, index = number code exit_live in
+    (* [mask] marks the block starts until they are numbered, and is
+       then the all-clear removal mask. *)
+    let mask = Bytes.make n '\000' in
+    let def, lo, hi = scan code exit_live mask in
+    let regs, base, index = number code def exit_live lo hi in
     let nr = Array.length regs in
-    let def = Array.make n (-1) and fall = Array.make n (-1) and jump = Array.make n (-1) in
+    if n > 0 then Bytes.set mask 0 '\001';
+    Hashtbl.iter (fun _ k -> if k < n then Bytes.set mask k '\001') flat.Flatten.labels;
+    let nb = ref 0 in
     for k = 0 to n - 1 do
-      let i = code.(k) in
-      (match i.Insn.dst with
-      | Some r -> def.(k) <- index.(Reg.hash r - base)
-      | None -> ());
+      if Bytes.get mask k <> '\000' then incr nb
+    done;
+    let nb = !nb in
+    let start = Array.make (nb + 1) n in
+    let b = ref 0 in
+    for k = 0 to n - 1 do
+      if Bytes.get mask k <> '\000' then begin
+        start.(!b) <- k;
+        incr b;
+        Bytes.set mask k '\000'
+      end
+    done;
+    (* A branch target is a label, so it starts a block (or is the
+       exit, block [nb]). *)
+    let target i =
+      let t = Flatten.target_index flat i in
+      if t >= n then nb else block_at start t
+    in
+    let jump = Array.make nb (-1) and falls = Array.make nb true in
+    for b = 0 to nb - 1 do
+      let i = code.(start.(b + 1) - 1) in
       match i.Insn.op with
-      | Insn.Jmp -> jump.(k) <- Flatten.target_index flat i
-      | Insn.Br _ ->
-        fall.(k) <- k + 1;
-        jump.(k) <- Flatten.target_index flat i
-      | _ -> fall.(k) <- k + 1
+      | Insn.Jmp ->
+        falls.(b) <- false;
+        jump.(b) <- target i
+      | Insn.Br _ -> jump.(b) <- target i
+      | _ -> ()
     done;
     let exit_bits = Bits.create nr in
     List.iter (fun r -> Bits.add exit_bits index.(Reg.hash r - base)) exit_live;
-    {
-      flat;
-      regs;
-      base;
-      index;
-      def;
-      fall;
-      jump;
-      live_in = Array.init n (fun _ -> Bits.create nr);
-      live_out = Array.init n (fun _ -> Bits.create nr);
-      exit_live = exit_bits;
-    }
+    let sets () = Array.init nb (fun _ -> Bits.create nr) in
+    let blocks =
+      { jump; falls; mask; use = sets (); kill = sets (); live_in = sets (); live_out = sets () }
+    in
+    let d = { flat; regs; base; index; def; start; exit_live = exit_bits; blocks } in
+    for b = 0 to nb - 1 do
+      summarize d b
+    done;
+    d
 
   let solve ?removed (d : d) =
-    let code = d.flat.Flatten.code in
-    let n = Array.length code in
-    let removed = match removed with Some m -> m | None -> Array.make n false in
-    let live_in = d.live_in and live_out = d.live_out and exit_bits = d.exit_live in
-    (* Uses are a constant lower bound of live-in; seed them. *)
-    for k = 0 to n - 1 do
-      let li = live_in.(k) in
-      Bits.clear li;
-      Bits.clear live_out.(k);
-      if not removed.(k) then begin
-        let srcs = code.(k).Insn.srcs in
-        for j = 0 to Array.length srcs - 1 do
-          match srcs.(j) with
-          | Operand.Reg r -> Bits.add li d.index.(Reg.hash r - d.base)
-          | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
-        done
-      end
+    let nb = nblocks d and bl = d.blocks in
+    (* Bring the mask up to date, re-summarising only the blocks where
+       it changed. *)
+    for b = 0 to nb - 1 do
+      let dirty = ref false in
+      for k = d.start.(b) to d.start.(b + 1) - 1 do
+        let r = match removed with Some m -> m.(k) | None -> false in
+        if removed_at d k <> r then begin
+          Bytes.set bl.mask k (if r then '\001' else '\000');
+          dirty := true
+        end
+      done;
+      if !dirty then summarize d b
     done;
-    let tmp = Bits.create (nregs d) in
+    (* Uses are a constant lower bound of live-in; seed them. *)
+    for b = 0 to nb - 1 do
+      Bits.copy_into ~into:bl.live_in.(b) bl.use.(b);
+      Bits.clear bl.live_out.(b)
+    done;
+    let visits = ref 0 in
     let changed = ref true in
     while !changed do
       changed := false;
-      for k = n - 1 downto 0 do
-        (* live_out(k) ∪= live_in over successors; successor n is the
-           program exit, which contributes exit_live. A removed position
+      for b = nb - 1 downto 0 do
+        incr visits;
+        (* out(b) ∪= in over successors; successor [nb] is the program
+           exit, which contributes exit_live. A removed last position
            only falls through. *)
-        let out = live_out.(k) in
-        let f = if removed.(k) then k + 1 else d.fall.(k) in
-        let t = if removed.(k) then -1 else d.jump.(k) in
+        let out = bl.live_out.(b) in
+        let kept = not (removed_at d (d.start.(b + 1) - 1)) in
         let grew_f =
-          f >= 0 && Bits.union_into ~into:out (if f >= n then exit_bits else live_in.(f))
+          (bl.falls.(b) || not kept)
+          && Bits.union_into ~into:out (if b + 1 >= nb then d.exit_live else bl.live_in.(b + 1))
         in
+        let t = if kept then bl.jump.(b) else -1 in
         let grew_t =
-          t >= 0 && Bits.union_into ~into:out (if t >= n then exit_bits else live_in.(t))
+          t >= 0 && Bits.union_into ~into:out (if t >= nb then d.exit_live else bl.live_in.(t))
         in
-        if grew_f || grew_t then begin
-          (* live_in(k) ∪= out \ defs(k) *)
-          Bits.copy_into ~into:tmp out;
-          if d.def.(k) >= 0 && not removed.(k) then Bits.remove tmp d.def.(k);
-          if Bits.union_into ~into:live_in.(k) tmp then changed := true
-        end
+        (* in(b) ∪= out(b) \ kill(b) *)
+        if (grew_f || grew_t) && Bits.union_diff_into ~into:bl.live_in.(b) out bl.kill.(b) then
+          changed := true
       done
+    done;
+    Impact_obs.Obs.count ~n:!visits "liveness.block_visits"
+
+  let walk (d : d) b (live : Bits.t) (f : int -> unit) =
+    Bits.copy_into ~into:live d.blocks.live_out.(b);
+    for k = d.start.(b + 1) - 1 downto d.start.(b) do
+      f k;
+      if not (removed_at d k) then step d k live
     done
 
-  let analyze ?exit_live (flat : Flatten.t) : d =
-    let d = frame ?exit_live flat in
+  let of_prog (p : Prog.t) : d =
+    let d = frame ~exit_live:(List.map snd p.Prog.outputs) (Flatten.of_prog p) in
     solve d;
     d
-
-  let of_prog (p : Prog.t) : d =
-    analyze ~exit_live:(List.map snd p.Prog.outputs) (Flatten.of_prog p)
 end
 
 (* Reconstruct a [Reg.Set] from a dense bitset: ascending bit order is
@@ -189,30 +284,32 @@ let set_of_bits (regs : Reg.t array) (b : Bits.t) : Reg.Set.t =
      input sizes like these. *)
   Reg.Set.of_list !acc
 
-(* The live set at a branch's target (the live-in of the instruction its
-   label points at, or the exit-live set for a label at the end of the
+(* The live set at a branch's target (the live-in of the block its
+   label starts, or the exit-live set for a label at the end of the
    code) as a [Reg.Set]: [target_live d] returns a lookup that builds a
    target's set on first request and memoises it, so a scheduler pays
    only for the targets it reads. *)
 let target_live (d : Dense.d) : Insn.t -> Reg.Set.t =
-  let n = Array.length d.Dense.live_in in
-  let memo = Array.make (n + 1) None in
+  let nb = Dense.nblocks d in
+  let n = Array.length d.Dense.flat.Flatten.code in
+  let memo = Array.make (nb + 1) None in
   fun i ->
     let lbl =
       match i.Insn.target with
       | Some l -> l
       | None -> invalid_arg "Liveness.target_live: not a branch"
     in
-    let k =
+    let b =
       match Hashtbl.find_opt d.Dense.flat.Flatten.labels lbl with
-      | Some k -> min k n
+      | Some k -> if k >= n then nb else Dense.block_at d.Dense.start k
       | None -> invalid_arg ("Liveness.target_live: unknown label " ^ lbl)
     in
-    match memo.(k) with
+    match memo.(b) with
     | Some s -> s
     | None ->
       let s =
-        set_of_bits d.Dense.regs (if k = n then d.Dense.exit_live else d.Dense.live_in.(k))
+        set_of_bits d.Dense.regs
+          (if b = nb then d.Dense.exit_live else d.Dense.blocks.Dense.live_in.(b))
       in
-      memo.(k) <- Some s;
+      memo.(b) <- Some s;
       s

@@ -5,11 +5,12 @@
    definitions).
 
    The whole pass runs on one [Liveness.Dense] frame: the program is
-   flattened and its registers numbered once. Mark-and-sweep works over
-   positions with a def index by register id, and each liveness round
-   re-solves the same frame with the positions removed so far treated as
-   no-ops, which gives the live sets of the pruned program without
-   rebuilding it. The program is rebuilt once at the end, and only if
+   flattened, its registers numbered and its blocks summarised once.
+   Mark-and-sweep works over positions with a def index by register id.
+   Each liveness round re-solves the same frame with the positions
+   removed so far treated as no-ops (only the blocks where something
+   was removed are re-summarised), then walks every block backwards
+   from its live-out. The program is rebuilt once at the end, and only if
    something was removed. *)
 
 open Impact_ir
@@ -42,25 +43,24 @@ let id_reps (code : Insn.t array) : int array =
 (* Mark-and-sweep: essential instructions are stores, branches and the
    definitions (transitively) feeding them or the program outputs. A
    register's definitions are found by register id (both classes), in
-   reverse program order, and the worklist is FIFO. Sets
-   [removed.(k)] for every unmarked position and returns the number of
-   worklist pushes (the dce.worklist_pushes telemetry counter). *)
+   reverse program order, and the worklist is FIFO. Sets [removed.(k)] for every unmarked position and returns the
+   number of worklist pushes (the dce.worklist_pushes telemetry
+   counter). *)
 let mark_sweep (d : Liveness.Dense.d) (outputs : Reg.t list) (removed : bool array) : int =
   let code = d.Liveness.Dense.flat.Flatten.code in
   let n = Array.length code in
   let base = d.Liveness.Dense.base and index = d.Liveness.Dense.index in
-  (* Def chains by register id: [head.(slot id)] is the last position
-     defining that id, [next.(k)] the previous one before [k]. *)
-  let id0 = base asr 1 in
-  let head = Array.make (((base + Array.length index - 1) asr 1) - id0 + 1) (-1) in
+  let def = d.Liveness.Dense.def in
+  (* Def chains by dense register: [head.(i)] is the last position
+     defining register [i], [next.(k)] the previous one before [k]. *)
+  let head = Array.make (Liveness.Dense.nregs d) (-1) in
   let next = Array.make n (-1) in
   for k = 0 to n - 1 do
-    match code.(k).Insn.dst with
-    | Some r ->
-      let s = r.Reg.id - id0 in
-      next.(k) <- head.(s);
-      head.(s) <- k
-    | None -> ()
+    let i = def.(k) in
+    if i >= 0 then begin
+      next.(k) <- head.(i);
+      head.(i) <- k
+    end
   done;
   let rep = id_reps code in
   let essential = Array.make n false in
@@ -74,15 +74,24 @@ let mark_sweep (d : Liveness.Dense.d) (outputs : Reg.t list) (removed : bool arr
       incr wr
     end
   in
+  (* The defs of [r]'s id: [r]'s chain merged with the chain of the
+     other class's register of that id (its hash differs in the low bit
+     only), in reverse program order, as one chain by id. *)
   let need_reg (r : Reg.t) =
-    let s = r.Reg.id - id0 in
-    if s >= 0 && s < Array.length head then begin
-      let k = ref head.(s) in
-      while !k >= 0 do
-        need_insn !k;
-        k := next.(!k)
-      done
-    end
+    let h = Reg.hash r in
+    let h' = (h lxor 1) - base in
+    let a = ref head.(index.(h - base)) in
+    let b = ref (if h' >= 0 && h' < Array.length index && index.(h') >= 0 then head.(index.(h')) else -1) in
+    while !a >= 0 || !b >= 0 do
+      if !a > !b then begin
+        need_insn !a;
+        a := next.(!a)
+      end
+      else begin
+        need_insn !b;
+        b := next.(!b)
+      end
+    done
   in
   for k = 0 to n - 1 do
     match code.(k).Insn.op with
@@ -105,24 +114,34 @@ let mark_sweep (d : Liveness.Dense.d) (outputs : Reg.t list) (removed : bool arr
   !wr
 
 (* One liveness round over the frame: mark every kept pure definition
-   whose destination is dead just after it. Reports whether anything
-   was marked. *)
-let round (d : Liveness.Dense.d) (removed : bool array) : bool =
+   whose destination is dead just after it. The walk steps under the
+   mask of the round's [solve], so a definition marked here does not
+   change the live sets the rest of the round reads: every decision
+   uses the solution taken at the start of the round. Reports whether
+   anything was marked. *)
+let round (d : Liveness.Dense.d) (live : Bits.t) (removed : bool array) : bool =
   Liveness.Dense.solve ~removed d;
-  let code = d.Liveness.Dense.flat.Flatten.code in
+  let code = d.Liveness.Dense.flat.Flatten.code and def = d.Liveness.Dense.def in
   let any = ref false in
-  for k = 0 to Array.length code - 1 do
+  let visit k =
     if not removed.(k) then
       match code.(k).Insn.op with
       | Insn.Store _ | Insn.Br _ | Insn.Jmp -> ()
       | _ ->
-        let di = d.Liveness.Dense.def.(k) in
-        if di >= 0 && not (Bits.mem d.Liveness.Dense.live_out.(k) di) then begin
+        let di = def.(k) in
+        if di >= 0 && not (Bits.mem live di) then begin
           removed.(k) <- true;
           any := true
         end
+  in
+  for b = 0 to Liveness.Dense.nblocks d - 1 do
+    Liveness.Dense.walk d b live visit
   done;
   !any
+
+(* Liveness rounds per call: a call whose last round still removed
+   something is counted as capped. *)
+let max_rounds = 6
 
 let run (p : Prog.t) : Prog.t =
   Impact_obs.Obs.span ~cat:"opt" "opt.dce" (fun () ->
@@ -134,8 +153,15 @@ let run (p : Prog.t) : Prog.t =
     if pushes > 0 then Impact_obs.Obs.count ~n:pushes "dce.worklist_pushes";
     (* Iterate the liveness rounds to a (bounded) fixpoint: removing a
        dead definition can kill the uses keeping another one alive. *)
-    let rec go rounds = if rounds > 0 && round d removed then go (rounds - 1) in
-    go 6;
+    let live = Bits.create (Liveness.Dense.nregs d) in
+    let rec go rounds =
+      if rounds = max_rounds then (rounds, 1)
+      else if round d live removed then go (rounds + 1)
+      else (rounds + 1, 0)
+    in
+    let rounds, capped = go 0 in
+    Impact_obs.Obs.count ~n:rounds "dce.rounds";
+    Impact_obs.Obs.count ~n:capped "dce.capped";
     if not (Array.exists Fun.id removed) then p
     else begin
       (* [Block.concat_map_insns] visits instructions in exactly

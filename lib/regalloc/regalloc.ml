@@ -9,11 +9,13 @@
    usage.
 
    The graph is an nr x nr bit matrix over the dense register indices
-   of [Liveness.Dense], one [Bits.t] row per register. One forward sweep
-   inserts edges word by word: a definition's new neighbours are its
-   live-out set, masked to its class and minus the neighbours its row
-   already holds. Simplify keeps one bitset per degree over the class's
-   node-order positions, so the lowest non-empty bucket's first bit is
+   of [Liveness.Dense], one [Bits.t] row per register. Each basic block
+   is walked backwards once from its live-out to record every
+   definition's live-out, then replayed forwards, inserting edges word
+   by word: a definition's new neighbours are its live-out set, masked
+   to its class and minus the neighbours its row already holds.
+   Simplify keeps one bitset per degree over the class's node-order
+   positions, so the lowest non-empty bucket's first bit is
    the (degree, node-order)-smallest node, and select reads colors off
    the matrix rows. That is exactly the removal and color order of the
    original [Reg.Set]-per-node construction with an O(V^2) min-degree
@@ -27,10 +29,22 @@ type usage = { int_used : int; float_used : int }
 
 let total u = u.int_used + u.float_used
 
+(* [Bits.add], [Bits.remove] and [Bits.mem], local so the per-edge
+   loops below inline them: the default (dev) build compiles every
+   module opaquely, so a call into [Bits] is never inlined. The loops
+   walk a word's bits with [Bits.lowest] instead of a closure per bit. *)
+let bpw = Sys.int_size
+
+let[@inline] set (t : Bits.t) i = t.(i / bpw) <- t.(i / bpw) lor (1 lsl (i mod bpw))
+
+let[@inline] unset (t : Bits.t) i = t.(i / bpw) <- t.(i / bpw) land lnot (1 lsl (i mod bpw))
+
+let[@inline] mem (t : Bits.t) i = t.(i / bpw) land (1 lsl (i mod bpw)) <> 0
+
 (* Interference graph over dense register indices. *)
 type dgraph = {
   nr : int;
-  present : bool array;  (* occurs in code or has an edge (old [node] set) *)
+  present : Bits.t;  (* occurs in code or has an edge (old [node] set) *)
   cls_of : Reg.cls array;
   rows : Bits.t array;  (* the bit matrix: b is in rows.(a) iff a and b interfere *)
   deg : int array;
@@ -49,16 +63,16 @@ let build_dense (p : Prog.t) : dgraph =
   let nr = Liveness.Dense.nregs live in
   let code = live.Liveness.Dense.flat.Flatten.code in
   let base = live.Liveness.Dense.base and index = live.Liveness.Dense.index in
-  let present = Array.make nr false in
+  let present = Bits.create nr in
   let dregs = live.Liveness.Dense.regs in
   let cls_of = Array.map (fun (r : Reg.t) -> r.Reg.cls) dregs in
-  (* [present.(i)] holds exactly when [dregs.(i)] is a key of
+  (* [i] is in [present] exactly when [dregs.(i)] is a key of
      [order_tbl], so each node is inserted once, at its first sighting:
      the same insertion sequence as the reference graph. *)
   let order_tbl : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
   let node_seen i =
-    if not present.(i) then begin
-      present.(i) <- true;
+    if not (mem present i) then begin
+      set present i;
       Hashtbl.replace order_tbl dregs.(i) i
     end
   in
@@ -67,54 +81,84 @@ let build_dense (p : Prog.t) : dgraph =
   Array.iteri (fun i c -> Bits.add (if c = Reg.Int then ints else floats) i) cls_of;
   let deg = Array.make nr 0 in
   let edges = ref 0 in
-  for k = 0 to Array.length code - 1 do
-    let i = code.(k) in
-    let d = live.Liveness.Dense.def.(k) in
-    if d >= 0 then begin
-      node_seen d;
-      (* A definition interferes with everything live across it; a
-         move's source is exempt (coalescable). *)
-      let exempt =
-        match i.Insn.op, i.Insn.srcs with
-        | (Insn.IMov | Insn.FMov), [| Operand.Reg s |] -> index.(Reg.hash s - base)
-        | _ -> -1
-      in
-      let row = rows.(d) and out = live.Liveness.Dense.live_out.(k) in
-      let mask = if cls_of.(d) = Reg.Int then ints else floats in
-      (* Only registers not yet adjacent to [d] are visited, in
-         ascending order. An adjacent one was seen when its edge went
-         in, so [node_seen] still sees the reference sequence. *)
-      let add b =
-        if b <> d && b <> exempt then begin
-          node_seen b;
-          Bits.add row b;
-          Bits.add rows.(b) d;
-          deg.(b) <- deg.(b) + 1;
-          deg.(d) <- deg.(d) + 1;
-          incr edges
-        end
-      in
-      for w = 0 to Bits.words row - 1 do
-        Bits.iter_word add w
-          (Bits.word out w land Bits.word mask w land lnot (Bits.word row w))
+  let def = live.Liveness.Dense.def and start = live.Liveness.Dense.start in
+  (* [outs.(j)] holds the live-out of the block's [j]-th definition:
+     one backward walk per block fills them, then the block is replayed
+     forwards, so edges go in and nodes are seen in program order. *)
+  let outs = ref [||] in
+  let scratch = Bits.create nr in
+  for b = 0 to Liveness.Dense.nblocks live - 1 do
+    let ndefs = ref 0 in
+    for k = start.(b) to start.(b + 1) - 1 do
+      if def.(k) >= 0 then incr ndefs
+    done;
+    if !ndefs > Array.length !outs then
+      outs := Array.init (max !ndefs (2 * Array.length !outs)) (fun _ -> Bits.create nr);
+    let outs = !outs in
+    let slot = ref !ndefs in
+    Liveness.Dense.walk live b scratch (fun k ->
+      if def.(k) >= 0 then begin
+        decr slot;
+        Bits.copy_into ~into:outs.(!slot) scratch
+      end);
+    for k = start.(b) to start.(b + 1) - 1 do
+      let i = code.(k) in
+      let d = def.(k) in
+      if d >= 0 then begin
+        node_seen d;
+        (* A definition interferes with everything live across it; a
+           move's source is exempt (coalescable). *)
+        let exempt =
+          match i.Insn.op, i.Insn.srcs with
+          | (Insn.IMov | Insn.FMov), [| Operand.Reg s |] -> index.(Reg.hash s - base)
+          | _ -> -1
+        in
+        let row = rows.(d) and out = outs.(!slot) in
+        incr slot;
+        let mask = if cls_of.(d) = Reg.Int then ints else floats in
+        let dw = d / bpw and dbit = 1 lsl (d mod bpw) in
+        (* The new neighbours of [d], word by word in ascending order:
+           live out, in [d]'s class, not yet adjacent, neither [d] nor
+           the exempt source. The ones not seen before are seen first,
+           in ascending order; an adjacent one was seen when its edge
+           went in, so [node_seen] still sees the reference sequence.
+           Each then gets its mirror bit and both degrees grow. *)
+        for w = 0 to Array.length row - 1 do
+          let v = out.(w) land mask.(w) land lnot row.(w) in
+          let v = if w = dw then v land lnot dbit else v in
+          let v =
+            if exempt >= 0 && w = exempt / bpw then v land lnot (1 lsl (exempt mod bpw)) else v
+          in
+          if v <> 0 then begin
+            row.(w) <- row.(w) lor v;
+            let u = ref (v land lnot present.(w)) in
+            while !u <> 0 do
+              node_seen ((w * bpw) + Bits.lowest !u);
+              u := !u land (!u - 1)
+            done;
+            let v = ref v in
+            while !v <> 0 do
+              let b = (w * bpw) + Bits.lowest !v in
+              let rb = rows.(b) in
+              rb.(dw) <- rb.(dw) lor dbit;
+              deg.(b) <- deg.(b) + 1;
+              deg.(d) <- deg.(d) + 1;
+              incr edges;
+              v := !v land (!v - 1)
+            done
+          end
+        done
+      end;
+      let srcs = i.Insn.srcs in
+      for j = 0 to Array.length srcs - 1 do
+        match srcs.(j) with
+        | Operand.Reg u -> node_seen index.(Reg.hash u - base)
+        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
       done
-    end;
-    let srcs = i.Insn.srcs in
-    for j = 0 to Array.length srcs - 1 do
-      match srcs.(j) with
-      | Operand.Reg u -> node_seen index.(Reg.hash u - base)
-      | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
     done
   done;
   let node_order = Hashtbl.fold (fun _ i acc -> i :: acc) order_tbl [] in
   { nr; present; cls_of; rows; deg; dregs; node_order; edges = !edges }
-
-(* [f] on every neighbour of [a] that is in [among], ascending. *)
-let iter_adjacent f (g : dgraph) a among =
-  let row = g.rows.(a) in
-  for w = 0 to Bits.words row - 1 do
-    Bits.iter_word f w (Bits.word row w land Bits.word among w)
-  done
 
 (* Color one class into [color] and return its color count. Simplify
    removes the node of least (degree, node-order position): bucket d is
@@ -139,55 +183,63 @@ let color_class (g : dgraph) (color : int array) (cls : Reg.cls) : int =
   for i = 0 to g.nr - 1 do
     if pos.(i) >= 0 then begin
       by_pos.(pos.(i)) <- i;
-      Bits.add alive i;
+      set alive i;
       maxd := max !maxd g.deg.(i)
     end
   done;
   let cur = Array.copy g.deg in
   let bucket = Array.init (!maxd + 1) (fun _ -> Bits.create m) in
   let size = Array.make (!maxd + 1) 0 in
-  let put x d =
-    Bits.add bucket.(d) pos.(x);
-    size.(d) <- size.(d) + 1
-  in
-  let take x d =
-    Bits.remove bucket.(d) pos.(x);
-    size.(d) <- size.(d) - 1
-  in
-  Array.iter (fun i -> put i cur.(i)) by_pos;
+  Array.iter
+    (fun i ->
+      set bucket.(cur.(i)) pos.(i);
+      size.(cur.(i)) <- size.(cur.(i)) + 1)
+    by_pos;
   let lo = ref 0 in
-  (* A remaining neighbour of a removed node drops one bucket. *)
-  let drop x =
-    let d = cur.(x) in
-    take x d;
-    put x (d - 1);
-    cur.(x) <- d - 1;
-    if d - 1 < !lo then lo := d - 1
-  in
   let order = Array.make m 0 in
   for t = 0 to m - 1 do
     while size.(!lo) = 0 do
       incr lo
     done;
     let i = by_pos.(Bits.first bucket.(!lo)) in
-    take i !lo;
-    Bits.remove alive i;
+    unset bucket.(!lo) pos.(i);
+    size.(!lo) <- size.(!lo) - 1;
+    unset alive i;
     order.(t) <- i;
-    iter_adjacent drop g i alive
+    (* Each remaining neighbour drops one bucket. *)
+    let row = g.rows.(i) in
+    for w = 0 to Array.length row - 1 do
+      let v = ref (row.(w) land alive.(w)) in
+      while !v <> 0 do
+        let x = (w * bpw) + Bits.lowest !v in
+        let d = cur.(x) in
+        unset bucket.(d) pos.(x);
+        size.(d) <- size.(d) - 1;
+        set bucket.(d - 1) pos.(x);
+        size.(d - 1) <- size.(d - 1) + 1;
+        cur.(x) <- d - 1;
+        if d - 1 < !lo then lo := d - 1;
+        v := !v land (!v - 1)
+      done
+    done
   done;
   (* Select, last-removed first, reading only the neighbours already
      colored. The scratch array marks their colors with a stamp so it
      never needs clearing. *)
   let colored = Bits.create g.nr in
   let mark = Array.make (m + 1) (-1) in
-  let stamp = ref 0 in
-  let mark_color x = mark.(color.(x)) <- !stamp in
   let count = ref 0 in
   for t = m - 1 downto 0 do
     let i = order.(t) in
-    stamp := t;
-    iter_adjacent mark_color g i colored;
-    Bits.add colored i;
+    let row = g.rows.(i) in
+    for w = 0 to Array.length row - 1 do
+      let v = ref (row.(w) land colored.(w)) in
+      while !v <> 0 do
+        mark.(color.((w * bpw) + Bits.lowest !v)) <- t;
+        v := !v land (!v - 1)
+      done
+    done;
+    set colored i;
     let c = ref 0 in
     while mark.(!c) = t do
       incr c
@@ -210,14 +262,16 @@ let coloring_fast (p : Prog.t) : (Reg.t * int) list =
   let g, color, _ = allocate p in
   let acc = ref [] in
   for i = g.nr - 1 downto 0 do
-    if g.present.(i) then acc := (g.dregs.(i), color.(i)) :: !acc
+    if mem g.present i then acc := (g.dregs.(i), color.(i)) :: !acc
   done;
   !acc
 
 let measure (p : Prog.t) : usage =
   let g, _, u = allocate p in
   if Impact_obs.Obs.collecting () then begin
-    let nodes = Array.fold_left (fun a b -> if b then a + 1 else a) 0 g.present in
+    let nodes = ref 0 in
+    Bits.iter (fun _ -> incr nodes) g.present;
+    let nodes = !nodes in
     Impact_obs.Obs.count ~n:nodes "regalloc.nodes";
     Impact_obs.Obs.count ~n:g.edges "regalloc.edges"
   end;

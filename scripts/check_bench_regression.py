@@ -4,9 +4,13 @@
 Compares a freshly generated BENCH_eval.json against the committed
 baseline: total_wall_s and every stages.*_busy_s present in both files
 must not regress by more than the tolerance (generous by default, since
-CI hosts are noisy and differ from the machine that produced the
-committed numbers). Stages below a small time floor are ignored — a few
-hundredths of a second of jitter is not a regression signal.
+CI hosts are noisy). Each file's wall times are divided by its own
+host_factor first: the bench process times a fixed calibration slice
+before and after the run (bench/calib.ml), so a host that runs 30%
+slower reads a factor 1.3 times larger and the same code compares
+equal. A file without host_factor (an older baseline) is compared raw.
+Stages below a small time floor are ignored — a few hundredths of a
+second of jitter is not a regression signal.
 
 With --check-summary, the in-order evaluation matrix itself is also
 guarded: the fresh summary speedup quantities and cell count must match
@@ -365,6 +369,16 @@ def main():
         print(f"summary guard ok ({len(bs)} quantities, {len(bc)} counters, "
               f"{base.get('cells')} cells)")
 
+    # Divide every wall time by its own file's host factor, when both
+    # files carry one: the gate then compares the code, not the host.
+    b_factor, f_factor = base.get("host_factor"), fresh.get("host_factor")
+    if b_factor and f_factor:
+        print(f"  host factor {b_factor:.3f} -> {f_factor:.3f}: "
+              f"wall times divided by it")
+    else:
+        print("  host factor missing in one file: raw wall times")
+        b_factor = f_factor = 1.0
+
     metrics = [("total_wall_s", base.get("total_wall_s"), fresh.get("total_wall_s"))]
     for name, old in sorted(base.get("stages", {}).items()):
         if not name.endswith("_busy_s"):
@@ -379,6 +393,7 @@ def main():
         if old < args.min_seconds:
             print(f"  skip {name}: baseline {old:.3f}s below floor")
             continue
+        old, new = old / b_factor, new / f_factor
         ratio = new / old
         flag = "REGRESSION" if ratio > 1.0 + args.tolerance else "ok"
         print(f"  {name}: {old:.3f}s -> {new:.3f}s ({ratio:.2f}x) {flag}")

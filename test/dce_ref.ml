@@ -1,12 +1,12 @@
 (* Reference dead-code elimination for the differential tests: the
    list-based formulation that [Dce.run] replaced. Mark-and-sweep keys
    two [Hashtbl]s by register id and instruction id and rebuilds the
-   program; every liveness round then re-flattens and re-numbers the
-   pruned program with [Liveness.Dense.of_prog]; at most 6 rounds. Also
+   program; every liveness round then re-flattens the pruned program
+   and reads the [Reg.Set] reference liveness of test/liveness_ref.ml,
+   so no round depends on [Liveness.Dense]; at most 6 rounds. Also
    replays the level pipeline to collect every program [Dce.run] sees. *)
 
 open Impact_ir
-open Impact_analysis
 open Impact_opt
 
 (* Returns the pruned program and the number of worklist pushes. *)
@@ -50,20 +50,16 @@ let mark_sweep (p : Prog.t) : Prog.t * int =
          p.Prog.entry),
     !pushes )
 
-(* One liveness round on a freshly flattened and numbered program. *)
+(* One liveness round on the freshly flattened program. *)
 let round (p : Prog.t) : Prog.t * bool =
-  let live = Liveness.Dense.of_prog p in
-  let code = live.Liveness.Dense.flat.Flatten.code in
+  let live = Liveness_ref.of_prog p in
   let keep =
     Array.mapi
       (fun k (i : Insn.t) ->
         match i.Insn.op, i.Insn.dst with
         | (Insn.Store _ | Insn.Br _ | Insn.Jmp), _ | _, None -> true
-        | _, Some d -> (
-          match Liveness_ref.index_opt live d with
-          | None -> true
-          | Some di -> Bits.mem live.Liveness.Dense.live_out.(k) di))
-      code
+        | _, Some d -> Reg.Set.mem d live.Liveness_ref.live_out.(k))
+      live.Liveness_ref.flat.Flatten.code
   in
   if Array.for_all Fun.id keep then (p, false)
   else begin
@@ -87,17 +83,23 @@ let run (p : Prog.t) : Prog.t * int =
   in
   (go 6 p, pushes)
 
-(* [Dce.run] with the dce.worklist_pushes it counted. *)
-let dce_counted (p : Prog.t) : Prog.t * int =
+(* [f ()] with what it added to each named telemetry counter, in order. *)
+let counting (names : string list) (f : unit -> 'a) : 'a * int list =
   let module Obs = Impact_obs.Obs in
   let c0 = Obs.collecting () in
   Obs.set_collecting true;
   Fun.protect
     ~finally:(fun () -> Obs.set_collecting c0)
     (fun () ->
-      let before = Obs.counter_value "dce.worklist_pushes" in
-      let p' = Dce.run p in
-      (p', Obs.counter_value "dce.worklist_pushes" - before))
+      let before = List.map Obs.counter_value names in
+      let r = f () in
+      (r, List.map2 (fun name b -> Obs.counter_value name - b) names before))
+
+(* [Dce.run] with the dce.worklist_pushes it counted. *)
+let dce_counted (p : Prog.t) : Prog.t * int =
+  match counting [ "dce.worklist_pushes" ] (fun () -> Dce.run p) with
+  | p', [ pushes ] -> (p', pushes)
+  | _ -> assert false
 
 (* [None] when [Dce.run] and the reference agree on the program
    ([Insn.equal_content] instruction lists) and on the push count;

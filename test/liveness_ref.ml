@@ -53,19 +53,36 @@ let of_prog (p : Prog.t) : t =
     ~exit_live:(Reg.Set.of_list (List.map snd p.Prog.outputs))
     (Flatten.of_prog p)
 
-(* Expand a dense result to [Reg.Set]s. *)
+(* Expand a dense result to per-position [Reg.Set]s, replaying each
+   block backwards with [Liveness.Dense.walk]: inside a block a
+   position's live-in is the live-out of the one before it, and the
+   walk ends on the block's live-in. *)
 let of_dense (d : Liveness.Dense.d) : t =
   let set b =
     let acc = ref Reg.Set.empty in
     Bits.iter (fun k -> acc := Reg.Set.add d.Liveness.Dense.regs.(k) !acc) b;
     !acc
   in
-  {
-    flat = d.Liveness.Dense.flat;
-    live_in = Array.map set d.Liveness.Dense.live_in;
-    live_out = Array.map set d.Liveness.Dense.live_out;
-    exit_live = set d.Liveness.Dense.exit_live;
-  }
+  let n = Array.length d.Liveness.Dense.flat.Flatten.code in
+  let live_in = Array.make n Reg.Set.empty and live_out = Array.make n Reg.Set.empty in
+  let live = Bits.create (Liveness.Dense.nregs d) in
+  for b = 0 to Liveness.Dense.nblocks d - 1 do
+    let first = d.Liveness.Dense.start.(b) and last = d.Liveness.Dense.start.(b + 1) - 1 in
+    Liveness.Dense.walk d b live (fun k ->
+      live_out.(k) <- set live;
+      if k < last then live_in.(k + 1) <- live_out.(k));
+    live_in.(first) <- set live
+  done;
+  { flat = d.Liveness.Dense.flat; live_in; live_out; exit_live = set d.Liveness.Dense.exit_live }
+
+(* Whether [Liveness.Dense]'s block solution, rebuilt per position
+   through its walker, equals the reference at every position and at
+   exit. *)
+let dense_agrees (p : Prog.t) : bool =
+  let got = of_dense (Liveness.Dense.of_prog p) and want = of_prog p in
+  Array.for_all2 Reg.Set.equal got.live_in want.live_in
+  && Array.for_all2 Reg.Set.equal got.live_out want.live_out
+  && Reg.Set.equal got.exit_live want.exit_live
 
 (* Live set at a label: the live-in of the instruction the label points
    at, or the exit-live set when the label is at the end of the code. *)

@@ -412,7 +412,8 @@ let liveness_tests =
       check_int "two registers" 2 (Liveness.Dense.nregs d);
       check_bool "f2 indexed" true (Liveness_ref.index_opt d f2 = Some 1);
       check_bool "f2 live at exit" true (Bits.mem d.Liveness.Dense.exit_live 1);
-      check_bool "f2 live in" true (Bits.mem d.Liveness.Dense.live_in.(0) 1));
+      check_bool "f2 live in" true
+        (Reg.Set.mem f2 (Liveness_ref.of_dense d).Liveness_ref.live_in.(0)));
   ]
 
 (* Word-level bitset operations against a list model, across word
@@ -438,13 +439,20 @@ let bits_tests =
       let a = Bits.create n and b = Bits.create n in
       List.iter (Bits.add a) [ 0; 5; 61; 62; 63; 64; 125; 126; 127; 188; 250; 299 ];
       List.iter (Bits.add b) [ 5; 62; 63; 127; 128; 189; 250; 298; 299 ];
+      let want = List.filter (fun i -> not (Bits.mem b i)) (elements a) in
       let got = ref [] in
-      for w = 0 to Bits.words a - 1 do
-        Bits.iter_word (fun i -> got := i :: !got) w
-          (Bits.word a w land lnot (Bits.word b w))
+      for w = 0 to Array.length a - 1 do
+        let v = ref (a.(w) land lnot b.(w)) in
+        while !v <> 0 do
+          got := ((w * Sys.int_size) + Bits.lowest !v) :: !got;
+          v := !v land (!v - 1)
+        done
       done;
-      check_bool "a \\ b" true
-        (List.rev !got = List.filter (fun i -> not (Bits.mem b i)) (elements a)));
+      check_bool "a \\ b" true (List.rev !got = want);
+      let c = Bits.create n in
+      check_bool "union_diff_into grows" true (Bits.union_diff_into ~into:c a b);
+      check_bool "union_diff_into = a \\ b" true (elements c = want);
+      check_bool "union_diff_into again adds nothing" false (Bits.union_diff_into ~into:c a b));
   ]
 
 let ddg_tests =
@@ -683,6 +691,23 @@ let liveness_corpus_tests =
               end)
             d.Liveness.Dense.flat.Flatten.code)
         (Lazy.force corpus));
+    test "block liveness = reference at every position, list- and pipe-scheduled" (fun () ->
+      let machine = Machine.make ~issue:8 () in
+      let programs = ref 0 in
+      List.iter
+        (fun (name, p) ->
+          List.iter
+            (fun (tag, sched) ->
+              let q = Impact_core.Compile.schedule_with (Impact_core.Opts.make ~sched ()) machine p in
+              List.iter
+                (fun (stage, r) ->
+                  incr programs;
+                  check_bool (Printf.sprintf "%s %s %s" name tag stage) true
+                    (Liveness_ref.dense_agrees r))
+                [ ("transformed", p); ("scheduled", q) ])
+            [ ("list", `List); ("pipe", `Pipe) ])
+        (Lazy.force corpus);
+      check_int "40 kernels x 5 levels x 2 schedulers x 2 stages" 800 !programs);
     test "dense numbering ascends and index_opt is exact" (fun () ->
       List.iter
         (fun (name, (p : Prog.t)) ->

@@ -612,10 +612,47 @@ let dce_tests =
       (match Dce_ref.disagreement p with
       | None -> ()
       | Some why -> Alcotest.fail why);
+      let counted p = Dce_ref.counting [ "dce.rounds"; "dce.capped" ] (fun () -> Dce.run p) in
+      let p', counts = counted p in
       check_bool "first two chain defs survive" true
         (List.equal Insn.equal_content
            ([ List.nth chain 0; List.nth chain 1 ] @ redefs)
-           (Block.insns (Dce.run p).Prog.entry)));
+           (Block.insns p'.Prog.entry));
+      check_bool "six rounds, the last still removing: capped" true (counts = [ 6; 1 ]);
+      (* Two chain definitions left: two rounds remove one each, a
+         third finds nothing. *)
+      check_bool "three rounds, not capped" true (snd (counted p') = [ 3; 0 ]));
+    test "a removal in one block exposes a dead definition in an earlier one" (fun () ->
+      (* r0 = 5; r1 = 1; br r0 < 0 L | L: r2 = r1 + 1; r1 = 0; r2 = 0.
+         Round 1 removes [r2 = r1 + 1]; only the re-summarised second
+         block shows round 2 that [r1 = 1] is dead; round 3 finds
+         nothing. *)
+      let b = irb () in
+      let ctx = b.ctx in
+      let r0 = reg b Reg.Int and r1 = reg b Reg.Int and r2 = reg b Reg.Int in
+      output b "a" r1;
+      output b "b" r2;
+      let br = Build.br ctx Reg.Int Insn.Lt (Operand.Reg r0) (Operand.Int 0) "L" in
+      let kept = [ Build.imov ctx r1 (Operand.Int 0); Build.imov ctx r2 (Operand.Int 0) ] in
+      let r0_def = Build.imov ctx r0 (Operand.Int 5) in
+      let p =
+        prog_of b
+          ([
+             Block.Ins r0_def;
+             Block.Ins (Build.imov ctx r1 (Operand.Int 1));
+             Block.Ins br;
+             Block.Lbl "L";
+             Block.Ins (Build.ib ctx Insn.Add r2 (Operand.Reg r1) (Operand.Int 1));
+           ]
+          @ List.map (fun i -> Block.Ins i) kept)
+      in
+      (match Dce_ref.disagreement p with
+      | None -> ()
+      | Some why -> Alcotest.fail why);
+      let p', counts = Dce_ref.counting [ "dce.rounds" ] (fun () -> Dce.run p) in
+      check_bool "three rounds" true (counts = [ 3 ]);
+      check_bool "both chain definitions removed" true
+        (List.equal Insn.equal_content (r0_def :: br :: kept) (Block.insns p'.Prog.entry)));
     test "stores are never removed" (fun () ->
       let b = irb () in
       float_array b "A" [| 0.0 |];
@@ -661,6 +698,21 @@ let dce_corpus_tests =
             Impact_core.Level.all)
         Impact_workloads.Suite.all;
       check_bool "thousands of inputs" true (!inputs > 1000));
+    test "no call on the corpus reaches the round cap" (fun () ->
+      let (), counts =
+        Dce_ref.counting [ "dce.rounds"; "dce.capped" ] (fun () ->
+          List.iter
+            (fun (w : Impact_workloads.Suite.t) ->
+              List.iter
+                (fun lvl -> ignore (Impact_core.Level.apply lvl (lower w.Impact_workloads.Suite.ast)))
+                Impact_core.Level.all)
+            Impact_workloads.Suite.all)
+      in
+      match counts with
+      | [ rounds; capped ] ->
+        check_bool "rounds were counted" true (rounds > 0);
+        check_int "dce.capped" 0 capped
+      | _ -> assert false);
     test "duplicate instruction ids are marked together" (fun () ->
       (* [a] and [t] share an id. Marking [t] (it defines the output)
          marks the id, so [a] is kept without being traced: the def of

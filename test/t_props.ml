@@ -294,6 +294,23 @@ let prop_dce_straightline =
     (QCheck.make gen_straightline)
     (fun spec -> dce_agrees (build_straightline spec))
 
+(* ---- block liveness against the reference on random kernels ----
+
+   The lowered kernel and its transformed program at every level, with
+   per-position sets rebuilt through [Liveness.Dense.walk]. *)
+
+let prop_liveness_kernels =
+  QCheck.Test.make ~name:"block liveness = reference liveness on random kernels at every level"
+    ~count:40 (QCheck.make gen_kernel)
+    (fun spec ->
+      let p = lower (build_kernel spec) in
+      Liveness_ref.dense_agrees p
+      && List.for_all
+           (fun level ->
+             Liveness_ref.dense_agrees
+               (Impact_core.Compile.transform_with Impact_core.Opts.default level p))
+           Impact_core.Level.all)
+
 (* ---- the one-sweep cleanup reaches the old round's fixpoint ----
 
    [Conv.cleanup] against [Cleanup_ref]'s round iterated with no cap:
@@ -419,5 +436,6 @@ let suite =
           prop_cleanup_ref_straightline;
           prop_cleanup_ref_kernels;
           prop_linval_agrees;
+          prop_liveness_kernels;
         ] );
   ]
