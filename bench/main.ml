@@ -201,44 +201,37 @@ let print_summary () =
   Printf.printf "loops under 128 registers at Lev4, issue-8: %.0f/40 (37/40)\n"
     (g "loops_under_128_regs_lev4_issue8")
 
-(* Leave-one-out ablation of the Lev4 pipeline at issue-8. Bases come
-   from the process-wide cache; subjects are evaluated on the pool. *)
+(* Leave-one-out ablation at issue-8: Lev4's pass list minus one name
+   per row; a name not in the list exactly once stops the run. Bases
+   come from the process-wide cache; subjects run on the pool. *)
 let print_ablation () =
+  let lev4 = Level.pipeline Level.Lev4 in
+  let without name =
+    match List.partition (fun (n, _) -> n = name) lev4 with
+    | [ _ ], rest -> rest
+    | hits, _ ->
+      Printf.eprintf "ablation removes %S, which Lev4's pass list holds %d times\n" name
+        (List.length hits);
+      exit 2
+  in
   let variants =
-    [
-      ("full Lev4", fun p -> Level.apply Level.Lev4 p);
-      ( "no renaming",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:true
-          ~rename:false ~combine:true ~strength:true ~thr:true );
-      ( "no accumulator exp.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:false ~ind:true ~search:true
-          ~rename:true ~combine:true ~strength:true ~thr:true );
-      ( "no induction exp.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:false ~search:true
-          ~rename:true ~combine:true ~strength:true ~thr:true );
-      ( "no search exp.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:false
-          ~rename:true ~combine:true ~strength:true ~thr:true );
-      ( "no combining",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:true
-          ~rename:true ~combine:false ~strength:true ~thr:true );
-      ( "no strength red.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:true
-          ~rename:true ~combine:true ~strength:false ~thr:true );
-      ( "no tree height red.",
-        Level.apply_custom ?unroll_factor:None ~unroll:true ~accum:true ~ind:true ~search:true
-          ~rename:true ~combine:true ~strength:true ~thr:false );
-    ]
+    ("full Lev4", lev4)
+    :: List.map
+         (fun (label, name) -> (label, without name))
+         [ ("no renaming", "rename"); ("no accumulator exp.", "accum_expand");
+           ("no induction exp.", "ind_expand"); ("no search exp.", "search_expand");
+           ("no combining", "combine"); ("no strength red.", "strength");
+           ("no tree height red.", "tree_height") ]
   in
   Printf.printf "Ablation: average issue-8 speedup of Lev4 with one transformation removed\n";
   Printf.printf "%s\n" (String.make 72 '-');
   List.iter
-    (fun (name, pipeline) ->
+    (fun (name, passes) ->
       let speedups =
         Impact_exec.Pool.map_list
           (fun (s : Experiment.subject) ->
             let base = Experiment.base_measurement_with bench_opts s in
-            let p = pipeline (Impact_fir.Lower.lower s.Experiment.ast) in
+            let p = Level.run passes (Impact_fir.Lower.lower s.Experiment.ast) in
             let p = Impact_sched.Superblock.run p in
             let p = Impact_sched.List_sched.run Machine.issue_8 p in
             let r = Impact_sim.Sim.run Machine.issue_8 p in

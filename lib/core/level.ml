@@ -1,16 +1,7 @@
-(* The five cumulative transformation levels of the paper's evaluation
-   (Section 3.2):
-
-     Conv  conventional scalar optimizations
-     Lev1  + loop unrolling
-     Lev2  + register renaming
-     Lev3  + operation combining, strength reduction, tree height reduction
-     Lev4  + accumulator / induction / search variable expansion
-
-   Within a level the passes are ordered so each sees the code shape it
-   expects: the expansion transformations run on the raw unrolled body
-   (where an induction variable still has k identical increments, as in
-   the paper's Figure 4), and renaming runs after them. *)
+(* The levels as one table of named passes (see level.mli), ordered so
+   each pass sees the code shape it expects: the expansions run on the
+   raw unrolled body, where an induction variable still has k identical
+   increments (the paper's Figure 4), and renaming runs after them. *)
 
 open Impact_ir
 
@@ -25,17 +16,8 @@ let to_string = function
   | Lev3 -> "Lev3"
   | Lev4 -> "Lev4"
 
-let of_string = function
-  | "conv" | "Conv" -> Some Conv
-  | "lev1" | "Lev1" -> Some Lev1
-  | "lev2" | "Lev2" -> Some Lev2
-  | "lev3" | "Lev3" -> Some Lev3
-  | "lev4" | "Lev4" -> Some Lev4
-  | _ -> None
-
-let rank = function Conv -> 0 | Lev1 -> 1 | Lev2 -> 2 | Lev3 -> 3 | Lev4 -> 4
-
-let cleanup = Impact_opt.Conv.cleanup
+let of_string s =
+  List.find_opt (fun l -> s = to_string l || s = String.uncapitalize_ascii (to_string l)) all
 
 (* Telemetry wrapper around one transformation: a span per pass plus
    counters for the IR growth it caused (instruction and fresh-register
@@ -56,9 +38,12 @@ let pass name f (p : Prog.t) : Prog.t =
       if dregs > 0 then Impact_obs.Obs.count ~n:dregs ("pass." ^ name ^ ".regs_created");
       p')
 
-(* The factor Unroll actually applied to each innermost loop (it can
-   clamp below the requested factor on tiny trips or huge bodies). *)
-let record_unroll_factors (p : Prog.t) =
+type pass = string * (Prog.t -> Prog.t)
+
+(* Unrolling, and the factor it actually applied to each innermost loop
+   (it can clamp below the requested one on tiny trips or huge bodies). *)
+let unroll ?factor (p : Prog.t) : Prog.t =
+  let p = Unroll.run ?factor p in
   if Impact_obs.Obs.collecting () then
     List.iter
       (fun (l : Block.loop) ->
@@ -67,30 +52,31 @@ let record_unroll_factors (p : Prog.t) =
           Impact_obs.Obs.count
             (Printf.sprintf "pass.unroll.by%d" l.Block.meta.Block.unrolled)
         end)
-      (Block.loops p.Prog.entry)
+      (Block.loops p.Prog.entry);
+  p
 
-(* Custom pipeline with individual transformations switchable; used by the
-   level pipeline and by the leave-one-out ablation benchmarks. *)
-let apply_custom ?unroll_factor ~unroll ~accum ~ind ~search ~rename ~combine
-    ~strength ~thr (p : Prog.t) : Prog.t =
-  let p = pass "conv" Impact_opt.Conv.run p in
-  if not unroll then p
-  else begin
-    let p = pass "unroll" (Unroll.run ?factor:unroll_factor) p in
-    record_unroll_factors p;
-    let p = pass "cleanup" cleanup p in
-    let p = if accum then pass "accum_expand" Accum_expand.run p else p in
-    let p = if ind then pass "ind_expand" Ind_expand.run p else p in
-    let p = if search then pass "search_expand" Search_expand.run p else p in
-    let p = if rename then pass "rename" Rename.run p else p in
-    let p = if combine then pass "combine" Combine.run p else p in
-    let p = if strength then pass "strength" Strength.run p else p in
-    let p = if thr then pass "tree_height" Tree_height.run p else p in
-    pass "cleanup" cleanup p
-  end
+(* Constructors compare in declaration order, so [l <= level] reads
+   "introduced at or below [level]". *)
+let pipeline ?unroll_factor (level : t) : pass list =
+  let cleanup = Impact_opt.Conv.cleanup in
+  List.filter_map
+    (fun (l, e) -> if l <= level then Some e else None)
+    [
+      (Conv, ("conv", Impact_opt.Conv.run));
+      (Lev1, ("unroll", unroll ?factor:unroll_factor));
+      (Lev1, ("cleanup", cleanup));
+      (Lev4, ("accum_expand", Accum_expand.run));
+      (Lev4, ("ind_expand", Ind_expand.run));
+      (Lev4, ("search_expand", Search_expand.run));
+      (Lev2, ("rename", Rename.run));
+      (Lev3, ("combine", Combine.run));
+      (Lev3, ("strength", Strength.run));
+      (Lev3, ("tree_height", Tree_height.run));
+      (Lev1, ("cleanup", cleanup));
+    ]
+
+let run (passes : pass list) (p : Prog.t) : Prog.t =
+  List.fold_left (fun p (name, f) -> pass name f p) p passes
 
 let apply ?unroll_factor (level : t) (p : Prog.t) : Prog.t =
-  let r = rank level in
-  apply_custom ?unroll_factor ~unroll:(r >= 1) ~accum:(r >= 4) ~ind:(r >= 4)
-    ~search:(r >= 4) ~rename:(r >= 2) ~combine:(r >= 3) ~strength:(r >= 3)
-    ~thr:(r >= 3) p
+  run (pipeline ?unroll_factor level) p

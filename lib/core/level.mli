@@ -1,6 +1,17 @@
 (** The five cumulative transformation levels of the paper's evaluation
-    (Section 3.2): Conv, then + unrolling (Lev1), + renaming (Lev2),
-    + combining/strength/tree-height (Lev3), + the expansions (Lev4). *)
+    (Section 3.2), as one table of named passes in pipeline order. A
+    level runs every entry introduced at or below it:
+
+    {v
+      Conv  conv
+      Lev1  unroll; cleanup
+      Lev4  accum_expand; ind_expand; search_expand
+      Lev2  rename
+      Lev3  combine; strength; tree_height
+      Lev1  cleanup
+    v}
+
+    So Lev1 is [conv; unroll; cleanup; cleanup]. *)
 
 open Impact_ir
 
@@ -12,19 +23,17 @@ val to_string : t -> string
 
 val of_string : string -> t option
 
-val apply_custom :
-  ?unroll_factor:int ->
-  unroll:bool ->
-  accum:bool ->
-  ind:bool ->
-  search:bool ->
-  rename:bool ->
-  combine:bool ->
-  strength:bool ->
-  thr:bool ->
-  Prog.t ->
-  Prog.t
-(** Pipeline with individual transformations switchable (used by the
-    leave-one-out ablation benchmarks). *)
+type pass = string * (Prog.t -> Prog.t)
+(** A named transformation; the name labels its telemetry
+    (["pass.<name>.*"]) and its ablation row. *)
+
+val pipeline : ?unroll_factor:int -> t -> pass list
+(** The level's entries of the table above, in order. [unroll_factor]
+    overrides the unroll pass's factor (default 8). *)
+
+val run : pass list -> Prog.t -> Prog.t
+(** The passes in order, each in a ["pass.<name>"] telemetry span that
+    counts its runs and IR deltas (one atomic load when telemetry is off). *)
 
 val apply : ?unroll_factor:int -> t -> Prog.t -> Prog.t
+(** [run (pipeline ?unroll_factor level)]. *)

@@ -19,14 +19,18 @@ let cleanup (p : Impact_ir.Prog.t) : Impact_ir.Prog.t =
   end;
   p
 
+let passes : (string * (Impact_ir.Prog.t -> Impact_ir.Prog.t)) list =
+  [
+    ("branch_simplify", Branch_simplify.run);
+    ("cleanup", cleanup);
+    ("licm", Licm.run);
+    ("cleanup", cleanup);
+    ("ivopt_reduce", Ivopt.reduce);
+    ("cleanup", cleanup);
+    ("ivopt_eliminate", Ivopt.eliminate);
+    ("cleanup", cleanup);
+    ("branch_simplify", Branch_simplify.run);
+  ]
+
 let run (p : Impact_ir.Prog.t) : Impact_ir.Prog.t =
-  p
-  |> Branch_simplify.run
-  |> cleanup
-  |> Licm.run
-  |> cleanup
-  |> Ivopt.reduce
-  |> cleanup
-  |> Ivopt.eliminate
-  |> cleanup
-  |> Branch_simplify.run
+  List.fold_left (fun p (_, f) -> f p) p passes

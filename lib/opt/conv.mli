@@ -6,4 +6,7 @@ val cleanup : Impact_ir.Prog.t -> Impact_ir.Prog.t
     iterated to a fixpoint (at most six rounds); used
     between structural passes and after the ILP transformations. *)
 
+val passes : (string * (Impact_ir.Prog.t -> Impact_ir.Prog.t)) list
+(** The pipeline's named steps, which {!run} applies in order. *)
+
 val run : Impact_ir.Prog.t -> Impact_ir.Prog.t

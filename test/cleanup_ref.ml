@@ -4,9 +4,9 @@
    [propagate] rewrites operands through copies and constants; [cse]
    value-numbers the result. A round is [Dce.run (cse (propagate (fold
    p)))], and a CSE copy reaches later uses only in the next round.
-   Telemetry is left out: the tests compare programs, and the lib/
-   counters must count only lib/ work. The keys are [Cse.Vkey] and
-   [Cse.Mkey], which t_opt checks separately. *)
+   Telemetry is left out of the round: the tests compare programs, and
+   the lib/ counters must count only lib/ work. The keys are [Cse.Vkey]
+   and [Cse.Mkey], which t_opt checks separately. *)
 
 open Impact_ir
 open Impact_opt
@@ -275,34 +275,22 @@ let fixpoint_uncapped (p : Prog.t) : Prog.t * int =
   in
   go 1 p
 
-(* [Level.apply_custom] with [cleanup] in place of [Conv.cleanup], both
-   inside [Conv.run] and between the level passes. *)
-let replay_custom ~cleanup ?unroll_factor ~unroll ~accum ~ind ~search ~rename ~combine
-    ~strength ~thr (p : Prog.t) : Prog.t =
-  let open Impact_core in
-  let p =
-    p |> Branch_simplify.run |> cleanup |> Licm.run |> cleanup |> Ivopt.reduce |> cleanup
-    |> Ivopt.eliminate |> cleanup |> Branch_simplify.run
-  in
-  if not unroll then p
-  else begin
-    let p = cleanup (Unroll.run ?factor:unroll_factor p) in
-    let p = if accum then Accum_expand.run p else p in
-    let p = if ind then Ind_expand.run p else p in
-    let p = if search then Search_expand.run p else p in
-    let p = if rename then Rename.run p else p in
-    let p = if combine then Combine.run p else p in
-    let p = if strength then Strength.run p else p in
-    let p = if thr then Tree_height.run p else p in
-    cleanup p
-  end
+(* A pass list ([Level.pipeline] or [Conv.passes]) with [cleanup] in
+   place of [Conv.cleanup]: in every entry named "cleanup", and in every
+   cleanup step of Conv's list behind the "conv" entry. *)
+let rec with_cleanup cleanup (passes : Impact_core.Level.pass list) :
+    Impact_core.Level.pass list =
+  List.map
+    (fun ((name, _) as e) ->
+      match name with
+      | "cleanup" -> (name, cleanup)
+      | "conv" -> (name, Impact_core.Level.run (with_cleanup cleanup Conv.passes))
+      | _ -> e)
+    passes
 
-let replay ~cleanup ?unroll_factor (level : Impact_core.Level.t) (p : Prog.t) : Prog.t =
-  let r =
-    List.length (List.filter (fun l -> l < level) Impact_core.Level.all)
-  in
-  replay_custom ~cleanup ?unroll_factor ~unroll:(r >= 1) ~accum:(r >= 4) ~ind:(r >= 4)
-    ~search:(r >= 4) ~rename:(r >= 2) ~combine:(r >= 3) ~strength:(r >= 3) ~thr:(r >= 3) p
+(* [Level.apply] with [cleanup] in place of [Conv.cleanup]. *)
+let replay ~cleanup (level : Impact_core.Level.t) (p : Prog.t) : Prog.t =
+  Impact_core.Level.run (with_cleanup cleanup (Impact_core.Level.pipeline level)) p
 
 (* Every program handed to [Conv.cleanup] by the [level] pipeline on [p],
    in call order. *)

@@ -160,6 +160,32 @@ let check_levels_preserve ?tol ?unroll_factor name (ast : Ast.program) =
         [ Machine.issue_1; Machine.issue_4; Machine.issue_8 ])
     Impact_core.Level.all
 
+(* [level]'s pipeline on [p], one step at a time, with the "conv" entry
+   opened up into the steps of [Conv.passes]. After every step the
+   program runs on the issue-1 machine and must match the reference
+   interpreter on [p] itself (floats within 1e-6 relative), and must not
+   trap, so a miscompile fails naming its pass: "<name>/Lev3/strength",
+   "<name>/Lev1/conv.licm". Returns the last step's program. *)
+let check_each_pass ?unroll_factor name level (p : Prog.t) : Prog.t =
+  let want = Impact_sim.Sim.run_ref Machine.issue_1 p in
+  let steps =
+    List.concat_map
+      (fun ((pass, _) as e) ->
+        if pass = "conv" then
+          List.map (fun (step, f) -> ("conv." ^ step, f)) Impact_opt.Conv.passes
+        else [ e ])
+      (Impact_core.Level.pipeline ?unroll_factor level)
+  in
+  List.fold_left
+    (fun p (step, f) ->
+      let p = f p in
+      let where = Printf.sprintf "%s/%s/%s" name (Impact_core.Level.to_string level) step in
+      (match run p with
+      | got -> same_observables where want got
+      | exception e -> Alcotest.failf "%s: %s" where (Printexc.to_string e));
+      p)
+    p steps
+
 (* A deterministic pseudo-random array initializer. *)
 let pseudo seed k =
   let x = (k + seed) * 2654435761 land 0xFFFFFF in

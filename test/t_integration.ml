@@ -135,9 +135,52 @@ let capping_tests =
         [ vecadd_ast; dotprod_ast; maxval_ast ]);
   ]
 
+(* ---- the levels as pass lists ---- *)
+
+let names passes = List.map fst passes
+
+let pass_tests =
+  [
+    test "each level's pass names are pinned" (fun () ->
+      let check level want =
+        Alcotest.(check (list string)) (Level.to_string level) want
+          (names (Level.pipeline level))
+      in
+      let lev1 = [ "conv"; "unroll"; "cleanup" ] in
+      let lev4 =
+        lev1
+        @ [ "accum_expand"; "ind_expand"; "search_expand"; "rename"; "combine"; "strength";
+            "tree_height"; "cleanup" ]
+      in
+      check Level.Conv [ "conv" ];
+      check Level.Lev1 (lev1 @ [ "cleanup" ]);
+      check Level.Lev2 (lev1 @ [ "rename"; "cleanup" ]);
+      check Level.Lev3 (lev1 @ [ "rename"; "combine"; "strength"; "tree_height"; "cleanup" ]);
+      check Level.Lev4 lev4;
+      Alcotest.(check (list string)) "Conv's own steps"
+        [ "branch_simplify"; "cleanup"; "licm"; "cleanup"; "ivopt_reduce"; "cleanup";
+          "ivopt_eliminate"; "cleanup"; "branch_simplify" ]
+        (names Impact_opt.Conv.passes));
+    test "every pass preserves the corpus at every level" (fun () ->
+      List.iter
+        (fun (w : Impact_workloads.Suite.t) ->
+          let fresh () = lower w.Impact_workloads.Suite.ast in
+          List.iter
+            (fun level ->
+              let out = check_each_pass w.Impact_workloads.Suite.name level (fresh ()) in
+              check_bool
+                (Printf.sprintf "%s/%s: steps = Level.apply" w.Impact_workloads.Suite.name
+                   (Level.to_string level))
+                true
+                (insns_equal_prog out (Level.apply level (fresh ()))))
+            Level.all)
+        Impact_workloads.Suite.all);
+  ]
+
 let suite =
   [
     ("integration.pipeline", pipeline_tests);
     ("integration.experiment", experiment_tests);
     ("integration.capping", capping_tests);
+    ("integration.passes", pass_tests);
   ]

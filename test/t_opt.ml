@@ -741,12 +741,17 @@ let dce_corpus_tests =
    round under the same six-round cap, and the combined round's
    convergence on every cleanup input of the corpus. *)
 
-(* Every switch of [Level.apply_custom] but one on; [k] = 0 turns off
-   unrolling, 1..7 the Lev4 transformations in pipeline order. *)
-let leave_one_out k apply =
-  let on j = j <> k in
-  apply ~unroll:(on 0) ~accum:(on 1) ~ind:(on 2) ~search:(on 3) ~rename:(on 4)
-    ~combine:(on 5) ~strength:(on 6) ~thr:(on 7)
+(* Level Conv's pass list (unrolling and everything after it left out),
+   then Lev4's list without each transformation Lev2..Lev4 add. *)
+let leave_one_out =
+  let open Impact_core.Level in
+  let lev1 = pipeline Lev1 and lev4 = pipeline Lev4 in
+  ("Conv", pipeline Conv)
+  :: List.filter_map
+       (fun (name, _) ->
+         if List.mem_assoc name lev1 then None
+         else Some ("no " ^ name, List.filter (fun (n, _) -> n <> name) lev4))
+       lev4
 
 let cleanup_corpus_tests =
   let each_kernel f =
@@ -767,16 +772,18 @@ let cleanup_corpus_tests =
                  (Impact_core.Level.apply lvl (fresh ()))
                  (Cleanup_ref.replay ~cleanup:Cleanup_ref.cleanup lvl (fresh ()))))
           Impact_core.Level.all;
-        for k = 0 to 7 do
-          check_bool
-            (Printf.sprintf "%s, switch %d off" name k)
-            true
-            (Helpers.insns_equal_prog
-               (leave_one_out k (Impact_core.Level.apply_custom ?unroll_factor:None) (fresh ()))
-               (leave_one_out k
-                  (Cleanup_ref.replay_custom ~cleanup:Cleanup_ref.cleanup ?unroll_factor:None)
-                  (fresh ())))
-        done));
+        check_int "Conv and seven leave-one-out lists" 8 (List.length leave_one_out);
+        List.iter
+          (fun (variant, passes) ->
+            check_bool
+              (Printf.sprintf "%s, %s" name variant)
+              true
+              (Helpers.insns_equal_prog
+                 (Impact_core.Level.run passes (fresh ()))
+                 (Impact_core.Level.run
+                    (Cleanup_ref.with_cleanup Cleanup_ref.cleanup passes)
+                    (fresh ()))))
+          leave_one_out));
     test "one round reaches the fixpoint on every cleanup input" (fun () ->
       let inputs = ref 0 in
       each_kernel (fun name fresh ->

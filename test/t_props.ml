@@ -249,6 +249,20 @@ let prop_unroll_factors =
          true
        with _ -> false))
 
+(* Every step of every level's pipeline keeps a random kernel's
+   outputs ([Helpers.check_each_pass]); a failure names the pass. *)
+let prop_each_pass_kernels =
+  QCheck.Test.make ~name:"every pass preserves random kernels at every level" ~count:100
+    (QCheck.make gen_kernel)
+    (fun spec ->
+      let ast = build_kernel spec in
+      List.iter
+        (fun level ->
+          try ignore (check_each_pass "kernel" level (lower ast))
+          with e -> QCheck.Test.fail_report (Printexc.to_string e))
+        Impact_core.Level.all;
+      true)
+
 (* ---- Slot accounting on random kernels ----
 
    A random kernel at a random level, on the in-order core or a ROB-32
@@ -430,6 +444,7 @@ let suite =
           prop_thr_tree;
           prop_lev4_kernels;
           prop_unroll_factors;
+          prop_each_pass_kernels;
           prop_profile_kernels;
           prop_dce_kernels;
           prop_dce_straightline;
