@@ -251,9 +251,9 @@ let heights (t : t) : int array =
         match Sb.insn t.sb p with Some i -> Machine.latency i.Insn.op | None -> 0
       in
       let succ_max =
-        List.fold_left (fun acc (d, lat) -> max acc (h.(d) + lat)) 0 t.succs.(p)
+        List.fold_left (fun acc (d, lat) -> Int.max acc (h.(d) + lat)) 0 t.succs.(p)
       in
-      h.(p) <- max lat_self succ_max)
+      h.(p) <- Int.max lat_self succ_max)
     order;
   h
 

@@ -109,9 +109,9 @@ let components n edges =
       (fun w ->
         if index.(w) < 0 then begin
           visit w;
-          low.(v) <- min low.(v) low.(w)
+          low.(v) <- Int.min low.(v) low.(w)
         end
-        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
+        else if on_stack.(w) then low.(v) <- Int.min low.(v) index.(w))
       succs.(v);
     if low.(v) = index.(v) then begin
       let rec pop = function
@@ -256,9 +256,9 @@ let attempt ~issue n succs preds h ii =
     let estart = ref 0 in
     List.iter
       (fun (p, lat, dist) ->
-        if time.(p) >= 0 then estart := max !estart (time.(p) + lat - (ii * dist)))
+        if time.(p) >= 0 then estart := Int.max !estart (time.(p) + lat - (ii * dist)))
       preds.(i);
-    let mintime = if prevt.(i) >= 0 then max !estart (prevt.(i) + 1) else !estart in
+    let mintime = if prevt.(i) >= 0 then Int.max !estart (prevt.(i) + 1) else !estart in
     let slot = ref (-1) in
     (try
        for t = mintime to mintime + ii - 1 do

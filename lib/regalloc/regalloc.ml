@@ -184,7 +184,7 @@ let color_class (g : dgraph) (color : int array) (cls : Reg.cls) : int =
     if pos.(i) >= 0 then begin
       by_pos.(pos.(i)) <- i;
       set alive i;
-      maxd := max !maxd g.deg.(i)
+      maxd := Int.max !maxd g.deg.(i)
     end
   done;
   let cur = Array.copy g.deg in

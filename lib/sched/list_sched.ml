@@ -62,7 +62,7 @@ let schedule_segment (machine : Machine.t) ~live_at_target
               List.iter
                 (fun (d, lat) ->
                   unscheduled_preds.(d) <- unscheduled_preds.(d) - 1;
-                  ready_at.(d) <- max ready_at.(d) (!cycle + lat))
+                  ready_at.(d) <- Int.max ready_at.(d) (!cycle + lat))
                 ddg.Ddg.succs.(k)
             end
           end)
@@ -78,7 +78,7 @@ let schedule_segment (machine : Machine.t) ~live_at_target
   in
   let makespan =
     List.fold_left
-      (fun acc (k, c) -> max acc (c + Machine.latency insns.(k).Insn.op))
+      (fun acc (k, c) -> Int.max acc (c + Machine.latency insns.(k).Insn.op))
       0 order
   in
   {

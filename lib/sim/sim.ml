@@ -15,12 +15,23 @@
    - [run_ref] walks the structured [Insn.t] stream directly, matching
      operands on every dynamic instruction. It supports the [trace]
      hook and serves as the reference implementation.
-   - [run] first decodes each static instruction into a flat execution
-     record — operand kinds resolved to register indices or immediate
-     values, array labels resolved to base addresses, branch targets to
-     code indices, the latency attached — so the
-     per-dynamic-instruction path performs no list lookups, no operand
-     matching, no closure dispatch and no trace checks.
+   - [run] first decodes each static instruction into one flat record
+     ([dinsn]) of immediate fields, so the per-dynamic-instruction path
+     performs no operand matching, no list lookups, no closure dispatch
+     and no trace checks:
+     - a constant pool: every immediate operand (an [Int], a [Flt], or
+       a [Lab] resolved to its array's base address) gets its own slot
+       past the registers in the int or float value file, filled once
+       at decode, so every source read is [ivals.(d.da)] with no branch
+       on the operand's kind;
+     - one ready index for both register classes, [Reg.hash] =
+       2 * id + cls; unused source slots and constants point at a
+       sentinel index that is never written (always ready), and
+       instructions without a destination write a sink index that is
+       never read, so the interlock is four compares and the
+       out-of-order ready cycle four loads and a max;
+     - a flat opcode ([fop]: one constant constructor per operation,
+       class and direction), so the instruction step is one jump table.
 
    The decoded engine drives both cores: one set-up ([start]) and one
    instruction step ([exec]) feed the in-order timing loop and the
@@ -54,46 +65,56 @@ let word = 4
 
 let gap_words = 16
 
+(* The memory image. [kind] classifies every cell in one byte: an
+   unmapped guard word, an int cell or a float cell. [mem_i] / [mem_f]
+   hold the cells' values; each is only as long as the last array of
+   its class reaches. *)
 type mem = {
   mem_i : int array;
   mem_f : float array;
-  valid : bool array;
-  is_float : bool array;
+  kind : Bytes.t;
   bases : (string * int) list;
 }
+
+let cell_unmapped = '\000'
+
+let cell_int = '\001'
+
+let cell_float = '\002'
 
 let build_mem (p : Prog.t) : mem =
   let total =
     List.fold_left (fun acc a -> acc + a.Prog.asize + gap_words) gap_words p.Prog.arrays
   in
-  let mem_i = Array.make total 0 in
-  let mem_f = Array.make total 0.0 in
-  let valid = Array.make total false in
-  let is_float = Array.make total false in
+  let kind = Bytes.make total cell_unmapped in
   let next = ref gap_words in
-  let bases =
+  let iend = ref 0 in
+  let fend = ref 0 in
+  let placed =
     List.map
       (fun (a : Prog.adecl) ->
         let base = !next in
+        next := base + a.Prog.asize + gap_words;
         (match a.Prog.ainit with
         | Prog.IInit vs ->
-          Array.iteri
-            (fun k v ->
-              mem_i.(base + k) <- v;
-              valid.(base + k) <- true)
-            vs
+          Bytes.fill kind base (Array.length vs) cell_int;
+          iend := base + Array.length vs
         | Prog.FInit vs ->
-          Array.iteri
-            (fun k v ->
-              mem_f.(base + k) <- v;
-              valid.(base + k) <- true;
-              is_float.(base + k) <- true)
-            vs);
-        next := base + a.Prog.asize + gap_words;
-        (a.Prog.aname, base * word))
+          Bytes.fill kind base (Array.length vs) cell_float;
+          fend := base + Array.length vs);
+        (a, base))
       p.Prog.arrays
   in
-  { mem_i; mem_f; valid; is_float; bases }
+  let mem_i = Array.make !iend 0 in
+  let mem_f = Array.make !fend 0.0 in
+  List.iter
+    (fun ((a : Prog.adecl), base) ->
+      match a.Prog.ainit with
+      | Prog.IInit vs -> Array.blit vs 0 mem_i base (Array.length vs)
+      | Prog.FInit vs -> Array.blit vs 0 mem_f base (Array.length vs))
+    placed;
+  let bases = List.map (fun ((a : Prog.adecl), base) -> (a.Prog.aname, base * word)) placed in
+  { mem_i; mem_f; kind; bases }
 
 (* Observables after execution, shared by both paths. *)
 let collect (p : Prog.t) (mem : mem) ivals fvals : (string * value) list * (string * float array) list =
@@ -110,11 +131,15 @@ let collect (p : Prog.t) (mem : mem) ivals fvals : (string * value) list * (stri
     List.map
       (fun (a : Prog.adecl) ->
         let base = List.assoc a.Prog.aname mem.bases / word in
-        let contents =
-          Array.init a.Prog.asize (fun k ->
-            if mem.is_float.(base + k) then mem.mem_f.(base + k)
-            else float_of_int mem.mem_i.(base + k))
-        in
+        (* Cells past the initial contents are unmapped and read 0. *)
+        let contents = Array.make a.Prog.asize 0.0 in
+        (match a.Prog.ainit with
+        | Prog.FInit vs ->
+          Array.blit mem.mem_f base contents 0 (Int.min a.Prog.asize (Array.length vs))
+        | Prog.IInit vs ->
+          for k = 0 to Int.min a.Prog.asize (Array.length vs) - 1 do
+            contents.(k) <- float_of_int mem.mem_i.(base + k)
+          done);
         (a.Prog.aname, contents))
       p.Prog.arrays
   in
@@ -157,15 +182,15 @@ let empty_slots p = (p.p_cycles * p.p_issue) - p.p_filled
 let classified_slots p = List.fold_left (fun acc (_, n) -> acc + n) 0 p.p_stalls
 
 (* Largest Table 1 latency; bounds the interlock histogram. *)
-let max_latency = List.fold_left (fun acc (_, l) -> max acc l) 1 Machine.table1_rows
+let max_latency = List.fold_left (fun acc (_, l) -> Int.max acc l) 1 Machine.table1_rows
 
 (* Mutable accumulator threaded through a profiled run of either core.
-   The in-order core charges [ps_interlock] and remembers in [ps_iprod] /
-   [ps_fprod] the latency of the op that last wrote each register, so an
-   interlock can be attributed to its producer's latency class (the
-   paper's Fig. 8 mechanism: renaming and expansion remove exactly these
-   waits); the out-of-order core charges the window causes and tracks
-   [ps_max_rob]. *)
+   The in-order core charges [ps_interlock] and remembers in [ps_prod],
+   by ready index ([Reg.hash]), the latency of the op that last wrote
+   each register, so an interlock can be attributed to its producer's
+   latency class (the paper's Fig. 8 mechanism: renaming and expansion
+   remove exactly these waits); the out-of-order core charges the
+   window causes and tracks [ps_max_rob]. *)
 type pstate = {
   ps_interlock : int array;
   mutable ps_blimit : int;
@@ -177,11 +202,10 @@ type pstate = {
   mutable ps_max_rob : int;
   ps_ilp : int array;
   ps_insn : int array;
-  ps_iprod : int array;
-  ps_fprod : int array;
+  ps_prod : int array;
 }
 
-let make_pstate ~issue ~ncode ~nregs =
+let make_pstate ~issue ~ncode ~nready =
   {
     ps_interlock = Array.make (max_latency + 1) 0;
     ps_blimit = 0;
@@ -193,8 +217,7 @@ let make_pstate ~issue ~ncode ~nregs =
     ps_max_rob = 0;
     ps_ilp = Array.make (issue + 1) 0;
     ps_insn = Array.make ncode 0;
-    ps_iprod = Array.make nregs 0;
-    ps_fprod = Array.make nregs 0;
+    ps_prod = Array.make nready 0;
   }
 
 (* The profile of a run that filled its last slot in cycle [last - 1]
@@ -247,7 +270,10 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
       code
   in
   let nregs = Reg.gen_count p.Prog.ctx.Prog.rgen + 1 in
-  let ps = if profile then Some (make_pstate ~issue:machine.Machine.issue ~ncode ~nregs) else None in
+  let ps =
+    if profile then Some (make_pstate ~issue:machine.Machine.issue ~ncode ~nready:(2 * nregs))
+    else None
+  in
   let ivals = Array.make nregs 0 in
   let fvals = Array.make nregs 0.0 in
   let iready = Array.make nregs 0 in
@@ -285,7 +311,7 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
   let cell_of_addr addr what =
     if addr mod word <> 0 then errf "%s: misaligned address %d" what addr;
     let c = addr / word in
-    if c < 0 || c >= Array.length mem.valid || not mem.valid.(c) then
+    if c < 0 || c >= Bytes.length mem.kind || Bytes.get mem.kind c = cell_unmapped then
       errf "%s: address %d out of bounds" what addr;
     c
   in
@@ -298,13 +324,7 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
       fvals.(r.Reg.id) <- x;
       fready.(r.Reg.id) <- cycle + lat
     | Reg.Int, VF _ | Reg.Float, VI _ -> errf "class mismatch writing %s" (Reg.to_string r));
-    (match ps with
-    | Some s -> (
-      match r.Reg.cls with
-      | Reg.Int -> s.ps_iprod.(r.Reg.id) <- lat
-      | Reg.Float -> s.ps_fprod.(r.Reg.id) <- lat)
-    | None -> ());
-    ()
+    match ps with Some s -> s.ps_prod.(Reg.hash r) <- lat | None -> ()
   in
   let icmp c a b =
     match c with
@@ -338,10 +358,7 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
          (fun o ->
            match o with
            | Operand.Reg r when ready_of o > !cycle ->
-             (lat :=
-                match r.Reg.cls with
-                | Reg.Int -> s.ps_iprod.(r.Reg.id)
-                | Reg.Float -> s.ps_fprod.(r.Reg.id));
+             lat := s.ps_prod.(Reg.hash r);
              raise Exit
            | _ -> ())
          i.Insn.srcs
@@ -432,10 +449,10 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
           let v =
             match cls with
             | Reg.Int ->
-              if mem.is_float.(c) then errf "int load from float cell %d" addr;
+              if Bytes.get mem.kind c <> cell_int then errf "int load from float cell %d" addr;
               VI mem.mem_i.(c)
             | Reg.Float ->
-              if not mem.is_float.(c) then errf "float load from int cell %d" addr;
+              if Bytes.get mem.kind c <> cell_float then errf "float load from int cell %d" addr;
               VF mem.mem_f.(c)
           in
           write_reg (dst ()) v !cycle lat
@@ -448,10 +465,10 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
           let c = cell_of_addr addr "store" in
           (match cls with
           | Reg.Int ->
-            if mem.is_float.(c) then errf "int store to float cell %d" addr;
+            if Bytes.get mem.kind c <> cell_int then errf "int store to float cell %d" addr;
             mem.mem_i.(c) <- int_of_operand i.Insn.srcs.(3)
           | Reg.Float ->
-            if not mem.is_float.(c) then errf "float store to int cell %d" addr;
+            if Bytes.get mem.kind c <> cell_float then errf "float store to int cell %d" addr;
             mem.mem_f.(c) <- flt_of_operand i.Insn.srcs.(3))
         | Insn.Br (cls, c) ->
           incr branches;
@@ -495,7 +512,7 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
   let outputs, arrays_out = collect p mem ivals fvals in
   (* Execution ends when the last in-flight result writes back, not at
      the last issue. *)
-  let cycles = max !cycle !last_writeback in
+  let cycles = Int.max !cycle !last_writeback in
   let prof =
     Option.map (fun s -> profile_of_pstate s machine ~last:!cycle ~cycles ~dyn:!dyn code) ps
   in
@@ -511,139 +528,185 @@ let run_ref_profiled ?fuel (machine : Machine.t) (p : Prog.t) : result * profile
 
 (* ---- The decoded engine ---- *)
 
-(* One static instruction, decoded. Source slot [k] reads register
-   [dsrc_reg.(k)] when that is >= 0 (an index into the int or float
-   register file, as the opcode's slot context dictates), else the
-   immediate in [dsrc_imm_i]/[dsrc_imm_f] (labels already resolved to
-   base addresses). [drdy_i]/[drdy_f] list the register indices the
-   interlock must check. *)
+(* The flat opcode: one constant constructor per operation, register
+   class and direction, so [exec] dispatches through one jump table. *)
+type fop =
+  | Add | Sub | Mul | Div | Rem | Shl | Shr | And | Or | Xor
+  | Fadd | Fsub | Fmul | Fdiv
+  | IMov | FMov | ItoF | FtoI
+  | LoadI | LoadF | StoreI | StoreF
+  | BrI | BrF | Jmp
+
+(* One static instruction, decoded into immediate fields. Source slots
+   a, b, c, e (the opcode's operands in order; a store's value is e)
+   index the int or float value file, as the opcode's slot context
+   dictates: a register's slot is its id, a constant's its pool slot
+   past the registers. [dra]..[dre] are their ready indices:
+   [Reg.hash] for a register, the sentinel for a constant or an unused
+   slot. [drdy] is the destination's ready index, the sink when there
+   is none. *)
 type dinsn = {
-  dop : Insn.op;
-  ddst : int;  (* destination register index; -1 when none *)
-  ddst_f : bool;  (* destination is a float register *)
-  dlat : int;
+  dop : fop;
+  ddst : int;  (* destination slot; 0 when none (never written) *)
+  drdy : int;
+  dlat : int;  (* Table 1 latency *)
   dtarget : int;  (* branch target code index; -1 when not a branch *)
-  dsrc_reg : int array;
-  dsrc_isf : bool array;  (* slot k reads the float register file *)
-  dsrc_imm_i : int array;
-  dsrc_imm_f : float array;
-  drdy_i : int array;
-  drdy_f : int array;
-  dbr : bool;
+  dcmp : Insn.cmp;  (* a branch's comparison *)
+  da : int;
+  db : int;
+  dc : int;
+  de : int;
+  dra : int;
+  drb : int;
+  drc : int;
+  dre : int;
+  dbr : bool;  (* branch or jump *)
   dmem : bool;  (* load or store *)
 }
 
-(* Slot contexts implied by an opcode, mirroring the reference
-   interpreter's [int_of_operand]/[flt_of_operand] choices. *)
-let decode (mem : mem) (flat : Flatten.t) : dinsn array =
-  let code = flat.Flatten.code in
-  let base_of lab =
-    match List.assoc_opt lab mem.bases with
-    | Some b -> b
-    | None -> errf "unknown array label %s" lab
-  in
-  let decode_one (i : Insn.t) : dinsn =
-    let n = Array.length i.Insn.srcs in
-    let dsrc_reg = Array.make n (-1) in
-    let dsrc_isf = Array.make n false in
-    let dsrc_imm_i = Array.make n 0 in
-    let dsrc_imm_f = Array.make n 0.0 in
-    let rdy_i = ref [] in
-    let rdy_f = ref [] in
-    let int_slot k =
-      match i.Insn.srcs.(k) with
-      | Operand.Reg r ->
-        if r.Reg.cls <> Reg.Int then
-          errf "float register %s in int context" (Reg.to_string r);
-        dsrc_reg.(k) <- r.Reg.id;
-        rdy_i := r.Reg.id :: !rdy_i
-      | Operand.Int v -> dsrc_imm_i.(k) <- v
-      | Operand.Lab s -> dsrc_imm_i.(k) <- base_of s
-      | Operand.Flt _ -> errf "float immediate in int context"
-    in
-    let flt_slot k =
-      match i.Insn.srcs.(k) with
-      | Operand.Reg r ->
-        if r.Reg.cls <> Reg.Float then
-          errf "int register %s in float context" (Reg.to_string r);
-        dsrc_reg.(k) <- r.Reg.id;
-        dsrc_isf.(k) <- true;
-        rdy_f := r.Reg.id :: !rdy_f
-      | Operand.Flt x -> dsrc_imm_f.(k) <- x
-      | Operand.Int v -> dsrc_imm_f.(k) <- float_of_int v
-      | Operand.Lab _ -> errf "label in float context"
-    in
-    let cls_slot cls k = match cls with Reg.Int -> int_slot k | Reg.Float -> flt_slot k in
-    (match i.Insn.op with
-    | Insn.IBin _ ->
-      int_slot 0;
-      int_slot 1
-    | Insn.FBin _ ->
-      flt_slot 0;
-      flt_slot 1
-    | Insn.IMov | Insn.ItoF -> int_slot 0
-    | Insn.FMov | Insn.FtoI -> flt_slot 0
-    | Insn.Load _ ->
-      int_slot 0;
-      int_slot 1;
-      int_slot 2
-    | Insn.Store cls ->
-      int_slot 0;
-      int_slot 1;
-      int_slot 2;
-      cls_slot cls 3
-    | Insn.Br (cls, _) ->
-      cls_slot cls 0;
-      cls_slot cls 1
-    | Insn.Jmp -> ());
-    let ddst, ddst_f =
-      match i.Insn.dst, Insn.result_cls i with
-      | Some r, Some cls ->
-        if r.Reg.cls <> cls then errf "class mismatch writing %s" (Reg.to_string r);
-        (r.Reg.id, cls = Reg.Float)
-      | Some _, None -> (-1, false)
-      | None, Some _ -> errf "instruction %d lacks destination" i.Insn.id
-      | None, None -> (-1, false)
-    in
-    {
-      dop = i.Insn.op;
-      ddst;
-      ddst_f;
-      dlat = Machine.latency i.Insn.op;
-      dtarget = (if Insn.is_branch i then Flatten.target_index flat i else -1);
-      dsrc_reg;
-      dsrc_isf;
-      dsrc_imm_i;
-      dsrc_imm_f;
-      drdy_i = Array.of_list (List.rev !rdy_i);
-      drdy_f = Array.of_list (List.rev !rdy_f);
-      dbr = Insn.is_branch i;
-      dmem = Insn.is_mem i;
-    }
-  in
-  Array.map decode_one code
+let flat_op (op : Insn.op) : fop =
+  match op with
+  | Insn.IBin o -> (
+    match o with
+    | Insn.Add -> Add | Insn.Sub -> Sub | Insn.Mul -> Mul | Insn.Div -> Div | Insn.Rem -> Rem
+    | Insn.Shl -> Shl | Insn.Shr -> Shr | Insn.And -> And | Insn.Or -> Or | Insn.Xor -> Xor)
+  | Insn.FBin o -> (
+    match o with Insn.Fadd -> Fadd | Insn.Fsub -> Fsub | Insn.Fmul -> Fmul | Insn.Fdiv -> Fdiv)
+  | Insn.IMov -> IMov
+  | Insn.FMov -> FMov
+  | Insn.ItoF -> ItoF
+  | Insn.FtoI -> FtoI
+  | Insn.Load Reg.Int -> LoadI
+  | Insn.Load Reg.Float -> LoadF
+  | Insn.Store Reg.Int -> StoreI
+  | Insn.Store Reg.Float -> StoreF
+  | Insn.Br (Reg.Int, _) -> BrI
+  | Insn.Br (Reg.Float, _) -> BrF
+  | Insn.Jmp -> Jmp
 
 (* Per-run set-up shared by both decoded loops: the flattened code, its
-   decoded records, the initial memory image and the register files. *)
+   decoded records, the initial memory image and the value files, the
+   constant pool filled in. Ready indices run over [0, nready): the
+   registers' [Reg.hash]es, then the sentinel ([nready - 2]) and the
+   sink ([nready - 1]). *)
 type state = {
   code : Insn.t array;
   dcode : dinsn array;
   mem : mem;
   ivals : int array;
   fvals : float array;
+  nready : int;
 }
 
+(* Flatten [p], build its memory image and decode every instruction.
+   Each opcode's source slots take the int or float context of the
+   reference interpreter's [int_of_operand]/[flt_of_operand] choices.
+   Raises [Error] on class confusion, unknown labels or a missing
+   destination, with the reference's messages. *)
 let start (p : Prog.t) : state =
   let flat = Flatten.of_prog p in
+  let code = flat.Flatten.code in
   let nregs = Reg.gen_count p.Prog.ctx.Prog.rgen + 1 in
+  let sentinel = 2 * nregs in
+  let sink = sentinel + 1 in
   let mem = build_mem p in
-  {
-    code = flat.Flatten.code;
-    dcode = decode mem flat;
-    mem;
-    ivals = Array.make nregs 0;
-    fvals = Array.make nregs 0.0;
-  }
+  let base_of lab =
+    match List.assoc_opt lab mem.bases with
+    | Some b -> b
+    | None -> errf "unknown array label %s" lab
+  in
+  (* The constant pool, newest first; pool entry k is slot nregs + k. *)
+  let ipool = ref [] and ni = ref 0 in
+  let fpool = ref [] and nf = ref 0 in
+  let iconst v =
+    ipool := v :: !ipool;
+    incr ni;
+    nregs + !ni - 1
+  in
+  let fconst x =
+    fpool := x :: !fpool;
+    incr nf;
+    nregs + !nf - 1
+  in
+  let vs = Array.make 4 0 in
+  let rs = Array.make 4 sentinel in
+  (* Decode source [k] of [i] in context [cls] into [vs.(k)] / [rs.(k)]. *)
+  let slot (i : Insn.t) k (cls : Reg.cls) =
+    match cls, i.Insn.srcs.(k) with
+    | Reg.Int, Operand.Reg r ->
+      if r.Reg.cls <> Reg.Int then errf "float register %s in int context" (Reg.to_string r);
+      vs.(k) <- r.Reg.id;
+      rs.(k) <- 2 * r.Reg.id
+    | Reg.Int, Operand.Int v -> vs.(k) <- iconst v
+    | Reg.Int, Operand.Lab s -> vs.(k) <- iconst (base_of s)
+    | Reg.Int, Operand.Flt _ -> errf "float immediate in int context"
+    | Reg.Float, Operand.Reg r ->
+      if r.Reg.cls <> Reg.Float then errf "int register %s in float context" (Reg.to_string r);
+      vs.(k) <- r.Reg.id;
+      rs.(k) <- (2 * r.Reg.id) + 1
+    | Reg.Float, Operand.Flt x -> vs.(k) <- fconst x
+    | Reg.Float, Operand.Int v -> vs.(k) <- fconst (float_of_int v)
+    | Reg.Float, Operand.Lab _ -> errf "label in float context"
+  in
+  let decode_one (i : Insn.t) : dinsn =
+    Array.fill vs 0 4 0;
+    Array.fill rs 0 4 sentinel;
+    (match i.Insn.op with
+    | Insn.IBin _ ->
+      slot i 0 Reg.Int;
+      slot i 1 Reg.Int
+    | Insn.FBin _ ->
+      slot i 0 Reg.Float;
+      slot i 1 Reg.Float
+    | Insn.IMov | Insn.ItoF -> slot i 0 Reg.Int
+    | Insn.FMov | Insn.FtoI -> slot i 0 Reg.Float
+    | Insn.Load _ ->
+      slot i 0 Reg.Int;
+      slot i 1 Reg.Int;
+      slot i 2 Reg.Int
+    | Insn.Store cls ->
+      slot i 0 Reg.Int;
+      slot i 1 Reg.Int;
+      slot i 2 Reg.Int;
+      slot i 3 cls
+    | Insn.Br (cls, _) ->
+      slot i 0 cls;
+      slot i 1 cls
+    | Insn.Jmp -> ());
+    let ddst, drdy =
+      match i.Insn.dst, Insn.result_cls i with
+      | Some r, Some cls ->
+        if r.Reg.cls <> cls then errf "class mismatch writing %s" (Reg.to_string r);
+        (r.Reg.id, (2 * r.Reg.id) + if cls = Reg.Float then 1 else 0)
+      | None, Some _ -> errf "instruction %d lacks destination" i.Insn.id
+      | Some _, None | None, None -> (0, sink)
+    in
+    let dbr = Insn.is_branch i in
+    {
+      dop = flat_op i.Insn.op;
+      ddst;
+      drdy;
+      dlat = Machine.latency i.Insn.op;
+      dtarget = (if dbr then Flatten.target_index flat i else -1);
+      dcmp = (match i.Insn.op with Insn.Br (_, c) -> c | _ -> Insn.Eq);
+      da = vs.(0);
+      db = vs.(1);
+      dc = vs.(2);
+      de = vs.(3);
+      dra = rs.(0);
+      drb = rs.(1);
+      drc = rs.(2);
+      dre = rs.(3);
+      dbr;
+      dmem = Insn.is_mem i;
+    }
+  in
+  let dcode = Array.map decode_one code in
+  let ivals = Array.make (nregs + !ni) 0 in
+  List.iteri (fun k v -> ivals.(nregs + !ni - 1 - k) <- v) !ipool;
+  let fvals = Array.make (nregs + !nf) 0.0 in
+  List.iteri (fun k x -> fvals.(nregs + !nf - 1 - k) <- x) !fpool;
+  { code; dcode; mem; ivals; fvals; nready = sink + 1 }
 
 let finish (p : Prog.t) (st : state) ~cycles ~dyn : result =
   let outputs, arrays_out = collect p st.mem st.ivals st.fvals in
@@ -655,22 +718,36 @@ let finish (p : Prog.t) (st : state) ~cycles ~dyn : result =
    These functions must stay top-level, [@inline], free of local
    closures (which keep a function from being inlined) and in this
    module: dune's dev profile compiles every module with -opaque, so a
-   step in another module would cost a call per dynamic instruction,
-   while these are inlined into each loop. *)
+   step in another module (say [Insn.eval_icmp]) would cost a call per
+   dynamic instruction, while these are inlined into each loop. For the
+   same reason every max, min and comparison on the hot paths is typed:
+   Stdlib's [max]/[min] are polymorphic and compare through
+   [caml_greaterequal], a C call (four polymorphic [max] per
+   instruction double the out-of-order run's time); [Int.max] and
+   [Int.min] inline. *)
 
-(* Source slot [k] in int / float context. *)
-let[@inline] gi ivals d k =
-  let r = d.dsrc_reg.(k) in
-  if r >= 0 then ivals.(r) else d.dsrc_imm_i.(k)
+let[@inline] icmp (c : Insn.cmp) (a : int) (b : int) =
+  match c with
+  | Insn.Lt -> a < b
+  | Insn.Le -> a <= b
+  | Insn.Gt -> a > b
+  | Insn.Ge -> a >= b
+  | Insn.Eq -> a = b
+  | Insn.Ne -> a <> b
 
-let[@inline] gf fvals d k =
-  let r = d.dsrc_reg.(k) in
-  if r >= 0 then fvals.(r) else d.dsrc_imm_f.(k)
+let[@inline] fcmp (c : Insn.cmp) (a : float) (b : float) =
+  match c with
+  | Insn.Lt -> a < b
+  | Insn.Le -> a <= b
+  | Insn.Gt -> a > b
+  | Insn.Ge -> a >= b
+  | Insn.Eq -> a = b
+  | Insn.Ne -> a <> b
 
 let[@inline] cell_of_addr mem addr what =
   if addr mod word <> 0 then errf "%s: misaligned address %d" what addr;
   let c = addr / word in
-  if c < 0 || c >= Array.length mem.valid || not mem.valid.(c) then
+  if c < 0 || c >= Bytes.length mem.kind || Bytes.get mem.kind c = cell_unmapped then
     errf "%s: address %d out of bounds" what addr;
   c
 
@@ -679,112 +756,80 @@ let[@inline] cell_of_addr mem addr what =
    whether control transfers to [d.dtarget]. *)
 let[@inline] exec ivals fvals mem d =
   match d.dop with
-  | Insn.IBin op ->
-    let a = gi ivals d 0 in
-    let b = gi ivals d 1 in
-    let v =
-      match op with
-      | Insn.Add -> a + b
-      | Insn.Sub -> a - b
-      | Insn.Mul -> a * b
-      | Insn.Div -> if b = 0 then errf "division by zero" else a / b
-      | Insn.Rem -> if b = 0 then errf "remainder by zero" else a mod b
-      | Insn.Shl -> a lsl b
-      | Insn.Shr -> a asr b
-      | Insn.And -> a land b
-      | Insn.Or -> a lor b
-      | Insn.Xor -> a lxor b
-    in
-    ivals.(d.ddst) <- v;
+  | Add -> ivals.(d.ddst) <- ivals.(d.da) + ivals.(d.db); false
+  | Sub -> ivals.(d.ddst) <- ivals.(d.da) - ivals.(d.db); false
+  | Mul -> ivals.(d.ddst) <- ivals.(d.da) * ivals.(d.db); false
+  | Div ->
+    let b = ivals.(d.db) in
+    if b = 0 then errf "division by zero";
+    ivals.(d.ddst) <- ivals.(d.da) / b;
     false
-  | Insn.FBin op ->
-    let a = gf fvals d 0 in
-    let b = gf fvals d 1 in
-    let v =
-      match op with
-      | Insn.Fadd -> a +. b
-      | Insn.Fsub -> a -. b
-      | Insn.Fmul -> a *. b
-      | Insn.Fdiv -> a /. b
-    in
-    fvals.(d.ddst) <- v;
+  | Rem ->
+    let b = ivals.(d.db) in
+    if b = 0 then errf "remainder by zero";
+    ivals.(d.ddst) <- ivals.(d.da) mod b;
     false
-  | Insn.IMov ->
-    ivals.(d.ddst) <- gi ivals d 0;
-    false
-  | Insn.FMov ->
-    fvals.(d.ddst) <- gf fvals d 0;
-    false
-  | Insn.ItoF ->
-    fvals.(d.ddst) <- float_of_int (gi ivals d 0);
-    false
-  | Insn.FtoI ->
-    ivals.(d.ddst) <- int_of_float (Float.trunc (gf fvals d 0));
-    false
-  | Insn.Load cls ->
-    let addr = gi ivals d 0 + gi ivals d 1 + gi ivals d 2 in
+  | Shl -> ivals.(d.ddst) <- ivals.(d.da) lsl ivals.(d.db); false
+  | Shr -> ivals.(d.ddst) <- ivals.(d.da) asr ivals.(d.db); false
+  | And -> ivals.(d.ddst) <- ivals.(d.da) land ivals.(d.db); false
+  | Or -> ivals.(d.ddst) <- ivals.(d.da) lor ivals.(d.db); false
+  | Xor -> ivals.(d.ddst) <- ivals.(d.da) lxor ivals.(d.db); false
+  | Fadd -> fvals.(d.ddst) <- fvals.(d.da) +. fvals.(d.db); false
+  | Fsub -> fvals.(d.ddst) <- fvals.(d.da) -. fvals.(d.db); false
+  | Fmul -> fvals.(d.ddst) <- fvals.(d.da) *. fvals.(d.db); false
+  | Fdiv -> fvals.(d.ddst) <- fvals.(d.da) /. fvals.(d.db); false
+  | IMov -> ivals.(d.ddst) <- ivals.(d.da); false
+  | FMov -> fvals.(d.ddst) <- fvals.(d.da); false
+  | ItoF -> fvals.(d.ddst) <- float_of_int ivals.(d.da); false
+  | FtoI -> ivals.(d.ddst) <- int_of_float (Float.trunc fvals.(d.da)); false
+  | LoadI ->
+    let addr = ivals.(d.da) + ivals.(d.db) + ivals.(d.dc) in
     let c = cell_of_addr mem addr "load" in
-    (match cls with
-    | Reg.Int ->
-      if mem.is_float.(c) then errf "int load from float cell %d" addr;
-      ivals.(d.ddst) <- mem.mem_i.(c)
-    | Reg.Float ->
-      if not mem.is_float.(c) then errf "float load from int cell %d" addr;
-      fvals.(d.ddst) <- mem.mem_f.(c));
+    if Bytes.get mem.kind c <> cell_int then errf "int load from float cell %d" addr;
+    ivals.(d.ddst) <- mem.mem_i.(c);
     false
-  | Insn.Store cls ->
-    let addr = gi ivals d 0 + gi ivals d 1 + gi ivals d 2 in
+  | LoadF ->
+    let addr = ivals.(d.da) + ivals.(d.db) + ivals.(d.dc) in
+    let c = cell_of_addr mem addr "load" in
+    if Bytes.get mem.kind c <> cell_float then errf "float load from int cell %d" addr;
+    fvals.(d.ddst) <- mem.mem_f.(c);
+    false
+  | StoreI ->
+    let addr = ivals.(d.da) + ivals.(d.db) + ivals.(d.dc) in
     let c = cell_of_addr mem addr "store" in
-    (match cls with
-    | Reg.Int ->
-      if mem.is_float.(c) then errf "int store to float cell %d" addr;
-      mem.mem_i.(c) <- gi ivals d 3
-    | Reg.Float ->
-      if not mem.is_float.(c) then errf "float store to int cell %d" addr;
-      mem.mem_f.(c) <- gf fvals d 3);
+    if Bytes.get mem.kind c <> cell_int then errf "int store to float cell %d" addr;
+    mem.mem_i.(c) <- ivals.(d.de);
     false
-  | Insn.Br (cls, c) -> (
-    match cls with
-    | Reg.Int -> Insn.eval_icmp c (gi ivals d 0) (gi ivals d 1)
-    | Reg.Float -> Insn.eval_fcmp c (gf fvals d 0) (gf fvals d 1))
-  | Insn.Jmp -> true
+  | StoreF ->
+    let addr = ivals.(d.da) + ivals.(d.db) + ivals.(d.dc) in
+    let c = cell_of_addr mem addr "store" in
+    if Bytes.get mem.kind c <> cell_float then errf "float store to int cell %d" addr;
+    mem.mem_f.(c) <- fvals.(d.de);
+    false
+  | BrI -> icmp d.dcmp ivals.(d.da) ivals.(d.db)
+  | BrF -> fcmp d.dcmp fvals.(d.da) fvals.(d.db)
+  | Jmp -> true
 
 (* ---- In-order timing loop ---- *)
 
 let run_inorder_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : Prog.t) :
     result * profile option =
   let st = start p in
-  let { code; dcode; mem; ivals; fvals } = st in
+  let { code; dcode; mem; ivals; fvals; nready } = st in
   let ncode = Array.length code in
-  let nregs = Array.length ivals in
-  let ps = if profile then Some (make_pstate ~issue:machine.Machine.issue ~ncode ~nregs) else None in
-  let iready = Array.make nregs 0 in
-  let fready = Array.make nregs 0 in
+  let ps = if profile then Some (make_pstate ~issue:machine.Machine.issue ~ncode ~nready) else None in
+  (* Cycle each ready index's latest value becomes available. *)
+  let ready = Array.make nready 0 in
   let issue_width = machine.Machine.issue in
   let branch_slots = machine.Machine.branch_slots in
   (* Producer latency of the first unready source in operand-slot
-     order, matching the reference path's [blocking_lat] (the
-     [drdy_i]/[drdy_f] arrays group slots by class, so they cannot be
-     used here: the classification must agree between both paths). *)
-  let blocking_lat_fast (s : pstate) (d : dinsn) cyc =
-    let lat = ref 0 in
-    (try
-       for k = 0 to Array.length d.dsrc_reg - 1 do
-         let r = d.dsrc_reg.(k) in
-         if r >= 0 then
-           if d.dsrc_isf.(k) then begin
-             if fready.(r) > cyc then begin
-               lat := s.ps_fprod.(r);
-               raise Exit
-             end
-           end
-           else if iready.(r) > cyc then begin
-             lat := s.ps_iprod.(r);
-             raise Exit
-           end
-       done
-     with Exit -> ());
-    !lat
+     order, matching the reference path's [blocking_lat]. *)
+  let blocking_lat prod d cyc =
+    if ready.(d.dra) > cyc then prod.(d.dra)
+    else if ready.(d.drb) > cyc then prod.(d.drb)
+    else if ready.(d.drc) > cyc then prod.(d.drc)
+    else if ready.(d.dre) > cyc then prod.(d.dre)
+    else 0
   in
   let pc = ref 0 in
   let cycle = ref 0 in
@@ -803,24 +848,16 @@ let run_inorder_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : P
       (* Interlock: all register sources ready, and a branch slot free
          for branches. *)
       let regs_ready =
-        let ok = ref true in
-        let ri = d.drdy_i in
-        for s = 0 to Array.length ri - 1 do
-          if iready.(ri.(s)) > cyc then ok := false
-        done;
-        let rf = d.drdy_f in
-        for s = 0 to Array.length rf - 1 do
-          if fready.(rf.(s)) > cyc then ok := false
-        done;
-        !ok
+        ready.(d.dra) <= cyc && ready.(d.drb) <= cyc && ready.(d.drc) <= cyc
+        && ready.(d.dre) <= cyc
       in
-      let ready = regs_ready && ((not d.dbr) || !branches < branch_slots) in
-      if not ready then begin
+      let ready_to_issue = regs_ready && ((not d.dbr) || !branches < branch_slots) in
+      if not ready_to_issue then begin
         (match ps with
         | Some s ->
           let open_slots = issue_width - !issued in
           if not regs_ready then begin
-            let lat = blocking_lat_fast s d cyc in
+            let lat = blocking_lat s.ps_prod d cyc in
             s.ps_interlock.(lat) <- s.ps_interlock.(lat) + open_slots
           end
           else s.ps_blimit <- s.ps_blimit + open_slots
@@ -833,8 +870,7 @@ let run_inorder_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : P
         let lat = d.dlat in
         if cyc + lat > !last_writeback then last_writeback := cyc + lat;
         let taken = exec ivals fvals mem d in
-        if d.ddst >= 0 then
-          if d.ddst_f then fready.(d.ddst) <- cyc + lat else iready.(d.ddst) <- cyc + lat;
+        ready.(d.drdy) <- cyc + lat;
         if d.dbr then incr branches;
         if taken then begin
           pc := d.dtarget;
@@ -845,9 +881,7 @@ let run_inorder_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : P
         (match ps with
         | Some s ->
           s.ps_insn.(k) <- s.ps_insn.(k) + 1;
-          if d.ddst >= 0 then
-            if d.ddst_f then s.ps_fprod.(d.ddst) <- lat
-            else s.ps_iprod.(d.ddst) <- lat;
+          s.ps_prod.(d.drdy) <- lat;
           (* A taken branch empties the rest of the cycle. *)
           if !stall then s.ps_redirect <- s.ps_redirect + (issue_width - !issued)
         | None -> ())
@@ -863,7 +897,7 @@ let run_inorder_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : P
     incr cycle;
     if !pc >= ncode then running := false
   done;
-  let cycles = max !cycle !last_writeback in
+  let cycles = Int.max !cycle !last_writeback in
   let prof =
     Option.map (fun s -> profile_of_pstate s machine ~last:!cycle ~cycles ~dyn:!dyn code) ps
   in
@@ -923,7 +957,9 @@ let run_inorder_gen ?(fuel = default_fuel) ~profile (machine : Machine.t) (p : P
      branch or a full group) with a free branch slot for a branch, room
      in the reorder buffer (K_{i-R} <= D_i) and, for a writer, a free
      physical register of its class (K of the class's P-th previous
-     writer <= D_i);
+     writer <= D_i). That writer is at least P instructions back and
+     commit cycles never decrease, so for P >= R the reorder-buffer
+     check implies this one, and it is skipped;
    - issue I_i: the first cycle >= max(D_i + 1, the sources' latest
      writers' completion, the previous memory op's issue) in which
      fewer than W older instructions issue. Issue is oldest-ready-first,
@@ -942,23 +978,22 @@ let run_ooo_gen ?(fuel = default_fuel) ~profile ~rob ~phys_regs (machine : Machi
   let issue_width = machine.Machine.issue in
   let branch_slots = machine.Machine.branch_slots in
   let st = start p in
-  let { code; dcode; mem; ivals; fvals } = st in
+  let { code; dcode; mem; ivals; fvals; nready } = st in
   let ncode = Array.length code in
-  let nregs = Array.length ivals in
-  let ps = if profile then Some (make_pstate ~issue:issue_width ~ncode ~nregs) else None in
-  (* Completion cycle of each register's latest writer (0: never
+  let ps = if profile then Some (make_pstate ~issue:issue_width ~ncode ~nready) else None in
+  (* Completion cycle of each ready index's latest writer (0: never
      written, ready from the start). *)
-  let done_i = Array.make nregs 0 in
-  let done_f = Array.make nregs 0 in
+  let done_ = Array.make nready 0 in
+  let sentinel = nready - 2 in
   (* Commit and issue cycles of the last R instructions: when i is
      dispatched, slot [rslot] holds K_{i-R} and I_{i-R}. *)
   let k_ring = Array.make rob 0 in
   let i_ring = Array.make rob 0 in
   let rslot = ref 0 in
-  (* Commit cycles of the last P writers per class. The P-th previous
-     writer is at least P instructions back, so for P >= R the reorder
-     buffer check implies this one and R entries suffice. *)
-  let phys = min phys_regs rob in
+  (* Commit cycles of the last P writers per class, kept only when the
+     physical registers can bind (P < R). *)
+  let bind_phys = phys_regs < rob in
+  let phys = if bind_phys then phys_regs else 0 in
   let kw_i = Array.make phys 0 in
   let kw_f = Array.make phys 0 in
   let wslot_i = ref 0 in
@@ -966,7 +1001,7 @@ let run_ooo_gen ?(fuel = default_fuel) ~profile ~rob ~phys_regs (machine : Machi
   (* Issue count per cycle, on a ring tagged by cycle number. A full
      window of R instructions issues within (R + 1) * maxlat cycles of
      the current dispatch, so the live cycles never share a slot. *)
-  let maxlat = Array.fold_left (fun a d -> max a d.dlat) 1 dcode in
+  let maxlat = Array.fold_left (fun a d -> Int.max a d.dlat) 1 dcode in
   let ring_size =
     let rec pow2 n = if n >= (rob + 2) * (maxlat + 2) then n else pow2 (2 * n) in
     pow2 64
@@ -988,8 +1023,11 @@ let run_ooo_gen ?(fuel = default_fuel) ~profile ~rob ~phys_regs (machine : Machi
     let k = !pc in
     let d = dcode.(k) in
     let need_rob = k_ring.(!rslot) in
+    let w = d.drdy in
     let need_phys =
-      if d.ddst < 0 then 0 else if d.ddst_f then kw_f.(!wslot_f) else kw_i.(!wslot_i)
+      if (not bind_phys) || w >= sentinel then 0
+      else if w land 1 = 1 then kw_f.(!wslot_f)
+      else kw_i.(!wslot_i)
     in
     (* -- dispatch cycle D_i -- *)
     if !n > 0 then begin
@@ -1014,14 +1052,14 @@ let run_ooo_gen ?(fuel = default_fuel) ~profile ~rob ~phys_regs (machine : Machi
       (* Whole cycles: a cycle starts with every branch slot free. *)
       if issue_width < 1 || (d.dbr && branch_slots < 1) then raise Timeout;
       let c0 = !cyc in
-      let c1 = max c0 need_rob in
-      let c2 = max c1 need_phys in
+      let c1 = Int.max c0 need_rob in
+      let c2 = Int.max c1 need_phys in
       (match ps with
       | Some s ->
         if need_rob > c0 then begin
           let h = i_ring.(!rslot) in
-          s.ps_rs_wait <- s.ps_rs_wait + (issue_width * max 0 (min need_rob h - c0));
-          s.ps_rob_full <- s.ps_rob_full + (issue_width * max 0 (need_rob - max c0 h))
+          s.ps_rs_wait <- s.ps_rs_wait + (issue_width * Int.max 0 (Int.min need_rob h - c0));
+          s.ps_rob_full <- s.ps_rob_full + (issue_width * Int.max 0 (need_rob - Int.max c0 h))
         end;
         s.ps_no_phys <- s.ps_no_phys + (issue_width * (c2 - c1));
         s.ps_ilp.(0) <- s.ps_ilp.(0) + (c2 - c0)
@@ -1031,19 +1069,11 @@ let run_ooo_gen ?(fuel = default_fuel) ~profile ~rob ~phys_regs (machine : Machi
     let dc = !cyc in
     if dc > fuel then raise Timeout;
     (* -- issue cycle I_i, completion C_i, commit K_i -- *)
-    let ready = ref (dc + 1) in
-    let ri = d.drdy_i in
-    for s = 0 to Array.length ri - 1 do
-      let c = done_i.(ri.(s)) in
-      if c > !ready then ready := c
-    done;
-    let rf = d.drdy_f in
-    for s = 0 to Array.length rf - 1 do
-      let c = done_f.(rf.(s)) in
-      if c > !ready then ready := c
-    done;
-    if d.dmem && !last_mem > !ready then ready := !last_mem;
-    let t = ref !ready in
+    let ready =
+      Int.max (dc + 1)
+        (Int.max (Int.max done_.(d.dra) done_.(d.drb)) (Int.max done_.(d.drc) done_.(d.dre)))
+    in
+    let t = ref (if d.dmem then Int.max ready !last_mem else ready) in
     while
       let s = !t land ring_mask in
       ring_tag.(s) = !t && ring_cnt.(s) >= issue_width
@@ -1088,14 +1118,13 @@ let run_ooo_gen ?(fuel = default_fuel) ~profile ~rob ~phys_regs (machine : Machi
     k_ring.(!rslot) <- kc;
     i_ring.(!rslot) <- iss;
     rslot := if !rslot + 1 = rob then 0 else !rslot + 1;
-    if d.ddst >= 0 then
-      if d.ddst_f then begin
-        done_f.(d.ddst) <- cmp;
+    done_.(w) <- cmp;
+    if bind_phys && w < sentinel then
+      if w land 1 = 1 then begin
         kw_f.(!wslot_f) <- kc;
         wslot_f := if !wslot_f + 1 = phys then 0 else !wslot_f + 1
       end
       else begin
-        done_i.(d.ddst) <- cmp;
         kw_i.(!wslot_i) <- kc;
         wslot_i := if !wslot_i + 1 = phys then 0 else !wslot_i + 1
       end;

@@ -32,9 +32,23 @@ val run : ?fuel:int -> Impact_ir.Machine.t -> Impact_ir.Prog.t -> result
 (** [run machine prog] executes [prog] to completion on [machine]'s
     {!Impact_ir.Machine.core}: the in-order pipeline, recorded as a
     ["sim.run"] span when [Impact_obs.Obs] telemetry is on, or
-    {!Ooo.run}. The program is first pre-decoded into flat execution
-    records ({!decode}) so the per-dynamic-instruction path does no
-    operand matching or list lookups. *)
+    {!Ooo.run}.
+
+    The program is first decoded, once per run, into one flat record
+    per static instruction, which both cores' timing loops and the
+    profiled paths execute:
+    - a constant pool: each immediate operand (an integer, a float, or
+      an array label resolved to its base address) gets its own slot
+      past the registers in the int or float value file, so every
+      source read is one array load with no branch on the operand kind;
+    - one ready index for both register classes ([Reg.hash]); constants
+      and unused source slots point at a sentinel that is never
+      written, so the in-order interlock is four compares and the
+      out-of-order ready cycle four loads and a max;
+    - one flat opcode per instruction, so the instruction step is one
+      jump table.
+    Class confusion, unknown labels and a missing destination raise
+    {!Error} at decode, with the reference's messages. *)
 
 val run_ref :
   ?fuel:int ->
@@ -162,15 +176,17 @@ end
 
 (** {1 Execution machinery}
 
-    The memory image, the decoder and the observable collection that
-    both cores use, exported for the cycle-stepped reference core of
-    the tests (test/ooo_ref.ml). *)
+    The memory image and the observable collection that both cores
+    use, exported for the cycle-stepped reference core of the tests
+    (test/ooo_ref.ml), which reads instruction operands itself. *)
 
 type mem = {
   mem_i : int array;
   mem_f : float array;
-  valid : bool array;  (** cell belongs to a declared array *)
-  is_float : bool array;
+  kind : Bytes.t;
+      (** per cell: ['\000'] an unmapped guard word, ['\001'] an int
+          cell, ['\002'] a float cell; [mem_i] and [mem_f] reach only as
+          far as the last array of their class *)
   bases : (string * int) list;  (** array name -> base address *)
 }
 
@@ -186,29 +202,3 @@ val collect :
   (string * value) list * (string * float array) list
 (** [collect prog mem ivals fvals] reads the program's observables
     ([outputs], [arrays_out]) from the final state. *)
-
-(** One static instruction, decoded. Source slot [k] reads register
-    [dsrc_reg.(k)] when that is [>= 0] (from the float file when
-    [dsrc_isf.(k)]), else the immediate [dsrc_imm_i.(k)] /
-    [dsrc_imm_f.(k)], labels already resolved to base addresses.
-    [drdy_i] / [drdy_f] list the register sources per class. *)
-type dinsn = {
-  dop : Impact_ir.Insn.op;
-  ddst : int;  (** destination register index; [-1] when none *)
-  ddst_f : bool;  (** destination is a float register *)
-  dlat : int;  (** Table 1 latency *)
-  dtarget : int;  (** branch target code index; [-1] when not a branch *)
-  dsrc_reg : int array;
-  dsrc_isf : bool array;
-  dsrc_imm_i : int array;
-  dsrc_imm_f : float array;
-  drdy_i : int array;
-  drdy_f : int array;
-  dbr : bool;  (** branch or jump *)
-  dmem : bool;  (** load or store *)
-}
-
-val decode : mem -> Impact_ir.Flatten.t -> dinsn array
-(** Decode every instruction of the flattened program, in code order.
-    Raises {!Error} on class confusion, unknown labels or a missing
-    destination. *)

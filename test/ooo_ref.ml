@@ -4,9 +4,11 @@
    reorder buffer, scans the linked list of un-issued entries in
    program order and issues the ready ones oldest first, then renames
    and dispatches up to [issue] instructions, charging each cycle's
-   empty dispatch slots as it goes. Same machine, same functional
-   execution (the shared [Sim] decoder), so its results and profiles
-   must equal [Sim.run_profiled]'s exactly. *)
+   empty dispatch slots as it goes. Same machine and the same
+   functional semantics, but it reads each [Insn.t]'s operands itself,
+   as [Sim.run_ref] does, rather than through [Sim]'s decoder, so its
+   results, profiles and errors must equal [Sim.run_profiled]'s
+   exactly and a decoder bug shows as a difference. *)
 
 open Impact_ir
 module Sim = Impact_sim.Sim
@@ -35,29 +37,114 @@ let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
   let ivals = Array.make nregs 0 in
   let fvals = Array.make nregs 0.0 in
   let mem = Sim.build_mem p in
-  let dcode = Sim.decode mem flat in
-  let mem_i = mem.mem_i in
-  let mem_f = mem.mem_f in
-  let mem_valid = mem.valid in
-  let mem_isf = mem.is_float in
-  let nmem = Array.length mem_valid in
-  let gi (d : Sim.dinsn) k =
-    let r = d.dsrc_reg.(k) in
-    if r >= 0 then ivals.(r) else d.dsrc_imm_i.(k)
-  [@@inline]
+  let targets =
+    Array.map (fun i -> if Insn.is_branch i then Flatten.target_index flat i else -1) code
   in
-  let gf (d : Sim.dinsn) k =
-    let r = d.dsrc_reg.(k) in
-    if r >= 0 then fvals.(r) else d.dsrc_imm_f.(k)
-  [@@inline]
+  let base_of lab =
+    match List.assoc_opt lab mem.Sim.bases with
+    | Some b -> b
+    | None -> errf "unknown array label %s" lab
   in
+  let gi (o : Operand.t) =
+    match o with
+    | Operand.Reg r ->
+      if r.Reg.cls <> Reg.Int then errf "float register %s in int context" (Reg.to_string r);
+      ivals.(r.Reg.id)
+    | Operand.Int n -> n
+    | Operand.Lab s -> base_of s
+    | Operand.Flt _ -> errf "float immediate in int context"
+  in
+  let gf (o : Operand.t) =
+    match o with
+    | Operand.Reg r ->
+      if r.Reg.cls <> Reg.Float then errf "int register %s in float context" (Reg.to_string r);
+      fvals.(r.Reg.id)
+    | Operand.Flt x -> x
+    | Operand.Int n -> float_of_int n
+    | Operand.Lab _ -> errf "label in float context"
+  in
+  (* The register [i] writes, in class [cls]. *)
+  let dst (i : Insn.t) cls =
+    match i.Insn.dst with
+    | Some r ->
+      if r.Reg.cls <> cls then errf "class mismatch writing %s" (Reg.to_string r);
+      r.Reg.id
+    | None -> errf "instruction %d lacks destination" i.Insn.id
+  in
+  (* [mem.kind] bytes: '\000' an unmapped guard word, '\001' an int
+     cell, '\002' a float cell. *)
   let cell_of_addr addr what =
     if addr mod word <> 0 then errf "%s: misaligned address %d" what addr;
     let c = addr / word in
-    if c < 0 || c >= nmem || not mem_valid.(c) then
+    if c < 0 || c >= Bytes.length mem.kind || Bytes.get mem.kind c = '\000' then
       errf "%s: address %d out of bounds" what addr;
     c
-  [@@inline]
+  in
+  (* Execute [i] functionally; returns whether control transfers to its
+     target. *)
+  let step (i : Insn.t) =
+    let src k = i.Insn.srcs.(k) in
+    match i.Insn.op with
+    | Insn.IBin op ->
+      let a = gi (src 0) in
+      let b = gi (src 1) in
+      let v =
+        match op with
+        | Insn.Add -> a + b
+        | Insn.Sub -> a - b
+        | Insn.Mul -> a * b
+        | Insn.Div -> if b = 0 then errf "division by zero" else a / b
+        | Insn.Rem -> if b = 0 then errf "remainder by zero" else a mod b
+        | Insn.Shl -> a lsl b
+        | Insn.Shr -> a asr b
+        | Insn.And -> a land b
+        | Insn.Or -> a lor b
+        | Insn.Xor -> a lxor b
+      in
+      ivals.(dst i Reg.Int) <- v;
+      false
+    | Insn.FBin op ->
+      let a = gf (src 0) in
+      let b = gf (src 1) in
+      fvals.(dst i Reg.Float) <- Insn.eval_fbin op a b;
+      false
+    | Insn.IMov ->
+      ivals.(dst i Reg.Int) <- gi (src 0);
+      false
+    | Insn.FMov ->
+      fvals.(dst i Reg.Float) <- gf (src 0);
+      false
+    | Insn.ItoF ->
+      fvals.(dst i Reg.Float) <- float_of_int (gi (src 0));
+      false
+    | Insn.FtoI ->
+      ivals.(dst i Reg.Int) <- int_of_float (Float.trunc (gf (src 0)));
+      false
+    | Insn.Load cls ->
+      let addr = gi (src 0) + gi (src 1) + gi (src 2) in
+      let c = cell_of_addr addr "load" in
+      (match cls with
+      | Reg.Int ->
+        if Bytes.get mem.kind c <> '\001' then errf "int load from float cell %d" addr;
+        ivals.(dst i Reg.Int) <- mem.mem_i.(c)
+      | Reg.Float ->
+        if Bytes.get mem.kind c <> '\002' then errf "float load from int cell %d" addr;
+        fvals.(dst i Reg.Float) <- mem.mem_f.(c));
+      false
+    | Insn.Store cls ->
+      let addr = gi (src 0) + gi (src 1) + gi (src 2) in
+      let c = cell_of_addr addr "store" in
+      (match cls with
+      | Reg.Int ->
+        if Bytes.get mem.kind c <> '\001' then errf "int store to float cell %d" addr;
+        mem.mem_i.(c) <- gi (src 3)
+      | Reg.Float ->
+        if Bytes.get mem.kind c <> '\002' then errf "float store to int cell %d" addr;
+        mem.mem_f.(c) <- gf (src 3));
+      false
+    | Insn.Br (Reg.Int, c) -> Insn.eval_icmp c (gi (src 0)) (gi (src 1))
+    | Insn.Br (Reg.Float, c) -> Insn.eval_fcmp c (gf (src 0)) (gf (src 1))
+    | Insn.Jmp -> true
   in
   (* Rename table: the sequence number of the in-flight producer of each
      architectural register, or -1 when the latest value has committed
@@ -180,8 +267,15 @@ let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
       end
       else begin
         let k = !pc in
-        let d = dcode.(k) in
-        if d.Sim.dbr && !branches >= branch_slots then begin
+        let i = code.(k) in
+        let is_br = Insn.is_branch i in
+        (* The destination register and its class, when [i] writes one. *)
+        let wr, wr_f =
+          match i.Insn.dst, Insn.result_cls i with
+          | Some r, Some cls -> (r.Reg.id, cls = Reg.Float)
+          | _ -> (-1, false)
+        in
+        if is_br && !branches >= branch_slots then begin
           c_fetch := !c_fetch + open_slots;
           continue_dispatch := false
         end
@@ -190,9 +284,7 @@ let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
           else c_rs_wait := !c_rs_wait + open_slots;
           continue_dispatch := false
         end
-        else if
-          d.ddst >= 0 && (if d.ddst_f then !free_float = 0 else !free_int = 0)
-        then begin
+        else if wr >= 0 && (if wr_f then !free_float = 0 else !free_int = 0) then begin
           c_no_phys := !c_no_phys + open_slots;
           continue_dispatch := false
         end
@@ -201,32 +293,35 @@ let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
           let seq = !next_seq in
           let sl = seq mod rob in
           rb_issued.(sl) <- false;
-          rb_lat.(sl) <- d.dlat;
-          rb_dst.(sl) <- d.ddst;
-          rb_dst_f.(sl) <- d.ddst_f;
-          rb_mem.(sl) <- d.dmem;
+          rb_lat.(sl) <- Machine.latency i.Insn.op;
+          rb_dst.(sl) <- wr;
+          rb_dst_f.(sl) <- wr_f;
+          rb_mem.(sl) <- Insn.is_mem i;
           let nsrc = ref 0 in
           let base = sl * max_srcs in
-          Array.iteri
-            (fun j r ->
-              if r >= 0 then begin
-                let q = if d.dsrc_isf.(j) then prod_f.(r) else prod_i.(r) in
+          Array.iter
+            (fun (o : Operand.t) ->
+              match o with
+              | Operand.Reg r ->
+                let q =
+                  match r.Reg.cls with Reg.Int -> prod_i.(r.Reg.id) | Reg.Float -> prod_f.(r.Reg.id)
+                in
                 if q >= 0 then begin
                   rb_src.(base + !nsrc) <- q;
                   incr nsrc
                 end
-              end)
-            d.dsrc_reg;
+              | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ())
+            i.Insn.srcs;
           rb_nsrc.(sl) <- !nsrc;
           un_append sl;
-          if d.ddst >= 0 then begin
-            if d.ddst_f then begin
+          if wr >= 0 then begin
+            if wr_f then begin
               decr free_float;
-              prod_f.(d.ddst) <- seq
+              prod_f.(wr) <- seq
             end
             else begin
               decr free_int;
-              prod_i.(d.ddst) <- seq
+              prod_i.(wr) <- seq
             end
           end;
           incr next_seq;
@@ -234,90 +329,14 @@ let run_gen ?(fuel = 400_000_000) ~profile (machine : Machine.t) (p : Prog.t) :
           if !count > !max_rob then max_rob := !count;
           incr dyn;
           incr dispatched;
-          if d.dbr then incr branches;
+          if is_br then incr branches;
           if profile then insn_disp.(k) <- insn_disp.(k) + 1;
-          (* functional execution, mirroring lib/sim's fast path *)
-          (match d.dop with
-          | Insn.IBin op ->
-            let a = gi d 0 in
-            let b = gi d 1 in
-            let v =
-              match op with
-              | Insn.Add -> a + b
-              | Insn.Sub -> a - b
-              | Insn.Mul -> a * b
-              | Insn.Div -> if b = 0 then errf "division by zero" else a / b
-              | Insn.Rem -> if b = 0 then errf "remainder by zero" else a mod b
-              | Insn.Shl -> a lsl b
-              | Insn.Shr -> a asr b
-              | Insn.And -> a land b
-              | Insn.Or -> a lor b
-              | Insn.Xor -> a lxor b
-            in
-            ivals.(d.ddst) <- v;
-            incr pc
-          | Insn.FBin op ->
-            let a = gf d 0 in
-            let b = gf d 1 in
-            let v =
-              match op with
-              | Insn.Fadd -> a +. b
-              | Insn.Fsub -> a -. b
-              | Insn.Fmul -> a *. b
-              | Insn.Fdiv -> a /. b
-            in
-            fvals.(d.ddst) <- v;
-            incr pc
-          | Insn.IMov ->
-            ivals.(d.ddst) <- gi d 0;
-            incr pc
-          | Insn.FMov ->
-            fvals.(d.ddst) <- gf d 0;
-            incr pc
-          | Insn.ItoF ->
-            fvals.(d.ddst) <- float_of_int (gi d 0);
-            incr pc
-          | Insn.FtoI ->
-            ivals.(d.ddst) <- int_of_float (Float.trunc (gf d 0));
-            incr pc
-          | Insn.Load cls ->
-            let addr = gi d 0 + gi d 1 + gi d 2 in
-            let c = cell_of_addr addr "load" in
-            (match cls with
-            | Reg.Int ->
-              if mem_isf.(c) then errf "int load from float cell %d" addr;
-              ivals.(d.ddst) <- mem_i.(c)
-            | Reg.Float ->
-              if not mem_isf.(c) then errf "float load from int cell %d" addr;
-              fvals.(d.ddst) <- mem_f.(c));
-            incr pc
-          | Insn.Store cls ->
-            let addr = gi d 0 + gi d 1 + gi d 2 in
-            let c = cell_of_addr addr "store" in
-            (match cls with
-            | Reg.Int ->
-              if mem_isf.(c) then errf "int store to float cell %d" addr;
-              mem_i.(c) <- gi d 3
-            | Reg.Float ->
-              if not mem_isf.(c) then errf "float store to int cell %d" addr;
-              mem_f.(c) <- gf d 3);
-            incr pc
-          | Insn.Br (cls, c) ->
-            let taken =
-              match cls with
-              | Reg.Int -> Insn.eval_icmp c (gi d 0) (gi d 1)
-              | Reg.Float -> Insn.eval_fcmp c (gf d 0) (gf d 1)
-            in
-            if taken then begin
-              pc := d.dtarget;
-              c_redirect := !c_redirect + (issue_width - !dispatched);
-              continue_dispatch := false
-            end
-            else incr pc
-          | Insn.Jmp ->
-            pc := d.dtarget;
+          if step i then begin
+            pc := targets.(k);
             c_redirect := !c_redirect + (issue_width - !dispatched);
-            continue_dispatch := false)
+            continue_dispatch := false
+          end
+          else incr pc
         end
       end
     done;

@@ -234,30 +234,152 @@ let test_stall_counter_conformance () =
         [ Level.Conv; Level.Lev4 ])
     [ "add"; "dotprod"; "maxval"; "merge"; "SDS-1"; "WSS-2" ]
 
-(* Decode-time validation must reject the same ill-formed programs as
-   the interpreter, with the same error. *)
+(* Every trap, on every path: each ill-formed or faulting straight-line
+   program raises [Sim.Error] with the same text from the reference
+   interpreter, the decoded engine on both cores (plain and profiled)
+   and the cycle-stepped reference core, whether the decoder rejects it
+   (class confusion, labels, a missing destination) or the instruction
+   step does (memory checks, zero divisors). Arrays: F (2 floats) at
+   word 16, address 64; I (2 ints) at word 34, address 136. *)
 let test_sim_errors_agree () =
-  let b = Helpers.irb () in
-  let f = Helpers.reg b Reg.Float in
-  let d = Helpers.reg b Reg.Int in
-  let mk op ?dst ?srcs () =
-    Insn.make ~id:(Prog.fresh_insn_id b.Helpers.ctx) ~op ?dst ?srcs ()
+  let module Sim = Impact_sim.Sim in
+  let case name build =
+    let b = Helpers.irb () in
+    Helpers.float_array b "F" [| 1.0; 2.0 |];
+    Helpers.int_array b "I" [| 1; 2 |];
+    let f = Helpers.reg b Reg.Float in
+    let d = Helpers.reg b Reg.Int in
+    let mk op ?dst srcs =
+      Insn.make ~id:(Prog.fresh_insn_id b.Helpers.ctx) ~op ?dst ~srcs ()
+    in
+    let want, insns = build mk f d in
+    (name, want, Helpers.prog_of b (List.map (fun i -> Block.Ins i) insns))
   in
-  (* Straight-line program with a class-confused Add (float source). *)
-  let entry =
+  let lab = Operand.lab and int n = Operand.Int n and flt x = Operand.Flt x in
+  let reg = Operand.reg in
+  let cases =
     [
-      Block.Ins (mk Insn.FMov ~dst:f ~srcs:[| Operand.Flt 1.0 |] ());
-      Block.Ins
-        (mk (Insn.IBin Insn.Add) ~dst:d
-           ~srcs:[| Operand.reg f; Operand.Int 1 |] ());
+      case "float register in int context" (fun mk f d ->
+        ( Printf.sprintf "float register %s in int context" (Reg.to_string f),
+          [ mk Insn.FMov ~dst:f [| flt 1.0 |]; mk (Insn.IBin Insn.Add) ~dst:d [| reg f; int 1 |] ] ));
+      case "int register in float context" (fun mk f d ->
+        ( Printf.sprintf "int register %s in float context" (Reg.to_string d),
+          [ mk Insn.IMov ~dst:d [| int 1 |]; mk (Insn.FBin Insn.Fadd) ~dst:f [| reg d; flt 1.0 |] ] ));
+      case "float immediate in int context" (fun mk _ d ->
+        ("float immediate in int context", [ mk (Insn.IBin Insn.Add) ~dst:d [| flt 1.0; int 1 |] ]));
+      case "label in float context" (fun mk f _ ->
+        ("label in float context", [ mk (Insn.FBin Insn.Fadd) ~dst:f [| lab "F"; flt 1.0 |] ]));
+      case "unknown array label" (fun mk _ d ->
+        ("unknown array label NOPE", [ mk (Insn.IBin Insn.Add) ~dst:d [| lab "NOPE"; int 0 |] ]));
+      case "lacks destination" (fun mk _ _ ->
+        let i = mk (Insn.IBin Insn.Add) [| int 1; int 2 |] in
+        (Printf.sprintf "instruction %d lacks destination" i.Insn.id, [ i ]));
+      case "misaligned load" (fun mk _ d ->
+        ("load: misaligned address 138", [ mk (Insn.Load Reg.Int) ~dst:d [| lab "I"; int 2; int 0 |] ]));
+      case "misaligned store" (fun mk _ _ ->
+        ( "store: misaligned address 138",
+          [ mk (Insn.Store Reg.Int) [| lab "I"; int 0; int 2; int 5 |] ] ));
+      case "out-of-bounds load" (fun mk f _ ->
+        ( "load: address 72 out of bounds",
+          [ mk (Insn.Load Reg.Float) ~dst:f [| lab "F"; int 8; int 0 |] ] ));
+      case "out-of-bounds store" (fun mk _ _ ->
+        ( "store: address 132 out of bounds",
+          [ mk (Insn.Store Reg.Int) [| lab "I"; int (-4); int 0; int 5 |] ] ));
+      case "int load from float cell" (fun mk _ d ->
+        ("int load from float cell 68", [ mk (Insn.Load Reg.Int) ~dst:d [| lab "F"; int 4; int 0 |] ]));
+      case "float load from int cell" (fun mk f _ ->
+        ("float load from int cell 136", [ mk (Insn.Load Reg.Float) ~dst:f [| lab "I"; int 0; int 0 |] ]));
+      case "int store to float cell" (fun mk _ _ ->
+        ("int store to float cell 64", [ mk (Insn.Store Reg.Int) [| lab "F"; int 0; int 0; int 1 |] ]));
+      case "float store to int cell" (fun mk _ _ ->
+        ( "float store to int cell 140",
+          [ mk (Insn.Store Reg.Float) [| lab "I"; int 4; int 0; flt 1.0 |] ] ));
+      case "division by zero" (fun mk _ d ->
+        ( "division by zero",
+          [ mk Insn.IMov ~dst:d [| int 0 |]; mk (Insn.IBin Insn.Div) ~dst:d [| int 7; reg d |] ] ));
+      case "remainder by zero" (fun mk _ d ->
+        ( "remainder by zero",
+          [ mk Insn.IMov ~dst:d [| int 0 |]; mk (Insn.IBin Insn.Rem) ~dst:d [| int 7; reg d |] ] ));
     ]
   in
+  let ooo = Machine.ooo ~issue:2 ~rob:4 () in
+  let paths =
+    [
+      ("run_ref", fun p -> ignore (Sim.run_ref Machine.issue_1 p));
+      ("run_ref_profiled", fun p -> ignore (Sim.run_ref_profiled Machine.issue_2 p));
+      ("run in order", fun p -> ignore (Sim.run Machine.issue_4 p));
+      ("run_profiled in order", fun p -> ignore (Sim.run_profiled Machine.issue_4 p));
+      ("run out of order", fun p -> ignore (Sim.run ooo p));
+      ("run_profiled out of order", fun p -> ignore (Sim.run_profiled ooo p));
+      ("Ooo.run", fun p -> ignore (Sim.Ooo.run ooo p));
+      ("reference out-of-order core", fun p -> ignore (Ooo_ref.run_profiled ooo p));
+    ]
+  in
+  List.iter
+    (fun (name, want, p) ->
+      List.iter
+        (fun (path, run) ->
+          let got = try run p; "no error" with Sim.Error m -> m in
+          Helpers.check_string (Printf.sprintf "%s: %s" name path) want got)
+        paths)
+    cases
+
+(* The decoder's constant pool holds every kind of immediate: an int
+   and a label in int context, a float and an int in float context, as
+   sources, store values and branch operands. Every path computes the
+   reference interpreter's result, down to the cycle. *)
+let test_sim_constant_pool () =
+  let module Sim = Impact_sim.Sim in
+  let b = Helpers.irb () in
+  Helpers.float_array b "F" [| 1.5; 2.5 |];
+  Helpers.int_array b "I" [| 5; 6 |];
+  let ctx = b.Helpers.ctx in
+  let ri () = Helpers.reg b Reg.Int and rf () = Helpers.reg b Reg.Float in
+  let d1 = ri () and d2 = ri () and d3 = ri () in
+  let f1 = rf () and f2 = rf () and f3 = rf () in
+  let int n = Operand.Int n and flt x = Operand.Flt x in
+  let entry =
+    List.map
+      (fun i -> Block.Ins i)
+      [
+        Build.imov ctx d1 (Operand.lab "I");
+        Build.load ctx Reg.Int d2 (Operand.reg d1) (int 4);
+        Build.fb ctx Insn.Fadd f1 (int 3) (flt 0.5);
+        Build.fmov ctx f2 (int (-2));
+        Build.itof ctx f3 (int 11);
+        Build.store ctx Reg.Int (Operand.lab "I") (int 0) (int 9);
+        Build.store ctx Reg.Float (Operand.lab "F") (int 4) (int 7);
+        Build.store ctx Reg.Float (Operand.lab "F") (int 0) (flt 0.25);
+        Build.imov ctx d3 (int 1);
+        Build.br ctx Reg.Float Insn.Lt (int 1) (flt 2.0) "L";
+        Build.imov ctx d3 (int 100);
+      ]
+    @ [
+        Block.Lbl "L";
+        Block.Ins (Build.br ctx Reg.Int Insn.Eq (int 6) (Operand.reg d2) "M");
+        Block.Ins (Build.imov ctx d3 (int 200));
+        Block.Lbl "M";
+      ]
+  in
+  List.iter (fun (n, r) -> Helpers.output b n r)
+    [ ("d1", d1); ("d2", d2); ("d3", d3); ("f1", f1); ("f2", f2); ("f3", f3) ];
   let p = Helpers.prog_of b entry in
-  let err f = try ignore (f ()); None with Impact_sim.Sim.Error m -> Some m in
-  let e_fast = err (fun () -> Impact_sim.Sim.run Machine.issue_1 p) in
-  let e_ref = err (fun () -> Impact_sim.Sim.run_ref Machine.issue_1 p) in
-  Helpers.check_bool "both reject" true (e_fast <> None && e_ref <> None);
-  Helpers.check_string "same error" (Option.get e_ref) (Option.get e_fast)
+  let want = Sim.run_ref Machine.issue_1 p in
+  Helpers.check_bool "reference values" true
+    (List.map snd want.Sim.outputs
+     = [ Sim.VI 136; Sim.VI 6; Sim.VI 1; Sim.VF 3.5; Sim.VF (-2.0); Sim.VF 11.0 ]
+    && want.Sim.arrays_out = [ ("F", [| 0.25; 7.0 |]); ("I", [| 9.0; 6.0 |]) ]);
+  List.iter
+    (fun (m : Machine.t) ->
+      let ref_ =
+        match m.Machine.core with
+        | Machine.Inorder -> Sim.run_ref m p
+        | Machine.Ooo _ -> fst (Ooo_ref.run_profiled m p)
+      in
+      same_result ("constant pool on " ^ m.Machine.name) ref_ (Sim.run m p);
+      same_result ("profiled constant pool on " ^ m.Machine.name) ref_
+        (fst (Sim.run_profiled m p)))
+    [ Machine.issue_1; Machine.issue_4; Machine.ooo ~issue:2 ~rob:4 (); Machine.ooo ~issue:8 ~rob:32 () ]
 
 (* ---- Persistent executor ---- *)
 
@@ -447,5 +569,7 @@ let suite =
           test_stall_counter_conformance;
         Alcotest.test_case "decode errors match interpreter errors" `Quick
           test_sim_errors_agree;
+        Alcotest.test_case "constant pool: every immediate kind" `Quick
+          test_sim_constant_pool;
       ] );
   ]

@@ -243,6 +243,7 @@ let file_tests =
           "../examples/kernels/saxpy.f";
           "../examples/kernels/dotprod.f";
           "../examples/kernels/clipsum.f";
+          "../examples/kernels/cse_order.f";
         ]);
   ]
 

@@ -170,25 +170,97 @@ let prop_thr_tree =
 
 (* ---- random loop kernels through the whole pipeline ---- *)
 
-type stmt_pick = Elementwise of int | Accum of int | Search | Guarded of int | Recur
+(* [IntArith (op, c, on_k)]: t = t + (K(j) op c), or (j op c) when not
+   [on_k]; FIR has no shift operator, so multiplies and divides by
+   powers of two are the shifts by literals ([Strength] turns the
+   multiplies into shifts). [ImmStore c]: L(j) = c, an integer literal
+   stored to an int array; [FltImmStore c]: C(j) = c, to a real array.
+   [FltIntLit c]: s = s + A(j) * c, an integer literal in float
+   arithmetic. *)
+type stmt_pick =
+  | Elementwise of int
+  | Accum of int
+  | Search
+  | Guarded of int
+  | Recur
+  | IntArith of Impact_fir.Ast.binop * int * bool
+  | ImmStore of int
+  | FltImmStore of int
+  | FltIntLit of int
 
 let const c = Impact_workloads.Kernels.const c
 
 let init_arr seed = Impact_workloads.Kernels.init seed
 
-let gen_kernel =
+(* Integer arithmetic by constants: 0, 1, powers of two, odd constants
+   and negatives; divisors are never zero. *)
+let gen_int_arith =
   QCheck.Gen.(
-    triple (int_range 1 40)
-      (list_size (int_range 1 5)
-         (oneof
-            [
-              map (fun c -> Elementwise c) (int_range 0 5);
-              map (fun c -> Accum c) (int_range 0 5);
-              return Search;
-              map (fun c -> Guarded c) (int_range 0 3);
-              return Recur;
-            ]))
-      (int_range 0 1000))
+    map2
+      (fun (op, c) on_k -> IntArith (op, c, on_k))
+      (oneof
+         [
+           map (fun c -> (Impact_fir.Ast.BMul, c))
+             (oneofl [ 0; 1; 2; 3; 4; 5; 7; 8; 10; 16; 31; -1; -2; -3; -4; -8 ]);
+           map (fun c -> (Impact_fir.Ast.BDiv, c)) (oneofl [ 1; 2; 3; 4; 7; 8; -1; -2; -4 ]);
+           map (fun c -> (Impact_fir.Ast.BRem, c)) (oneofl [ 1; 2; 3; 4; 8; -3; -4 ]);
+         ])
+      bool)
+
+let kernel_of picks =
+  QCheck.Gen.(triple (int_range 1 40) (list_size (int_range 1 5) (oneof picks)) (int_range 0 1000))
+
+let float_picks =
+  QCheck.Gen.
+    [
+      map (fun c -> Elementwise c) (int_range 0 5);
+      map (fun c -> Accum c) (int_range 0 5);
+      return Search;
+      map (fun c -> Guarded c) (int_range 0 3);
+      return Recur;
+    ]
+
+let gen_kernel =
+  kernel_of
+    (float_picks
+    @ QCheck.Gen.
+        [
+          gen_int_arith;
+          gen_int_arith;
+          map (fun c -> ImmStore c) (int_range (-9) 9);
+          map (fun c -> FltImmStore c) (int_range (-9) 9);
+          map (fun c -> FltIntLit c) (int_range (-3) 5);
+        ])
+
+(* Without integer arithmetic by constants: on those kernels the
+   one-sweep cleanup and the reference round reach different fixpoints
+   (examples/kernels/cse_order.f), so the cleanup-reference property
+   keeps to these until they agree. *)
+let gen_float_kernel = kernel_of float_picks
+
+(* A kernel spec as text, so a failing property shows the kernel. *)
+let print_kernel (n, stmts, seed) =
+  let op = function
+    | Impact_fir.Ast.BAdd -> "+"
+    | BSub -> "-"
+    | BMul -> "*"
+    | BDiv -> "/"
+    | BRem -> "mod"
+  in
+  let pick = function
+    | Elementwise c -> Printf.sprintf "Elementwise %d" c
+    | Accum c -> Printf.sprintf "Accum %d" c
+    | Search -> "Search"
+    | Guarded c -> Printf.sprintf "Guarded %d" c
+    | Recur -> "Recur"
+    | IntArith (o, c, on_k) -> Printf.sprintf "IntArith (%s, %d, %s)" (op o) c (if on_k then "K(j)" else "j")
+    | ImmStore c -> Printf.sprintf "ImmStore %d" c
+    | FltImmStore c -> Printf.sprintf "FltImmStore %d" c
+    | FltIntLit c -> Printf.sprintf "FltIntLit %d" c
+  in
+  Printf.sprintf "n = %d, seed = %d: [%s]" n seed (String.concat "; " (List.map pick stmts))
+
+let arb_kernel = QCheck.make ~print:print_kernel gen_kernel
 
 let build_kernel (n, stmts, seed) =
   let open Impact_fir.Ast in
@@ -208,26 +280,35 @@ let build_kernel (n, stmts, seed) =
             []
         | Recur ->
           ignore k;
-          astore "E" [ v "j" +: i 2 ] ((idx "E" [ v "j" ] *: r 0.5) +: idx "A" [ v "j" ]))
+          astore "E" [ v "j" +: i 2 ] ((idx "E" [ v "j" ] *: r 0.5) +: idx "A" [ v "j" ])
+        | IntArith (op, c, on_k) ->
+          let x = if on_k then idx "K" [ v "j" ] else v "j" in
+          assign "t" (v "t" +: EBin (op, x, i c))
+        | ImmStore c -> astore "L" [ v "j" ] (i c)
+        | FltImmStore c -> astore "C" [ v "j" ] (i c)
+        | FltIntLit c -> assign "s" (v "s" +: (idx "A" [ v "j" ] *: i c)))
       stmts
   in
   {
     decls =
       [
-        scalar "j" TInt; scalar "s" TReal; scalar "mx" TReal ~init:(-1e30);
+        scalar "j" TInt; scalar "s" TReal; scalar "mx" TReal ~init:(-1e30); scalar "t" TInt;
         array1 "A" TReal (n + 8) (init_arr (seed + 1));
         array1 "B" TReal (n + 8) (init_arr (seed + 2));
         array1 "C" TReal (n + 8) (fun _ -> 0.0);
         array1 "D" TReal (n + 8) (fun _ -> 0.0);
         array1 "E" TReal (n + 8) (init_arr (seed + 3));
+        (* integers in [-20, 20] *)
+        array1 "K" TInt (n + 8) (fun k -> float_of_int ((((k + seed) * 7919) land 0xFFFF) mod 41 - 20));
+        array1 "L" TInt (n + 8) (fun _ -> 0.0);
       ];
     stmts = [ assign "s" (r 0.0); do_ "j" (i 1) (i n) body ];
-    outs = [ "s"; "mx" ];
+    outs = [ "s"; "mx"; "t" ];
   }
 
 let prop_lev4_kernels =
   QCheck.Test.make ~name:"Lev4 at issue-8 preserves random loop kernels" ~count:120
-    (QCheck.make gen_kernel)
+    arb_kernel
     (fun spec ->
       let ast = build_kernel spec in
       let base = run (lower ast) in
@@ -253,7 +334,7 @@ let prop_unroll_factors =
    outputs ([Helpers.check_each_pass]); a failure names the pass. *)
 let prop_each_pass_kernels =
   QCheck.Test.make ~name:"every pass preserves random kernels at every level" ~count:100
-    (QCheck.make gen_kernel)
+    arb_kernel
     (fun spec ->
       let ast = build_kernel spec in
       List.iter
@@ -272,7 +353,7 @@ let prop_each_pass_kernels =
 let prop_profile_kernels =
   QCheck.Test.make ~name:"profiled runs conserve slots and equal Sim.run on random kernels"
     ~count:80
-    (QCheck.make
+    (QCheck.make ~print:(fun (spec, _) -> print_kernel spec)
        QCheck.Gen.(
          pair gen_kernel
            (quad (oneofl Impact_core.Level.all) bool (oneofl [ 2; 4; 8 ])
@@ -300,7 +381,7 @@ let dce_agrees (p : Prog.t) =
 
 let prop_dce_kernels =
   QCheck.Test.make ~name:"DCE = reference DCE on random kernels' cleanup inputs" ~count:60
-    (QCheck.make gen_kernel)
+    arb_kernel
     (fun spec -> dce_agrees (lower (build_kernel spec)))
 
 let prop_dce_straightline =
@@ -315,7 +396,7 @@ let prop_dce_straightline =
 
 let prop_liveness_kernels =
   QCheck.Test.make ~name:"block liveness = reference liveness on random kernels at every level"
-    ~count:40 (QCheck.make gen_kernel)
+    ~count:40 arb_kernel
     (fun spec ->
       let p = lower (build_kernel spec) in
       Liveness_ref.dense_agrees p
@@ -342,7 +423,7 @@ let prop_cleanup_ref_straightline =
 
 let prop_cleanup_ref_kernels =
   QCheck.Test.make ~name:"cleanup = reference fixpoint on random kernels' cleanup inputs"
-    ~count:60 (QCheck.make gen_kernel)
+    ~count:60 (QCheck.make ~print:print_kernel gen_float_kernel)
     (fun spec ->
       List.for_all cleanup_is_ref_fixpoint
         (Cleanup_ref.inputs Impact_core.Level.Lev4 (lower (build_kernel spec))))

@@ -250,7 +250,7 @@ let prop_coloring_proper =
 let prop_kernels_match_ref =
   QCheck.Test.make ~name:"fast path matches color_ref on random loop kernels"
     ~count:40
-    (QCheck.make T_props.gen_kernel)
+    T_props.arb_kernel
     (fun spec ->
       let ast = T_props.build_kernel spec in
       let compile sched machine =
