@@ -88,3 +88,12 @@ let first (t : t) =
     if w >= n then -1 else if t.(w) = 0 then go (w + 1) else (w * bpw) + lowest t.(w)
   in
   go 0
+
+(* Positions by descending priority, ascending position on ties, and
+   the inverse map. *)
+let rank (prio : int array) =
+  let order = Array.init (Array.length prio) Fun.id in
+  Array.sort (fun a b -> if prio.(a) <> prio.(b) then Int.compare prio.(b) prio.(a) else a - b) order;
+  let rank_of = Array.make (Array.length prio) 0 in
+  Array.iteri (fun r k -> rank_of.(k) <- r) order;
+  (order, rank_of)

@@ -33,7 +33,8 @@ val union_diff_into : into:t -> t -> t -> bool
     and reports whether [into] grew. *)
 
 val iter : (int -> unit) -> t -> unit
-(** Set bits in ascending index order. *)
+(** Set bits in ascending index order. Each word is read once, when the
+    iteration reaches it, so [f] may remove the element it is given. *)
 
 val first : t -> int
 (** Smallest element, or -1 when the set is empty. *)
@@ -47,3 +48,8 @@ val first : t -> int
 val lowest : int -> int
 (** [lowest v] is the position of the lowest set bit of a nonzero word,
     for loops that walk a word's bits without a closure per bit. *)
+
+val rank : int array -> int array * int array
+(** [rank prio] is [(order, rank_of)]: [order.(r)] is the position of
+    rank [r], highest [prio] first, lower position first on ties, and
+    [rank_of] its inverse. Over ranks, {!first} is the top priority. *)

@@ -93,11 +93,7 @@ let decide ?(budget = default_budget) (p : Pipe.problem) ~ii =
     in
     (* Branch in the IMS scheduler's height order: operations feeding
        long dependence chains first. *)
-    let h = Pipe.heights ~n p.Pipe.p_edges ii in
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun a b -> if h.(a) <> h.(b) then compare h.(b) h.(a) else compare a b)
-      order;
+    let order, _ = Impact_analysis.Bits.rank (Pipe.heights ~n p.Pipe.p_edges ii) in
     (* Interchangeable operations (identical in/out edge signatures,
        ubiquitous in wide DOALL bodies) admit a factorial symmetry:
        any schedule can reorder a twin class arbitrarily, so demand

@@ -5,16 +5,16 @@
    modulo-scheduled into prologue/kernel/epilogue form or list-scheduled
    as before. An eligible loop is a single-basic-block body (one
    back-branch, no side exits), with a compile-time trip count and at
-   most one definition per register.
+   most one definition per register. RecMII jumps from one positive
+   cycle to the next ([positive_cycle]); IMS picks by static rank.
 
    Scheduling model: each body instruction (the back-branch excluded)
    gets a time t = slot + II * stage subject to
        t_dst >= t_src + latency - II * distance
    over the within-iteration (distance 0) and loop-carried Flow/Mem
    edges of [Ddg.modulo_edges]. Register anti and output dependences
-   are dropped: modulo variable expansion renames
-   every body-defined register across K kernel copies, which removes
-   them. K is one more than the largest number of kernel blocks any
+   are dropped: modulo variable expansion renames every body-defined
+   register across K kernel copies, which removes them. K is one more than the largest number of kernel blocks any
    flow-carried value must survive, so no version is overwritten while
    still live.
 
@@ -82,11 +82,12 @@ type problem = {
    positive-weight cycle under weights (lat - II * dist). Every cycle
    lies inside one strongly connected component, so only the edges
    whose endpoints share a component (self-loops included) can decide
-   it. [recurrences] keeps those edges in an array over renumbered
-   nodes: the acyclic rest of the body drops out of every sweep, and
-   the Bellman-Ford round bound shrinks to the subgraph's size. *)
+   it. [recurrences] keeps those edges as out-edge lists over
+   renumbered nodes: the acyclic rest of the body drops out of every
+   search, and the edge-count bound below shrinks to the subgraph's
+   size. *)
 
-type rec_graph = { rn : int; redges : edge array }
+type rec_graph = { rn : int; outs : edge list array }
 
 (* Tarjan's strongly connected components: a component id per node. *)
 let components n edges =
@@ -132,7 +133,6 @@ let components n edges =
 
 let recurrences n edges =
   let comp = components n edges in
-  let kept = Array.of_list (List.filter (fun e -> comp.(e.src) = comp.(e.dst)) edges) in
   let id = Array.make n (-1) in
   let rn = ref 0 in
   let renum v =
@@ -142,56 +142,83 @@ let recurrences n edges =
     end;
     id.(v)
   in
-  let redges =
-    Array.map
-      (fun e ->
+  let outs = Array.make n [] in
+  List.iter
+    (fun e ->
+      if comp.(e.src) = comp.(e.dst) then
         let src = renum e.src in
-        { e with src; dst = renum e.dst })
-      kept
-  in
-  { rn = !rn; redges }
+        outs.(src) <- { e with src; dst = renum e.dst } :: outs.(src))
+    edges;
+  { rn = !rn; outs = Array.map List.rev (Array.sub outs 0 !rn) }
 
-(* Bounded longest-path relaxation, Bellman-Ford style: without a
-   positive cycle it settles within [rn] rounds. *)
-let feasible g ii =
-  let d = Array.make g.rn 0 in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds <= g.rn + 1 do
-    changed := false;
-    Array.iter
+(* [positive_cycle g ii]: [None] when no cycle is positive under
+   (lat - ii * dist), else [Some b]: no II below [b] (> ii) is feasible.
+   FIFO longest-path relaxation from all zeros; [len.(v)] counts the
+   edges of the walk that last raised [d.(v)], [pred.(v)] is its last
+   edge. A walk of [rn] edges repeats a node whose second raise beat
+   the first, so [ii] is infeasible. Any cycle of [pred] edges is
+   positive: a pointer from [x] to [y] was set when [d.(y)] became
+   [d.(x) + w], and [d.(x)] only grew since, so [d.(y) <= d.(x) + w]
+   around the cycle, strictly for the pointer set last; summed,
+   [0 < sum w]. Its sums rule out every II below ceil(lat / dist), or
+   all when [dist = 0]. A walk back that ends at a node never raised
+   (via a pointer whose source was raised again) gives [b = ii + 1]. *)
+let positive_cycle g ii =
+  let rn = g.rn in
+  let d = Array.make rn 0 and len = Array.make rn 0 in
+  let pred = Array.make rn { src = -1; dst = -1; lat = 0; dist = 0 } in
+  let queue = Queue.of_seq (Seq.init rn Fun.id) and queued = Array.make rn true in
+  let hit = ref (-1) in
+  while !hit < 0 && not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    queued.(u) <- false;
+    List.iter
       (fun e ->
-        let s = d.(e.src) + e.lat - (ii * e.dist) in
-        if s > d.(e.dst) then begin
-          d.(e.dst) <- s;
-          changed := true
+        let v = e.dst and s = d.(u) + e.lat - (ii * e.dist) in
+        if !hit < 0 && s > d.(v) then begin
+          d.(v) <- s;
+          len.(v) <- len.(u) + 1;
+          pred.(v) <- e;
+          if len.(v) >= rn then hit := v
+          else if not queued.(v) then begin
+            queued.(v) <- true;
+            Queue.add v queue
+          end
         end)
-      g.redges;
-    incr rounds
+      g.outs.(u)
   done;
-  not !changed
+  let seen = Array.make rn false in
+  let rec walk v = if v < 0 || seen.(v) then v else (seen.(v) <- true; walk pred.(v).src) in
+  let rec sums c v lat dist =
+    let e = pred.(v) in
+    if e.src = c then (lat + e.lat, dist + e.dist) else sums c e.src (lat + e.lat) (dist + e.dist)
+  in
+  if !hit < 0 then None
+  else
+    match walk !hit with
+    | -1 -> Some (ii + 1)
+    | c ->
+      let lat, dist = sums c c 0 0 in
+      Some (if dist = 0 then max_int else Int.max (ii + 1) ((lat + dist - 1) / dist))
 
 (* RecMII: the smallest II with no positive cycle — exactly the maximum
    ceil(latency/distance) over all recurrence circuits — capped at one
    more than the total latency. Every [dist] is >= 0, so feasibility is
-   monotone in II: gallop 1, 2, 4, ... to a feasible bound, then bisect. *)
-let rec_mii_of g ~latsum =
-  let ok ii = ii >= latsum || feasible g ii in
-  let rec bisect lo hi =
-    if hi - lo <= 1 then hi
-    else
-      let mid = lo + ((hi - lo) / 2) in
-      if ok mid then bisect lo mid else bisect mid hi
+   monotone in II: each cycle found skips the IIs it rules out. *)
+let rec_mii_of ~checks ~n edges =
+  let g = recurrences n edges and latsum = List.fold_left (fun a e -> a + e.lat) 1 edges in
+  let rec go ii =
+    if ii >= latsum then latsum
+    else begin
+      incr checks;
+      match positive_cycle g ii with None -> ii | Some b -> go (Int.min latsum b)
+    end
   in
-  let rec gallop lo hi = if ok hi then bisect lo hi else gallop hi (2 * hi) in
-  (* II 0 stands for "infeasible" and is never tested. *)
-  gallop 0 1
+  go 1
 
-let latsum edges = List.fold_left (fun a e -> a + e.lat) 1 edges
+let rec_mii_exact ~n edges = rec_mii_of ~checks:(ref 0) ~n edges
 
-let rec_mii_exact ~n edges = rec_mii_of (recurrences n edges) ~latsum:(latsum edges)
-
-let ii_feasible ~n edges ii = feasible (recurrences n edges) ii
+let ii_feasible ~n edges ii = positive_cycle (recurrences n edges) ii = None
 
 (* Longest-path relaxation under weights (lat - II * dist) from an
    all-zero start. Called only at feasible IIs, where it settles within
@@ -234,8 +261,12 @@ let depths ~n edges ii =
 (* One budgeted scheduling attempt at a fixed II: place the highest
    unscheduled operation at its earliest legal slot, force it into a
    full row by evicting the lowest-priority occupant, and evict any
-   scheduled successor whose constraint the placement broke. *)
-let attempt ~issue n succs preds h ii =
+   scheduled successor whose constraint the placement broke. The highest
+   is the first of the unscheduled ranks. [placements] counts. *)
+let attempt ~issue ~placements n succs preds h ii =
+  let rank, rank_of = Bits.rank h in
+  let unsched = Bits.create n in
+  Array.iter (Bits.add unsched) rank_of;
   let time = Array.make n (-1) in
   let prevt = Array.make n (-1) in
   let mrt = Array.make ii 0 in
@@ -244,15 +275,13 @@ let attempt ~issue n succs preds h ii =
   let unschedule j =
     mrt.(time.(j) mod ii) <- mrt.(time.(j) mod ii) - 1;
     time.(j) <- -1;
+    Bits.add unsched rank_of.(j);
     decr nsched
   in
   while !nsched < n && !budget >= 0 do
-    (* Highest height first, lowest position on ties. *)
-    let i = ref (-1) in
-    for j = n - 1 downto 0 do
-      if time.(j) < 0 && (!i < 0 || h.(j) >= h.(!i)) then i := j
-    done;
-    let i = !i in
+    let r = Bits.first unsched in
+    Bits.remove unsched r;
+    let i = rank.(r) in
     let estart = ref 0 in
     List.iter
       (fun (p, lat, dist) ->
@@ -285,6 +314,7 @@ let attempt ~issue n succs preds h ii =
     prevt.(i) <- t;
     mrt.(row) <- mrt.(row) + 1;
     incr nsched;
+    incr placements;
     List.iter
       (fun (q, lat, dist) ->
         if q <> i && time.(q) >= 0 && time.(q) < t + lat - (ii * dist) then unschedule q)
@@ -294,8 +324,9 @@ let attempt ~issue n succs preds h ii =
   if !nsched = n then Some time else None
 
 (* Escalate II from MII until a schedule fits (or the search passes
-   [max_ii], at which point pipelining cannot beat the list schedule). *)
-let modulo_schedule ~issue n edges g mii max_ii =
+   [max_ii], at which point pipelining cannot beat the list schedule).
+   Feasibility is monotone, so every II from RecMII up is feasible. *)
+let modulo_schedule ~issue ~placements n edges mii max_ii =
   let succs = Array.make n [] in
   let preds = Array.make n [] in
   List.iter
@@ -305,12 +336,11 @@ let modulo_schedule ~issue n edges g mii max_ii =
     edges;
   let rec go ii =
     if ii > max_ii then None
-    else if not (feasible g ii) then go (ii + 1)
     else
       let try_priority prio =
-        match attempt ~issue n succs preds prio ii with
+        match attempt ~issue ~placements n succs preds prio ii with
         | Some time ->
-          let tmin = Array.fold_left min max_int time in
+          let tmin = Array.fold_left Int.min max_int time in
           Some (Array.map (fun t -> t - tmin) time, ii)
         | None -> None
       in
@@ -327,7 +357,7 @@ let modulo_schedule ~issue n edges g mii max_ii =
   go mii
 
 let ims_schedule ~issue ~n edges ~mii ~max_ii =
-  modulo_schedule ~issue n edges (recurrences n edges) mii max_ii
+  modulo_schedule ~issue ~placements:(ref 0) n edges mii max_ii
 
 (* ---- Eligibility ---- *)
 
@@ -372,34 +402,34 @@ let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip
   let n = Array.length a in
   let stage = Array.map (fun t -> t / ii) time in
   let slot = Array.map (fun t -> t mod ii) time in
-  let sc = Array.fold_left max 0 stage + 1 in
-  let def_pos =
-    let m = ref Reg.Map.empty in
-    Array.iteri
-      (fun k (i : Insn.t) ->
-        match i.Insn.dst with Some r -> m := Reg.Map.add r k !m | None -> ())
-      a;
-    !m
+  let sc = Array.fold_left Int.max 0 stage + 1 in
+  (* [def_at.(id - lo)]: the body position defining register [id], or
+     -1. Versions are kept by that position, at [vers.(pd * K + k)]. *)
+  let dsts = List.filter_map (fun (i : Insn.t) -> i.Insn.dst) (Array.to_list a) in
+  let lo = List.fold_left (fun m (r : Reg.t) -> Int.min m r.Reg.id) max_int dsts in
+  let hi = List.fold_left (fun m (r : Reg.t) -> Int.max m r.Reg.id) (lo - 1) dsts in
+  let def_at = Array.make (hi - lo + 1) (-1) in
+  Array.iteri
+    (fun k (i : Insn.t) -> Option.iter (fun (r : Reg.t) -> def_at.(r.Reg.id - lo) <- k) i.Insn.dst)
+    a;
+  let producer (r : Reg.t) =
+    let o = r.Reg.id - lo in
+    if o < 0 || o >= Array.length def_at then -1 else def_at.(o)
   in
-  (* For a use at [pu] of a body-defined register: its producer, the
-     number of blocks the value crosses, and whether the producer is in
-     the same iteration (else the previous one). *)
-  let use_b pu (r : Reg.t) =
-    match Reg.Map.find_opt r def_pos with
-    | None -> None
-    | Some pd ->
-      let same = pd < pu in
-      Some (pd, stage.(pu) - stage.(pd) + (if same then 0 else 1), same)
-  in
-  let kk = ref 1 in
+  let dst_of pd = Option.get a.(pd).Insn.dst in
+  (* Blocks a use at [pu] of the value made at [pd] crosses: [pd] is in
+     the same iteration when [pd < pu], else in the previous one. *)
+  let crossed pu pd = stage.(pu) - stage.(pd) + if pd < pu then 0 else 1 in
+  (* [carried.(pd)]: the next iteration reads the value made at [pd]. *)
+  let kk = ref 1 and carried = Array.make n false in
   Array.iteri
     (fun pu (i : Insn.t) ->
       Array.iter
         (function
-          | Operand.Reg r -> (
-            match use_b pu r with
-            | Some (_, b, _) -> if b + 1 > !kk then kk := b + 1
-            | None -> ())
+          | Operand.Reg r ->
+            let pd = producer r in
+            if pd >= 0 then kk := Int.max !kk (crossed pu pd + 1);
+            if pd >= pu then carried.(pd) <- true
           | _ -> ())
         i.Insn.srcs)
     a;
@@ -412,19 +442,17 @@ let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip
     if nkernel < kk then None
     else begin
       let kcnt_v = nkernel / kk in
-      let versions : (int * int, Reg.t) Hashtbl.t = Hashtbl.create 32 in
-      let version (r : Reg.t) k =
-        match Hashtbl.find_opt versions (r.Reg.id, k) with
+      let vers = Array.make (n * kk) None in
+      let version pd k =
+        match vers.((pd * kk) + k) with
         | Some v -> v
         | None ->
-          let v = Reg.fresh ctx.Prog.rgen r.Reg.cls in
-          Hashtbl.replace versions (r.Reg.id, k) v;
+          let v = Reg.fresh ctx.Prog.rgen (dst_of pd).Reg.cls in
+          vers.((pd * kk) + k) <- Some v;
           v
       in
       let order =
-        List.sort
-          (fun x y -> compare (slot.(x), x) (slot.(y), y))
-          (List.init n (fun k -> k))
+        List.stable_sort (fun x y -> Int.compare slot.(x) slot.(y)) (List.init n Fun.id)
       in
       (* One instance of instruction [idx] in the block whose index is
          congruent to [vk] mod K. [j] is the instance's iteration when
@@ -433,18 +461,20 @@ let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip
       let emit_instance ~vk ~j idx =
         let i = a.(idx) in
         let map = function
-          | Operand.Reg r as o -> (
-            match use_b idx r with
-            | None -> o
-            | Some (_, b, same) ->
-              if (not same) && j = Some 0 then o
-              else Operand.Reg (version r (md (vk - b) kk)))
+          | Operand.Reg r as o ->
+            let pd = producer r in
+            if pd < 0 || (pd >= idx && j = Some 0) then o
+            else Operand.Reg (version pd (md (vk - crossed idx pd) kk))
           | o -> o
         in
         let srcs = Array.map map i.Insn.srcs in
         match i.Insn.dst with
-        | Some r -> Build.clone ctx ~dst:(version r vk) ~srcs i
+        | Some _ -> Build.clone ctx ~dst:(version idx vk) ~srcs i
         | None -> Build.clone ctx ~srcs i
+      in
+      (* The defining positions in register order. *)
+      let defs_by_id =
+        Array.fold_right (fun pd acc -> if pd >= 0 then pd :: acc else acc) def_at []
       in
       let items = ref [] in
       let emit_i i = items := Block.Ins i :: !items in
@@ -457,25 +487,12 @@ let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip
       (* Live-in seeds for carried reads reaching the first kernel
          block: a consumer of iteration 0 scheduled in stage SC-1 reads
          version (stage(def) - 1) mod K, which nothing has written. *)
-      let carried_srcs =
-        let m = ref Reg.Map.empty in
-        Array.iteri
-          (fun pu (i : Insn.t) ->
-            Array.iter
-              (function
-                | Operand.Reg r -> (
-                  match use_b pu r with
-                  | Some (pd, _, false) -> m := Reg.Map.add r pd !m
-                  | _ -> ())
-                | _ -> ())
-              i.Insn.srcs)
-          a;
-        Reg.Map.bindings !m
-      in
       List.iter
-        (fun ((r : Reg.t), pd) ->
-          emit_i (mov_of r.Reg.cls ctx (version r (md (stage.(pd) - 1) kk)) (Operand.Reg r)))
-        carried_srcs;
+        (fun pd ->
+          if carried.(pd) then
+            let r = dst_of pd in
+            emit_i (mov_of r.Reg.cls ctx (version pd (md (stage.(pd) - 1) kk)) (Operand.Reg r)))
+        defs_by_id;
       (* Prologue: blocks 0 .. SC-2 fill the pipeline. *)
       for t = 0 to sc - 2 do
         List.iter
@@ -529,10 +546,11 @@ let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip
       done;
       (* Restore original names: the last write of a register defined at
          stage s landed in block n'-1+s = SC-2+s mod K. *)
-      Reg.Map.iter
-        (fun (r : Reg.t) pd ->
-          emit_i (mov_of r.Reg.cls ctx r (Operand.Reg (version r (md (sc - 2 + stage.(pd)) kk)))))
-        def_pos;
+      List.iter
+        (fun pd ->
+          let r = dst_of pd in
+          emit_i (mov_of r.Reg.cls ctx r (Operand.Reg (version pd (md (sc - 2 + stage.(pd)) kk)))))
+        defs_by_id;
       items := Block.Lbl l.Block.exit_lbl :: !items;
       Some (List.rev !items, sc, kk)
     end
@@ -550,7 +568,7 @@ let fallback machine ~live_at_target ~pre_env (l : Block.loop) =
       };
   ]
 
-let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets
+let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets ~checks ~placements
     (l : Block.loop) : Block.item list * report * problem option =
   let skipped reason list_ci = { lid = l.Block.lid; status = Skipped { reason; list_ci } } in
   let skip reason = (fallback machine ~live_at_target ~pre_env l, skipped reason None, None) in
@@ -559,7 +577,7 @@ let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets
   | Ok a -> (
     (* [meta.trip] counts original-loop iterations; an unrolled body
        executes [trip / unrolled] times. *)
-    let uf = max 1 l.Block.meta.Block.unrolled in
+    let uf = Int.max 1 l.Block.meta.Block.unrolled in
     match l.Block.meta.Block.trip with
     | None -> skip "no static trip count"
     | Some t when t mod uf <> 0 -> skip "trip not divisible by unroll factor"
@@ -574,11 +592,11 @@ let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets
       (* ResMII: issue bandwidth for the body plus one branch slot's
          worth of loop control per iteration. *)
       let res_mii =
-        max ((n + issue - 1) / issue) ((1 + machine.Machine.branch_slots - 1) / machine.Machine.branch_slots)
+        Int.max ((n + issue - 1) / issue)
+          ((1 + machine.Machine.branch_slots - 1) / machine.Machine.branch_slots)
       in
-      let g = recurrences n edges in
-      let rec_mii = rec_mii_of g ~latsum:(latsum edges) in
-      let mii = max res_mii rec_mii in
+      let rec_mii = rec_mii_of ~checks ~n edges in
+      let mii = Int.max res_mii rec_mii in
       let problem =
         { p_n = n; p_edges = edges; p_issue = issue; p_res_mii = res_mii;
           p_rec_mii = rec_mii; p_mii = mii; p_list_ci = list_ci }
@@ -595,7 +613,7 @@ let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets
       in
       if mii >= list_ci then skip_listed (Printf.sprintf "MII %d not below list schedule" mii)
       else
-        match modulo_schedule ~issue n edges g mii (list_ci - 1) with
+        match modulo_schedule ~issue ~placements n edges mii (list_ci - 1) with
         | None -> skip_listed "no schedule within budget below the list bound"
         | Some (time, ii) -> (
           match codegen ctx l a time ~ii ~trip with
@@ -638,8 +656,9 @@ let run_with_problems (machine : Machine.t) (p : Prog.t) :
     let pipeline pre l =
       let pre_env = Linval.env_of_items pre in
       let t0 = if Impact_obs.Obs.enabled () then Impact_obs.Obs.now () else 0.0 in
+      let checks = ref 0 and placements = ref 0 in
       let items, rep, problem =
-        pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets l
+        pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets ~checks ~placements l
       in
       if Impact_obs.Obs.enabled () then begin
         Impact_obs.Obs.emit ~cat:"pipe"
@@ -654,6 +673,8 @@ let run_with_problems (machine : Machine.t) (p : Prog.t) :
         Option.iter
           (fun p -> Impact_obs.Obs.count ~n:(List.length p.p_edges) "pipe.edges")
           problem;
+        Impact_obs.Obs.count ~n:!checks "pipe.recmii_checks";
+        Impact_obs.Obs.count ~n:!placements "pipe.ims_placements";
         Impact_obs.Obs.note
           (Printf.sprintf "pipe.%s.loop%d" machine.Machine.name rep.lid)
           (report_to_string rep)

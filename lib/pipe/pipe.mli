@@ -69,14 +69,15 @@ val rec_mii_exact : n:int -> edge list -> int
 (** Smallest II with no positive-weight cycle under
     [lat - II * dist] — the exact recurrence-constrained lower bound —
     capped at one more than the sum of all latencies; 1 for an acyclic
-    system. Found by galloping and bisecting over II, which is sound
-    because every [dist >= 0] makes feasibility monotone in II. *)
+    system. From II 1, each positive cycle found moves the search to
+    ceil(latency sum / distance sum), or to the cap at distance 0;
+    sound because every [dist >= 0] makes feasibility monotone in II. *)
 
 val ii_feasible : n:int -> edge list -> int -> bool
 (** [ii_feasible ~n edges ii]: does the precedence system (resources
-    ignored) admit a schedule at [ii]? Exact Bellman-Ford check over
-    the edges inside strongly connected components, the only place a
-    positive cycle can live. *)
+    ignored) admit a schedule at [ii]? Exact worklist longest-path
+    relaxation over the edges inside strongly connected components, the
+    only place a positive cycle can live. *)
 
 val heights : n:int -> edge list -> int -> int array
 (** [heights ~n edges ii]: each operation's longest path to the sinks
@@ -95,7 +96,9 @@ val ims_schedule :
 (** The iterative-modulo-scheduling heuristic core on a bare problem:
     escalate II from [mii] to [max_ii] until the budgeted eviction
     scheduler places all [n] operations; returns (times normalized to
-    min 0, achieved II). Exposed for differential testing against the
+    min 0, achieved II). No II is checked for feasibility, so [mii]
+    must be at least {!rec_mii_exact} of a system without a positive
+    distance-0 cycle. Exposed for differential testing against the
     exact solver. *)
 
 val run : Machine.t -> Prog.t -> Prog.t

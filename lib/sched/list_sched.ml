@@ -18,57 +18,62 @@ let schedule_segment (machine : Machine.t) ~live_at_target
   let items = Array.map (fun i -> Block.Ins i) insns in
   let sb = Sb.make ~head:"\000head" ~exit_lbl:"\000exit" items in
   let ddg = Ddg.build ~live_at_target ~pre_env sb in
-  let heights = Ddg.heights ddg in
   let n = Array.length insns in
-  let scheduled = Array.make n (-1) in
-  let npreds = Array.make n 0 in
-  Array.iteri (fun _ l -> List.iter (fun (d, _) -> npreds.(d) <- npreds.(d) + 1) l) ddg.Ddg.succs;
+  let issue = machine.Machine.issue and slots = machine.Machine.branch_slots in
+  (* Ready sets are bitsets over height rank, visited in priority order. *)
+  let rank, rank_of = Bits.rank (Ddg.heights ddg) in
+  let unscheduled_preds = Array.make n 0 in
+  Array.iter (List.iter (fun (d, _) -> unscheduled_preds.(d) <- unscheduled_preds.(d) + 1)) ddg.Ddg.succs;
   (* earliest data-ready cycle, updated as preds schedule *)
   let ready_at = Array.make n 0 in
+  (* [cand]: ready now. [next]: freed in this pass by a zero-latency
+     edge; it joins [cand] for the next pass. [later]: a ring by the
+     cycle an operation becomes ready, at most the top latency ahead. *)
+  let cand = Bits.create n and next = Bits.create n in
+  let later =
+    Array.make (1 + Array.fold_left (List.fold_left (fun m (_, l) -> Int.max m l)) 0 ddg.Ddg.succs) []
+  in
+  Array.iteri (fun k c -> if c = 0 then Bits.add cand rank_of.(k)) unscheduled_preds;
   let remaining = ref n in
-  let unscheduled_preds = Array.copy npreds in
   let cycle = ref 0 in
   let order = ref [] in
   while !remaining > 0 do
     let issued = ref 0 in
     let branches = ref 0 in
     let progress = ref true in
-    (* Re-collect candidates within the cycle so zero-latency chains
-       (order-only edges) can share a cycle. *)
-    while !progress && !issued < machine.Machine.issue do
+    (* Passes let zero-latency chains (order-only edges) share a cycle. *)
+    while !progress && !issued < issue do
       progress := false;
-      let candidates = ref [] in
-      for k = 0 to n - 1 do
-        if scheduled.(k) < 0 && unscheduled_preds.(k) = 0 && ready_at.(k) <= !cycle then
-          candidates := k :: !candidates
-      done;
-      let candidates =
-        List.sort
-          (fun a b ->
-            match compare heights.(b) heights.(a) with 0 -> compare a b | c -> c)
-          !candidates
-      in
-      List.iter
-        (fun k ->
-          if !issued < machine.Machine.issue && scheduled.(k) < 0 then begin
-            let is_br = Insn.is_branch insns.(k) in
-            if (not is_br) || !branches < machine.Machine.branch_slots then begin
-              scheduled.(k) <- !cycle;
-              order := (k, !cycle) :: !order;
-              incr issued;
-              if is_br then incr branches;
-              decr remaining;
-              progress := true;
-              List.iter
-                (fun (d, lat) ->
-                  unscheduled_preds.(d) <- unscheduled_preds.(d) - 1;
-                  ready_at.(d) <- Int.max ready_at.(d) (!cycle + lat))
-                ddg.Ddg.succs.(k)
-            end
+      Bits.iter
+        (fun r ->
+          let k = rank.(r) in
+          let is_br = Insn.is_branch insns.(k) in
+          if !issued < issue && ((not is_br) || !branches < slots) then begin
+            Bits.remove cand r;
+            order := (k, !cycle) :: !order;
+            incr issued;
+            if is_br then incr branches;
+            decr remaining;
+            progress := true;
+            List.iter
+              (fun (d, lat) ->
+                unscheduled_preds.(d) <- unscheduled_preds.(d) - 1;
+                ready_at.(d) <- Int.max ready_at.(d) (!cycle + lat);
+                if unscheduled_preds.(d) = 0 then
+                  if ready_at.(d) <= !cycle then Bits.add next rank_of.(d)
+                  else
+                    let b = ready_at.(d) mod Array.length later in
+                    later.(b) <- rank_of.(d) :: later.(b))
+              ddg.Ddg.succs.(k)
           end)
-        candidates
+        cand;
+      ignore (Bits.union_into ~into:cand next);
+      Bits.clear next
     done;
-    incr cycle
+    incr cycle;
+    let b = !cycle mod Array.length later in
+    List.iter (Bits.add cand) later.(b);
+    later.(b) <- []
   done;
   let order = List.rev !order in
   let emission =

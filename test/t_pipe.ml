@@ -96,6 +96,18 @@ let test_rec_mii_cases () =
         [ edge 0 1 2 0; edge 1 0 2 0; edge 1 2 7 0 ],
         12 );
       ("ratio equal to the cap minus one", 1, [ edge 0 0 6 1 ], 6);
+      (* The search meets the carried cycle 0-1 (ratio 4) at II 1, jumps
+         to 4, then meets the distance-0 cycle 2-3 and stops at the cap. *)
+      ( "carried cycle, then a distance-0 cycle",
+        4,
+        [ edge 0 1 3 0; edge 1 0 1 1; edge 1 2 1 0; edge 2 3 1 0; edge 3 2 1 0 ],
+        8 );
+      (* Two SCCs: the search meets 0-1 (ratio 3) first, jumps to 3,
+         meets the critical 2-3 (ratio 8) and jumps to 8. *)
+      ( "first cycle found is not the critical one",
+        4,
+        [ edge 0 1 2 0; edge 1 0 1 1; edge 2 3 4 0; edge 3 2 4 1; edge 1 2 1 0 ],
+        8 );
     ]
   in
   List.iter
@@ -107,10 +119,8 @@ let test_rec_mii_cases () =
 (* Random edge systems: dist-0 edges run forward in program order, as
    in real bodies, unless [wild] lets them close zero-distance cycles
    (where the latency-sum cap binds). *)
-let gen_system =
+let gen_edges n wild =
   QCheck.Gen.(
-    int_range 1 12 >>= fun n ->
-    bool >>= fun wild ->
     list_size (int_range 0 (3 * n))
       (quad (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 6)
          (oneofl [ 0; 0; 1; 1; 2; 3 ]))
@@ -122,6 +132,10 @@ let gen_system =
             if a = b then edge a a lat 1 else edge b a lat 0
           else edge a b lat dist)
         es ))
+
+let gen_system = QCheck.Gen.(int_range 1 12 >>= fun n -> bool >>= gen_edges n)
+
+let gen_tame_system = QCheck.Gen.(int_range 1 12 >>= fun n -> gen_edges n false)
 
 let print_system (n, edges) =
   Printf.sprintf "n=%d [%s]" n
@@ -138,7 +152,28 @@ let prop_rec_mii_ref =
       check_against_ref (print_system (n, edges)) n edges;
       true)
 
-(* ---- the corpus: every kernel, level and issue width on both cores ---- *)
+(* ---- IMS against the scanning reference ----
+
+   [Pipe.ims_schedule] picks by priority rank and skips the feasibility
+   check [Ims_ref] still makes at every II; both must return the same
+   times and II. *)
+
+let ims_agrees ~issue ~n edges ~mii ~max_ii =
+  Pipe.ims_schedule ~issue ~n edges ~mii ~max_ii
+  = Ims_ref.ims_schedule ~issue ~n edges ~mii ~max_ii
+
+let prop_ims_ref =
+  QCheck.Test.make ~name:"IMS = scanning reference at issue 1, 2, 4 and 8" ~count:300
+    (QCheck.make ~print:print_system gen_tame_system)
+    (fun (n, edges) ->
+      let latsum = List.fold_left (fun a (e : Pipe.edge) -> a + e.Pipe.lat) 1 edges in
+      let rec_mii = Pipe.rec_mii_exact ~n edges in
+      List.for_all
+        (fun issue ->
+          let mii = Int.max ((n + issue - 1) / issue) rec_mii in
+          ims_agrees ~issue ~n edges ~mii ~max_ii:(latsum + n))
+        [ 1; 2; 4; 8 ])
+
 
 let corpus_machines =
   machines @ List.map (fun issue -> Machine.ooo ~issue ~rob:32 ()) [ 2; 4; 8 ]
@@ -171,6 +206,22 @@ let test_corpus_rec_mii () =
               (Printf.sprintf "%s loop %d RecMII" tag r.Pipe.lid)
               (Rec_mii_ref.rec_mii p.Pipe.p_n p.Pipe.p_edges)
               p.Pipe.p_rec_mii
+          | None -> ())
+        pairs)
+    (Lazy.force corpus)
+
+let test_corpus_ims () =
+  List.iter
+    (fun (tag, _, _, (_, pairs)) ->
+      List.iter
+        (fun ((r : Pipe.report), problem) ->
+          match problem with
+          | Some (p : Pipe.problem) ->
+            check_bool
+              (Printf.sprintf "%s loop %d IMS" tag r.Pipe.lid)
+              true
+              (ims_agrees ~issue:p.Pipe.p_issue ~n:p.Pipe.p_n p.Pipe.p_edges ~mii:p.Pipe.p_mii
+                 ~max_ii:(p.Pipe.p_list_ci - 1))
           | None -> ())
         pairs)
     (Lazy.force corpus)
@@ -627,6 +678,7 @@ let suite =
         test "vecadd recurrence circuits" test_vecadd_circuits;
         test "RecMII edge cases = reference" test_rec_mii_cases;
         test "corpus RecMII = reference" test_corpus_rec_mii;
+        test "corpus IMS = scanning reference" test_corpus_ims;
         test "corpus skipped loops keep the list schedule" test_corpus_skipped_listed;
         test "corpus p_edges = former construction" test_corpus_modulo_edges;
         test "adversarial loops: p_edges = former construction" test_adversarial_modulo_edges;
@@ -642,5 +694,6 @@ let suite =
       @ [
           to_alcotest ~rand:(Random.State.make [| 0x9A27 |]) prop_pipe_preserves;
           to_alcotest ~rand:(Random.State.make [| 0x2EC5 |]) prop_rec_mii_ref;
+          to_alcotest ~rand:(Random.State.make [| 0x1A55 |]) prop_ims_ref;
         ] );
   ]

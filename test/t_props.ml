@@ -514,6 +514,20 @@ let prop_linval_agrees =
         in
         value = out_int result "x")
 
+(* ---- the ranked list scheduler against the rescanning reference ---- *)
+
+let prop_list_sched_kernels =
+  QCheck.Test.make ~name:"list schedule = rescanning reference on random kernels at every level"
+    ~count:40 arb_kernel
+    (fun spec ->
+      let p = lower (build_kernel spec) in
+      List.for_all
+        (fun level ->
+          List_sched_ref.mismatches
+            (Impact_core.Compile.transform_with Impact_core.Opts.default level p)
+          = [])
+        Impact_core.Level.all)
+
 let suite =
   [
     ( "properties",
@@ -533,5 +547,6 @@ let suite =
           prop_cleanup_ref_kernels;
           prop_linval_agrees;
           prop_liveness_kernels;
+          prop_list_sched_kernels;
         ] );
   ]

@@ -212,4 +212,31 @@ let sched_tests =
         (List.filter Block.is_innermost (Block.loops p.Prog.entry)));
   ]
 
-let suite = [ ("sched.formation", formation_tests); ("sched.list", sched_tests) ]
+(* The ranked ready set against [List_sched_ref]'s rescan-and-sort loop
+   on every segment of every corpus program at every level. *)
+let corpus_tests =
+  [
+    test "corpus segments = rescanning reference" (fun () ->
+      List.iter
+        (fun (w : Impact_workloads.Suite.t) ->
+          List.iter
+            (fun level ->
+              let p =
+                Impact_core.Compile.transform_with Impact_core.Opts.default level
+                  (lower w.Impact_workloads.Suite.ast)
+              in
+              let tag =
+                Printf.sprintf "%s/%s" w.Impact_workloads.Suite.name
+                  (Impact_core.Level.to_string level)
+              in
+              check_string tag "" (String.concat ", " (List_sched_ref.mismatches p)))
+            Impact_core.Level.all)
+        Impact_workloads.Suite.all);
+  ]
+
+let suite =
+  [
+    ("sched.formation", formation_tests);
+    ("sched.list", sched_tests);
+    ("sched.list.corpus", corpus_tests);
+  ]
