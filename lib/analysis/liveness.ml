@@ -37,9 +37,9 @@ module Dense = struct
   type d = {
     flat : Flatten.t;
     regs : Reg.t array;  (* dense index -> register, ascending Reg.Ord *)
-    base : int;  (* smallest Reg.hash in [regs] *)
-    index : int array;  (* Reg.hash - base -> dense index, or -1 *)
     def : int array;  (* dense index defined at each position, or -1 *)
+    use_start : int array;  (* position k reads uses.(use_start.(k) .. use_start.(k + 1) - 1) *)
+    uses : int array;  (* dense index of every register source, in position order *)
     start : int array;  (* first position of each block; start.(nblocks) = n *)
     exit_live : Bits.t;
     blocks : blocks;
@@ -50,15 +50,26 @@ module Dense = struct
   let nblocks (d : d) = Array.length d.start - 1
 
   (* Stands for "no definition" among the register hashes of [scan]. *)
-  let no_def = min_int
+  let no_def = -1
 
   (* One pass over the code: the hash each position defines ([no_def]
-     if none), and the smallest and largest hash of every register the
-     code mentions or that is live at exit. Also marks [starts] after
-     every branch or jump. *)
-  let scan (code : Insn.t array) (exit_live : Reg.t list) (starts : Bytes.t) =
+     if none), the hashes of its register sources laid out by
+     [use_start], and the smallest and largest hash the code names.
+     Also marks [starts] after every branch or jump. *)
+  let scan (code : Insn.t array) (starts : Bytes.t) =
     let n = Array.length code in
     let def = Array.make n no_def in
+    let use_start = Array.make (n + 1) 0 in
+    for k = 0 to n - 1 do
+      let srcs = code.(k).Insn.srcs and c = ref 0 in
+      for j = 0 to Array.length srcs - 1 do
+        match srcs.(j) with
+        | Operand.Reg _ -> incr c
+        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+      done;
+      use_start.(k + 1) <- use_start.(k) + !c
+    done;
+    let uses = Array.make use_start.(n) 0 in
     let lo = ref max_int and hi = ref min_int in
     let widen h =
       if h < !lo then lo := h;
@@ -74,58 +85,79 @@ module Dense = struct
       (match i.Insn.op with
       | (Insn.Jmp | Insn.Br _) when k + 1 < n -> Bytes.set starts (k + 1) '\001'
       | _ -> ());
-      let srcs = i.Insn.srcs in
+      let srcs = i.Insn.srcs and u = ref use_start.(k) in
       for j = 0 to Array.length srcs - 1 do
         match srcs.(j) with
-        | Operand.Reg r -> widen (Reg.hash r)
+        | Operand.Reg r ->
+          uses.(!u) <- Reg.hash r;
+          widen uses.(!u);
+          incr u
         | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
       done
     done;
-    List.iter (fun r -> widen (Reg.hash r)) exit_live;
-    (def, !lo, !hi)
+    (def, use_start, uses, !lo, !hi)
 
-  (* Dense numbering of every register mentioned by the code (defs and
-     uses) or live at exit, in ascending [Reg.Ord] order — so ascending
-     bit iteration visits registers in [Reg.Set] order. [Reg.hash] is
-     injective and ascending hash order is [Reg.Ord] order, so one scan
-     of a presence array indexed by hash numbers them with no sort.
-     Rewrites [def] from hashes to dense indices (-1 where nothing is
-     defined). *)
-  let number (code : Insn.t array) def exit_live lo hi =
-    if hi < lo then ([||], 0, [||])
+  (* Set bits of a word. *)
+  let popcount x =
+    let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+    let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+    let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+    ((x * 0x0101_0101_0101_0101) lsr 56) land 0xff
+
+  (* Dense numbering of every register the code names (defs and uses)
+     or that is live at exit, in ascending [Reg.Ord] order — so
+     ascending bit iteration visits registers in [Reg.Set] order.
+     [Reg.hash] is injective and ascending hash order is [Reg.Ord]
+     order, so a register's index is its rank among the named hashes:
+     one presence bit per hash in [lo, hi] and a running count per word
+     give it with no sort. Rewrites [def] and [uses] from hashes to
+     dense indices and returns the registers and the exit-live
+     indices. *)
+  let number def uses (exit_live : Reg.t list) lo hi =
+    let lo = List.fold_left (fun lo r -> min lo (Reg.hash r)) lo exit_live
+    and hi = List.fold_left (fun hi r -> max hi (Reg.hash r)) hi exit_live in
+    if hi < lo then ([||], [])
     else begin
-      let base = lo in
-      let index = Array.make (hi - base + 1) (-1) in
-      for k = 0 to Array.length code - 1 do
-        if def.(k) <> no_def then index.(def.(k) - base) <- 0;
-        let srcs = code.(k).Insn.srcs in
-        for j = 0 to Array.length srcs - 1 do
-          match srcs.(j) with
-          | Operand.Reg r -> index.(Reg.hash r - base) <- 0
-          | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
-        done
+      let bpw = Sys.int_size in
+      let present = Bits.create (hi - lo + 1) in
+      let mark h =
+        let i = h - lo in
+        present.(i / bpw) <- present.(i / bpw) lor (1 lsl (i mod bpw))
+      in
+      for k = 0 to Array.length def - 1 do
+        if def.(k) <> no_def then mark def.(k)
       done;
-      List.iter (fun r -> index.(Reg.hash r - base) <- 0) exit_live;
+      for j = 0 to Array.length uses - 1 do
+        mark uses.(j)
+      done;
+      List.iter (fun r -> mark (Reg.hash r)) exit_live;
+      (* [below.(w)]: the named hashes in the words before [w]. *)
+      let below = Array.make (Array.length present) 0 in
       let n = ref 0 in
-      for h = 0 to Array.length index - 1 do
-        if index.(h) = 0 then begin
-          index.(h) <- !n;
-          incr n
-        end
+      for w = 0 to Array.length present - 1 do
+        below.(w) <- !n;
+        n := !n + popcount present.(w)
       done;
       let regs = Array.make !n { Reg.id = 0; cls = Reg.Int } in
-      for h = 0 to Array.length index - 1 do
-        let i = index.(h) in
-        if i >= 0 then begin
-          let h = h + base in
-          let cls = if h land 1 = 0 then Reg.Int else Reg.Float in
-          regs.(i) <- { Reg.id = h asr 1; cls }
-        end
-      done;
+      let next = ref 0 in
+      Bits.iter
+        (fun i ->
+          let h = i + lo in
+          regs.(!next) <- { Reg.id = h asr 1; cls = (if h land 1 = 0 then Reg.Int else Reg.Float) };
+          incr next)
+        present;
+      let rank h =
+        let i = h - lo in
+        let w = i / bpw in
+        below.(w) + popcount (present.(w) land ((1 lsl (i mod bpw)) - 1))
+      in
       for k = 0 to Array.length def - 1 do
-        def.(k) <- (if def.(k) = no_def then -1 else index.(def.(k) - base))
+        if def.(k) <> no_def then def.(k) <- rank def.(k)
       done;
-      (regs, base, index)
+      for j = 0 to Array.length uses - 1 do
+        uses.(j) <- rank uses.(j)
+      done;
+      (regs, List.map (fun r -> rank (Reg.hash r)) exit_live)
     end
 
   let removed_at (d : d) k = Bytes.get d.blocks.mask k <> '\000'
@@ -134,11 +166,8 @@ module Dense = struct
      from its live-out. *)
   let step (d : d) k (live : Bits.t) =
     if d.def.(k) >= 0 then Bits.remove live d.def.(k);
-    let srcs = d.flat.Flatten.code.(k).Insn.srcs in
-    for j = 0 to Array.length srcs - 1 do
-      match srcs.(j) with
-      | Operand.Reg r -> Bits.add live d.index.(Reg.hash r - d.base)
-      | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+    for j = d.use_start.(k) to d.use_start.(k + 1) - 1 do
+      Bits.add live d.uses.(j)
     done
 
   (* Recompute block [b]'s use/def summary under the mask. *)
@@ -169,8 +198,8 @@ module Dense = struct
     (* [mask] marks the block starts until they are numbered, and is
        then the all-clear removal mask. *)
     let mask = Bytes.make n '\000' in
-    let def, lo, hi = scan code exit_live mask in
-    let regs, base, index = number code def exit_live lo hi in
+    let def, use_start, uses, lo, hi = scan code mask in
+    let regs, exit_dense = number def uses exit_live lo hi in
     let nr = Array.length regs in
     if n > 0 then Bytes.set mask 0 '\001';
     Hashtbl.iter (fun _ k -> if k < n then Bytes.set mask k '\001') flat.Flatten.labels;
@@ -205,12 +234,12 @@ module Dense = struct
       | _ -> ()
     done;
     let exit_bits = Bits.create nr in
-    List.iter (fun r -> Bits.add exit_bits index.(Reg.hash r - base)) exit_live;
+    List.iter (Bits.add exit_bits) exit_dense;
     let sets () = Array.init nb (fun _ -> Bits.create nr) in
     let blocks =
       { jump; falls; mask; use = sets (); kill = sets (); live_in = sets (); live_out = sets () }
     in
-    let d = { flat; regs; base; index; def; start; exit_live = exit_bits; blocks } in
+    let d = { flat; regs; def; use_start; uses; start; exit_live = exit_bits; blocks } in
     for b = 0 to nb - 1 do
       summarize d b
     done;

@@ -25,9 +25,13 @@ module Dense : sig
   type d = {
     flat : Flatten.t;
     regs : Reg.t array;  (** dense index -> register *)
-    base : int;  (** smallest [Reg.hash] in [regs] *)
-    index : int array;  (** [Reg.hash r - base] -> dense index, or -1 *)
     def : int array;  (** dense index each position defines, or -1 *)
+    use_start : int array;
+        (** position [k]'s register sources are
+            [uses.(use_start.(k))] to [uses.(use_start.(k + 1) - 1)] *)
+    uses : int array;
+        (** dense index of every register source, in position and
+            operand order *)
     start : int array;
         (** first position of each block, ascending; the extra last
             entry is the code's length *)

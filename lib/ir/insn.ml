@@ -132,23 +132,6 @@ let cmp_to_string = function
   | Eq -> "eq"
   | Ne -> "ne"
 
-(* Structural equality of everything that matters semantically — op,
-   destination, operands, target — ignoring the instruction id. The
-   optimizer's fixpoint loops compare whole programs with this instead
-   of printing them. *)
-let equal_content (a : t) (b : t) =
-  a.op = b.op
-  && (match a.dst, b.dst with
-     | Some r1, Some r2 -> Reg.equal r1 r2
-     | None, None -> true
-     | Some _, None | None, Some _ -> false)
-  && (match a.target, b.target with
-     | Some t1, Some t2 -> String.equal t1 t2
-     | None, None -> true
-     | Some _, None | None, Some _ -> false)
-  && Array.length a.srcs = Array.length b.srcs
-  && Array.for_all2 Operand.equal a.srcs b.srcs
-
 let dst_string i =
   match i.dst with Some r -> Reg.to_string r | None -> "_"
 

@@ -63,8 +63,4 @@ val eval_icmp : cmp -> int -> int -> bool
 
 val eval_fcmp : cmp -> float -> float -> bool
 
-val equal_content : t -> t -> bool
-(** Structural equality of op, destination, operands and target,
-    ignoring the instruction id. *)
-
 val to_string : t -> string

@@ -1,23 +1,12 @@
 (* The conventional-optimization pipeline (the paper's "Conv" level): a
-   complete set of classical local, global and loop transformations.
-   Cleanup rounds are iterated to a fixpoint between the structural
-   passes. *)
+   complete set of classical local, global and loop transformations,
+   with one cleanup sweep between the structural passes. *)
 
-(* One round is the combined forward sweep ([Cse.run]: propagation,
-   folding and value numbering) followed by DCE. The round count and
-   cap hits are flushed to telemetry once per call. *)
-let max_rounds = 6
-
-let cleanup (p : Impact_ir.Prog.t) : Impact_ir.Prog.t =
-  let p, outcome = Walk.fixpoint ~max_rounds (fun p -> Dce.run (Cse.run p)) p in
-  if Impact_obs.Obs.collecting () then begin
-    let rounds, capped =
-      match outcome with Walk.Converged n -> (n, 0) | Walk.Capped -> (max_rounds, 1)
-    in
-    Impact_obs.Obs.count ~n:rounds "cleanup.rounds";
-    Impact_obs.Obs.count ~n:capped "cleanup.capped"
-  end;
-  p
+(* The combined forward sweep ([Cse.run]: propagation, folding and value
+   numbering) followed by DCE. A second sweep would change nothing: the
+   tests hold every cleanup input of the corpus and of random kernels
+   to that. *)
+let cleanup (p : Impact_ir.Prog.t) : Impact_ir.Prog.t = Dce.run (Cse.run p)
 
 let passes : (string * (Impact_ir.Prog.t -> Impact_ir.Prog.t)) list =
   [

@@ -2,9 +2,8 @@
     complete set of classical local, global and loop transformations. *)
 
 val cleanup : Impact_ir.Prog.t -> Impact_ir.Prog.t
-(** Rounds of propagation, folding and CSE in one sweep, then DCE,
-    iterated to a fixpoint (at most six rounds); used
-    between structural passes and after the ILP transformations. *)
+(** Propagation, folding and CSE in one sweep, then DCE; used between
+    structural passes and after the ILP transformations. *)
 
 val passes : (string * (Impact_ir.Prog.t -> Impact_ir.Prog.t)) list
 (** The pipeline's named steps, which {!run} applies in order. *)

@@ -8,7 +8,10 @@
    An instruction the sweep deletes kills nothing. Every table resets
    at labels and nested loops. Memory knowledge is syntactic: a store
    invalidates loads unless the base labels prove disjointness
-   (distinct arrays never overlap in this memory model).
+   (distinct arrays never overlap in this memory model). Loads and
+   stored values are indexed by their base's array label, so a store
+   to an array visits only that array's entries and those whose base
+   is not a label.
 
    Available expressions are value-numbered on a hashed canonical key
    (commutative operands normalized). Every entry, stored value and
@@ -86,6 +89,7 @@ end
 
 module Vtbl = Hashtbl.Make (Vkey)
 module Mtbl = Hashtbl.Make (Mkey)
+module Stbl = Hashtbl.Make (String)
 
 module Itbl = Hashtbl.Make (struct
   type t = int
@@ -119,26 +123,26 @@ let key_of (i : Insn.t) : Vkey.t option =
   | Insn.Load cls -> Some (KLoad (cls, s 0, s 1, s 2))
   | Insn.IMov | Insn.FMov | Insn.Store _ | Insn.Br _ | Insn.Jmp -> None
 
-let is_load_key : Vkey.t -> bool = function KLoad _ -> true | _ -> false
-
-let lab_of (o : Operand.t) = match o with Operand.Lab s -> Some s | _ -> None
-
-(* Can a store with base [sb] touch an address with base [lb]? *)
-let store_may_touch ~store_base ~other_base =
-  match lab_of store_base, lab_of other_base with
-  | Some a, Some b -> a = b
-  | _ -> true
-
 type entry = { result : Reg.t; srcs : Operand.t array }
+
+(* The load keys and stored-value keys whose base is one declared array,
+   or any other base. Entries may be stale (killed since); draining a
+   bucket removes whatever of them the tables still hold. *)
+type bucket = { mutable loads : Vkey.t list; mutable mems : Mkey.t list }
 
 (* Per-pass counter accumulators, flushed to Obs once per run so the
    hot loop never takes the telemetry mutex. *)
-type stats = { mutable vn_hits : int; mutable pushes : int; mutable kills : int }
+type stats = {
+  mutable vn_hits : int;
+  mutable pushes : int;
+  mutable kills : int;
+  mutable store_scans : int;
+}
 
 let run (p : Prog.t) : Prog.t =
   Impact_obs.Obs.span ~cat:"opt" "opt.cse" @@ fun () ->
   let ctx = p.Prog.ctx in
-  let st = { vn_hits = 0; pushes = 0; kills = 0 } in
+  let st = { vn_hits = 0; pushes = 0; kills = 0; store_scans = 0 } in
   (* Copy/constant environment: register hash -> the operand it holds. *)
   let env : Operand.t Itbl.t = Itbl.create 32 in
   (* Register hash -> hashes of the registers bound to a copy of it;
@@ -152,13 +156,32 @@ let run (p : Prog.t) : Prog.t =
      stale keys are harmless. *)
   let dep : Vkey.t list ref Itbl.t = Itbl.create 32 in
   let mdep : Mkey.t list ref Itbl.t = Itbl.create 16 in
+  (* Store invalidation index: one bucket per array, plus one for every
+     other base (an undeclared label included, conservatively). The
+     buckets outlive [reset]. *)
+  let by_lab : bucket Stbl.t = Stbl.create 8 in
+  List.iter
+    (fun (a : Prog.adecl) -> Stbl.replace by_lab a.Prog.aname { loads = []; mems = [] })
+    p.Prog.arrays;
+  let unlabelled = { loads = []; mems = [] } in
+  let empty_bucket b =
+    b.loads <- [];
+    b.mems <- []
+  in
   let reset () =
     Itbl.reset env;
     Itbl.reset copies;
     Vtbl.reset avail;
     Mtbl.reset memtbl;
     Itbl.reset dep;
-    Itbl.reset mdep
+    Itbl.reset mdep;
+    Stbl.iter (fun _ b -> empty_bucket b) by_lab;
+    empty_bucket unlabelled
+  in
+  let bucket_of (base : Operand.t) =
+    match base with
+    | Operand.Lab a -> Option.value ~default:unlabelled (Stbl.find_opt by_lab a)
+    | Operand.Reg _ | Operand.Int _ | Operand.Flt _ -> unlabelled
   in
   let push tbl h k =
     match Itbl.find_opt tbl h with
@@ -234,34 +257,36 @@ let run (p : Prog.t) : Prog.t =
     Vtbl.replace avail k e;
     st.pushes <- st.pushes + 1;
     push dep (Reg.hash e.result) k;
-    Array.iter (dep_operand dep k) e.srcs
+    Array.iter (dep_operand dep k) e.srcs;
+    match k with
+    | KLoad (_, base, _, _) ->
+      let b = bucket_of base in
+      b.loads <- k :: b.loads
+    | KI _ | KF _ | KItoF _ | KFtoI _ -> ()
   in
   let add_mem ((b, o, _dp) as mk : Mkey.t) (v : Operand.t) =
     Mtbl.replace memtbl mk v;
     dep_operand mdep mk b;
     dep_operand mdep mk o;
-    dep_operand mdep mk v
+    dep_operand mdep mk v;
+    let bk = bucket_of b in
+    bk.mems <- mk :: bk.mems
   in
+  let drain_bucket b =
+    st.store_scans <- st.store_scans + List.length b.loads + List.length b.mems;
+    List.iter (Vtbl.remove avail) b.loads;
+    List.iter (Mtbl.remove memtbl) b.mems;
+    empty_bucket b
+  in
+  (* A store forgets every load and stored value it may touch: those of
+     its own array and those with a non-label base, or all of them when
+     its base is not a label. Its own address then holds [v]. *)
   let apply_store (base : Operand.t) (off : Operand.t) (disp : Operand.t) (v : Operand.t)
       =
-    let stale_loads =
-      Vtbl.fold
-        (fun k e acc ->
-          if is_load_key k && store_may_touch ~store_base:base ~other_base:e.srcs.(0) then
-            k :: acc
-          else acc)
-        avail []
-    in
-    List.iter (Vtbl.remove avail) stale_loads;
-    let stale_mem =
-      Mtbl.fold
-        (fun (b, o, d) _ acc ->
-          if Operand.equal b base && Operand.equal o off && Operand.equal d disp then acc
-          else if store_may_touch ~store_base:base ~other_base:b then (b, o, d) :: acc
-          else acc)
-        memtbl []
-    in
-    List.iter (Mtbl.remove memtbl) stale_mem;
+    (match base with
+    | Operand.Lab a -> Option.iter drain_bucket (Stbl.find_opt by_lab a)
+    | Operand.Reg _ | Operand.Int _ | Operand.Flt _ -> Stbl.iter (fun _ b -> drain_bucket b) by_lab);
+    drain_bucket unlabelled;
     add_mem (base, off, disp) v
   in
   let mov (d : Reg.t) (o : Operand.t) =
@@ -317,4 +342,5 @@ let run (p : Prog.t) : Prog.t =
   if st.vn_hits > 0 then Impact_obs.Obs.count ~n:st.vn_hits "cse.vn_hits";
   if st.pushes > 0 then Impact_obs.Obs.count ~n:st.pushes "cse.worklist_pushes";
   if st.kills > 0 then Impact_obs.Obs.count ~n:st.kills "cse.kills";
+  if st.store_scans > 0 then Impact_obs.Obs.count ~n:st.store_scans "cse.store_scans";
   p'

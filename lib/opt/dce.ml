@@ -41,16 +41,17 @@ let id_reps (code : Insn.t array) : int array =
   rep
 
 (* Mark-and-sweep: essential instructions are stores, branches and the
-   definitions (transitively) feeding them or the program outputs. A
-   register's definitions are found by register id (both classes), in
-   reverse program order, and the worklist is FIFO. Sets [removed.(k)] for every unmarked position and returns the
-   number of worklist pushes (the dce.worklist_pushes telemetry
-   counter). *)
-let mark_sweep (d : Liveness.Dense.d) (outputs : Reg.t list) (removed : bool array) : int =
+   definitions (transitively) feeding them or the program outputs (the
+   frame's exit-live set). A register's definitions are found by
+   register id (both classes), in reverse program order, and the
+   worklist is FIFO. Sets [removed.(k)] for every unmarked position and
+   returns the number of worklist pushes (the dce.worklist_pushes
+   telemetry counter). *)
+let mark_sweep (d : Liveness.Dense.d) (removed : bool array) : int =
   let code = d.Liveness.Dense.flat.Flatten.code in
   let n = Array.length code in
-  let base = d.Liveness.Dense.base and index = d.Liveness.Dense.index in
-  let def = d.Liveness.Dense.def in
+  let regs = d.Liveness.Dense.regs and def = d.Liveness.Dense.def in
+  let use_start = d.Liveness.Dense.use_start and uses = d.Liveness.Dense.uses in
   (* Def chains by dense register: [head.(i)] is the last position
      defining register [i], [next.(k)] the previous one before [k]. *)
   let head = Array.make (Liveness.Dense.nregs d) (-1) in
@@ -74,14 +75,14 @@ let mark_sweep (d : Liveness.Dense.d) (outputs : Reg.t list) (removed : bool arr
       incr wr
     end
   in
-  (* The defs of [r]'s id: [r]'s chain merged with the chain of the
-     other class's register of that id (its hash differs in the low bit
-     only), in reverse program order, as one chain by id. *)
-  let need_reg (r : Reg.t) =
-    let h = Reg.hash r in
-    let h' = (h lxor 1) - base in
-    let a = ref head.(index.(h - base)) in
-    let b = ref (if h' >= 0 && h' < Array.length index && index.(h') >= 0 then head.(index.(h')) else -1) in
+  (* The defs of dense register [i]'s id: its chain merged with the
+     chain of the other class's register of that id, numbered next to
+     [i] when the frame has it (the hashes differ in the low bit only),
+     in reverse program order, as one chain by id. *)
+  let need_reg i =
+    let same k = k >= 0 && k < Array.length regs && regs.(k).Reg.id = regs.(i).Reg.id in
+    let a = ref head.(i) in
+    let b = ref (if same (i + 1) then head.(i + 1) else if same (i - 1) then head.(i - 1) else -1) in
     while !a >= 0 || !b >= 0 do
       if !a > !b then begin
         need_insn !a;
@@ -98,14 +99,12 @@ let mark_sweep (d : Liveness.Dense.d) (outputs : Reg.t list) (removed : bool arr
     | Insn.Store _ | Insn.Br _ | Insn.Jmp -> need_insn k
     | _ -> ()
   done;
-  List.iter need_reg outputs;
+  Bits.iter need_reg d.Liveness.Dense.exit_live;
   while !rd < !wr do
-    let srcs = code.(work.(!rd)).Insn.srcs in
+    let k = work.(!rd) in
     incr rd;
-    for j = 0 to Array.length srcs - 1 do
-      match srcs.(j) with
-      | Operand.Reg r -> need_reg r
-      | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+    for j = use_start.(k) to use_start.(k + 1) - 1 do
+      need_reg uses.(j)
     done
   done;
   for k = 0 to n - 1 do
@@ -149,7 +148,7 @@ let run (p : Prog.t) : Prog.t =
     let d = Liveness.Dense.frame ~exit_live:outputs (Flatten.of_prog p) in
     let n = Array.length d.Liveness.Dense.flat.Flatten.code in
     let removed = Array.make n false in
-    let pushes = mark_sweep d outputs removed in
+    let pushes = mark_sweep d removed in
     if pushes > 0 then Impact_obs.Obs.count ~n:pushes "dce.worklist_pushes";
     (* Iterate the liveness rounds to a (bounded) fixpoint: removing a
        dead definition can kill the uses keeping another one alive. *)

@@ -62,7 +62,6 @@ let build_dense (p : Prog.t) : dgraph =
   let live = Liveness.Dense.of_prog p in
   let nr = Liveness.Dense.nregs live in
   let code = live.Liveness.Dense.flat.Flatten.code in
-  let base = live.Liveness.Dense.base and index = live.Liveness.Dense.index in
   let present = Bits.create nr in
   let dregs = live.Liveness.Dense.regs in
   let cls_of = Array.map (fun (r : Reg.t) -> r.Reg.cls) dregs in
@@ -82,6 +81,7 @@ let build_dense (p : Prog.t) : dgraph =
   let deg = Array.make nr 0 in
   let edges = ref 0 in
   let def = live.Liveness.Dense.def and start = live.Liveness.Dense.start in
+  let use_start = live.Liveness.Dense.use_start and uses = live.Liveness.Dense.uses in
   (* [outs.(j)] holds the live-out of the block's [j]-th definition:
      one backward walk per block fills them, then the block is replayed
      forwards, so edges go in and nodes are seen in program order. *)
@@ -110,7 +110,7 @@ let build_dense (p : Prog.t) : dgraph =
            move's source is exempt (coalescable). *)
         let exempt =
           match i.Insn.op, i.Insn.srcs with
-          | (Insn.IMov | Insn.FMov), [| Operand.Reg s |] -> index.(Reg.hash s - base)
+          | (Insn.IMov | Insn.FMov), [| Operand.Reg _ |] -> uses.(use_start.(k))
           | _ -> -1
         in
         let row = rows.(d) and out = outs.(!slot) in
@@ -149,11 +149,8 @@ let build_dense (p : Prog.t) : dgraph =
           end
         done
       end;
-      let srcs = i.Insn.srcs in
-      for j = 0 to Array.length srcs - 1 do
-        match srcs.(j) with
-        | Operand.Reg u -> node_seen index.(Reg.hash u - base)
-        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ()
+      for j = use_start.(k) to use_start.(k + 1) - 1 do
+        node_seen uses.(j)
       done
     done
   done;

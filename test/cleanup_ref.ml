@@ -262,9 +262,24 @@ let cse (p : Prog.t) : Prog.t =
 
 let round (p : Prog.t) : Prog.t = Dce.run (cse (propagate (fold p)))
 
-(* [Conv.cleanup] as it was: the round iterated to a fixpoint, at most
-   six rounds. *)
-let cleanup (p : Prog.t) : Prog.t = fst (Walk.fixpoint ~max_rounds:6 round p)
+type outcome =
+  | Converged of int  (* rounds run, the unchanged last one included *)
+  | Capped  (* [max_rounds] rounds ran and the last one still changed *)
+
+(* Iterate a pass until a round leaves the instruction stream unchanged,
+   or [max_rounds] rounds have run. *)
+let fixpoint ~max_rounds (pass : Prog.t -> Prog.t) (p : Prog.t) : Prog.t * outcome =
+  let rec go n p =
+    if n > max_rounds then (p, Capped)
+    else
+      let p' = pass p in
+      if Helpers.insns_equal_prog p p' then (p', Converged n) else go (n + 1) p'
+  in
+  go 1 p
+
+(* [Conv.cleanup] as it was before the combined sweep: the round
+   iterated to a fixpoint, at most six rounds. *)
+let cleanup (p : Prog.t) : Prog.t = fst (fixpoint ~max_rounds:6 round p)
 
 (* The round iterated until it changes nothing, with no cap; also
    returns the number of rounds run, the confirming one included. *)

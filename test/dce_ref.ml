@@ -102,7 +102,7 @@ let dce_counted (p : Prog.t) : Prog.t * int =
   | _ -> assert false
 
 (* [None] when [Dce.run] and the reference agree on the program
-   ([Insn.equal_content] instruction lists) and on the push count;
+   ([Helpers.equal_content] instruction lists) and on the push count;
    otherwise a description of the difference. *)
 let disagreement (p : Prog.t) : string option =
   let got, got_pushes = dce_counted p in
@@ -115,14 +115,15 @@ let disagreement (p : Prog.t) : string option =
     Some (Printf.sprintf "dce.worklist_pushes %d vs %d" got_pushes want_pushes)
   else None
 
-(* Replay of [Level.apply] whose cleanup records every program handed
-   to [Dce.run] (each round's [Cse.run] output). Returns the recorded
-   inputs in call order and the level's output. *)
+(* Replay of [Level.apply] whose cleanup iterates the sweep to its
+   fixpoint and records every program handed to [Dce.run] (each round's
+   [Cse.run] output, the confirming round's included). Returns the
+   recorded inputs in call order and the level's output. *)
 let cleanup_inputs (level : Impact_core.Level.t) (p : Prog.t) : Prog.t list * Prog.t =
   let seen = ref [] in
   let cleanup p =
     fst
-      (Walk.fixpoint ~max_rounds:6
+      (Cleanup_ref.fixpoint ~max_rounds:6
          (fun p ->
            let q = Cse.run p in
            seen := q :: !seen;

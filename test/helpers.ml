@@ -37,10 +37,19 @@ let output b name r = b.outputs <- b.outputs @ [ (name, r) ]
 
 let insn_count (p : Prog.t) = List.length (Block.insns p.Prog.entry)
 
-(* The two programs' instruction lists are equal under
-   [Insn.equal_content] (ids are ignored). *)
+(* Structural equality of everything that matters semantically — op,
+   destination, operands, target — ignoring the instruction id. *)
+let equal_content (a : Insn.t) (b : Insn.t) =
+  a.Insn.op = b.Insn.op
+  && Option.equal Reg.equal a.Insn.dst b.Insn.dst
+  && Option.equal String.equal a.Insn.target b.Insn.target
+  && Array.length a.Insn.srcs = Array.length b.Insn.srcs
+  && Array.for_all2 Operand.equal a.Insn.srcs b.Insn.srcs
+
+(* The two programs' instruction lists are equal under [equal_content]
+   (ids are ignored). *)
 let insns_equal_prog (a : Prog.t) (b : Prog.t) =
-  List.equal Insn.equal_content (Block.insns a.Prog.entry) (Block.insns b.Prog.entry)
+  List.equal equal_content (Block.insns a.Prog.entry) (Block.insns b.Prog.entry)
 
 let prog_of b entry : Prog.t =
   { Prog.arrays = b.arrays; entry; ctx = b.ctx; outputs = b.outputs }

@@ -93,10 +93,38 @@ let live_at_label (t : t) lbl =
 let live_at_target (t : t) (i : Insn.t) = live_at_label t (Option.get i.Insn.target)
 
 (* Dense index of a register, [None] when it neither occurs in the code
-   nor is live at exit. *)
+   nor is live at exit: a bisection over the ascending [regs]. *)
 let index_opt (d : Liveness.Dense.d) (r : Reg.t) =
-  let h = Reg.hash r - d.Liveness.Dense.base in
-  if h < 0 || h >= Array.length d.Liveness.Dense.index then None
-  else
-    let i = d.Liveness.Dense.index.(h) in
-    if i < 0 then None else Some i
+  let regs = d.Liveness.Dense.regs in
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Reg.compare r regs.(mid) in
+      if c = 0 then Some mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length regs)
+
+(* Whether the frame's numbering names the code: [def] and [uses] give
+   each position's destination and register sources in operand order,
+   and [regs] holds exactly the registers the code names or [p]'s
+   outputs, ascending. *)
+let numbering_names_code (d : Liveness.Dense.d) (p : Prog.t) =
+  let regs = d.Liveness.Dense.regs and def = d.Liveness.Dense.def in
+  let us = d.Liveness.Dense.use_start and uses = d.Liveness.Dense.uses in
+  let named = ref (Reg.Set.of_list (List.map snd p.Prog.outputs)) in
+  let ok = ref true in
+  Array.iteri
+    (fun k (i : Insn.t) ->
+      let srcs =
+        List.filter_map
+          (function Operand.Reg r -> Some r | _ -> None)
+          (Array.to_list i.Insn.srcs)
+      in
+      let got = List.init (us.(k + 1) - us.(k)) (fun j -> regs.(uses.(us.(k) + j))) in
+      let got_def = if def.(k) < 0 then None else Some regs.(def.(k)) in
+      if not (List.equal Reg.equal got srcs && Option.equal Reg.equal got_def i.Insn.dst) then
+        ok := false;
+      named := Reg.Set.union !named (Reg.Set.of_list (Option.to_list i.Insn.dst @ srcs)))
+    d.Liveness.Dense.flat.Flatten.code;
+  !ok && List.equal Reg.equal (Reg.Set.elements !named) (Array.to_list regs)

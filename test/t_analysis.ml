@@ -414,6 +414,58 @@ let liveness_tests =
       check_bool "f2 live at exit" true (Bits.mem d.Liveness.Dense.exit_live 1);
       check_bool "f2 live in" true
         (Reg.Set.mem f2 (Liveness_ref.of_dense d).Liveness_ref.live_in.(0)));
+    test "sparse register ids: numbering by rank, liveness and DCE = reference" (fun () ->
+      (* Ids spread over several words of register hashes, an int and a
+         float register sharing id 32, and an exit-live float absent
+         from the code with the largest id. *)
+      let b = irb () in
+      let ctx = b.ctx in
+      let at id cls =
+        let r = ref (reg b Reg.Int) in
+        while !r.Reg.id < id do
+          r := reg b Reg.Int
+        done;
+        { Reg.id; cls }
+      in
+      let ra = at 1 Reg.Int and rb = at 31 Reg.Int and ci = at 32 Reg.Int in
+      let cf = { Reg.id = 32; cls = Reg.Float } and rd = at 63 Reg.Int in
+      let fe = at 64 Reg.Float and rf = at 500 Reg.Int and fg = at 2000 Reg.Float in
+      let rh = at 4000 Reg.Int and fz = at 9000 Reg.Float in
+      output b "x" rh;
+      output b "y" fg;
+      output b "z" fz;
+      let i x = Block.Ins x in
+      let p =
+        prog_of b
+          [
+            i (Build.imov ctx ra (Operand.Int 0));
+            i (Build.imov ctx ci (Operand.Int 5));
+            i (Build.fmov ctx cf (Operand.Flt 2.0));
+            i (Build.fmov ctx fg (Operand.Flt 0.0));
+            Block.Lbl "L";
+            i (Build.ib ctx Insn.Add rb (Operand.Reg ra) (Operand.Reg ci));
+            i (Build.ib ctx Insn.Mul rd (Operand.Reg rb) (Operand.Reg rb));
+            i (Build.itof ctx fe (Operand.Reg rd));
+            i (Build.fb ctx Insn.Fadd fg (Operand.Reg fe) (Operand.Reg cf));
+            i (Build.ib ctx Insn.Sub rf (Operand.Reg rd) (Operand.Int 1));
+            i (Build.ib ctx Insn.Add ra (Operand.Reg ra) (Operand.Int 1));
+            i (Build.br ctx Reg.Int Insn.Le (Operand.Reg ra) (Operand.Int 4) "L");
+            i (Build.ib ctx Insn.Add rh (Operand.Reg ra) (Operand.Reg rb));
+          ]
+      in
+      let d = Liveness.Dense.of_prog p in
+      let regs = d.Liveness.Dense.regs in
+      check_bool "block liveness = reference" true (Liveness_ref.dense_agrees p);
+      check_bool "ascending, every named register"
+        true
+        (Array.to_list regs = [ ra; rb; ci; cf; rd; fe; rf; fg; rh; fz ]);
+      check_bool "z live at exit" true (Bits.mem d.Liveness.Dense.exit_live 9);
+      check_bool "def and uses numbered" true (Liveness_ref.numbering_names_code d p);
+      let code = d.Liveness.Dense.flat.Flatten.code in
+      check_bool "DCE = reference" true (Dce_ref.disagreement p = None);
+      (* [rf]'s subtraction, and [fg = 0.0], which the loop overwrites. *)
+      check_int "DCE drops two dead definitions" (Array.length code - 2)
+        (Helpers.insn_count (Impact_opt.Dce.run p)));
   ]
 
 (* Word-level bitset operations against a list model, across word
@@ -732,7 +784,9 @@ let liveness_corpus_tests =
                 check_bool (name ^ " index_opt iff member") member
                   (Liveness_ref.index_opt d r <> None))
               [ Reg.Int; Reg.Float ]
-          done)
+          done;
+          check_bool (name ^ " def and uses numbered") true
+            (Liveness_ref.numbering_names_code d p))
         (Lazy.force corpus));
   ]
 

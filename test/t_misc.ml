@@ -66,8 +66,8 @@ let walk_tests =
         incr calls;
         q
       in
-      (match Impact_opt.Walk.fixpoint ~max_rounds:5 pass p with
-      | _, Impact_opt.Walk.Converged 1 -> ()
+      (match Cleanup_ref.fixpoint ~max_rounds:5 pass p with
+      | _, Cleanup_ref.Converged 1 -> ()
       | _ -> Alcotest.fail "expected convergence in one round");
       check_int "one call" 1 !calls);
     test "fixpoint reports the cap" (fun () ->
@@ -86,12 +86,12 @@ let walk_tests =
         else
           Prog.with_entry q (q.Prog.entry @ [ Block.Ins (Build.imov ctx r1 (Operand.Int 1)) ])
       in
-      (match Impact_opt.Walk.fixpoint ~max_rounds:3 (grow 2) p with
-      | q, Impact_opt.Walk.Converged 3 -> check_int "grown twice" 3 (Helpers.insn_count q)
+      (match Cleanup_ref.fixpoint ~max_rounds:3 (grow 2) p with
+      | q, Cleanup_ref.Converged 3 -> check_int "grown twice" 3 (Helpers.insn_count q)
       | _ -> Alcotest.fail "expected convergence in three rounds");
       calls := 0;
-      (match Impact_opt.Walk.fixpoint ~max_rounds:3 (grow max_int) p with
-      | q, Impact_opt.Walk.Capped -> check_int "grown three times" 4 (Helpers.insn_count q)
+      (match Cleanup_ref.fixpoint ~max_rounds:3 (grow max_int) p with
+      | q, Cleanup_ref.Capped -> check_int "grown three times" 4 (Helpers.insn_count q)
       | _ -> Alcotest.fail "expected the cap");
       check_int "three calls" 3 !calls);
     test "rewrite_innermost_with_preheader sees the right prefix" (fun () ->

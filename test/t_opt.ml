@@ -321,6 +321,119 @@ let cse_tests =
           check_int "load forwarded away" 0 (count_if p' is_load);
           check_close "value" 3.5 (out_flt (run p') "x"))
         [ Cleanup_ref.cse; Cse.run ]);
+    (* A store invalidates by array label: a store to [A] visits the
+       entries of [A] and those with a non-label base; a store through a
+       register base visits them all. The register base [rb] below is
+       [A]'s address plus a loaded 0, so the sweep cannot fold it into a
+       label. *)
+    test "a store to A keeps B's available load and stored value" (fun () ->
+      let b = irb () in
+      float_array b "A" [| 1.0; 2.0 |];
+      float_array b "B" [| 5.0; 6.0 |];
+      let f1 = reg b Reg.Float and f2 = reg b Reg.Float and f3 = reg b Reg.Float in
+      let x = reg b Reg.Float and y = reg b Reg.Float in
+      let ctx = b.ctx in
+      output b "x" x;
+      output b "y" y;
+      let p =
+        prog_of b
+          [
+            Block.Ins (Build.store ctx Reg.Float (Operand.Lab "B") (Operand.Int 4) (Operand.Flt 7.0));
+            Block.Ins (Build.load ctx Reg.Float f1 (Operand.Lab "B") (Operand.Int 0));
+            Block.Ins (Build.store ctx Reg.Float (Operand.Lab "A") (Operand.Int 0) (Operand.Flt 9.0));
+            Block.Ins (Build.load ctx Reg.Float f2 (Operand.Lab "B") (Operand.Int 0));
+            Block.Ins (Build.load ctx Reg.Float f3 (Operand.Lab "B") (Operand.Int 4));
+            Block.Ins (Build.fb ctx Insn.Fadd x (Operand.Reg f1) (Operand.Reg f2));
+            Block.Ins (Build.fb ctx Insn.Fadd y (Operand.Reg f3) (Operand.Flt 0.5));
+          ]
+      in
+      let p' = Cse.run p in
+      check_int "only the first load of B is left" 1 (count_if p' is_load);
+      check_close "x" 10.0 (out_flt (run p') "x");
+      check_close "y" 7.5 (out_flt (run p') "y"));
+    test "a store to A kills loads of A and loads through a register base" (fun () ->
+      let b = irb () in
+      float_array b "A" [| 1.0; 2.0 |];
+      int_array b "Z" [| 0 |];
+      let r = reg b Reg.Int and rb = reg b Reg.Int in
+      let f1 = reg b Reg.Float and f2 = reg b Reg.Float and f3 = reg b Reg.Float in
+      let f4 = reg b Reg.Float and x = reg b Reg.Float in
+      let ctx = b.ctx in
+      output b "x" x;
+      let p =
+        prog_of b
+          [
+            Block.Ins (Build.load ctx Reg.Int r (Operand.Lab "Z") (Operand.Int 0));
+            Block.Ins (Build.ib ctx Insn.Add rb (Operand.Reg r) (Operand.Lab "A"));
+            Block.Ins (Build.load ctx Reg.Float f1 (Operand.Lab "A") (Operand.Int 0));
+            Block.Ins (Build.load ctx Reg.Float f2 (Operand.Reg rb) (Operand.Int 4));
+            Block.Ins (Build.store ctx Reg.Float (Operand.Lab "A") (Operand.Int 4) (Operand.Flt 9.0));
+            Block.Ins (Build.load ctx Reg.Float f3 (Operand.Lab "A") (Operand.Int 0));
+            Block.Ins (Build.load ctx Reg.Float f4 (Operand.Reg rb) (Operand.Int 4));
+            Block.Ins (Build.fb ctx Insn.Fadd x (Operand.Reg f3) (Operand.Reg f4));
+          ]
+      in
+      let p' = Cse.run p in
+      let loads_from base =
+        count_if p' (fun i -> is_load i && Operand.equal i.Insn.srcs.(0) base)
+      in
+      check_int "both loads of A[0]" 2 (loads_from (Operand.Lab "A"));
+      check_int "both loads through rb" 2 (loads_from (Operand.Reg rb));
+      check_close "value" 10.0 (out_flt (run p') "x"));
+    test "a store through a register base kills every load and stored value" (fun () ->
+      let b = irb () in
+      float_array b "A" [| 1.0; 2.0 |];
+      float_array b "B" [| 5.0 |];
+      int_array b "Z" [| 0 |];
+      let r = reg b Reg.Int and rb = reg b Reg.Int in
+      let f1 = reg b Reg.Float and f2 = reg b Reg.Float and f3 = reg b Reg.Float in
+      let x = reg b Reg.Float in
+      let ctx = b.ctx in
+      output b "x" x;
+      let p =
+        prog_of b
+          [
+            Block.Ins (Build.load ctx Reg.Int r (Operand.Lab "Z") (Operand.Int 0));
+            Block.Ins (Build.ib ctx Insn.Add rb (Operand.Reg r) (Operand.Lab "A"));
+            Block.Ins (Build.store ctx Reg.Float (Operand.Lab "B") (Operand.Int 0) (Operand.Flt 7.0));
+            Block.Ins (Build.load ctx Reg.Float f1 (Operand.Lab "A") (Operand.Int 0));
+            Block.Ins (Build.store ctx Reg.Float (Operand.Reg rb) (Operand.Int 0) (Operand.Flt 3.0));
+            Block.Ins (Build.load ctx Reg.Float f2 (Operand.Lab "A") (Operand.Int 0));
+            Block.Ins (Build.load ctx Reg.Float f3 (Operand.Lab "B") (Operand.Int 0));
+            Block.Ins (Build.fb ctx Insn.Fadd x (Operand.Reg f2) (Operand.Reg f3));
+          ]
+      in
+      let p' = Cse.run p in
+      let loads_from base =
+        count_if p' (fun i -> is_load i && Operand.equal i.Insn.srcs.(0) base)
+      in
+      check_int "A[0] is loaded again" 2 (loads_from (Operand.Lab "A"));
+      check_int "B[0] is loaded, not forwarded" 1 (loads_from (Operand.Lab "B"));
+      check_close "value" 10.0 (out_flt (run p') "x"));
+    test "a store forwards to a load at its own address, label or register base" (fun () ->
+      let b = irb () in
+      float_array b "A" [| 1.0; 2.0 |];
+      int_array b "Z" [| 0 |];
+      let r = reg b Reg.Int and rb = reg b Reg.Int in
+      let f1 = reg b Reg.Float and f2 = reg b Reg.Float and x = reg b Reg.Float in
+      let ctx = b.ctx in
+      output b "x" x;
+      let p =
+        prog_of b
+          [
+            Block.Ins (Build.load ctx Reg.Int r (Operand.Lab "Z") (Operand.Int 0));
+            Block.Ins (Build.ib ctx Insn.Add rb (Operand.Reg r) (Operand.Lab "A"));
+            Block.Ins (Build.store ctx Reg.Float (Operand.Lab "A") (Operand.Int 0) (Operand.Flt 1.5));
+            Block.Ins (Build.store ctx Reg.Float (Operand.Lab "A") (Operand.Int 0) (Operand.Flt 2.5));
+            Block.Ins (Build.load ctx Reg.Float f1 (Operand.Lab "A") (Operand.Int 0));
+            Block.Ins (Build.store ctx Reg.Float (Operand.Reg rb) (Operand.Int 4) (Operand.Flt 4.5));
+            Block.Ins (Build.load ctx Reg.Float f2 (Operand.Reg rb) (Operand.Int 4));
+            Block.Ins (Build.fb ctx Insn.Fadd x (Operand.Reg f1) (Operand.Reg f2));
+          ]
+      in
+      let p' = Cse.run p in
+      check_int "only the load of Z is left" 1 (count_if p' is_load);
+      check_close "value" 7.0 (out_flt (run p') "x"));
   ]
 
 (* ---- the combined sweep: what the old passes needed extra rounds for,
@@ -615,7 +728,7 @@ let dce_tests =
       let counted p = Dce_ref.counting [ "dce.rounds"; "dce.capped" ] (fun () -> Dce.run p) in
       let p', counts = counted p in
       check_bool "first two chain defs survive" true
-        (List.equal Insn.equal_content
+        (List.equal Helpers.equal_content
            ([ List.nth chain 0; List.nth chain 1 ] @ redefs)
            (Block.insns p'.Prog.entry));
       check_bool "six rounds, the last still removing: capped" true (counts = [ 6; 1 ]);
@@ -652,7 +765,7 @@ let dce_tests =
       let p', counts = Dce_ref.counting [ "dce.rounds" ] (fun () -> Dce.run p) in
       check_bool "three rounds" true (counts = [ 3 ]);
       check_bool "both chain definitions removed" true
-        (List.equal Insn.equal_content (r0_def :: br :: kept) (Block.insns p'.Prog.entry)));
+        (List.equal Helpers.equal_content (r0_def :: br :: kept) (Block.insns p'.Prog.entry)));
     test "stores are never removed" (fun () ->
       let b = irb () in
       float_array b "A" [| 0.0 |];
@@ -732,7 +845,7 @@ let dce_corpus_tests =
       let p', pushes = Dce_ref.dce_counted p in
       check_int "one push for the shared id" 1 pushes;
       check_bool "both instances kept, the def of z swept" true
-        (List.equal Insn.equal_content [ a; t ] (Block.insns p'.Prog.entry)));
+        (List.equal Helpers.equal_content [ a; t ] (Block.insns p'.Prog.entry)));
   ]
 
 (* ---- the one-sweep cleanup against the old round ----
@@ -799,6 +912,44 @@ let cleanup_corpus_tests =
               (Cleanup_ref.inputs lvl (fresh ())))
           Impact_core.Level.all);
       check_bool "a thousand inputs" true (!inputs > 1000));
+    test "cse_order.f: the sweep's output, pinned" (fun () ->
+      (* mod(int(A(j)), 1) folds to 0, so r4..r9 die. The sweep matches
+         the second address r10..r12 against the first before DCE
+         removes it, and keeps the first load; the old round, whose DCE
+         ran first, keeps the second. Both compute the same values; the
+         sweep's output is the contract. *)
+      let p = lower (Impact_fir.Parse.parse_file "../examples/kernels/cse_order.f") in
+      let first = List.hd (Cleanup_ref.inputs Impact_core.Level.Conv p) in
+      let want =
+        String.concat "\n"
+          [
+            ".array a : real[8]";
+            "r2i = 0";
+            "r3f = 0";
+            "r1i = 1";
+            "L1:";
+            "  r4i = r1i - 1";
+            "  r6i = r4i * 4";
+            "  r7f = MEM(a+r6i)";
+            "  r14f = r7f * 0.5";
+            "  r3f = r3f + r14f";
+            "T1:";
+            "  r1i = r1i + 1";
+            "  ble (r1i 8) L1";
+            "X1:";
+            ".output s = r3f";
+            ".output t = r2i";
+            "";
+          ]
+      in
+      let got = Conv.cleanup first in
+      check_string "sweep" want (Pp.prog_to_string got);
+      check_bool "the old round keeps the second load" false
+        (Helpers.insns_equal_prog got (fst (Cleanup_ref.fixpoint_uncapped first)));
+      check_bool "same values" true
+        (compare (run got).Impact_sim.Sim.outputs
+           (run (fst (Cleanup_ref.fixpoint_uncapped first))).Impact_sim.Sim.outputs
+        = 0));
   ]
 
 (* ---- CSE keys: monomorphic equal/hash agree with the polymorphic ones ---- *)

@@ -233,9 +233,10 @@ let gen_kernel =
         ])
 
 (* Without integer arithmetic by constants: on those kernels the
-   one-sweep cleanup and the reference round reach different fixpoints
-   (examples/kernels/cse_order.f), so the cleanup-reference property
-   keeps to these until they agree. *)
+   one-sweep cleanup and the old reference round can keep different but
+   equivalent instructions (examples/kernels/cse_order.f, whose sweep
+   output t_opt pins), so the instruction-equality property against the
+   reference keeps to these. *)
 let gen_float_kernel = kernel_of float_picks
 
 (* A kernel spec as text, so a failing property shows the kernel. *)
@@ -406,11 +407,28 @@ let prop_liveness_kernels =
                (Impact_core.Compile.transform_with Impact_core.Opts.default level p))
            Impact_core.Level.all)
 
-(* ---- the one-sweep cleanup reaches the old round's fixpoint ----
+(* ---- one cleanup sweep is the contract ----
 
-   [Conv.cleanup] against [Cleanup_ref]'s round iterated with no cap:
-   on straight-line programs directly, and on every cleanup input of a
-   random kernel's Lev4 pipeline. *)
+   On every cleanup input of a random kernel at every level, one
+   [Conv.cleanup] equals the same sweep iterated to its fixpoint. Then
+   [Conv.cleanup] against [Cleanup_ref]'s old round iterated with no
+   cap: instruction for instruction on straight-line programs and on
+   the Lev4 cleanup inputs of kernels without integer arithmetic by
+   constants, and by simulated outputs on every random kernel. *)
+
+let sweep_is_fixpoint (p : Prog.t) =
+  match Cleanup_ref.fixpoint ~max_rounds:6 Impact_opt.Conv.cleanup p with
+  | q, Cleanup_ref.Converged _ -> Helpers.insns_equal_prog (Impact_opt.Conv.cleanup p) q
+  | _, Cleanup_ref.Capped -> false
+
+let prop_cleanup_one_sweep =
+  QCheck.Test.make ~name:"one cleanup sweep = its fixpoint on random kernels' cleanup inputs"
+    ~count:60 arb_kernel
+    (fun spec ->
+      let ast = build_kernel spec in
+      List.for_all
+        (fun level -> List.for_all sweep_is_fixpoint (Cleanup_ref.inputs level (lower ast)))
+        Impact_core.Level.all)
 
 let cleanup_is_ref_fixpoint (p : Prog.t) =
   Helpers.insns_equal_prog (Impact_opt.Conv.cleanup p)
@@ -426,6 +444,20 @@ let prop_cleanup_ref_kernels =
     ~count:60 (QCheck.make ~print:print_kernel gen_float_kernel)
     (fun spec ->
       List.for_all cleanup_is_ref_fixpoint
+        (Cleanup_ref.inputs Impact_core.Level.Lev4 (lower (build_kernel spec))))
+
+let outputs (p : Prog.t) = (Impact_sim.Sim.run Machine.issue_1 p).Impact_sim.Sim.outputs
+
+let prop_cleanup_ref_values =
+  QCheck.Test.make
+    ~name:"cleanup and reference fixpoint compute the same outputs on random kernels"
+    ~count:60 arb_kernel
+    (fun spec ->
+      List.for_all
+        (fun p ->
+          compare (outputs (Impact_opt.Conv.cleanup p))
+            (outputs (fst (Cleanup_ref.fixpoint_uncapped p)))
+          = 0)
         (Cleanup_ref.inputs Impact_core.Level.Lev4 (lower (build_kernel spec))))
 
 (* ---- symbolic values agree with execution ---- *)
@@ -543,8 +575,10 @@ let suite =
           prop_profile_kernels;
           prop_dce_kernels;
           prop_dce_straightline;
+          prop_cleanup_one_sweep;
           prop_cleanup_ref_straightline;
           prop_cleanup_ref_kernels;
+          prop_cleanup_ref_values;
           prop_linval_agrees;
           prop_liveness_kernels;
           prop_list_sched_kernels;
