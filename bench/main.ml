@@ -45,14 +45,7 @@ let cache_dir = ref (Impact_svc.Store.resolve_dir ())
 let cache_store : Impact_svc.Store.t option ref = ref None
 
 let subjects : Experiment.subject list =
-  List.map
-    (fun (w : Impact_workloads.Suite.t) ->
-      {
-        Experiment.sname = w.Impact_workloads.Suite.name;
-        group = Impact_workloads.Suite.ltype_to_string w.Impact_workloads.Suite.ltype;
-        ast = w.Impact_workloads.Suite.ast;
-      })
-    Impact_workloads.Suite.all
+  List.map Impact_svc.Service.subject_of_workload Impact_workloads.Suite.all
 
 let machines = Report.matrix_machines ()
 

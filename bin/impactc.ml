@@ -675,7 +675,8 @@ let file_arg =
   Arg.(
     required
     & pos 0 (some file) None
-    & info [] ~docv:"FILE" ~doc:"Mini-Fortran source file (see examples/kernels).")
+    & info [] ~docv:"FILE"
+        ~doc:"Mini-Fortran source file (see examples/kernels and lib/workloads/table2).")
 
 let load_file path =
   try Impact_fir.Parse.parse_file path

@@ -10,52 +10,63 @@
 
    Run with: dune exec examples/combine_thr.exe *)
 
-open Impact_fir.Ast
 open Impact_core
 
 let n = 512
 
-(* Figure 6's loop shape: t = A(i+2) - 3.2; IF (t .LT. 10.0) CYCLE; ... *)
+(* Figure 6's loop shape: t = A(i+2) - 3.2; IF (t .LT. 10.0) CYCLE; ...
+   The source gives the code; A's contents, k mod 29 (0-based k), are
+   data no initializer spells, so they come from OCaml. *)
 let fig6_kernel =
-  {
-    decls =
-      [
-        scalar "i_" TInt; scalar "cnt" TInt;
-        array1 "A" TReal (n + 4) (fun k -> float_of_int (k mod 29));
-      ];
-    stmts =
-      [
-        assign "cnt" (i 0);
-        do_ "i_" (i 1) (i n)
-          [
-            if_ CLt (idx "A" [ v "i_" +: i 2 ] -: r 3.2) (r 10.0) [ SCycle ] [];
-            assign "cnt" (v "cnt" +: i 1);
-          ];
-      ];
-    outs = [ "cnt" ];
-  }
+  let p =
+    Impact_fir.Parse.parse_program
+      (Printf.sprintf
+         {|
+integer i_
+integer cnt
+real A(%d) zero
 
-(* Figure 7's expression, with runtime operands so nothing constant-folds. *)
+cnt = 0
+do i_ = 1, %d
+  if (A(i_ + 2) - 3.2 .lt. 10.0) cycle
+  cnt = cnt + 1
+end
+
+output cnt
+|}
+         (n + 4) n)
+  in
+  let data = function
+    | Impact_fir.Ast.DArray ("A", ty, dims, _) ->
+      Impact_fir.Ast.DArray ("A", ty, dims, fun k -> float_of_int (k mod 29))
+    | d -> d
+  in
+  { p with Impact_fir.Ast.decls = List.map data p.Impact_fir.Ast.decls }
+
+(* Figure 7's expression, with runtime operands so nothing constant-folds
+   (V(k) = k + 2, 0-based k). *)
 let fig7_kernel =
-  {
-    decls =
-      [
-        scalar "a" TReal; scalar "b" TReal; scalar "c" TReal; scalar "d" TReal;
-        scalar "e" TReal; scalar "f" TReal; scalar "g" TReal;
-        array1 "V" TReal 8 (fun k -> float_of_int (k + 2));
-      ];
-    stmts =
-      [
-        assign "b" (idx "V" [ i 1 ]);
-        assign "c" (idx "V" [ i 2 ]);
-        assign "d" (idx "V" [ i 3 ]);
-        assign "e" (idx "V" [ i 4 ]);
-        assign "f" (idx "V" [ i 5 ]);
-        assign "g" (idx "V" [ i 6 ]);
-        assign "a" (v "b" *: (v "c" +: v "d") *: v "e" *: v "f" /: v "g");
-      ];
-    outs = [ "a" ];
-  }
+  Impact_fir.Parse.parse_program
+    {|
+real a
+real b
+real c
+real d
+real e
+real f
+real g
+real V(8) linear 2 1
+
+b = V(1)
+c = V(2)
+d = V(3)
+e = V(4)
+f = V(5)
+g = V(6)
+a = b * (c + d) * e * f / g
+
+output a
+|}
 
 let cycles level kernel =
   let m = Compile.measure_with Opts.default level Impact_ir.Machine.unlimited (Impact_fir.Lower.lower kernel) in

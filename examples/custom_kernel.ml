@@ -1,38 +1,30 @@
-(* Bringing your own kernel: define a workload in the mini-Fortran AST
-   and explore the machine-configuration space — issue rates and unroll
+(* Bringing your own kernel: write a workload in mini-Fortran and
+   explore the machine-configuration space — issue rates and unroll
    factors — the way the paper's Section 3 does for its 40 loops.
 
    The kernel here is a 1-d three-point stencil smoother, a DOALL loop
-   (reads and writes touch different arrays).
+   (reads and writes touch different arrays). The same text in a file
+   runs with [impactc run-file].
 
    Run with: dune exec examples/custom_kernel.exe *)
 
-open Impact_fir.Ast
 open Impact_core
 
 let n = 512
 
 let stencil =
-  {
-    decls =
-      [
-        scalar "j" TInt;
-        array1 "U" TReal (n + 4) (fun k -> sin (float_of_int k /. 10.0));
-        array1 "V" TReal (n + 4) (fun _ -> 0.0);
-      ];
-    stmts =
-      [
-        do_ "j" (i 2) (i n)
-          [
-            astore "V" [ v "j" ]
-              ((idx "U" [ v "j" -: i 1 ]
-               +: (idx "U" [ v "j" ] *: r 2.0)
-               +: idx "U" [ v "j" +: i 1 ])
-              *: r 0.25);
-          ];
-      ];
-    outs = [];
-  }
+  Impact_fir.Parse.parse_program
+    (Printf.sprintf
+       {|
+integer j
+real U(%d) seed 1
+real V(%d) zero
+
+do j = 2, %d
+  V(j) = (U(j - 1) + U(j) * 2.0 + U(j + 1)) * 0.25
+end
+|}
+       (n + 4) (n + 4) n)
 
 let () =
   print_endline "Three-point stencil: Lev4 speedup across issue rates and unroll factors";

@@ -6,32 +6,31 @@
 
    Run with: dune exec examples/induction.exe *)
 
-open Impact_fir.Ast
 open Impact_core
 
 let n = 512
 
 (* DO 10 i = 1,n : C(j) = A(j)*B(j) ; j = j + 3 *)
 let kernel =
-  {
-    decls =
-      [
-        scalar "i_" TInt; scalar "j" TInt;
-        array1 "A" TReal (3 * n + 2) (fun k -> float_of_int (k mod 9));
-        array1 "B" TReal (3 * n + 2) (fun k -> float_of_int (k mod 11));
-        array1 "C" TReal (3 * n + 2) (fun _ -> 0.0);
-      ];
-    stmts =
-      [
-        assign "j" (i 1);
-        do_ "i_" (i 1) (i n)
-          [
-            astore "C" [ v "j" ] (idx "A" [ v "j" ] *: idx "B" [ v "j" ]);
-            assign "j" (v "j" +: i 3);
-          ];
-      ];
-    outs = [ "j" ];
-  }
+  let m = (3 * n) + 2 in
+  Impact_fir.Parse.parse_program
+    (Printf.sprintf
+       {|
+integer i_
+integer j
+real A(%d) seed 1
+real B(%d) seed 2
+real C(%d) zero
+
+j = 1
+do i_ = 1, %d
+  C(j) = A(j) * B(j)
+  j = j + 3
+end
+
+output j
+|}
+       m m m n)
 
 let () =
   print_endline "Figure 5 walk-through: strided product loop, unroll factor 3,";

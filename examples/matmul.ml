@@ -5,41 +5,52 @@
 
    Run with: dune exec examples/matmul.exe *)
 
-open Impact_fir.Ast
 open Impact_core
 
 let size = 24
 
-(* Full matrix multiply: C(i,j) = sum_k A(i,k)*B(k,j). *)
+(* The contents of A and B by column-major linear index q. *)
+let a q = float_of_int ((q mod 11) - 5) /. 3.0
+
+let b q = float_of_int ((q mod 7) - 3) /. 2.0
+
+(* Full matrix multiply: C(i,j) = sum_k A(i,k)*B(k,j). The source gives
+   the code; A's and B's contents come from [a] and [b], data no
+   initializer spells. *)
 let kernel =
-  {
-    decls =
-      [
-        scalar "i_" TInt; scalar "j" TInt; scalar "k" TInt; scalar "s" TReal;
-        array2 "A" TReal size size (fun q -> float_of_int ((q mod 11) - 5) /. 3.0);
-        array2 "B" TReal size size (fun q -> float_of_int ((q mod 7) - 3) /. 2.0);
-        array2 "C" TReal size size (fun _ -> 0.0);
-      ];
-    stmts =
-      [
-        do_ "j" (i 1) (i size)
-          [
-            do_ "i_" (i 1) (i size)
-              [
-                assign "s" (r 0.0);
-                do_ "k" (i 1) (i size)
-                  [ assign "s" (v "s" +: (idx "A" [ v "i_"; v "k" ] *: idx "B" [ v "k"; v "j" ])) ];
-                astore "C" [ v "i_"; v "j" ] (v "s");
-              ];
-          ];
-      ];
-    outs = [];
-  }
+  let p =
+    Impact_fir.Parse.parse_program
+      (Printf.sprintf
+         {|
+integer i_
+integer j
+integer k
+real s
+real A(%d, %d) zero
+real B(%d, %d) zero
+real C(%d, %d) zero
+
+do j = 1, %d
+  do i_ = 1, %d
+    s = 0.0
+    do k = 1, %d
+      s = s + A(i_, k) * B(k, j)
+    end
+    C(i_, j) = s
+  end
+end
+|}
+         size size size size size size size size size)
+  in
+  let data = function
+    | Impact_fir.Ast.DArray ("A", ty, dims, _) -> Impact_fir.Ast.DArray ("A", ty, dims, a)
+    | Impact_fir.Ast.DArray ("B", ty, dims, _) -> Impact_fir.Ast.DArray ("B", ty, dims, b)
+    | d -> d
+  in
+  { p with Impact_fir.Ast.decls = List.map data p.Impact_fir.Ast.decls }
 
 (* OCaml reference for validation. *)
 let reference () =
-  let a q = float_of_int ((q mod 11) - 5) /. 3.0 in
-  let b q = float_of_int ((q mod 7) - 3) /. 2.0 in
   let c = Array.make (size * size) 0.0 in
   for j = 0 to size - 1 do
     for i = 0 to size - 1 do

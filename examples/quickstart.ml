@@ -1,4 +1,4 @@
-(* Quickstart: write a kernel in the mini-Fortran AST, compile it at each
+(* Quickstart: write a kernel in mini-Fortran, compile it at each
    transformation level, and simulate it — reproducing the paper's
    Figure 1 walk-through (vector add at 7.0 / 6.3 / 2.7 cycles per
    iteration for Conv / unrolling / unrolling+renaming on a machine with
@@ -6,25 +6,26 @@
 
    Run with: dune exec examples/quickstart.exe *)
 
-open Impact_fir.Ast
 open Impact_core
 
 let n = 768
 
-(* DO 10 j = 1,n : C(j) = A(j) + B(j) *)
+(* DO 10 j = 1,n : C(j) = A(j) + B(j), with A(k) = k and B(k) = 2k
+   (0-based k). *)
 let kernel =
-  {
-    decls =
-      [
-        scalar "j" TInt;
-        array1 "A" TReal n (fun k -> float_of_int k);
-        array1 "B" TReal n (fun k -> float_of_int (2 * k));
-        array1 "C" TReal n (fun _ -> 0.0);
-      ];
-    stmts =
-      [ do_ "j" (i 1) (i n) [ astore "C" [ v "j" ] (idx "A" [ v "j" ] +: idx "B" [ v "j" ]) ] ];
-    outs = [];
-  }
+  Impact_fir.Parse.parse_program
+    (Printf.sprintf
+       {|
+integer j
+real A(%d) linear 0 1
+real B(%d) linear 0 2
+real C(%d) zero
+
+do j = 1, %d
+  C(j) = A(j) + B(j)
+end
+|}
+       n n n n)
 
 let () =
   print_endline "Figure 1 walk-through: vector add, unroll factor 3, unlimited issue";

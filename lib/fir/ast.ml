@@ -1,5 +1,6 @@
-(* Abstract syntax for the mini-Fortran source language in which the
-   40 workload loop nests are written. Arrays are column-major and
+(* Abstract syntax for the mini-Fortran source language. [Parse] builds
+   it from source text (the 40 Table 2 kernels and examples/kernels/);
+   tests also build it directly. Arrays are column-major and
    1-indexed, DO loops have entry-evaluated bounds, and IF/CYCLE give the
    conditional constructs that appear in the paper's loops. *)
 
@@ -40,46 +41,6 @@ type program = {
   stmts : stmt list;
   outs : string list;  (** scalar variables observed after execution *)
 }
-
-(* Constructors used pervasively by the workload definitions. *)
-
-let i n = EInt n
-
-let r x = EReal x
-
-let v name = EVar name
-
-let idx name es = EIdx (name, es)
-
-let ( +: ) a b = EBin (BAdd, a, b)
-
-let ( -: ) a b = EBin (BSub, a, b)
-
-let ( *: ) a b = EBin (BMul, a, b)
-
-let ( /: ) a b = EBin (BDiv, a, b)
-
-let rem a b = EBin (BRem, a, b)
-
-let neg a = ENeg a
-
-let assign name e = SAssign (LVar name, e)
-
-let astore name es e = SAssign (LIdx (name, es), e)
-
-let if_ rel lhs rhs then_ else_ = SIf ({ rel; lhs; rhs }, then_, else_)
-
-let do_ voname lo hi body = SDo { v = voname; lo; hi; step = EInt 1; body }
-
-let do_step voname lo hi step body = SDo { v = voname; lo; hi; step; body }
-
-let scalar ?(init = 0.0) name ty = DScalar (name, ty, init)
-
-let array1 name ty n f = DArray (name, ty, [ n ], f)
-
-let array2 name ty n m f = DArray (name, ty, [ n; m ], f)
-
-let array3 name ty n m k f = DArray (name, ty, [ n; m; k ], f)
 
 let rec stmt_count stmts =
   List.fold_left

@@ -1,12 +1,14 @@
-(* A text front-end for the mini-Fortran language, so kernels can be
-   written as source files rather than OCaml AST builders.
+(* A text front-end for the mini-Fortran language. The 40 Table 2
+   kernels (lib/workloads/table2/) and examples/kernels/ are written in
+   it.
 
-   Syntax (case-insensitive keywords; one statement per line; '!' or 'c '
-   starts a comment):
+   Syntax (one statement per line; '!' starts a comment):
 
      integer j
      real s = 0.0
      real A(100) seed 3        ! deterministic pseudo-random contents
+     real G(100) pos 4         ! the same family shifted up by 0.5
+     integer M(100) mask 5     ! integer selectors in -1..6, mostly positive
      real C(100) zero
      real D(100) linear 1.0 0.5  ! D(k) = 1.0 + 0.5*k (0-based linear index)
 
@@ -14,15 +16,19 @@
        C(j) = A(j) * 2.0 + D(j)
        s = s + A(j)
        if (A(j) .lt. 0.5) cycle
-       if (A(j) .gt. 2.0) then
+       if (M(j) .gt. 0) then
          C(j) = 2.0
        else
-         C(j) = C(j) / 2.0
+         C(j) = C(j) / G(j)
        end
      end
 
      output s
 
+   Keywords are case-insensitive; names are not ([T] and [t] are two
+   variables).
+   A minus sign directly before a number makes a negative literal, so
+   [j + -1] is [j + (-1)], not a negation; [-(1)] negates.
    Relational operators: .lt. .le. .gt. .ge. .eq. .ne. or < <= > >= == /=.
    DO steps: do j = lo, hi, step. *)
 
@@ -51,6 +57,12 @@ let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
 
 let is_digit c = c >= '0' && c <= '9'
+
+(* Words the parser matches; the lexer lowercases these, and only these. *)
+let keywords =
+  [ "do"; "end"; "enddo"; "if"; "then"; "else"; "endif"; "cycle"; "output";
+    "integer"; "int"; "real"; "mod"; "float"; "zero"; "seed"; "pos"; "mask";
+    "linear" ]
 
 (* Tokenize one logical line. *)
 let tokenize lineno (s : string) : token list =
@@ -130,7 +142,9 @@ let tokenize lineno (s : string) : token list =
     else if is_ident_char c then begin
       let start = !i in
       while !i < n && is_ident_char s.[!i] do incr i done;
-      emit (TIdent (String.lowercase_ascii (String.sub s start (!i - start))))
+      let word = String.sub s start (!i - start) in
+      let lower = String.lowercase_ascii word in
+      emit (TIdent (if List.mem lower keywords then lower else word))
     end
     else err lineno "unexpected character %c" c
   done;
@@ -184,6 +198,8 @@ and parse_factor line toks =
   match toks with
   | TInt n :: rest -> (Ast.EInt n, rest)
   | TFloat x :: rest -> (Ast.EReal x, rest)
+  | TMinus :: TInt n :: rest -> (Ast.EInt (-n), rest)
+  | TMinus :: TFloat x :: rest -> (Ast.EReal (-.x), rest)
   | TMinus :: rest ->
     let e, rest = parse_factor line rest in
     (Ast.ENeg e, rest)
@@ -238,10 +254,18 @@ let expect_empty line = function
   | [] -> ()
   | _ -> err line "trailing tokens"
 
-(* Array initializers. *)
-let pseudo_init seed k =
+(* Array initializers by 0-based linear index. [seed] is deterministic
+   pseudo-random data in 0.25..4.25, distinct per seed; [pos] shifts it
+   to 0.75..4.75, safe as a divisor; [mask] gives integer selectors in
+   -1..6, mostly positive (the biased branch profile a trace-selecting
+   compiler assumes). *)
+let seed_init seed k =
   let x = (k + (seed * 37)) * 2654435761 land 0xFFFFF in
   (float_of_int (x mod 2000) /. 500.0) +. 0.25
+
+let pos_init seed k = seed_init seed k +. 0.5
+
+let mask_init seed k = float_of_int (((((k + seed) * 7919) land 0xFFFF) mod 8) - 1)
 
 (* ---- statements ---- *)
 
@@ -325,19 +349,30 @@ and parse_simple_stmt no toks : Ast.stmt option =
 (* ---- declarations and the whole program ---- *)
 
 let parse_decl no (toks : token list) : Ast.decl option =
-  let parse_dims toks =
-    match toks with
-    | TLparen :: rest ->
-      let rec go acc = function
-        | TInt d :: TComma :: rest -> go (d :: acc) rest
-        | TInt d :: TRparen :: rest -> (List.rev (d :: acc), rest)
-        | _ -> err no "expected integer dimensions"
-      in
-      let dims, rest = go [] rest in
-      (Some dims, rest)
-    | _ -> (None, toks)
+  let array name ty rest =
+    let rec dims acc = function
+      | TInt d :: TComma :: rest -> dims (d :: acc) rest
+      | TInt d :: TRparen :: rest -> (List.rev (d :: acc), rest)
+      | _ -> err no "expected integer dimensions"
+    in
+    let dims, rest = dims [] rest in
+    let init =
+      match rest with
+      | [] | [ TIdent "zero" ] -> fun _ -> 0.0
+      | [ TIdent "seed"; TInt s ] -> seed_init s
+      | [ TIdent "pos"; TInt s ] -> pos_init s
+      | [ TIdent "mask"; TInt s ] -> mask_init s
+      | [ TIdent "linear"; TFloat a; TFloat b ] -> fun k -> a +. (b *. float_of_int k)
+      | [ TIdent "linear"; TInt a; TInt b ] ->
+        fun k -> float_of_int a +. (float_of_int b *. float_of_int k)
+      | _ ->
+        err no "bad array initializer (use zero | seed N | pos N | mask N | linear A B)"
+    in
+    Some (Ast.DArray (name, ty, dims, init))
   in
   match toks with
+  | TIdent ("integer" | "int") :: TIdent name :: TLparen :: rest -> array name Ast.TInt rest
+  | TIdent "real" :: TIdent name :: TLparen :: rest -> array name Ast.TReal rest
   | TIdent ("integer" | "int") :: TIdent name :: rest -> (
     match rest with
     | [] -> Some (Ast.DScalar (name, Ast.TInt, 0.0))
@@ -345,28 +380,14 @@ let parse_decl no (toks : token list) : Ast.decl option =
     | [ TAssign; TMinus; TInt v ] -> Some (Ast.DScalar (name, Ast.TInt, float_of_int (-v)))
     | _ -> err no "bad integer declaration")
   | TIdent "real" :: TIdent name :: rest -> (
-    let dims, rest = parse_dims rest in
-    match dims with
-    | None -> (
-      match rest with
-      | [] -> Some (Ast.DScalar (name, Ast.TReal, 0.0))
-      | [ TAssign; TFloat v ] -> Some (Ast.DScalar (name, Ast.TReal, v))
-      | [ TAssign; TInt v ] -> Some (Ast.DScalar (name, Ast.TReal, float_of_int v))
-      | [ TAssign; TMinus; TFloat v ] -> Some (Ast.DScalar (name, Ast.TReal, -.v))
-      | [ TAssign; TMinus; TInt v ] ->
-        Some (Ast.DScalar (name, Ast.TReal, float_of_int (-v)))
-      | _ -> err no "bad real declaration")
-    | Some dims -> (
-      let init =
-        match rest with
-        | [] | [ TIdent "zero" ] -> fun _ -> 0.0
-        | [ TIdent "seed"; TInt s ] -> pseudo_init s
-        | [ TIdent "linear"; TFloat a; TFloat b ] -> fun k -> a +. (b *. float_of_int k)
-        | [ TIdent "linear"; TInt a; TInt b ] ->
-          fun k -> float_of_int a +. (float_of_int b *. float_of_int k)
-        | _ -> err no "bad array initializer (use zero | seed N | linear A B)"
-      in
-      Some (Ast.DArray (name, Ast.TReal, dims, init))))
+    match rest with
+    | [] -> Some (Ast.DScalar (name, Ast.TReal, 0.0))
+    | [ TAssign; TFloat v ] -> Some (Ast.DScalar (name, Ast.TReal, v))
+    | [ TAssign; TInt v ] -> Some (Ast.DScalar (name, Ast.TReal, float_of_int v))
+    | [ TAssign; TMinus; TFloat v ] -> Some (Ast.DScalar (name, Ast.TReal, -.v))
+    | [ TAssign; TMinus; TInt v ] ->
+      Some (Ast.DScalar (name, Ast.TReal, float_of_int (-v)))
+    | _ -> err no "bad real declaration")
   | _ -> None
 
 let parse_program (source : string) : Ast.program =

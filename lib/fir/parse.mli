@@ -1,9 +1,11 @@
 (** Text front-end for the mini-Fortran language: one statement per
-    line, case-insensitive keywords, '!' comments, .lt.-style or symbolic
-    relational operators, DO/END loops, block and one-line IF, CYCLE,
-    array declarations with [zero], [seed N] or [linear A B]
-    initializers, and OUTPUT directives naming the observable scalars.
-    See [examples/kernels/] for complete programs. *)
+    line, case-insensitive keywords, case-sensitive names, '!' comments,
+    .lt.-style or symbolic relational operators, DO/END loops, block and
+    one-line IF, CYCLE, real and integer array declarations with
+    [zero], [seed N], [pos N], [mask N] or [linear A B] initializers,
+    and OUTPUT directives naming the observable scalars. See
+    [lib/workloads/table2/] and [examples/kernels/] for complete
+    programs. *)
 
 exception Parse_error of string
 

@@ -17,6 +17,10 @@
     (and filling) the persistent measurement {!Store} when one is
     given. *)
 
+val subject_of_workload : Impact_workloads.Suite.t -> Impact_core.Experiment.subject
+(** A Table 2 loop nest as an evaluation subject, grouped by its
+    published loop type. *)
+
 val install_cache : Store.t -> unit
 (** Install measurement-cache hooks backed by the store into
     {!Impact_core.Experiment.set_cache}, so [Experiment.run_all_with]

@@ -19,6 +19,8 @@ type t = {
 }
 
 val all : t list
+(** In Table 2 order, each [ast] parsed at start-up from the embedded
+    source file [lib/workloads/table2/NAME.f]. *)
 
 val find : string -> t option
 (** Lookup by [name], also accepting a few aliases (e.g. ["vecadd"] for

@@ -203,7 +203,7 @@ let pseudo seed k =
 (* Classic kernels used across suites. *)
 
 let vecadd_ast n =
-  let open Ast in
+  let open Ast_build in
   {
     decls =
       [
@@ -218,7 +218,7 @@ let vecadd_ast n =
   }
 
 let dotprod_ast n =
-  let open Ast in
+  let open Ast_build in
   {
     decls =
       [
@@ -237,7 +237,7 @@ let dotprod_ast n =
   }
 
 let maxval_ast n =
-  let open Ast in
+  let open Ast_build in
   {
     decls = [ scalar "j" TInt; scalar "mx" TReal ~init:(-1e30); array1 "A" TReal n (pseudo 5) ];
     stmts =
@@ -249,7 +249,7 @@ let maxval_ast n =
   }
 
 let recurrence_ast n =
-  let open Ast in
+  let open Ast_build in
   {
     decls = [ scalar "j" TInt; array1 "A" TReal (n + 1) (pseudo 6) ];
     stmts =

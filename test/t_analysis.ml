@@ -632,7 +632,7 @@ let classify_tests =
     test "memory recurrence is DOACROSS" (fun () ->
       check_bool "doacross" true (classify_inner (recurrence_ast 16) = Classify.Doacross));
     test "in-place update is DOALL" (fun () ->
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let ast =
         {
           decls = [ scalar "j" TInt; array1 "A" TReal 18 (pseudo 7) ];
@@ -643,7 +643,7 @@ let classify_tests =
       in
       check_bool "doall" true (classify_inner ast = Classify.Doall));
     test "if/else stores stay DOALL" (fun () ->
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let ast =
         {
           decls =
@@ -667,7 +667,7 @@ let classify_tests =
       in
       check_bool "doall" true (classify_inner ast = Classify.Doall));
     test "same-location store each iteration is not DOALL" (fun () ->
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let ast =
         {
           decls = [ scalar "j" TInt; array1 "A" TReal 18 (pseudo 9) ];

@@ -10,7 +10,7 @@ let formation_tests =
     test "tail-duplication growth is capped" (fun () ->
       (* A loop with many if/then joins: formation must stop at the size
          cap and fall back to barrier labels rather than exploding. *)
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let guards =
         List.init 12 (fun k ->
           if_ CGt (idx "A" [ v "j" ]) (r (0.1 *. float_of_int k))

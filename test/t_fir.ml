@@ -14,7 +14,7 @@ let expect_type_error name prog =
     with Typecheck.Type_error _ -> ())
 
 let typecheck_tests =
-  let open Ast in
+  let open Ast_build in
   [
     expect_type_error "undeclared scalar"
       { decls = []; stmts = [ assign "x" (i 1) ]; outs = [] };
@@ -63,7 +63,7 @@ let typecheck_tests =
     test "valid program passes" (fun () ->
       ignore (Typecheck.check (dotprod_ast 4)));
     test "metadata helpers" (fun () ->
-      let open Ast in
+      let open Ast_build in
       let p = maxval_ast 4 in
       check_int "depth" 1 (loop_depth p.stmts);
       check_bool "has cond" true (has_conditional p.stmts);
@@ -73,7 +73,7 @@ let typecheck_tests =
 let run_ast ?machine ast = run ?machine (lower ast)
 
 let lowering_tests =
-  let open Ast in
+  let open Ast_build in
   [
     test "vector add computes correctly" (fun () ->
       let n = 9 in

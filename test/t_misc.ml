@@ -122,7 +122,7 @@ let walk_tests =
   ]
 
 let ast_tests =
-  let open Impact_fir.Ast in
+  let open Ast_build in
   [
     test "stmt_count counts nested statements" (fun () ->
       let stmts =

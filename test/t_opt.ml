@@ -923,14 +923,14 @@ let cleanup_corpus_tests =
       let want =
         String.concat "\n"
           [
-            ".array a : real[8]";
+            ".array A : real[8]";
             "r2i = 0";
             "r3f = 0";
             "r1i = 1";
             "L1:";
             "  r4i = r1i - 1";
             "  r6i = r4i * 4";
-            "  r7f = MEM(a+r6i)";
+            "  r7f = MEM(A+r6i)";
             "  r14f = r7f * 0.5";
             "  r3f = r3f + r14f";
             "T1:";

@@ -181,6 +181,79 @@ output k, x
       in
       check_int "k" 1 (out_int r "k");
       check_close "x" 3.5 (out_flt r "x"));
+    test "integer array with mask, read in integer context" (fun () ->
+      (* M = 2 1 0 -1 6 5 4 3. k and r are integers, so M(j) must be one:
+         a real would be an implicit real->int assignment, and mod
+         takes integer operands only. *)
+      let r =
+        run_src
+          {|
+integer j
+integer k = 0
+integer r = 0
+integer npos = 0
+integer M(8) mask 21
+do j = 1, 8
+  k = k + M(j) * j
+  r = r + mod(M(j) + 1, 4)
+  if (M(j) .le. 0) cycle
+  npos = npos + 1
+end
+output k, r, npos
+|}
+      in
+      check_int "k" 112 (out_int r "k");
+      check_int "r" 12 (out_int r "r");
+      check_int "npos" 6 (out_int r "npos"));
+    test "initializer declarations: types, dimensions and contents" (fun () ->
+      let decls =
+        (Parse.parse_program
+           {|
+integer M(8) mask 21
+real G(2, 2) pos 12
+INTEGER Z(3) Zero
+|})
+          .Ast.decls
+      in
+      let values f n = List.init n f in
+      match decls with
+      | [ Ast.DArray ("M", Ast.TInt, [ 8 ], m); Ast.DArray ("G", Ast.TReal, [ 2; 2 ], g);
+          Ast.DArray ("Z", Ast.TInt, [ 3 ], z) ] ->
+        check_bool "mask 21" true
+          (values m 8 = [ 2.; 1.; 0.; -1.; 6.; 5.; 4.; 3. ]);
+        (* seed 12 shifted up by 0.5, bit for bit. *)
+        check_bool "pos 12" true
+          (List.map Int64.bits_of_float (values g 4)
+          = List.map Int64.bits_of_float
+              [ 0x1.ed0e560418937p+0; 0x1.bc6a7ef9db22dp+0; 0x1.19374bc6a7efap+2;
+                0x1.0d0e560418938p+2 ]);
+        check_bool "zero" true (values z 3 = [ 0.; 0.; 0. ])
+      | _ -> Alcotest.fail "expected three array declarations");
+    test "negative literals, negation and case" (fun () ->
+      (* A minus sign before a number is part of the literal; -(1)
+         negates. Keywords ignore case, names do not: t and T differ. *)
+      let p =
+        Parse.parse_program
+          {|
+Integer t
+Real T(4) Linear 1 1
+Real x
+x = T(t + -1) * -2.5 + -(1)
+|}
+      in
+      check_bool "ast" true
+        (p.Ast.stmts
+        = [
+            Ast.SAssign
+              ( Ast.LVar "x",
+                Ast.EBin
+                  ( Ast.BAdd,
+                    Ast.EBin
+                      ( Ast.BMul,
+                        Ast.EIdx ("T", [ Ast.EBin (Ast.BAdd, Ast.EVar "t", Ast.EInt (-1)) ]),
+                        Ast.EReal (-2.5) ),
+                    Ast.ENeg (Ast.EInt 1) ) );
+          ]));
     test "operator precedence" (fun () ->
       let r =
         run_src {|
@@ -222,6 +295,13 @@ x = 1.0 # 2.0
 real A(8) sauce 3
 A(1) = 0.0
 |};
+    test "bad array initializer: the message lists every form" (fun () ->
+      match Parse.parse_program "integer j\nreal A(8) sauce 3\n" with
+      | _ -> Alcotest.fail "expected parse error"
+      | exception Parse.Parse_error msg ->
+        check_string "message"
+          "line 2: bad array initializer (use zero | seed N | pos N | mask N | linear A B)"
+          msg);
     expect_parse_error "dangling else" {|
 integer j
 do j = 1, 2

@@ -369,7 +369,7 @@ let test_corpus_modulo_edges () =
    instruction (a duplicate edge), and a stride hidden behind a register
    read from memory. Every level and corpus machine. *)
 let adversarial_asts =
-  let open Impact_fir.Ast in
+  let open Ast_build in
   let n = 24 in
   let arrays = [ array1 "A" TReal (n + 8) (pseudo 11); array1 "B" TReal (n + 8) (pseudo 12) ] in
   let prog stmts =

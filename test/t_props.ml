@@ -188,10 +188,6 @@ type stmt_pick =
   | FltImmStore of int
   | FltIntLit of int
 
-let const c = Impact_workloads.Kernels.const c
-
-let init_arr seed = Impact_workloads.Kernels.init seed
-
 (* Integer arithmetic by constants: 0, 1, powers of two, odd constants
    and negatives; divisors are never zero. *)
 let gen_int_arith =
@@ -264,7 +260,7 @@ let print_kernel (n, stmts, seed) =
 let arb_kernel = QCheck.make ~print:print_kernel gen_kernel
 
 let build_kernel (n, stmts, seed) =
-  let open Impact_fir.Ast in
+  let open Ast_build in
   let body =
     List.mapi
       (fun k s ->
@@ -294,11 +290,11 @@ let build_kernel (n, stmts, seed) =
     decls =
       [
         scalar "j" TInt; scalar "s" TReal; scalar "mx" TReal ~init:(-1e30); scalar "t" TInt;
-        array1 "A" TReal (n + 8) (init_arr (seed + 1));
-        array1 "B" TReal (n + 8) (init_arr (seed + 2));
+        array1 "A" TReal (n + 8) (seed_init (seed + 1));
+        array1 "B" TReal (n + 8) (seed_init (seed + 2));
         array1 "C" TReal (n + 8) (fun _ -> 0.0);
         array1 "D" TReal (n + 8) (fun _ -> 0.0);
-        array1 "E" TReal (n + 8) (init_arr (seed + 3));
+        array1 "E" TReal (n + 8) (seed_init (seed + 3));
         (* integers in [-20, 20] *)
         array1 "K" TInt (n + 8) (fun k -> float_of_int ((((k + seed) * 7919) land 0xFFFF) mod 41 - 20));
         array1 "L" TInt (n + 8) (fun _ -> 0.0);

@@ -24,7 +24,7 @@ let inner_loop (p : Prog.t) =
 
 (* A parameterized accumulation kernel used by several tests. *)
 let param_sum lo hi =
-  let open Impact_fir.Ast in
+  let open Ast_build in
   {
     decls = [ scalar "j" TInt; scalar "s" TReal; array1 "A" TReal (hi + 2) (pseudo 11) ];
     stmts =
@@ -85,7 +85,7 @@ let unroll_tests =
             [ 2; 3; 5; 8 ])
         [ 1; 2; 3; 7; 8; 9; 16; 23 ]);
     test "runtime trip count unrolls with div/rem preconditioning" (fun () ->
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let ast =
         {
           decls =
@@ -190,7 +190,7 @@ let accum_tests =
       let base = run (lower (param_sum 1 64)) in
       same_observables ~tol:1e-9 "accum" base (run p));
     test "subtraction accumulators expand too" (fun () ->
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let ast =
         {
           decls = [ scalar "j" TInt; scalar "s" TReal ~init:100.0; array1 "A" TReal 34 (pseudo 13) ];
@@ -202,7 +202,7 @@ let accum_tests =
       let m = measure Level.Lev4 Machine.issue_8 ast in
       same_observables "sub accum" base m.Compile.result);
     test "conditionally accumulated sums expand" (fun () ->
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let ast =
         {
           decls = [ scalar "j" TInt; scalar "s" TReal; array1 "A" TReal 66 (pseudo 14) ];
@@ -224,7 +224,7 @@ let accum_tests =
       same_observables "cond accum" base m.Compile.result);
     test "a multiplicative recurrence is not an accumulator" (fun () ->
       (* s = s*c + x must not be touched (only inc/dec qualifies). *)
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let ast =
         {
           decls = [ scalar "j" TInt; scalar "s" TReal ~init:0.5; array1 "A" TReal 34 (pseudo 15) ];
@@ -246,7 +246,7 @@ let accum_tests =
 let ind_tests =
   [
     test "figure 5 shape: induction chains broken at Lev4" (fun () ->
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let n = 512 in
       let ast =
         {
@@ -346,7 +346,7 @@ let search_tests =
       let m = measure Level.Lev4 Machine.issue_8 (maxval_ast 97) in
       same_observables "max" base m.Compile.result);
     test "minimum searches expand as well" (fun () ->
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let ast =
         {
           decls = [ scalar "j" TInt; scalar "mn" TReal ~init:1e30; array1 "A" TReal 99 (pseudo 18) ];
@@ -380,7 +380,7 @@ let search_tests =
       (* The guarded move writes a DIFFERENT value than the compared one:
          the transformation must not fire (combining the temporaries by
          comparison would be wrong). *)
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let ast =
         {
           decls =
@@ -421,7 +421,7 @@ let combine_tests =
       in
       check_bool "nonzero displacements appear" true (List.exists (fun d -> d > 0) disps));
     test "figure 6: guarded continue loop improves with combining" (fun () ->
-      let open Impact_fir.Ast in
+      let open Ast_build in
       let n = 256 in
       let ast =
         {
