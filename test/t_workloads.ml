@@ -127,6 +127,54 @@ let pinned_digests =
     ("sum", "fe40a34993f68a6c016d712a789e0077");
   ]
 
+(* MD5 of [Pp.prog_to_string] of every level's [Level.apply] output,
+   concatenated Conv to Lev4: the whole transform pipeline, pinned per
+   kernel. A refactor of a pass must leave these unchanged; an intended
+   output change re-pins them and says so. *)
+let pinned_transforms =
+  [
+    ("APS-1", "a9c230fa162350a5f0ada2964422a4bc");
+    ("APS-2", "fae5d52d8281b742770b46924a1179e1");
+    ("APS-3", "f8b4cb0d4f03a5161769cddf14433e28");
+    ("CSS-1", "b134190121e332f1c6fcde1994f708b6");
+    ("LWS-1", "250caffc304fd3d058bf6cedee8bff0e");
+    ("LWS-2", "4b5f086dffd8c3c6f83b3a51101ec1ca");
+    ("MTS-1", "f4253fba96b758762e61888f1bf38165");
+    ("MTS-2", "4f87e356d94116bcdd6cec46d2455d96");
+    ("NAS-1", "67b7459a6afb9d3b2a6443e1bf9cf9d8");
+    ("NAS-2", "15019327c90e6dd308be3b5818a712be");
+    ("NAS-3", "3cda099a02e2508fa0ba0de6a5f63ef9");
+    ("NAS-4", "fea80f8ed92bb9c0eb209dfe443b6eee");
+    ("NAS-5", "4771e0f232eeb7e11a09f397f37983b7");
+    ("NAS-6", "51c3608ceebe4c6f64cc6fc0adedfed4");
+    ("SDS-1", "fc1f2240e7cb88652d801bf2f1fbaaf4");
+    ("SDS-2", "6fabcf907e962fa5ec7ae92223d6b71b");
+    ("SDS-3", "2a1fbb5356a793446fe9d0cd6644befe");
+    ("SDS-4", "2a62387dd3ae57ae4e34454f9f291c76");
+    ("SRS-1", "ee06810d46d5dce33604dc5b8bf0fb01");
+    ("SRS-2", "c74b30dfa0d8418a9c0e5775f1fdb959");
+    ("SRS-3", "10214c4ecf966b595f0d84ade8c3588d");
+    ("SRS-4", "af9fdfe4baff5eabf3ea983a507ee979");
+    ("SRS-5", "4bb60d83b5587e52efa9e012958a4b41");
+    ("SRS-6", "4b965e225bc621e7935564588ed8ef88");
+    ("TFS-1", "83edb1523f4fa1e1b1635bd09d04e7ec");
+    ("TFS-2", "edc70fd48979aec0954a2951863d6842");
+    ("TFS-3", "e3dac0fa9f3ae78a713a3df1acd0763e");
+    ("WSS-1", "b6dd3801b42c049399bcba3d9c5709aa");
+    ("WSS-2", "79bc5ff8b4517c5b0650d0b37fbece62");
+    ("doduc-1", "6881fe8dee6b5874d6b68985f1469c82");
+    ("matrix300-1", "0f9a7e2177c513ab22486acfe28145e5");
+    ("nasa7-1", "7c7cd15001a46f9f1026d18a04ca7dfe");
+    ("nasa7-2", "db4841c2d827e6838e207d77fd04e59f");
+    ("tomcatv-1", "ed42c6587a2096a4626ce88dfd7c610c");
+    ("tomcatv-2", "426b74ac55a95db93e936785074e5165");
+    ("add", "971cf260e902ed032dfc7671d25c4236");
+    ("dotprod", "2497d931a666bb06cabcaae7f1a56ef5");
+    ("maxval", "1406f9f6102eaf3bec018d1b298381da");
+    ("merge", "ac149f51350679013a48f3ccda5ff621");
+    ("sum", "95d06dada16d3e71a94d6381f1494948");
+  ]
+
 let corpus_dir = "../lib/workloads/table2"
 
 let corpus_tests =
@@ -138,6 +186,20 @@ let corpus_tests =
           check_string w.Suite.name
             (List.assoc w.Suite.name pinned_digests)
             (Impact_svc.Query.subject_digest w.Suite.ast))
+        Suite.all);
+    test "every kernel's transform pipeline output is pinned" (fun () ->
+      check_int "rows" 40 (List.length pinned_transforms);
+      List.iter
+        (fun (w : Suite.t) ->
+          let text =
+            String.concat ""
+              (List.map
+                 (fun l -> Pp.prog_to_string (Impact_core.Level.apply l (lower w.Suite.ast)))
+                 Impact_core.Level.all)
+          in
+          check_string w.Suite.name
+            (List.assoc w.Suite.name pinned_transforms)
+            (Digest.to_hex (Digest.string text)))
         Suite.all);
     test "each table2 file has one table row, each row one file" (fun () ->
       let files =
