@@ -378,15 +378,11 @@ let print_pipe_table (data : (Experiment.subject * pipe_row list) list) =
 
 let print_pipe () = print_pipe_table (pipe_eval machines subjects)
 
-(* A small fixed subset for CI: two DOALL, two reductions, one memory
-   recurrence, one unrolled multi-store body. *)
-let smoke_names = [ "add"; "dotprod"; "sum"; "APS-1"; "NAS-1"; "SRS-5" ]
+(* The CI subset that pipe-smoke, ooo-smoke and oracle-smoke share. *)
+let smoke_subjects =
+  List.filter (fun s -> List.mem s.Experiment.sname Impact_exact.Oracle.smoke_names) subjects
 
-let print_pipe_smoke () =
-  print_pipe_table
-    (pipe_eval
-       [ Machine.issue_4 ]
-       (List.filter (fun s -> List.mem s.Experiment.sname smoke_names) subjects))
+let print_pipe_smoke () = print_pipe_table (pipe_eval [ Machine.issue_4 ] smoke_subjects)
 
 (* Exact-oracle certification of the pipeliner (see DESIGN.md "Exact
    scheduling oracle"): every analyzable innermost loop across the
@@ -742,9 +738,7 @@ let run_ooo mode =
   let ss, mode_name =
     match mode with
     | `Full -> (subjects, "full")
-    | `Smoke ->
-      ( List.filter (fun s -> List.mem s.Experiment.sname smoke_names) subjects,
-        "smoke" )
+    | `Smoke -> (smoke_subjects, "smoke")
   in
   let configs = ooo_eval ss in
   print_ooo_matrix configs;

@@ -678,8 +678,13 @@ let file_arg =
     & info [] ~docv:"FILE"
         ~doc:"Mini-Fortran source file (see examples/kernels and lib/workloads/table2).")
 
+(* Parse and type-check here, so a bad file is [FILE: message] and exit 1
+   rather than an exception out of lowering. *)
 let load_file path =
-  try Impact_fir.Parse.parse_file path
+  try
+    let ast = Impact_fir.Parse.parse_file path in
+    ignore (Impact_fir.Typecheck.check ast);
+    ast
   with
   | Impact_fir.Parse.Parse_error msg | Impact_fir.Typecheck.Type_error msg ->
     Printf.eprintf "%s: %s\n" path msg;

@@ -1,6 +1,7 @@
 (* The levels as one table of named passes (see level.mli), ordered so
-   each pass sees the code shape it expects: the expansions run on the
-   raw unrolled body, where an induction variable still has k identical
+   each pass sees the code shape it expects: the three expansions
+   ([Expand.accum], [Expand.induction], [Expand.search]) run on the raw
+   unrolled body, where an induction variable still has k identical
    increments (the paper's Figure 4), and renaming runs after them. *)
 
 open Impact_ir
@@ -65,9 +66,9 @@ let pipeline ?unroll_factor (level : t) : pass list =
       (Conv, ("conv", Impact_opt.Conv.run));
       (Lev1, ("unroll", unroll ?factor:unroll_factor));
       (Lev1, ("cleanup", cleanup));
-      (Lev4, ("accum_expand", Accum_expand.run));
-      (Lev4, ("ind_expand", Ind_expand.run));
-      (Lev4, ("search_expand", Search_expand.run));
+      (Lev4, ("accum_expand", Expand.accum));
+      (Lev4, ("ind_expand", Expand.induction));
+      (Lev4, ("search_expand", Expand.search));
       (Lev2, ("rename", Rename.run));
       (Lev3, ("combine", Combine.run));
       (Lev3, ("strength", Strength.run));

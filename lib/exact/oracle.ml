@@ -23,6 +23,8 @@ type row = {
 
 let schema = "impact-bench-oracle/1"
 
+(* A small fixed subset for CI: two DOALL, two reductions, one memory
+   recurrence, one unrolled multi-store body. *)
 let smoke_names = [ "add"; "dotprod"; "sum"; "APS-1"; "NAS-1"; "SRS-5" ]
 
 let certify_loop ~budget ~subject ~machine:mname

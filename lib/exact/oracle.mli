@@ -36,7 +36,8 @@ type row = {
 }
 
 val smoke_names : string list
-(** The CI smoke subset (same kernels as [bench pipe-smoke]). *)
+(** The CI smoke subset, shared by [bench pipe-smoke], [ooo-smoke]
+    and [oracle-smoke]. *)
 
 val certify_loop :
   budget:int ->

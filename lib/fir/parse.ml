@@ -258,7 +258,10 @@ let expect_empty line = function
    pseudo-random data in 0.25..4.25, distinct per seed; [pos] shifts it
    to 0.75..4.75, safe as a divisor; [mask] gives integer selectors in
    -1..6, mostly positive (the biased branch profile a trace-selecting
-   compiler assumes). *)
+   compiler assumes). Only the low three bits of the product survive
+   [mod 8], and 7919 = 7 (mod 8), so [mask N] depends on [(k + N) mod 8]
+   alone: a fixed period-8 pattern (-1 6 5 4 3 2 1 0 from k + N = 0),
+   six of eight positive, and seeds equal mod 8 give the same array. *)
 let seed_init seed k =
   let x = (k + (seed * 37)) * 2654435761 land 0xFFFFF in
   (float_of_int (x mod 2000) /. 500.0) +. 0.25

@@ -3,7 +3,10 @@
     .lt.-style or symbolic relational operators, DO/END loops, block and
     one-line IF, CYCLE, real and integer array declarations with
     [zero], [seed N], [pos N], [mask N] or [linear A B] initializers,
-    and OUTPUT directives naming the observable scalars. See
+    and OUTPUT directives naming the observable scalars. [mask N] at
+    linear index k depends only on [(k + N) mod 8]: the period-8
+    pattern -1 6 5 4 3 2 1 0 from [(k + N) mod 8 = 0], so [mask N] and
+    [mask (N + 8)] are the same array. See
     [lib/workloads/table2/] and [examples/kernels/] for complete
     programs. *)
 

@@ -88,7 +88,7 @@ let eval_ibin op a b =
 let eval_fbin op a b =
   match op with Fadd -> a +. b | Fsub -> a -. b | Fmul -> a *. b | Fdiv -> a /. b
 
-let eval_icmp c a b =
+let eval_icmp c (a : int) (b : int) =
   match c with
   | Lt -> a < b
   | Le -> a <= b

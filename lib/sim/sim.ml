@@ -326,24 +326,6 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
     | Reg.Int, VF _ | Reg.Float, VI _ -> errf "class mismatch writing %s" (Reg.to_string r));
     match ps with Some s -> s.ps_prod.(Reg.hash r) <- lat | None -> ()
   in
-  let icmp c a b =
-    match c with
-    | Insn.Lt -> a < b
-    | Insn.Le -> a <= b
-    | Insn.Gt -> a > b
-    | Insn.Ge -> a >= b
-    | Insn.Eq -> a = b
-    | Insn.Ne -> a <> b
-  in
-  let fcmp c a b =
-    match c with
-    | Insn.Lt -> a < b
-    | Insn.Le -> a <= b
-    | Insn.Gt -> a > b
-    | Insn.Ge -> a >= b
-    | Insn.Eq -> a = b
-    | Insn.Ne -> a <> b
-  in
   let pc = ref 0 in
   let cycle = ref 0 in
   let dyn = ref 0 in
@@ -475,9 +457,9 @@ let run_ref_gen ?(fuel = default_fuel) ?trace ~profile (machine : Machine.t) (p 
           let taken =
             match cls with
             | Reg.Int ->
-              icmp c (int_of_operand i.Insn.srcs.(0)) (int_of_operand i.Insn.srcs.(1))
+              Insn.eval_icmp c (int_of_operand i.Insn.srcs.(0)) (int_of_operand i.Insn.srcs.(1))
             | Reg.Float ->
-              fcmp c (flt_of_operand i.Insn.srcs.(0)) (flt_of_operand i.Insn.srcs.(1))
+              Insn.eval_fcmp c (flt_of_operand i.Insn.srcs.(0)) (flt_of_operand i.Insn.srcs.(1))
           in
           if taken then begin
             pc := targets.(k);

@@ -302,7 +302,7 @@ let ind_tests =
           ]
       in
       let base = run p in
-      let p' = Ind_expand.run p in
+      let p' = Expand.induction p in
       let l = inner_loop p' in
       let insns = Block.body_insns l in
       (* Original increments of w removed; temporary bumps precede the
@@ -333,7 +333,7 @@ let ind_tests =
             Block.Loop { Block.lid = 1; head = "L"; exit_lbl = "X"; meta = Block.no_meta; body };
           ]
       in
-      let p' = Ind_expand.run p in
+      let p' = Expand.induction p in
       same_observables "unchanged semantics" (run p) (run p');
       let l = inner_loop p' in
       check_int "body unchanged" 3 (List.length (Block.body_insns l)));
