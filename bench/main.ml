@@ -31,6 +31,7 @@
 
 open Impact_ir
 open Impact_core
+module Experiment = Impact_svc.Experiment
 
 (* Resolved options for the whole matrix: the defaults, i.e. list
    scheduling, Level's unroll factor, Sim's fuel. Echoed into
@@ -57,7 +58,7 @@ let cells : Experiment.cell list Lazy.t =
   lazy
     (let t0 = Impact_obs.Obs.now () in
      let cs =
-       Experiment.run_all_with
+       Experiment.run_all_with ?store:!cache_store
          ~progress:(fun name ->
            prerr_string (Printf.sprintf "  [run] %s\n" name);
            flush stderr)
@@ -223,7 +224,7 @@ let print_ablation () =
       let speedups =
         Impact_exec.Pool.map_list
           (fun (s : Experiment.subject) ->
-            let base = Experiment.base_measurement_with bench_opts s in
+            let base = Experiment.base_measurement_with ?store:!cache_store bench_opts s in
             let p = Level.run passes (Impact_fir.Lower.lower s.Experiment.ast) in
             let p = Impact_sched.Superblock.run p in
             let p = Impact_sched.List_sched.run Machine.issue_8 p in
@@ -235,7 +236,7 @@ let print_ablation () =
       Printf.printf "%-24s %.2f\n%!" name avg)
     variants
 
-let print_csv () = print_string (Report.cells_csv (Lazy.force cells))
+let print_csv () = print_string (Experiment.cells_csv (Lazy.force cells))
 
 (* ---- `pipe`: software pipelining vs list scheduling ---- *)
 
@@ -275,7 +276,7 @@ let pipe_eval (mlist : Machine.t list) (ss : Experiment.subject list) :
     (Experiment.subject * pipe_row list) list =
   Impact_exec.Pool.map_list
     (fun (s : Experiment.subject) ->
-      let base = Experiment.base_measurement_with bench_opts s in
+      let base = Experiment.base_measurement_with ?store:!cache_store bench_opts s in
       let tp =
         Compile.transform_with bench_opts Level.Conv
           (Impact_fir.Lower.lower s.Experiment.ast)
@@ -420,7 +421,7 @@ let print_issue_sweep () =
   Printf.printf "%s\n" (String.make 60 '-');
   let issues = [ 1; 2; 4; 8; 16 ] in
   let machines = List.map (fun i -> Machine.make ~issue:i ()) issues in
-  let cells = Experiment.run_all_with bench_opts machines Level.all subjects in
+  let cells = Experiment.run_all_with ?store:!cache_store bench_opts machines Level.all subjects in
   Printf.printf "%-7s" "issue";
   List.iter (fun l -> Printf.printf " %6s" (Level.to_string l)) Level.all;
   print_newline ();
@@ -630,7 +631,7 @@ let ooo_eval (ss : Experiment.subject list) : ooo_config list =
       oc_core = core;
       oc_machines = ms;
       oc_cells =
-        Experiment.run_all_with
+        Experiment.run_all_with ?store:!cache_store
           ~progress:(fun n ->
             prerr_string (Printf.sprintf "  [ooo %s] %s\n" name n);
             flush stderr)
@@ -809,11 +810,7 @@ let print_cache_stats () =
 
 let () =
   let args = parse_opts [] (List.tl (Array.to_list Sys.argv)) in
-  if !cache_enabled then begin
-    let st = Impact_svc.Store.open_store !cache_dir in
-    cache_store := Some st;
-    Impact_svc.Service.install_cache st
-  end;
+  if !cache_enabled then cache_store := Some (Impact_svc.Store.open_store !cache_dir);
   let args =
     if args = [] then
       [

@@ -250,21 +250,19 @@ let sweep_cmd =
   let run name co =
     with_trace co @@ fun () ->
     let w = find_workload name in
-    let lower () = Impact_fir.Lower.lower w.Impact_workloads.Suite.ast in
-    let opts = opts_of co in
-    let base = Compile.measure_with (Opts.base opts) Level.Conv Machine.issue_1 (lower ()) in
+    let cells =
+      Impact_svc.Experiment.run_all_with ~workers:1 (opts_of co)
+        (Report.matrix_machines ~core:(machine_of co).Machine.core ())
+        Level.all
+        [ Impact_svc.Service.subject_of_workload w ]
+    in
     Printf.printf "%-6s %-9s %10s %8s %6s\n" "level" "machine" "cycles" "speedup" "regs";
     List.iter
-      (fun machine ->
-        List.iter
-          (fun level ->
-            let m = Compile.measure_with opts level machine (lower ()) in
-            Printf.printf "%-6s %-9s %10d %8.2f %6d\n" (Level.to_string level)
-              machine.Machine.name m.Compile.cycles
-              (Compile.speedup ~base ~this:m)
-              (Impact_regalloc.Regalloc.total m.Compile.usage))
-          Level.all)
-      (Report.matrix_machines ~core:(machine_of co).Machine.core ())
+      (fun (c : Impact_svc.Experiment.cell) ->
+        Printf.printf "%-6s %-9s %10d %8.2f %6d\n" (Level.to_string c.level)
+          c.machine.Machine.name c.cycles c.speedup
+          (Impact_svc.Experiment.total_regs c))
+      cells
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Run one loop nest across all levels and machines")
@@ -817,11 +815,6 @@ let serve_cmd =
       if o.so_no_cache then None
       else Some (Impact_svc.Store.open_store o.so_cache_dir)
     in
-    (* The base-measurement path goes through Experiment, so give it the
-       same store; counters come back through Obs. *)
-    (match store with
-    | Some st -> Impact_svc.Service.install_cache st
-    | None -> ());
     Obs.set_collecting true;
     match o.so_listen with
     | Some (host, port) -> serve_listen ~store o ~host ~port

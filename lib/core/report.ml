@@ -38,19 +38,3 @@ let table1 () : string =
     (fun (name, lat) -> Buffer.add_string buf (fmt "  %-16s %d\n" name lat))
     Impact_ir.Machine.table1_rows;
   Buffer.contents buf
-
-(* Per-cell listing, useful for debugging and EXPERIMENTS.md. *)
-let cells_csv (cells : Experiment.cell list) : string =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "name,group,level,machine,cycles,dyn_insns,speedup,int_regs,float_regs\n";
-  List.iter
-    (fun (c : Experiment.cell) ->
-      Buffer.add_string buf
-        (fmt "%s,%s,%s,%s,%d,%d,%.3f,%d,%d\n" c.Experiment.subject.Experiment.sname
-           c.Experiment.subject.Experiment.group
-           (Level.to_string c.Experiment.level)
-           c.Experiment.machine.Impact_ir.Machine.name c.Experiment.cycles
-           c.Experiment.dyn_insns c.Experiment.speedup c.Experiment.int_regs
-           c.Experiment.float_regs))
-    cells;
-  Buffer.contents buf

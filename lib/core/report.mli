@@ -10,5 +10,3 @@ val matrix_machines : ?core:Impact_ir.Machine.core -> unit -> Impact_ir.Machine.
     harness. *)
 
 val table1 : unit -> string
-
-val cells_csv : Experiment.cell list -> string

@@ -377,19 +377,16 @@ let handle_request t cn ~t_read raw =
       | None -> false
       | Some ms -> (Obs.now () -. arrival) *. 1000.0 > float_of_int ms
     in
+    let deadlined () =
+      bump t.c_deadlined "net.deadline";
+      lc.lc_outcome <- "deadline";
+      deadline_record ~line ~deadline_ms:(Option.get cfg.deadline_ms)
+    in
     let answer () =
-      if expired () then begin
-        bump t.c_deadlined "net.deadline";
-        lc.lc_outcome <- "deadline";
-        deadline_record ~line ~deadline_ms:(Option.get cfg.deadline_ms)
-      end
+      if expired () then deadlined ()
       else begin
         if slow then Faults.delay cn.cn_rd_faults;
-        if expired () then begin
-          bump t.c_deadlined "net.deadline";
-          lc.lc_outcome <- "deadline";
-          deadline_record ~line ~deadline_ms:(Option.get cfg.deadline_ms)
-        end
+        if expired () then deadlined ()
         else begin
           let a = Service.answer_line_ex ~store:cfg.store ~line raw in
           lc.lc_outcome <- (if a.Service.a_ok then "ok" else "error");

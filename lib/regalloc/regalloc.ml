@@ -27,8 +27,6 @@ open Impact_analysis
 
 type usage = { int_used : int; float_used : int }
 
-let total u = u.int_used + u.float_used
-
 (* [Bits.add], [Bits.remove] and [Bits.mem], local so the per-edge
    loops below inline them: the default (dev) build compiles every
    module opaquely, so a call into [Bits] is never inlined. The loops

@@ -8,8 +8,6 @@ open Impact_ir
 
 type usage = { int_used : int; float_used : int }
 
-val total : usage -> int
-
 val measure : Prog.t -> usage
 (** Color both classes of a program and report the counts. The
     interference graph is a bit matrix over dense register indices,

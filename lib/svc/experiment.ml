@@ -9,23 +9,20 @@
    independent pipeline prefix ([Compile.transform_with]) is computed at
    most once per (level, opts) and shared across all machine
    configurations — and skipped entirely when every machine's cell is
-   served from the measurement cache — and the issue-1 Conv base
-   measurement is served from a process-wide cache keyed by (subject
-   name, unroll, fuel) so repeated sweeps (summary, ablation, issue
+   served from the store — and the issue-1 Conv base measurement is
+   memoized per process, so repeated sweeps (summary, ablation, issue
    sweep) pay for it once. Cells are returned in the same deterministic
    order as the sequential evaluation: subjects in input order,
    machine-major within a subject.
 
-   An optional measurement cache ([set_cache]) is consulted before any
-   per-cell work is scheduled; Impact_svc.Service installs hooks backed
-   by the persistent content-addressed store, so a warm re-run of the
-   matrix never recompiles or resimulates a cell. The harness itself
-   stays cache-agnostic: hooks receive the subject and the resolved
-   options and may key the entry however they like. Only successful
-   measurements are offered to [store]; timeouts are re-tried on every
+   Every measurement, bench cell, base or served request alike, goes
+   through [measure]: look the query up in the persistent store when one
+   is given, else compute, then offer the result to the store. Only
+   successful measurements are stored; timeouts are re-tried on every
    run. *)
 
 open Impact_ir
+open Impact_core
 
 type subject = {
   sname : string;
@@ -46,27 +43,6 @@ type cell = {
 
 type poisoned = { psubject : string; plevel : Level.t; pmachine : string }
 
-type cache = {
-  lookup : subject -> Opts.t -> Level.t -> Machine.t -> Compile.measurement option;
-  store : subject -> Opts.t -> Level.t -> Machine.t -> Compile.measurement -> unit;
-}
-
-(* Installed once by the driver before any evaluation; worker domains
-   only ever read it, so an atomic reference suffices. *)
-let cache_hooks : cache option Atomic.t = Atomic.make None
-
-let set_cache c = Atomic.set cache_hooks c
-
-let cache_lookup s opts level machine =
-  match Atomic.get cache_hooks with
-  | None -> None
-  | Some c -> c.lookup s opts level machine
-
-let cache_store s opts level machine m =
-  match Atomic.get cache_hooks with
-  | None -> ()
-  | Some c -> c.store s opts level machine m
-
 let total_regs c = c.int_regs + c.float_regs
 
 let default_on_poison p =
@@ -76,58 +52,78 @@ let default_on_poison p =
        p.psubject (Level.to_string p.plevel) p.pmachine);
   flush stderr
 
-(* ---- Base-measurement cache ---- *)
+(* ---- Per-process memos ----
 
-let base_mutex = Mutex.create ()
+   Keyed by the subject's AST value (physical identity), never by its
+   name: two subjects that share a name but not a source never share an
+   entry. A subject's AST is immutable for the life of the process. The
+   lists stay short (one entry per subject and base configuration), so a
+   linear scan under one mutex is enough. *)
 
-let base_cache : (string * int option * int option, Compile.measurement) Hashtbl.t =
-  Hashtbl.create 64
+let memo_mutex = Mutex.create ()
 
-let clear_base_cache () =
-  Mutex.lock base_mutex;
-  Hashtbl.reset base_cache;
-  Mutex.unlock base_mutex
+let memoize table same key compute =
+  let find () = List.find_map (fun (k, v) -> if same k key then Some v else None) !table in
+  match Mutex.protect memo_mutex find with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    Mutex.protect memo_mutex (fun () -> table := (key, v) :: !table);
+    v
+
+(* Subject digests are content hashes of the AST, computed at most once
+   per subject and only when a store asks for a query. *)
+let digests : (Impact_fir.Ast.program * string) list ref = ref []
+
+let query (s : subject) opts level machine =
+  let subject = memoize digests ( == ) s.ast (fun () -> Query.subject_digest s.ast) in
+  Query.make ~subject ~opts level machine
+
+(* ---- The one measurement path ---- *)
+
+let measure ?store ?prefix (s : subject) (opts : Opts.t) level machine =
+  let compute () =
+    let tp =
+      match prefix with
+      | Some tp -> Lazy.force tp
+      | None -> Compile.transform_with opts level (Impact_fir.Lower.lower s.ast)
+    in
+    Compile.schedule_and_measure_with opts level machine tp
+  in
+  match store with
+  | None -> ("off", compute ())
+  | Some st -> (
+    let q = query s opts level machine in
+    match Store.lookup st q with
+    | Some m -> ("hit", m)
+    | None ->
+      let m = compute () in
+      Store.add st q m;
+      ("miss", m))
+
+let bases :
+    ((Impact_fir.Ast.program * int option * int option) * Compile.measurement) list ref =
+  ref []
+
+let clear_base_cache () = Mutex.protect memo_mutex (fun () -> bases := [])
 
 (* The issue-1 Conv measurement for a subject, computed from a fresh
-   lowering (so the cached value does not depend on who asks first) and
-   cached for the life of the process; the persistent measurement cache
-   (when installed) is consulted before computing. *)
-let base_measurement_with (opts : Opts.t) (s : subject) : Compile.measurement =
+   lowering (so the memoized value does not depend on who asks first). *)
+let base_measurement_with ?store (opts : Opts.t) (s : subject) : Compile.measurement =
   let bopts = Opts.base opts in
-  let key = (s.sname, bopts.Opts.unroll, bopts.Opts.fuel) in
-  let cached =
-    Mutex.lock base_mutex;
-    let r = Hashtbl.find_opt base_cache key in
-    Mutex.unlock base_mutex;
-    r
-  in
-  match cached with
-  | Some m -> m
-  | None ->
-    let m =
-      match cache_lookup s bopts Level.Conv Machine.issue_1 with
-      | Some m -> m
-      | None ->
-        let m =
-          Compile.measure_with bopts Level.Conv Machine.issue_1
-            (Impact_fir.Lower.lower s.ast)
-        in
-        cache_store s bopts Level.Conv Machine.issue_1 m;
-        m
-    in
-    Mutex.lock base_mutex;
-    Hashtbl.replace base_cache key m;
-    Mutex.unlock base_mutex;
-    m
+  memoize bases
+    (fun (a, u, f) (a', u', f') -> a == a' && u = u' && f = f')
+    (s.ast, bopts.Opts.unroll, bopts.Opts.fuel)
+    (fun () -> snd (measure ?store s bopts Level.Conv Machine.issue_1))
 
 (* Run one subject across levels and machines; poisoned cells (fuel
    exhaustion) are reported separately instead of aborting the run.
    [opts.sched] selects the per-machine scheduler; the base measurement
    is always list-scheduled (issue-1 Conv), so `Pipe speedups stay
    comparable with the paper's baseline. *)
-let run_subject_full (opts : Opts.t) (machines : Machine.t list)
+let run_subject_full ?store (opts : Opts.t) (machines : Machine.t list)
     (levels : Level.t list) (s : subject) : cell list * poisoned list =
-  match base_measurement_with opts s with
+  match base_measurement_with ?store opts s with
   | exception Impact_sim.Sim.Timeout ->
     (* No base, no speedups: the whole subject is poisoned. *)
     ( [],
@@ -135,7 +131,7 @@ let run_subject_full (opts : Opts.t) (machines : Machine.t list)
           pmachine = Machine.issue_1.Machine.name } ] )
   | base ->
     (* Machine-independent prefix, at most once per level, shared by
-       machines and forced only on the first cache miss of that level.
+       machines and forced only on the first store miss of that level.
        Each level starts from its own fresh lowering so the id streams
        (and hence allocator tie-breaks) match a standalone
        [Compile.measure_with] of that cell exactly. *)
@@ -147,57 +143,61 @@ let run_subject_full (opts : Opts.t) (machines : Machine.t list)
         levels
     in
     let poisons = ref [] in
-    let cell_of_measurement level machine (m : Compile.measurement) =
-      {
-        subject = s;
-        level;
-        machine;
-        cycles = m.Compile.cycles;
-        dyn_insns = m.Compile.dyn_insns;
-        speedup = Compile.speedup ~base ~this:m;
-        int_regs = m.Compile.usage.Impact_regalloc.Regalloc.int_used;
-        float_regs = m.Compile.usage.Impact_regalloc.Regalloc.float_used;
-      }
-    in
     let cells =
       List.concat_map
         (fun machine ->
           List.filter_map
-            (fun (level, tp) ->
-              match cache_lookup s opts level machine with
-              | Some m -> Some (cell_of_measurement level machine m)
-              | None -> (
-                match
-                  Compile.schedule_and_measure_with opts level machine
-                    (Lazy.force tp)
-                with
-                | m ->
-                  cache_store s opts level machine m;
-                  Some (cell_of_measurement level machine m)
-                | exception Impact_sim.Sim.Timeout ->
-                  poisons :=
-                    { psubject = s.sname; plevel = level;
-                      pmachine = machine.Machine.name }
-                    :: !poisons;
-                  None))
+            (fun (level, prefix) ->
+              match measure ?store ~prefix s opts level machine with
+              | _, m ->
+                Some
+                  {
+                    subject = s;
+                    level;
+                    machine;
+                    cycles = m.Compile.cycles;
+                    dyn_insns = m.Compile.dyn_insns;
+                    speedup = Compile.speedup ~base ~this:m;
+                    int_regs = m.Compile.usage.Impact_regalloc.Regalloc.int_used;
+                    float_regs = m.Compile.usage.Impact_regalloc.Regalloc.float_used;
+                  }
+              | exception Impact_sim.Sim.Timeout ->
+                poisons :=
+                  { psubject = s.sname; plevel = level;
+                    pmachine = machine.Machine.name }
+                  :: !poisons;
+                None)
             transformed)
         machines
     in
     (cells, List.rev !poisons)
 
-let run_all_with ?workers ?(progress = fun _ -> ())
+let run_all_with ?store ?workers ?(progress = fun _ -> ())
     ?(on_poison = default_on_poison) (opts : Opts.t) (machines : Machine.t list)
     (levels : Level.t list) (subjects : subject list) : cell list =
   let results =
     Impact_exec.Pool.map ?workers
       (fun s ->
         progress s.sname;
-        run_subject_full opts machines levels s)
+        run_subject_full ?store opts machines levels s)
       (Array.of_list subjects)
   in
   (* Poison reports after the join, in deterministic subject order. *)
   Array.iter (fun (_, ps) -> List.iter on_poison ps) results;
   List.concat_map fst (Array.to_list results)
+
+(* Per-cell listing, useful for debugging and EXPERIMENTS.md. *)
+let cells_csv (cells : cell list) : string =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "name,group,level,machine,cycles,dyn_insns,speedup,int_regs,float_regs\n";
+  List.iter
+    (fun c ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s,%s,%s,%s,%d,%d,%.3f,%d,%d\n" c.subject.sname c.subject.group
+           (Level.to_string c.level) c.machine.Machine.name c.cycles c.dyn_insns c.speedup
+           c.int_regs c.float_regs))
+    cells;
+  Buffer.contents buf
 
 (* ---- Aggregation ---- *)
 

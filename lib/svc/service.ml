@@ -1,46 +1,6 @@
 open Impact_ir
 open Impact_core
 
-(* ---- Experiment cache hooks ---- *)
-
-(* Subject digests are content hashes of the AST; memoized per subject
-   name so a 40-subject matrix hashes each source once per process.
-   (Subjects are immutable for the life of a run; the name is only the
-   memo key, the digest is still pure content.) *)
-let digest_memo : (string, string) Hashtbl.t = Hashtbl.create 64
-
-let digest_mutex = Mutex.create ()
-
-let subject_digest (s : Experiment.subject) =
-  Mutex.lock digest_mutex;
-  let d =
-    match Hashtbl.find_opt digest_memo s.Experiment.sname with
-    | Some d -> d
-    | None ->
-      let d = Query.subject_digest s.Experiment.ast in
-      Hashtbl.replace digest_memo s.Experiment.sname d;
-      d
-  in
-  Mutex.unlock digest_mutex;
-  d
-
-let query_of_subject s opts level machine =
-  Query.make ~subject:(subject_digest s) ~opts level machine
-
-let install_cache store =
-  Experiment.set_cache
-    (Some
-       {
-         Experiment.lookup =
-           (fun s opts level machine ->
-             Store.lookup store (query_of_subject s opts level machine));
-         store =
-           (fun s opts level machine m ->
-             Store.add store (query_of_subject s opts level machine) m);
-       })
-
-let uninstall_cache () = Experiment.set_cache None
-
 (* ---- Request parsing ---- *)
 
 type request = {
@@ -160,23 +120,6 @@ let subject_of_workload (w : Impact_workloads.Suite.t) : Experiment.subject =
     ast = w.Impact_workloads.Suite.ast;
   }
 
-(* The cell measurement, through the store when one is given. Returns
-   the cache disposition for the response record. *)
-let measure_cell ~store (rq : request) q =
-  let compute () =
-    Compile.measure_with rq.rq_opts rq.rq_level rq.rq_machine
-      (Impact_fir.Lower.lower rq.rq_loop.Impact_workloads.Suite.ast)
-  in
-  match store with
-  | None -> ("off", compute ())
-  | Some st -> (
-    match Store.lookup st q with
-    | Some m -> ("hit", m)
-    | None ->
-      let m = compute () in
-      Store.add st q m;
-      ("miss", m))
-
 let core_fields (core : Machine.core) =
   let name, rob, phys_regs =
     match core with
@@ -189,19 +132,12 @@ let core_fields (core : Machine.core) =
    the network layer can stamp its request-lifecycle records without
    re-parsing the response. *)
 let response_of_request ~store ~line (rq : request) : Json.t * string =
-  (* Through the memoized subject digest: the AST hashes once per loop
-     name per process, not once per request. *)
-  let q =
-    query_of_subject (subject_of_workload rq.rq_loop) rq.rq_opts rq.rq_level
-      rq.rq_machine
-  in
-  let cache, m = measure_cell ~store rq q in
-  (* Speedup against the paper's issue-1 Conv baseline; served from the
-     process-wide base cache (which itself consults the installed
-     Experiment hooks, i.e. the same store). *)
-  let base =
-    Experiment.base_measurement_with rq.rq_opts (subject_of_workload rq.rq_loop)
-  in
+  let s = subject_of_workload rq.rq_loop in
+  let q = Experiment.query s rq.rq_opts rq.rq_level rq.rq_machine in
+  let cache, m = Experiment.measure ?store s rq.rq_opts rq.rq_level rq.rq_machine in
+  (* Speedup against the paper's issue-1 Conv baseline, through the same
+     store and memoized per process. *)
+  let base = Experiment.base_measurement_with ?store rq.rq_opts s in
   let opt_int = function None -> Json.Null | Some n -> Json.Int n in
   let obj =
     Json.Obj

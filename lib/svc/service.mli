@@ -13,22 +13,14 @@
     Malformed queries, unknown loops and simulation timeouts produce
     structured [{"ok": false, ...}] error records instead of failures —
     the service never crashes on input. Requests are evaluated in
-    batches across the {!Impact_exec.Pool} worker domains, consulting
-    (and filling) the persistent measurement {!Store} when one is
-    given. *)
+    batches across the {!Impact_exec.Pool} worker domains. Each
+    request's cell and its issue-1 Conv base go through
+    {!Experiment.measure}, which consults (and fills) the persistent
+    measurement {!Store} when one is given. *)
 
-val subject_of_workload : Impact_workloads.Suite.t -> Impact_core.Experiment.subject
+val subject_of_workload : Impact_workloads.Suite.t -> Experiment.subject
 (** A Table 2 loop nest as an evaluation subject, grouped by its
     published loop type. *)
-
-val install_cache : Store.t -> unit
-(** Install measurement-cache hooks backed by the store into
-    {!Impact_core.Experiment.set_cache}, so [Experiment.run_all_with]
-    (and the bench harness built on it) consults the persistent store
-    before scheduling any cell work. Keys follow the {!Query} recipe, so
-    entries are shared with the query service. *)
-
-val uninstall_cache : unit -> unit
 
 val answer_line : store:Store.t option -> line:int -> string -> string
 (** Answer one request line ([line] is its 1-based input position, echoed

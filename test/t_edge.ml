@@ -68,8 +68,8 @@ let unroll_meta_tests =
 let histogram_tests =
   let mk_cell speedup =
     {
-      Impact_core.Experiment.subject =
-        { Impact_core.Experiment.sname = "x"; group = "doall"; ast = vecadd_ast 4 };
+      Impact_svc.Experiment.subject =
+        { Impact_svc.Experiment.sname = "x"; group = "doall"; ast = vecadd_ast 4 };
       level = Impact_core.Level.Conv;
       machine = Machine.issue_8;
       cycles = 1;
@@ -84,8 +84,8 @@ let histogram_tests =
       let cells = List.map mk_cell [ 0.5; 1.25; 1.49; 1.5; 3.0; 2.99 ] in
       let h =
         List.assoc Impact_core.Level.Conv
-          (Impact_core.Experiment.speedup_distribution
-             ~bounds:Impact_core.Experiment.fig8_bounds Machine.issue_8 cells)
+          (Impact_svc.Experiment.speedup_distribution
+             ~bounds:Impact_svc.Experiment.fig8_bounds Machine.issue_8 cells)
       in
       (* bounds: 0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0 *)
       check_int "0.00-1.24" 1 h.(0);
@@ -94,16 +94,16 @@ let histogram_tests =
       check_int "2.50-2.99" 1 h.(5);
       check_int "3.00+" 1 h.(6));
     test "labels align with bounds" (fun () ->
-      check_int "fig8" (List.length Impact_core.Experiment.fig8_bounds)
-        (List.length Impact_core.Experiment.fig8_labels);
-      check_int "fig9" (List.length Impact_core.Experiment.fig9_bounds)
-        (List.length Impact_core.Experiment.fig9_labels);
-      check_int "fig10" (List.length Impact_core.Experiment.fig10_bounds)
-        (List.length Impact_core.Experiment.fig10_labels);
+      check_int "fig8" (List.length Impact_svc.Experiment.fig8_bounds)
+        (List.length Impact_svc.Experiment.fig8_labels);
+      check_int "fig9" (List.length Impact_svc.Experiment.fig9_bounds)
+        (List.length Impact_svc.Experiment.fig9_labels);
+      check_int "fig10" (List.length Impact_svc.Experiment.fig10_bounds)
+        (List.length Impact_svc.Experiment.fig10_labels);
       List.iter
         (fun (_, h) ->
-          check_int "regs" (Array.length h) (List.length Impact_core.Experiment.reg_labels))
-        (Impact_core.Experiment.register_distribution Machine.issue_8 []));
+          check_int "regs" (Array.length h) (List.length Impact_svc.Experiment.reg_labels))
+        (Impact_svc.Experiment.register_distribution Machine.issue_8 []));
   ]
 
 let sim_order_tests =

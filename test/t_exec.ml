@@ -17,6 +17,7 @@
 open Impact_ir
 open Impact_core
 module Pool = Impact_exec.Pool
+module Experiment = Impact_svc.Experiment
 
 (* ---- Pool ---- *)
 

@@ -4,6 +4,7 @@
 
 open Impact_ir
 open Impact_core
+module Experiment = Impact_svc.Experiment
 open Helpers
 
 let test name f = Alcotest.test_case name `Quick f
@@ -43,7 +44,8 @@ let pipeline_tests =
         (float_of_int lev4 <= float_of_int lev2 *. 1.05));
     test "register usage grows with transformation level" (fun () ->
       let regs lev =
-        Impact_regalloc.Regalloc.total (measure lev Machine.issue_8 (dotprod_ast 64)).Compile.usage
+        let u = (measure lev Machine.issue_8 (dotprod_ast 64)).Compile.usage in
+        u.Impact_regalloc.Regalloc.int_used + u.Impact_regalloc.Regalloc.float_used
       in
       check_bool "lev2 > conv" true (regs Level.Lev2 > regs Level.Conv);
       check_bool "lev4 >= lev2" true (regs Level.Lev4 >= regs Level.Lev2));
@@ -94,7 +96,7 @@ let experiment_tests =
       check_bool "positive" true (s > 1.0 && s < 64.0));
     test "csv report has one row per cell plus header" (fun () ->
       let cells = Experiment.run_all_with Opts.default [ Machine.issue_8 ] [ Level.Conv ] subjects in
-      let csv = Report.cells_csv cells in
+      let csv = Experiment.cells_csv cells in
       let lines = String.split_on_char '\n' (String.trim csv) in
       check_int "rows" 4 (List.length lines));
     test "distribution table renders all levels" (fun () ->

@@ -6,7 +6,7 @@
    - Query: digest determinism and sensitivity to every field.
    - Store: put/get roundtrip, disk hits across store instances,
      corrupt-entry and version-mismatch fallback to miss, LRU eviction.
-   - Experiment + cache hooks: cold vs warm [run_all_with] produce
+   - Experiment with a store: cold vs warm [run_all_with] produce
      identical cells and the warm run is served from the store.
    - Service: a batch with malformed, unknown-loop and valid lines is
      answered in order with structured records and no exception; cache
@@ -20,6 +20,7 @@ module Json = Impact_svc.Json
 module Query = Impact_svc.Query
 module Store = Impact_svc.Store
 module Service = Impact_svc.Service
+module Experiment = Impact_svc.Experiment
 
 (* A fresh empty cache directory per test. *)
 let fresh_dir () =
@@ -301,7 +302,7 @@ let test_store_lru_eviction () =
   | None -> Alcotest.fail "re-promoted entry missed");
   Helpers.check_int "re-promoted hit is a mem hit" 1 (Store.stats st).Store.mem_hits
 
-(* ---- Experiment cache hooks: cold vs warm ---- *)
+(* ---- Experiment with a store: cold vs warm ---- *)
 
 let same_cells name (a : Experiment.cell list) (b : Experiment.cell list) =
   Helpers.check_int (name ^ ": cell count") (List.length a) (List.length b);
@@ -328,21 +329,65 @@ let test_cold_warm_run_all () =
   in
   let dir = fresh_dir () in
   let st = Store.open_store dir in
-  Service.install_cache st;
-  Fun.protect ~finally:Service.uninstall_cache (fun () ->
-    let run () =
-      Experiment.run_all_with ~workers:2 Opts.default [ Machine.issue_4 ]
-        [ Level.Conv; Level.Lev4 ] subjects
+  let run () =
+    Experiment.run_all_with ~store:st ~workers:2 Opts.default [ Machine.issue_4 ]
+      [ Level.Conv; Level.Lev4 ] subjects
+  in
+  let cold = run () in
+  let s = Store.stats st in
+  Helpers.check_bool "cold run stores" true (s.Store.stores > 0);
+  let warm = run () in
+  same_cells "cold vs warm" cold warm;
+  let s' = Store.stats st in
+  let hits (s : Store.stats) = s.Store.mem_hits + s.Store.disk_hits in
+  Helpers.check_bool "warm run hits" true (hits s' > hits s);
+  Helpers.check_int "warm run stores nothing" s.Store.stores s'.Store.stores
+
+(* Two subjects that share a name but not a source: the corpus kernel
+   [add] (512 elements) and a 64-element vecadd, also named [add],
+   evaluated in one process. The harness memoizes digests and bases by
+   AST value, so each subject's cells and speedups must be its own,
+   without a store and through one shared store. *)
+let test_same_name_subjects () =
+  let corpus = Service.subject_of_workload (Option.get (Impact_workloads.Suite.find "add")) in
+  let small =
+    {
+      Experiment.sname = "add";
+      group = "doall";
+      ast =
+        Impact_fir.Parse.parse_program
+          "integer j\nreal A(64) seed 1\nreal B(64) seed 2\nreal C(64) seed 3\n\
+           do j = 1, 64\n  C(j) = A(j) + B(j)\nend\n";
+    }
+  in
+  let fresh (s : Experiment.subject) level machine =
+    Compile.measure_with Opts.default level machine (Helpers.lower s.Experiment.ast)
+  in
+  let check label ?store (s : Experiment.subject) =
+    let cells =
+      Experiment.run_all_with ?store ~workers:1 Opts.default [ Machine.issue_8 ] Level.all
+        [ s ]
     in
-    let cold = run () in
-    let s = Store.stats st in
-    Helpers.check_bool "cold run stores" true (s.Store.stores > 0);
-    let warm = run () in
-    same_cells "cold vs warm" cold warm;
-    let s' = Store.stats st in
-    let hits (s : Store.stats) = s.Store.mem_hits + s.Store.disk_hits in
-    Helpers.check_bool "warm run hits" true (hits s' > hits s);
-    Helpers.check_int "warm run stores nothing" s.Store.stores s'.Store.stores)
+    let base = fresh s Level.Conv Machine.issue_1 in
+    Helpers.check_int (label ^ ": cell count") (List.length Level.all) (List.length cells);
+    List.iter
+      (fun (c : Experiment.cell) ->
+        let m = fresh s c.Experiment.level c.Experiment.machine in
+        let name =
+          Printf.sprintf "%s: %s (%d cycles base) %s" label s.Experiment.sname
+            base.Compile.cycles (Level.to_string c.Experiment.level)
+        in
+        Helpers.check_int (name ^ " cycles") m.Compile.cycles c.Experiment.cycles;
+        Helpers.check_int (name ^ " int regs")
+          m.Compile.usage.Impact_regalloc.Regalloc.int_used c.Experiment.int_regs;
+        Helpers.check_string (name ^ " speedup")
+          (Printf.sprintf "%.17g" (Compile.speedup ~base ~this:m))
+          (Printf.sprintf "%.17g" c.Experiment.speedup))
+      cells
+  in
+  List.iter (check "no store") [ corpus; small ];
+  let store = Store.open_store (fresh_dir ()) in
+  List.iter (check "one store" ~store) [ corpus; small ]
 
 (* ---- Service ---- *)
 
@@ -700,7 +745,10 @@ let suite =
           `Quick test_store_crash_torn_entry;
       ] );
     ( "svc: experiment cache",
-      [ Alcotest.test_case "cold vs warm run_all" `Quick test_cold_warm_run_all ] );
+      [
+        Alcotest.test_case "cold vs warm run_all" `Quick test_cold_warm_run_all;
+        Alcotest.test_case "subjects that share a name" `Quick test_same_name_subjects;
+      ] );
     ( "svc: service",
       [
         Alcotest.test_case "batch with errors" `Quick test_serve_batch;
