@@ -175,6 +175,67 @@ let pinned_transforms =
     ("sum", "95d06dada16d3e71a94d6381f1494948");
   ]
 
+(* MD5 per kernel of the scheduled code at issue 8, Conv then Lev4, on
+   [Superblock.run] output: the printed [List_sched.run] program, then
+   the printed [Pipe.run_with_problems] program followed by every loop
+   report line. Both schedulers and superblock formation, pinned per
+   kernel; a refactor must leave these unchanged. *)
+let pinned_schedules =
+  [
+    ("APS-1", "ab62e4b48f300672d52a636f4e43cbc3");
+    ("APS-2", "19028547ca5a3718f204baa803b915c7");
+    ("APS-3", "567d701ec395191e2cb4ebec35b6a8a7");
+    ("CSS-1", "7a81da71675d9464feb937fca63dd7b0");
+    ("LWS-1", "69f595e35a7defa7c73ea20937f67ca7");
+    ("LWS-2", "92e726ff40c72cc6d19cd2d192c7c004");
+    ("MTS-1", "11f83f6b6689c66f4c304a7e49817bd5");
+    ("MTS-2", "6349717830fb126438fc015c88639c8a");
+    ("NAS-1", "adef5b2d5479d6841561c493aef010fd");
+    ("NAS-2", "19bfbcf8d2e60a377dd75ed84a66dc15");
+    ("NAS-3", "2fe0fc4b26970147a6d186d9861f399b");
+    ("NAS-4", "987eb0f5033603a9476634c25b8ef1c8");
+    ("NAS-5", "3b5b9f187273698e198567fe41f7df39");
+    ("NAS-6", "6d493293eb7c5d84eb62c97bdf0a95df");
+    ("SDS-1", "bd566d63f0e7ad09771c8f233ae558fd");
+    ("SDS-2", "303311f12e925a550d1455967e08d050");
+    ("SDS-3", "8d211f130a136f053f7daba51e564d41");
+    ("SDS-4", "f67d43739f73b9ec832c809e1fb64c88");
+    ("SRS-1", "a66d5a9fe14d663ccee888251ac7720a");
+    ("SRS-2", "6e7d38d5802b383fce7eaf716d7cf8a1");
+    ("SRS-3", "f2f9dc60bdc275d5629b2b7a3c176380");
+    ("SRS-4", "bce6e78ce1c2c9700e12460fe3d335c5");
+    ("SRS-5", "66071ae1528cd0880ccf2c7c6f4eb672");
+    ("SRS-6", "6419a379012be2c07d171d41c4b39ac6");
+    ("TFS-1", "60583043ec5655982bfa8e4e98125109");
+    ("TFS-2", "e87826a54e01b3b7cd361da62cf27e28");
+    ("TFS-3", "db54efa61a91fe5472bd29ff37f02ccd");
+    ("WSS-1", "0576ba37dc08b41ff20b0f8991b6c63b");
+    ("WSS-2", "2555513f12a7c24164c5da6f23716fe7");
+    ("doduc-1", "b98f7f47b693ddac78811d1dfc3d0356");
+    ("matrix300-1", "53538de9e75dd0ed4868d116b3289f63");
+    ("nasa7-1", "fb481790e6122c49e13487c945398229");
+    ("nasa7-2", "2259bccf62c30a9d20fa3bc87ceeed67");
+    ("tomcatv-1", "5c1e34cfdfbb71d386a3f77d2ba4330a");
+    ("tomcatv-2", "6188f99863eb37644b1b849f96dd4cee");
+    ("add", "697f76cc51596e88ce068eea4039bfbf");
+    ("dotprod", "e7b5c4ec4cb4624628e7d8161fd7caec");
+    ("maxval", "d66cef48b8cb9a7056924f1ad3d6c77f");
+    ("merge", "26ddd8943cc945fc264180d104a22f6f");
+    ("sum", "6d2bb1a4963b0b2d6a7cd19c1d5e2ae1");
+  ]
+
+let scheduled_text (w : Suite.t) =
+  String.concat ""
+    (List.map
+       (fun l ->
+         let sb = Impact_sched.Superblock.run (Impact_core.Level.apply l (lower w.Suite.ast)) in
+         let piped, pairs = Impact_pipe.Pipe.run_with_problems Machine.issue_8 sb in
+         Pp.prog_to_string (Impact_sched.List_sched.run Machine.issue_8 sb)
+         ^ Pp.prog_to_string piped
+         ^ String.concat ""
+             (List.map (fun (r, _) -> Impact_pipe.Pipe.report_to_string r ^ "\n") pairs))
+       [ Impact_core.Level.Conv; Impact_core.Level.Lev4 ])
+
 let corpus_dir = "../lib/workloads/table2"
 
 let corpus_tests =
@@ -200,6 +261,14 @@ let corpus_tests =
           check_string w.Suite.name
             (List.assoc w.Suite.name pinned_transforms)
             (Digest.to_hex (Digest.string text)))
+        Suite.all);
+    test "every kernel's scheduled code is pinned" (fun () ->
+      check_int "rows" 40 (List.length pinned_schedules);
+      List.iter
+        (fun (w : Suite.t) ->
+          check_string w.Suite.name
+            (List.assoc w.Suite.name pinned_schedules)
+            (Digest.to_hex (Digest.string (scheduled_text w))))
         Suite.all);
     test "each table2 file has one table row, each row one file" (fun () ->
       let files =
