@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-cold bench-serve smoke pipe oracle oracle-smoke ooo profile serve soak check clean
+.PHONY: all build test bench bench-cold bench-serve smoke pipe oracle oracle-smoke ooo profile serve soak check size clean
 
 all: build
 
@@ -76,6 +76,11 @@ soak: build
 	  ./_build/default/bin/impactc.exe serve --listen 127.0.0.1:0 --queue-depth 32
 
 check: build test smoke
+
+# Lines of .ml/.mli under lib/, bin/ and bench/: the code size ROADMAP
+# tracks (the .f kernel sources are not counted).
+size:
+	@find lib bin bench -name '*.ml' -o -name '*.mli' | xargs cat | wc -l
 
 bench: build
 	dune exec bench/main.exe

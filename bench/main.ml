@@ -93,25 +93,26 @@ let print_table2 () =
         (if w.Impact_workloads.Suite.conds then "yes" else "no"))
     Impact_workloads.Suite.all
 
-let speedup_figure ~title ?group ~bounds ~labels machine =
+let speedup_figure ~title ?group ~bounds machine =
   let dist = Experiment.speedup_distribution ?group ~bounds machine (Lazy.force cells) in
-  print_string (Report.distribution_table ~title ~labels dist)
+  print_string (Report.distribution_table ~title ~bounds ~step:0.01 dist)
 
 let register_figure ~title ?group machine =
   let dist = Experiment.register_distribution ?group machine (Lazy.force cells) in
-  print_string (Report.distribution_table ~title ~labels:Experiment.reg_labels dist)
+  print_string
+    (Report.distribution_table ~title ~bounds:Experiment.reg_bounds ~step:1.0 dist)
 
 let print_fig8 () =
   speedup_figure ~title:"Figure 8: speedup distribution, issue-2"
-    ~bounds:Experiment.fig8_bounds ~labels:Experiment.fig8_labels Machine.issue_2
+    ~bounds:Experiment.fig8_bounds Machine.issue_2
 
 let print_fig9 () =
   speedup_figure ~title:"Figure 9: speedup distribution, issue-4"
-    ~bounds:Experiment.fig9_bounds ~labels:Experiment.fig9_labels Machine.issue_4
+    ~bounds:Experiment.fig9_bounds Machine.issue_4
 
 let print_fig10 () =
   speedup_figure ~title:"Figure 10: speedup distribution, issue-8"
-    ~bounds:Experiment.fig10_bounds ~labels:Experiment.fig10_labels Machine.issue_8
+    ~bounds:Experiment.fig10_bounds Machine.issue_8
 
 let print_fig11 () =
   register_figure ~title:"Figure 11: register usage distribution, issue-8"
@@ -119,8 +120,7 @@ let print_fig11 () =
 
 let print_fig12 () =
   speedup_figure ~title:"Figure 12: speedup distribution of DOALL loops, issue-8"
-    ~group:"doall" ~bounds:Experiment.fig10_bounds ~labels:Experiment.fig10_labels
-    Machine.issue_8
+    ~group:"doall" ~bounds:Experiment.fig10_bounds Machine.issue_8
 
 let print_fig13 () =
   register_figure ~title:"Figure 13: register usage of DOALL loops, issue-8"
@@ -128,8 +128,7 @@ let print_fig13 () =
 
 let print_fig14 () =
   speedup_figure ~title:"Figure 14: speedup distribution of non-DOALL loops, issue-8"
-    ~group:"non-doall" ~bounds:Experiment.fig10_bounds ~labels:Experiment.fig10_labels
-    Machine.issue_8
+    ~group:"non-doall" ~bounds:Experiment.fig10_bounds Machine.issue_8
 
 let print_fig15 () =
   register_figure ~title:"Figure 15: register usage of non-DOALL loops, issue-8"
@@ -284,15 +283,15 @@ let pipe_eval (mlist : Machine.t list) (ss : Experiment.subject list) :
       let rows =
         List.map
           (fun machine ->
-            let lr = Impact_sim.Sim.run machine (Compile.schedule_with bench_opts machine tp) in
-            let piped, reports = Impact_pipe.Pipe.run_with_report machine tp in
+            let lr = Impact_sim.Sim.run machine (fst (Compile.schedule_with bench_opts machine tp)) in
+            let piped, pairs = Impact_pipe.Pipe.run_with_problems machine tp in
             let pr = Impact_sim.Sim.run machine piped in
             {
               pm = machine;
               plist_cycles = lr.Impact_sim.Sim.cycles;
               ppipe_cycles = pr.Impact_sim.Sim.cycles;
               pok = same_result base.Compile.result pr;
-              preports = reports;
+              preports = List.map fst pairs;
             })
           mlist
       in

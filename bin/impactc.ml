@@ -162,7 +162,7 @@ let with_trace (co : common_opts) f =
    generated code. *)
 let print_pipe_reports reports =
   List.iter
-    (fun r -> Printf.printf "; %s\n" (Impact_pipe.Pipe.report_to_string r))
+    (fun (r, _) -> Printf.printf "; %s\n" (Impact_pipe.Pipe.report_to_string r))
     reports
 
 (* -- list -- *)
@@ -187,20 +187,18 @@ let list_cmd =
    source, whether it names a Table 2 loop nest or a file -- *)
 
 let show_source co scheduled ast =
-  let p = Level.apply ?unroll_factor:co.co_unroll co.co_level (Impact_fir.Lower.lower ast) in
+  let p = Impact_fir.Lower.lower ast in
   (* --sched pipe implies scheduling: the pipelined structure only
      exists after the scheduler has run. *)
   if scheduled || co.co_sched = `Pipe then begin
-    let sb = Impact_sched.Superblock.run p in
-    match co.co_sched with
-    | `List ->
-      print_string (Pp.prog_to_string (Impact_sched.List_sched.run (machine_of co) sb))
-    | `Pipe ->
-      let piped, reports = Impact_pipe.Pipe.run_with_report (machine_of co) sb in
-      print_pipe_reports reports;
-      print_string (Pp.prog_to_string piped)
+    let opts = opts_of co in
+    let p, reports =
+      Compile.schedule_with opts (machine_of co) (Compile.transform_with opts co.co_level p)
+    in
+    print_pipe_reports reports;
+    print_string (Pp.prog_to_string p)
   end
-  else print_string (Pp.prog_to_string p)
+  else print_string (Pp.prog_to_string (Level.apply ?unroll_factor:co.co_unroll co.co_level p))
 
 let scheduled_arg =
   Arg.(value & flag & info [ "scheduled" ] ~doc:"Apply superblock formation and scheduling.")
@@ -414,7 +412,7 @@ let level_matrix_rows w (opts : Opts.t) ~(core : Machine.core) =
       in
       List.map
         (fun machine ->
-          let scheduled = Compile.schedule_with opts machine tp in
+          let scheduled, _ = Compile.schedule_with opts machine tp in
           ( Level.to_string level,
             machine.Machine.name,
             snd (Sim.run_profiled machine scheduled) ))
@@ -527,7 +525,7 @@ let profile_json ~name ~(co : common_opts) ~(machine : Machine.t) ~w ~result ~pr
         ( "pipeline",
           J.List
             (List.map
-               (fun r -> J.Str (Impact_pipe.Pipe.report_to_string r))
+               (fun (r, _) -> J.Str (Impact_pipe.Pipe.report_to_string r))
                pipe_reports) );
         ("level_matrix", json_of_matrix w rows);
       ])
@@ -550,11 +548,7 @@ let profile_cmd =
       Compile.transform_with opts co.co_level
         (Impact_fir.Lower.lower w.Impact_workloads.Suite.ast)
     in
-    let scheduled, pipe_reports =
-      match co.co_sched with
-      | `List -> (Compile.schedule_with opts machine tp, [])
-      | `Pipe -> Impact_pipe.Pipe.run_with_report machine tp
-    in
+    let scheduled, pipe_reports = Compile.schedule_with opts machine tp in
     (* Pass telemetry ([rep]) is captured right after the profiled run,
        before the level-matrix sweep recompiles the kernel and would
        pollute the counters. *)
@@ -584,7 +578,7 @@ let profile_cmd =
     | rs ->
       Printf.printf "pipelining per-loop reports\n";
       List.iter
-        (fun r -> Printf.printf "  %s\n" (Impact_pipe.Pipe.report_to_string r))
+        (fun (r, _) -> Printf.printf "  %s\n" (Impact_pipe.Pipe.report_to_string r))
         rs;
       print_newline ());
     print_stall_table words prof;

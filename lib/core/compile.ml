@@ -28,17 +28,19 @@ let transform_with (opts : Opts.t) (level : Level.t) (p : Prog.t) : Prog.t =
     Impact_obs.Obs.span ~cat:"sched" "sched.superblock" (fun () ->
       Impact_sched.Superblock.run p))
 
-let schedule_with (opts : Opts.t) (machine : Machine.t) (p : Prog.t) : Prog.t =
+let schedule_with (opts : Opts.t) (machine : Machine.t) (p : Prog.t) :
+    Prog.t * (Impact_pipe.Pipe.report * Impact_pipe.Pipe.problem option) list =
   match opts.Opts.sched with
   | `List ->
-    Impact_obs.Obs.stage "schedule" (fun () ->
-      Impact_obs.Obs.span ~cat:"sched" "sched.list" (fun () ->
-        Impact_sched.List_sched.run machine p))
-  | `Pipe -> Impact_pipe.Pipe.run machine p
+    ( Impact_obs.Obs.stage "schedule" (fun () ->
+        Impact_obs.Obs.span ~cat:"sched" "sched.list" (fun () ->
+          Impact_sched.List_sched.run machine p)),
+      [] )
+  | `Pipe -> Impact_pipe.Pipe.run_with_problems machine p
 
 let schedule_and_measure_with (opts : Opts.t) (level : Level.t)
     (machine : Machine.t) (p : Prog.t) : measurement =
-  let compiled = schedule_with opts machine p in
+  let compiled, _ = schedule_with opts machine p in
   let result =
     Impact_obs.Obs.stage "simulate" (fun () ->
       Impact_sim.Sim.run ?fuel:opts.Opts.fuel machine compiled)
@@ -55,10 +57,6 @@ let schedule_and_measure_with (opts : Opts.t) (level : Level.t)
     usage;
     result;
   }
-
-let compile_with (opts : Opts.t) (level : Level.t) (machine : Machine.t)
-    (p : Prog.t) : Prog.t =
-  schedule_with opts machine (transform_with opts level p)
 
 let measure_with (opts : Opts.t) (level : Level.t) (machine : Machine.t)
     (p : Prog.t) : measurement =

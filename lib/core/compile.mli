@@ -21,20 +21,21 @@ val transform_with : Opts.t -> Level.t -> Prog.t -> Prog.t
     plus superblock formation. Cacheable per (program, level, unroll)
     and shareable across machines; only [Opts.unroll] is read. *)
 
-val schedule_with : Opts.t -> Machine.t -> Prog.t -> Prog.t
+val schedule_with :
+  Opts.t -> Machine.t -> Prog.t ->
+  Prog.t * (Impact_pipe.Pipe.report * Impact_pipe.Pipe.problem option) list
 (** Schedule a transformed program for the target machine per
-    [Opts.sched]: [`List] is plain list scheduling, [`Pipe]
+    [Opts.sched], the one place that picks a scheduler: [`List] is plain
+    list scheduling and returns no loop reports; [`Pipe]
     software-pipelines every eligible innermost loop via
-    {!Impact_pipe.Pipe.run} and list-schedules the rest. *)
+    {!Impact_pipe.Pipe.run_with_problems}, list-schedules the rest, and
+    returns its per-loop reports and problems in program order. *)
 
 val schedule_and_measure_with :
   Opts.t -> Level.t -> Machine.t -> Prog.t -> measurement
 (** Per-machine suffix on a transformed program: schedule, simulate
     (with [Opts.fuel], on the machine's {!Machine.core}), measure
     register usage. *)
-
-val compile_with : Opts.t -> Level.t -> Machine.t -> Prog.t -> Prog.t
-(** [schedule_with opts machine (transform_with opts level p)]. *)
 
 val measure_with : Opts.t -> Level.t -> Machine.t -> Prog.t -> measurement
 (** [schedule_and_measure_with opts level machine (transform_with opts level p)]. *)

@@ -46,9 +46,6 @@ let candidates (sb : Sb.t) ~regs ~fit =
     sites []
   |> List.sort (fun (a, _) (b, _) -> Reg.compare a b)
 
-let mov ctx (d : Reg.t) o =
-  if d.Reg.cls = Reg.Int then Build.imov ctx d o else Build.fmov ctx d o
-
 let ins code = List.map (fun i -> Block.Ins i) code
 
 (* Accumulator expansion. An accumulator is only modified by
@@ -79,7 +76,7 @@ let accum_plans ctx sb =
          Impact_obs.Obs.count "pass.accum_expand.expanded";
          let zero = if v.Reg.cls = Reg.Int then Operand.Int 0 else Operand.Flt 0.0 in
          let init =
-           List.mapi (fun j t -> mov ctx t (if j = 0 then Operand.Reg v else zero)) temps
+           List.mapi (fun j t -> Build.mov ctx t (if j = 0 then Operand.Reg v else zero)) temps
          in
          let slots = List.combine positions temps in
          let rewrite p (i : Insn.t) =
@@ -207,7 +204,7 @@ let search_plans ctx sb =
   |> List.map (fun ((v : Reg.t), sites) ->
          let temps = List.map (fun _ -> Reg.fresh ctx.Prog.rgen v.Reg.cls) sites in
          Impact_obs.Obs.count "pass.search_expand.expanded";
-         let init = List.map (fun t -> mov ctx t (Operand.Reg v)) temps in
+         let init = List.map (fun t -> Build.mov ctx t (Operand.Reg v)) temps in
          let slots = List.combine sites temps in
          let rewrite p (i : Insn.t) =
            match List.find_opt (fun (s, _) -> p = s.pos || p = s.pos + 1) slots with
@@ -227,7 +224,7 @@ let search_plans ctx sb =
                  else (Operand.Reg t, Operand.Reg v)
                in
                let guard = Build.br ctx s.cls s.cmp a b skip in
-               let mv = mov ctx v (Operand.Reg t) in
+               let mv = Build.mov ctx v (Operand.Reg t) in
                [ Block.Ins guard; Block.Ins mv; Block.Lbl skip ])
              slots
          in

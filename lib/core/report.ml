@@ -4,9 +4,16 @@ let fmt = Printf.sprintf
 
 let hr width = String.make width '-'
 
-(* A distribution table: rows are bins, columns are levels. *)
-let distribution_table ~title ~(labels : string list)
+(* A distribution table: rows are bins, columns are levels. Each bin
+   runs from its bound to one [step] below the next; the last is open. *)
+let distribution_table ~title ~(bounds : float list) ~step
     (dist : (Level.t * int array) list) : string =
+  let num x = if step < 1.0 then fmt "%.2f" x else fmt "%.0f" x in
+  let rec labels = function
+    | [] -> []
+    | [ b ] -> [ num b ^ "+" ]
+    | b :: (next :: _ as rest) -> fmt "%s-%s" (num b) (num (next -. step)) :: labels rest
+  in
   let buf = Buffer.create 512 in
   Buffer.add_string buf (title ^ "\n");
   let header =
@@ -20,7 +27,7 @@ let distribution_table ~title ~(labels : string list)
       Buffer.add_string buf (fmt "%-12s" label);
       List.iter (fun (_, counts) -> Buffer.add_string buf (fmt " %6d" counts.(k))) dist;
       Buffer.add_string buf "\n")
-    labels;
+    (labels bounds);
   Buffer.contents buf
 
 (* The level x issue evaluation matrix shares one machine list between

@@ -254,19 +254,8 @@ let run (p : Prog.t) : Prog.t =
              match Hashtbl.find_opt replace j with Some code -> code | None -> [ i ])
            (Array.to_list run))
     in
-    (* Split the block into runs and process each. *)
-    let rec split acc cur = function
-      | [] -> List.rev (if cur = [] then acc else `Run (List.rev cur) :: acc)
-      | Block.Ins i :: rest -> split acc (i :: cur) rest
-      | (Block.Lbl _ as it) :: rest | (Block.Loop _ as it) :: rest ->
-        let acc = if cur = [] then `Item it :: acc else `Item it :: `Run (List.rev cur) :: acc in
-        split acc [] rest
-    in
-    List.concat_map
-      (function
-        | `Item it -> [ it ]
-        | `Run insns ->
-          List.map (fun i -> Block.Ins i) (process_run (Array.of_list insns)))
-      (split [] [] block)
+    Block.map_runs
+      (fun run -> List.map (fun i -> Block.Ins i) (process_run (Array.of_list run)))
+      block
   in
   Impact_opt.Walk.rewrite_blocks process p

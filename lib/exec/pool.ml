@@ -1,9 +1,7 @@
-(* Hand-rolled OCaml 5 domain work pool. Tasks are array indices pushed
-   onto a queue guarded by a Mutex/Condition pair; each worker pops the
-   next index, computes, and writes its own result slot, so result
-   ordering is deterministic (by index) regardless of the worker count
-   or scheduling. With one worker the map runs inline in the calling
-   domain and is trivially identical to [Array.map]. *)
+(* Hand-rolled OCaml 5 domain work pool: one worker loop, the
+   persistent executor's. Its jobs wait on a bounded queue guarded by a
+   Mutex/Condition pair. [map] is a short-lived executor with one job
+   per array index; the calling domain only submits and waits. *)
 
 (* 0 = resolve from IMPACT_JOBS or the machine's core count. *)
 let default = Atomic.make 0
@@ -21,69 +19,10 @@ let resolve_workers () =
       | Some _ | None -> Domain.recommended_domain_count ())
     | None -> Domain.recommended_domain_count ()
 
-type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
-
-let map ?workers (f : 'a -> 'b) (xs : 'a array) : 'b array =
-  let n = Array.length xs in
-  let w = match workers with Some w -> max 1 w | None -> resolve_workers () in
-  let w = min w n in
-  if n = 0 then [||]
-  else if w <= 1 then Array.map f xs
-  else begin
-    let slots = Array.make n Pending in
-    let queue = Queue.create () in
-    let closed = ref false in
-    let m = Mutex.create () in
-    let nonempty = Condition.create () in
-    let worker () =
-      let rec next () =
-        Mutex.lock m;
-        let rec take () =
-          if not (Queue.is_empty queue) then Some (Queue.pop queue)
-          else if !closed then None
-          else begin
-            Condition.wait nonempty m;
-            take ()
-          end
-        in
-        let job = take () in
-        Mutex.unlock m;
-        match job with
-        | None -> ()
-        | Some k ->
-          slots.(k) <-
-            (try Done (f xs.(k))
-             with e -> Failed (e, Printexc.get_raw_backtrace ()));
-          next ()
-      in
-      next ()
-    in
-    (* Spawn helpers first so the Condition actually gates them, then
-       publish the work and join. The calling domain participates. *)
-    let domains = List.init (w - 1) (fun _ -> Domain.spawn worker) in
-    Mutex.lock m;
-    for k = 0 to n - 1 do
-      Queue.add k queue
-    done;
-    closed := true;
-    Condition.broadcast nonempty;
-    Mutex.unlock m;
-    worker ();
-    List.iter Domain.join domains;
-    Array.map
-      (function
-        | Done v -> v
-        | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Pending -> assert false)
-      slots
-  end
-
-let map_list ?workers f xs = Array.to_list (map ?workers f (Array.of_list xs))
-
 (* ---- Persistent executor ----
 
-   Unlike [map], which spawns domains per batch, an executor keeps a
-   fixed set of worker domains alive behind a bounded job queue. The
+   An executor keeps a fixed set of worker domains alive behind a
+   bounded job queue. The
    bound is the admission-control surface: [submit] refuses instead of
    buffering unboundedly, so callers (the TCP listener) can shed load
    with an explicit error. Shutdown is a drain: already-accepted jobs
@@ -209,3 +148,36 @@ let shutdown_executor ex =
   Mutex.unlock ex.ex_mutex;
   List.iter Domain.join ex.ex_domains;
   ex.ex_domains <- []
+
+(* ---- Batch map over a short-lived executor ----
+
+   One task per index, each writing its own result slot, so the order
+   of results is the input order whatever the worker count or the
+   scheduling. Shutdown is the join: it returns once every task ran.
+   With one worker the map runs inline and is [Array.map]. *)
+
+type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
+
+let map ?workers (f : 'a -> 'b) (xs : 'a array) : 'b array =
+  let n = Array.length xs in
+  let w = min n (match workers with Some w -> max 1 w | None -> resolve_workers ()) in
+  if w <= 1 then Array.map f xs
+  else begin
+    let slots = Array.make n Pending in
+    let ex = create_executor ~workers:w ~queue_depth:n () in
+    for k = 0 to n - 1 do
+      ignore
+        (submit ex (fun () ->
+           slots.(k) <-
+             (try Done (f xs.(k)) with e -> Failed (e, Printexc.get_raw_backtrace ()))))
+    done;
+    shutdown_executor ex;
+    Array.map
+      (function
+        | Done v -> v
+        | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+        | Pending -> assert false)
+      slots
+  end
+
+let map_list ?workers f xs = Array.to_list (map ?workers f (Array.of_list xs))

@@ -1,11 +1,14 @@
 (** Domain-based work pool for the evaluation harness.
 
-    [map f xs] applies [f] to every element of [xs] on a fixed set of
-    worker domains and returns the results in input order — the output
-    is deterministic and identical to [Array.map f xs] for any worker
-    count, provided [f] itself is deterministic and the tasks do not
-    share mutable state. Exceptions raised by a task are re-raised in
-    the caller (first failing index wins). *)
+    [map f xs] applies [f] to every element of [xs] on a short-lived
+    executor (below) of worker domains and returns the results in input
+    order — the output is deterministic and identical to
+    [Array.map f xs] for any worker count, provided [f] itself is
+    deterministic and the tasks do not share mutable state. Exceptions
+    raised by a task are re-raised in the caller (first failing index
+    wins). With [w >= 2] workers [map] spawns [w] domains and the
+    calling domain only waits, so [-j N] runs N worker domains; with
+    one worker it runs inline as [Array.map]. *)
 
 val set_default_workers : int -> unit
 (** Override the default worker count for subsequent [map] calls
@@ -23,8 +26,9 @@ val map_list : ?workers:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {1 Persistent executor}
 
     A long-lived pool of worker domains behind a {e bounded} job queue —
-    the admission-control stage of the network query service. [map]
-    spawns domains per batch; an executor keeps them alive and lets
+    the admission-control stage of the network query service, and the
+    one worker loop behind {!map}, which runs a short-lived executor per
+    batch. A persistent one keeps its domains alive and lets
     independent producers (connection handlers) feed jobs continuously.
     The queue bound turns overload into an explicit, testable signal:
     {!submit} returns [false] instead of buffering without limit. *)

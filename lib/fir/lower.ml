@@ -88,14 +88,6 @@ let cmp_of = function
   | Ast.CEq -> Insn.Eq
   | Ast.CNe -> Insn.Ne
 
-let negate_cmp = function
-  | Insn.Lt -> Insn.Ge
-  | Insn.Le -> Insn.Gt
-  | Insn.Gt -> Insn.Le
-  | Insn.Ge -> Insn.Lt
-  | Insn.Eq -> Insn.Ne
-  | Insn.Ne -> Insn.Eq
-
 (* Element strides (in elements) for a column-major array. *)
 let strides dims =
   let rec go acc = function
@@ -212,7 +204,7 @@ let lower_expr_into env buf (dst : Reg.t) (e : Ast.expr) =
 let lower_cond env buf (c : Ast.cond) ~negate ~target =
   let ta = ty_of env c.Ast.lhs and tb = ty_of env c.Ast.rhs in
   let cmp = cmp_of c.Ast.rel in
-  let cmp = if negate then negate_cmp cmp else cmp in
+  let cmp = if negate then Insn.negate_cmp cmp else cmp in
   if ta = Ast.TInt && tb = Ast.TInt then begin
     let oa = lower_expr env buf c.Ast.lhs in
     let ob = lower_expr env buf c.Ast.rhs in

@@ -66,6 +66,16 @@ let rec map_innermost_with_preheader f block =
   in
   go [] block
 
+(* Runs are rewritten left to right, so [f] sees them in program order. *)
+let map_runs f block =
+  let flush acc run = if run = [] then acc else List.rev_append (f (List.rev run)) acc in
+  let rec go acc run = function
+    | Ins i :: rest -> go acc (i :: run) rest
+    | item :: rest -> go (item :: flush acc run) [] rest
+    | [] -> List.rev (flush acc run)
+  in
+  go [] [] block
+
 let rec iter_insns f block =
   List.iter
     (function

@@ -37,7 +37,13 @@ val map_innermost_with_preheader : (item list -> loop -> item list) -> t -> t
 (** Rewrite every innermost loop together with the items preceding it in
     its own block (the preheader region, as already rewritten), left to
     right: [f pre l] returns the replacement items for both. The
-    transformation passes and both schedulers walk the program with it. *)
+    transformation passes walk the program with it, and so does the
+    schedulers' one walk, [Impact_sched.List_sched.map_loops]. *)
+
+val map_runs : (Insn.t list -> t) -> t -> t
+(** [map_runs f block] replaces each maximal run of instructions by
+    [f run], left to right; labels and loops stay in place, and loop
+    bodies are not entered. *)
 
 val iter_insns : (Insn.t -> unit) -> t -> unit
 

@@ -13,6 +13,9 @@ let imov ctx dst a =
 let fmov ctx dst a =
   Insn.make ~id:(Prog.fresh_insn_id ctx) ~op:Insn.FMov ~dst ~srcs:[| a |] ()
 
+let mov ctx (dst : Reg.t) a =
+  match dst.Reg.cls with Reg.Int -> imov ctx dst a | Reg.Float -> fmov ctx dst a
+
 let itof ctx dst a =
   Insn.make ~id:(Prog.fresh_insn_id ctx) ~op:Insn.ItoF ~dst ~srcs:[| a |] ()
 

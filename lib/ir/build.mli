@@ -11,6 +11,9 @@ val imov : Prog.ctx -> Reg.t -> Operand.t -> Insn.t
 
 val fmov : Prog.ctx -> Reg.t -> Operand.t -> Insn.t
 
+val mov : Prog.ctx -> Reg.t -> Operand.t -> Insn.t
+(** [imov] or [fmov], by the destination's register class. *)
+
 val itof : Prog.ctx -> Reg.t -> Operand.t -> Insn.t
 
 val ftoi : Prog.ctx -> Reg.t -> Operand.t -> Insn.t

@@ -88,6 +88,14 @@ let eval_ibin op a b =
 let eval_fbin op a b =
   match op with Fadd -> a +. b | Fsub -> a -. b | Fmul -> a *. b | Fdiv -> a /. b
 
+let negate_cmp = function
+  | Lt -> Ge
+  | Le -> Gt
+  | Gt -> Le
+  | Ge -> Lt
+  | Eq -> Ne
+  | Ne -> Eq
+
 let eval_icmp c (a : int) (b : int) =
   match c with
   | Lt -> a < b

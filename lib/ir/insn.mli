@@ -59,6 +59,10 @@ val eval_ibin : ibin -> int -> int -> int option
 
 val eval_fbin : fbin -> float -> float -> float
 
+val negate_cmp : cmp -> cmp
+(** The comparison that is true exactly where [c] is false, on non-NaN
+    operands: [Lt] and [Ge], [Le] and [Gt], [Eq] and [Ne]. *)
+
 val eval_icmp : cmp -> int -> int -> bool
 
 val eval_fcmp : cmp -> float -> float -> bool

@@ -25,8 +25,6 @@ type span_total = { sp_name : string; sp_calls : int; sp_total_s : float }
 type report = {
   r_spans : span_total list;
   r_counters : (string * int) list;
-  r_stages : (string * float) list;
-  r_notes : (string * string) list;
 }
 
 let collecting_flag = Atomic.make false
@@ -60,8 +58,6 @@ let max_events = 2_000_000
 let n_events = ref 0
 
 let events_dropped_count = ref 0
-
-let notes_rev : (string * string) list ref = ref []
 
 let span_tbl : (string, float * int) Hashtbl.t = Hashtbl.create 64
 
@@ -131,10 +127,6 @@ let count ?(n = 1) name =
       let prev = Option.value ~default:0 (Hashtbl.find_opt counter_tbl name) in
       Hashtbl.replace counter_tbl name (prev + n))
 
-let note name text =
-  if Atomic.get collecting_flag then
-    locked (fun () -> notes_rev := (name, text) :: !notes_rev)
-
 let stage name f =
   let t0 = now () in
   Fun.protect ~finally:(fun () -> finish ~cat:"stage" ~args:[] ~as_stage:true name t0) f
@@ -160,8 +152,6 @@ let report () =
             { sp_name = name; sp_calls = calls; sp_total_s = total })
           (sorted_bindings span_tbl);
       r_counters = sorted_bindings counter_tbl;
-      r_stages = sorted_bindings stage_tbl;
-      r_notes = List.rev !notes_rev;
     })
 
 (* ---- Latency histograms ----
@@ -261,7 +251,6 @@ let reset () =
     events_rev := [];
     n_events := 0;
     events_dropped_count := 0;
-    notes_rev := [];
     Hashtbl.reset span_tbl;
     Hashtbl.reset counter_tbl;
     Hashtbl.reset stage_tbl;

@@ -5,8 +5,8 @@
     both off by default so the instrumented code paths cost one atomic
     read when telemetry is unused:
 
-    - {e collecting} accumulates span totals, counters and notes into
-      the in-process tables read back by {!report};
+    - {e collecting} accumulates span totals and counters into the
+      in-process tables read back by {!report};
     - {e tracing} additionally records every span as a timed event for
       {!write_trace} (Chrome [trace_event] JSON, loadable in Perfetto).
 
@@ -44,7 +44,7 @@ val emit : ?cat:string -> ?args:(string * string) list -> string -> t0:float -> 
 (** [emit name ~t0] closes a span opened by hand at time [t0 = now ()];
     for call sites whose [args] are only known after the work is done. *)
 
-(** {1 Counters and notes} *)
+(** {1 Counters} *)
 
 val count : ?n:int -> string -> unit
 (** Add [n] (default 1) to the named counter. No-op unless collecting. *)
@@ -53,10 +53,6 @@ val counter_value : string -> int
 (** Current value of one counter ([0] if it was never bumped). Used by
     the drivers to report e.g. result-cache hit/miss totals without
     scanning the full report. *)
-
-val note : string -> string -> unit
-(** Record a free-form (name, text) line — e.g. one per-loop pipelining
-    report. No-op unless collecting. *)
 
 (** {1 Latency histograms (always on)}
 
@@ -116,14 +112,12 @@ type span_total = { sp_name : string; sp_calls : int; sp_total_s : float }
 type report = {
   r_spans : span_total list;  (** per-span call counts and total time *)
   r_counters : (string * int) list;
-  r_stages : (string * float) list;
-  r_notes : (string * string) list;  (** in recording order *)
 }
 
 val report : unit -> report
 
 val reset : unit -> unit
-(** Clear spans, counters, notes, stages and buffered trace events.
+(** Clear spans, counters, stages and buffered trace events.
     Leaves the [collecting]/[tracing] switches untouched. *)
 
 (** {1 Chrome trace export} *)

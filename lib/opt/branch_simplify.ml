@@ -7,14 +7,6 @@
 
 open Impact_ir
 
-let negate = function
-  | Insn.Lt -> Insn.Ge
-  | Insn.Le -> Insn.Gt
-  | Insn.Gt -> Insn.Le
-  | Insn.Ge -> Insn.Lt
-  | Insn.Eq -> Insn.Ne
-  | Insn.Ne -> Insn.Eq
-
 let invert_branches (p : Prog.t) : Prog.t =
   let ctx = p.Prog.ctx in
   let process (items : Block.t) : Block.t =
@@ -24,7 +16,7 @@ let invert_branches (p : Prog.t) : Prog.t =
         :: Block.Lbl x :: rest
         when b.Insn.target = Some x ->
         let nb =
-          Build.br ctx cls (negate c) b.Insn.srcs.(0) b.Insn.srcs.(1)
+          Build.br ctx cls (Insn.negate_cmp c) b.Insn.srcs.(0) b.Insn.srcs.(1)
             (Option.get j.Insn.target)
         in
         Block.Ins nb :: Block.Lbl x :: go rest

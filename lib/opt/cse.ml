@@ -289,9 +289,6 @@ let run (p : Prog.t) : Prog.t =
     drain_bucket unlabelled;
     add_mem (base, off, disp) v
   in
-  let mov (d : Reg.t) (o : Operand.t) =
-    if d.Reg.cls = Reg.Int then Build.imov ctx d o else Build.fmov ctx d o
-  in
   (* Value-number one propagated, folded instruction onto [acc]. *)
   let number acc (i : Insn.t) : Block.t =
     let s k = i.Insn.srcs.(k) in
@@ -314,13 +311,13 @@ let run (p : Prog.t) : Prog.t =
       (* Store-to-load forwarding; reloading [d]'s own value is dropped
          like the self-move it would become. *)
       | Some v, _ when mentions_reg v d -> acc
-      | Some v, _ -> define v (mov d v)
+      | Some v, _ -> define v (Build.mov ctx d v)
       | None, None -> define (s 0) i (* a move *)
       | None, Some k -> (
         match Vtbl.find_opt avail k with
         | Some e when not (Reg.equal e.result d) ->
           st.vn_hits <- st.vn_hits + 1;
-          define (Operand.Reg e.result) (mov d (Operand.Reg e.result))
+          define (Operand.Reg e.result) (Build.mov ctx d (Operand.Reg e.result))
         | Some _ | None ->
           kill_reg d;
           add_avail k { result = d; srcs = i.Insn.srcs };

@@ -1,12 +1,13 @@
 (* Software pipelining by iterative modulo scheduling (Rau-style IMS).
 
-   The pass walks the program as [List_sched.run] does, through
-   [Block.map_innermost_with_preheader]: every innermost loop is either
-   modulo-scheduled into prologue/kernel/epilogue form or list-scheduled
-   as before. An eligible loop is a single-basic-block body (one
-   back-branch, no side exits), with a compile-time trip count and at
-   most one definition per register. RecMII jumps from one positive
-   cycle to the next ([positive_cycle]); IMS picks by static rank.
+   The pass plugs [pipeline_loop] into [List_sched.map_loops], the walk
+   [List_sched.run] uses: every innermost loop is either
+   modulo-scheduled into prologue/kernel/epilogue form or handed to
+   [List_sched.schedule_loop]. An eligible loop is a single-basic-block
+   body (one back-branch, no side exits), with a compile-time trip count
+   and at most one definition per register. RecMII jumps from one
+   positive cycle to the next ([positive_cycle]); IMS picks by static
+   rank.
 
    Scheduling model: each body instruction (the back-branch excluded)
    gets a time t = slot + II * stage subject to
@@ -394,9 +395,6 @@ let extract_body ~global_targets (l : Block.loop) : (Insn.t array, string) resul
 
 (* ---- Code generation ---- *)
 
-let mov_of cls ctx dst src =
-  match cls with Reg.Int -> Build.imov ctx dst src | Reg.Float -> Build.fmov ctx dst src
-
 let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip :
     (Block.item list * int * int) option =
   let n = Array.length a in
@@ -491,7 +489,7 @@ let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip
         (fun pd ->
           if carried.(pd) then
             let r = dst_of pd in
-            emit_i (mov_of r.Reg.cls ctx (version pd (md (stage.(pd) - 1) kk)) (Operand.Reg r)))
+            emit_i (Build.mov ctx (version pd (md (stage.(pd) - 1) kk)) (Operand.Reg r)))
         defs_by_id;
       (* Prologue: blocks 0 .. SC-2 fill the pipeline. *)
       for t = 0 to sc - 2 do
@@ -549,7 +547,7 @@ let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip
       List.iter
         (fun pd ->
           let r = dst_of pd in
-          emit_i (mov_of r.Reg.cls ctx r (Operand.Reg (version pd (md (sc - 2 + stage.(pd)) kk)))))
+          emit_i (Build.mov ctx r (Operand.Reg (version pd (md (sc - 2 + stage.(pd)) kk)))))
         defs_by_id;
       items := Block.Lbl l.Block.exit_lbl :: !items;
       Some (List.rev !items, sc, kk)
@@ -557,21 +555,11 @@ let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip
 
 (* ---- Per-loop driver ---- *)
 
-let fallback machine ~live_at_target ~pre_env (l : Block.loop) =
-  [
-    Block.Loop
-      {
-        l with
-        Block.body =
-          Impact_sched.List_sched.schedule_body machine ~live_at_target ~pre_env
-            l.Block.body;
-      };
-  ]
-
 let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets ~checks ~placements
     (l : Block.loop) : Block.item list * report * problem option =
   let skipped reason list_ci = { lid = l.Block.lid; status = Skipped { reason; list_ci } } in
-  let skip reason = (fallback machine ~live_at_target ~pre_env l, skipped reason None, None) in
+  let list_scheduled () = Impact_sched.List_sched.schedule_loop machine ~live_at_target ~pre_env l in
+  let skip reason = (list_scheduled (), skipped reason None, None) in
   match extract_body ~global_targets l with
   | Error reason -> skip reason
   | Ok a -> (
@@ -601,13 +589,13 @@ let pipeline_loop ctx machine ~live_at_target ~pre_env ~global_targets ~checks ~
         { p_n = n; p_edges = edges; p_issue = issue; p_res_mii = res_mii;
           p_rec_mii = rec_mii; p_mii = mii; p_list_ci = list_ci }
       in
-      (* A label-free body is the single segment [fallback] would
-         list-schedule, and [listed] already holds its schedule. *)
+      (* A label-free body is the single segment [List_sched.schedule_loop]
+         would list-schedule, and [listed] already holds its schedule. *)
       let skip_listed reason =
         let items =
           if List.for_all (function Block.Ins _ -> true | _ -> false) l.Block.body then
             [ Block.Loop { l with Block.body = listed.Impact_sched.List_sched.items } ]
-          else fallback machine ~live_at_target ~pre_env l
+          else list_scheduled ()
         in
         (items, skipped reason (Some list_ci), Some problem)
       in
@@ -642,8 +630,6 @@ let report_to_string (r : report) : string =
 let run_with_problems (machine : Machine.t) (p : Prog.t) :
     Prog.t * (report * problem option) list =
   Impact_obs.Obs.stage "pipe" (fun () ->
-    let target_live = Liveness.target_live (Liveness.Dense.of_prog p) in
-    let live_at_target i = Some (target_live i) in
     let global_targets =
       List.fold_left
         (fun s (i : Insn.t) ->
@@ -653,8 +639,7 @@ let run_with_problems (machine : Machine.t) (p : Prog.t) :
     in
     let reports = ref [] in
     let ctx = p.Prog.ctx in
-    let pipeline pre l =
-      let pre_env = Linval.env_of_items pre in
+    let pipeline ~live_at_target ~pre_env l =
       let t0 = if Impact_obs.Obs.enabled () then Impact_obs.Obs.now () else 0.0 in
       let checks = ref 0 and placements = ref 0 in
       let items, rep, problem =
@@ -674,19 +659,10 @@ let run_with_problems (machine : Machine.t) (p : Prog.t) :
           (fun p -> Impact_obs.Obs.count ~n:(List.length p.p_edges) "pipe.edges")
           problem;
         Impact_obs.Obs.count ~n:!checks "pipe.recmii_checks";
-        Impact_obs.Obs.count ~n:!placements "pipe.ims_placements";
-        Impact_obs.Obs.note
-          (Printf.sprintf "pipe.%s.loop%d" machine.Machine.name rep.lid)
-          (report_to_string rep)
+        Impact_obs.Obs.count ~n:!placements "pipe.ims_placements"
       end;
       reports := (rep, problem) :: !reports;
-      pre @ items
+      items
     in
-    let entry = Block.map_innermost_with_preheader pipeline p.Prog.entry in
-    (Prog.with_entry p entry, List.rev !reports))
-
-let run_with_report machine p =
-  let p', pairs = run_with_problems machine p in
-  (p', List.map fst pairs)
-
-let run machine p = fst (run_with_report machine p)
+    let p' = Impact_sched.List_sched.map_loops p pipeline in
+    (p', List.rev !reports))

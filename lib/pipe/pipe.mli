@@ -18,8 +18,10 @@
     allocator and conformance oracle validate the result unchanged.
 
     Loops that are ineligible, recurrence-bound past the list
-    schedule, or too short fall back to ordinary list scheduling; the
-    report says why. *)
+    schedule, or too short are list-scheduled instead; the report says
+    why. The pass has one entry point, {!run_with_problems}, which
+    plugs into the list scheduler's loop walk; [Impact_core.Compile]
+    is the only code that picks between the two schedulers. *)
 
 open Impact_ir
 
@@ -101,21 +103,16 @@ val ims_schedule :
     distance-0 cycle. Exposed for differential testing against the
     exact solver. *)
 
-val run : Machine.t -> Prog.t -> Prog.t
-(** Schedule a transformed program: modulo-schedule every eligible
-    innermost loop, list-schedule everything else. A drop-in
-    replacement for [Impact_sched.List_sched.run]. *)
-
-val run_with_report : Machine.t -> Prog.t -> Prog.t * report list
-(** Like {!run}, also returning one report per innermost loop in
-    program order. *)
-
 val run_with_problems :
   Machine.t -> Prog.t -> Prog.t * (report * problem option) list
-(** Like {!run_with_report}, additionally returning the extracted
-    modulo-scheduling problem next to each report — [None] when the
-    loop never reached dependence analysis (structural or trip-count
-    ineligibility), so an oracle knows exactly which loops are
-    certifiable. *)
+(** The pipeliner's one entry point. Through
+    [Impact_sched.List_sched.map_loops], modulo-schedule every eligible
+    innermost loop and list-schedule the rest
+    ([Impact_sched.List_sched.schedule_loop]); a drop-in replacement
+    for [Impact_sched.List_sched.run]. Also returns one report per
+    innermost loop in program order, each next to its extracted
+    modulo-scheduling problem — [None] when the loop never reached
+    dependence analysis (structural or trip-count ineligibility), so an
+    oracle knows exactly which loops are certifiable. *)
 
 val report_to_string : report -> string

@@ -92,38 +92,28 @@ let schedule_segment (machine : Machine.t) ~live_at_target
     issue_time = List.map (fun (k, c) -> (insns.(k).Insn.id, c)) emission;
   }
 
-(* Split a body into segments at labels and schedule each. Segments that
-   still contain labels are impossible here by construction (splitting is
-   at labels). *)
-let schedule_body (machine : Machine.t) ~live_at_target
-    ?(pre_env = Reg.Map.empty) (body : Block.t) : Block.t =
-  let rec split acc cur = function
-    | [] -> List.rev (if cur = [] then acc else `Run (List.rev cur) :: acc)
-    | Block.Ins i :: rest -> split acc (i :: cur) rest
-    | (Block.Lbl _ as it) :: rest ->
-      let acc = if cur = [] then `Item it :: acc else `Item it :: `Run (List.rev cur) :: acc in
-      split acc [] rest
-    | (Block.Loop _ as it) :: rest ->
-      let acc = if cur = [] then `Item it :: acc else `Item it :: `Run (List.rev cur) :: acc in
-      split acc [] rest
-  in
-  List.concat_map
-    (function
-      | `Item it -> [ it ]
-      | `Run insns ->
-        (schedule_segment machine ~live_at_target ~pre_env (Array.of_list insns)).items)
-    (split [] [] body)
+type loop_scheduler =
+  live_at_target:(Insn.t -> Reg.Set.t option) ->
+  pre_env:Linval.lin Reg.Map.t ->
+  Block.loop ->
+  Block.item list
 
-(* Schedule every innermost loop body of the program. Superblock
-   formation should have run first. The preheader items feeding each loop
-   are evaluated symbolically so the scheduler can disambiguate addresses
+(* List-schedule each label-delimited segment of an innermost loop. *)
+let schedule_loop (machine : Machine.t) ~live_at_target ~pre_env (l : Block.loop) =
+  let schedule run = (schedule_segment machine ~live_at_target ~pre_env (Array.of_list run)).items in
+  [ Block.Loop { l with Block.body = Block.map_runs schedule l.Block.body } ]
+
+(* The one innermost-loop walk of both schedulers. Superblock formation
+   should have run first. The preheader items feeding each loop are
+   evaluated symbolically so the scheduler can disambiguate addresses
    built from expanded induction registers. *)
-let run (machine : Machine.t) (p : Prog.t) : Prog.t =
+let map_loops (p : Prog.t) (f : loop_scheduler) =
   let target_live = Liveness.target_live (Liveness.Dense.of_prog p) in
   let live_at_target i = Some (target_live i) in
   let schedule pre l =
     let pre_env = Linval.env_of_items pre in
-    let body = schedule_body machine ~live_at_target ~pre_env l.Block.body in
-    pre @ [ Block.Loop { l with Block.body } ]
+    pre @ f ~live_at_target ~pre_env l
   in
   Prog.with_entry p (Block.map_innermost_with_preheader schedule p.Prog.entry)
+
+let run (machine : Machine.t) (p : Prog.t) : Prog.t = map_loops p (schedule_loop machine)

@@ -25,14 +25,6 @@ let max_growth = 8
    trace a profile-driven superblock compiler would have picked. *)
 let max_inverted_region = 6
 
-let negate_cmp = function
-  | Insn.Lt -> Insn.Ge
-  | Insn.Le -> Insn.Gt
-  | Insn.Gt -> Insn.Le
-  | Insn.Ge -> Insn.Lt
-  | Insn.Eq -> Insn.Ne
-  | Insn.Ne -> Insn.Eq
-
 let invert_guards ctx (items : Block.item list) :
     Block.item list * Block.item list =
   let side = ref [] in
@@ -55,7 +47,7 @@ let invert_guards ctx (items : Block.item list) :
         | Some (upd, rest') when upd <> [] ->
           let upd_lbl = Prog.fresh_label ctx "INV" in
           let inv =
-            Build.br ctx cls (negate_cmp c) b.Insn.srcs.(0) b.Insn.srcs.(1) upd_lbl
+            Build.br ctx cls (Insn.negate_cmp c) b.Insn.srcs.(0) b.Insn.srcs.(1) upd_lbl
           in
           side :=
             !side

@@ -239,28 +239,11 @@ let histogram ~(bounds : float list) (f : cell -> float) (cells : cell list) : i
 
 let fig8_bounds = [ 0.0; 1.25; 1.5; 1.75; 2.0; 2.5; 3.0 ]
 
-let fig8_labels =
-  [ "0.00-1.24"; "1.25-1.49"; "1.50-1.74"; "1.75-1.99"; "2.00-2.49"; "2.50-2.99"; "3.00+" ]
-
 let fig9_bounds = [ 0.0; 1.5; 2.0; 2.5; 3.0; 3.5; 4.0; 5.0; 6.0 ]
-
-let fig9_labels =
-  [
-    "0.00-1.49"; "1.50-1.99"; "2.00-2.49"; "2.50-2.99"; "3.00-3.49"; "3.50-3.99";
-    "4.00-4.99"; "5.00-5.99"; "6.00+";
-  ]
 
 let fig10_bounds = [ 0.0; 2.0; 2.5; 3.0; 4.0; 5.0; 6.0; 7.0; 8.0 ]
 
-let fig10_labels =
-  [
-    "0.00-1.99"; "2.00-2.49"; "2.50-2.99"; "3.00-3.99"; "4.00-4.99"; "5.00-5.99";
-    "6.00-6.99"; "7.00-7.99"; "8.00+";
-  ]
-
 let reg_bounds = [ 0.0; 16.0; 32.0; 48.0; 64.0; 96.0; 128.0 ]
-
-let reg_labels = [ "0-15"; "16-31"; "32-47"; "48-63"; "64-95"; "96-127"; "128+" ]
 
 (* Speedup distribution for a machine (per level). *)
 let speedup_distribution ?group ~bounds machine cells :

@@ -93,17 +93,11 @@ val avg_regs : cell list -> float
 
 val fig8_bounds : float list
 
-val fig8_labels : string list
-
 val fig9_bounds : float list
-
-val fig9_labels : string list
 
 val fig10_bounds : float list
 
-val fig10_labels : string list
-
-val reg_labels : string list
+val reg_bounds : float list
 
 val speedup_distribution :
   ?group:string -> bounds:float list -> Machine.t -> cell list ->

@@ -148,6 +148,12 @@ let check_profile name (machine : Machine.t) (r : Impact_sim.Sim.result)
 (* Lower a mini-Fortran program. *)
 let lower = Lower.lower
 
+(* Transform then schedule a program: the compile pipeline short of
+   measurement. *)
+let compile opts level machine p =
+  let open Impact_core.Compile in
+  fst (schedule_with opts machine (transform_with opts level p))
+
 (* Measure a program at a level/machine. *)
 let measure ?unroll_factor ?fuel level machine (ast : Ast.program) =
   Impact_core.Compile.measure_with

@@ -750,7 +750,7 @@ let liveness_corpus_tests =
         (fun (name, p) ->
           List.iter
             (fun (tag, sched) ->
-              let q = Impact_core.Compile.schedule_with (Impact_core.Opts.make ~sched ()) machine p in
+              let q, _ = Impact_core.Compile.schedule_with (Impact_core.Opts.make ~sched ()) machine p in
               List.iter
                 (fun (stage, r) ->
                   incr programs;

@@ -94,16 +94,24 @@ let histogram_tests =
       check_int "2.50-2.99" 1 h.(5);
       check_int "3.00+" 1 h.(6));
     test "labels align with bounds" (fun () ->
-      check_int "fig8" (List.length Impact_svc.Experiment.fig8_bounds)
-        (List.length Impact_svc.Experiment.fig8_labels);
-      check_int "fig9" (List.length Impact_svc.Experiment.fig9_bounds)
-        (List.length Impact_svc.Experiment.fig9_labels);
-      check_int "fig10" (List.length Impact_svc.Experiment.fig10_bounds)
-        (List.length Impact_svc.Experiment.fig10_labels);
-      List.iter
-        (fun (_, h) ->
-          check_int "regs" (Array.length h) (List.length Impact_svc.Experiment.reg_labels))
-        (Impact_svc.Experiment.register_distribution Machine.issue_8 []));
+      (* The label column of a rendered table: each row's first field,
+         after the title, header and rule lines. *)
+      let label_column ~bounds ~step dist =
+        Impact_core.Report.distribution_table ~title:"t" ~bounds ~step dist
+        |> String.split_on_char '\n'
+        |> List.filteri (fun k line -> k >= 3 && line <> "")
+        |> List.map (fun line -> List.hd (String.split_on_char ' ' line))
+      in
+      let bounds = Impact_svc.Experiment.fig8_bounds in
+      check_string "fig8"
+        "0.00-1.24 1.25-1.49 1.50-1.74 1.75-1.99 2.00-2.49 2.50-2.99 3.00+"
+        (String.concat " "
+           (label_column ~bounds ~step:0.01
+              (Impact_svc.Experiment.speedup_distribution ~bounds Machine.issue_8 [])));
+      check_string "regs" "0-15 16-31 32-47 48-63 64-95 96-127 128+"
+        (String.concat " "
+           (label_column ~bounds:Impact_svc.Experiment.reg_bounds ~step:1.0
+              (Impact_svc.Experiment.register_distribution Machine.issue_8 []))));
   ]
 
 let sim_order_tests =

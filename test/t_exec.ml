@@ -192,7 +192,7 @@ let test_sim_conformance () =
           List.iter
             (fun machine ->
               let p =
-                Compile.compile_with Opts.default level machine
+                Helpers.compile Opts.default level machine
                   (Helpers.lower w.Impact_workloads.Suite.ast)
               in
               let fast = Impact_sim.Sim.run machine p in
@@ -217,7 +217,7 @@ let test_stall_counter_conformance () =
           List.iter
             (fun machine ->
               let p =
-                Compile.compile_with Opts.default level machine
+                Helpers.compile Opts.default level machine
                   (Helpers.lower w.Impact_workloads.Suite.ast)
               in
               let rf, pf = Impact_sim.Sim.run_profiled machine p in

@@ -105,7 +105,7 @@ let experiment_tests =
         Experiment.speedup_distribution ~bounds:Experiment.fig8_bounds Machine.issue_8 cells
       in
       let table =
-        Report.distribution_table ~title:"t" ~labels:Experiment.fig8_labels dist
+        Report.distribution_table ~title:"t" ~bounds:Experiment.fig8_bounds ~step:0.01 dist
       in
       let contains hay needle =
         let nh = String.length hay and nn = String.length needle in

@@ -88,6 +88,29 @@ let insn_tests =
       Helpers.check_bool "neg rem" true (Insn.eval_ibin Insn.Rem (-7) 3 = Some (-1));
       Helpers.check_bool "shl" true (Insn.eval_ibin Insn.Shl 3 2 = Some 12);
       Helpers.check_bool "shr" true (Insn.eval_ibin Insn.Shr (-8) 1 = Some (-4)));
+    test "negate_cmp is the complement" (fun () ->
+      let cmps = Insn.[ Lt; Le; Gt; Ge; Eq; Ne ] in
+      let ints = [ -2; -1; 0; 1; 2 ] and flts = [ neg_infinity; -1.5; 0.0; 0.5; 2.0; infinity ] in
+      List.iter
+        (fun c ->
+          Helpers.check_bool "involution" true (Insn.negate_cmp (Insn.negate_cmp c) = c);
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  Helpers.check_bool "int" (not (Insn.eval_icmp c a b))
+                    (Insn.eval_icmp (Insn.negate_cmp c) a b))
+                ints)
+            ints;
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  Helpers.check_bool "float" (not (Insn.eval_fcmp c a b))
+                    (Insn.eval_fcmp (Insn.negate_cmp c) a b))
+                flts)
+            flts)
+        cmps);
     test "printing" (fun () ->
       let i = Build.fb ctx Insn.Fadd f1 (Operand.Reg f1) (Operand.Flt 3.2) in
       Helpers.check_string "fadd" (Reg.to_string f1 ^ " = " ^ Reg.to_string f1 ^ " + 3.2")
@@ -130,6 +153,27 @@ let block_tests =
           [ Block.Loop outer ]
       in
       Helpers.check_bool "only loop 2" true (!touched = [ 2 ]));
+    test "map_runs rewrites exactly the maximal runs" (fun () ->
+      let i () = Build.ib ctx Insn.Add r1 (Operand.Reg r1) (Operand.Int 1) in
+      let a, b, c, d, e = (i (), i (), i (), i (), i ()) in
+      let ins = List.map (fun i -> Block.Ins i) in
+      let loop = Block.Loop (mk_loop 3 (ins [ c ])) in
+      let block =
+        (Block.Lbl "A" :: ins [ a; b ]) @ [ loop; Block.Lbl "B"; Block.Lbl "C" ] @ ins [ d; e ]
+      in
+      let seen = ref [] in
+      let dropped =
+        Block.map_runs
+          (fun run ->
+            seen := List.map (fun (i : Insn.t) -> i.Insn.id) run :: !seen;
+            [])
+          block
+      in
+      let ids = List.map (fun (i : Insn.t) -> i.Insn.id) in
+      Helpers.check_bool "runs in order" true (List.rev !seen = [ ids [ a; b ]; ids [ d; e ] ]);
+      Helpers.check_bool "labels and loops stay" true
+        (dropped = [ Block.Lbl "A"; loop; Block.Lbl "B"; Block.Lbl "C" ]);
+      Helpers.check_bool "identity" true (Block.map_runs ins block = block));
   ]
 
 let flatten block =

@@ -1,7 +1,7 @@
 (* Tests for the observability layer (lib/obs) and the simulator's
    stall attribution:
 
-   - Obs: span totals, counters, notes and stages accumulate under the
+   - Obs: span totals, counters and stages accumulate under the
      switches; trace events rebase to 0 and survive JSON export; reset
      clears tables but not switches; everything is off by default.
    - Stall attribution: categories sum exactly to
@@ -68,17 +68,15 @@ let test_span_raises () =
     (List.exists (fun (s : Obs.span_total) -> s.Obs.sp_name = "t.raise")
        rep.Obs.r_spans)
 
-let test_counters_and_notes () =
+let test_counters () =
   with_switches ~collecting:true ~tracing:false @@ fun () ->
   Obs.reset ();
   Obs.count "t.a";
   Obs.count ~n:4 "t.a";
   Obs.count "t.b";
-  Obs.note "t.note" "hello";
   let rep = Obs.report () in
   Helpers.check_int "t.a" 5 (List.assoc "t.a" rep.Obs.r_counters);
-  Helpers.check_int "t.b" 1 (List.assoc "t.b" rep.Obs.r_counters);
-  Helpers.check_string "note" "hello" (List.assoc "t.note" rep.Obs.r_notes)
+  Helpers.check_int "t.b" 1 (List.assoc "t.b" rep.Obs.r_counters)
 
 let test_stages_always_on () =
   with_switches ~collecting:false ~tracing:false @@ fun () ->
@@ -295,7 +293,7 @@ let test_conservation_vecadd () =
       List.iter
         (fun issue ->
           let machine = Machine.make ~issue () in
-          let prog = Compile.compile_with Opts.default level machine (Helpers.lower ast) in
+          let prog = Helpers.compile Opts.default level machine (Helpers.lower ast) in
           let r, p = Sim.run_profiled machine prog in
           Helpers.check_profile
             (Printf.sprintf "vecadd/%s/issue-%d" (Level.to_string level) issue)
@@ -310,7 +308,7 @@ let test_conservation_other_kernels () =
     (fun (name, ast, sched) ->
       let machine = Machine.issue_8 in
       let prog =
-        Compile.compile_with (Opts.make ~sched ()) Level.Lev4 machine (Helpers.lower ast)
+        Helpers.compile (Opts.make ~sched ()) Level.Lev4 machine (Helpers.lower ast)
       in
       let r, p = Sim.run_profiled machine prog in
       Helpers.check_profile name machine r p)
@@ -338,7 +336,7 @@ let test_fast_vs_ref_profile () =
   List.iter
     (fun issue ->
       let machine = Machine.make ~issue () in
-      let prog = Compile.compile_with Opts.default Level.Lev3 machine (Helpers.lower ast) in
+      let prog = Helpers.compile Opts.default Level.Lev3 machine (Helpers.lower ast) in
       let _, pf = Sim.run_profiled machine prog in
       let _, pr = Sim.run_ref_profiled machine prog in
       same_profile (Printf.sprintf "dotprod/issue-%d" issue) pf pr)
@@ -373,7 +371,7 @@ let prop_telemetry_invariant =
   QCheck.Test.make ~count:40 ~name:"telemetry never changes results"
     config_arb
     (fun ((_, ast), level, machine) ->
-      let prog () = Compile.compile_with Opts.default level machine (Helpers.lower ast) in
+      let prog () = Helpers.compile Opts.default level machine (Helpers.lower ast) in
       let off =
         with_switches ~collecting:false ~tracing:false @@ fun () ->
         Sim.run machine (prog ())
@@ -399,7 +397,7 @@ let suite =
         Alcotest.test_case "everything off by default" `Quick test_off_by_default;
         Alcotest.test_case "span totals and nesting" `Quick test_span_totals;
         Alcotest.test_case "span records on raise" `Quick test_span_raises;
-        Alcotest.test_case "counters and notes" `Quick test_counters_and_notes;
+        Alcotest.test_case "counters accumulate" `Quick test_counters;
         Alcotest.test_case "stages accumulate with switches off" `Quick
           test_stages_always_on;
         Alcotest.test_case "trace events and JSON export" `Quick

@@ -45,7 +45,7 @@ let test_conformance_all_kernels () =
         (fun level ->
           List.iter
             (fun (om, im) ->
-              let p = Compile.compile_with Opts.default level om (lower w) in
+              let p = Helpers.compile Opts.default level om (lower w) in
               let inorder = Sim.run im p in
               let ooo = Ooo.run om p in
               if not (same_arch inorder ooo) then
@@ -61,7 +61,7 @@ let test_rob1_deterministic () =
   List.iter
     (fun name ->
       let w = Option.get (Impact_workloads.Suite.find name) in
-      let p = Compile.compile_with Opts.default Level.Lev4 m (lower w) in
+      let p = Helpers.compile Opts.default Level.Lev4 m (lower w) in
       let a = Ooo.run m p in
       let b = Ooo.run m p in
       Alcotest.(check int) (name ^ " cycles deterministic") a.Sim.cycles b.Sim.cycles;
@@ -93,7 +93,7 @@ let test_conservation () =
         (fun level ->
           List.iter
             (fun m ->
-              let p = Compile.compile_with Opts.default level m (lower w) in
+              let p = Helpers.compile Opts.default level m (lower w) in
               let r, prof = Sim.run_profiled m p in
               let where =
                 Printf.sprintf "%s %s %s" name (Level.to_string level)
@@ -115,7 +115,7 @@ let test_rob_monotone () =
       let w = Option.get (Impact_workloads.Suite.find name) in
       let cycles rob =
         let m = Machine.ooo ~issue:8 ~rob () in
-        (Ooo.run m (Compile.compile_with Opts.default Level.Lev2 m (lower w)))
+        (Ooo.run m (Helpers.compile Opts.default Level.Lev2 m (lower w)))
           .Sim.cycles
       in
       let cs = List.map cycles [ 1; 4; 16; 64; 256 ] in
@@ -129,7 +129,7 @@ let test_rob_monotone () =
 let test_run_rejects_inorder () =
   let w = Option.get (Impact_workloads.Suite.find "add") in
   let m = Machine.make ~issue:4 () in
-  let p = Compile.compile_with Opts.default Level.Conv m (lower w) in
+  let p = Helpers.compile Opts.default Level.Conv m (lower w) in
   match Ooo.run m p with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Ooo.run accepted an in-order machine"
@@ -142,7 +142,7 @@ let follows_core_grid = [ ("add", Level.Conv); ("dotprod", Level.Lev2); ("SRS-5"
 
 let follows_core_prog m (name, level) =
   let w = Option.get (Impact_workloads.Suite.find name) in
-  Compile.compile_with Opts.default level m (lower w)
+  Helpers.compile Opts.default level m (lower w)
 
 let test_sim_run_follows_core () =
   let m = Machine.ooo ~issue:8 ~rob:32 () in
@@ -237,7 +237,7 @@ let test_matches_reference () =
                 match Hashtbl.find_opt scheduled key with
                 | Some p -> p
                 | None ->
-                  let p = Compile.schedule_with opts m tp in
+                  let p, _ = Compile.schedule_with opts m tp in
                   Hashtbl.add scheduled key p;
                   p
               in
@@ -256,7 +256,7 @@ let test_fuel_boundary () =
   List.iter
     (fun (name, m) ->
       let w = Option.get (Impact_workloads.Suite.find name) in
-      let p = Compile.compile_with Opts.default Level.Lev2 m (lower w) in
+      let p = Helpers.compile Opts.default Level.Lev2 m (lower w) in
       let t = (Ooo_ref.run_profiled m p |> fst).Sim.cycles in
       List.iter
         (fun fuel ->

@@ -251,8 +251,8 @@ let rec body_text (b : Block.t) =
        b)
 
 (* Walk [out] as [Pipe.run_with_problems] builds it: each skipped
-   innermost loop's body must equal [List_sched.schedule_body] of the
-   input body, with the preheader env of the output items before it.
+   innermost loop's body must equal [List_sched.schedule_loop] of the
+   input loop, with the preheader env of the output items before it.
    Returns the number of loops checked. *)
 let check_skipped_bodies tag machine (input : Prog.t) ((out : Prog.t), pairs) =
   let target_live = Liveness.target_live (Liveness.Dense.of_prog input) in
@@ -271,8 +271,12 @@ let check_skipped_bodies tag machine (input : Prog.t) ((out : Prog.t), pairs) =
     | (Block.Loop l as it) :: rest when Block.is_innermost l && Hashtbl.mem skipped l.Block.lid ->
       let pre_env = Linval.env_of_items (List.rev prev) in
       let want =
-        Impact_sched.List_sched.schedule_body machine ~live_at_target ~pre_env
-          (Hashtbl.find src l.Block.lid).Block.body
+        match
+          Impact_sched.List_sched.schedule_loop machine ~live_at_target ~pre_env
+            (Hashtbl.find src l.Block.lid)
+        with
+        | [ Block.Loop w ] -> w.Block.body
+        | _ -> Alcotest.fail "schedule_loop returns one loop"
       in
       check_string
         (Printf.sprintf "%s loop %d body" tag l.Block.lid)
@@ -447,7 +451,7 @@ let test_adversarial_modulo_edges () =
   check_bool "adversarial loops analysed" true (!n > 0)
 
 (* An analyzed loop whose body holds an internal label still goes
-   through [List_sched.schedule_body], which splits it at the label. *)
+   through [List_sched.schedule_loop], which splits it at the label. *)
 let test_labelled_body_falls_back () =
   let w = List.find (fun (w : Suite.t) -> w.Suite.name = "nasa7-2") Suite.all in
   let tp = transform_conv w.Suite.ast in
@@ -479,29 +483,29 @@ let test_labelled_body_falls_back () =
 
 let test_vecadd_ii_pinned () =
   let p = transform_conv (vecadd_ast 64) in
-  let scheduled, reports = Pipe.run_with_report Machine.unlimited p in
+  let scheduled, reports = Pipe.run_with_problems Machine.unlimited p in
   match reports with
-  | [ { Pipe.status = Pipe.Pipelined i; _ } ] ->
+  | [ ({ Pipe.status = Pipe.Pipelined i; _ }, _) ] ->
     check_int "ResMII at unlimited issue" 1 i.Pipe.res_mii;
     check_int "II reaches RecMII" i.Pipe.rec_mii i.Pipe.ii;
     check_bool "II >= MII" true (i.Pipe.ii >= i.Pipe.mii);
     check_bool "II beats list schedule" true (i.Pipe.ii < i.Pipe.list_ci);
     let base = run (lower (vecadd_ast 64)) in
     same_observables "vecadd pipelined" base (run ~machine:Machine.unlimited scheduled)
-  | [ r ] -> Alcotest.failf "vecadd not pipelined: %s" (Pipe.report_to_string r)
+  | [ (r, _) ] -> Alcotest.failf "vecadd not pipelined: %s" (Pipe.report_to_string r)
   | rs -> Alcotest.failf "expected one loop report, got %d" (List.length rs)
 
 (* A trip count too short for the pipeline must fall back, not crash. *)
 let test_short_trip_falls_back () =
   let p = transform_conv (vecadd_ast 3) in
-  let scheduled, _ = Pipe.run_with_report Machine.issue_4 p in
+  let scheduled, _ = Pipe.run_with_problems Machine.issue_4 p in
   let base = run (lower (vecadd_ast 3)) in
   same_observables "vecadd n=3" base (run ~machine:Machine.issue_4 scheduled)
 
 (* A loop-carried memory recurrence must be honored (or skipped). *)
 let test_recurrence_kernel () =
   let p = transform_conv (recurrence_ast 40) in
-  let scheduled, _ = Pipe.run_with_report Machine.issue_8 p in
+  let scheduled, _ = Pipe.run_with_problems Machine.issue_8 p in
   let base = run (lower (recurrence_ast 40)) in
   same_observables "recurrence" base (run ~machine:Machine.issue_8 scheduled)
 
@@ -509,11 +513,11 @@ let test_recurrence_kernel () =
 
 let check_pipe_subject (w : Suite.t) (machine : Machine.t) base =
   let tp = transform_conv w.Suite.ast in
-  let scheduled, reports = Pipe.run_with_report machine tp in
+  let scheduled, reports = Pipe.run_with_problems machine tp in
   let tag = Printf.sprintf "%s/%s" w.Suite.name machine.Machine.name in
   same_observables tag base (run ~machine scheduled);
   List.iter
-    (fun (rep : Pipe.report) ->
+    (fun ((rep : Pipe.report), _) ->
       match rep.Pipe.status with
       | Pipe.Pipelined i ->
         check_bool (tag ^ ": II >= MII") true (i.Pipe.ii >= i.Pipe.mii);
@@ -662,7 +666,7 @@ let prop_pipe_preserves =
       let level = List.nth Level.all li in
       let base = run (lower w.Suite.ast) in
       let tp = Compile.transform_with Impact_core.Opts.default level (lower w.Suite.ast) in
-      let scheduled = Pipe.run machine tp in
+      let scheduled, _ = Pipe.run_with_problems machine tp in
       same_observables
         (Printf.sprintf "%s/%s/%s" w.Suite.name (Level.to_string level)
            machine.Machine.name)

@@ -358,7 +358,7 @@ let prop_profile_kernels =
     (fun (spec, (level, ooo, issue, sched)) ->
       let machine = if ooo then Machine.ooo ~issue ~rob:32 () else Machine.make ~issue () in
       let p =
-        Impact_core.Compile.compile_with (Impact_core.Opts.make ~sched ()) level machine
+        Helpers.compile (Impact_core.Opts.make ~sched ()) level machine
           (lower (build_kernel spec))
       in
       let r, prof = Impact_sim.Sim.run_profiled machine p in

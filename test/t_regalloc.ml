@@ -95,7 +95,7 @@ let ooo_pipe_progs (k : Impact_workloads.Suite.t) =
     (fun level ->
       List.map
         (fun issue ->
-          Impact_core.Compile.compile_with opts level (Machine.ooo ~issue ~rob:32 ())
+          Helpers.compile opts level (Machine.ooo ~issue ~rob:32 ())
             (lower k.ast))
         [ 2; 4; 8 ])
     [ Impact_core.Level.Conv; Impact_core.Level.Lev4 ]
@@ -161,7 +161,7 @@ let tests =
       List.iter
         (fun ast ->
           let p =
-            Impact_core.Compile.compile_with Impact_core.Opts.default Impact_core.Level.Lev4 Machine.issue_8 (lower ast)
+            Helpers.compile Impact_core.Opts.default Impact_core.Level.Lev4 Machine.issue_8 (lower ast)
           in
           let assignment, graph = Regalloc_ref.coloring p in
           let color_of r = List.assoc r assignment in
@@ -205,7 +205,7 @@ let tests =
       List.iter
         (fun (k : Impact_workloads.Suite.t) ->
           let list =
-            Impact_core.Compile.compile_with Impact_core.Opts.default Impact_core.Level.Lev4 Machine.issue_8
+            Helpers.compile Impact_core.Opts.default Impact_core.Level.Lev4 Machine.issue_8
               (lower k.ast)
           in
           (* The two implementations share ordering semantics, so even
@@ -255,7 +255,7 @@ let prop_kernels_match_ref =
     (fun spec ->
       let ast = T_props.build_kernel spec in
       let compile sched machine =
-        Impact_core.Compile.compile_with
+        Helpers.compile
           { Impact_core.Opts.default with Impact_core.Opts.sched }
           Impact_core.Level.Lev4 machine (lower ast)
       in

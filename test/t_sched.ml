@@ -93,7 +93,7 @@ let sched_tests =
   [
     test "issue width respected after scheduling" (fun () ->
       let machine = Machine.issue_4 in
-      let p = Impact_core.Compile.compile_with Impact_core.Opts.default Impact_core.Level.Lev4 machine (lower (vecadd_ast 64)) in
+      let p = Helpers.compile Impact_core.Opts.default Impact_core.Level.Lev4 machine (lower (vecadd_ast 64)) in
       let per_cycle, branches = issue_profile machine p in
       Hashtbl.iter
         (fun _ n -> if n > 4 then Alcotest.failf "issued %d > width 4" n)
@@ -194,7 +194,7 @@ let sched_tests =
       | Block.Ins first :: _ -> check_bool "branch first" true (Insn.is_branch first)
       | _ -> Alcotest.fail "no items"));
     test "back-branch is always emitted last" (fun () ->
-      let p = Impact_core.Compile.compile_with Impact_core.Opts.default Impact_core.Level.Lev4 Machine.issue_8
+      let p = Helpers.compile Impact_core.Opts.default Impact_core.Level.Lev4 Machine.issue_8
           (lower (vecadd_ast 64)) in
       List.iter
         (fun (l : Block.loop) ->
