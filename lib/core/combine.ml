@@ -212,102 +212,114 @@ let src_reg_of_producer = function
     Operand.as_reg o
 
 (* One combining round over a body; returns the new loop and whether
-   anything changed. *)
-let round ctx (l : Block.loop) : Block.loop * bool =
+   anything changed. [uncond] marks the positions that execute on every
+   iteration ({!Dom.unconditional}). *)
+let round ctx uncond (l : Block.loop) : Block.loop * bool =
   let sb = Sb.of_loop l in
-  let uncond = Dom.unconditional sb in
-  let def_counts = Sb.def_counts sb in
-  let def_pos : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let n = Sb.length sb in
+  (* Every def position of each register id, latest first: the last
+     def, the def count and the interference check all read it. *)
+  let def_pos : (int, int list) Hashtbl.t = Hashtbl.create 32 in
   Sb.iter_insns
     (fun p i ->
-      List.iter (fun (r : Reg.t) -> Hashtbl.replace def_pos r.Reg.id p) (Insn.defs i))
+      List.iter
+        (fun (r : Reg.t) ->
+          Hashtbl.replace def_pos r.Reg.id
+            (p :: Option.value ~default:[] (Hashtbl.find_opt def_pos r.Reg.id)))
+        (Insn.defs i))
     sb;
-  (* Positions defining each register, for the interference check. *)
+  let defs_of (r : Reg.t) = Option.value ~default:[] (Hashtbl.find_opt def_pos r.Reg.id) in
   let defs_between r p1 p2 =
-    let found = ref false in
-    Sb.iter_insns
-      (fun p i ->
-        if p > p1 && p < p2 && List.exists (Reg.equal r) (Insn.defs i) then found := true)
-      sb;
-    !found
+    List.exists
+      (fun p ->
+        p > p1 && p < p2 && List.exists (Reg.equal r) (Insn.defs (Option.get (Sb.insn sb p))))
+      (defs_of r)
   in
-  let changed = ref false in
-  let replace : (int, Insn.t) Hashtbl.t = Hashtbl.create 8 in
-  let swap : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  (* Producers by position. *)
-  let producers = Hashtbl.create 16 in
+  (* Producers by position: unconditional, and the only def of their
+     destination. *)
+  let producers = Array.make n None in
   Sb.iter_insns
     (fun p i ->
       if uncond.(p) then
         match producer_of i with
-        | Some (d, prod)
-          when Option.value ~default:0 (Hashtbl.find_opt def_counts d.Reg.id) = 1 ->
-          Hashtbl.replace producers p (d, prod)
+        | Some (d, _) as prod when List.length (defs_of d) = 1 -> producers.(p) <- prod
         | _ -> ())
     sb;
+  let replace = Array.make n None in
+  let swap = Array.make n false in
+  let changed = ref false in
   Sb.iter_insns
     (fun p2 i2 ->
-      if not (Hashtbl.mem replace p2) then
-        List.iter
+      (* The registers [i2] reads from an earlier producer, in
+         [Reg.compare] order; the first that combines wins. *)
+      let fed =
+        List.filter_map
           (fun (r : Reg.t) ->
-            if not (Hashtbl.mem replace p2) then
-              match Hashtbl.find_opt def_pos r.Reg.id with
-              | Some p1 when p1 < p2 && Hashtbl.mem producers p1 -> (
-                let d, prod = Hashtbl.find producers p1 in
-                if Reg.equal d r then
-                  let self_feeding =
-                    match src_reg_of_producer prod with
-                    | Some s -> Reg.equal s d
-                    | None -> false
-                  in
-                  (* The producer's source must be unchanged in between. *)
-                  let src_ok =
-                    match src_reg_of_producer prod with
-                    | Some s ->
-                      if self_feeding then
-                        (* Adjacent exchange only, and never past a branch:
-                           the producer must still execute on the taken
-                           path. *)
-                        p2 = p1 + 1 && not (Insn.is_branch i2)
-                      else not (defs_between s p1 p2)
-                    | None -> true
-                  in
-                  if src_ok then
-                    match combine_consumer ctx r prod i2 with
-                    | Some i2' ->
-                      Hashtbl.replace replace p2 i2';
-                      if self_feeding then Hashtbl.replace swap p2 ();
-                      Impact_obs.Obs.count "pass.combine.combined";
-                      changed := true
-                    | None -> ())
-              | _ -> ())
-          (List.sort_uniq Reg.compare (Insn.uses i2)))
+            match defs_of r with
+            | p1 :: _ when p1 < p2 && Option.is_some producers.(p1) -> Some (r, p1)
+            | _ -> None)
+          (Insn.uses i2)
+      in
+      if fed <> [] then
+        List.iter
+          (fun ((r : Reg.t), p1) ->
+            if Option.is_none replace.(p2) then
+              let d, prod = Option.get producers.(p1) in
+              if Reg.equal d r then
+                let self_feeding =
+                  match src_reg_of_producer prod with
+                  | Some s -> Reg.equal s d
+                  | None -> false
+                in
+                (* The producer's source must be unchanged in between. *)
+                let src_ok =
+                  match src_reg_of_producer prod with
+                  | Some s ->
+                    if self_feeding then
+                      (* Adjacent exchange only, and never past a branch:
+                         the producer must still execute on the taken
+                         path. *)
+                      p2 = p1 + 1 && not (Insn.is_branch i2)
+                    else not (defs_between s p1 p2)
+                  | None -> true
+                in
+                if src_ok then
+                  match combine_consumer ctx r prod i2 with
+                  | Some _ as i2' ->
+                    replace.(p2) <- i2';
+                    swap.(p2) <- self_feeding;
+                    Impact_obs.Obs.count "pass.combine.combined";
+                    changed := true
+                  | None -> ())
+          (List.sort_uniq (fun (a, _) (b, _) -> Reg.compare a b) fed))
     sb;
   if not !changed then (l, false)
   else begin
     (* Apply replacements; swapped consumers move before their producer. *)
-    let items = Array.to_list sb.Sb.items in
     let rec apply p = function
       | [] -> []
-      | (Block.Ins _ as i1item) :: (Block.Ins _ :: _ as rest)
-        when Hashtbl.mem swap (p + 1) ->
-        let i2' = Hashtbl.find replace (p + 1) in
-        Block.Ins i2' :: i1item :: apply (p + 2) (List.tl rest)
-      | (Block.Ins _ as item) :: rest when Hashtbl.mem replace p ->
-        if Hashtbl.mem swap p then item :: apply (p + 1) rest
-        else Block.Ins (Hashtbl.find replace p) :: apply (p + 1) rest
+      | (Block.Ins _ as i1item) :: (Block.Ins _ :: _ as rest) when swap.(p + 1) ->
+        Block.Ins (Option.get replace.(p + 1)) :: i1item :: apply (p + 2) (List.tl rest)
+      | (Block.Ins _ as item) :: rest when Option.is_some replace.(p) ->
+        if swap.(p) then item :: apply (p + 1) rest
+        else Block.Ins (Option.get replace.(p)) :: apply (p + 1) rest
       | item :: rest -> item :: apply (p + 1) rest
     in
-    ({ l with Block.body = apply 0 items }, true)
+    ({ l with Block.body = apply 0 (Array.to_list sb.Sb.items) }, true)
   end
 
 let run (p : Prog.t) : Prog.t =
   let ctx = p.Prog.ctx in
   let transform (l : Block.loop) : Block.loop =
+    (* A round keeps every position's control flow: a replaced branch
+       keeps its target, and a swap exchanges two non-branch
+       instructions. So the unconditional positions of the first round
+       hold for every round. *)
+    let uncond = Dom.unconditional (Sb.of_loop l) in
     let rec go n l =
       if n = 0 then l
       else
-        let l', changed = round ctx l in
+        let l', changed = round ctx uncond l in
         if changed then go (n - 1) l' else l'
     in
     go 24 l

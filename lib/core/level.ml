@@ -65,7 +65,6 @@ let pipeline ?unroll_factor (level : t) : pass list =
     [
       (Conv, ("conv", Impact_opt.Conv.run));
       (Lev1, ("unroll", unroll ?factor:unroll_factor));
-      (Lev1, ("cleanup", cleanup));
       (Lev4, ("accum_expand", Expand.accum));
       (Lev4, ("ind_expand", Expand.induction));
       (Lev4, ("search_expand", Expand.search));

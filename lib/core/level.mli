@@ -4,14 +4,14 @@
 
     {v
       Conv  conv
-      Lev1  unroll; cleanup
+      Lev1  unroll
       Lev4  accum_expand; ind_expand; search_expand
       Lev2  rename
       Lev3  combine; strength; tree_height
       Lev1  cleanup
     v}
 
-    So Lev1 is [conv; unroll; cleanup; cleanup]. *)
+    So Lev1 is [conv; unroll; cleanup]. *)
 
 open Impact_ir
 

@@ -39,6 +39,20 @@ let group_combine_lat = function
 (* A leaf with its polarity (negated / inverted). *)
 type leaf = { op : Operand.t; inv : bool }
 
+(* Balanced reduce: repeatedly combine the two earliest-ready items (a
+   stable sort, so ties keep their order). Each ready time depends on
+   the ready times alone, so [height] gives the rebuilt critical path
+   without building anything. *)
+let rec balance ~lat combine items =
+  match List.sort (fun (_, a) (_, b) -> compare a b) items with
+  | [] -> invalid_arg "Tree_height.balance: empty"
+  | [ x ] -> x
+  | (o1, r1) :: (o2, r2) :: rest ->
+    balance ~lat combine ((combine o1 o2, max r1 r2 + lat) :: rest)
+
+let height ~lat readies =
+  snd (balance ~lat (fun () () -> ()) (List.map (fun r -> ((), r)) readies))
+
 let run (p : Prog.t) : Prog.t =
   let ctx = p.Prog.ctx in
   let process (block : Block.t) : Block.t =
@@ -118,30 +132,41 @@ let run (p : Prog.t) : Prog.t =
          operands. Returns (code, operand, ready). *)
       let reduce_balanced ~mk ~lat (items : (Operand.t * int) list) =
         let code = ref [] in
-        let rec go items =
-          match List.sort (fun (_, a) (_, b) -> compare a b) items with
-          | [] -> invalid_arg "reduce_balanced: empty"
-          | [ (o, r) ] -> (o, r)
-          | (o1, r1) :: (o2, r2) :: rest ->
-            let d = Reg.fresh ctx.Prog.rgen (match o1, o2 with
-              | Operand.Flt _, _ | _, Operand.Flt _ -> Reg.Float
-              | Operand.Reg rr, _ -> rr.Reg.cls
-              | _, Operand.Reg rr -> rr.Reg.cls
-              | _ -> Reg.Int)
-            in
-            code := !code @ [ mk d o1 o2 ];
-            go ((Operand.Reg d, max r1 r2 + lat) :: rest)
+        let combine o1 o2 =
+          let d = Reg.fresh ctx.Prog.rgen (match o1, o2 with
+            | Operand.Flt _, _ | _, Operand.Flt _ -> Reg.Float
+            | Operand.Reg rr, _ -> rr.Reg.cls
+            | _, Operand.Reg rr -> rr.Reg.cls
+            | _ -> Reg.Int)
+          in
+          code := !code @ [ mk d o1 o2 ];
+          Operand.Reg d
         in
-        let o, r = go items in
+        let o, r = balance ~lat combine items in
         (!code, o, r)
       in
-      (* Rebuild a chain; returns replacement code for the root or None. *)
-      let rebuild g (root : Insn.t) (ls : leaf list) : (Insn.t list * int) option =
+      (* A chain's rebuilt height, computed from its leaves alone, and a
+         thunk that builds the replacement code for the root; None when
+         the group cannot rebuild these leaves. Nothing is built (no
+         fresh register or instruction id is taken) until the thunk is
+         called. Chains have at least three leaves. *)
+      let rebuild g (root : Insn.t) (ls : leaf list) : (int * (unit -> Insn.t list)) option =
         let dst = Option.get root.Insn.dst in
-        let fls = List.filter (fun l -> not l.inv) ls in
-        let ils = List.filter (fun l -> l.inv) ls in
+        let fls = List.filter_map (fun l -> if l.inv then None else Some l.op) ls in
+        let ils = List.filter_map (fun l -> if l.inv then Some l.op else None) ls in
         let lat = group_combine_lat g in
-        let items l = List.map (fun lf -> (lf.op, 0)) l in
+        let leaf_height ops = height ~lat (List.map (fun _ -> 0) ops) in
+        let reduce mk ops = reduce_balanced ~mk ~lat (List.map (fun o -> (o, 0)) ops) in
+        (* The final combine writes the root's destination. *)
+        let onto_dst code =
+          match List.rev code with
+          | last :: prefix -> List.rev ({ last with Insn.dst = Some dst } :: prefix)
+          | [] -> invalid_arg "Tree_height.rebuild: no combine"
+        in
+        let tree mk ops () =
+          let code, _, _ = reduce mk ops in
+          onto_dst code
+        in
         match g with
         | GIAdd | GFAdd ->
           let mk d a b =
@@ -151,68 +176,51 @@ let run (p : Prog.t) : Prog.t =
             if g = GIAdd then Build.ib ctx Insn.Sub d a b else Build.fb ctx Insn.Fsub d a b
           in
           let zero = if g = GIAdd then Operand.Int 0 else Operand.Flt 0.0 in
-          if ils = [] then begin
-            let code, o, r = reduce_balanced ~mk ~lat (items fls) in
-            (* Rewrite the final combine onto the root destination. *)
-            match List.rev code with
-            | last :: prefix ->
-              Some (List.rev prefix @ [ { last with Insn.dst = Some dst } ], r)
-            | [] -> (
-              match o with
-              | _ -> None (* single leaf: nothing to balance *))
-          end
-          else begin
-            let pcode, pop, pr =
-              if fls = [] then ([], zero, 0) else reduce_balanced ~mk ~lat (items fls)
-            in
-            let ncode, nop, nr = reduce_balanced ~mk ~lat (items ils) in
-            let final = mk_sub dst pop nop in
-            Some (pcode @ ncode @ [ final ], max pr nr + lat)
-          end
+          if ils = [] then Some (leaf_height fls, tree mk fls)
+          else
+            let pr = if fls = [] then 0 else leaf_height fls in
+            Some
+              ( max pr (leaf_height ils) + lat,
+                fun () ->
+                  let pcode, pop, _ = if fls = [] then ([], zero, 0) else reduce mk fls in
+                  let ncode, nop, _ = reduce mk ils in
+                  pcode @ ncode @ [ mk_sub dst pop nop ] )
         | GIMul ->
           (* Integer chains contain only multiplies (no division). *)
-          let mk d a b = Build.ib ctx Insn.Mul d a b in
-          if ils <> [] then None
-          else begin
-            let code, _, r = reduce_balanced ~mk ~lat (items fls) in
-            match List.rev code with
-            | last :: prefix -> Some (List.rev prefix @ [ { last with Insn.dst = Some dst } ], r)
-            | [] -> None
-          end
-        | GFMul ->
-          let mk d a b = Build.fb ctx Insn.Fmul d a b in
+          if ils <> [] then None else Some (leaf_height fls, tree (Build.ib ctx Insn.Mul) fls)
+        | GFMul -> (
+          let mk = Build.fb ctx Insn.Fmul in
           let div_lat = Machine.latency (Insn.FBin Insn.Fdiv) in
-          if ils = [] then begin
-            let code, _, r = reduce_balanced ~mk ~lat (items fls) in
-            match List.rev code with
-            | last :: prefix -> Some (List.rev prefix @ [ { last with Insn.dst = Some dst } ], r)
-            | [] -> None
-          end
-          else begin
+          if ils = [] then Some (leaf_height fls, tree mk fls)
+          else
             (* Divide the denominator product into one numerator early so
                the divide overlaps the multiply tree. *)
-            let dcode, dop, dr = reduce_balanced ~mk ~lat (items ils) in
+            let qready = leaf_height ils + div_lat in
             match fls with
             | [] ->
-              let final = Build.fb ctx Insn.Fdiv dst (Operand.Flt 1.0) dop in
-              Some (dcode @ [ final ], dr + div_lat)
+              Some
+                ( qready,
+                  fun () ->
+                    let dcode, dop, _ = reduce mk ils in
+                    dcode @ [ Build.fb ctx Insn.Fdiv dst (Operand.Flt 1.0) dop ] )
             | n0 :: rest_nums ->
-              let q = Reg.fresh ctx.Prog.rgen Reg.Float in
-              let qi = Build.fb ctx Insn.Fdiv q n0.op dop in
-              let qready = dr + div_lat in
-              if rest_nums = [] then
-                Some (dcode @ [ { qi with Insn.dst = Some dst } ], qready)
-              else begin
-                let itemsq =
-                  (Operand.Reg q, qready) :: List.map (fun lf -> (lf.op, 0)) rest_nums
-                in
-                let code, _, r = reduce_balanced ~mk ~lat itemsq in
-                match List.rev code with
-                | last :: prefix ->
-                  Some (dcode @ [ qi ] @ List.rev prefix @ [ { last with Insn.dst = Some dst } ], r)
-                | [] -> None
-              end
-          end
+              let new_h =
+                if rest_nums = [] then qready
+                else height ~lat (qready :: List.map (fun _ -> 0) rest_nums)
+              in
+              Some
+                ( new_h,
+                  fun () ->
+                    let dcode, dop, _ = reduce mk ils in
+                    let q = Reg.fresh ctx.Prog.rgen Reg.Float in
+                    let qi = Build.fb ctx Insn.Fdiv q n0 dop in
+                    if rest_nums = [] then dcode @ [ { qi with Insn.dst = Some dst } ]
+                    else
+                      let code, _, _ =
+                        reduce_balanced ~mk ~lat
+                          ((Operand.Reg q, qready) :: List.map (fun o -> (o, 0)) rest_nums)
+                      in
+                      dcode @ [ qi ] @ onto_dst code ))
       in
       (* Walk roots and build the replacement map. *)
       let replace : (int, Insn.t list) Hashtbl.t = Hashtbl.create 4 in
@@ -241,9 +249,9 @@ let run (p : Prog.t) : Prog.t =
               in
               if safe then
                 match rebuild g i ls with
-                | Some (code, new_h) when new_h < old_height g j ->
+                | Some (new_h, build) when new_h < old_height g j ->
                   Impact_obs.Obs.count "pass.tree_height.reduced";
-                  Hashtbl.replace replace j code
+                  Hashtbl.replace replace j (build ())
                 | _ -> ()
             end)
           | _ -> ())

@@ -543,6 +543,18 @@ let ddg_tests =
       let ld_a = Build.load ctx Reg.Float f2 (Operand.Lab "A") (Operand.Reg w) in
       let ddg2 = Ddg.build (sb_of [ Block.Ins st; Block.Ins ld_a ]) in
       check_bool "edge on same address" true (edge_exists ddg2 0 1));
+    test "unrelated register bases may alias" (fun () ->
+      (* Neither address has a label and nothing relates the two bases,
+         so the load and the later store must stay ordered. The front
+         end gives every access a label base; this shape is hand-built. *)
+      let ctx = Prog.make_ctx () in
+      let a = Reg.fresh ctx.Prog.rgen Reg.Int in
+      let b = Reg.fresh ctx.Prog.rgen Reg.Int in
+      let f1 = Reg.fresh ctx.Prog.rgen Reg.Float in
+      let ld = Build.load ctx Reg.Float f1 (Operand.Reg a) (Operand.Int 0) in
+      let st = Build.store ctx Reg.Float (Operand.Reg b) (Operand.Int 0) (Operand.Flt 1.0) in
+      let ddg = Ddg.build (sb_of [ Block.Ins ld; Block.Ins st ]) in
+      check_bool "load -> store" true (edge_exists ddg 0 1));
     test "duplicate edges keep the max latency" (fun () ->
       (* The store reads f1 (anti edge, latency 0) and may alias the
          reload (memory edge, latency 1). *)

@@ -150,18 +150,18 @@ let pass_tests =
       in
       let lev1 = [ "conv"; "unroll"; "cleanup" ] in
       let lev4 =
-        lev1
-        @ [ "accum_expand"; "ind_expand"; "search_expand"; "rename"; "combine"; "strength";
-            "tree_height"; "cleanup" ]
+        [ "conv"; "unroll"; "accum_expand"; "ind_expand"; "search_expand"; "rename"; "combine";
+          "strength"; "tree_height"; "cleanup" ]
       in
       check Level.Conv [ "conv" ];
-      check Level.Lev1 (lev1 @ [ "cleanup" ]);
-      check Level.Lev2 (lev1 @ [ "rename"; "cleanup" ]);
-      check Level.Lev3 (lev1 @ [ "rename"; "combine"; "strength"; "tree_height"; "cleanup" ]);
+      check Level.Lev1 lev1;
+      check Level.Lev2 [ "conv"; "unroll"; "rename"; "cleanup" ];
+      check Level.Lev3
+        [ "conv"; "unroll"; "rename"; "combine"; "strength"; "tree_height"; "cleanup" ];
       check Level.Lev4 lev4;
       Alcotest.(check (list string)) "Conv's own steps"
-        [ "branch_simplify"; "cleanup"; "licm"; "cleanup"; "ivopt_reduce"; "cleanup";
-          "ivopt_eliminate"; "cleanup"; "branch_simplify" ]
+        [ "branch_simplify"; "cleanup"; "licm"; "ivopt_reduce"; "cleanup"; "ivopt_eliminate";
+          "cleanup" ]
         (names Impact_opt.Conv.passes));
     test "every pass preserves the corpus at every level" (fun () ->
       List.iter
@@ -179,10 +179,70 @@ let pass_tests =
         Impact_workloads.Suite.all);
   ]
 
+(* ---- every pipeline entry changes some output ----
+
+   The subjects are the 40 corpus kernels and examples/kernels/
+   tree_height.f, whose chains tree height reduction rebuilds (no
+   corpus chain passes its checks). *)
+
+let tree_height_example = "../examples/kernels/tree_height.f"
+
+let printed p = Pp.prog_to_string p
+
+let entry_tests =
+  let subjects () =
+    Impact_fir.Parse.parse_file tree_height_example
+    :: List.map (fun (w : Impact_workloads.Suite.t) -> w.Impact_workloads.Suite.ast)
+         Impact_workloads.Suite.all
+  in
+  let without k passes = List.filteri (fun i _ -> i <> k) passes in
+  [
+    test "every pipeline entry changes some output" (fun () ->
+      (* Each entry of Conv's steps, dropped alone, must change some
+         subject's Conv output; each entry of Lev4's list must change
+         some subject's Lev4 output. *)
+      let subjects = subjects () in
+      let check_list what level passes =
+        List.iteri
+          (fun k (name, _) ->
+            let changed =
+              List.exists
+                (fun ast ->
+                  printed (Level.run (without k passes) (lower ast))
+                  <> printed (Level.apply level (lower ast)))
+                subjects
+            in
+            if not changed then
+              Alcotest.failf "%s entry %d (%s) changes no output when dropped" what k name)
+          passes
+      in
+      check_list "Conv.passes" Level.Conv Impact_opt.Conv.passes;
+      check_list "Level.pipeline Lev4" Level.Lev4 (Level.pipeline Level.Lev4));
+    test "tree_height.f: tree height reduction fires, Lev4 output pinned" (fun () ->
+      let module Obs = Impact_obs.Obs in
+      let ast = Impact_fir.Parse.parse_file tree_height_example in
+      let c0 = Obs.collecting () in
+      Obs.set_collecting true;
+      Fun.protect ~finally:(fun () -> Obs.set_collecting c0) @@ fun () ->
+      List.iter
+        (fun level ->
+          Obs.reset ();
+          ignore (Level.apply level (lower ast));
+          check_int
+            (Level.to_string level ^ ": chains rebuilt (eight unrolled copies and the remainder)")
+            9
+            (Option.value ~default:0
+               (List.assoc_opt "pass.tree_height.reduced" (Obs.report ()).Obs.r_counters)))
+        [ Level.Lev3; Level.Lev4 ];
+      check_string "Lev4 output digest" "287057d62ab51622e5bfc3ba1a78bf46"
+        (Digest.to_hex (Digest.string (printed (Level.apply Level.Lev4 (lower ast))))));
+  ]
+
 let suite =
   [
     ("integration.pipeline", pipeline_tests);
     ("integration.experiment", experiment_tests);
     ("integration.capping", capping_tests);
     ("integration.passes", pass_tests);
+    ("integration.entries", entry_tests);
   ]

@@ -324,6 +324,7 @@ let file_tests =
           "../examples/kernels/dotprod.f";
           "../examples/kernels/clipsum.f";
           "../examples/kernels/cse_order.f";
+          "../examples/kernels/tree_height.f";
         ]);
   ]
 

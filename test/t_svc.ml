@@ -261,6 +261,27 @@ let test_store_old_version_entry () =
   Helpers.check_bool "republished entry hits" true (Store.lookup st3 q <> None);
   Helpers.check_int "republished read is fresh" 0 (Store.stats st3).Store.stale
 
+let test_store_implausible_entry () =
+  (* An intact entry whose measurement answers another level or another
+     machine than its query must read as a corrupt miss, never as a
+     hit: the plausibility check is the last line of defence against a
+     misfiled payload. *)
+  List.iter
+    (fun (what, level, machine) ->
+      let dir = fresh_dir () in
+      let st = Store.open_store dir in
+      let q = query_of ~ast:vecadd ~opts:Opts.default Level.Lev2 Machine.issue_4 in
+      Store.add st q (measure_default level machine vecadd);
+      let st2 = Store.open_store dir in
+      Helpers.check_bool (what ^ ": misses") true (Store.lookup st2 q = None);
+      let s = Store.stats st2 in
+      Helpers.check_int (what ^ ": corrupt counted") 1 s.Store.corrupt;
+      Helpers.check_int (what ^ ": no disk hit") 0 s.Store.disk_hits)
+    [
+      ("another level", Level.Lev3, Machine.issue_4);
+      ("another machine", Level.Lev2, Machine.issue_8);
+    ]
+
 let test_store_obs_counters () =
   let dir = fresh_dir () in
   let st = Store.open_store dir in
@@ -737,6 +758,7 @@ let suite =
         Alcotest.test_case "corrupt entry" `Quick test_store_corrupt_entry;
         Alcotest.test_case "version mismatch" `Quick test_store_version_mismatch;
         Alcotest.test_case "old-version entry" `Quick test_store_old_version_entry;
+        Alcotest.test_case "implausible entry" `Quick test_store_implausible_entry;
         Alcotest.test_case "obs counters" `Quick test_store_obs_counters;
         Alcotest.test_case "lru eviction" `Quick test_store_lru_eviction;
         Alcotest.test_case "crash recovery: orphaned temp swept" `Quick
