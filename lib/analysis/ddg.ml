@@ -1,5 +1,6 @@
-(* Data-dependence graph of a superblock (or any straight-line segment
-   with side exits). Nodes are item positions holding instructions.
+(* Data-dependence graph of a label-free instruction segment: a
+   superblock's straight-line code, whose only breaks are side exits.
+   Nodes are positions in the instruction array.
 
    Edges, deduplicated to the max latency per (src, dst) pair:
    - flow: def -> use, with the producer's latency;
@@ -11,9 +12,6 @@
      constraints (an instruction may move above a branch only if it is
      speculatable and its destination is dead at the branch target).
 
-   Any internal label that survives superblock formation is treated as a
-   full scheduling barrier (sound fallback).
-
    Every edge ends at the later of its two positions, so the builder
    walks the segment once, collects each position's incoming edges in
    an [inbox] and fills the deduplicated successor lists from it.
@@ -23,36 +21,32 @@
 open Impact_ir
 
 type t = {
-  sb : Sb.t;
-  nodes : int list;  (* instruction positions, in program order *)
+  insns : Insn.t array;
   succs : (int * int) list array;  (* position -> (succ position, latency) *)
 }
 
-(* Conservative default: every destination is considered live at every
-   branch target, i.e. no speculation. *)
-let no_speculation : Insn.t -> Reg.Set.t option = fun _ -> None
+(* Linear values of a segment; no branch in it targets these labels. *)
+let linval (insns : Insn.t array) : Linval.t =
+  Linval.analyze
+    (Sb.make ~head:"\000head" ~exit_lbl:"\000exit" (Array.map (fun i -> Block.Ins i) insns))
 
 (* Smallest register id a segment mentions and the width of the id
    range (0 when it mentions none). *)
-let reg_range (sb : Sb.t) : int * int =
+let reg_range (insns : Insn.t array) : int * int =
   let lo = ref max_int and hi = ref min_int in
   let see (r : Reg.t) =
     if r.Reg.id < !lo then lo := r.Reg.id;
     if r.Reg.id > !hi then hi := r.Reg.id
   in
   Array.iter
-    (function
-      | Block.Ins i ->
-        (match i.Insn.dst with Some r -> see r | None -> ());
-        Array.iter (function Operand.Reg r -> see r | _ -> ()) i.Insn.srcs
-      | Block.Lbl _ | Block.Loop _ -> ())
-    sb.Sb.items;
+    (fun (i : Insn.t) ->
+      (match i.Insn.dst with Some r -> see r | None -> ());
+      Array.iter (function Operand.Reg r -> see r | _ -> ()) i.Insn.srcs)
+    insns;
   if !hi < !lo then (0, 0) else (!lo, !hi - !lo + 1)
 
-let latencies (sb : Sb.t) : int array =
-  Array.map
-    (function Block.Ins i -> Machine.latency i.Insn.op | Block.Lbl _ | Block.Loop _ -> 0)
-    sb.Sb.items
+let latencies (insns : Insn.t array) : int array =
+  Array.map (fun (i : Insn.t) -> Machine.latency i.Insn.op) insns
 
 (* A memory operation, with its address and single array label worked
    out once. *)
@@ -130,11 +124,11 @@ let drain b f =
   done;
   b.nsrcs <- 0
 
-let build ?(live_at_target = no_speculation) ?(pre_env = Reg.Map.empty) (sb : Sb.t) : t =
-  let n = Sb.length sb in
-  let lv = Linval.analyze sb in
-  let lat = latencies sb in
-  let lo, nr = reg_range sb in
+let build ~live_at_target ~pre_env (insns : Insn.t array) : t =
+  let n = Array.length insns in
+  let lv = linval insns in
+  let lat = latencies insns in
+  let lo, nr = reg_range insns in
   let last_def = Array.make nr (-1) in
   let uses_since = Array.make nr [] in
   let box = inbox n in
@@ -142,119 +136,87 @@ let build ?(live_at_target = no_speculation) ?(pre_env = Reg.Map.empty) (sb : Sb
   let succs = Array.make n [] in
   let mems = Array.make n None in
   let nmems = ref 0 in
-  (* (position, live set at its target or None), latest first. *)
+  (* (position, live set at its target), latest first. *)
   let branches = ref [] in
   let stores_since_branch = ref [] in
   (* (position, destination) of earlier register-writing instructions:
      a later branch pins every one whose destination is live at its
      target (on the taken path the write must already have happened). *)
   let defs_so_far = ref [] in
-  let insn_positions = Sb.insn_positions sb in
-  let last_insn_pos = match List.rev insn_positions with [] -> -1 | p :: _ -> p in
-  (* A label since the last instruction, and the first instruction
-     after each earlier label: leftover labels are full barriers. *)
-  let after_label = ref false in
-  let barriers = ref [] in
-  let before p = List.iter (fun q -> if q < p then add q p 0) insn_positions in
   for p = 0 to n - 1 do
-    match sb.Sb.items.(p) with
-    | Block.Loop _ -> invalid_arg "Ddg.build: nested loop"
-    | Block.Lbl _ -> after_label := true
-    | Block.Ins i ->
-      (* Register flow, anti and output dependences. *)
-      Array.iter
-        (function
-          | Operand.Reg r ->
-            let k = r.Reg.id - lo in
-            let d = last_def.(k) in
-            if d >= 0 then add d p lat.(d);
-            uses_since.(k) <- p :: uses_since.(k)
-          | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ())
-        i.Insn.srcs;
-      (match i.Insn.dst with
-      | Some r ->
-        let k = r.Reg.id - lo in
-        List.iter (fun u -> add u p 0) uses_since.(k);
-        if last_def.(k) >= 0 then add last_def.(k) p 0;
-        last_def.(k) <- p;
-        uses_since.(k) <- []
-      | None -> ());
-      (* Memory dependences. *)
-      if Insn.is_mem i then begin
-        let m = mem_of lv p i in
-        for k = 0 to !nmems - 1 do
-          let q = Option.get mems.(k) in
-          if
-            (m.mst || q.mst)
-            && (not (other_arrays q m))
-            && may_alias lv pre_env (Linval.relation q.maddr m.maddr) q m
-          then add q.mpos p (mem_lat q)
-        done;
-        mems.(!nmems) <- Some m;
-        incr nmems
-      end;
-      (* Control dependences. *)
-      if Insn.is_branch i then begin
-        (match !branches with (b, _) :: _ -> add b p 0 | [] -> ());
-        List.iter (fun s -> add s p 0) !stores_since_branch;
-        stores_since_branch := [];
-        let live = live_at_target i in
-        (* Writes whose results the taken path needs may not sink below
-           this branch. *)
-        List.iter
-          (fun (q, d) ->
-            match live with
-            | None -> add q p 0
-            | Some set -> if Reg.Set.mem d set then add q p 0)
-          !defs_so_far;
-        branches := (p, live) :: !branches;
-        (* Nothing may sink past a final control transfer. *)
-        if p = last_insn_pos then before p
-      end
-      else if Insn.is_store i then begin
-        (match !branches with (b, _) :: _ -> add b p 0 | [] -> ());
-        stores_since_branch := p :: !stores_since_branch
-      end
-      else begin
-        (* Speculatable instruction: may not hoist above a branch whose
-           off-path target needs its destination. *)
-        match i.Insn.dst with
-        | None -> ()
-        | Some d ->
-          List.iter
-            (fun (b, live) ->
-              match live with
-              | None -> add b p 0
-              | Some set -> if Reg.Set.mem d set then add b p 0)
-            !branches;
-          defs_so_far := (p, d) :: !defs_so_far
-      end;
-      List.iter (fun r -> add r p 0) !barriers;
-      if !after_label then begin
-        before p;
-        barriers := p :: !barriers;
-        after_label := false
-      end;
-      drain box (fun s l -> succs.(s) <- (p, l) :: succs.(s))
+    let i = insns.(p) in
+    (* Register flow, anti and output dependences. *)
+    Array.iter
+      (function
+        | Operand.Reg r ->
+          let k = r.Reg.id - lo in
+          let d = last_def.(k) in
+          if d >= 0 then add d p lat.(d);
+          uses_since.(k) <- p :: uses_since.(k)
+        | Operand.Int _ | Operand.Flt _ | Operand.Lab _ -> ())
+      i.Insn.srcs;
+    (match i.Insn.dst with
+    | Some r ->
+      let k = r.Reg.id - lo in
+      List.iter (fun u -> add u p 0) uses_since.(k);
+      if last_def.(k) >= 0 then add last_def.(k) p 0;
+      last_def.(k) <- p;
+      uses_since.(k) <- []
+    | None -> ());
+    (* Memory dependences. *)
+    if Insn.is_mem i then begin
+      let m = mem_of lv p i in
+      for k = 0 to !nmems - 1 do
+        let q = Option.get mems.(k) in
+        if
+          (m.mst || q.mst)
+          && (not (other_arrays q m))
+          && may_alias lv pre_env (Linval.relation q.maddr m.maddr) q m
+        then add q.mpos p (mem_lat q)
+      done;
+      mems.(!nmems) <- Some m;
+      incr nmems
+    end;
+    (* Control dependences. *)
+    if Insn.is_branch i then begin
+      (match !branches with (b, _) :: _ -> add b p 0 | [] -> ());
+      List.iter (fun s -> add s p 0) !stores_since_branch;
+      stores_since_branch := [];
+      let live = live_at_target i in
+      (* Writes whose results the taken path needs may not sink below
+         this branch. *)
+      List.iter (fun (q, d) -> if Reg.Set.mem d live then add q p 0) !defs_so_far;
+      branches := (p, live) :: !branches;
+      (* Nothing may sink past a final control transfer. *)
+      if p = n - 1 then for q = 0 to p - 1 do add q p 0 done
+    end
+    else if Insn.is_store i then begin
+      (match !branches with (b, _) :: _ -> add b p 0 | [] -> ());
+      stores_since_branch := p :: !stores_since_branch
+    end
+    else begin
+      (* Speculatable instruction: may not hoist above a branch whose
+         off-path target needs its destination. *)
+      match i.Insn.dst with
+      | None -> ()
+      | Some d ->
+        List.iter (fun (b, live) -> if Reg.Set.mem d live then add b p 0) !branches;
+        defs_so_far := (p, d) :: !defs_so_far
+    end;
+    drain box (fun s l -> succs.(s) <- (p, l) :: succs.(s))
   done;
-  { sb; nodes = insn_positions; succs }
+  { insns; succs }
 
 (* Longest-path height of each node to the end of the segment, counting
    the node's own latency; the classic list-scheduling priority. *)
 let heights (t : t) : int array =
-  let n = Sb.length t.sb in
-  let h = Array.make n 0 in
-  let order = List.rev t.nodes in
-  List.iter
-    (fun p ->
-      let lat_self =
-        match Sb.insn t.sb p with Some i -> Machine.latency i.Insn.op | None -> 0
-      in
-      let succ_max =
-        List.fold_left (fun acc (d, lat) -> Int.max acc (h.(d) + lat)) 0 t.succs.(p)
-      in
-      h.(p) <- Int.max lat_self succ_max)
-    order;
+  let h = Array.make (Array.length t.insns) 0 in
+  for p = Array.length t.insns - 1 downto 0 do
+    let succ_max =
+      List.fold_left (fun acc (d, lat) -> Int.max acc (h.(d) + lat)) 0 t.succs.(p)
+    in
+    h.(p) <- Int.max (Machine.latency t.insns.(p).Insn.op) succ_max
+  done;
   h
 
 (* ---- Dependence edges of the modulo scheduler ----
@@ -283,12 +245,10 @@ let compare_edge a b =
   else Int.compare a.dist b.dist
 
 let modulo_edges ~pre_env (insns : Insn.t array) : edge list =
-  let items = Array.map (fun i -> Block.Ins i) insns in
-  let sb = Sb.make ~head:"\000mhead" ~exit_lbl:"\000mexit" items in
   let n = Array.length insns in
-  let lv = Linval.analyze sb in
-  let lat = latencies sb in
-  let lo, nr = reg_range sb in
+  let lv = linval insns in
+  let lat = latencies insns in
+  let lo, nr = reg_range insns in
   let first_def = Array.make nr (-1) in
   let last_def = Array.make nr (-1) in
   let out = ref [] in

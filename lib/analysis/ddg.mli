@@ -1,26 +1,28 @@
-(** Data-dependence graph of a superblock. Edges carry the latencies the
-    list scheduler must respect; control edges encode branch ordering,
-    store/branch ordering, and the superblock speculation rules (an
-    instruction may move above a branch only if it is speculatable and
-    its destination is dead at the branch target, and may not sink below
-    a branch whose taken path needs its result). *)
+(** Data-dependence graph of a label-free instruction segment (a
+    superblock's straight-line code, whose only breaks are side exits).
+    Edges carry the latencies the list scheduler must respect; control
+    edges encode branch ordering, store/branch ordering, and the
+    superblock speculation rules (an instruction may move above a branch
+    only if it is speculatable and its destination is dead at the branch
+    target, and may not sink below a branch whose taken path needs its
+    result). *)
 
 open Impact_ir
 
 type t = {
-  sb : Sb.t;
-  nodes : int list;  (** instruction positions in program order *)
+  insns : Insn.t array;  (** the segment; nodes are its positions *)
   succs : (int * int) list array;
       (** position -> (successor, latency), one entry per successor at
           the max latency of the dependences between the two *)
 }
 
 val build :
-  ?live_at_target:(Insn.t -> Reg.Set.t option) ->
-  ?pre_env:Linval.lin Reg.Map.t ->
-  Sb.t ->
+  live_at_target:(Insn.t -> Reg.Set.t) ->
+  pre_env:Linval.lin Reg.Map.t ->
+  Insn.t array ->
   t
-(** [pre_env] supplies preheader-established relations between live-in
+(** [live_at_target] gives the registers live at a branch's target.
+    [pre_env] supplies preheader-established relations between live-in
     registers (e.g. expanded induction pointers), used to disambiguate
     addresses whose difference is iteration-invariant. *)
 

@@ -46,26 +46,6 @@ let to_float env buf (o : Operand.t) : Operand.t =
     emit_i buf (Build.itof env.ctx d o);
     Operand.reg d
 
-let fold_ibin op a b =
-  match op with
-  | Insn.Add -> Some (a + b)
-  | Insn.Sub -> Some (a - b)
-  | Insn.Mul -> Some (a * b)
-  | Insn.Div -> if b = 0 then None else Some (a / b)
-  | Insn.Rem -> if b = 0 then None else Some (a mod b)
-  | Insn.Shl -> Some (a lsl b)
-  | Insn.Shr -> Some (a asr b)
-  | Insn.And -> Some (a land b)
-  | Insn.Or -> Some (a lor b)
-  | Insn.Xor -> Some (a lxor b)
-
-let fold_fbin op a b =
-  match op with
-  | Insn.Fadd -> a +. b
-  | Insn.Fsub -> a -. b
-  | Insn.Fmul -> a *. b
-  | Insn.Fdiv -> a /. b
-
 let ibin_of = function
   | Ast.BAdd -> Insn.Add
   | Ast.BSub -> Insn.Sub
@@ -140,7 +120,7 @@ and lower_ibin env buf iop a b : Operand.t =
   let ob = lower_expr env buf b in
   let fold =
     match oa, ob with
-    | Operand.Int x, Operand.Int y -> fold_ibin iop x y
+    | Operand.Int x, Operand.Int y -> Insn.eval_ibin iop x y
     | _ -> None
   in
   match fold with
@@ -154,7 +134,7 @@ and lower_fbin env buf fop a b : Operand.t =
   let oa = to_float env buf (lower_expr env buf a) in
   let ob = to_float env buf (lower_expr env buf b) in
   match oa, ob with
-  | Operand.Flt x, Operand.Flt y -> Operand.Flt (fold_fbin fop x y)
+  | Operand.Flt x, Operand.Flt y -> Operand.Flt (Insn.eval_fbin fop x y)
   | _ ->
     let d = Reg.fresh env.ctx.Prog.rgen Reg.Float in
     emit_i buf (Build.fb env.ctx fop d oa ob);

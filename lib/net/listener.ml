@@ -139,10 +139,6 @@ let stats t =
     dropped_conns = Atomic.get t.c_dropped;
   }
 
-let bump c obs_name =
-  Atomic.incr c;
-  Obs.count obs_name
-
 (* ---- Response records owned by the network layer ---- *)
 
 let overloaded_record ~line ~capacity =
@@ -351,24 +347,18 @@ let fill cell resp =
 
 let handle_request t cn ~t_read raw =
   let line = cn.cn_lineno in
-  bump t.c_requests "net.request";
-  if Faults.slow_read cn.cn_rd_faults then begin
-    Obs.count "net.fault.slow_read";
-    Faults.delay cn.cn_rd_faults
-  end;
+  Atomic.incr t.c_requests;
+  if Faults.slow_read cn.cn_rd_faults then Faults.delay cn.cn_rd_faults;
   match inline_op raw with
   | Some `Health ->
-    Obs.count "net.health";
     let c = push_cell cn (lifecycle ~conn:cn.cn_id ~line ~kind:"health" t_read) in
     fill c (health_record t ~line)
   | Some `Metrics ->
-    Obs.count "net.metrics";
     let c = push_cell cn (lifecycle ~conn:cn.cn_id ~line ~kind:"metrics" t_read) in
     fill c (metrics_record t ~line)
   | None ->
     let cfg = t.cfg in
     let slow = Faults.slow_cell cn.cn_rd_faults in
-    if slow then Obs.count "net.fault.slow_cell";
     let lc = lifecycle ~conn:cn.cn_id ~line ~kind:"query" t_read in
     let c = push_cell cn lc in
     let arrival = Obs.now () in
@@ -378,7 +368,7 @@ let handle_request t cn ~t_read raw =
       | Some ms -> (Obs.now () -. arrival) *. 1000.0 > float_of_int ms
     in
     let deadlined () =
-      bump t.c_deadlined "net.deadline";
+      Atomic.incr t.c_deadlined;
       lc.lc_outcome <- "deadline";
       deadline_record ~line ~deadline_ms:(Option.get cfg.deadline_ms)
     in
@@ -407,7 +397,7 @@ let handle_request t cn ~t_read raw =
     in
     lc.lc_admit <- Obs.now ();
     if not (Pool.submit t.exec job) then begin
-      bump t.c_shed "net.shed";
+      Atomic.incr t.c_shed;
       lc.lc_outcome <- "shed";
       let now = Obs.now () in
       lc.lc_admit <- now;
@@ -420,7 +410,7 @@ let handle_line t cn item =
   let t_read = Obs.now () in
   match item with
   | Service.Oversized max_line ->
-    bump t.c_too_long "net.too_long";
+    Atomic.incr t.c_too_long;
     let lc =
       lifecycle ~conn:cn.cn_id ~line:cn.cn_lineno ~kind:"too_long" t_read
     in
@@ -474,7 +464,7 @@ let promote t cn =
         (* Mid-line disconnect: half the response on the wire, then
            sever both directions once the torn bytes have flushed — so
            the torn tail is the last thing the peer ever sees. *)
-        bump t.c_dropped "net.fault.drop_conn";
+        Atomic.incr t.c_dropped;
         cn.cn_alive <- false;
         Evloop.Outq.push cn.cn_out
           ~on_flush:(fun ~wrote:_ -> sever t cn)
@@ -485,7 +475,7 @@ let promote t cn =
       else
         Evloop.Outq.push cn.cn_out
           ~on_flush:(fun ~wrote ->
-            if wrote then bump t.c_responses "net.response";
+            if wrote then Atomic.incr t.c_responses;
             finish_lifecycle t cell.c_lc ~t1:(Obs.now ())
               ~bytes:(String.length resp) ~wrote ~sampled:cn.cn_sampled)
           (resp ^ "\n")
@@ -514,8 +504,7 @@ let conn_finished cn =
 let close_conn t cn =
   (try Unix.close cn.cn_fd with _ -> ());
   Hashtbl.remove t.conns cn.cn_fd;
-  t.active <- t.active - 1;
-  Obs.count "net.conn.close"
+  t.active <- t.active - 1
 
 let accept_burst t =
   let continue = ref true in
@@ -528,7 +517,7 @@ let accept_burst t =
       continue := false
     | exception Unix.Unix_error (_, _, _) -> continue := false
     | fd, _ ->
-      bump t.c_accepted "net.accept";
+      Atomic.incr t.c_accepted;
       Unix.set_nonblock fd;
       (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
       let id = t.next_conn in
@@ -561,7 +550,6 @@ let accept_burst t =
 
 let begin_drain t =
   if t.accepting then begin
-    Obs.count "net.drain";
     t.accepting <- false;
     (try Unix.close t.lfd with _ -> ());
     (* No new requests: every connection's unread bytes are abandoned,

@@ -63,10 +63,8 @@
     cells); a severed connection loses only its own remaining
     responses.
 
-    Everything is counted both in {!stats} and in {!Impact_obs.Obs}
-    ([net.accept], [net.request], [net.response], [net.shed],
-    [net.deadline], [net.too_long], [net.health], [net.drain],
-    [net.conn.close], [net.fault.*]). *)
+    The request counters live in one place, the atomics behind
+    {!stats}. *)
 
 type config = {
   host : string;  (** interface to bind, name or dotted quad *)

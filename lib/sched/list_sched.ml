@@ -13,11 +13,9 @@ type result = {
 }
 
 (* Schedule a label-free instruction segment. *)
-let schedule_segment (machine : Machine.t) ~live_at_target
-    ?(pre_env = Reg.Map.empty) (insns : Insn.t array) : result =
-  let items = Array.map (fun i -> Block.Ins i) insns in
-  let sb = Sb.make ~head:"\000head" ~exit_lbl:"\000exit" items in
-  let ddg = Ddg.build ~live_at_target ~pre_env sb in
+let schedule_segment (machine : Machine.t) ~live_at_target ~pre_env (insns : Insn.t array) :
+    result =
+  let ddg = Ddg.build ~live_at_target ~pre_env insns in
   let n = Array.length insns in
   let issue = machine.Machine.issue and slots = machine.Machine.branch_slots in
   (* Ready sets are bitsets over height rank, visited in priority order. *)
@@ -93,7 +91,7 @@ let schedule_segment (machine : Machine.t) ~live_at_target
   }
 
 type loop_scheduler =
-  live_at_target:(Insn.t -> Reg.Set.t option) ->
+  live_at_target:(Insn.t -> Reg.Set.t) ->
   pre_env:Linval.lin Reg.Map.t ->
   Block.loop ->
   Block.item list
@@ -108,8 +106,7 @@ let schedule_loop (machine : Machine.t) ~live_at_target ~pre_env (l : Block.loop
    evaluated symbolically so the scheduler can disambiguate addresses
    built from expanded induction registers. *)
 let map_loops (p : Prog.t) (f : loop_scheduler) =
-  let target_live = Liveness.target_live (Liveness.Dense.of_prog p) in
-  let live_at_target i = Some (target_live i) in
+  let live_at_target = Liveness.target_live (Liveness.Dense.of_prog p) in
   let schedule pre l =
     let pre_env = Linval.env_of_items pre in
     pre @ f ~live_at_target ~pre_env l

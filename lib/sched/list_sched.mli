@@ -18,13 +18,13 @@ type result = {
 
 val schedule_segment :
   Machine.t ->
-  live_at_target:(Insn.t -> Reg.Set.t option) ->
-  ?pre_env:Linval.lin Reg.Map.t ->
+  live_at_target:(Insn.t -> Reg.Set.t) ->
+  pre_env:Linval.lin Reg.Map.t ->
   Insn.t array ->
   result
 
 type loop_scheduler =
-  live_at_target:(Insn.t -> Reg.Set.t option) ->
+  live_at_target:(Insn.t -> Reg.Set.t) ->
   pre_env:Linval.lin Reg.Map.t ->
   Block.loop ->
   Block.item list

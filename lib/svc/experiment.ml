@@ -45,7 +45,7 @@ type poisoned = { psubject : string; plevel : Level.t; pmachine : string }
 
 let total_regs c = c.int_regs + c.float_regs
 
-let default_on_poison p =
+let report_poison p =
   (* One write so concurrent domains cannot interleave mid-line. *)
   prerr_string
     (Printf.sprintf "  [poisoned] %s %s %s: simulation fuel exhausted\n"
@@ -172,9 +172,8 @@ let run_subject_full ?store (opts : Opts.t) (machines : Machine.t list)
     in
     (cells, List.rev !poisons)
 
-let run_all_with ?store ?workers ?(progress = fun _ -> ())
-    ?(on_poison = default_on_poison) (opts : Opts.t) (machines : Machine.t list)
-    (levels : Level.t list) (subjects : subject list) : cell list =
+let run_all_with ?store ?workers ?(progress = fun _ -> ()) (opts : Opts.t)
+    (machines : Machine.t list) (levels : Level.t list) (subjects : subject list) : cell list =
   let results =
     Impact_exec.Pool.map ?workers
       (fun s ->
@@ -183,7 +182,7 @@ let run_all_with ?store ?workers ?(progress = fun _ -> ())
       (Array.of_list subjects)
   in
   (* Poison reports after the join, in deterministic subject order. *)
-  Array.iter (fun (_, ps) -> List.iter on_poison ps) results;
+  Array.iter (fun (_, ps) -> List.iter report_poison ps) results;
   List.concat_map fst (Array.to_list results)
 
 (* Per-cell listing, useful for debugging and EXPERIMENTS.md. *)

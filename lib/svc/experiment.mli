@@ -28,10 +28,6 @@ type cell = {
   float_regs : int;
 }
 
-type poisoned = { psubject : string; plevel : Level.t; pmachine : string }
-(** A cell whose simulation exhausted its fuel; named so the harness can
-    report it without crashing the run. *)
-
 val total_regs : cell -> int
 
 val query : subject -> Opts.t -> Level.t -> Machine.t -> Query.t
@@ -67,7 +63,6 @@ val run_all_with :
   ?store:Store.t ->
   ?workers:int ->
   ?progress:(string -> unit) ->
-  ?on_poison:(poisoned -> unit) ->
   Opts.t ->
   Machine.t list ->
   Level.t list ->
@@ -77,8 +72,8 @@ val run_all_with :
     ([workers] defaults to [Impact_exec.Pool.resolve_workers ()]), every
     cell and base through {!measure}. The returned cell list is
     deterministic and identical for any worker count — with or without
-    a warm store; [progress] runs on worker domains, poison reports are
-    delivered after the join in subject order. *)
+    a warm store; [progress] runs on worker domains; poisoned cells are
+    left out and reported on stderr after the join, in subject order. *)
 
 val cells_csv : cell list -> string
 (** Per-cell listing, one CSV row per cell. *)

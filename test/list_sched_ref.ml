@@ -10,11 +10,9 @@ open Impact_ir
 open Impact_analysis
 module List_sched = Impact_sched.List_sched
 
-let schedule_segment (machine : Machine.t) ~live_at_target ?(pre_env = Reg.Map.empty)
-    (insns : Insn.t array) : List_sched.result =
-  let items = Array.map (fun i -> Block.Ins i) insns in
-  let sb = Sb.make ~head:"\000head" ~exit_lbl:"\000exit" items in
-  let ddg = Ddg.build ~live_at_target ~pre_env sb in
+let schedule_segment (machine : Machine.t) ~live_at_target ~pre_env (insns : Insn.t array) :
+    List_sched.result =
+  let ddg = Ddg.build ~live_at_target ~pre_env insns in
   let heights = Ddg.heights ddg in
   let n = Array.length insns in
   let scheduled = Array.make n (-1) in
@@ -91,8 +89,7 @@ let machines =
 (* The label-free segments [List_sched.run] schedules: each innermost
    loop body split at its labels, with the preheader's environment. *)
 let segments (p : Prog.t) =
-  let target_live = Liveness.target_live (Liveness.Dense.of_prog p) in
-  let live_at_target i = Some (target_live i) in
+  let live_at_target = Liveness.target_live (Liveness.Dense.of_prog p) in
   let acc = ref [] in
   let collect pre l =
     let pre_env = Linval.env_of_items pre in

@@ -511,6 +511,11 @@ let ddg_tests =
   let edge_exists ddg a b =
     List.exists (fun (d, _) -> d = b) ddg.Ddg.succs.(a)
   in
+  (* Every register live at every target: nothing may speculate. *)
+  let all_live ?(pre_env = Reg.Map.empty) insns =
+    let dsts = List.filter_map (fun (i : Insn.t) -> i.Insn.dst) insns in
+    Ddg.build ~live_at_target:(fun _ -> Reg.Set.of_list dsts) ~pre_env (Array.of_list insns)
+  in
   [
     test "flow edge carries producer latency" (fun () ->
       let ctx = Prog.make_ctx () in
@@ -518,7 +523,7 @@ let ddg_tests =
       let f2 = Reg.fresh ctx.Prog.rgen Reg.Float in
       let ld = Build.load ctx Reg.Float f1 (Operand.Lab "A") (Operand.Int 0) in
       let add = Build.fb ctx Insn.Fadd f2 (Operand.Reg f1) (Operand.Flt 1.0) in
-      let ddg = Ddg.build (sb_of [ Block.Ins ld; Block.Ins add ]) in
+      let ddg = all_live [ ld; add ] in
       (match ddg.Ddg.succs.(0) with
       | [ (1, 2) ] -> ()
       | _ -> Alcotest.fail "expected flow edge with load latency 2");
@@ -529,7 +534,7 @@ let ddg_tests =
       let r2 = Reg.fresh ctx.Prog.rgen Reg.Int in
       let use = Build.ib ctx Insn.Add r2 (Operand.Reg r1) (Operand.Int 1) in
       let redef = Build.imov ctx r1 (Operand.Int 9) in
-      let ddg = Ddg.build (sb_of [ Block.Ins use; Block.Ins redef ]) in
+      let ddg = all_live [ use; redef ] in
       check_bool "anti edge" true (edge_exists ddg 0 1));
     test "memory edges respect array disjointness" (fun () ->
       let ctx = Prog.make_ctx () in
@@ -537,11 +542,11 @@ let ddg_tests =
       let f1 = Reg.fresh ctx.Prog.rgen Reg.Float in
       let st = Build.store ctx Reg.Float (Operand.Lab "A") (Operand.Reg w) (Operand.Flt 1.0) in
       let ld_b = Build.load ctx Reg.Float f1 (Operand.Lab "B") (Operand.Reg w) in
-      let ddg = Ddg.build (sb_of [ Block.Ins st; Block.Ins ld_b ]) in
+      let ddg = all_live [ st; ld_b ] in
       check_bool "no edge to other array" false (edge_exists ddg 0 1);
       let f2 = Reg.fresh ctx.Prog.rgen Reg.Float in
       let ld_a = Build.load ctx Reg.Float f2 (Operand.Lab "A") (Operand.Reg w) in
-      let ddg2 = Ddg.build (sb_of [ Block.Ins st; Block.Ins ld_a ]) in
+      let ddg2 = all_live [ st; ld_a ] in
       check_bool "edge on same address" true (edge_exists ddg2 0 1));
     test "unrelated register bases may alias" (fun () ->
       (* Neither address has a label and nothing relates the two bases,
@@ -553,7 +558,7 @@ let ddg_tests =
       let f1 = Reg.fresh ctx.Prog.rgen Reg.Float in
       let ld = Build.load ctx Reg.Float f1 (Operand.Reg a) (Operand.Int 0) in
       let st = Build.store ctx Reg.Float (Operand.Reg b) (Operand.Int 0) (Operand.Flt 1.0) in
-      let ddg = Ddg.build (sb_of [ Block.Ins ld; Block.Ins st ]) in
+      let ddg = all_live [ ld; st ] in
       check_bool "load -> store" true (edge_exists ddg 0 1));
     test "duplicate edges keep the max latency" (fun () ->
       (* The store reads f1 (anti edge, latency 0) and may alias the
@@ -566,7 +571,7 @@ let ddg_tests =
       let sb = sb_of [ Block.Ins st; Block.Ins ld ] in
       check_bool "two raw edges" true
         (List.length (Pipe_edges_ref.build sb).Pipe_edges_ref.edges = 2);
-      let ddg = Ddg.build sb in
+      let ddg = all_live [ st; ld ] in
       check_bool "one succ at latency 1" true (ddg.Ddg.succs.(0) = [ (1, 1) ]);
       check_bool "one pred at latency 1" true (ddg.Ddg.succs.(1) = []));
     test "store ordered after branch; dead-dest load may speculate" (fun () ->
@@ -576,10 +581,8 @@ let ddg_tests =
       let br = Build.br ctx Reg.Int Insn.Lt (Operand.Reg r1) (Operand.Int 0) "X" in
       let st = Build.store ctx Reg.Float (Operand.Lab "A") (Operand.Int 0) (Operand.Flt 1.0) in
       let ld = Build.load ctx Reg.Float f1 (Operand.Lab "B") (Operand.Int 0) in
-      let live_at_target _ = Some Reg.Set.empty in
-      let ddg =
-        Ddg.build ~live_at_target (sb_of [ Block.Ins br; Block.Ins st; Block.Ins ld ])
-      in
+      let live_at_target _ = Reg.Set.empty in
+      let ddg = Ddg.build ~live_at_target ~pre_env:Reg.Map.empty [| br; st; ld |] in
       let edge a b = List.exists (fun (d, _) -> d = b) ddg.Ddg.succs.(a) in
       check_bool "branch -> store" true (edge 0 1);
       check_bool "branch -/-> load (dead at target)" false (edge 0 2));
@@ -589,19 +592,10 @@ let ddg_tests =
       let f1 = Reg.fresh ctx.Prog.rgen Reg.Float in
       let br = Build.br ctx Reg.Int Insn.Lt (Operand.Reg r1) (Operand.Int 0) "X" in
       let ld = Build.load ctx Reg.Float f1 (Operand.Lab "B") (Operand.Int 0) in
-      let live_at_target _ = Some (Reg.Set.singleton f1) in
-      let ddg = Ddg.build ~live_at_target (sb_of [ Block.Ins br; Block.Ins ld ]) in
+      let live_at_target _ = Reg.Set.singleton f1 in
+      let ddg = Ddg.build ~live_at_target ~pre_env:Reg.Map.empty [| br; ld |] in
       check_bool "branch -> load" true
         (List.exists (fun (d, _) -> d = 1) ddg.Ddg.succs.(0)));
-    test "leftover labels are barriers" (fun () ->
-      let ctx = Prog.make_ctx () in
-      let r1 = Reg.fresh ctx.Prog.rgen Reg.Int in
-      let r2 = Reg.fresh ctx.Prog.rgen Reg.Int in
-      let i1 = Build.imov ctx r1 (Operand.Int 1) in
-      let i2 = Build.imov ctx r2 (Operand.Int 2) in
-      let ddg = Ddg.build (sb_of [ Block.Ins i1; Block.Lbl "J"; Block.Ins i2 ]) in
-      check_bool "ordered across label" true
-        (List.exists (fun (d, _) -> d = 2) ddg.Ddg.succs.(0)));
     test "preheader facts disambiguate expanded pointers" (fun () ->
       let ctx = Prog.make_ctx () in
       let p1 = Reg.fresh ctx.Prog.rgen Reg.Int in
@@ -612,17 +606,15 @@ let ddg_tests =
       let inc1 = Build.ib ctx Insn.Add p1 (Operand.Reg p1) (Operand.Int 8) in
       let inc2 = Build.ib ctx Insn.Add p2 (Operand.Reg p2) (Operand.Int 8) in
       let back = Build.br ctx Reg.Int Insn.Le (Operand.Reg p1) (Operand.Int 99) "H" in
-      let body =
-        [ Block.Ins st; Block.Ins ld; Block.Ins inc1; Block.Ins inc2; Block.Ins back ]
-      in
+      let body = [ st; ld; inc1; inc2; back ] in
       (* Without preheader facts: may-alias; with p2 = p1 + 4: disjoint. *)
-      let ddg_without = Ddg.build (sb_of body) in
+      let ddg_without = all_live body in
       check_bool "conservative edge" true
         (List.exists (fun (d, _) -> d = 1) ddg_without.Ddg.succs.(0));
       let pre_env =
         Reg.Map.singleton p2 (lin_reg ~c:4 p1)
       in
-      let ddg_with = Ddg.build ~pre_env (sb_of body) in
+      let ddg_with = all_live ~pre_env body in
       check_bool "edge removed with facts" false
         (List.exists (fun (d, _) -> d = 1) ddg_with.Ddg.succs.(0)));
   ]
@@ -947,8 +939,7 @@ let ddg_corpus_tests =
     test "Ddg.build edges = all-pairs reference on every segment" (fun () ->
       List.iter
         (fun (name, p) ->
-          let target_live = Liveness.target_live (Liveness.Dense.of_prog p) in
-          let live_at_target i = Some (target_live i) in
+          let live_at_target = Liveness.target_live (Liveness.Dense.of_prog p) in
           List.iter
             (fun (pre_env, insns) ->
               let sb =
@@ -958,7 +949,9 @@ let ddg_corpus_tests =
               let flow_mem = reference_flow_mem ~pre_env sb in
               (* The former builder's raw edges, tagged by kind: its
                  Flow/Mem multiset equals the all-pairs reference. *)
-              let old = Pipe_edges_ref.build ~live_at_target ~pre_env sb in
+              let old =
+                Pipe_edges_ref.build ~live_at_target:(fun i -> Some (live_at_target i)) ~pre_env sb
+              in
               let raw =
                 List.map
                   (fun e -> Pipe_edges_ref.(e.esrc, e.edst, e.kind, e.lat))
@@ -982,7 +975,7 @@ let ddg_corpus_tests =
                      (Array.to_list
                         (Array.mapi (fun a l -> List.map (fun (b, lat) -> (a, b, lat)) l) adj)))
               in
-              let g = Ddg.build ~live_at_target ~pre_env sb in
+              let g = Ddg.build ~live_at_target ~pre_env insns in
               if of_adj g.Ddg.succs <> expect then
                 Alcotest.failf "%s: succs differ from the reference" name;
               (* One successor entry per pair. *)

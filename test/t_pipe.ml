@@ -255,8 +255,7 @@ let rec body_text (b : Block.t) =
    input loop, with the preheader env of the output items before it.
    Returns the number of loops checked. *)
 let check_skipped_bodies tag machine (input : Prog.t) ((out : Prog.t), pairs) =
-  let target_live = Liveness.target_live (Liveness.Dense.of_prog input) in
-  let live_at_target i = Some (target_live i) in
+  let live_at_target = Liveness.target_live (Liveness.Dense.of_prog input) in
   let src = innermost_loops input in
   let skipped = Hashtbl.create 8 in
   List.iter

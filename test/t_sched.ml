@@ -126,8 +126,8 @@ let sched_tests =
       in
       let r =
         List_sched.schedule_segment Machine.issue_8
-          ~live_at_target:(fun _ -> Some Reg.Set.empty)
-          insns
+          ~live_at_target:(fun _ -> Reg.Set.empty)
+          ~pre_env:Reg.Map.empty insns
       in
       (* load(2) + fadd(3) + fmul(3) = 8 *)
       check_int "makespan" 8 r.List_sched.makespan);
@@ -144,8 +144,8 @@ let sched_tests =
       let insns = Array.of_list (mk () @ mk () @ mk ()) in
       let r =
         List_sched.schedule_segment Machine.issue_8
-          ~live_at_target:(fun _ -> Some Reg.Set.empty)
-          insns
+          ~live_at_target:(fun _ -> Reg.Set.empty)
+          ~pre_env:Reg.Map.empty insns
       in
       check_int "three chains in the time of one" 5 r.List_sched.makespan);
     test "loads are hoisted above side exits in the emitted order" (fun () ->
@@ -163,8 +163,8 @@ let sched_tests =
       in
       let r =
         List_sched.schedule_segment Machine.issue_8
-          ~live_at_target:(fun _ -> Some Reg.Set.empty)
-          insns
+          ~live_at_target:(fun _ -> Reg.Set.empty)
+          ~pre_env:Reg.Map.empty insns
       in
       let order =
         List.filter_map
@@ -187,12 +187,42 @@ let sched_tests =
       in
       let r =
         List_sched.schedule_segment Machine.issue_8
-          ~live_at_target:(fun _ -> Some Reg.Set.empty)
-          insns
+          ~live_at_target:(fun _ -> Reg.Set.empty)
+          ~pre_env:Reg.Map.empty insns
       in
       (match r.List_sched.items with
       | Block.Ins first :: _ -> check_bool "branch first" true (Insn.is_branch first)
       | _ -> Alcotest.fail "no items"));
+    test "labels split a loop body: nothing crosses a label" (fun () ->
+      (* [i2] is independent of [i1] and ready at cycle 0, while [i1]
+         waits on a load: scheduled as one segment, [i2] would issue
+         first. *)
+      let ctx = Prog.make_ctx () in
+      let f1 = Reg.fresh ctx.Prog.rgen Reg.Float in
+      let f2 = Reg.fresh ctx.Prog.rgen Reg.Float in
+      let r = Reg.fresh ctx.Prog.rgen Reg.Int in
+      let ld = Build.load ctx Reg.Float f1 (Operand.Lab "A") (Operand.Int 0) in
+      let i1 = Build.fb ctx Insn.Fadd f2 (Operand.Reg f1) (Operand.Flt 1.0) in
+      let i2 = Build.imov ctx r (Operand.Int 2) in
+      let body = [ Block.Ins ld; Block.Ins i1; Block.Lbl "J"; Block.Ins i2 ] in
+      let l = { Block.lid = 1; head = "H"; exit_lbl = "X"; meta = Block.no_meta; body } in
+      match
+        List_sched.schedule_loop Machine.issue_8 ~live_at_target:(fun _ -> Reg.Set.empty)
+          ~pre_env:Reg.Map.empty l
+      with
+      | [ Block.Loop l' ] ->
+        let pos is =
+          let rec go k = function
+            | [] -> Alcotest.fail "item lost"
+            | x :: rest -> if is x then k else go (k + 1) rest
+          in
+          go 0 l'.Block.body
+        in
+        let insn (i : Insn.t) = function Block.Ins x -> x.Insn.id = i.Insn.id | _ -> false in
+        let j = pos (( = ) (Block.Lbl "J")) in
+        check_bool "i1 before J" true (pos (insn i1) < j);
+        check_bool "i2 after J" true (pos (insn i2) > j)
+      | _ -> Alcotest.fail "schedule_loop returns one loop");
     test "back-branch is always emitted last" (fun () ->
       let p = Helpers.compile Impact_core.Opts.default Impact_core.Level.Lev4 Machine.issue_8
           (lower (vecadd_ast 64)) in
