@@ -325,7 +325,30 @@ let file_tests =
           "../examples/kernels/clipsum.f";
           "../examples/kernels/cse_order.f";
           "../examples/kernels/tree_height.f";
+          "../examples/kernels/runtime_trip.f";
         ]);
+    (* No Table 2 loop has a run-time trip count, so this file is the one
+       input that takes unrolling's div/rem preconditioning path with its
+       zero-trip guards. MD5 of the printed Lev1 and Lev4 programs and of
+       the issue-8 pipelined schedule (loop reports, then code); a
+       refactor of loop construction must leave them unchanged. *)
+    test "runtime_trip.f output is pinned" (fun () ->
+      let ast = Parse.parse_file "../examples/kernels/runtime_trip.f" in
+      let md5 s = Digest.to_hex (Digest.string s) in
+      let printed l = md5 (Impact_ir.Pp.prog_to_string (Impact_core.Level.apply l (lower ast))) in
+      check_string "Lev1" "39dc05be11a942fdbf182620e525c04b" (printed Impact_core.Level.Lev1);
+      check_string "Lev4" "9abf9085f2d227d052e16feaaba0dece" (printed Impact_core.Level.Lev4);
+      let opts = Impact_core.Opts.make ~sched:`Pipe () in
+      let p, reports =
+        Impact_core.Compile.schedule_with opts Impact_ir.Machine.issue_8
+          (Impact_core.Compile.transform_with opts Impact_core.Level.Lev4 (lower ast))
+      in
+      let text =
+        String.concat ""
+          (List.map (fun (r, _) -> Impact_pipe.Pipe.report_to_string r ^ "\n") reports)
+        ^ Impact_ir.Pp.prog_to_string p
+      in
+      check_string "pipe issue 8" "9aeb2f31e6348829837fe5ea29d1f6bd" (md5 text));
   ]
 
 let suite =
