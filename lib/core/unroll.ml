@@ -22,10 +22,10 @@ let default_factor = 8
 let max_body_insns = 220
 
 (* Copy the body once with fresh instruction ids, renaming local labels
-   and retargeting internal branches; the back-branch is dropped (the
-   preconditioning loop supplies its own countdown branch). Returns the
-   items and the label map. *)
-let copy_body ctx (sb : Sb.t) : Block.item list * (string, string) Hashtbl.t =
+   and retargeting internal branches; the back-branch is kept only when
+   [keep_back] (the preconditioning loop supplies its own countdown
+   branch). Returns the items and the label map. *)
+let copy_body ctx ~keep_back (sb : Sb.t) : Block.item list * (string, string) Hashtbl.t =
   let lmap = Hashtbl.create 8 in
   let rename_label l =
     match Hashtbl.find_opt lmap l with
@@ -44,15 +44,14 @@ let copy_body ctx (sb : Sb.t) : Block.item list * (string, string) Hashtbl.t =
          match item with
          | Block.Lbl l -> Some (Block.Lbl (rename_label l))
          | Block.Loop _ -> invalid_arg "Unroll.copy_body: nested loop"
+         | Block.Ins i when Sb.is_back_branch sb i && not keep_back -> None
          | Block.Ins i ->
-           if Sb.is_back_branch sb i then None
-           else
-             let target =
-               match i.Insn.target with
-               | Some t when Hashtbl.mem lmap t -> Some (Hashtbl.find lmap t)
-               | other -> other
-             in
-             Some (Block.Ins { (Build.clone ctx i) with Insn.target }))
+           let target =
+             match i.Insn.target with
+             | Some t when Hashtbl.mem lmap t -> Some (Hashtbl.find lmap t)
+             | other -> other
+           in
+           Some (Block.Ins { (Build.clone ctx i) with Insn.target }))
   in
   (items, lmap)
 
@@ -76,9 +75,8 @@ let unroll_loop ctx ~factor (pre : Block.item list) (l : Block.loop)
         match Sb.insn sb bpos with
         | Some bi when Sb.is_back_branch sb bi -> (
           match bi.Insn.op with
-          | Insn.Br (Reg.Int, (Insn.Le | Insn.Ge)) -> (
+          | Insn.Br (Reg.Int, (Insn.Le | Insn.Ge as cmp)) -> (
             let limit = bi.Insn.srcs.(1) in
-            let cmp = (match bi.Insn.op with Insn.Br (_, c) -> c | _ -> assert false) in
             (* Static trip-count split when known. *)
             let tpre_static, tmain_static =
               match meta.Block.trip with
@@ -92,39 +90,13 @@ let unroll_loop ctx ~factor (pre : Block.item list) (l : Block.loop)
             else begin
               let items = ref [] in
               let emit_i i = items := Block.Ins i :: !items in
-              let emit x = items := x :: !items in
               (* --- Preconditioning loop --- *)
-              let make_precond (count_op : Operand.t) =
-                let cnt = Reg.fresh ctx.Prog.rgen Reg.Int in
-                emit_i (Build.imov ctx cnt count_op);
-                let plid = Prog.fresh_loop_id ctx in
-                let phead = Printf.sprintf "L%dp" plid in
-                let pexit = Printf.sprintf "X%dp" plid in
-                (* Guard: skip when no preconditioning iterations. *)
-                (match count_op with
-                | Operand.Int n when n > 0 -> ()
-                | _ ->
-                  emit_i (Build.br ctx Reg.Int Insn.Le (Operand.Reg cnt) (Operand.Int 0) pexit));
-                let body_items, _ = copy_body ctx sb in
-                let dec = Build.ib ctx Insn.Sub cnt (Operand.Reg cnt) (Operand.Int 1) in
-                let bb =
-                  Build.br ctx Reg.Int Insn.Gt (Operand.Reg cnt) (Operand.Int 0) phead
+              let make_precond count =
+                let loop =
+                  Build.countdown_loop ctx ~suffix:"p" count (fun () ->
+                    fst (copy_body ctx ~keep_back:false sb))
                 in
-                let pbody = body_items @ [ Block.Ins dec; Block.Ins bb ] in
-                let pmeta =
-                  {
-                    Block.counter = Some cnt;
-                    step = Some (-1);
-                    limit = Some (Operand.Int 0);
-                    trip = (match count_op with Operand.Int n -> Some n | _ -> None);
-                    latch = None;
-                    unrolled = 1;
-                  }
-                in
-                emit
-                  (Block.Loop
-                     { Block.lid = plid; head = phead; exit_lbl = pexit; meta = pmeta;
-                       body = pbody })
+                items := List.rev_append loop !items
               in
               (match tpre_static with
               | Some 0 -> ()
@@ -150,59 +122,23 @@ let unroll_loop ctx ~factor (pre : Block.item list) (l : Block.loop)
                 emit_i
                   (Build.br ctx Reg.Int guard_cmp (Operand.Reg counter) limit
                      l.Block.exit_lbl));
-              (* --- Main unrolled loop --- *)
-              let copies = ref [] in
-              let last_latch = ref latch_lbl in
-              for k = 0 to factor - 1 do
-                let keep_back = k = factor - 1 in
-                let lmap = Hashtbl.create 8 in
-                let rename_label lab =
-                  match Hashtbl.find_opt lmap lab with
-                  | Some x -> x
-                  | None ->
-                    let x = Prog.fresh_label ctx "U" in
-                    Hashtbl.replace lmap lab x;
-                    x
-                in
-                Array.iter
-                  (function
-                    | Block.Lbl lab -> ignore (rename_label lab)
-                    | Block.Ins _ | Block.Loop _ -> ())
-                  sb.Sb.items;
-                let copy =
-                  Array.to_list sb.Sb.items
-                  |> List.filter_map (fun item ->
-                       match item with
-                       | Block.Lbl lab -> Some (Block.Lbl (rename_label lab))
-                       | Block.Loop _ -> None
-                       | Block.Ins i ->
-                         if Sb.is_back_branch sb i then
-                           if keep_back then Some (Block.Ins (Build.clone ctx i))
-                           else None
-                         else
-                           let target =
-                             match i.Insn.target with
-                             | Some tl when Hashtbl.mem lmap tl ->
-                               Some (Hashtbl.find lmap tl)
-                             | other -> other
-                           in
-                           Some (Block.Ins { (Build.clone ctx i) with Insn.target }))
-                in
-                if keep_back then
-                  last_latch :=
-                    Option.value ~default:!last_latch (Hashtbl.find_opt lmap latch_lbl);
-                copies := !copies @ copy
-              done;
+              (* --- Main unrolled loop: the last copy keeps the
+                 back-branch and names the latch --- *)
+              let copies =
+                List.init factor (fun k -> copy_body ctx ~keep_back:(k = factor - 1) sb)
+              in
+              let last_lmap = snd (List.nth copies (factor - 1)) in
               let main_meta =
                 {
                   meta with
-                  Block.latch = Some !last_latch;
+                  Block.latch =
+                    Some (Option.value ~default:latch_lbl (Hashtbl.find_opt last_lmap latch_lbl));
                   unrolled = factor;
                   trip = tmain_static;
                 }
               in
-              emit (Block.Loop { l with Block.meta = main_meta; body = !copies });
-              pre @ List.rev !items
+              let body = List.concat_map fst copies in
+              pre @ List.rev (Block.Loop { l with Block.meta = main_meta; body } :: !items)
             end)
           | _ -> keep ())
         | _ -> keep ()))

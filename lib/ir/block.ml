@@ -43,16 +43,6 @@ let is_innermost l =
 let body_insns l =
   List.filter_map (function Ins i -> Some i | Lbl _ | Loop _ -> None) l.body
 
-let rec map_innermost f block =
-  let map_item = function
-    | Ins i -> Ins i
-    | Lbl s -> Lbl s
-    | Loop l ->
-      if is_innermost l then Loop (f l)
-      else Loop { l with body = map_innermost f l.body }
-  in
-  List.map map_item block
-
 (* The items before an innermost loop in its own block, already
    rewritten, are its preheader region: [f pre l] returns what replaces
    both, so a pass may move code into or out of the preheader. *)

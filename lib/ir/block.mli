@@ -30,9 +30,6 @@ val is_innermost : loop -> bool
 val body_insns : loop -> Insn.t list
 (** Instructions of an innermost loop body (labels elided). *)
 
-val map_innermost : (loop -> loop) -> t -> t
-(** Rewrite every innermost loop. *)
-
 val map_innermost_with_preheader : (item list -> loop -> item list) -> t -> t
 (** Rewrite every innermost loop together with the items preceding it in
     its own block (the preheader region, as already rewritten), left to

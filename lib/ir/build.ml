@@ -42,3 +42,32 @@ let clone ctx ?dst ?srcs ?target (i : Insn.t) =
   let srcs = match srcs with Some s -> s | None -> Array.copy i.Insn.srcs in
   let target = match target with Some t -> Some t | None -> i.Insn.target in
   { i with Insn.id = Prog.fresh_insn_id ctx; dst; srcs; target }
+
+(* cnt = count; [guard]; head: body; cnt = cnt - 1; br cnt > 0 head.
+   Registers, ids, the loop id and labels are taken in that order. *)
+let countdown_loop ctx ~suffix count body =
+  let cnt = Reg.fresh ctx.Prog.rgen Reg.Int in
+  let init = imov ctx cnt count in
+  let lid = Prog.fresh_loop_id ctx in
+  let head = Printf.sprintf "L%d%s" lid suffix in
+  let exit_lbl = Printf.sprintf "X%d%s" lid suffix in
+  let guard =
+    match count with
+    | Operand.Int n when n > 0 -> []
+    | _ -> [ Block.Ins (br ctx Reg.Int Insn.Le (Operand.Reg cnt) (Operand.Int 0) exit_lbl) ]
+  in
+  let body = body () in
+  let dec = ib ctx Insn.Sub cnt (Operand.Reg cnt) (Operand.Int 1) in
+  let back = br ctx Reg.Int Insn.Gt (Operand.Reg cnt) (Operand.Int 0) head in
+  let meta =
+    {
+      Block.counter = Some cnt;
+      step = Some (-1);
+      limit = Some (Operand.Int 0);
+      trip = (match count with Operand.Int n -> Some n | _ -> None);
+      latch = None;
+      unrolled = 1;
+    }
+  in
+  let body = body @ [ Block.Ins dec; Block.Ins back ] in
+  (Block.Ins init :: guard) @ [ Block.Loop { Block.lid; head; exit_lbl; meta; body } ]

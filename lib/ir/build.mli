@@ -35,3 +35,11 @@ val clone :
   Prog.ctx -> ?dst:Reg.t -> ?srcs:Operand.t array -> ?target:string -> Insn.t -> Insn.t
 (** Copy an instruction under a fresh id, optionally replacing fields;
     the source array is copied. *)
+
+val countdown_loop :
+  Prog.ctx -> suffix:string -> Operand.t -> (unit -> Block.t) -> Block.t
+(** [countdown_loop ctx ~suffix count body]: [cnt = count], then a loop
+    headed [L<lid><suffix>] (exit [X<lid><suffix>]) of [body ()], then
+    [cnt = cnt - 1; br cnt > 0 head]; its meta counts [cnt] down by 1
+    to 0. Unless [count] is a positive constant, a zero-trip guard
+    [br cnt <= 0 exit] comes first; [body] is called after it is built. *)

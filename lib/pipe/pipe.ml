@@ -500,38 +500,15 @@ let codegen ctx (l : Block.loop) (a : Insn.t array) (time : int array) ~ii ~trip
           order
       done;
       (* Kernel: K copies plus a countdown branch. *)
-      let kcnt = Reg.fresh ctx.Prog.rgen Reg.Int in
-      emit_i (Build.imov ctx kcnt (Operand.Int kcnt_v));
-      let klid = Prog.fresh_loop_id ctx in
-      let khead = Printf.sprintf "L%dm" klid in
-      let kexit = Printf.sprintf "X%dm" klid in
-      let kbody = ref [] in
-      for k = 0 to kk - 1 do
-        List.iter
-          (fun idx ->
-            kbody := Block.Ins (emit_instance ~vk:(md (sc - 1 + k) kk) ~j:None idx) :: !kbody)
-          order
-      done;
-      kbody :=
-        Block.Ins (Build.ib ctx Insn.Sub kcnt (Operand.Reg kcnt) (Operand.Int 1)) :: !kbody;
-      kbody :=
-        Block.Ins (Build.br ctx Reg.Int Insn.Gt (Operand.Reg kcnt) (Operand.Int 0) khead)
-        :: !kbody;
-      let kmeta =
-        {
-          Block.counter = Some kcnt;
-          step = Some (-1);
-          limit = Some (Operand.Int 0);
-          trip = Some kcnt_v;
-          latch = None;
-          unrolled = 1;
-        }
+      let kernel =
+        Build.countdown_loop ctx ~suffix:"m" (Operand.Int kcnt_v) (fun () ->
+          List.concat
+            (List.init kk (fun k ->
+               List.map
+                 (fun idx -> Block.Ins (emit_instance ~vk:(md (sc - 1 + k) kk) ~j:None idx))
+                 order)))
       in
-      items :=
-        Block.Loop
-          { Block.lid = klid; head = khead; exit_lbl = kexit; meta = kmeta;
-            body = List.rev !kbody }
-        :: !items;
+      items := List.rev_append kernel !items;
       (* Epilogue: blocks n' .. n'+SC-2 drain the pipeline. The peel
          made the kernel count divide K, so block indices are statically
          congruent to SC-1+e mod K. *)

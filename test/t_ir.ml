@@ -146,10 +146,10 @@ let block_tests =
       let outer = mk_loop 1 [ Block.Loop inner ] in
       let touched = ref [] in
       let _ =
-        Block.map_innermost
-          (fun l ->
+        Block.map_innermost_with_preheader
+          (fun pre l ->
             touched := l.Block.lid :: !touched;
-            l)
+            pre @ [ Block.Loop l ])
           [ Block.Loop outer ]
       in
       Helpers.check_bool "only loop 2" true (!touched = [ 2 ]));
