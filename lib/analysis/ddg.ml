@@ -281,19 +281,19 @@ let modulo_edges ~pre_env (insns : Insn.t array) : edge list =
         else carry b.mpos a.mpos (mem_lat b) (-dd)
       end
   in
-  let relate ka kb rel =
+  let relate ka kb =
     let a = Option.get mems.(ka) and b = Option.get mems.(kb) in
-    match (rel : Linval.relation), a.maddr, b.maddr with
-    | (Linval.Same | Linval.Disjoint), Some x, Some y ->
-      (* Equal coefficient maps: equal steps, constant difference. *)
-      at_distance a b steps.(ka) (x.Linval.c - y.Linval.c)
-    | _, Some x, Some y -> (
-      match steps.(ka), steps.(kb) with
-      | Some sx, Some sy when sx = sy ->
+    match a.maddr, b.maddr with
+    | Some x, Some y -> (
+      match Linval.diff x y, steps.(ka), steps.(kb) with
+      | Some dc, _, _ ->
+        (* Equal coefficient maps: equal steps, constant difference. *)
+        at_distance a b steps.(ka) dc
+      | None, Some sx, Some sy when sx = sy ->
         let d = Linval.subst pre_env (Linval.sub x y) in
         if Linval.is_const d then at_distance a b (Some sx) d.Linval.c
         else conservative a b
-      | _ -> conservative a b)
+      | None, _, _ -> conservative a b)
     | _ -> conservative a b
   in
   for p = 0 to n - 1 do
@@ -317,13 +317,13 @@ let modulo_edges ~pre_env (insns : Insn.t array) : edge list =
       mems.(km) <- Some m;
       steps.(km) <- Option.bind m.maddr (Linval.lin_step lv);
       incr nmems;
-      if m.mst then relate km km (Linval.relation m.maddr m.maddr);
+      if m.mst then relate km km;
       for kq = 0 to km - 1 do
         let q = Option.get mems.(kq) in
         if (m.mst || q.mst) && not (other_arrays q m) then begin
-          let rel = Linval.relation q.maddr m.maddr in
-          if may_alias lv pre_env rel q m then offer box q.mpos (mem_lat q);
-          relate kq km rel
+          if may_alias lv pre_env (Linval.relation q.maddr m.maddr) q m then
+            offer box q.mpos (mem_lat q);
+          relate kq km
         end
       done
     end;
